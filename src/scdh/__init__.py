@@ -30,14 +30,17 @@ from .data import (
     save_dataset,
 )
 from .losses import (
+    SculBatch,
     SculGradients,
     TripletLossKind,
     classification_loss,
     euclidean_distance,
+    label_matrix,
     margin_loss,
     neg_dist_softmax,
     quantization_gradient,
     quantization_loss,
+    scul_batch,
     scul_gradients,
     scul_loss,
     scul_multilabel_gradients,

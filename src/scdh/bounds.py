@@ -10,7 +10,6 @@ the estimated lambda over a (sigma, d) grid.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -516,9 +515,3 @@ def write_rows_csv(path, rows: Sequence, fields: Sequence[str]):
         writer.writeheader()
         for row in rows:
             writer.writerow(row.to_dict())
-
-
-def write_rows_json(path, rows: Sequence):
-    with open(path, "w") as fh:
-        json.dump([row.to_dict() for row in rows], fh, indent=2, sort_keys=True)
-        fh.write("\n")

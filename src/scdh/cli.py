@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, bounds, data, losses, meanteacher, model, retrieval
-from .errors import ScdhError
+from .errors import LabelSetError, ScdhError
 
 log = logging.getLogger("scdh")
 
@@ -205,6 +205,23 @@ def _require_file(path: str, what: str):
         raise ValidationError(f"{what} not found: {path}")
 
 
+def _require_finite(dataset: data.Dataset, what: str):
+    bad = ~np.isfinite(dataset.features).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"{what}: row {i} (id {int(dataset.ids[i])}) has a "
+                              "non-finite feature value")
+
+
+def _require_trainable(dataset: data.Dataset, what: str):
+    """Reject features and label sets that training cannot use, before epoch 0."""
+    _require_finite(dataset, what)
+    try:
+        losses.label_matrix(dataset.labels, dataset.label_count)
+    except LabelSetError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -353,6 +370,7 @@ def cmd_train(cfg: dict, run: Run):
     cfg = _apply_presets(cfg, run)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
+    _require_trainable(dataset, "--data")
     if not dataset.labeled_mask().all():
         labeled_idx = np.nonzero(dataset.labeled_mask())[0]
         log.info("training on the %d labeled samples only", len(labeled_idx))
@@ -374,6 +392,7 @@ def cmd_train_semi(cfg: dict, run: Run):
     cfg = _apply_presets(cfg, run)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
+    _require_trainable(dataset, "--data")
     semi = meanteacher.SemiDataset.from_partial(dataset)
     hp = _hp_from_cfg(cfg)
     student, teacher, report = meanteacher.train_mt_scdh(
@@ -412,6 +431,7 @@ def cmd_encode(cfg: dict, run: Run):
     elif cfg["network"] not in ("teacher", "student"):
         raise ValidationError("--network must be 'teacher' or 'student'")
     dataset = data.load_dataset(cfg["data"])
+    _require_finite(dataset, "--data")
     F = model.extract_embeddings(net, dataset.features.astype(np.float64))
     index = retrieval.CodeIndex.from_embeddings(F, dataset.ids)
     with atomic_path(run.path(cfg["name"])) as tmp:

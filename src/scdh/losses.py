@@ -3,7 +3,10 @@
 Everything here is a pure function of its inputs, computed in float64.
 Centers are held as an ``(r, C)`` matrix whose columns are the per-label
 cluster centers; embeddings are length-``r`` vectors (the real-valued
-activations that get sign-thresholded into hash codes downstream).
+activations that get sign-thresholded into hash codes downstream).  The
+batched functions (``scul_batch`` and its helpers) take an ``(n, r)``
+matrix with one embedding per row; the per-sample functions are their
+reference.
 """
 
 from __future__ import annotations
@@ -294,6 +297,153 @@ def classification_loss(logits, labels) -> tuple[float, Array]:
     target[idx] = 1.0 / len(Y)
     grad = np.exp(logp) - target
     return loss, grad
+
+
+def label_matrix(labelsets, C: int) -> Array:
+    """(n, C) float 0/1 matrix of label sets, one row per sample.
+
+    A row holds an int or an iterable of ints; ``None`` or an empty set marks
+    an unlabeled sample and gives a zero row.  Raises LabelSetError naming
+    the first row with an out-of-range label, or with several labels that
+    cover every class (no negative class would remain).
+    """
+    rows, cols = [], []
+    for i, labels in enumerate(labelsets):
+        if labels is None:
+            continue
+        ys = [labels] if isinstance(labels, (int, np.integer)) else list(labels)
+        rows.extend([i] * len(ys))
+        cols.extend(ys)
+    Y = np.zeros((len(labelsets), C))
+    cols = np.asarray(cols, dtype=np.int64)
+    bad = (cols < 0) | (cols >= C)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise LabelSetError(f"row {rows[j]}: label {cols[j]} out of range for C={C}")
+    Y[rows, cols] = 1.0
+    counts = Y.sum(axis=1)
+    full = (counts == C) & (counts > 1)
+    if full.any():
+        i = int(np.argmax(full))
+        raise LabelSetError(f"row {i}: label set covers every class; no negative "
+                            "class exists")
+    return Y
+
+
+def center_directions(F, centers) -> tuple[Array, Array]:
+    """Distances from every row of F to every center, and their unit directions.
+
+    Returns ``D`` (n, C) with D[i, k] = |f_i - c_k| and ``U`` (n, r, C) with
+    U[i, :, k] = (f_i - c_k) / D[i, k], zero where D[i, k] = 0 (the
+    subgradient choice of ``_unit_directions``).  Both come from the
+    differences, so no precision is lost near a center.
+    """
+    diff = F[:, :, None] - centers[None, :, :]
+    D = np.sqrt(np.einsum("nrc,nrc->nc", diff, diff))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        U = np.where(D[:, None, :] > 0.0, diff / D[:, None, :], 0.0)
+    return D, U
+
+
+def distance_gradients(U, coef) -> tuple[Array, Array]:
+    """Gradients of sum_ik coef[i, k] * |f_i - c_k| w.r.t. F and the centers.
+
+    ``U`` is the (n, r, C) direction tensor of ``center_directions``; returns
+    (grad_F (n, r), grad_centers (r, C)).
+    """
+    grad_F = np.matmul(U, coef[:, :, None])[:, :, 0]
+    return grad_F, -np.einsum("nrc,nc->rc", U, coef)
+
+
+def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]:
+    """Row-wise ``quantization_loss`` and ``quantization_gradient`` of (n, r) F.
+
+    All-zero rows get loss 1 and gradient 0; entries exactly at 0 get
+    subgradient 0.
+    """
+    _check_dual_norms(p, q)
+    a = np.abs(F)
+    s = a.sum(axis=1)
+    norm_p = (a**p).sum(axis=1) ** (1.0 / p)
+    live = norm_p > 0.0
+    safe = np.where(live, norm_p, 1.0)
+    ones_q = float(F.shape[1]) ** (1.0 / q)
+    loss = np.where(live, np.clip(1.0 - s / (ones_q * safe), 0.0, 1.0), 1.0)
+    sign = np.sign(F)
+    n_col, s_col = safe[:, None], s[:, None]
+    grad = -(sign * n_col - s_col * sign * a ** (p - 1.0) * n_col ** (1.0 - p)) / (
+        ones_q * n_col**2
+    )
+    return loss, np.where(live[:, None], grad, 0.0)
+
+
+@dataclass
+class SculBatch:
+    """Per-row objective terms of one batch and their gradients.
+
+    Rows whose label-matrix row is zero are unlabeled: their scul,
+    classification and center-distance terms and gradients are zero, and
+    only the quantization term applies.
+    """
+
+    scul: Array               # (n,) cluster softmax loss plus lam * center pull
+    classification: Array     # (n,) cross-entropy of the logits
+    quantization: Array       # (n,) Hoelder quantization penalty
+    center_distance: Array    # (n,) summed distance to the row's own centers
+    grad_embedding: Array     # (n, r) d scul / d F
+    grad_quantization: Array  # (n, r) d quantization / d F
+    grad_logits: Array        # (n, C) d classification / d logits
+    grad_centers: Array       # (r, C) d (sum of scul) / d centers
+    distances: Array          # (n, C) |f_i - c_k|
+    directions: Array         # (n, r, C) unit directions, see center_directions
+
+
+def _log_softmax_rows(Z: Array) -> Array:
+    m = Z.max(axis=1, keepdims=True)
+    return Z - (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))
+
+
+def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
+               q: float = 1.5) -> SculBatch:
+    """The unary objective's terms and gradients for a whole batch at once.
+
+    ``F`` is (n, r), ``centers`` (r, C), ``logits`` (n, C) and ``Y`` the
+    (n, C) 0/1 label matrix of ``label_matrix``.  Row by row the terms equal
+    ``scul_loss`` (one label) or ``scul_multilabel_loss`` (several),
+    ``classification_loss`` and ``quantization_loss``.  Single-label and
+    multilabel rows share one per-distance coefficient
+    [k in Y](1/|Y| + lam) - p_k, pushed through the unit directions.
+    """
+    if lam < 0:
+        raise ValueError("lam must be non-negative")
+    F = np.asarray(F, dtype=np.float64)
+    centers = _as_centers(centers)
+    logits = np.asarray(logits, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    n, C = Y.shape
+    if F.ndim != 2 or F.shape != (n, centers.shape[0]) or centers.shape[1] != C:
+        raise DimensionMismatch(f"F {F.shape}, centers {centers.shape} and labels "
+                                f"{Y.shape} do not agree")
+    if logits.shape != (n, C):
+        raise DimensionMismatch(f"logits {logits.shape} != labels {Y.shape}")
+    count = Y.sum(axis=1)
+    labeled = (count > 0.0)[:, None]
+    inv = 1.0 / np.maximum(count, 1.0)
+
+    D, U = center_directions(F, centers)
+    logp = _log_softmax_rows(-D)
+    pull = (Y * D).sum(axis=1)
+    scul = -(Y * logp).sum(axis=1) * inv + lam * pull
+    coef = Y * (inv[:, None] + lam) - np.where(labeled, np.exp(logp), 0.0)
+    grad_F, grad_c = distance_gradients(U, coef)
+
+    logq = _log_softmax_rows(logits)
+    classification = -(Y * logq).sum(axis=1) * inv
+    grad_logits = np.where(labeled, np.exp(logq) - Y * inv[:, None], 0.0)
+
+    quant, grad_q = quantization_batch(F, p, q)
+    return SculBatch(scul, classification, quant, pull, grad_F, grad_q,
+                     grad_logits, grad_c, D, U)
 
 
 def triplet_ranking_loss(d_pos: float, d_neg: float, kind: TripletLossKind) -> float:

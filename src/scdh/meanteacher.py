@@ -15,7 +15,7 @@ import numpy as np
 
 from . import losses
 from .data import Dataset
-from .errors import DimensionMismatch, DivergenceError, PreconditionError
+from .errors import DimensionMismatch, DivergenceError, NonFiniteError, PreconditionError
 from .model import (
     EmbeddingModel,
     EpochRecord,
@@ -24,6 +24,7 @@ from .model import (
     TrainReport,
     _accumulate_loss_grads,
     _backprop_chain,
+    _term_rows,
     forward_batch,
     init_model,
     mean_quantization,
@@ -104,13 +105,16 @@ def perturb(x, noise_std: float, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class ConsistencyResult:
-    classifier_loss: float
-    distance_loss: float
+    """Per-row losses (floats for 1-d inputs) and student-side gradients."""
+
+    classifier_loss: np.ndarray | float
+    distance_loss: np.ndarray | float
     grad_logits: np.ndarray    # d classifier_loss / d student logits
     grad_negdists: np.ndarray  # d distance_loss / d student negative distances
 
 
 def _softmax_sqdist_grad(student_vec: np.ndarray, teacher_vec: np.ndarray):
+    """Per-row reference form of ``_softmax_sqdist_rows``."""
     s = losses.stable_softmax(student_vec)
     t = losses.stable_softmax(teacher_vec)
     e = s - t
@@ -120,12 +124,29 @@ def _softmax_sqdist_grad(student_vec: np.ndarray, teacher_vec: np.ndarray):
     return loss, grad
 
 
+def _softmax_rows(Z: np.ndarray) -> np.ndarray:
+    e = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_sqdist_rows(student: np.ndarray, teacher: np.ndarray):
+    """|softmax(student_i) - softmax(teacher_i)|^2 per row, and its gradient."""
+    if not (np.all(np.isfinite(student)) and np.all(np.isfinite(teacher))):
+        raise NonFiniteError("softmax input contains non-finite entries")
+    s = _softmax_rows(student)
+    e = s - _softmax_rows(teacher)
+    # Jacobian of softmax applied to 2e: diag(s) - s s^T
+    grad = 2.0 * (s * e - s * (s * e).sum(axis=1, keepdims=True))
+    return (e * e).sum(axis=1), grad
+
+
 def consistency_losses(student_logits, teacher_logits, student_negdists,
                        teacher_negdists) -> ConsistencyResult:
     """Squared distances between softmaxed student and teacher outputs.
 
-    The teacher side is a constant target: gradients flow only into the
-    student vectors.  Returns both losses and both student-side gradients.
+    Works row-wise on (n, C) arrays; 1-d vectors are one row and give float
+    losses.  The teacher side is a constant target: gradients flow only into
+    the student arrays.  Returns both losses and both student-side gradients.
     """
     a = np.asarray(student_logits, dtype=np.float64)
     at = np.asarray(teacher_logits, dtype=np.float64)
@@ -133,19 +154,19 @@ def consistency_losses(student_logits, teacher_logits, student_negdists,
     dt = np.asarray(teacher_negdists, dtype=np.float64)
     if a.shape != at.shape or d.shape != dt.shape:
         raise DimensionMismatch("student/teacher output lengths differ")
-    cls_loss, cls_grad = _softmax_sqdist_grad(a, at)
-    dist_loss, dist_grad = _softmax_sqdist_grad(d, dt)
+    cls_loss, cls_grad = _softmax_sqdist_rows(np.atleast_2d(a), np.atleast_2d(at))
+    dist_loss, dist_grad = _softmax_sqdist_rows(np.atleast_2d(d), np.atleast_2d(dt))
+    if a.ndim == 1:
+        return ConsistencyResult(float(cls_loss[0]), float(dist_loss[0]),
+                                 cls_grad[0], dist_grad[0])
     return ConsistencyResult(cls_loss, dist_loss, cls_grad, dist_grad)
 
 
-def negative_center_distances(F_row: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return -losses.center_distances(F_row, centers)
-
-
-def extract_codes_model(student: EmbeddingModel,
-                        teacher: TeacherState | None) -> EmbeddingModel:
-    """Network used for code extraction; defaults to the teacher ensemble."""
-    return teacher.model if teacher is not None else student
+def negative_center_distances(F, centers: np.ndarray) -> np.ndarray:
+    """-|f_i - c_k| for every row of F (n, r) -> (n, C); a 1-d f gives (C,)."""
+    F = np.asarray(F, dtype=np.float64)
+    D, _ = losses.center_directions(np.atleast_2d(F), np.asarray(centers, np.float64))
+    return -D[0] if F.ndim == 1 else -D
 
 
 def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
@@ -183,7 +204,9 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
         data.labeled.features.astype(np.float64),
         data.unlabeled.features.astype(np.float64).reshape(-1, data.labeled.dim),
     ])
-    labels = data.labeled.labels
+    # unlabeled rows get zero label rows: the kernel gives them quantization only
+    Y = np.zeros((features.shape[0], C))
+    Y[:n_lab] = losses.label_matrix(data.labeled.labels, C)
     n_total = features.shape[0]
     steps_per_epoch = (n_total + hp.batch_size - 1) // hp.batch_size
     ramp_steps = max(1, round(ramp_fraction * hp.epochs)) * steps_per_epoch
@@ -200,8 +223,6 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
         for a0 in range(0, n_total, hp.batch_size):
             idx = perm[a0:a0 + hp.batch_size]
             X = perturb(features[idx], noise_std, noise_rng)
-            lab_rows = np.nonzero(idx < n_lab)[0]
-            unl_rows = np.nonzero(idx >= n_lab)[0]
 
             F, logits, acts = forward_batch(student, X)
             if not (np.all(np.isfinite(F)) and np.all(np.isfinite(logits))):
@@ -212,45 +233,31 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
             grad_F = np.zeros_like(F)
             grad_logits = np.zeros_like(logits)
             buffers = GradBuffers(student)
-            total = 0.0
-
-            if len(lab_rows):
-                gF_lab = np.zeros((len(lab_rows), student.r))
-                gl_lab = np.zeros((len(lab_rows), C))
-                batch_labels = [labels[idx[j]] for j in lab_rows]
-                bl = _accumulate_loss_grads(student, F[lab_rows], logits[lab_rows],
-                                            batch_labels, hp, gF_lab, gl_lab,
-                                            buffers.centers)
-                grad_F[lab_rows] += gF_lab
-                grad_logits[lab_rows] += gl_lab
-                sup_sums += np.array([bl.scul, bl.classification, bl.quantization,
-                                      bl.center_distance]) * len(lab_rows)
-                sup_count += len(lab_rows)
-                total += bl.total(hp) * len(lab_rows)
-
-            for j in unl_rows:
-                total += hp.alpha * losses.quantization_loss(
-                    F[j], hp.holder_p, hp.holder_q)
-                grad_F[j] += hp.alpha * losses.quantization_gradient(
-                    F[j], hp.holder_p, hp.holder_q)
+            k = _accumulate_loss_grads(student, F, logits, Y[idx], hp, grad_F,
+                                       grad_logits, buffers.centers)
+            labeled = idx < n_lab
+            sup_sums += _term_rows(k)[:, labeled].sum(axis=1)
+            sup_count += int(labeled.sum())
+            # unlabeled rows carry zero scul and classification terms
+            total = float(k.scul.sum() + hp.mu * k.classification.sum()
+                          + hp.alpha * k.quantization.sum())
 
             w_eff = w * min(1.0, step / ramp_steps)
             if w_eff > 0.0:
                 Xt = perturb(features[idx], noise_std, noise_rng)
                 Ft, logits_t, _ = forward_batch(teacher.model, Xt)
-                for j in range(len(idx)):
-                    dneg = negative_center_distances(F[j], student.centers)
-                    dneg_t = negative_center_distances(Ft[j], teacher.model.centers)
-                    cr = consistency_losses(logits[j], logits_t[j], dneg, dneg_t)
-                    grad_logits[j] += w_eff * hp.mu * cr.grad_logits
-                    # negdists feed both the embedding and the centers
-                    d_abs = losses.center_distances(F[j], student.centers)
-                    u = losses._unit_directions(F[j], student.centers, d_abs)
-                    grad_F[j] += w_eff * (u @ -cr.grad_negdists)
-                    buffers.centers += w_eff * u * cr.grad_negdists[None, :]
-                    cons = hp.mu * cr.classifier_loss + cr.distance_loss
-                    cons_sum += cons
-                    total += w_eff * cons
+                cr = consistency_losses(
+                    logits, logits_t, -k.distances,
+                    negative_center_distances(Ft, teacher.model.centers))
+                grad_logits += w_eff * hp.mu * cr.grad_logits
+                # the negative distances feed both the embedding and the centers
+                gF, gC = losses.distance_gradients(k.directions,
+                                                   -w_eff * cr.grad_negdists)
+                grad_F += gF
+                buffers.centers += gC
+                cons = float((hp.mu * cr.classifier_loss + cr.distance_loss).sum())
+                cons_sum += cons
+                total += w_eff * cons
                 cons_count += len(idx)
 
             if not np.isfinite(total):

@@ -195,9 +195,18 @@ class BatchLosses:
     quantization: float
     center_distance: float
 
+    @classmethod
+    def mean_of(cls, k: losses.SculBatch) -> "BatchLosses":
+        return cls(*(float(v) for v in _term_rows(k).mean(axis=1)))
+
     def total(self, hp: Hyperparams) -> float:
         # scul already contains the lam-weighted distance term
         return self.scul + hp.mu * self.classification + hp.alpha * self.quantization
+
+
+def _term_rows(k: losses.SculBatch) -> np.ndarray:
+    """(4, n) per-row terms in BatchLosses field order."""
+    return np.stack([k.scul, k.classification, k.quantization, k.center_distance])
 
 
 class GradBuffers:
@@ -220,40 +229,23 @@ class GradBuffers:
 
 
 def _accumulate_loss_grads(model: EmbeddingModel, F: np.ndarray, logits: np.ndarray,
-                           labelsets: Sequence, hp: Hyperparams,
+                           labelsets, hp: Hyperparams,
                            grad_F: np.ndarray, grad_logits: np.ndarray,
-                           centers_grad: np.ndarray) -> BatchLosses:
-    """Per-sample loss gradients for the supervised objective terms.
+                           centers_grad: np.ndarray) -> losses.SculBatch:
+    """Add the objective's gradients for a batch; return its per-row terms.
 
-    Fills grad_F / grad_logits rows and adds center gradients; returns the
-    batch-mean loss components.
+    ``labelsets`` is the batch's (n, C) label matrix, or a sequence of label
+    sets that is turned into one.  One call of the unary-loss kernel serves
+    every row; rows with a zero label row get the quantization term only.
     """
-    scul_sum = cls_sum = quant_sum = dist_sum = 0.0
-    centers = model.centers
-    for i, Y in enumerate(labelsets):
-        f = F[i]
-        if len(Y) == 1:
-            y = next(iter(Y))
-            scul_sum += losses.scul_loss(f, y, centers, hp.lam)
-            sg = losses.scul_gradients(f, y, centers, hp.lam)
-            dist_sum += losses.euclidean_distance(f, centers[:, y])
-        else:
-            scul_sum += losses.scul_multilabel_loss(f, Y, centers, hp.lam)
-            sg = losses.scul_multilabel_gradients(f, Y, centers, hp.lam)
-            dist_sum += float(
-                sum(losses.euclidean_distance(f, centers[:, s]) for s in Y)
-            )
-        grad_F[i] += sg.grad_embedding
-        centers_grad += sg.grad_centers
-
-        cls_val, cls_grad = losses.classification_loss(logits[i], Y)
-        cls_sum += cls_val
-        grad_logits[i] += hp.mu * cls_grad
-
-        quant_sum += losses.quantization_loss(f, hp.holder_p, hp.holder_q)
-        grad_F[i] += hp.alpha * losses.quantization_gradient(f, hp.holder_p, hp.holder_q)
-    n = len(labelsets)
-    return BatchLosses(scul_sum / n, cls_sum / n, quant_sum / n, dist_sum / n)
+    if not isinstance(labelsets, np.ndarray):
+        labelsets = losses.label_matrix(labelsets, model.label_count)
+    k = losses.scul_batch(F, model.centers, logits, labelsets, hp.lam,
+                          hp.holder_p, hp.holder_q)
+    grad_F += k.grad_embedding + hp.alpha * k.grad_quantization
+    grad_logits += hp.mu * k.grad_logits
+    centers_grad += k.grad_centers
+    return k
 
 
 def _backprop_chain(model: EmbeddingModel, acts: list, grad_F: np.ndarray,
@@ -283,9 +275,12 @@ def sgd_update(model: EmbeddingModel, buffers: GradBuffers, lr: float,
         p += v
 
 
-def backward_step(model: EmbeddingModel, X, labelsets: Sequence,
+def backward_step(model: EmbeddingModel, X, labelsets,
                   hp: Hyperparams, lr: float | None = None) -> BatchLosses:
-    """One SGD step on the summed supervised objective over a batch."""
+    """One SGD step on the summed supervised objective over a batch.
+
+    ``labelsets`` is an (n, C) label matrix or a sequence of label sets.
+    """
     if len(labelsets) == 0:
         raise PreconditionError("empty batch")
     lr = hp.lr if lr is None else lr
@@ -298,9 +293,9 @@ def backward_step(model: EmbeddingModel, X, labelsets: Sequence,
     grad_F = np.zeros_like(F)
     grad_logits = np.zeros_like(logits)
     buffers = GradBuffers(model)
-    batch_losses = _accumulate_loss_grads(
+    batch_losses = BatchLosses.mean_of(_accumulate_loss_grads(
         model, F, logits, labelsets, hp, grad_F, grad_logits, buffers.centers
-    )
+    ))
     total = batch_losses.total(hp)
     if not np.isfinite(total):
         raise DivergenceError(
@@ -365,10 +360,8 @@ def _batch_ranges(n: int, batch_size: int):
 
 
 def mean_quantization(model: EmbeddingModel, features, hp: Hyperparams) -> float:
-    F, _, _ = forward_batch(model, features)
-    return float(np.mean(
-        [losses.quantization_loss(f, hp.holder_p, hp.holder_q) for f in F]
-    ))
+    F = forward_batch(model, features)[0]
+    return float(losses.quantization_batch(F, hp.holder_p, hp.holder_q)[0].mean())
 
 
 def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
@@ -392,7 +385,7 @@ def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
     project_rng = np.random.default_rng(project_ss)
 
     features = dataset.features.astype(np.float64)
-    labelsets = dataset.labels
+    Y = losses.label_matrix(dataset.labels, dataset.label_count)
     report = TrainReport()
     for epoch in range(hp.epochs):
         lr = hp.lr_at(epoch)
@@ -400,8 +393,7 @@ def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
         sums = np.zeros(4)
         for a, b in _batch_ranges(dataset.n, hp.batch_size):
             idx = perm[a:b]
-            bl = backward_step(model, features[idx],
-                               [labelsets[i] for i in idx], hp, lr=lr)
+            bl = backward_step(model, features[idx], Y[idx], hp, lr=lr)
             if epoch < hp.warmup_epochs:
                 model.centers[:] = warmup_project(model.centers, hp.warmup_norm_s,
                                                   project_rng)

@@ -6,6 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from scdh import model
+from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters,
+                       save_dataset, strip_labels)
+
 RUN = [sys.executable, "-m", "scdh.cli"]
 
 
@@ -56,6 +60,44 @@ class TestValidation:
                        "--holder-p", 3, "--holder-q", 2, "--out",
                        tmp_path / "r", expect=1)
         assert json.loads(proc.stderr)["error"] == "validation"
+
+    @pytest.mark.parametrize("command,unlabeled", [("train", 0), ("train-semi", 4)])
+    def test_label_set_covering_every_class(self, tmp_path, command, unlabeled):
+        # rejected while the label matrix is built, before any training step
+        n = 12
+        labels = [frozenset({i % 3, (i + 1) % 3}) for i in range(n)]
+        labels[5] = frozenset({0, 1, 2})
+        labels[n - unlabeled:] = [None] * unlabeled
+        features = np.random.default_rng(0).normal(size=(n, 4))
+        path = tmp_path / "ml.scds"
+        save_dataset(Dataset(np.arange(n), features, tuple(labels), 3), path)
+        proc = run_cli(command, "--data", path, "--bits", 4, "--hidden", "4",
+                       "--epochs", 1, "--batch-size", 4, "--out", tmp_path / "r",
+                       expect=1)
+        err = json.loads(proc.stderr)
+        assert err["error"] == "validation"
+        assert "row 5" in err["message"] and "every class" in err["message"]
+        assert not (tmp_path / "r" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "train-semi", "encode"])
+    def test_non_finite_feature_rejected(self, tmp_path, command):
+        cfg = SyntheticConfig(C=3, feature_dim=4, cluster_std=0.3,
+                              center_spread=2.0, samples_per_class=6, seed=0)
+        ds = strip_labels(gen_gaussian_clusters(cfg), 0.5, seed=1)
+        ds.features[7, 2] = np.nan
+        path = tmp_path / "nan.scds"
+        save_dataset(ds, path)
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 4, 0),
+                              model.Hyperparams())
+        extra = {"train": ["--bits", 4, "--hidden", "4", "--epochs", 1],
+                 "train-semi": ["--bits", 4, "--hidden", "4", "--epochs", 1],
+                 "encode": ["--model", ckpt]}[command]
+        proc = run_cli(command, "--data", path, *extra, "--out", tmp_path / "r",
+                       expect=1)
+        err = json.loads(proc.stderr)
+        assert err["error"] == "validation"
+        assert "row 7" in err["message"] and "non-finite" in err["message"]
 
     def test_help_exits_zero(self):
         proc = subprocess.run([*RUN, "--help"], capture_output=True, text=True)

@@ -338,3 +338,141 @@ class TestGContract:
         g1 = float(kind.g(a, b1))
         g2 = float(kind.g(a, b2))
         assert -1e-9 <= g1 - g2 <= (b2 - b1) + 1e-9
+
+
+def random_batch(seed, n, r, C, on_center=False, zero_row=False):
+    """Embeddings, centers, logits and mixed single/multilabel sets."""
+    rng = np.random.default_rng(seed)
+    F = rng.normal(0, 1.5, (n, r))
+    centers = rng.normal(0, 1.5, (r, C))
+    logits = rng.normal(0, 3, (n, C))
+    labelsets = []
+    for _ in range(n):
+        size = 1 if rng.random() < 0.5 else int(rng.integers(1, C))
+        labelsets.append(frozenset(rng.choice(C, size=size, replace=False).tolist()))
+    if on_center:
+        F[0] = centers[:, next(iter(labelsets[0]))]
+    if zero_row:
+        F[-1] = 0.0
+    return F, centers, logits, labelsets
+
+
+def loop_reference(F, centers, logits, labelsets, lam, p=3.0, q=1.5):
+    """The kernel's outputs, assembled from the per-sample functions."""
+    rows = {k: [] for k in ("scul", "classification", "quantization",
+                            "center_distance", "grad_embedding",
+                            "grad_quantization", "grad_logits")}
+    grad_centers = np.zeros_like(centers)
+    for f, z, Y in zip(F, logits, labelsets):
+        if len(Y) == 1:
+            y = next(iter(Y))
+            rows["scul"].append(losses.scul_loss(f, y, centers, lam))
+            g = losses.scul_gradients(f, y, centers, lam)
+        else:
+            rows["scul"].append(losses.scul_multilabel_loss(f, Y, centers, lam))
+            g = losses.scul_multilabel_gradients(f, Y, centers, lam)
+        rows["center_distance"].append(
+            sum(losses.euclidean_distance(f, centers[:, s]) for s in Y))
+        rows["grad_embedding"].append(g.grad_embedding)
+        grad_centers += g.grad_centers
+        cls, g_cls = losses.classification_loss(z, Y)
+        rows["classification"].append(cls)
+        rows["grad_logits"].append(g_cls)
+        rows["quantization"].append(losses.quantization_loss(f, p, q))
+        rows["grad_quantization"].append(losses.quantization_gradient(f, p, q))
+    out = {k: np.array(v) for k, v in rows.items()}
+    out["grad_centers"] = grad_centers
+    return out
+
+
+class TestSculBatch:
+    FIELDS = ("scul", "classification", "quantization", "center_distance",
+              "grad_embedding", "grad_quantization", "grad_logits", "grad_centers")
+
+    def assert_matches_loop(self, F, centers, logits, labelsets, lam):
+        Y = losses.label_matrix(labelsets, centers.shape[1])
+        got = losses.scul_batch(F, centers, logits, Y, lam)
+        want = loop_reference(F, centers, logits, labelsets, lam)
+        for name in self.FIELDS:
+            diff = np.max(np.abs(getattr(got, name) - want[name]))
+            assert diff <= 1e-12, f"{name}: max abs diff {diff}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+           r=st.integers(1, 9), C=st.integers(2, 6),
+           lam=st.sampled_from([0.0, 0.005, 0.3]),
+           on_center=st.booleans(), zero_row=st.booleans())
+    def test_matches_per_sample_loop(self, seed, n, r, C, lam, on_center, zero_row):
+        F, centers, logits, labelsets = random_batch(seed, n, r, C, on_center,
+                                                     zero_row)
+        self.assert_matches_loop(F, centers, logits, labelsets, lam)
+
+    def test_two_classes_on_center_and_zero_row(self):
+        F, centers, logits, labelsets = random_batch(3, 5, 4, 2, on_center=True,
+                                                     zero_row=True)
+        self.assert_matches_loop(F, centers, logits, labelsets, 0.01)
+        got = losses.scul_batch(F, centers, logits,
+                                losses.label_matrix(labelsets, 2), 0.01)
+        assert got.quantization[-1] == 1.0
+        assert not got.grad_quantization[-1].any()
+        assert got.distances[0].min() == 0.0
+        assert np.all(np.isfinite(got.grad_embedding))
+
+    def test_unlabeled_rows_get_quantization_only(self):
+        F, centers, logits, labelsets = random_batch(5, 4, 6, 3)
+        Y = losses.label_matrix([labelsets[0], None, frozenset(), labelsets[3]], 3)
+        got = losses.scul_batch(F, centers, logits, Y, 0.01)
+        for name in ("scul", "classification", "center_distance"):
+            assert not getattr(got, name)[1:3].any()
+        assert not got.grad_embedding[1:3].any()
+        assert not got.grad_logits[1:3].any()
+        np.testing.assert_allclose(
+            got.quantization[1:3],
+            [losses.quantization_loss(f) for f in F[1:3]], atol=1e-15)
+        labeled = losses.scul_batch(F[[0, 3]], centers, logits[[0, 3]], Y[[0, 3]], 0.01)
+        np.testing.assert_allclose(got.grad_centers, labeled.grad_centers, atol=1e-15)
+
+    def test_finite_difference_batch(self):
+        # the summed weighted objective of a 4-row mixed batch, every input
+        F, centers, logits, labelsets = random_batch(11, 4, 5, 4)
+        F[np.abs(F) < 0.1] = 0.3          # stay off the |.| kink
+        Y = losses.label_matrix(labelsets, 4)
+        lam, mu, alpha = 0.01, 0.3, 0.07
+
+        def objective(F_, centers_, logits_):
+            k = losses.scul_batch(F_, centers_, logits_, Y, lam)
+            return float((k.scul + mu * k.classification + alpha * k.quantization).sum())
+
+        k = losses.scul_batch(F, centers, logits, Y, lam)
+        num_F = central_diff(lambda x: objective(x, centers, logits), F, eps=1e-6)
+        num_c = central_diff(lambda c: objective(F, c, logits), centers, eps=1e-6)
+        num_z = central_diff(lambda z: objective(F, centers, z), logits, eps=1e-6)
+        assert rel_err(k.grad_embedding + alpha * k.grad_quantization, num_F) < 1e-6
+        assert rel_err(k.grad_centers, num_c) < 1e-6
+        assert rel_err(mu * k.grad_logits, num_z) < 1e-6
+
+    def test_shape_mismatch(self):
+        F, centers, logits, labelsets = random_batch(0, 3, 4, 3)
+        Y = losses.label_matrix(labelsets, 3)
+        with pytest.raises(DimensionMismatch):
+            losses.scul_batch(F[:, :3], centers, logits, Y, 0.01)
+        with pytest.raises(DimensionMismatch):
+            losses.scul_batch(F, centers, logits[:2], Y, 0.01)
+
+
+class TestLabelMatrix:
+    def test_rows(self):
+        Y = losses.label_matrix([frozenset({2}), 0, None, frozenset({0, 1})], 3)
+        np.testing.assert_array_equal(
+            Y, [[0, 0, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0]])
+
+    def test_full_label_set_names_row(self):
+        with pytest.raises(LabelSetError, match="row 2.*every class"):
+            losses.label_matrix([{0}, {1}, {0, 1, 2}], 3)
+
+    def test_single_label_with_one_class_allowed(self):
+        np.testing.assert_array_equal(losses.label_matrix([{0}], 1), [[1.0]])
+
+    def test_out_of_range_names_row(self):
+        with pytest.raises(LabelSetError, match="row 1"):
+            losses.label_matrix([{0}, {3}], 3)

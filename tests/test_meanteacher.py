@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scdh import losses
 from scdh import meanteacher as mt
 from scdh import model
 from scdh.data import Dataset, SyntheticConfig, gen_gaussian_clusters, strip_labels
@@ -137,6 +140,35 @@ class TestConsistencyLosses:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mt.consistency_losses(np.ones(3), np.ones(4), np.ones(3), np.ones(3))
+
+
+class TestBatchedConsistency:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           C=st.integers(2, 7), scale=st.sampled_from([0.1, 1.0, 20.0]))
+    def test_rows_match_per_row_reference(self, seed, n, C, scale):
+        rng = np.random.default_rng(seed)
+        a, at, d, dt = scale * rng.normal(0, 1, (4, n, C))
+        res = mt.consistency_losses(a, at, d, dt)
+        assert res.classifier_loss.shape == (n,)
+        for i in range(n):
+            cls_loss, cls_grad = mt._softmax_sqdist_grad(a[i], at[i])
+            dist_loss, dist_grad = mt._softmax_sqdist_grad(d[i], dt[i])
+            assert abs(res.classifier_loss[i] - cls_loss) <= 1e-12
+            assert abs(res.distance_loss[i] - dist_loss) <= 1e-12
+            assert np.max(np.abs(res.grad_logits[i] - cls_grad)) <= 1e-12
+            assert np.max(np.abs(res.grad_negdists[i] - dist_grad)) <= 1e-12
+
+    def test_negative_center_distances_rows(self, rng):
+        F = rng.normal(0, 1, (5, 4))
+        centers = rng.normal(0, 1, (4, 3))
+        F[2] = centers[:, 1]
+        got = mt.negative_center_distances(F, centers)
+        want = np.stack([-losses.center_distances(f, centers) for f in F])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert got[2, 1] == 0.0
+        np.testing.assert_array_equal(mt.negative_center_distances(F[0], centers),
+                                      got[0])
 
 
 class TestSemiDataset:
