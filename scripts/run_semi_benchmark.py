@@ -12,7 +12,7 @@ import numpy as np
 from scdh.data import SyntheticConfig, make_cluster_splits, strip_labels
 from scdh.meanteacher import SemiDataset, train_mt_scdh
 from scdh.model import Hyperparams, extract_embeddings, train_scdh
-from scdh.retrieval import CodeIndex, mean_average_precision
+from scdh.retrieval import CodeIndex, evaluate
 
 
 def eval_map(net, query, db):
@@ -22,7 +22,7 @@ def eval_map(net, query, db):
     di = CodeIndex.from_embeddings(
         extract_embeddings(net, db.features.astype(np.float64)),
         db.ids, db.labels)
-    return mean_average_precision(qi, di)
+    return evaluate(qi, di).map
 
 
 def main():

@@ -12,7 +12,7 @@ import numpy as np
 
 from scdh.data import SyntheticConfig, make_cluster_splits, make_multilabel_splits
 from scdh.model import Hyperparams, extract_embeddings, train_scdh
-from scdh.retrieval import CodeIndex, mean_average_precision, precision_at_radius
+from scdh.retrieval import CodeIndex, evaluate
 
 
 def build_splits(preset: str, seed: int):
@@ -53,8 +53,9 @@ def main():
             extract_embeddings(net, db.features.astype(np.float64)),
             db.ids, db.labels)
         k = 500 if args.preset == "multilabel6" else None
-        m = mean_average_precision(qi, di, k=k)
-        p2 = precision_at_radius(qi, di, 2)
+        metrics = evaluate(qi, di, k=k, radius=2)
+        m = metrics.map_at_k if k else metrics.map
+        p2 = metrics.precision_at_radius2
         maps.append(m)
         p2s.append(p2)
         print(f"seed {seed}: MAP{'@500' if k else ''}={m:.4f}  P@2={p2:.4f}  "

@@ -432,6 +432,9 @@ def cmd_encode(cfg: dict, run: Run):
         raise ValidationError("--network must be 'teacher' or 'student'")
     dataset = data.load_dataset(cfg["data"])
     _require_finite(dataset, "--data")
+    if dataset.dim != net.input_dim:
+        raise ValidationError(f"--data has {dataset.dim} features per row, but the "
+                              f"checkpoint's network takes {net.input_dim}")
     F = model.extract_embeddings(net, dataset.features.astype(np.float64))
     index = retrieval.CodeIndex.from_embeddings(F, dataset.ids)
     with atomic_path(run.path(cfg["name"])) as tmp:
@@ -452,12 +455,12 @@ EVAL_SPEC = dict(COMMON, **{
 
 
 def _labels_for(codes: retrieval.CodeIndex, ds: data.Dataset, what: str):
-    by_id = {int(i): Y for i, Y in zip(ds.ids, ds.labels)}
+    by_id = dict(zip(ds.ids.tolist(), ds.labels))
     try:
-        sets = tuple(by_id[int(i)] for i in codes.ids)
+        sets = tuple(map(by_id.__getitem__, codes.ids.tolist()))
     except KeyError as exc:
         raise ValidationError(f"{what}: id {exc} missing from dataset") from None
-    if any(Y is None for Y in sets):
+    if None in sets:
         raise ValidationError(f"{what}: unlabeled samples cannot be evaluated")
     return retrieval.CodeIndex(codes.words, codes.ids, codes.nbits, sets)
 

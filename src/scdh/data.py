@@ -43,8 +43,8 @@ class Dataset:
             raise DimensionMismatch("ids and features must be parallel")
         if len(self.labels) != self.features.shape[0]:
             raise DimensionMismatch("labels and features must be parallel")
-        for Y in self.labels:
-            if Y is not None and Y and (min(Y) < 0 or max(Y) >= self.label_count):
+        for Y in dict.fromkeys(self.labels):      # each distinct set once
+            if Y and (min(Y) < 0 or max(Y) >= self.label_count):
                 raise LabelSetError(f"label set {set(Y)} out of range for C={self.label_count}")
 
     @property
@@ -56,10 +56,10 @@ class Dataset:
         return self.features.shape[1]
 
     def labeled_mask(self) -> np.ndarray:
-        return np.array([Y is not None and len(Y) > 0 for Y in self.labels], dtype=bool)
+        return _label_sizes(self.labels) > 0
 
     def is_multilabel(self) -> bool:
-        return any(Y is not None and len(Y) > 1 for Y in self.labels)
+        return bool((_label_sizes(self.labels) > 1).any())
 
     def single_labels(self) -> np.ndarray:
         out = np.empty(self.n, dtype=np.int64)
@@ -73,6 +73,56 @@ class Dataset:
         idx = np.asarray(idx)
         return Dataset(self.ids[idx], self.features[idx],
                        tuple(self.labels[i] for i in idx), self.label_count)
+
+
+def _distinct_labels(labels) -> tuple[list, np.ndarray]:
+    """The distinct label sets in first-seen order, and each row's index into them."""
+    first = dict.fromkeys(labels)
+    for i, Y in enumerate(first):
+        first[Y] = i
+    return list(first), np.fromiter(map(first.__getitem__, labels), dtype=np.intp,
+                                    count=len(labels))
+
+
+def _label_sizes(labels) -> np.ndarray:
+    """Per row: the size of its label set, 0 for ``None``."""
+    distinct, inverse = _distinct_labels(labels)
+    return np.array([len(Y) if Y else 0 for Y in distinct], dtype=np.int64)[inverse]
+
+
+def label_bitmasks(labels, C: int) -> np.ndarray:
+    """Label sets as (n, ceil(C/64)) little-endian uint64 words.
+
+    Label l is bit l % 64 of word l // 64; ``None`` and empty sets give zero
+    rows.  A label past the last word raises IndexError.
+    """
+    distinct, inverse = _distinct_labels(labels)
+    bits = np.zeros((len(distinct), (C + 63) // 64 * 64), dtype=bool)
+    for i, Y in enumerate(distinct):
+        bits[i, list(Y or ())] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")[inverse]
+
+
+def _decode_labels(keys: np.ndarray, labeled: np.ndarray, to_set) -> tuple:
+    """Label sets of the rows of ``keys``, ``None`` where not ``labeled``.
+
+    ``to_set`` turns the array of distinct keys into their label sets, so
+    it runs once per distinct row, and equal rows share one frozenset.
+    """
+    if not len(keys):
+        return ()      # a row-wise unique of zero rows still allocates one full row
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    table = np.empty(len(distinct) + 1, dtype=object)   # the last entry is None
+    table[:-1] = to_set(distinct)
+    return tuple(table[np.where(labeled, inverse.reshape(-1), len(distinct))].tolist())
+
+
+def _bitmask_sets(words: np.ndarray) -> list:
+    words = np.ascontiguousarray(words, dtype="<u8")
+    if words.ndim == 1:
+        words = words[:, None]
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return [frozenset(np.flatnonzero(row).tolist()) for row in bits]
 
 
 @dataclass(frozen=True)
@@ -205,12 +255,13 @@ _DS_HEADER = struct.Struct("<4sHHQII")
 
 
 def save_dataset(dataset: Dataset, path):
-    mask = dataset.labeled_mask()
+    sizes = _label_sizes(dataset.labels)
+    mask = sizes > 0
     any_labeled = bool(mask.any())
     flags = 0
     if any_labeled:
         flags |= _FLAG_LABELED
-        if dataset.is_multilabel():
+        if (sizes > 1).any():
             flags |= _FLAG_MULTILABEL
         if not mask.all():
             flags |= _FLAG_PARTIAL
@@ -224,18 +275,12 @@ def save_dataset(dataset: Dataset, path):
         if flags & _FLAG_PARTIAL:
             fh.write(mask.astype(np.uint8).tobytes())
         if flags & _FLAG_MULTILABEL:
-            Wc = (dataset.label_count + 63) // 64
-            words = np.zeros((dataset.n, Wc), dtype="<u8")
-            for i, Y in enumerate(dataset.labels):
-                for l in Y or ():
-                    words[i, l // 64] |= np.uint64(1) << np.uint64(l % 64)
-            fh.write(words.tobytes())
+            fh.write(label_bitmasks(dataset.labels, dataset.label_count).tobytes())
         else:
-            vals = np.full(dataset.n, _UNLABELED_U32, dtype="<u4")
-            for i, Y in enumerate(dataset.labels):
-                if Y:
-                    vals[i] = next(iter(Y))
-            fh.write(vals.tobytes())
+            distinct, inverse = _distinct_labels(dataset.labels)
+            vals = np.array([next(iter(Y)) if Y else _UNLABELED_U32 for Y in distinct],
+                            dtype="<u4")
+            fh.write(vals[inverse].tobytes())
 
 
 def _take(blob: bytes, offset: int, count: int, dtype, what: str):
@@ -277,26 +322,14 @@ def load_dataset(path) -> Dataset:
         if flags & _FLAG_MULTILABEL:
             Wc = (C + 63) // 64
             words, off = _take(blob, off, n * Wc, "<u8", "label bitmasks")
-            words = words.reshape(n, Wc)
-            sets = []
-            for i in range(n):
-                if not mask[i]:
-                    sets.append(None)
-                    continue
-                members = [
-                    w * 64 + b
-                    for w in range(Wc)
-                    for b in range(64)
-                    if (int(words[i, w]) >> b) & 1
-                ]
-                sets.append(frozenset(members))
-            labels = tuple(sets)
+            # rows of one word are deduplicated as integers, which sorts far
+            # faster than the row-wise unique of several words
+            keys = words if Wc == 1 else words.reshape(n, Wc)
+            labels = _decode_labels(keys, mask, _bitmask_sets)
         else:
             vals, off = _take(blob, off, n, "<u4", "label block")
-            labels = tuple(
-                frozenset((int(v),)) if mask[i] and v != _UNLABELED_U32 else None
-                for i, v in enumerate(vals)
-            )
+            labels = _decode_labels(vals, mask & (vals != _UNLABELED_U32),
+                                    lambda distinct: [frozenset((int(v),)) for v in distinct])
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after offset {off}")
     return Dataset(ids.astype(np.int64), feats.copy(), labels, C)

@@ -3,7 +3,9 @@
 Codes are packed LSB-first into little-endian 64-bit words (bit i of a code
 lives in word i // 64 at bit position i % 64), with unused high bits of the
 last word forced to zero so equal codes are byte-identical.  Search is a
-linear scan over XOR + popcount with deterministic (distance, id) ordering.
+linear scan over XOR + popcount with deterministic (distance, id) ordering;
+it sorts only the codes within the k-th smallest distance.  The metrics
+rank the database once per query and all reduce that one ranking.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import label_bitmasks
 from .errors import DimensionMismatch, ParseError, PreconditionError
 
 WORD_BITS = 64
@@ -124,17 +127,17 @@ class CodeIndex:
         """Label sets as (n, ceil(C/64)) uint64 bitmasks for fast overlap tests."""
         if self.labelsets is None:
             raise PreconditionError("index carries no label sets")
-        Wc = _n_words(C)
-        masks = np.zeros((self.n, Wc), dtype=np.uint64)
-        for i, Y in enumerate(self.labelsets):
-            for l in Y:
-                masks[i, l // WORD_BITS] |= np.uint64(1) << np.uint64(l % WORD_BITS)
-        return masks
+        return label_bitmasks(self.labelsets, C)
 
 
 def distances_to_index(query_words: np.ndarray, index: CodeIndex) -> np.ndarray:
-    """Hamming distances from one packed query to every index entry."""
-    return np.bitwise_count(index.words ^ query_words[None, :]).sum(axis=1).astype(np.int64)
+    """Hamming distances from one packed query to every index entry.
+
+    The dtype is the smallest unsigned integer type that holds r, so a
+    stable sort of the distances is a radix sort.
+    """
+    return np.bitwise_count(index.words ^ query_words[None, :]).sum(
+        axis=1, dtype=np.min_scalar_type(index.nbits))
 
 
 def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
@@ -145,31 +148,109 @@ def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
         raise DimensionMismatch(f"query has {query.nbits} bits, index {index.nbits}")
     if k > index.n:
         raise PreconditionError(f"k={k} exceeds index size {index.n}")
+    if k < 0:
+        raise PreconditionError(f"k={k} is negative")
     dists = distances_to_index(query.words, index)
-    order = np.lexsort((index.ids, dists))[:k]
+    # distances lie in 0..r: the answer is within the smallest distance t
+    # that at least k codes reach, so only those codes need sorting
+    t = np.searchsorted(np.cumsum(np.bincount(dists)), k)
+    near = np.flatnonzero(dists <= t)
+    order = near[np.lexsort((index.ids[near], dists[near]))][:k]
     return [(int(index.ids[i]), int(dists[i])) for i in order]
 
 
 def _require_labels(queries: CodeIndex, index: CodeIndex) -> int:
     if queries.labelsets is None or index.labelsets is None:
         raise PreconditionError("metrics require label sets on both sides")
-    C = 0
-    for Y in queries.labelsets + index.labelsets:
-        if Y:
-            C = max(C, max(Y) + 1)
-    return max(C, 1)
+    sets = queries.labelsets + index.labelsets
+    if None in sets:
+        raise PreconditionError("metrics require a label set on every entry")
+    return max(map(max, filter(None, sets)), default=0) + 1
 
 
-def _relevance_and_order(queries: CodeIndex, index: CodeIndex):
-    """Yield per query the relevance vector in ranked (distance, id) order."""
+def _check_ks(ks: Sequence[int], n: int) -> list[int]:
+    ks = [int(k) for k in ks]
+    if ks != sorted(ks):
+        raise PreconditionError("ks must be ascending")
+    if ks and ks[-1] > n:
+        raise PreconditionError("k exceeds index size")
+    if ks and ks[0] < 1:
+        raise PreconditionError("ks must be positive")
+    return ks
+
+
+@dataclass
+class _Ranking:
+    """Per-query numbers from one ranking of the database by (distance, id).
+
+    Every metric is a reduction of these arrays.  AP divides by the number of
+    relevant items, AP at k by min(k, #relevant); both are 0 for a query with
+    no relevant item.
+    """
+
+    relevant: np.ndarray         # (nq,) relevant database items
+    ap: np.ndarray               # (nq,) AP over the whole ranking
+    ap_at_k: np.ndarray | None   # (nq,) AP over the top k, when k is given
+    ball: np.ndarray             # (nq,) items within the radius
+    ball_relevant: np.ndarray    # (nq,) relevant items within the radius
+    ks: list[int]
+    topk_sums: np.ndarray        # (len(ks),) top-k precision summed over queries
+
+    def mean_ap(self, at_k: bool = False) -> float:
+        """MAP over the queries that have a relevant database item."""
+        if not self.relevant.any():
+            raise PreconditionError("no query has a relevant database item")
+        return float(np.mean((self.ap_at_k if at_k else self.ap)[self.relevant > 0]))
+
+    def ap_quantiles(self) -> tuple[float, float, float]:
+        aps = self.ap[self.relevant > 0]
+        return tuple(float(v) for v in np.quantile(aps, (0.1, 0.5, 0.9)))
+
+    def precision_at_radius(self, empty_ball: str) -> float:
+        ball, hits = self.ball, self.ball_relevant
+        if empty_ball == "zero":
+            precisions = np.where(ball > 0, hits / np.maximum(ball, 1), 0.0)
+        else:
+            precisions = hits[ball > 0] / ball[ball > 0]
+        if not len(precisions):
+            raise PreconditionError("all query balls are empty and empty_ball='skip'")
+        return float(np.mean(precisions))
+
+    def topk_curve(self) -> list[tuple[int, float]]:
+        return [(k, float(s / len(self.relevant))) for k, s in zip(self.ks, self.topk_sums)]
+
+
+def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
+          radius: int = 2, ks: Sequence[int] = ()) -> _Ranking:
+    """Rank the database once per query and reduce each ranking to numbers."""
     C = _require_labels(queries, index)
     qm = queries.label_masks(C)
-    dm = index.label_masks(C)
-    for qi in range(queries.n):
-        dists = distances_to_index(queries.words[qi], index)
-        order = np.lexsort((index.ids, dists))
+    by_id = np.argsort(index.ids, kind="stable")
+    dm = index.label_masks(C)[by_id]
+    db = CodeIndex(index.words[by_id], index.ids[by_id], index.nbits)
+    nq = queries.n
+    out = _Ranking(np.zeros(nq, np.int64), np.zeros(nq), np.zeros(nq) if k else None,
+                   np.zeros(nq, np.int64), np.zeros(nq, np.int64), list(ks), np.zeros(len(ks)))
+    ks = np.asarray(ks, dtype=np.int64)
+    for qi in range(nq):
+        dists = distances_to_index(queries.words[qi], db)
         relevant = (dm & qm[qi][None, :]).any(axis=1)
-        yield relevant[order], dists[order]
+        inside = dists <= radius
+        out.ball[qi] = np.count_nonzero(inside)
+        out.ball_relevant[qi] = np.count_nonzero(relevant & inside)
+        # with the database in id order, a stable sort ranks by (distance, id)
+        order = np.argsort(dists, kind="stable")
+        hits = np.flatnonzero(relevant[order]) + 1       # ranks of the relevant items
+        out.relevant[qi] = len(hits)
+        out.topk_sums += np.searchsorted(hits, ks, side="right") / ks
+        if not len(hits):
+            continue
+        precisions = np.arange(1, len(hits) + 1) / hits
+        out.ap[qi] = precisions.sum() / len(hits)
+        if k:
+            top = np.searchsorted(hits, k, side="right")
+            out.ap_at_k[qi] = precisions[:top].sum() / min(k, len(hits))
+    return out
 
 
 def mean_average_precision(queries: CodeIndex, index: CodeIndex,
@@ -180,20 +261,9 @@ def mean_average_precision(queries: CodeIndex, index: CodeIndex,
     truncated at k it divides by min(k, #relevant).  Queries with no relevant
     item anywhere in the database are excluded from the mean.
     """
-    aps = []
-    for relevant, _ in _relevance_and_order(queries, index):
-        total_rel = int(relevant.sum())
-        if total_rel == 0:
-            continue
-        ranked = relevant[:k] if k is not None else relevant
-        denom = min(k, total_rel) if k is not None else total_rel
-        cum = np.cumsum(ranked)
-        positions = np.nonzero(ranked)[0] + 1
-        ap = float((cum[positions - 1] / positions).sum() / denom)
-        aps.append(ap)
-    if not aps:
-        raise PreconditionError("no query has a relevant database item")
-    return float(np.mean(aps))
+    if k is not None and k < 1:
+        raise PreconditionError(f"k={k} must be positive")
+    return _rank(queries, index, k=k).mean_ap(at_k=k is not None)
 
 
 def precision_at_radius(queries: CodeIndex, index: CodeIndex, radius: int = 2,
@@ -206,47 +276,31 @@ def precision_at_radius(queries: CodeIndex, index: CodeIndex, radius: int = 2,
     """
     if empty_ball not in ("zero", "skip"):
         raise ValueError("empty_ball must be 'zero' or 'skip'")
-    precisions = []
-    for relevant, dists in _relevance_and_order(queries, index):
-        inside = dists <= radius
-        m = int(inside.sum())
-        if m == 0:
-            if empty_ball == "zero":
-                precisions.append(0.0)
-            continue
-        precisions.append(float(relevant[inside].sum()) / m)
-    if not precisions:
-        raise PreconditionError("all query balls are empty and empty_ball='skip'")
-    return float(np.mean(precisions))
+    return _rank(queries, index, radius=radius).precision_at_radius(empty_ball)
 
 
 def topk_precision_curve(queries: CodeIndex, index: CodeIndex,
                          ks: Sequence[int]) -> list[tuple[int, float]]:
     """Mean precision among the top-k ranked items, for each k (ascending)."""
-    ks = [int(k) for k in ks]
-    if ks != sorted(ks):
-        raise PreconditionError("ks must be ascending")
-    if ks and ks[-1] > index.n:
-        raise PreconditionError("k exceeds index size")
-    sums = np.zeros(len(ks))
-    count = 0
-    for relevant, _ in _relevance_and_order(queries, index):
-        cum = np.cumsum(relevant)
-        for j, k in enumerate(ks):
-            sums[j] += cum[k - 1] / k
-        count += 1
-    return [(k, float(s / count)) for k, s in zip(ks, sums)]
+    return _rank(queries, index, ks=_check_ks(ks, index.n)).topk_curve()
 
 
 @dataclass
 class RetrievalMetrics:
-    """Bundle of the standard evaluation numbers."""
+    """Bundle of the standard evaluation numbers.
+
+    ``empty_ball_queries`` counts the queries with no database item within
+    the radius (they enter ``precision_at_radius2`` as 0); ``ap_quantiles``
+    holds the 10th, 50th and 90th percentile of the untruncated per-query AP.
+    """
 
     map: float
     map_at_k: float | None
     k: int | None
     precision_at_radius2: float
     topk_curve: list[tuple[int, float]]
+    empty_ball_queries: int
+    ap_quantiles: tuple[float, float, float]
 
     def to_dict(self) -> dict:
         return {
@@ -255,18 +309,23 @@ class RetrievalMetrics:
             "k": self.k,
             "precision_at_radius2": self.precision_at_radius2,
             "topk_curve": [[k, p] for k, p in self.topk_curve],
+            "empty_ball_queries": self.empty_ball_queries,
+            "ap_quantiles": dict(zip(("p10", "p50", "p90"), self.ap_quantiles)),
         }
 
 
 def evaluate(queries: CodeIndex, index: CodeIndex, k: int | None = None,
              radius: int = 2, ks: Sequence[int] = ()) -> RetrievalMetrics:
-    """Compute the full metric bundle in one pass configuration."""
+    """Compute the full metric bundle from one ranking per query."""
+    ranking = _rank(queries, index, k=k, radius=radius, ks=_check_ks(ks, index.n))
     return RetrievalMetrics(
-        map=mean_average_precision(queries, index),
-        map_at_k=mean_average_precision(queries, index, k=k) if k else None,
+        map=ranking.mean_ap(),
+        map_at_k=ranking.mean_ap(at_k=True) if k else None,
         k=k,
-        precision_at_radius2=precision_at_radius(queries, index, radius=radius),
-        topk_curve=topk_precision_curve(queries, index, ks) if ks else [],
+        precision_at_radius2=ranking.precision_at_radius("zero"),
+        topk_curve=ranking.topk_curve(),
+        empty_ball_queries=int(np.count_nonzero(ranking.ball == 0)),
+        ap_quantiles=ranking.ap_quantiles(),
     )
 
 

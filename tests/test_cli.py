@@ -99,6 +99,20 @@ class TestValidation:
         assert err["error"] == "validation"
         assert "row 7" in err["message"] and "non-finite" in err["message"]
 
+    def test_encode_width_mismatch(self, tmp_path):
+        # a 4-wide network and 5-wide rows: rejected before the forward pass
+        path = tmp_path / "wide.scds"
+        save_dataset(Dataset(np.arange(12), np.zeros((12, 5)), (None,) * 12, 3), path)
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 4, 0),
+                              model.Hyperparams())
+        proc = run_cli("encode", "--model", ckpt, "--data", path, "--out", tmp_path / "r",
+                       expect=1)
+        err = json.loads(proc.stderr)
+        assert err["error"] == "validation"
+        assert "5 features" in err["message"] and "takes 4" in err["message"]
+        assert not (tmp_path / "r" / "codes.scdh").exists()
+
     def test_help_exits_zero(self):
         proc = subprocess.run([*RUN, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0

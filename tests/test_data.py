@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from scdh import data
+from scdh import data, retrieval
 from scdh.errors import LabelSetError, ParseError, PreconditionError
 
 
@@ -231,3 +235,187 @@ class TestSplits:
         train, query, db = data.make_cluster_splits(cfg(), 5, 10)
         all_ids = np.concatenate([train.ids, query.ids, db.ids])
         assert len(np.unique(all_ids)) == len(all_ids)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-row label encoder and decoder of the .scds format.  The
+# array encoder must write the same bytes and the decoder read the same sets.
+# ---------------------------------------------------------------------------
+
+def ref_save_dataset(dataset, path):
+    mask = np.array([Y is not None and len(Y) > 0 for Y in dataset.labels], dtype=bool)
+    any_labeled = bool(mask.any())
+    flags = 0
+    if any_labeled:
+        flags |= 1
+        if any(Y is not None and len(Y) > 1 for Y in dataset.labels):
+            flags |= 2
+        if not mask.all():
+            flags |= 4
+    with open(path, "wb") as fh:
+        fh.write(data._DS_HEADER.pack(b"SCDS", 1, flags, dataset.n, dataset.dim,
+                                      dataset.label_count))
+        fh.write(dataset.ids.astype("<u8").tobytes())
+        fh.write(dataset.features.astype("<f4").tobytes())
+        if not any_labeled:
+            return
+        if flags & 4:
+            fh.write(mask.astype(np.uint8).tobytes())
+        if flags & 2:
+            Wc = (dataset.label_count + 63) // 64
+            words = np.zeros((dataset.n, Wc), dtype="<u8")
+            for i, Y in enumerate(dataset.labels):
+                for l in Y or ():
+                    words[i, l // 64] |= np.uint64(1) << np.uint64(l % 64)
+            fh.write(words.tobytes())
+        else:
+            vals = np.full(dataset.n, 0xFFFFFFFF, dtype="<u4")
+            for i, Y in enumerate(dataset.labels):
+                if Y:
+                    vals[i] = next(iter(Y))
+            fh.write(vals.tobytes())
+
+
+def ref_decode_labels(blob):
+    """Label sets of a well-formed .scds blob, decoded row by row and bit by bit."""
+    _, _, flags, n, dim, C = data._DS_HEADER.unpack_from(blob, 0)
+    off = data._DS_HEADER.size + 8 * n + 4 * n * dim
+    if not flags & 1:
+        return tuple(None for _ in range(n))
+    mask = np.ones(n, dtype=bool)
+    if flags & 4:
+        mask = np.frombuffer(blob, np.uint8, n, off).astype(bool)
+        off += n
+    if flags & 2:
+        Wc = (C + 63) // 64
+        words = np.frombuffer(blob, "<u8", n * Wc, off).reshape(n, Wc)
+        return tuple(
+            frozenset(w * 64 + b for w in range(Wc) for b in range(64)
+                      if (int(words[i, w]) >> b) & 1) if mask[i] else None
+            for i in range(n))
+    vals = np.frombuffer(blob, "<u4", n, off)
+    return tuple(frozenset((int(v),)) if mask[i] and v != 0xFFFFFFFF else None
+                 for i, v in enumerate(vals))
+
+
+@st.composite
+def labeled_dataset(draw):
+    C = draw(st.sampled_from([6, 64, 65, 130]))
+    n = draw(st.integers(0, 30))
+    multi = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_unlabeled = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    labels = []
+    for _ in range(n):
+        if rng.random() < p_unlabeled:
+            labels.append(draw(st.sampled_from([None, frozenset()])))
+        elif multi:
+            # bits past 64 and in the last, partial word
+            labels.append(frozenset(rng.choice(C, size=int(rng.integers(1, 5)),
+                                               replace=False).tolist()))
+        else:
+            labels.append(frozenset({int(rng.integers(C))}))
+    return data.Dataset(rng.permutation(2 * n)[:n], rng.normal(size=(n, 3)),
+                        tuple(labels), C)
+
+
+class TestLabelIO:
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_dataset())
+    def test_same_bytes_and_sets_as_per_row_reference(self, tmp_path_factory, ds):
+        d = tmp_path_factory.mktemp("io")
+        data.save_dataset(ds, d / "new.scds")
+        ref_save_dataset(ds, d / "ref.scds")
+        blob = (d / "new.scds").read_bytes()
+        assert blob == (d / "ref.scds").read_bytes()
+        loaded = data.load_dataset(d / "new.scds")
+        assert loaded.labels == ref_decode_labels(blob)
+        # an empty set is stored as unlabeled
+        assert loaded.labels == tuple(Y or None for Y in ds.labels)
+
+    @pytest.mark.parametrize("C,bit", [(6, 6), (6, 63), (65, 65), (65, 127), (130, 191)])
+    def test_bit_past_label_count_rejected(self, tmp_path, C, bit):
+        ds = data.Dataset(np.arange(3), np.zeros((3, 2)),
+                          (frozenset({0, 1}), None, frozenset({2})), C)
+        path = tmp_path / "ml.scds"
+        data.save_dataset(ds, path)
+        assert bit // 64 < (C + 63) // 64          # inside the row's words
+        blob = bytearray(path.read_bytes())
+        # the first row's words follow the header, ids, features and mask
+        word = data._DS_HEADER.size + 3 * 8 + 3 * 2 * 4 + 3 + 8 * (bit // 64)
+        blob[word + (bit % 64) // 8] |= 1 << (bit % 8)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(LabelSetError):
+            data.load_dataset(path)
+
+    def test_single_label_past_label_count_rejected(self, tmp_path):
+        ds = data.Dataset(np.arange(2), np.zeros((2, 2)),
+                          (frozenset({0}), frozenset({1})), 2)
+        path = tmp_path / "sl.scds"
+        data.save_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(LabelSetError):
+            data.load_dataset(path)
+
+    def test_label_bitmasks_layout(self):
+        words = data.label_bitmasks((frozenset({0, 64, 129}), None, frozenset()), 130)
+        assert words.dtype == np.dtype("<u8") and words.shape == (3, 3)
+        assert words[0].tolist() == [1, 1, 2]
+        assert not words[1:].any()
+
+
+def loader(name):
+    return data.load_dataset if name.endswith(".scds") else retrieval.load_codes
+
+
+class TestParserFuzz:
+    """Damaged files raise ParseError or LabelSetError, never anything else."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        multi = data.Dataset(np.arange(4), np.arange(8.0).reshape(4, 2),
+                             (frozenset({0, 2}), None, frozenset({1}), frozenset({0, 1})), 3)
+        data.save_dataset(multi, d / "multi.scds")
+        single = data.strip_labels(data.gen_gaussian_clusters(cfg(samples_per_class=2)),
+                                   0.5, seed=0)
+        data.save_dataset(single, d / "single.scds")
+        bits = np.random.default_rng(0).random((5, 70)) < 0.5
+        retrieval.save_codes(retrieval.CodeIndex(retrieval.pack_bits(bits), np.arange(5), 70),
+                             d / "codes.scdh")
+        return {p.name: p.read_bytes() for p in d.iterdir()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["multi.scds", "single.scds", "codes.scdh"]),
+           cut=st.integers(0, 10**6))
+    def test_truncation(self, blobs, tmp_path_factory, name, cut):
+        blob = blobs[name]
+        path = tmp_path_factory.mktemp("cut") / name
+        path.write_bytes(blob[: cut % len(blob)])
+        with pytest.raises(ParseError):
+            loader(name)(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["multi.scds", "single.scds", "codes.scdh"]),
+           flags=st.integers(0, 2**16 - 1), n=st.integers(0, 2**64 - 1),
+           width=st.integers(0, 2**32 - 1), C=st.integers(0, 2**32 - 1),
+           small=st.booleans())
+    # no rows but a label count of 2^32 - 1: the label block is empty, and
+    # decoding it must not allocate a row of ceil(C/64) words
+    @example(name="multi.scds", flags=3, n=0, width=0, C=2**32 - 1, small=False)
+    def test_oversized_header(self, blobs, tmp_path_factory, name, flags, n, width, C, small):
+        blob = blobs[name]
+        if small:                       # near the true sizes, where blocks may line up
+            n, width, C = n % 8, width % 80, C % 200
+        if name.endswith(".scds"):
+            head = data._DS_HEADER.pack(b"SCDS", 1, flags, n, width, C)
+        else:
+            head = struct.pack("<4sHIQ", b"SCDH", 1, width, n)
+        path = tmp_path_factory.mktemp("hdr") / name
+        path.write_bytes(head + blob[len(head):])
+        try:
+            loader(name)(path)
+        except (ParseError, LabelSetError):
+            pass

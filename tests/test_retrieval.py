@@ -303,3 +303,211 @@ class TestCodeFile:
         path.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(ParseError, match="magic"):
             rt.load_codes(path)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-metric implementation that ranked every query once per
+# metric with a full lexsort.  The one-pass metrics must equal it bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_label_masks(labelsets, C):
+    Wc = (C + 63) // 64
+    masks = np.zeros((len(labelsets), Wc), dtype=np.uint64)
+    for i, Y in enumerate(labelsets):
+        for l in Y:
+            masks[i, l // 64] |= np.uint64(1) << np.uint64(l % 64)
+    return masks
+
+
+def ref_relevance_and_order(queries, index):
+    C = 0
+    for Y in queries.labelsets + index.labelsets:
+        if Y:
+            C = max(C, max(Y) + 1)
+    C = max(C, 1)
+    qm = ref_label_masks(queries.labelsets, C)
+    dm = ref_label_masks(index.labelsets, C)
+    for qi in range(queries.n):
+        dists = np.bitwise_count(index.words ^ queries.words[qi][None, :]).sum(axis=1)
+        dists = dists.astype(np.int64)
+        order = np.lexsort((index.ids, dists))
+        relevant = (dm & qm[qi][None, :]).any(axis=1)
+        yield relevant[order], dists[order]
+
+
+def ref_average_precisions(queries, index, k=None):
+    aps = []
+    for relevant, _ in ref_relevance_and_order(queries, index):
+        total_rel = int(relevant.sum())
+        if total_rel == 0:
+            continue
+        ranked = relevant[:k] if k is not None else relevant
+        denom = min(k, total_rel) if k is not None else total_rel
+        cum = np.cumsum(ranked)
+        positions = np.nonzero(ranked)[0] + 1
+        aps.append(float((cum[positions - 1] / positions).sum() / denom))
+    return aps
+
+
+def ref_mean_average_precision(queries, index, k=None):
+    aps = ref_average_precisions(queries, index, k)
+    if not aps:
+        raise PreconditionError("no query has a relevant database item")
+    return float(np.mean(aps))
+
+
+def ref_precision_at_radius(queries, index, radius=2, empty_ball="zero"):
+    precisions = []
+    for relevant, dists in ref_relevance_and_order(queries, index):
+        inside = dists <= radius
+        m = int(inside.sum())
+        if m == 0:
+            if empty_ball == "zero":
+                precisions.append(0.0)
+            continue
+        precisions.append(float(relevant[inside].sum()) / m)
+    if not precisions:
+        raise PreconditionError("all query balls are empty and empty_ball='skip'")
+    return float(np.mean(precisions))
+
+
+def ref_topk_precision_curve(queries, index, ks):
+    sums = np.zeros(len(ks))
+    count = 0
+    for relevant, _ in ref_relevance_and_order(queries, index):
+        cum = np.cumsum(relevant)
+        for j, k in enumerate(ks):
+            sums[j] += cum[k - 1] / k
+        count += 1
+    return [(k, float(s / count)) for k, s in zip(ks, sums)]
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of a call, or the PreconditionError type it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except PreconditionError:
+        return PreconditionError
+
+
+@st.composite
+def ranking_case(draw):
+    """Queries and a database with ties, duplicate ids and sparse relevance."""
+    r = draw(st.sampled_from([1, 24, 64, 65, 130]))
+    n = draw(st.integers(1, 40))
+    nq = draw(st.integers(1, 6))
+    C = draw(st.sampled_from([1, 3, 70]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a few base codes with a few flipped bits: ties at every distance,
+    # and with one base and no flips every code is equal
+    bases = rng.random((draw(st.integers(1, 4)), r)) < 0.5
+    flip = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    db_bits = bases[rng.integers(len(bases), size=n)] ^ (rng.random((n, r)) < flip)
+    q_bits = bases[rng.integers(len(bases), size=nq)] ^ (rng.random((nq, r)) < flip)
+    if draw(st.booleans()):
+        ids = rng.integers(0, max(1, n // 2), size=n)        # duplicate ids
+    else:
+        ids = rng.permutation(3 * n)[:n]                      # unsorted ids
+
+    def labelsets(m):
+        # empty sets are legal, and a query may share no label with any item
+        return tuple(frozenset(np.flatnonzero(rng.random(C) < 0.3).tolist())
+                     for _ in range(m))
+
+    db = rt.CodeIndex(rt.pack_bits(db_bits), ids, r, labelsets(n))
+    queries = rt.CodeIndex(rt.pack_bits(q_bits), np.arange(nq), r, labelsets(nq))
+    k = draw(st.one_of(st.none(), st.integers(1, n + 3)))
+    radius = draw(st.sampled_from([0, 2, r, r + 5]))
+    ks = sorted(draw(st.sets(st.integers(1, n), max_size=4)))
+    if draw(st.booleans()):
+        ks = sorted(set(ks) | {n})
+    return queries, db, db_bits, q_bits, k, radius, ks
+
+
+class TestOneRankingPass:
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_case())
+    def test_search_matches_unpacked_oracle(self, case):
+        queries, db, db_bits, q_bits, _, _, _ = case
+        for qi in range(queries.n):
+            query = rt.HashCode(queries.words[qi], queries.nbits)
+            for k in sorted({1, (db.n + 1) // 2, db.n}):
+                assert rt.search(query, db, k) == naive_search(q_bits[qi], db_bits,
+                                                               db.ids, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_case())
+    def test_metrics_equal_per_metric_reference(self, case):
+        queries, db, _, _, k, radius, ks = case
+        assert outcome(rt.mean_average_precision, queries, db) == outcome(
+            ref_mean_average_precision, queries, db)
+        if k is not None:
+            assert outcome(rt.mean_average_precision, queries, db, k) == outcome(
+                ref_mean_average_precision, queries, db, k)
+        for empty_ball in ("zero", "skip"):
+            assert outcome(rt.precision_at_radius, queries, db, radius, empty_ball) == \
+                outcome(ref_precision_at_radius, queries, db, radius, empty_ball)
+        if ks:
+            assert rt.topk_precision_curve(queries, db, ks) == \
+                ref_topk_precision_curve(queries, db, ks)
+
+        want_map = outcome(ref_mean_average_precision, queries, db)
+        got = outcome(rt.evaluate, queries, db, k=k, radius=radius, ks=ks)
+        if want_map is PreconditionError:
+            assert got is PreconditionError
+            return
+        assert got.map == want_map
+        assert got.map_at_k == (ref_mean_average_precision(queries, db, k) if k else None)
+        assert got.precision_at_radius2 == ref_precision_at_radius(queries, db, radius)
+        assert got.topk_curve == (ref_topk_precision_curve(queries, db, ks) if ks else [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(ranking_case())
+    def test_per_query_diagnostics(self, case):
+        queries, db, _, _, _, radius, _ = case
+        aps = ref_average_precisions(queries, db)
+        if not aps:
+            return
+        got = rt.evaluate(queries, db, radius=radius)
+        assert got.ap_quantiles == tuple(np.quantile(aps, (0.1, 0.5, 0.9)).tolist())
+        # an empty ball counts 0 under "zero" and is left out under "skip"
+        nonempty = queries.n - got.empty_ball_queries
+        skip = outcome(rt.precision_at_radius, queries, db, radius, "skip")
+        if nonempty == 0:
+            assert skip is PreconditionError
+        else:
+            assert got.precision_at_radius2 * queries.n == pytest.approx(skip * nonempty)
+
+    def test_one_distance_scan_per_query(self, rng, monkeypatch):
+        _, db = make_index(rng, 50, 24, with_labels=True)
+        _, queries = make_index(rng, 7, 24, with_labels=True)
+        calls = []
+        scan = rt.distances_to_index
+        monkeypatch.setattr(rt, "distances_to_index",
+                            lambda *a: calls.append(1) or scan(*a))
+        rt.evaluate(queries, db, k=10, radius=2, ks=[1, 5, 50])
+        assert len(calls) == queries.n
+
+    def test_diagnostics_in_dict(self, rng):
+        _, db = make_index(rng, 30, 16, with_labels=True)
+        _, queries = make_index(rng, 5, 16, with_labels=True)
+        d = rt.evaluate(queries, db).to_dict()
+        assert set(d["ap_quantiles"]) == {"p10", "p50", "p90"}
+        assert 0 <= d["empty_ball_queries"] <= queries.n
+
+    def test_unlabeled_entry_rejected(self, rng):
+        bits, db = make_index(rng, 4, 8, with_labels=True)
+        q = rt.CodeIndex(rt.pack_bits(bits[:1]), [0], 8, (None,))
+        with pytest.raises(PreconditionError):
+            rt.evaluate(q, db)
+
+    @pytest.mark.parametrize("call", [
+        lambda q, db: rt.search(rt.HashCode(q.words[0], q.nbits), db, -1),
+        lambda q, db: rt.mean_average_precision(q, db, k=0),
+        lambda q, db: rt.topk_precision_curve(q, db, [0, 3]),
+    ])
+    def test_nonpositive_k_rejected(self, rng, call):
+        _, db = make_index(rng, 10, 8, with_labels=True)
+        _, q = make_index(rng, 2, 8, with_labels=True)
+        with pytest.raises(PreconditionError):
+            call(q, db)
