@@ -2,16 +2,20 @@
 """Mean-teacher benchmark: labeled-only baseline vs semi-supervised training.
 
 Overlapping clusters with most labels stripped; reports the per-seed teacher
-MAP against the baseline trained on the labeled subset alone.
+MAP against the baseline trained on the labeled subset alone.  The data is
+``scdh gen --preset overlap8`` before label stripping; the baseline and the
+mean teacher train with the ``overlap8-baseline`` and ``overlap8-semi``
+presets.
 """
 
 import argparse
 
 import numpy as np
 
-from scdh.data import SyntheticConfig, make_cluster_splits, strip_labels
+from scdh import cli
+from scdh.data import strip_labels
 from scdh.meanteacher import SemiDataset, train_mt_scdh
-from scdh.model import Hyperparams, extract_embeddings, train_scdh
+from scdh.model import extract_embeddings, train_scdh
 from scdh.retrieval import CodeIndex, evaluate
 
 
@@ -28,34 +32,30 @@ def eval_map(net, query, db):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--keep-labels", type=float, default=0.10)
-    ap.add_argument("--w", type=float, default=0.1)
-    ap.add_argument("--noise-std", type=float, default=0.15)
+    ap.add_argument("--keep-labels", type=float, help="default: the preset's")
+    ap.add_argument("--w", type=float, help="default: the preset's")
+    ap.add_argument("--noise-std", type=float, help="default: the preset's")
     args = ap.parse_args()
 
     deltas = []
     for seed in range(args.seeds):
-        cfg = SyntheticConfig(C=8, feature_dim=32, cluster_std=1.5,
-                              center_spread=1.0, samples_per_class=250,
-                              seed=seed)
-        train, query, db = make_cluster_splits(cfg, query_per_class=50,
-                                               db_per_class=250)
+        gen = cli.resolve("gen", {"preset": "overlap8", "seed": seed,
+                                  "keep-labels": args.keep_labels})
+        train, query, db = cli.make_splits(gen)
         semi = SemiDataset.from_partial(
-            strip_labels(train, args.keep_labels, seed=seed + 1000))
+            strip_labels(train, gen["keep-labels"], seed=seed + 1000))
 
-        hp_base = Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=60,
-                              batch_size=32, lr=2e-3, momentum=0.9,
-                              lr_schedule=((40, 0.2),), seed=seed)
-        base_net, _ = train_scdh(semi.labeled, hp_base, r=24, hidden=(64,))
+        cfg = cli.resolve("train", {"preset": "overlap8-baseline", "seed": seed})
+        base_net, _ = train_scdh(semi.labeled, cli.hyperparams(cfg), r=cfg["bits"],
+                                 hidden=cfg["hidden"])
         base = eval_map(base_net, query, db)
 
-        hp_mt = Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=40,
-                            batch_size=64, lr=1e-3, momentum=0.9,
-                            lr_schedule=((30, 0.2),), seed=seed)
-        student, teacher, _ = train_mt_scdh(semi, hp_mt, w=args.w,
-                                            ema_decay=0.99,
-                                            noise_std=args.noise_std,
-                                            r=24, hidden=(64,))
+        cfg = cli.resolve("train-semi", {"preset": "overlap8-semi", "seed": seed,
+                                         "w": args.w, "noise-std": args.noise_std})
+        student, teacher, _ = train_mt_scdh(
+            semi, cli.hyperparams(cfg), w=cfg["w"], ema_decay=cfg["ema-decay"],
+            noise_std=cfg["noise-std"], r=cfg["bits"], hidden=cfg["hidden"],
+            ramp_fraction=cfg["ramp-fraction"])
         t_map = eval_map(teacher.model, query, db)
         s_map = eval_map(student, query, db)
         deltas.append(t_map - base)

@@ -2,7 +2,9 @@
 """Supervised benchmark on the synthetic cluster presets.
 
 Trains the hashing model over several seeds and prints MAP, precision at
-Hamming radius 2, and the final quantization loss for each run.
+Hamming radius 2, and the final quantization loss for each run.  The data
+and hyperparameters are those of ``scdh gen --preset P`` and
+``scdh train --preset P``.
 """
 
 import argparse
@@ -10,23 +12,9 @@ import time
 
 import numpy as np
 
-from scdh.data import SyntheticConfig, make_cluster_splits, make_multilabel_splits
-from scdh.model import Hyperparams, extract_embeddings, train_scdh
+from scdh import cli
+from scdh.model import extract_embeddings, train_scdh
 from scdh.retrieval import CodeIndex, evaluate
-
-
-def build_splits(preset: str, seed: int):
-    if preset == "clusters8":
-        cfg = SyntheticConfig(C=8, feature_dim=32, cluster_std=1.05,
-                              center_spread=1.0, samples_per_class=500,
-                              seed=seed)
-        return make_cluster_splits(cfg, query_per_class=100, db_per_class=500)
-    if preset == "multilabel6":
-        cfg = SyntheticConfig(C=6, feature_dim=32, cluster_std=0.35,
-                              center_spread=1.0, samples_per_class=500,
-                              multilabel_p=0.3, seed=seed)
-        return make_multilabel_splits(cfg, n_query=500, n_db=3000)
-    raise SystemExit(f"unknown preset {preset!r}")
 
 
 def main():
@@ -34,17 +22,18 @@ def main():
     ap.add_argument("--preset", default="clusters8",
                     choices=["clusters8", "multilabel6"])
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--bits", type=int, default=24)
+    ap.add_argument("--bits", type=int, help="code length (default: the preset's)")
     args = ap.parse_args()
 
     maps, p2s = [], []
     for seed in range(args.seeds):
-        train, query, db = build_splits(args.preset, seed)
-        hp = Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=30,
-                         batch_size=64, lr=1e-3, momentum=0.9,
-                         lr_schedule=((20, 0.2),), seed=seed)
+        train, query, db = cli.make_splits(
+            cli.resolve("gen", {"preset": args.preset, "seed": seed}))
+        cfg = cli.resolve("train", {"preset": args.preset, "seed": seed,
+                                    "bits": args.bits})
         t0 = time.time()
-        net, rep = train_scdh(train, hp, r=args.bits, hidden=(64,))
+        net, rep = train_scdh(train, cli.hyperparams(cfg), r=cfg["bits"],
+                              hidden=cfg["hidden"])
         dt = time.time() - t0
         qi = CodeIndex.from_embeddings(
             extract_embeddings(net, query.features.astype(np.float64)),

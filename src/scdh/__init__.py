@@ -25,6 +25,7 @@ from .data import (
     balance_upsample,
     gen_gaussian_clusters,
     gen_multilabel,
+    labels_from_sets,
     load_csv_dataset,
     load_dataset,
     save_dataset,
@@ -35,11 +36,11 @@ from .losses import (
     TripletLossKind,
     classification_loss,
     euclidean_distance,
-    label_matrix,
     margin_loss,
     neg_dist_softmax,
     quantization_gradient,
     quantization_loss,
+    require_negative_class,
     scul_batch,
     scul_gradients,
     scul_loss,

@@ -1,12 +1,12 @@
 """Command-line front door.
 
 Subcommands: gen, train, train-semi, encode, eval, verify-bounds, lambda-toy.
-Every run resolves its configuration from defaults < --config JSON < explicit
-flags, writes all artifacts atomically (temp file + rename), and finishes
-with a run-manifest JSON recording the resolved config, seed, versions, and
-sha256 hashes of every output.  Exit codes: 0 success, 1 validation error,
-2 runtime/numeric error, with a machine-readable JSON object on stderr for
-failures.  SCDH_LOG sets the log level.
+Every run resolves its configuration from defaults < --preset/--hp-preset <
+--config JSON < explicit flags, writes all artifacts atomically (temp file +
+rename), and finishes with a run-manifest JSON recording the resolved config,
+seed, versions, and sha256 hashes of every output.  Exit codes: 0 success,
+1 validation error, 2 runtime/numeric error, with a machine-readable JSON
+object on stderr for failures.  SCDH_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from . import __version__, bounds, data, losses, meanteacher, model, retrieval
 from .errors import LabelSetError, ScdhError
 
 log = logging.getLogger("scdh")
-
-_SENTINEL = object()
-
 
 class ValidationError(ValueError):
     pass
@@ -158,13 +155,18 @@ class Run:
         log.info("wrote %s", self.path("manifest.json"))
 
 
-def _resolve(args: argparse.Namespace, spec: dict) -> dict:
-    """defaults < config file < explicit flags, rejecting unknown config keys."""
+def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
+    """One command's configuration: defaults < named presets < config file < flags.
+
+    ``flags`` maps spec keys to explicit values; ``None`` means unset.
+    Unknown config keys and unknown preset names are rejected.
+    """
+    spec = COMMANDS[command][0]
     config = {}
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise ValidationError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
+    if config_path:
+        if not os.path.exists(config_path):
+            raise ValidationError(f"config file not found: {config_path}")
+        with open(config_path) as fh:
             try:
                 config = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -172,16 +174,23 @@ def _resolve(args: argparse.Namespace, spec: dict) -> dict:
         unknown = set(config) - set(spec)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    flags = {key: val for key, val in flags.items() if val is not None}
+    preset_values = {}
+    for key, table in PRESETS.get(command, {}).items():
+        name = flags.get(key, config.get(key))
+        if name is None:
+            continue
+        if name not in table:
+            raise ValidationError(f"unknown --{key} {name!r}, expected one of "
+                                  f"{sorted(table)}")
+        preset_values.update({k.replace("_", "-"): v for k, v in table[name].items()})
     resolved = {}
     for key, (parse, default, _help) in spec.items():
-        cli_val = getattr(args, key.replace("-", "_"), _SENTINEL)
-        if cli_val is not _SENTINEL and cli_val is not None:
-            resolved[key] = cli_val
-        elif key in config:
-            raw = config[key]
-            resolved[key] = parse(raw) if isinstance(raw, str) and parse else raw
-        else:
-            resolved[key] = default
+        if key in flags:
+            resolved[key] = flags[key]
+            continue
+        raw = config.get(key, preset_values.get(key, default))
+        resolved[key] = parse(raw) if isinstance(raw, str) and parse else raw
     return resolved
 
 
@@ -217,7 +226,7 @@ def _require_trainable(dataset: data.Dataset, what: str):
     """Reject features and label sets that training cannot use, before epoch 0."""
     _require_finite(dataset, what)
     try:
-        losses.label_matrix(dataset.labels, dataset.label_count)
+        losses.require_negative_class(dataset.labels)
     except LabelSetError as exc:
         raise ValidationError(f"{what}: {exc}") from None
 
@@ -244,33 +253,26 @@ GEN_SPEC = dict(COMMON, **{
 })
 
 
-def cmd_gen(cfg: dict, run: Run):
-    if cfg["preset"]:
-        if cfg["preset"] not in SYNTH_PRESETS:
-            raise ValidationError(f"unknown preset {cfg['preset']!r}")
-        merged = dict(cfg)
-        for k, v in SYNTH_PRESETS[cfg["preset"]].items():
-            merged[k.replace("_", "-")] = v
-        cfg = merged
-        run.config = cfg
-    seed = cfg["seed"]
-    if cfg["mode"] == "single":
-        syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
-                                   cluster_std=cfg["cluster-std"],
-                                   center_spread=cfg["center-spread"],
-                                   samples_per_class=cfg["train-per-class"],
-                                   seed=seed)
-        train, query, db = data.make_cluster_splits(
-            syn, cfg["query-per-class"], cfg["db-per-class"])
-    elif cfg["mode"] == "multi":
-        syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
-                                   cluster_std=cfg["cluster-std"],
-                                   center_spread=cfg["center-spread"],
-                                   samples_per_class=cfg["train-per-class"],
-                                   multilabel_p=cfg["multilabel-p"], seed=seed)
-        train, query, db = data.make_multilabel_splits(syn, cfg["n-query"], cfg["n-db"])
-    else:
+def make_splits(cfg: dict) -> tuple[data.Dataset, data.Dataset, data.Dataset]:
+    """The train, query and database sets of a resolved gen config, before
+    balancing and label stripping."""
+    if cfg["mode"] not in ("single", "multi"):
         raise ValidationError(f"mode must be 'single' or 'multi', got {cfg['mode']!r}")
+    multi = cfg["mode"] == "multi"
+    syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
+                               cluster_std=cfg["cluster-std"],
+                               center_spread=cfg["center-spread"],
+                               samples_per_class=cfg["train-per-class"],
+                               multilabel_p=cfg["multilabel-p"] if multi else None,
+                               seed=cfg["seed"])
+    if multi:
+        return data.make_multilabel_splits(syn, cfg["n-query"], cfg["n-db"])
+    return data.make_cluster_splits(syn, cfg["query-per-class"], cfg["db-per-class"])
+
+
+def cmd_gen(cfg: dict, run: Run):
+    seed = cfg["seed"]
+    train, query, db = make_splits(cfg)
     if cfg["balance"]:
         train = data.balance_upsample(train, seed=seed)
     if cfg["keep-labels"] < 1.0:
@@ -318,27 +320,8 @@ TRAIN_SEMI_SPEC = dict(TRAIN_SPEC, **{
 })
 
 
-def _apply_presets(cfg: dict, run: Run):
-    if cfg.get("preset"):
-        if cfg["preset"] not in TRAIN_PRESETS:
-            raise ValidationError(f"unknown training preset {cfg['preset']!r}")
-        preset = TRAIN_PRESETS[cfg["preset"]]
-        for k, v in preset.items():
-            key = k.replace("_", "-")
-            if isinstance(v, str):
-                parse = {"hidden": _parse_int_list,
-                         "lr-schedule": _parse_schedule}.get(key)
-                v = parse(v) if parse else v
-            cfg[key] = v
-    if cfg.get("hp-preset"):
-        if cfg["hp-preset"] not in model.HP_PRESETS:
-            raise ValidationError(f"unknown hp preset {cfg['hp-preset']!r}")
-        cfg.update(model.HP_PRESETS[cfg["hp-preset"]])
-    run.config = cfg
-    return cfg
-
-
-def _hp_from_cfg(cfg: dict) -> model.Hyperparams:
+def hyperparams(cfg: dict) -> model.Hyperparams:
+    """The training hyperparameters of a resolved train or train-semi config."""
     try:
         return model.Hyperparams(
             lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
@@ -367,7 +350,6 @@ def _report_files(run: Run, report: model.TrainReport):
 
 
 def cmd_train(cfg: dict, run: Run):
-    cfg = _apply_presets(cfg, run)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
     _require_trainable(dataset, "--data")
@@ -377,7 +359,7 @@ def cmd_train(cfg: dict, run: Run):
         dataset = dataset.subset(labeled_idx)
     if cfg["balance"]:
         dataset = data.balance_upsample(dataset, seed=cfg["seed"])
-    hp = _hp_from_cfg(cfg)
+    hp = hyperparams(cfg)
     net, report = model.train_scdh(dataset, hp, r=cfg["bits"],
                                    hidden=tuple(cfg["hidden"]))
     with atomic_path(run.path("model.ckpt")) as tmp:
@@ -389,12 +371,11 @@ def cmd_train(cfg: dict, run: Run):
 
 
 def cmd_train_semi(cfg: dict, run: Run):
-    cfg = _apply_presets(cfg, run)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
     _require_trainable(dataset, "--data")
     semi = meanteacher.SemiDataset.from_partial(dataset)
-    hp = _hp_from_cfg(cfg)
+    hp = hyperparams(cfg)
     student, teacher, report = meanteacher.train_mt_scdh(
         semi, hp, w=cfg["w"], ema_decay=cfg["ema-decay"],
         noise_std=cfg["noise-std"], r=cfg["bits"], hidden=tuple(cfg["hidden"]),
@@ -455,23 +436,29 @@ EVAL_SPEC = dict(COMMON, **{
 
 
 def _labels_for(codes: retrieval.CodeIndex, ds: data.Dataset, what: str):
-    by_id = dict(zip(ds.ids.tolist(), ds.labels))
-    try:
-        sets = tuple(map(by_id.__getitem__, codes.ids.tolist()))
-    except KeyError as exc:
-        raise ValidationError(f"{what}: id {exc} missing from dataset") from None
-    if None in sets:
+    order = np.argsort(ds.ids, kind="stable")
+    pos = np.searchsorted(ds.ids, codes.ids, sorter=order)
+    found = pos < ds.n
+    found[found] = ds.ids[order[pos[found]]] == codes.ids[found]
+    if not found.all():
+        raise ValidationError(f"{what}: id {int(codes.ids[np.argmin(found)])} "
+                              "missing from dataset")
+    labels = ds.labels[order[pos]]
+    if not labels.any(axis=1).all():
         raise ValidationError(f"{what}: unlabeled samples cannot be evaluated")
-    return retrieval.CodeIndex(codes.words, codes.ids, codes.nbits, sets)
+    return retrieval.CodeIndex(codes.words, codes.ids, codes.nbits, labels)
 
 
 def cmd_eval(cfg: dict, run: Run):
     for key in ("queries", "database", "query-data", "db-data"):
         _require_file(cfg[key], f"--{key}")
-    queries = _labels_for(retrieval.load_codes(cfg["queries"]),
-                          data.load_dataset(cfg["query-data"]), "queries")
-    db = _labels_for(retrieval.load_codes(cfg["database"]),
-                     data.load_dataset(cfg["db-data"]), "database")
+    query_data = data.load_dataset(cfg["query-data"])
+    db_data = data.load_dataset(cfg["db-data"])
+    if query_data.label_count != db_data.label_count:
+        raise ValidationError(f"--query-data has {query_data.label_count} label classes, "
+                              f"--db-data {db_data.label_count}")
+    queries = _labels_for(retrieval.load_codes(cfg["queries"]), query_data, "queries")
+    db = _labels_for(retrieval.load_codes(cfg["database"]), db_data, "database")
     metrics = retrieval.evaluate(queries, db, k=cfg["map-k"] or None,
                                  radius=cfg["radius"], ks=cfg["topk"])
     run.save_json("metrics.json", metrics.to_dict())
@@ -618,6 +605,13 @@ def cmd_lambda_toy(cfg: dict, run: Run):
 # entry point
 # ---------------------------------------------------------------------------
 
+# The preset tables each command's --preset and --hp-preset name into.
+PRESETS = {
+    "gen": {"preset": SYNTH_PRESETS},
+    "train": {"preset": TRAIN_PRESETS, "hp-preset": model.HP_PRESETS},
+    "train-semi": {"preset": TRAIN_PRESETS, "hp-preset": model.HP_PRESETS},
+}
+
 COMMANDS = {
     "gen": (GEN_SPEC, cmd_gen, "generate synthetic train/query/db datasets"),
     "train": (TRAIN_SPEC, cmd_train, "supervised hash training"),
@@ -653,7 +647,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     spec, fn, _ = COMMANDS[args.command]
     try:
-        cfg = _resolve(args, spec)
+        flags = {key: getattr(args, key.replace("-", "_")) for key in spec}
+        cfg = resolve(args.command, flags, args.config)
         run = Run(args.command, args.out, cfg)
         fn(cfg, run)
         run.finish()

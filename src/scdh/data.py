@@ -1,7 +1,9 @@
 """Synthetic datasets, label balancing, and dataset file I/O.
 
-Features are stored as float32 (the on-disk format); label sets are
-frozensets of class indices, with ``None`` marking unlabeled samples.
+Features are stored as float32 (the on-disk format).  Labels are an (n, C)
+bool matrix: entry (i, l) is set when sample i carries label l, and a row
+with no set entry marks an unlabeled sample.  Label sets appear only at the
+input edge, where ``labels_from_sets`` turns them into that matrix.
 """
 
 from __future__ import annotations
@@ -9,11 +11,11 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, LabelSetError, ParseError, PreconditionError
+from .retrieval import pack_bits
 
 DATASET_MAGIC = b"SCDS"
 DATASET_VERSION = 1
@@ -24,28 +26,29 @@ _FLAG_PARTIAL = 4
 
 _UNLABELED_U32 = 0xFFFFFFFF
 
+# The label matrix takes n * C bytes, so a file may not declare more classes.
+_MAX_LABEL_COUNT = 1 << 16
+
 
 @dataclass
 class Dataset:
-    """Parallel arrays of sample ids, features, and optional label sets."""
+    """Parallel arrays of sample ids, features, and label rows."""
 
     ids: np.ndarray                       # (n,) int64
     features: np.ndarray                  # (n, dim) float32
-    labels: tuple                         # length n; frozenset or None
-    label_count: int                      # C
+    labels: np.ndarray                    # (n, C) bool; an all-False row is unlabeled
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float32)
+        self.labels = np.asarray(self.labels, dtype=bool)
         if self.features.ndim != 2:
             raise DimensionMismatch("features must be an (n, dim) matrix")
         if self.ids.shape != (self.features.shape[0],):
             raise DimensionMismatch("ids and features must be parallel")
-        if len(self.labels) != self.features.shape[0]:
-            raise DimensionMismatch("labels and features must be parallel")
-        for Y in dict.fromkeys(self.labels):      # each distinct set once
-            if Y and (min(Y) < 0 or max(Y) >= self.label_count):
-                raise LabelSetError(f"label set {set(Y)} out of range for C={self.label_count}")
+        if self.labels.ndim != 2 or self.labels.shape[0] != self.features.shape[0]:
+            raise DimensionMismatch("labels must be an (n, C) matrix parallel to "
+                                    "features")
 
     @property
     def n(self) -> int:
@@ -55,74 +58,44 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def labeled_mask(self) -> np.ndarray:
-        return _label_sizes(self.labels) > 0
+    @property
+    def label_count(self) -> int:
+        return self.labels.shape[1]
 
-    def is_multilabel(self) -> bool:
-        return bool((_label_sizes(self.labels) > 1).any())
+    def labeled_mask(self) -> np.ndarray:
+        return self.labels.any(axis=1)
 
     def single_labels(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.int64)
-        for i, Y in enumerate(self.labels):
-            if Y is None or len(Y) != 1:
-                raise LabelSetError(f"sample {int(self.ids[i])} is not single-label")
-            out[i] = next(iter(Y))
-        return out
+        not_single = self.labels.sum(axis=1) != 1
+        if not_single.any():
+            i = int(np.argmax(not_single))
+            raise LabelSetError(f"sample {int(self.ids[i])} is not single-label")
+        return self.labels.argmax(axis=1)
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.ids[idx], self.features[idx],
-                       tuple(self.labels[i] for i in idx), self.label_count)
+        return Dataset(self.ids[idx], self.features[idx], self.labels[idx])
 
 
-def _distinct_labels(labels) -> tuple[list, np.ndarray]:
-    """The distinct label sets in first-seen order, and each row's index into them."""
-    first = dict.fromkeys(labels)
-    for i, Y in enumerate(first):
-        first[Y] = i
-    return list(first), np.fromiter(map(first.__getitem__, labels), dtype=np.intp,
-                                    count=len(labels))
+def labels_from_sets(sets, C: int) -> np.ndarray:
+    """The (n, C) bool label matrix of n label sets.
 
-
-def _label_sizes(labels) -> np.ndarray:
-    """Per row: the size of its label set, 0 for ``None``."""
-    distinct, inverse = _distinct_labels(labels)
-    return np.array([len(Y) if Y else 0 for Y in distinct], dtype=np.int64)[inverse]
-
-
-def label_bitmasks(labels, C: int) -> np.ndarray:
-    """Label sets as (n, ceil(C/64)) little-endian uint64 words.
-
-    Label l is bit l % 64 of word l // 64; ``None`` and empty sets give zero
-    rows.  A label past the last word raises IndexError.
+    ``None`` or an empty set gives an unlabeled (all-False) row.  Raises
+    LabelSetError naming the first row with a label outside 0..C-1.
     """
-    distinct, inverse = _distinct_labels(labels)
-    bits = np.zeros((len(distinct), (C + 63) // 64 * 64), dtype=bool)
-    for i, Y in enumerate(distinct):
-        bits[i, list(Y or ())] = True
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")[inverse]
-
-
-def _decode_labels(keys: np.ndarray, labeled: np.ndarray, to_set) -> tuple:
-    """Label sets of the rows of ``keys``, ``None`` where not ``labeled``.
-
-    ``to_set`` turns the array of distinct keys into their label sets, so
-    it runs once per distinct row, and equal rows share one frozenset.
-    """
-    if not len(keys):
-        return ()      # a row-wise unique of zero rows still allocates one full row
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    table = np.empty(len(distinct) + 1, dtype=object)   # the last entry is None
-    table[:-1] = to_set(distinct)
-    return tuple(table[np.where(labeled, inverse.reshape(-1), len(distinct))].tolist())
-
-
-def _bitmask_sets(words: np.ndarray) -> list:
-    words = np.ascontiguousarray(words, dtype="<u8")
-    if words.ndim == 1:
-        words = words[:, None]
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return [frozenset(np.flatnonzero(row).tolist()) for row in bits]
+    rows, cols = [], []
+    for i, Y in enumerate(sets):
+        for label in () if Y is None else Y:
+            rows.append(i)
+            cols.append(label)
+    cols = np.asarray(cols, dtype=np.int64)
+    bad = (cols < 0) | (cols >= C)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise LabelSetError(f"row {rows[j]}: label {cols[j]} out of range for C={C}")
+    labels = np.zeros((len(sets), C), dtype=bool)
+    labels[rows, cols] = True
+    return labels
 
 
 @dataclass(frozen=True)
@@ -167,12 +140,12 @@ def sample_clusters(means: np.ndarray, per_class: int, std: float,
     feats = np.concatenate(
         [means[c] + std * rng.standard_normal((per_class, dim)) for c in range(C)]
     )
-    labels = tuple(frozenset((c,)) for c in range(C) for _ in range(per_class))
+    labels = np.repeat(np.eye(C, dtype=bool), per_class, axis=0)
     ids = np.arange(id_start, id_start + C * per_class, dtype=np.int64)
-    return Dataset(ids, feats.astype(np.float32), labels, C)
+    return Dataset(ids, feats.astype(np.float32), labels)
 
 
-def _sample_label_sets(rng: np.random.Generator, n: int, C: int, p: float) -> np.ndarray:
+def _sample_label_matrix(rng: np.random.Generator, n: int, C: int, p: float) -> np.ndarray:
     # Degenerate draws (no labels, or every label) are resampled: training
     # losses need at least one positive and one negative class per sample.
     Y = rng.random((n, C)) < p
@@ -205,12 +178,11 @@ def sample_multilabel(protos: np.ndarray, n: int, p: float, std: float,
     """Draw n multilabel samples around prototype averages."""
     rng = np.random.default_rng(seed)
     C, dim = protos.shape
-    member = _sample_label_sets(rng, n, C, p)
+    member = _sample_label_matrix(rng, n, C, p)
     feats = member @ protos / member.sum(axis=1, keepdims=True)
     feats = feats + std * rng.standard_normal((n, dim))
-    labels = tuple(frozenset(np.nonzero(row)[0].tolist()) for row in member)
     ids = np.arange(id_start, id_start + n, dtype=np.int64)
-    return Dataset(ids, feats.astype(np.float32), labels, C)
+    return Dataset(ids, feats.astype(np.float32), member)
 
 
 def balance_upsample(dataset: Dataset, seed: int = 0) -> Dataset:
@@ -240,8 +212,8 @@ def balance_upsample(dataset: Dataset, seed: int = 0) -> Dataset:
     extra_idx = np.array(extra_idx, dtype=np.int64)
     new_ids = np.concatenate([dataset.ids, np.arange(next_id, next_id + len(extra_idx))])
     new_feats = np.concatenate([dataset.features, dataset.features[extra_idx]])
-    new_labels = dataset.labels + tuple(dataset.labels[i] for i in extra_idx)
-    return Dataset(new_ids, new_feats, new_labels, dataset.label_count)
+    new_labels = np.concatenate([dataset.labels, dataset.labels[extra_idx]])
+    return Dataset(new_ids, new_feats, new_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +227,7 @@ _DS_HEADER = struct.Struct("<4sHHQII")
 
 
 def save_dataset(dataset: Dataset, path):
-    sizes = _label_sizes(dataset.labels)
+    sizes = dataset.labels.sum(axis=1)
     mask = sizes > 0
     any_labeled = bool(mask.any())
     flags = 0
@@ -275,12 +247,11 @@ def save_dataset(dataset: Dataset, path):
         if flags & _FLAG_PARTIAL:
             fh.write(mask.astype(np.uint8).tobytes())
         if flags & _FLAG_MULTILABEL:
-            fh.write(label_bitmasks(dataset.labels, dataset.label_count).tobytes())
+            # label l is bit l % 64 of word l // 64, the bit order of codes
+            fh.write(pack_bits(dataset.labels).tobytes())
         else:
-            distinct, inverse = _distinct_labels(dataset.labels)
-            vals = np.array([next(iter(Y)) if Y else _UNLABELED_U32 for Y in distinct],
-                            dtype="<u4")
-            fh.write(vals[inverse].tobytes())
+            vals = np.where(mask, dataset.labels.argmax(axis=1), _UNLABELED_U32)
+            fh.write(vals.astype("<u4").tobytes())
 
 
 def _take(blob: bytes, offset: int, count: int, dtype, what: str):
@@ -292,6 +263,11 @@ def _take(blob: bytes, offset: int, count: int, dtype, what: str):
         )
     arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     return arr, offset + nbytes
+
+
+def _check_label_count(C: int):
+    if C > _MAX_LABEL_COUNT:
+        raise ParseError(f"label count {C} exceeds the supported {_MAX_LABEL_COUNT}")
 
 
 def load_dataset(path) -> Dataset:
@@ -306,14 +282,13 @@ def load_dataset(path) -> Dataset:
         raise ParseError(f"bad magic {magic!r} at offset 0")
     if version != DATASET_VERSION:
         raise ParseError(f"unsupported dataset version {version}")
+    _check_label_count(C)
     off = _DS_HEADER.size
     ids, off = _take(blob, off, n, "<u8", "id block")
     feats, off = _take(blob, off, n * dim, "<f4", "feature block")
     feats = feats.reshape(n, dim)
-    labels: tuple
-    if not flags & _FLAG_LABELED:
-        labels = tuple(None for _ in range(n))
-    else:
+    labels = np.zeros((n, C), dtype=bool)
+    if flags & _FLAG_LABELED:
         if flags & _FLAG_PARTIAL:
             mask, off = _take(blob, off, n, np.uint8, "label mask")
             mask = mask.astype(bool)
@@ -322,17 +297,30 @@ def load_dataset(path) -> Dataset:
         if flags & _FLAG_MULTILABEL:
             Wc = (C + 63) // 64
             words, off = _take(blob, off, n * Wc, "<u8", "label bitmasks")
-            # rows of one word are deduplicated as integers, which sorts far
-            # faster than the row-wise unique of several words
-            keys = words if Wc == 1 else words.reshape(n, Wc)
-            labels = _decode_labels(keys, mask, _bitmask_sets)
+            words = words.reshape(n, Wc)
+            # bits from C on can only sit in the last word
+            high = (words[:, -1] >> np.uint64(C % 64) if C % 64
+                    else np.zeros(n, dtype=np.uint64))
+            past = mask & (high != 0)
+            if past.any():
+                i = int(np.argmax(past))
+                h = int(high[i])
+                raise LabelSetError(f"row {i}: label {C + (h & -h).bit_length() - 1} "
+                                    f"out of range for C={C}")
+            labels = np.unpackbits(words.view(np.uint8), axis=1, count=C,
+                                   bitorder="little").view(bool) & mask[:, None]
         else:
             vals, off = _take(blob, off, n, "<u4", "label block")
-            labels = _decode_labels(vals, mask & (vals != _UNLABELED_U32),
-                                    lambda distinct: [frozenset((int(v),)) for v in distinct])
+            rows = np.flatnonzero(mask & (vals != _UNLABELED_U32))
+            past = vals[rows] >= C
+            if past.any():
+                i = int(rows[np.argmax(past)])
+                raise LabelSetError(f"row {i}: label {int(vals[i])} out of range "
+                                    f"for C={C}")
+            labels[rows, vals[rows]] = True
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after offset {off}")
-    return Dataset(ids.astype(np.int64), feats.copy(), labels, C)
+    return Dataset(ids.astype(np.int64), feats.copy(), labels)
 
 
 def load_csv_dataset(path, label_count: int | None = None) -> Dataset:
@@ -369,8 +357,9 @@ def load_csv_dataset(path, label_count: int | None = None) -> Dataset:
         raise ParseError(f"inconsistent feature counts: {sorted(widths)}")
     if label_count is None:
         label_count = max((max(Y) + 1 for Y in labels if Y), default=0)
-    return Dataset(np.arange(len(feats), dtype=np.int64),
-                   np.asarray(feats, dtype=np.float32), tuple(labels), label_count)
+    _check_label_count(label_count)
+    return Dataset(np.arange(len(feats), dtype=np.int64), np.asarray(feats, dtype=np.float32),
+                   labels_from_sets(labels, label_count))
 
 
 # ---------------------------------------------------------------------------
@@ -418,5 +407,4 @@ def strip_labels(dataset: Dataset, keep_fraction: float, seed: int = 0) -> Datas
         members = np.nonzero(y == c)[0]
         k = max(1, int(round(keep_fraction * len(members))))
         keep[rng.choice(members, size=k, replace=False)] = True
-    labels = tuple(Y if keep[i] else None for i, Y in enumerate(dataset.labels))
-    return replace(dataset, labels=labels)
+    return replace(dataset, labels=dataset.labels & keep[:, None])

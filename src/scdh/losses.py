@@ -299,35 +299,16 @@ def classification_loss(logits, labels) -> tuple[float, Array]:
     return loss, grad
 
 
-def label_matrix(labelsets, C: int) -> Array:
-    """(n, C) float 0/1 matrix of label sets, one row per sample.
-
-    A row holds an int or an iterable of ints; ``None`` or an empty set marks
-    an unlabeled sample and gives a zero row.  Raises LabelSetError naming
-    the first row with an out-of-range label, or with several labels that
-    cover every class (no negative class would remain).
+def require_negative_class(Y) -> None:
+    """Raise LabelSetError naming the first row of the (n, C) label matrix
+    whose several labels cover every class: it would have no negative class.
     """
-    rows, cols = [], []
-    for i, labels in enumerate(labelsets):
-        if labels is None:
-            continue
-        ys = [labels] if isinstance(labels, (int, np.integer)) else list(labels)
-        rows.extend([i] * len(ys))
-        cols.extend(ys)
-    Y = np.zeros((len(labelsets), C))
-    cols = np.asarray(cols, dtype=np.int64)
-    bad = (cols < 0) | (cols >= C)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise LabelSetError(f"row {rows[j]}: label {cols[j]} out of range for C={C}")
-    Y[rows, cols] = 1.0
-    counts = Y.sum(axis=1)
-    full = (counts == C) & (counts > 1)
+    Y = np.asarray(Y, dtype=bool)
+    full = Y.all(axis=1) & (Y.shape[1] > 1)
     if full.any():
         i = int(np.argmax(full))
         raise LabelSetError(f"row {i}: label set covers every class; no negative "
                             "class exists")
-    return Y
 
 
 def center_directions(F, centers) -> tuple[Array, Array]:
@@ -408,7 +389,7 @@ def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
     """The unary objective's terms and gradients for a whole batch at once.
 
     ``F`` is (n, r), ``centers`` (r, C), ``logits`` (n, C) and ``Y`` the
-    (n, C) 0/1 label matrix of ``label_matrix``.  Row by row the terms equal
+    (n, C) label matrix of ``data.Dataset``.  Row by row the terms equal
     ``scul_loss`` (one label) or ``scul_multilabel_loss`` (several),
     ``classification_loss`` and ``quantization_loss``.  Single-label and
     multilabel rows share one per-distance coefficient

@@ -191,6 +191,7 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
         raise PreconditionError("consistency weight must be non-negative")
     root = np.random.SeedSequence(hp.seed)
     init_ss, shuffle_ss, project_ss, noise_ss = root.spawn(4)
+    losses.require_negative_class(data.labeled.labels)
     dims = (data.labeled.dim, *hidden)
     C = data.labeled.label_count
     student = init_model(dims, C, r, init_ss)
@@ -205,8 +206,8 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
         data.unlabeled.features.astype(np.float64).reshape(-1, data.labeled.dim),
     ])
     # unlabeled rows get zero label rows: the kernel gives them quantization only
-    Y = np.zeros((features.shape[0], C))
-    Y[:n_lab] = losses.label_matrix(data.labeled.labels, C)
+    Y = np.zeros((features.shape[0], C), dtype=bool)
+    Y[:n_lab] = data.labeled.labels
     n_total = features.shape[0]
     steps_per_epoch = (n_total + hp.batch_size - 1) // hp.batch_size
     ramp_steps = max(1, round(ramp_fraction * hp.epochs)) * steps_per_epoch

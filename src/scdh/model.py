@@ -15,8 +15,9 @@ one label.  All arithmetic is float64 and single-threaded deterministic.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -229,18 +230,16 @@ class GradBuffers:
 
 
 def _accumulate_loss_grads(model: EmbeddingModel, F: np.ndarray, logits: np.ndarray,
-                           labelsets, hp: Hyperparams,
+                           labels: np.ndarray, hp: Hyperparams,
                            grad_F: np.ndarray, grad_logits: np.ndarray,
                            centers_grad: np.ndarray) -> losses.SculBatch:
     """Add the objective's gradients for a batch; return its per-row terms.
 
-    ``labelsets`` is the batch's (n, C) label matrix, or a sequence of label
-    sets that is turned into one.  One call of the unary-loss kernel serves
-    every row; rows with a zero label row get the quantization term only.
+    ``labels`` is the batch's (n, C) label matrix.  One call of the
+    unary-loss kernel serves every row; unlabeled rows get the quantization
+    term only.
     """
-    if not isinstance(labelsets, np.ndarray):
-        labelsets = losses.label_matrix(labelsets, model.label_count)
-    k = losses.scul_batch(F, model.centers, logits, labelsets, hp.lam,
+    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
                           hp.holder_p, hp.holder_q)
     grad_F += k.grad_embedding + hp.alpha * k.grad_quantization
     grad_logits += hp.mu * k.grad_logits
@@ -275,13 +274,13 @@ def sgd_update(model: EmbeddingModel, buffers: GradBuffers, lr: float,
         p += v
 
 
-def backward_step(model: EmbeddingModel, X, labelsets,
+def backward_step(model: EmbeddingModel, X, labels: np.ndarray,
                   hp: Hyperparams, lr: float | None = None) -> BatchLosses:
     """One SGD step on the summed supervised objective over a batch.
 
-    ``labelsets`` is an (n, C) label matrix or a sequence of label sets.
+    ``labels`` is the batch's (n, C) label matrix.
     """
-    if len(labelsets) == 0:
+    if len(labels) == 0:
         raise PreconditionError("empty batch")
     lr = hp.lr if lr is None else lr
     F, logits, acts = forward_batch(model, X)
@@ -294,7 +293,7 @@ def backward_step(model: EmbeddingModel, X, labelsets,
     grad_logits = np.zeros_like(logits)
     buffers = GradBuffers(model)
     batch_losses = BatchLosses.mean_of(_accumulate_loss_grads(
-        model, F, logits, labelsets, hp, grad_F, grad_logits, buffers.centers
+        model, F, logits, labels, hp, grad_F, grad_logits, buffers.centers
     ))
     total = batch_losses.total(hp)
     if not np.isfinite(total):
@@ -376,6 +375,7 @@ def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
     """
     if not dataset.labeled_mask().all():
         raise PreconditionError("training dataset must be fully labeled")
+    losses.require_negative_class(dataset.labels)
     root = np.random.SeedSequence(hp.seed)
     init_ss, shuffle_ss, project_ss = root.spawn(3)
     if model is None:
@@ -385,7 +385,6 @@ def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
     project_rng = np.random.default_rng(project_ss)
 
     features = dataset.features.astype(np.float64)
-    Y = losses.label_matrix(dataset.labels, dataset.label_count)
     report = TrainReport()
     for epoch in range(hp.epochs):
         lr = hp.lr_at(epoch)
@@ -393,7 +392,7 @@ def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
         sums = np.zeros(4)
         for a, b in _batch_ranges(dataset.n, hp.batch_size):
             idx = perm[a:b]
-            bl = backward_step(model, features[idx], Y[idx], hp, lr=lr)
+            bl = backward_step(model, features[idx], dataset.labels[idx], hp, lr=lr)
             if epoch < hp.warmup_epochs:
                 model.centers[:] = warmup_project(model.centers, hp.warmup_norm_s,
                                                   project_rng)
@@ -451,7 +450,7 @@ def _read_network(blob: bytes, off: int, dims: tuple, C: int, r: int):
     trunk = []
     def take(shape):
         nonlocal off
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         nbytes = count * 8
         if off + nbytes > len(blob):
             raise ParseError(
@@ -473,7 +472,10 @@ def _read_network(blob: bytes, off: int, dims: tuple, C: int, r: int):
 
 
 def load_checkpoint(path):
-    """Load a checkpoint: (model, hp, teacher_or_None, meta)."""
+    """Load a checkpoint: (model, hp, teacher_or_None, meta).
+
+    Damaged input of any kind raises ParseError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _CKPT_HEADER.size:
@@ -483,17 +485,23 @@ def load_checkpoint(path):
         raise ParseError(f"bad magic {magic!r} at offset 0")
     if version != MODEL_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}")
+    if n_networks not in (1, 2):
+        raise ParseError(f"a checkpoint holds 1 or 2 networks, not {n_networks}")
+    if n_dims < 1:
+        raise ParseError("checkpoint lists no trunk dims")
     off = _CKPT_HEADER.size
-    dims_arr = np.frombuffer(blob, dtype="<u4", count=n_dims, offset=off)
-    dims = tuple(int(d) for d in dims_arr)
+    if off + 4 * n_dims + 8 > len(blob):
+        raise ParseError(f"truncated dims block at byte {off}: {n_dims} dims")
+    dims = tuple(np.frombuffer(blob, dtype="<u4", count=n_dims, offset=off).tolist())
     off += n_dims * 4
     (meta_len,) = struct.unpack_from("<Q", blob, off)
     off += 8
-    meta = json.loads(blob[off:off + meta_len].decode())
+    if meta_len > len(blob) - off:
+        raise ParseError(f"truncated meta block at byte {off}: need {meta_len} bytes, "
+                         f"have {len(blob) - off}")
+    meta = _parse_meta(blob[off:off + meta_len])
     off += meta_len
-    hp_dict = dict(meta.get("hyperparams", {}))
-    hp_dict["lr_schedule"] = tuple(tuple(x) for x in hp_dict.get("lr_schedule", ()))
-    hp = Hyperparams(**hp_dict)
+    hp = _hyperparams_from_meta(meta)
     model, off = _read_network(blob, off, dims, C, r)
     teacher = None
     if n_networks == 2:
@@ -501,3 +509,26 @@ def load_checkpoint(path):
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after offset {off}")
     return model, hp, teacher, meta
+
+
+def _parse_meta(raw: bytes) -> dict:
+    try:
+        meta = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"meta block is not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("hyperparams", {}), dict):
+        raise ParseError("meta block must be a JSON object, and its hyperparams "
+                         "an object")
+    return meta
+
+
+def _hyperparams_from_meta(meta: dict) -> Hyperparams:
+    hp_dict = dict(meta.get("hyperparams", {}))
+    unknown = set(hp_dict) - {f.name for f in fields(Hyperparams)}
+    if unknown:
+        raise ParseError(f"unknown hyperparameters in meta block: {sorted(unknown)}")
+    try:
+        hp_dict["lr_schedule"] = tuple(tuple(x) for x in hp_dict.get("lr_schedule", ()))
+        return Hyperparams(**hp_dict)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ParseError(f"bad hyperparameters in meta block: {exc}") from None

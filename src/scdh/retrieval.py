@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import label_bitmasks
 from .errors import DimensionMismatch, ParseError, PreconditionError
 
 WORD_BITS = 64
@@ -96,12 +95,12 @@ def hamming(a: HashCode, b: HashCode) -> int:
 
 @dataclass
 class CodeIndex:
-    """Immutable parallel arrays of codes, ids, and optional label sets."""
+    """Immutable parallel arrays of codes, ids, and optional label rows."""
 
     words: np.ndarray        # (n, W) uint64
     ids: np.ndarray          # (n,) int64
     nbits: int
-    labelsets: tuple | None = None   # length n of frozensets, or None
+    labels: np.ndarray | None = None   # (n, C) bool, as in data.Dataset
 
     def __post_init__(self):
         self.words = np.ascontiguousarray(self.words, dtype="<u8")
@@ -110,24 +109,28 @@ class CodeIndex:
             raise DimensionMismatch("words shape does not match nbits")
         if self.ids.shape != (self.words.shape[0],):
             raise DimensionMismatch("ids and codes must be parallel arrays")
-        if self.labelsets is not None and len(self.labelsets) != len(self.ids):
-            raise DimensionMismatch("labelsets and codes must be parallel arrays")
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels, dtype=bool)
+            if self.labels.ndim != 2 or len(self.labels) != len(self.ids):
+                raise DimensionMismatch("labels must be an (n, C) matrix parallel "
+                                        "to the codes")
 
     @property
     def n(self) -> int:
         return self.words.shape[0]
 
     @classmethod
-    def from_embeddings(cls, F, ids, labelsets=None) -> "CodeIndex":
+    def from_embeddings(cls, F, ids, labels=None) -> "CodeIndex":
         F = np.asarray(F, dtype=np.float64)
-        return cls(binarize_batch(F), np.asarray(ids, dtype=np.int64), F.shape[1],
-                   tuple(labelsets) if labelsets is not None else None)
+        return cls(binarize_batch(F), np.asarray(ids, dtype=np.int64), F.shape[1], labels)
 
     def label_masks(self, C: int) -> np.ndarray:
-        """Label sets as (n, ceil(C/64)) uint64 bitmasks for fast overlap tests."""
-        if self.labelsets is None:
-            raise PreconditionError("index carries no label sets")
-        return label_bitmasks(self.labelsets, C)
+        """Label rows as (n, ceil(C/64)) uint64 bitmasks for fast overlap tests."""
+        if self.labels is None:
+            raise PreconditionError("index carries no labels")
+        if self.labels.shape[1] != C:
+            raise DimensionMismatch(f"index has {self.labels.shape[1]} labels, not {C}")
+        return pack_bits(self.labels)
 
 
 def distances_to_index(query_words: np.ndarray, index: CodeIndex) -> np.ndarray:
@@ -157,15 +160,6 @@ def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
     near = np.flatnonzero(dists <= t)
     order = near[np.lexsort((index.ids[near], dists[near]))][:k]
     return [(int(index.ids[i]), int(dists[i])) for i in order]
-
-
-def _require_labels(queries: CodeIndex, index: CodeIndex) -> int:
-    if queries.labelsets is None or index.labelsets is None:
-        raise PreconditionError("metrics require label sets on both sides")
-    sets = queries.labelsets + index.labelsets
-    if None in sets:
-        raise PreconditionError("metrics require a label set on every entry")
-    return max(map(max, filter(None, sets)), default=0) + 1
 
 
 def _check_ks(ks: Sequence[int], n: int) -> list[int]:
@@ -222,8 +216,13 @@ class _Ranking:
 
 def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
           radius: int = 2, ks: Sequence[int] = ()) -> _Ranking:
-    """Rank the database once per query and reduce each ranking to numbers."""
-    C = _require_labels(queries, index)
+    """Rank the database once per query and reduce each ranking to numbers.
+
+    A query or database row with no label shares no label with anything.
+    """
+    if queries.labels is None or index.labels is None:
+        raise PreconditionError("metrics require labels on both sides")
+    C = queries.labels.shape[1]
     qm = queries.label_masks(C)
     by_id = np.argsort(index.ids, kind="stable")
     dm = index.label_masks(C)[by_id]

@@ -17,6 +17,7 @@ from scdh import bounds, losses, meanteacher as mt, model, retrieval as rt
 from scdh.cli import run_bound_suite, run_multilabel_suite
 from scdh.data import (
     SyntheticConfig,
+    labels_from_sets,
     make_cluster_splits,
     make_multilabel_splits,
     strip_labels,
@@ -137,7 +138,8 @@ def test_criterion_1_gradient_suite():
         grad_F = np.zeros_like(F)
         grad_logits = np.zeros_like(logits)
         buffers = model.GradBuffers(net)
-        model._accumulate_loss_grads(net, F, logits, Y, hp, grad_F, grad_logits,
+        model._accumulate_loss_grads(net, F, logits, labels_from_sets(Y, 3), hp,
+                                     grad_F, grad_logits,
                                      buffers.centers)
         model._backprop_chain(net, acts, grad_F, grad_logits, buffers)
         inst_err = 0.0
@@ -373,9 +375,9 @@ def test_criterion_9_retrieval_oracle_equivalence():
     db_bits[1, :1] = True
     db_bits[2, :2] = True
     db_bits[3, :3] = True
-    labels = (frozenset({0}), frozenset({1}), frozenset({0}), frozenset({1}))
+    labels = labels_from_sets(({0}, {1}, {0}, {1}), 2)
     q = rt.CodeIndex(rt.pack_bits(qbits[None, :]), np.array([99]), 8,
-                     (frozenset({0}),))
+                     labels_from_sets(({0},), 2))
     db = rt.CodeIndex(rt.pack_bits(db_bits), np.arange(4), 8, labels)
     ap = rt.mean_average_precision(q, db)
     assert abs(ap - 5.0 / 6.0) < 1e-12

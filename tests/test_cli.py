@@ -8,7 +8,7 @@ import pytest
 
 from scdh import model
 from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters,
-                       save_dataset, strip_labels)
+                       labels_from_sets, load_dataset, save_dataset, strip_labels)
 
 RUN = [sys.executable, "-m", "scdh.cli"]
 
@@ -70,7 +70,7 @@ class TestValidation:
         labels[n - unlabeled:] = [None] * unlabeled
         features = np.random.default_rng(0).normal(size=(n, 4))
         path = tmp_path / "ml.scds"
-        save_dataset(Dataset(np.arange(n), features, tuple(labels), 3), path)
+        save_dataset(Dataset(np.arange(n), features, labels_from_sets(labels, 3)), path)
         proc = run_cli(command, "--data", path, "--bits", 4, "--hidden", "4",
                        "--epochs", 1, "--batch-size", 4, "--out", tmp_path / "r",
                        expect=1)
@@ -102,7 +102,7 @@ class TestValidation:
     def test_encode_width_mismatch(self, tmp_path):
         # a 4-wide network and 5-wide rows: rejected before the forward pass
         path = tmp_path / "wide.scds"
-        save_dataset(Dataset(np.arange(12), np.zeros((12, 5)), (None,) * 12, 3), path)
+        save_dataset(Dataset(np.arange(12), np.zeros((12, 5)), np.zeros((12, 3), bool)), path)
         ckpt = tmp_path / "m.ckpt"
         model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 4, 0),
                               model.Hyperparams())
@@ -112,6 +112,40 @@ class TestValidation:
         assert err["error"] == "validation"
         assert "5 features" in err["message"] and "takes 4" in err["message"]
         assert not (tmp_path / "r" / "codes.scdh").exists()
+
+    def test_eval_looks_labels_up_by_id(self, tmp_path):
+        d = tmp_path / "data"
+        r = tmp_path / "run"
+        tiny_gen(d)
+        tiny_train(d, r)
+        for split in ("query", "db"):
+            run_cli("encode", "--model", r / "model.ckpt", "--data", d / f"{split}.scds",
+                    "--name", f"{split}.scdh", "--out", r)
+        query = load_dataset(d / "query.scds")
+        # the query rows in reverse order, with the first row unlabeled, and
+        # with a fourth label class
+        rev = query.subset(np.arange(query.n)[::-1])
+        save_dataset(rev, tmp_path / "reversed.scds")
+        save_dataset(Dataset(query.ids, query.features,
+                             np.vstack([query.labels[:1] & False, query.labels[1:]])),
+                     tmp_path / "partial.scds")
+        save_dataset(Dataset(query.ids, query.features,
+                             np.pad(query.labels, ((0, 0), (0, 1)))),
+                     tmp_path / "wide.scds")
+
+        def evaluate(name, expect=0):
+            return run_cli("eval", "--queries", r / "query.scdh", "--database", r / "db.scdh",
+                           "--query-data", name, "--db-data", d / "db.scds",
+                           "--topk", "1,5", "--out", tmp_path / name.stem, expect=expect)
+
+        evaluate(d / "query.scds")
+        evaluate(tmp_path / "reversed.scds")
+        assert (tmp_path / "query" / "metrics.json").read_bytes() == \
+            (tmp_path / "reversed" / "metrics.json").read_bytes()
+        for name, words in (("partial", "unlabeled"), ("wide", "4 label classes")):
+            err = json.loads(evaluate(tmp_path / f"{name}.scds", expect=1).stderr)
+            assert err["error"] == "validation" and words in err["message"]
+        assert "--db-data 3" in err["message"]
 
     def test_help_exits_zero(self):
         proc = subprocess.run([*RUN, "--help"], capture_output=True, text=True)
@@ -131,6 +165,32 @@ class TestConfigMerging:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"]["classes"] == 2
         assert manifest["result"]["n_train"] == 16
+
+    def test_flags_override_preset(self, tmp_path):
+        run_cli("gen", "--preset", "clusters8", "--train-per-class", 20,
+                "--query-per-class", 2, "--db-per-class", 4, "--out", tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["config"]["train-per-class"] == 20
+        assert manifest["result"]["n_train"] == 160
+        assert manifest["config"]["cluster-std"] == 1.05      # from the preset
+        run_cli("train", "--data", tmp_path / "d" / "train.scds", "--preset", "clusters8",
+                "--hp-preset", "nuswide-like", "--epochs", 1, "--lam", 0.002,
+                "--out", tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["config"]["epochs"] == 1 and manifest["result"]["epochs"] == 1
+        # the hp preset overrides the training preset, and a flag both
+        assert manifest["config"]["alpha"] == 1.0 and manifest["config"]["lam"] == 0.002
+        assert manifest["config"]["hidden"] == [64]
+
+    def test_config_overrides_preset(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "clusters8", "train-per-class": 3,
+                                   "query-per-class": 1, "db-per-class": 2}))
+        run_cli("gen", "--config", cfg, "--db-per-class", 4, "--out", tmp_path / "o")
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["result"] == {"n_train": 24, "n_query": 8, "n_db": 32,
+                                      "labeled_train": 24}
+        assert manifest["config"]["classes"] == 8
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdh import losses
+from scdh.data import labels_from_sets
 from scdh.errors import DimensionMismatch, LabelSetError, NonFiniteError
 
 from conftest import central_diff, rel_err
@@ -390,7 +391,7 @@ class TestSculBatch:
               "grad_embedding", "grad_quantization", "grad_logits", "grad_centers")
 
     def assert_matches_loop(self, F, centers, logits, labelsets, lam):
-        Y = losses.label_matrix(labelsets, centers.shape[1])
+        Y = labels_from_sets(labelsets, centers.shape[1])
         got = losses.scul_batch(F, centers, logits, Y, lam)
         want = loop_reference(F, centers, logits, labelsets, lam)
         for name in self.FIELDS:
@@ -412,7 +413,7 @@ class TestSculBatch:
                                                      zero_row=True)
         self.assert_matches_loop(F, centers, logits, labelsets, 0.01)
         got = losses.scul_batch(F, centers, logits,
-                                losses.label_matrix(labelsets, 2), 0.01)
+                                labels_from_sets(labelsets, 2), 0.01)
         assert got.quantization[-1] == 1.0
         assert not got.grad_quantization[-1].any()
         assert got.distances[0].min() == 0.0
@@ -420,7 +421,7 @@ class TestSculBatch:
 
     def test_unlabeled_rows_get_quantization_only(self):
         F, centers, logits, labelsets = random_batch(5, 4, 6, 3)
-        Y = losses.label_matrix([labelsets[0], None, frozenset(), labelsets[3]], 3)
+        Y = labels_from_sets([labelsets[0], None, frozenset(), labelsets[3]], 3)
         got = losses.scul_batch(F, centers, logits, Y, 0.01)
         for name in ("scul", "classification", "center_distance"):
             assert not getattr(got, name)[1:3].any()
@@ -436,7 +437,7 @@ class TestSculBatch:
         # the summed weighted objective of a 4-row mixed batch, every input
         F, centers, logits, labelsets = random_batch(11, 4, 5, 4)
         F[np.abs(F) < 0.1] = 0.3          # stay off the |.| kink
-        Y = losses.label_matrix(labelsets, 4)
+        Y = labels_from_sets(labelsets, 4)
         lam, mu, alpha = 0.01, 0.3, 0.07
 
         def objective(F_, centers_, logits_):
@@ -453,7 +454,7 @@ class TestSculBatch:
 
     def test_shape_mismatch(self):
         F, centers, logits, labelsets = random_batch(0, 3, 4, 3)
-        Y = losses.label_matrix(labelsets, 3)
+        Y = labels_from_sets(labelsets, 3)
         with pytest.raises(DimensionMismatch):
             losses.scul_batch(F[:, :3], centers, logits, Y, 0.01)
         with pytest.raises(DimensionMismatch):
@@ -462,17 +463,24 @@ class TestSculBatch:
 
 class TestLabelMatrix:
     def test_rows(self):
-        Y = losses.label_matrix([frozenset({2}), 0, None, frozenset({0, 1})], 3)
+        Y = labels_from_sets([frozenset({2}), {0}, None, frozenset({0, 1}), ()], 3)
         np.testing.assert_array_equal(
-            Y, [[0, 0, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0]])
+            Y, [[0, 0, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0], [0, 0, 0]])
+        assert Y.dtype == bool
+        with pytest.raises(TypeError):         # a bare label is not a set
+            labels_from_sets([0], 3)
 
     def test_full_label_set_names_row(self):
         with pytest.raises(LabelSetError, match="row 2.*every class"):
-            losses.label_matrix([{0}, {1}, {0, 1, 2}], 3)
+            losses.require_negative_class(labels_from_sets([{0}, {1}, {0, 1, 2}], 3))
 
     def test_single_label_with_one_class_allowed(self):
-        np.testing.assert_array_equal(losses.label_matrix([{0}], 1), [[1.0]])
+        Y = labels_from_sets([{0}], 1)
+        losses.require_negative_class(Y)
+        np.testing.assert_array_equal(Y, [[True]])
 
     def test_out_of_range_names_row(self):
         with pytest.raises(LabelSetError, match="row 1"):
-            losses.label_matrix([{0}, {3}], 3)
+            labels_from_sets([{0}, {3}], 3)
+        with pytest.raises(LabelSetError, match="row 2"):
+            labels_from_sets([{0}, None, {-1}], 3)

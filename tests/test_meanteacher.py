@@ -176,7 +176,7 @@ class TestSemiDataset:
         cfg = SyntheticConfig(C=2, feature_dim=3, cluster_std=0.1,
                               center_spread=1.0, samples_per_class=5, seed=0)
         ds = gen_gaussian_clusters(cfg)
-        unl = Dataset(ds.ids, ds.features, tuple(None for _ in range(ds.n)), 2)
+        unl = Dataset(ds.ids, ds.features, np.zeros((ds.n, 2), dtype=bool))
         with pytest.raises(PreconditionError):
             mt.SemiDataset.from_partial(unl)
 

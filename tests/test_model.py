@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scdh import losses, model
-from scdh.data import Dataset, SyntheticConfig, gen_gaussian_clusters
+from scdh.data import Dataset, SyntheticConfig, gen_gaussian_clusters, labels_from_sets
 from scdh.errors import DivergenceError, ParseError, PreconditionError
 
 from conftest import rel_err
@@ -42,7 +42,8 @@ def analytic_grads(net, X, labelsets, hp):
     grad_F = np.zeros_like(F)
     grad_logits = np.zeros_like(logits)
     buffers = model.GradBuffers(net)
-    model._accumulate_loss_grads(net, F, logits, labelsets, hp,
+    model._accumulate_loss_grads(net, F, logits,
+                                 labels_from_sets(labelsets, net.label_count), hp,
                                  grad_F, grad_logits, buffers.centers)
     model._backprop_chain(net, acts, grad_F, grad_logits, buffers)
     return buffers.as_list()
@@ -177,7 +178,7 @@ class TestBackwardStep:
         before = [p.copy() for p in net.parameters()]
         hp = tiny_hp(momentum=0.0)
         model.backward_step(net, rng.normal(0, 1, (3, 4)),
-                            [frozenset({0})] * 3, hp, lr=0.0)
+                            labels_from_sets([frozenset({0})] * 3, 3), hp, lr=0.0)
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
 
@@ -205,7 +206,7 @@ class TestBackwardStep:
         net.trunk[0].W[:] = np.inf
         with pytest.raises(DivergenceError):
             model.backward_step(net, rng.normal(0, 1, (2, 4)),
-                                [frozenset({0})] * 2, hp)
+                                labels_from_sets([frozenset({0})] * 2, 3), hp)
 
     def test_empty_batch_rejected(self):
         net = randomized_net(6)
@@ -243,7 +244,7 @@ class TestWarmupProject:
         rng = np.random.default_rng(0)
         for _ in range(6):
             idx = rng.permutation(ds.n)[:8]
-            model.backward_step(net, feats[idx], [ds.labels[i] for i in idx], hp)
+            model.backward_step(net, feats[idx], ds.labels[idx], hp)
             net.centers[:] = model.warmup_project(net.centers, hp.warmup_norm_s)
             norms = np.linalg.norm(net.centers, axis=0)
             np.testing.assert_allclose(norms, hp.warmup_norm_s, atol=1e-9)

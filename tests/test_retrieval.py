@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdh import retrieval as rt
+from scdh.data import labels_from_sets
 from scdh.errors import DimensionMismatch, ParseError, PreconditionError
 
 
@@ -22,7 +23,7 @@ def make_index(rng, n, r, with_labels=False, C=4):
     ids = rng.permutation(n * 3)[:n].astype(np.int64)
     labels = None
     if with_labels:
-        labels = tuple(frozenset({int(rng.integers(C))}) for _ in range(n))
+        labels = labels_from_sets([{int(rng.integers(C))} for _ in range(n)], C)
     return bits, rt.CodeIndex(rt.pack_bits(bits), ids, r, labels)
 
 
@@ -136,9 +137,8 @@ class TestSearch:
 def tiny_eval_setup(query_bits, db_bits, db_relevant, r):
     """One query; relevance given explicitly via shared label 0."""
     q = rt.CodeIndex(rt.pack_bits(query_bits[None, :]), np.array([1000]), r,
-                     (frozenset({0}),))
-    labels = tuple(frozenset({0}) if rel else frozenset({1})
-                   for rel in db_relevant)
+                     labels_from_sets([{0}], 2))
+    labels = labels_from_sets([{0} if rel else {1} for rel in db_relevant], 2)
     db = rt.CodeIndex(rt.pack_bits(db_bits), np.arange(len(db_relevant)), r,
                       labels)
     return q, db
@@ -186,7 +186,7 @@ class TestMeanAveragePrecision:
         qbits, qindex = make_index(rng, 10, 24, with_labels=True)
         perm = rng.permutation(60)
         shuffled = rt.CodeIndex(index.words[perm], index.ids[perm], 24,
-                                tuple(index.labelsets[i] for i in perm))
+                                index.labels[perm])
         for k in (None, 20):
             assert rt.mean_average_precision(qindex, index, k) == pytest.approx(
                 rt.mean_average_precision(qindex, shuffled, k), abs=1e-12)
@@ -196,10 +196,10 @@ class TestMeanAveragePrecision:
         C = 4
         n = 400
         bits = rng.random((n, 32)) < 0.5
-        labels = tuple(frozenset({int(i % C)}) for i in range(n))
+        labels = labels_from_sets([{int(i % C)} for i in range(n)], C)
         db = rt.CodeIndex(rt.pack_bits(bits), np.arange(n), 32, labels)
         qbits = rng.random((50, 32)) < 0.5
-        qlabels = tuple(frozenset({int(rng.integers(C))}) for _ in range(50))
+        qlabels = labels_from_sets([{int(rng.integers(C))} for _ in range(50)], C)
         q = rt.CodeIndex(rt.pack_bits(qbits), np.arange(1000, 1050), 32, qlabels)
         val = rt.mean_average_precision(q, db)
         prior = 1.0 / C
@@ -255,8 +255,8 @@ class TestTopkCurve:
         curve = rt.topk_precision_curve(qidx, index, [40])
         # precision at k=n is the relevant fraction, independent of ranking
         relevant_fraction = np.mean([
-            np.mean([bool(qs & ds) for ds in index.labelsets])
-            for qs in qidx.labelsets
+            np.mean([bool(qs & ds) for ds in labelsets(index)])
+            for qs in labelsets(qidx)
         ])
         assert curve[0][1] == pytest.approx(float(relevant_fraction), abs=1e-12)
 
@@ -310,6 +310,11 @@ class TestCodeFile:
 # metric with a full lexsort.  The one-pass metrics must equal it bit for bit.
 # ---------------------------------------------------------------------------
 
+def labelsets(index):
+    """The label rows of an index as label sets."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in index.labels)
+
+
 def ref_label_masks(labelsets, C):
     Wc = (C + 63) // 64
     masks = np.zeros((len(labelsets), Wc), dtype=np.uint64)
@@ -321,12 +326,12 @@ def ref_label_masks(labelsets, C):
 
 def ref_relevance_and_order(queries, index):
     C = 0
-    for Y in queries.labelsets + index.labelsets:
+    for Y in labelsets(queries) + labelsets(index):
         if Y:
             C = max(C, max(Y) + 1)
     C = max(C, 1)
-    qm = ref_label_masks(queries.labelsets, C)
-    dm = ref_label_masks(index.labelsets, C)
+    qm = ref_label_masks(labelsets(queries), C)
+    dm = ref_label_masks(labelsets(index), C)
     for qi in range(queries.n):
         dists = np.bitwise_count(index.words ^ queries.words[qi][None, :]).sum(axis=1)
         dists = dists.astype(np.int64)
@@ -409,13 +414,12 @@ def ranking_case(draw):
     else:
         ids = rng.permutation(3 * n)[:n]                      # unsorted ids
 
-    def labelsets(m):
-        # empty sets are legal, and a query may share no label with any item
-        return tuple(frozenset(np.flatnonzero(rng.random(C) < 0.3).tolist())
-                     for _ in range(m))
+    def labels(m):
+        # unlabeled rows are legal, and a query may share no label with any item
+        return rng.random((m, C)) < 0.3
 
-    db = rt.CodeIndex(rt.pack_bits(db_bits), ids, r, labelsets(n))
-    queries = rt.CodeIndex(rt.pack_bits(q_bits), np.arange(nq), r, labelsets(nq))
+    db = rt.CodeIndex(rt.pack_bits(db_bits), ids, r, labels(n))
+    queries = rt.CodeIndex(rt.pack_bits(q_bits), np.arange(nq), r, labels(nq))
     k = draw(st.one_of(st.none(), st.integers(1, n + 3)))
     radius = draw(st.sampled_from([0, 2, r, r + 5]))
     ks = sorted(draw(st.sets(st.integers(1, n), max_size=4)))
@@ -496,10 +500,24 @@ class TestOneRankingPass:
         assert 0 <= d["empty_ball_queries"] <= queries.n
 
     def test_unlabeled_entry_rejected(self, rng):
-        bits, db = make_index(rng, 4, 8, with_labels=True)
-        q = rt.CodeIndex(rt.pack_bits(bits[:1]), [0], 8, (None,))
+        # an unlabeled query has no relevant item, like a query whose labels
+        # no database item shares: it is left out of MAP and adds 0 to top-k
+        bits, db = make_index(rng, 6, 8, with_labels=True, C=4)
+        labeled = rt.CodeIndex(rt.pack_bits(bits[:2]), [0, 1], 8, db.labels[:2])
+        with_zero = rt.CodeIndex(rt.pack_bits(bits[:3]), [0, 1, 2], 8,
+                                 np.vstack([db.labels[:2], np.zeros((1, 4), dtype=bool)]))
         with pytest.raises(PreconditionError):
-            rt.evaluate(q, db)
+            rt.evaluate(rt.CodeIndex(with_zero.words[2:], [2], 8, with_zero.labels[2:]), db)
+        a = rt.evaluate(labeled, db, ks=[6])
+        b = rt.evaluate(with_zero, db, ks=[6])
+        assert b.map == a.map
+        assert b.topk_curve[0][1] == pytest.approx(a.topk_curve[0][1] * 2 / 3)
+        # an index without labels, or with a different label count, is rejected
+        with pytest.raises(PreconditionError):
+            rt.evaluate(rt.CodeIndex(labeled.words, labeled.ids, 8), db)
+        with pytest.raises(DimensionMismatch, match="5 labels.*4"):
+            rt.evaluate(labeled, rt.CodeIndex(db.words, db.ids, 8,
+                                              np.zeros((6, 5), dtype=bool)))
 
     @pytest.mark.parametrize("call", [
         lambda q, db: rt.search(rt.HashCode(q.words[0], q.nbits), db, -1),
