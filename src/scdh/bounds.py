@@ -5,6 +5,22 @@ and compared against their O(n) unary upper bounds: the single-label bound
 with multiplier (n/C)^2 (C-1), the tightened lambda form, and the multilabel
 expectation bound checked by Monte Carlo.  A toy two-cluster experiment maps
 the estimated lambda over a (sigma, d) grid.
+
+Every path works an array at a time and returns the same bits as a plain
+per-row (or per-trial) loop, which the tests keep as the reference:
+
+- the exhaustive triplet sums reduce one (rows, k-1, n-k) block per label
+  multiplicity k (a single block for a balanced set) and add the row sums
+  in row order with ``cumsum``, as a running total would;
+- the Monte Carlo check draws the label matrices of a block of trials from
+  one stream of C-wide candidate rows and reduces the block with batched
+  products, so memory is O(block n^2) for any trial count;
+- a sampled toy cell looks its T triplet distances up in the (n, n)
+  distance matrix when n^2 <= T, and otherwise computes them a chunk of
+  pairs at a time; it never gathers (T, r) code rows.
+
+``bound_summary`` condenses a verify-bounds run: the minimum relative slack
+of each check family and a fixed-bin histogram of the lambda estimates.
 """
 
 from __future__ import annotations
@@ -35,6 +51,9 @@ class LabeledCodeSet:
     labels: tuple[frozenset, ...]           # length n
     label_count: int                        # C
     balanced: bool = False
+    # the one label of each row, decoded once; None if any row has several
+    _single: np.ndarray | None = field(init=False, default=None, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         codes = np.asarray(self.codes, dtype=np.float64)
@@ -48,13 +67,17 @@ class LabeledCodeSet:
                 raise LabelSetError("empty label set in code set")
             if min(Y) < 0 or max(Y) >= self.label_count:
                 raise LabelSetError(f"label set {set(Y)} out of range for C={self.label_count}")
+        if all(len(Y) == 1 for Y in self.labels):
+            single = np.array([next(iter(Y)) for Y in self.labels], dtype=np.int64)
+            single.flags.writeable = False
+            object.__setattr__(self, "_single", single)
         if self.balanced and not self.is_balanced():
             raise PreconditionError("balanced flag set but label multiplicities differ")
 
     def is_balanced(self) -> bool:
-        if any(len(Y) != 1 for Y in self.labels):
+        if self._single is None:
             return False
-        counts = np.bincount(self.single_labels(), minlength=self.label_count)
+        counts = np.bincount(self._single, minlength=self.label_count)
         return bool(np.all(counts == counts[0]))
 
     @property
@@ -62,9 +85,10 @@ class LabeledCodeSet:
         return self.codes.shape[0]
 
     def single_labels(self) -> np.ndarray:
-        if any(len(Y) != 1 for Y in self.labels):
+        """The (n,) label vector (read-only); raises for multilabel rows."""
+        if self._single is None:
             raise LabelSetError("set contains multilabel rows")
-        return np.array([next(iter(Y)) for Y in self.labels], dtype=np.int64)
+        return self._single
 
     @classmethod
     def from_single_labels(cls, codes, labels, label_count: int | None = None,
@@ -116,9 +140,29 @@ class LambdaEstimate(float):
         return obj
 
 
-def _pairwise_distances(codes: np.ndarray) -> np.ndarray:
-    diff = codes[:, None, :] - codes[None, :, :]
-    return np.linalg.norm(diff, axis=2)
+def _pairwise_distances(codes: np.ndarray, block: int = 64) -> np.ndarray:
+    """(n, n) Euclidean distances, ``block`` rows of differences at a time.
+
+    Each entry reduces one difference row over r, so it is bit-equal to the
+    full (n, n, r) tensor form and to ``_pair_distances``.
+    """
+    n = codes.shape[0]
+    D = np.empty((n, n))
+    for a in range(0, n, block):
+        D[a:a + block] = np.linalg.norm(codes[a:a + block, None, :] - codes[None, :, :],
+                                        axis=2)
+    return D
+
+
+def _pair_distances(codes: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    chunk: int = 1 << 15) -> np.ndarray:
+    """``|codes[a] - codes[b]|`` per index pair, ``chunk`` pairs at a time;
+    bit-equal to the entries of ``_pairwise_distances``."""
+    out = np.empty(len(a))
+    for s in range(0, len(a), chunk):
+        out[s:s + chunk] = np.linalg.norm(codes[a[s:s + chunk]] - codes[b[s:s + chunk]],
+                                          axis=1)
+    return out
 
 
 def _code_center_distances(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -133,6 +177,38 @@ def _check_cap(n: int, max_n: int):
         )
 
 
+def _row_blocks(y: np.ndarray):
+    """Rows grouped by the multiplicity k of their label (one group when the
+    set is balanced): the rows (g,), each row's similar columns, the other
+    rows with its label, as a (g, k-1) matrix, and its dissimilar columns as
+    a (g, n-k) matrix, both ascending."""
+    n = y.size
+    same = y[:, None] == y
+    sim = same & ~np.eye(n, dtype=bool)
+    counts = same.sum(axis=1)
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        yield (rows, np.nonzero(sim[rows])[1].reshape(rows.size, k - 1),
+               np.nonzero(~same[rows])[1].reshape(rows.size, n - k))
+
+
+def _sum_in_row_order(row_sums: np.ndarray) -> float:
+    """Add per-row sums one after another, as a running ``total +=`` does; a
+    pairwise ``sum`` would round differently in the last bit."""
+    return float(np.cumsum(row_sums)[-1]) if row_sums.size else 0.0
+
+
+def _triplet_loss(D: np.ndarray, y: np.ndarray, kind: TripletLossKind) -> float:
+    if y.size < 2 or (y == y[0]).all():
+        raise PreconditionError("need at least two distinct labels for triplets")
+    row_sums = np.zeros(y.size)
+    for rows, sim, dis in _row_blocks(y):
+        d_pos = D[rows[:, None], sim][:, :, None]          # (g, k-1, 1)
+        d_neg = D[rows[:, None], dis][:, None, :]          # (g, 1, n-k)
+        row_sums[rows] = kind.g(d_pos, d_neg).sum(axis=(1, 2))
+    return _sum_in_row_order(row_sums)
+
+
 def brute_force_triplet_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
                              max_n: int = DEFAULT_TRIPLET_CAP) -> float:
     """Exhaustive ranking loss over all ordered triplets (i, j, k).
@@ -142,18 +218,7 @@ def brute_force_triplet_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
     """
     _check_cap(code_set.n, max_n)
     y = code_set.single_labels()
-    if np.unique(y).size < 2:
-        raise PreconditionError("need at least two distinct labels for triplets")
-    D = _pairwise_distances(code_set.codes)
-    total = 0.0
-    for i in range(code_set.n):
-        sim = (y == y[i])
-        sim[i] = False
-        dis = y != y[i]
-        if not sim.any() or not dis.any():
-            continue
-        total += float(kind.g(D[i, sim][:, None], D[i, dis][None, :]).sum())
-    return total
+    return _triplet_loss(_pairwise_distances(code_set.codes), y, kind)
 
 
 def multilabel_brute_force_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
@@ -200,8 +265,8 @@ def _softmax_lc(d_all: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d_all[np.arange(len(y)), y] + lse
 
 
-def _softmax_background_triplet_loss(code_set: LabeledCodeSet,
-                                     centers: np.ndarray) -> float:
+def _softmax_background_triplet_loss(D: np.ndarray, Dc: np.ndarray,
+                                     y: np.ndarray) -> float:
     """Exhaustive triplet loss under the background-shared softmax comparator.
 
     For triplet (i, j, k) the comparator carries the fixed background mass
@@ -209,24 +274,18 @@ def _softmax_background_triplet_loss(code_set: LabeledCodeSet,
     which is exactly the comparator whose per-item aggregate equals the full
     softmax loss on the bound side.
     """
-    y = code_set.single_labels()
-    D = _pairwise_distances(code_set.codes)
-    Dc = _code_center_distances(code_set.codes, centers)
     expd = np.exp(-Dc)
-    total = 0.0
-    for i in range(code_set.n):
-        sim = (y == y[i])
-        sim[i] = False
-        dis = y != y[i]
-        if not sim.any() or not dis.any():
-            continue
-        a = D[i, sim][:, None]                     # (n_sim, 1)
-        b = D[i, dis][None, :]                     # (1, n_dis)
-        background = expd[i].sum() - expd[i, y[i]] - expd[i, y[dis]]
+    mass = expd.sum(axis=1)
+    row_sums = np.zeros(y.size)
+    for rows, sim, dis in _row_blocks(y):
+        a = D[rows[:, None], sim][:, :, None]              # (g, k-1, 1)
+        b = D[rows[:, None], dis][:, None, :]              # (g, 1, n-k)
+        background = (mass[rows] - expd[rows, y[rows]])[:, None] \
+            - expd[rows[:, None], y[dis]]                  # (g, n-k)
         tail = np.logaddexp(-a, -b)
-        tail = np.logaddexp(tail, np.log(np.maximum(background, 1e-300))[None, :])
-        total += float((a + tail).sum())
-    return total
+        tail = np.logaddexp(tail, np.log(np.maximum(background, 1e-300))[:, None, :])
+        row_sums[rows] = (a + tail).sum(axis=(1, 2))
+    return _sum_in_row_order(row_sums)
 
 
 def _bound_sides(code_set: LabeledCodeSet, centers: np.ndarray,
@@ -235,12 +294,13 @@ def _bound_sides(code_set: LabeledCodeSet, centers: np.ndarray,
     C = code_set.label_count
     Dc = _code_center_distances(code_set.codes, centers)
     d_own = Dc[np.arange(code_set.n), y]
+    _check_cap(code_set.n, max_n)
+    D = _pairwise_distances(code_set.codes)
     if kind.kind == "margin":
-        lhs = brute_force_triplet_loss(code_set, kind, max_n=max_n)
+        lhs = _triplet_loss(D, y, kind)
         lc = _hinge_lc(d_own, Dc, kind)
     else:
-        _check_cap(code_set.n, max_n)
-        lhs = _softmax_background_triplet_loss(code_set, centers)
+        lhs = _softmax_background_triplet_loss(D, Dc, y)
         lc = _softmax_lc(Dc, y)
     multiplier = (code_set.n / C) ** 2 * (C - 1)
     rhs = multiplier * float((lc + 2.0 * d_own).sum())
@@ -292,14 +352,78 @@ def estimate_lambda(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
 # Multilabel expectation bound (Monte Carlo)
 # ---------------------------------------------------------------------------
 
-def _sample_label_matrix(rng: np.random.Generator, n: int, C: int, p: float) -> np.ndarray:
-    """(n, C) boolean membership matrix; empty rows are rejection-resampled."""
-    Y = rng.random((n, C)) < p
-    while True:
-        empty = ~Y.any(axis=1)
-        if not empty.any():
-            return Y
-        Y[empty] = rng.random((int(empty.sum()), C)) < p
+# Trials reduced together by the Monte Carlo check; memory is O(block n^2).
+ML_TRIAL_BLOCK = 256
+
+MIN_TRIALS = 1000
+
+
+def _label_matrix_blocks(rng: np.random.Generator, trials: int, n: int, C: int,
+                         p: float, block: int = ML_TRIAL_BLOCK):
+    """Yield the (b, n, C) boolean label matrices of ``trials`` trials.
+
+    One trial draws ``rng.random((n, C)) < p`` and redraws its empty rows,
+    in row order, until none is empty.  Every draw takes whole C-wide
+    candidate rows from one uniform stream, so a trial is a FIFO queue of
+    rows over that stream: it ends at its n-th non-empty candidate, and its
+    candidate at position j >= n belongs to the row that got its (j-n)-th
+    empty candidate.  The candidates are drawn in chunks, which continue the
+    stream exactly, and the rows are resolved for a whole block at once.
+    """
+    empty_p = (1.0 - p) ** C
+    cand = np.empty((0, C), dtype=bool)
+    for first in range(0, trials, block):
+        b = min(block, trials - first)
+        need = b * n
+        full = np.flatnonzero(cand.any(axis=1))
+        while full.size < need:
+            more = int((need - full.size) / (1.0 - empty_p) * 1.1) + 64
+            cand = np.concatenate([cand, rng.random((min(more, 1 << 18), C)) < p])
+            full = np.flatnonzero(cand.any(axis=1))
+        full = full[:need]
+        ends = full[n - 1::n]                    # each trial's last candidate
+        used, cand = cand[:ends[-1] + 1], cand[ends[-1] + 1:]
+        pos = np.arange(len(used))
+        trial = np.searchsorted(ends, pos)
+        start = np.concatenate([[0], ends[:-1] + 1])
+        j = pos - start[trial]                   # position within the trial
+        empty = np.flatnonzero(~used.any(axis=1))
+        later = j >= n
+        # src: the candidate whose row this one inherits; follow it to j < n
+        src = pos.copy()
+        src[later] = empty[np.searchsorted(empty, start)[trial[later]] + j[later] - n]
+        while True:
+            nxt = src[src]
+            if np.array_equal(nxt, src):
+                break
+            src = nxt
+        Y = np.zeros((b, n, C), dtype=bool)
+        Y[trial[full], j[src[full]]] = used[full]
+        yield Y
+
+
+def _trial_sides(Y: np.ndarray, G: np.ndarray, Gc: np.ndarray, Dc: np.ndarray,
+                 p: float, multiplier: float, Q: float):
+    """Per-trial (lhs, rhs) of the multilabel bound for a (b, n, C) block of
+    label matrices; each entry is bit-equal to the one-trial computation."""
+    C = Y.shape[2]
+    Yi = Y.astype(np.int64)
+    overlap = Yi @ Yi.transpose(0, 2, 1)            # r_ij = |Y_i & Y_j|
+    sim_w = overlap * ~np.eye(Y.shape[1], dtype=bool)   # the diagonal off
+    dis = overlap == 0
+    lhs = np.einsum("tij,tik,ijk->t", sim_w.astype(np.float64),
+                    dis.astype(np.float64), G)
+
+    sizes = Yi.sum(axis=2)
+    qy = (C - sizes) / (C - 1) * (1.0 - p) ** sizes
+    pos = Y[:, :, :, None] & ~Y[:, :, None, :]       # (trial, i, s in Y_i, t not in Y_i)
+    # where + sum keeps the one-trial pairwise order; an einsum would not
+    lmc_raw = np.where(pos, Gc, 0.0).sum(axis=(2, 3))
+    neg_counts = np.maximum(C - sizes, 1)            # |Y_i| = C gives empty sum
+    lmc = lmc_raw / neg_counts
+    dist_term = np.where(Y, Dc, 0.0).sum(axis=2)
+    rhs = multiplier * (qy * lmc + (Q + qy) * dist_term).sum(axis=1)
+    return lhs, rhs
 
 
 def multilabel_bound_check(codes, C: int, p: float, centers, trials: int,
@@ -314,16 +438,19 @@ def multilabel_bound_check(codes, C: int, p: float, centers, trials: int,
 
     where q(x) = (C-x)/(C-1) * (1-p)^x and Q = (1-p)^2 (1-p^2)^(C-2).  The
     verdict compares empirical means with a one-sided 99% confidence margin.
+    Trials are evaluated ``ML_TRIAL_BLOCK`` at a time.
     """
     if not 0.0 < p < 1.0:
         raise PreconditionError("p must lie strictly between 0 and 1")
     p = min(p, 0.99)
-    if trials < 1000:
-        raise PreconditionError("need at least 1000 Monte Carlo trials")
+    if trials < MIN_TRIALS:
+        raise PreconditionError(f"need at least {MIN_TRIALS} Monte Carlo trials")
     kind = kind if kind is not None else margin_loss(1.0)
     codes = np.asarray(codes, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     n = codes.shape[0]
+    if n < 1 or C < 2:
+        raise PreconditionError("need at least one code row and two labels")
     rng = np.random.default_rng(seed)
 
     D = _pairwise_distances(codes)
@@ -335,26 +462,14 @@ def multilabel_bound_check(codes, C: int, p: float, centers, trials: int,
 
     multiplier = (C - 1) * p * p * n * n
     Q = (1.0 - p) ** 2 * (1.0 - p * p) ** (C - 2)
-    not_eye = ~np.eye(n, dtype=bool)
 
     lhs = np.empty(trials)
     rhs = np.empty(trials)
-    for t in range(trials):
-        Y = _sample_label_matrix(rng, n, C, p)
-        overlap = (Y[:, None, :] & Y[None, :, :]).sum(axis=2)
-        sim_w = overlap * not_eye                    # r_ij with the diagonal off
-        dis = overlap == 0
-        lhs[t] = np.einsum("ij,ik,ijk->", sim_w.astype(np.float64),
-                           dis.astype(np.float64), G)
-
-        sizes = Y.sum(axis=1)
-        qy = (C - sizes) / (C - 1) * (1.0 - p) ** sizes
-        pos = Y[:, :, None] & ~Y[:, None, :]         # (i, s in Y_i, t not in Y_i)
-        lmc_raw = np.where(pos, Gc, 0.0).sum(axis=(1, 2))
-        neg_counts = np.maximum(C - sizes, 1)        # |Y_i| = C gives empty sum
-        lmc = lmc_raw / neg_counts
-        dist_term = np.where(Y, Dc, 0.0).sum(axis=1)
-        rhs[t] = multiplier * float((qy * lmc + (Q + qy) * dist_term).sum())
+    first = 0
+    for Y in _label_matrix_blocks(rng, trials, n, C, p):
+        t = slice(first, first + len(Y))
+        first += len(Y)
+        lhs[t], rhs[t] = _trial_sides(Y, G, Gc, Dc, p, multiplier, Q)
 
     diff = rhs - lhs
     sem = float(diff.std(ddof=1) / np.sqrt(trials))
@@ -386,6 +501,19 @@ class ToyConfig:
     enumeration_threshold: int = 30
 
     def __post_init__(self):
+        if self.C < 2:
+            raise PreconditionError(f"need at least 2 clusters, got {self.C}")
+        if self.r < self.C:
+            raise PreconditionError(f"r={self.r} cannot hold the simplex of "
+                                    f"{self.C} cluster means (need r >= C)")
+        if self.samples_per_cluster < 2:
+            raise PreconditionError("a triplet needs two points in a cluster, got "
+                                    f"{self.samples_per_cluster} per cluster")
+        if self.margin < 0:
+            raise PreconditionError(f"margin must be non-negative, got {self.margin}")
+        if self.triplet_samples < 1:
+            raise PreconditionError(f"need at least 1 sampled triplet, got "
+                                    f"{self.triplet_samples}")
         if any(s <= 0 for s in self.sigma_grid):
             raise PreconditionError("all sigma values must be positive")
         if any(d < 0 for d in self.d_grid):
@@ -445,30 +573,30 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
 
     total_triplets = n * (m - 1) * (n - m)
     if n < cfg.enumeration_threshold:
-        cs = LabeledCodeSet.from_single_labels(codes, y, cfg.C)
-        lt = brute_force_triplet_loss(cs, kind, max_n=n)
+        lt = _triplet_loss(_pairwise_distances(codes), y, kind)
         # relaxed comparator summed over the same exhaustive triplet set
-        relaxed = 0.0
-        for i in range(n):
-            sim = (y == y[i]) & (np.arange(n) != i)
-            dis = y != y[i]
-            g_part = kind.g(d_own[i], Dc[i, y[dis]])
-            relaxed += float(
-                (g_part[None, :] + d_own[sim][:, None] + d_own[dis][None, :]).sum()
-            )
+        row_sums = np.zeros(n)
+        for rows, sim, dis in _row_blocks(y):
+            g_part = kind.g(d_own[rows, None], Dc[rows[:, None], y[dis]])   # (g, n-k)
+            row_sums[rows] = (g_part[:, None, :] + d_own[sim][:, :, None]
+                              + d_own[dis][:, None, :]).sum(axis=(1, 2))
+        relaxed = _sum_in_row_order(row_sums)
     else:
         T = cfg.triplet_samples
         i_idx = rng.integers(0, n, T)
+        first = (i_idx // m) * m                       # i's cluster starts here
         # j: same cluster as i, j != i
         off = rng.integers(0, m - 1, T)
-        pos_in_cluster = i_idx % m
-        j_off = off + (off >= pos_in_cluster)
-        j_idx = (i_idx // m) * m + j_off
+        j_idx = first + off + (off >= i_idx - first)
         # k: uniform over the other clusters
         k_raw = rng.integers(0, n - m, T)
-        k_idx = np.where(k_raw >= (i_idx // m) * m, k_raw + m, k_raw)
-        d_ij = np.linalg.norm(codes[i_idx] - codes[j_idx], axis=1)
-        d_ik = np.linalg.norm(codes[i_idx] - codes[k_idx], axis=1)
+        k_idx = np.where(k_raw >= first, k_raw + m, k_raw)
+        if n * n <= T:      # the (n, n) table is no larger than the T pairs
+            D = _pairwise_distances(codes)
+            d_ij, d_ik = D[i_idx, j_idx], D[i_idx, k_idx]
+        else:
+            d_ij = _pair_distances(codes, i_idx, j_idx)
+            d_ik = _pair_distances(codes, i_idx, k_idx)
         lt = float(kind.g(d_ij, d_ik).mean()) * total_triplets
         relaxed_terms = (
             kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
@@ -498,6 +626,41 @@ def toy_lambda_grid(cfg: ToyConfig, threads: int = 1) -> list[ToyCell]:
     else:
         rows = [_toy_cell(cfg, s, d, ss) for (s, d), ss in zip(cells, children)]
     return rows
+
+
+# Fixed bins of the lambda histogram in the verify-bounds summary: -1 to the
+# proven cap 2 in steps of 1/8 (random instances mostly land in [-1, 0.3]).
+LAMBDA_BIN_EDGES = tuple(-1.0 + 0.125 * i for i in range(25))
+
+
+def _slack_summary(reports: Sequence[BoundReport]) -> dict:
+    """Smallest relative slack (rhs - lhs) / rhs over the checks with rhs > 0,
+    and the row it occurs at (None when no check has a positive bound)."""
+    slack = [((r.bound_value - r.brute_force_loss) / r.bound_value, i)
+             for i, r in enumerate(reports) if r.bound_value > 0.0]
+    low, row = min(slack) if slack else (None, None)
+    return {"min_relative_slack": low, "min_slack_row": row,
+            "zero_bound_checks": len(reports) - len(slack)}
+
+
+def bound_summary(unary: Sequence[BoundReport],
+                  multilabel: Sequence[BoundReport]) -> dict:
+    """How close the checks came to failing: the minimum relative slack of
+    each family and a fixed-bin histogram of the non-degenerate unary lambda
+    estimates (``below``/``above`` count those outside the edges)."""
+    lams = np.array([r.lambda_estimate for r in unary if not r.degenerate])
+    counts, _ = np.histogram(lams, bins=LAMBDA_BIN_EDGES)
+    return {
+        "unary": _slack_summary(unary),
+        "multilabel": _slack_summary(multilabel),
+        "lambda_histogram": {
+            "edges": list(LAMBDA_BIN_EDGES),
+            "counts": counts.tolist(),
+            "below": int((lams < LAMBDA_BIN_EDGES[0]).sum()),
+            "above": int((lams > LAMBDA_BIN_EDGES[-1]).sum()),
+            "degenerate": sum(r.degenerate for r in unary),
+        },
+    }
 
 
 TOY_CSV_FIELDS = ["sigma", "d", "triplet_loss", "relaxed_triplet_loss",

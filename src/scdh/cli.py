@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, bounds, data, losses, meanteacher, model, retrieval
-from .errors import LabelSetError, ScdhError
+from .errors import LabelSetError, PreconditionError, ScdhError
 
 log = logging.getLogger("scdh")
 
@@ -532,9 +532,32 @@ def run_multilabel_suite(configs: int, trials: int, seed: int):
     return reports
 
 
+def _verify_kind(cfg: dict) -> losses.TripletLossKind:
+    """The comparator of a resolved verify-bounds config, after rejecting the
+    values that would fail mid-run."""
+    cap = bounds.DEFAULT_TRIPLET_CAP
+    for key in ("instances", "ml-configs"):
+        if cfg[key] < 0:
+            raise ValidationError(f"--{key} must be non-negative, got {cfg[key]}")
+    if cfg["trials"] < bounds.MIN_TRIALS:
+        raise ValidationError(f"--trials must be at least {bounds.MIN_TRIALS}, "
+                              f"got {cfg['trials']}")
+    if cfg["max-n"] > cap:
+        raise ValidationError(f"--max-n {cfg['max-n']} exceeds the {cap}-row "
+                              "exhaustive-enumeration cap")
+    if cfg["max-r"] < 2:
+        raise ValidationError(f"--max-r must be at least 2, got {cfg['max-r']}")
+    if not cfg["classes"] or not all(2 <= C <= cap for C in cfg["classes"]):
+        raise ValidationError(f"--classes entries must lie in 2..{cap}, "
+                              f"got {list(cfg['classes'])}")
+    try:
+        return losses.TripletLossKind(cfg["kind"], cfg["margin"])
+    except ValueError as exc:
+        raise ValidationError(f"--kind/--margin: {exc}") from None
+
+
 def cmd_verify_bounds(cfg: dict, run: Run):
-    kind = (losses.margin_loss(cfg["margin"]) if cfg["kind"] == "margin"
-            else losses.softmax_loss())
+    kind = _verify_kind(cfg)
     single = run_bound_suite(cfg["instances"], cfg["classes"], cfg["max-n"],
                              cfg["max-r"], kind, cfg["seed"])
     multi = run_multilabel_suite(cfg["ml-configs"], cfg["trials"], cfg["seed"])
@@ -547,6 +570,7 @@ def cmd_verify_bounds(cfg: dict, run: Run):
     run.save_json("bounds.json", {
         "unary": [r.to_dict() for r in single],
         "multilabel": [r.to_dict() for r in multi],
+        "summary": bounds.bound_summary(single, multi),
     })
     violations = sum(not r.holds for r in single) + sum(not r.holds for r in multi)
     lambda_max = max((r.lambda_estimate for r in single), default=0.0)
@@ -582,11 +606,14 @@ TOY_SPEC = dict(COMMON, **{
 
 
 def cmd_lambda_toy(cfg: dict, run: Run):
-    toy = bounds.ToyConfig(r=cfg["bits"], C=cfg["clusters"],
-                           sigma_grid=cfg["sigma-grid"], d_grid=cfg["d-grid"],
-                           samples_per_cluster=cfg["samples-per-cluster"],
-                           seed=cfg["seed"], margin=cfg["margin"],
-                           triplet_samples=cfg["triplet-samples"])
+    try:
+        toy = bounds.ToyConfig(r=cfg["bits"], C=cfg["clusters"],
+                               sigma_grid=cfg["sigma-grid"], d_grid=cfg["d-grid"],
+                               samples_per_cluster=cfg["samples-per-cluster"],
+                               seed=cfg["seed"], margin=cfg["margin"],
+                               triplet_samples=cfg["triplet-samples"])
+    except PreconditionError as exc:
+        raise ValidationError(str(exc)) from None
     rows = bounds.toy_lambda_grid(toy, threads=cfg["threads"])
     with atomic_path(run.path("lambda_grid.csv")) as tmp:
         bounds.write_rows_csv(tmp, rows, bounds.TOY_CSV_FIELDS)

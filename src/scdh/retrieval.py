@@ -155,9 +155,16 @@ def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
         raise PreconditionError(f"k={k} is negative")
     dists = distances_to_index(query.words, index)
     # distances lie in 0..r: the answer is within the smallest distance t
-    # that at least k codes reach, so only those codes need sorting
-    t = np.searchsorted(np.cumsum(np.bincount(dists)), k)
-    near = np.flatnonzero(dists <= t)
+    # that at least k codes reach, so only those codes need sorting; t is
+    # found by binary search over 0..r, one count per step
+    lo, hi = 0, index.nbits
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.count_nonzero(dists <= mid) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    near = np.flatnonzero(dists <= lo)
     order = near[np.lexsort((index.ids[near], dists[near]))][:k]
     return [(int(index.ids[i]), int(dists[i])) for i in order]
 

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdh import bounds
 from scdh.errors import LabelSetError, PreconditionError
@@ -276,3 +279,325 @@ class TestToyGrid:
         row = bounds.toy_lambda_grid(cfg)[0]   # n=20 < threshold: exact sums
         assert row.triplet_loss <= row.relaxed_triplet_loss + 1e-9
         assert row.relaxed_triplet_loss <= row.unary_bound + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the per-row and per-trial implementations that the
+# array-at-a-time paths replace; the rewritten paths must match them with ==.
+# ---------------------------------------------------------------------------
+
+def ref_brute_force_triplet_loss(code_set, kind):
+    y = code_set.single_labels()
+    D = np.linalg.norm(code_set.codes[:, None, :] - code_set.codes[None, :, :], axis=2)
+    total = 0.0
+    for i in range(code_set.n):
+        sim = (y == y[i])
+        sim[i] = False
+        dis = y != y[i]
+        if not sim.any() or not dis.any():
+            continue
+        total += float(kind.g(D[i, sim][:, None], D[i, dis][None, :]).sum())
+    return total
+
+
+def ref_softmax_background_triplet_loss(code_set, centers):
+    y = code_set.single_labels()
+    D = np.linalg.norm(code_set.codes[:, None, :] - code_set.codes[None, :, :], axis=2)
+    Dc = bounds._code_center_distances(code_set.codes, centers)
+    expd = np.exp(-Dc)
+    total = 0.0
+    for i in range(code_set.n):
+        sim = (y == y[i])
+        sim[i] = False
+        dis = y != y[i]
+        if not sim.any() or not dis.any():
+            continue
+        a = D[i, sim][:, None]
+        b = D[i, dis][None, :]
+        background = expd[i].sum() - expd[i, y[i]] - expd[i, y[dis]]
+        tail = np.logaddexp(-a, -b)
+        tail = np.logaddexp(tail, np.log(np.maximum(background, 1e-300))[None, :])
+        total += float((a + tail).sum())
+    return total
+
+
+def ref_sample_label_matrix(rng, n, C, p):
+    Y = rng.random((n, C)) < p
+    while True:
+        empty = ~Y.any(axis=1)
+        if not empty.any():
+            return Y
+        Y[empty] = rng.random((int(empty.sum()), C)) < p
+
+
+def ref_trial_sides(Y, G, Gc, Dc, p, multiplier, Q):
+    n, C = Y.shape
+    overlap = (Y[:, None, :] & Y[None, :, :]).sum(axis=2)
+    sim_w = overlap * ~np.eye(n, dtype=bool)
+    dis = overlap == 0
+    lhs = np.einsum("ij,ik,ijk->", sim_w.astype(np.float64), dis.astype(np.float64), G)
+    sizes = Y.sum(axis=1)
+    qy = (C - sizes) / (C - 1) * (1.0 - p) ** sizes
+    pos = Y[:, :, None] & ~Y[:, None, :]
+    lmc = np.where(pos, Gc, 0.0).sum(axis=(1, 2)) / np.maximum(C - sizes, 1)
+    dist_term = np.where(Y, Dc, 0.0).sum(axis=1)
+    return lhs, multiplier * float((qy * lmc + (Q + qy) * dist_term).sum())
+
+
+def ref_multilabel_bound_check(codes, C, p, centers, trials, seed, kind):
+    p = min(p, 0.99)
+    codes = np.asarray(codes, dtype=np.float64)
+    n = codes.shape[0]
+    rng = np.random.default_rng(seed)
+    D = np.linalg.norm(codes[:, None, :] - codes[None, :, :], axis=2)
+    Dc = bounds._code_center_distances(codes, centers)
+    G = kind.g(D[:, :, None], D[:, None, :])
+    Gc = kind.g(Dc[:, :, None], Dc[:, None, :])
+    multiplier = (C - 1) * p * p * n * n
+    Q = (1.0 - p) ** 2 * (1.0 - p * p) ** (C - 2)
+    lhs = np.empty(trials)
+    rhs = np.empty(trials)
+    for t in range(trials):
+        Y = ref_sample_label_matrix(rng, n, C, p)
+        lhs[t], rhs[t] = ref_trial_sides(Y, G, Gc, Dc, p, multiplier, Q)
+    diff = rhs - lhs
+    margin = bounds.Z_99 * float(diff.std(ddof=1) / np.sqrt(trials))
+    mean_lhs, mean_rhs = float(lhs.mean()), float(rhs.mean())
+    holds = mean_lhs <= mean_rhs + margin + bounds.BOUND_RTOL * abs(mean_rhs)
+    return bounds.BoundReport(mean_lhs, mean_rhs, multiplier, 0.0, bool(holds),
+                              kind=kind.kind, n=n, label_count=C,
+                              confidence_margin=margin)
+
+
+def ref_toy_cell(cfg, sigma, d, seed_seq):
+    """The toy cell with per-row enumeration and (T, r) gathers of code rows."""
+    rng = np.random.default_rng(seed_seq)
+    kind = margin_loss(cfg.margin)
+    m = cfg.samples_per_cluster
+    n = cfg.C * m
+    means = bounds._simplex_centers(cfg.C, d, cfg.r)
+    codes = np.concatenate(
+        [means[c] + sigma * rng.standard_normal((m, cfg.r)) for c in range(cfg.C)])
+    y = np.repeat(np.arange(cfg.C), m)
+    Dc = bounds._code_center_distances(codes, means.T)
+    d_own = Dc[np.arange(n), y]
+    lc = bounds._hinge_lc(d_own, Dc, kind)
+    multiplier = (n / cfg.C) ** 2 * (cfg.C - 1)
+    unary = multiplier * float((lc + 2.0 * d_own).sum())
+    total_triplets = n * (m - 1) * (n - m)
+    if n < cfg.enumeration_threshold:
+        cs = bounds.LabeledCodeSet.from_single_labels(codes, y, cfg.C)
+        lt = ref_brute_force_triplet_loss(cs, kind)
+        relaxed = 0.0
+        for i in range(n):
+            sim = (y == y[i]) & (np.arange(n) != i)
+            dis = y != y[i]
+            g_part = kind.g(d_own[i], Dc[i, y[dis]])
+            relaxed += float(
+                (g_part[None, :] + d_own[sim][:, None] + d_own[dis][None, :]).sum())
+    else:
+        T = cfg.triplet_samples
+        i_idx = rng.integers(0, n, T)
+        off = rng.integers(0, m - 1, T)
+        j_idx = (i_idx // m) * m + off + (off >= i_idx % m)
+        k_raw = rng.integers(0, n - m, T)
+        k_idx = np.where(k_raw >= (i_idx // m) * m, k_raw + m, k_raw)
+        d_ij = np.linalg.norm(codes[i_idx] - codes[j_idx], axis=1)
+        d_ik = np.linalg.norm(codes[i_idx] - codes[k_idx], axis=1)
+        lt = float(kind.g(d_ij, d_ik).mean()) * total_triplets
+        relaxed_terms = (kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
+                         + d_own[j_idx] + d_own[k_idx])
+        relaxed = float(relaxed_terms.mean()) * total_triplets
+    lam = bounds._lambda_from_parts(lt, multiplier, float(lc.sum()), float(d_own.sum()))
+    return bounds.ToyCell(sigma, d, lt, relaxed, unary, float(lam), lam.degenerate)
+
+
+@st.composite
+def labeled_sets(draw):
+    """Single-label code sets: balanced or not, sorted or shuffled rows,
+    +/-1 or real codes, from n = 2 upward."""
+    C = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        y = np.repeat(np.arange(C), draw(st.integers(1, 5)))
+    else:
+        y = np.array(draw(st.lists(st.integers(0, C - 1), min_size=2, max_size=24)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        y = rng.permutation(y)
+    r = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        codes = rng.choice([-1.0, 1.0], size=(y.size, r))
+    else:
+        codes = rng.normal(0, 1.5, (y.size, r))
+    return bounds.LabeledCodeSet.from_single_labels(codes, y, C), rng.normal(0, 2, (r, C))
+
+
+KINDS = [margin_loss(1.0), margin_loss(0.25), softmax_loss()]
+
+
+class TestRowBlocksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_sets())
+    def test_brute_force(self, case):
+        cs, _ = case
+        if np.unique(cs.single_labels()).size < 2:
+            with pytest.raises(PreconditionError):
+                bounds.brute_force_triplet_loss(cs, margin_loss(1.0))
+            return
+        for kind in KINDS:
+            assert bounds.brute_force_triplet_loss(cs, kind) == \
+                ref_brute_force_triplet_loss(cs, kind)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_sets())
+    def test_softmax_background(self, case):
+        cs, centers = case
+        D = bounds._pairwise_distances(cs.codes)
+        Dc = bounds._code_center_distances(cs.codes, centers)
+        got = bounds._softmax_background_triplet_loss(D, Dc, cs.single_labels())
+        assert got == ref_softmax_background_triplet_loss(cs, centers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_sets())
+    def test_unary_report(self, case):
+        cs, centers = case
+        if not cs.is_balanced() or cs.n < 2:
+            return
+        for kind in KINDS:
+            rep = bounds.unary_upper_bound(cs, centers, kind)
+            want = (ref_softmax_background_triplet_loss(cs, centers)
+                    if kind.kind == "softmax" else ref_brute_force_triplet_loss(cs, kind))
+            assert rep.brute_force_loss == want
+
+    def test_two_rows(self):
+        cs = bounds.LabeledCodeSet.from_single_labels([[0.5, 1.0], [-2.0, 0.25]],
+                                                      [1, 0], 2)
+        for kind in KINDS:
+            assert bounds.brute_force_triplet_loss(cs, kind) == 0.0
+        rep = bounds.unary_upper_bound(cs, np.zeros((2, 2)), softmax_loss())
+        assert rep.brute_force_loss == 0.0
+
+    def test_pairwise_distances_over_several_blocks(self, rng):
+        codes = rng.normal(0, 1, (150, 7))
+        D = bounds._pairwise_distances(codes, block=64)
+        # the reference's full (n, n, r) difference tensor, reduced per row
+        want = np.linalg.norm(codes[:, None, :] - codes[None, :, :], axis=2)
+        assert np.array_equal(D, want)
+        i, j = rng.integers(0, 150, 500), rng.integers(0, 150, 500)
+        assert np.array_equal(bounds._pair_distances(codes, i, j, chunk=64), D[i, j])
+
+
+class TestMonteCarloMatchesReference:
+    @pytest.mark.parametrize("n,C,p,trials,kind", [
+        (12, 3, 0.2, 1000, margin_loss(1.0)),      # rejection-heavy
+        (8, 5, 0.5, 1001, softmax_loss()),
+        (10, 4, 0.3, 4 * bounds.ML_TRIAL_BLOCK, margin_loss(0.5)),  # whole blocks
+        (9, 3, 0.999, 1000, margin_loss(1.0)),     # clamped to 0.99
+        (1, 2, 0.05, 1000, softmax_loss()),        # one row, mostly empty draws
+        (2, 2, 0.3, 1257, margin_loss(1.0)),
+    ])
+    def test_report(self, n, C, p, trials, kind):
+        rng = np.random.default_rng(n * 100 + C)
+        codes = rng.choice([-1.0, 1.0], size=(n, 5))
+        centers = rng.normal(0, 2, (5, C))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = bounds.multilabel_bound_check(codes, C, p, centers, trials,
+                                                seed=trials, kind=kind)
+            want = ref_multilabel_bound_check(codes, C, p, centers, trials,
+                                              trials, kind)
+        assert got.to_dict() == want.to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 6), st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+           st.integers(1, 300), st.sampled_from([1, 7, 64, 256]), st.integers(0, 2**32 - 1))
+    def test_label_blocks_continue_the_stream(self, n, C, p, trials, block, seed):
+        rng = np.random.default_rng(seed)
+        want = np.stack([ref_sample_label_matrix(rng, n, C, p) for _ in range(trials)])
+        blocks = list(bounds._label_matrix_blocks(np.random.default_rng(seed), trials,
+                                                  n, C, p, block))
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 14), st.integers(2, 7), st.integers(1, 40),
+           st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32 - 1))
+    def test_trial_sides(self, n, C, b, p, seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.normal(0, 1, (n, 4))
+        Dc = bounds._code_center_distances(codes, rng.normal(0, 2, (4, C)))
+        D = bounds._pairwise_distances(codes)
+        Y = rng.random((b, n, C)) < p
+        for kind in KINDS:
+            G = kind.g(D[:, :, None], D[:, None, :])
+            Gc = kind.g(Dc[:, :, None], Dc[:, None, :])
+            lhs, rhs = bounds._trial_sides(Y, G, Gc, Dc, p, 3.5, 0.25)
+            want = [ref_trial_sides(y, G, Gc, Dc, p, 3.5, 0.25) for y in Y]
+            assert lhs.tolist() == [w[0] for w in want]
+            assert rhs.tolist() == [w[1] for w in want]
+
+    def test_degenerate_shapes_rejected(self):
+        with pytest.raises(PreconditionError):
+            bounds.multilabel_bound_check(np.ones((0, 2)), 3, 0.5, np.ones((2, 3)),
+                                          trials=1000, seed=0)
+        with pytest.raises(PreconditionError):
+            bounds.multilabel_bound_check(np.ones((4, 2)), 1, 0.5, np.ones((2, 1)),
+                                          trials=1000, seed=0)
+
+
+class TestToyCellMatchesReference:
+    @pytest.mark.parametrize("kw", [
+        dict(samples_per_cluster=40, triplet_samples=20_000),    # n^2 <= T: table
+        dict(samples_per_cluster=60, triplet_samples=3_000),     # n^2 > T: pairs
+        dict(samples_per_cluster=10),                            # enumeration
+        dict(C=3, r=5, samples_per_cluster=7),                   # enumeration, C=3
+        dict(C=4, r=6, samples_per_cluster=25, triplet_samples=7_000, margin=0.5),
+    ])
+    def test_cells(self, kw):
+        cfg = bounds.ToyConfig(sigma_grid=(0.3, 1.5), d_grid=(0.0, 4.0), seed=11, **kw)
+        got = bounds.toy_lambda_grid(cfg)
+        cells = [(s, d) for s in cfg.sigma_grid for d in cfg.d_grid]
+        children = np.random.SeedSequence(cfg.seed).spawn(len(cells))
+        want = [ref_toy_cell(cfg, s, d, ss) for (s, d), ss in zip(cells, children)]
+        assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
+
+    def test_sampled_cell_memory(self):
+        # the (T, r) gathers of the reference peak at ~162 MB here
+        cfg = bounds.ToyConfig(sigma_grid=(1.5,), d_grid=(4.0,), seed=0,
+                               triplet_samples=200_000)
+        seed_seq = np.random.SeedSequence(0)
+        tracemalloc.start()
+        try:
+            bounds._toy_cell(cfg, 1.5, 4.0, seed_seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("kw", [dict(C=1), dict(C=3, r=2),
+                                    dict(samples_per_cluster=1),
+                                    dict(triplet_samples=0), dict(margin=-0.5)])
+    def test_bad_config_rejected(self, kw):
+        with pytest.raises(PreconditionError):
+            bounds.ToyConfig(**kw)
+
+
+class TestBoundSummary:
+    def test_slack_and_histogram(self):
+        rep = lambda lhs, rhs, lam=0.0, deg=False: bounds.BoundReport(
+            lhs, rhs, 1.0, lam, lhs <= rhs, degenerate=deg)
+        unary = [rep(1.0, 4.0, -1.5), rep(3.0, 4.0, 0.1), rep(0.0, 0.0, 0.0, True),
+                 rep(2.0, 8.0, 2.0), rep(1.0, 2.0, 2.5)]
+        multi = [rep(5.0, 10.0), rep(9.0, 10.0)]
+        s = bounds.bound_summary(unary, multi)
+        assert s["unary"] == {"min_relative_slack": 0.25, "min_slack_row": 1,
+                              "zero_bound_checks": 1}
+        assert s["multilabel"]["min_relative_slack"] == pytest.approx(0.1)
+        assert s["multilabel"]["min_slack_row"] == 1
+        hist = s["lambda_histogram"]
+        assert hist["edges"][0] == -1.0 and hist["edges"][-1] == 2.0
+        assert (hist["below"], hist["above"], hist["degenerate"]) == (1, 1, 1)
+        assert sum(hist["counts"]) == 2
+        assert hist["counts"][-1] == 1           # 2.0 falls in the closed last bin
+        empty = bounds.bound_summary([], [])
+        assert empty["unary"]["min_relative_slack"] is None

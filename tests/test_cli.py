@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -283,6 +284,92 @@ class TestVerifyAndToy:
         assert len(rows) == 4
         csv_text = (tmp_path / "lambda_grid.csv").read_text()
         assert csv_text.splitlines()[0].startswith("sigma,d,triplet_loss")
+
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "foo"],
+        ["--margin", "-1"],
+        ["--trials", 999],
+        ["--classes", "2", "--max-n", 200],
+        ["--max-r", 1],
+        ["--classes", "1,2"],
+        ["--classes", "2,65"],
+        ["--instances", -1],
+        ["--ml-configs", -1],
+    ])
+    def test_verify_bounds_bad_input(self, tmp_path, args):
+        proc = run_cli("verify-bounds", "--instances", 50, "--ml-configs", 1,
+                       "--trials", 1000, *args, "--out", tmp_path, expect=1)
+        err = json.loads(proc.stderr)
+        assert err["error"] == "validation"
+        assert args[-2] in err["message"]           # names the bad flag
+        assert not (tmp_path / "bounds.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--clusters", 1],
+        ["--triplet-samples", 0],
+        ["--samples-per-cluster", 1, "--clusters", 40],
+        ["--bits", 2, "--clusters", 3],
+        ["--sigma-grid", "-0.5"],
+    ])
+    def test_lambda_toy_bad_input(self, tmp_path, args):
+        proc = run_cli("lambda-toy", "--sigma-grid", "1.0", "--d-grid", "2.0",
+                       "--triplet-samples", 1000, *args, "--out", tmp_path, expect=1)
+        assert json.loads(proc.stderr)["error"] == "validation"
+        assert not (tmp_path / "lambda_grid.csv").exists()
+
+    def test_bound_summary_agrees_with_rows(self, tmp_path):
+        run_cli("verify-bounds", "--instances", 60, "--ml-configs", 2,
+                "--trials", 1000, "--seed", 4, "--out", tmp_path)
+        report = json.loads((tmp_path / "bounds.json").read_text())
+        summary = report["summary"]
+        for family in ("unary", "multilabel"):
+            rows = report[family]
+            slack = [(r["bound_value"] - r["brute_force_loss"]) / r["bound_value"]
+                     for r in rows if r["bound_value"] > 0]
+            assert summary[family]["min_relative_slack"] == min(slack)
+            row = rows[summary[family]["min_slack_row"]]
+            assert (row["bound_value"] - row["brute_force_loss"]) / row["bound_value"] \
+                == min(slack)
+            assert summary[family]["zero_bound_checks"] == len(rows) - len(slack)
+        hist = summary["lambda_histogram"]
+        lams = [r["lambda_estimate"] for r in report["unary"] if not r["degenerate"]]
+        edges = hist["edges"]
+        assert hist["below"] == sum(l < edges[0] for l in lams)
+        assert hist["above"] == sum(l > edges[-1] for l in lams)
+        for b, count in enumerate(hist["counts"]):
+            last = b == len(hist["counts"]) - 1
+            assert count == sum(edges[b] <= l and (l < edges[b + 1] or last and l == edges[-1])
+                                for l in lams)
+        assert hist["degenerate"] == sum(r["degenerate"] for r in report["unary"])
+
+    def test_outputs_match_frozen_digests(self, tmp_path):
+        # sha256 of outputs written before the row-block, trial-batched and
+        # table-lookup rewrite of scdh.bounds; bounds.json without "summary",
+        # serialised as the CLI writes it
+        frozen = {
+            "unary_bounds.csv":
+                "69de552153484210ec0c3767714f10f33bfa964e174b35fec8d1e36e758cfebf",
+            "multilabel_bounds.csv":
+                "8986d16c800a23a4ea3f1fac8b0fff828aa2cb8eacc40ee9cb092c4b03f6dadc",
+            "bounds.json":
+                "2fe020bd4583491be39ff4deac6fb345affb23acd06a566e957f09e90eeef00c",
+            "lambda_grid.csv":
+                "e440fdaee9127f0fc4527ccacb1de7d49cf2e15bacd8d2bf5887b9b11cc5b55d",
+            "lambda_grid.json":
+                "a436f28c218b2b1c572c4c5dc9e6cbd11b8120d45d09402acb943a131b3ea4bb",
+        }
+        run_cli("verify-bounds", "--instances", 50, "--ml-configs", 2,
+                "--trials", 1000, "--seed", 0, "--out", tmp_path)
+        run_cli("lambda-toy", "--sigma-grid", "0.5,1.5", "--d-grid", "4.0",
+                "--seed", 0, "--out", tmp_path)
+        report = json.loads((tmp_path / "bounds.json").read_text())
+        del report["summary"]
+        (tmp_path / "bounds.json").write_text(json.dumps(report, indent=2,
+                                                         sort_keys=True) + "\n")
+        for name, digest in frozen.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digest, name
 
 
 class TestDeterminism:
