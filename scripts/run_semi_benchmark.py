@@ -14,8 +14,8 @@ import numpy as np
 
 from scdh import cli
 from scdh.data import strip_labels
-from scdh.meanteacher import SemiDataset, train_mt_scdh
-from scdh.model import extract_embeddings, train_scdh
+from scdh.meanteacher import SemiDataset, train_mt_scdh, train_scdh
+from scdh.model import extract_embeddings
 from scdh.retrieval import CodeIndex, evaluate
 
 

@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from scdh import cli
-from scdh.model import extract_embeddings, train_scdh
+from scdh.meanteacher import train_scdh
+from scdh.model import extract_embeddings
 from scdh.retrieval import CodeIndex, evaluate
 
 

@@ -56,6 +56,7 @@ from .meanteacher import (
     ema_update,
     perturb,
     train_mt_scdh,
+    train_scdh,
 )
 from .model import (
     EmbeddingModel,
@@ -66,7 +67,6 @@ from .model import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    train_scdh,
     warmup_project,
 )
 from .retrieval import (

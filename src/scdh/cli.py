@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -350,6 +351,7 @@ def _report_files(run: Run, report: model.TrainReport):
 
 
 def cmd_train(cfg: dict, run: Run):
+    hp = hyperparams(cfg)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
     _require_trainable(dataset, "--data")
@@ -359,9 +361,8 @@ def cmd_train(cfg: dict, run: Run):
         dataset = dataset.subset(labeled_idx)
     if cfg["balance"]:
         dataset = data.balance_upsample(dataset, seed=cfg["seed"])
-    hp = hyperparams(cfg)
-    net, report = model.train_scdh(dataset, hp, r=cfg["bits"],
-                                   hidden=tuple(cfg["hidden"]))
+    net, report = meanteacher.train_scdh(dataset, hp, r=cfg["bits"],
+                                         hidden=tuple(cfg["hidden"]))
     with atomic_path(run.path("model.ckpt")) as tmp:
         model.save_checkpoint(tmp, net, hp)
     run.register("model.ckpt")
@@ -370,12 +371,25 @@ def cmd_train(cfg: dict, run: Run):
                   "epochs": len(report.epochs)}
 
 
+def _require_semi_settings(cfg: dict):
+    """Reject non-finite or out-of-range mean-teacher settings, which would
+    otherwise fail mid-run or be ignored."""
+    for key, ok, want in (
+            ("w", lambda v: 0.0 <= v < math.inf, "finite and non-negative"),
+            ("ema-decay", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+            ("noise-std", lambda v: 0.0 <= v < math.inf, "finite and non-negative"),
+            ("ramp-fraction", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")):
+        if not ok(cfg[key]):
+            raise ValidationError(f"--{key} must be {want}, got {cfg[key]}")
+
+
 def cmd_train_semi(cfg: dict, run: Run):
+    _require_semi_settings(cfg)
+    hp = hyperparams(cfg)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
     _require_trainable(dataset, "--data")
     semi = meanteacher.SemiDataset.from_partial(dataset)
-    hp = hyperparams(cfg)
     student, teacher, report = meanteacher.train_mt_scdh(
         semi, hp, w=cfg["w"], ema_decay=cfg["ema-decay"],
         noise_std=cfg["noise-std"], r=cfg["bits"], hidden=tuple(cfg["hidden"]),

@@ -1,34 +1,33 @@
-"""Semi-supervised training with an exponential-moving-average teacher.
+"""The training loop: semi-supervised with an exponential-moving-average
+teacher, and supervised as its special case.
 
-The student trains exactly like the supervised model on the labeled subset;
-a teacher copy tracks it by EMA and supplies consistency targets for both
-the classifier logits and the negative center-distance vector, each compared
-after a softmax under independent input perturbations.  Unlabeled samples
-additionally receive the quantization penalty.
+The student takes the supervised objective on labeled rows and the
+quantization penalty on unlabeled rows; a teacher copy tracks it by EMA and
+supplies consistency targets for both the classifier logits and the
+negative center-distance vector, each compared after a softmax under
+independent input perturbations.  Supervised training (``train_scdh``) is
+the same loop with no unlabeled rows, no noise and no teacher.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses
 from .data import Dataset
-from .errors import DimensionMismatch, DivergenceError, NonFiniteError, PreconditionError
+from .errors import DimensionMismatch, NonFiniteError, PreconditionError
 from .model import (
     EmbeddingModel,
     EpochRecord,
-    GradBuffers,
     Hyperparams,
     TrainReport,
-    _accumulate_loss_grads,
-    _backprop_chain,
-    _term_rows,
+    _sgd_step,
     forward_batch,
     init_model,
     mean_quantization,
-    sgd_update,
     warmup_project,
 )
 
@@ -169,42 +168,68 @@ def negative_center_distances(F, centers: np.ndarray) -> np.ndarray:
     return -D[0] if F.ndim == 1 else -D
 
 
+def _consistency_term(teacher_logits: np.ndarray, teacher_negdists: np.ndarray,
+                      weight: float, mu: float):
+    """The ``_sgd_step`` callback for ``weight * (mu * classifier + distance)``
+    consistency against the teacher's outputs; it returns the unweighted loss."""
+    def add(logits, k, grad_F, grad_logits, grad_centers) -> float:
+        cr = consistency_losses(logits, teacher_logits, -k.distances, teacher_negdists)
+        grad_logits += weight * mu * cr.grad_logits
+        # the negative distances feed both the embedding and the centers
+        gF, gC = losses.distance_gradients(k.directions, -weight * cr.grad_negdists)
+        grad_F += gF
+        grad_centers += gC
+        return float((mu * cr.classifier_loss + cr.distance_loss).sum())
+    return add
+
+
 def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
                   w: float = DEFAULT_CONSISTENCY_WEIGHT,
-                  ema_decay: float = DEFAULT_EMA_DECAY,
+                  ema_decay: float | None = DEFAULT_EMA_DECAY,
                   noise_std: float = DEFAULT_NOISE_STD, *, r: int,
                   hidden=(64,), ramp_fraction: float = 0.2
-                  ) -> tuple[EmbeddingModel, TeacherState, TrainReport]:
-    """Semi-supervised training loop.
+                  ) -> tuple[EmbeddingModel, TeacherState | None, TrainReport]:
+    """The training loop, semi-supervised or, with no teacher, supervised.
 
     Each step draws a mixed batch from the shuffled labeled+unlabeled pool,
     perturbs the student and teacher inputs independently, applies the full
     supervised objective to labeled rows, the quantization penalty to
     unlabeled rows, and the consistency terms to every row; the student is
     updated by SGD and the teacher by EMA with the warm-up decay
-    min(1 - 1/(step+1), ema_decay).  The consistency weight ramps linearly
-    from zero over the first ``ramp_fraction`` of training, so it is exactly
-    zero at step 0.  With no unlabeled data, w = 0, and zero noise the
-    student follows the supervised trajectory exactly.
+    min(1 - 1/(step+1), ema_decay).  The first ``hp.warmup_epochs`` epochs
+    project the center columns to norm ``hp.warmup_norm_s`` after every
+    step.  The consistency weight ramps linearly from zero over the first
+    ``ramp_fraction`` of training, so it is exactly zero at step 0.
+
+    ``ema_decay=None`` means no teacher: no copy, no EMA update, no teacher
+    forward; ``w`` must then be 0 and the returned teacher is None.  Epoch
+    report fields are means over the labeled rows, summed row by row.
+    Deterministic given (data, hp) under single-threaded execution.
     """
-    if w < 0:
-        raise PreconditionError("consistency weight must be non-negative")
+    if not (0.0 <= w < math.inf and 0.0 <= noise_std < math.inf
+            and 0.0 <= ramp_fraction <= 1.0):
+        raise PreconditionError("w and noise_std must be finite and non-negative, "
+                                "and ramp_fraction must lie in [0, 1]")
+    if ema_decay is None and w != 0.0:
+        raise PreconditionError("a consistency weight needs a teacher (ema_decay)")
+    if ema_decay is not None and not 0.0 <= ema_decay < 1.0:
+        raise PreconditionError("ema_decay must lie in [0, 1)")
     root = np.random.SeedSequence(hp.seed)
     init_ss, shuffle_ss, project_ss, noise_ss = root.spawn(4)
     losses.require_negative_class(data.labeled.labels)
     dims = (data.labeled.dim, *hidden)
     C = data.labeled.label_count
     student = init_model(dims, C, r, init_ss)
-    teacher = TeacherState(student.copy(), ema_decay)
+    teacher = None if ema_decay is None else TeacherState(student.copy(), ema_decay)
     rng = np.random.default_rng(shuffle_ss)
     project_rng = np.random.default_rng(project_ss)
     noise_rng = np.random.default_rng(noise_ss)
 
     n_lab = data.labeled.n
     features = np.concatenate([
-        data.labeled.features.astype(np.float64),
-        data.unlabeled.features.astype(np.float64).reshape(-1, data.labeled.dim),
-    ])
+        data.labeled.features,
+        data.unlabeled.features.reshape(-1, data.labeled.dim),
+    ], dtype=np.float64)
     # unlabeled rows get zero label rows: the kernel gives them quantization only
     Y = np.zeros((features.shape[0], C), dtype=bool)
     Y[:n_lab] = data.labeled.labels
@@ -224,54 +249,25 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
         for a0 in range(0, n_total, hp.batch_size):
             idx = perm[a0:a0 + hp.batch_size]
             X = perturb(features[idx], noise_std, noise_rng)
-
-            F, logits, acts = forward_batch(student, X)
-            if not (np.all(np.isfinite(F)) and np.all(np.isfinite(logits))):
-                raise DivergenceError(
-                    "non-finite activations in the forward pass; the learning "
-                    "rate is likely too high"
-                )
-            grad_F = np.zeros_like(F)
-            grad_logits = np.zeros_like(logits)
-            buffers = GradBuffers(student)
-            k = _accumulate_loss_grads(student, F, logits, Y[idx], hp, grad_F,
-                                       grad_logits, buffers.centers)
-            labeled = idx < n_lab
-            sup_sums += _term_rows(k)[:, labeled].sum(axis=1)
-            sup_count += int(labeled.sum())
-            # unlabeled rows carry zero scul and classification terms
-            total = float(k.scul.sum() + hp.mu * k.classification.sum()
-                          + hp.alpha * k.quantization.sum())
-
+            consistency = None
             w_eff = w * min(1.0, step / ramp_steps)
             if w_eff > 0.0:
-                Xt = perturb(features[idx], noise_std, noise_rng)
-                Ft, logits_t, _ = forward_batch(teacher.model, Xt)
-                cr = consistency_losses(
-                    logits, logits_t, -k.distances,
-                    negative_center_distances(Ft, teacher.model.centers))
-                grad_logits += w_eff * hp.mu * cr.grad_logits
-                # the negative distances feed both the embedding and the centers
-                gF, gC = losses.distance_gradients(k.directions,
-                                                   -w_eff * cr.grad_negdists)
-                grad_F += gF
-                buffers.centers += gC
-                cons = float((hp.mu * cr.classifier_loss + cr.distance_loss).sum())
-                cons_sum += cons
-                total += w_eff * cons
+                Ft, logits_t, _ = forward_batch(
+                    teacher.model, perturb(features[idx], noise_std, noise_rng))
+                consistency = _consistency_term(
+                    logits_t, negative_center_distances(Ft, teacher.model.centers),
+                    w_eff, hp.mu)
                 cons_count += len(idx)
-
-            if not np.isfinite(total):
-                raise DivergenceError(
-                    f"non-finite step loss {total}; the learning rate is likely too high"
-                )
-            _backprop_chain(student, acts, grad_F, grad_logits, buffers)
-            sgd_update(student, buffers, lr, hp.momentum)
+            rows, cons = _sgd_step(student, X, Y[idx], hp, lr, consistency)
+            cons_sum += cons
+            labeled = idx < n_lab
+            sup_sums += rows[:, labeled].sum(axis=1)
+            sup_count += np.count_nonzero(labeled)
             if epoch < hp.warmup_epochs:
                 student.centers[:] = warmup_project(student.centers,
                                                     hp.warmup_norm_s, project_rng)
-            decay_eff = min(1.0 - 1.0 / (step + 1), ema_decay)
-            ema_update(teacher, student, decay_eff)
+            if teacher is not None:
+                ema_update(teacher, student, min(1.0 - 1.0 / (step + 1), ema_decay))
             step += 1
 
         means = sup_sums / max(sup_count, 1)
@@ -280,3 +276,13 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
             consistency_loss=cons_sum / max(cons_count, 1)))
     report.final_quantization = mean_quantization(student, features, hp)
     return student, teacher, report
+
+
+def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
+               hidden=(64,)) -> tuple[EmbeddingModel, TrainReport]:
+    """Supervised training on a fully labeled dataset: ``train_mt_scdh`` with
+    no unlabeled rows, no consistency term, no noise and no teacher."""
+    empty = dataset.subset(np.array([], dtype=int))
+    student, _, report = train_mt_scdh(SemiDataset(dataset, empty), hp, 0.0, None,
+                                       0.0, r=r, hidden=hidden)
+    return student, report

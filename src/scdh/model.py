@@ -3,13 +3,16 @@
 The network is a small affine trunk with rectifier nonlinearities, a linear
 hashing layer of width r, a matrix of per-label cluster centers attached to
 the hashing output through the unary loss, and an independent linear
-classifier head on the trunk output.  Training is plain SGD with momentum on
+classifier head on the trunk output.  One SGD step with momentum minimises
 the summed per-sample objective
 
     l_c(F(x), y) + mu * l_1(x, y) + lam * |F(x) - c_y| + alpha * l_q(F(x))
 
 with the multilabel substitution applied whenever a sample carries more than
-one label.  All arithmetic is float64 and single-threaded deterministic.
+one label; unlabeled rows get the quantization term only.  The training loop
+that drives these steps lives in ``scdh.meanteacher``: supervised training is
+that loop with no unlabeled rows and no teacher.  All arithmetic is float64
+and single-threaded deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from . import losses
-from .data import Dataset
 from .errors import DimensionMismatch, DivergenceError, ParseError, PreconditionError
 
 MODEL_MAGIC = b"SCDM"
@@ -49,6 +51,13 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        self.lr_schedule = tuple((int(e), float(m)) for e, m in self.lr_schedule)
+        floats = (self.lam, self.mu, self.alpha, self.holder_p, self.holder_q,
+                  self.warmup_norm_s, self.lr, self.momentum)
+        if not all(math.isfinite(v) for v in floats):
+            raise PreconditionError("hyperparameters must be finite")
+        if not all(0.0 < m < math.inf for _, m in self.lr_schedule):
+            raise PreconditionError("lr_schedule multipliers must be finite and positive")
         if min(self.lam, self.mu, self.alpha) < 0:
             raise PreconditionError("loss weights must be non-negative")
         if abs(1.0 / self.holder_p + 1.0 / self.holder_q - 1.0) > 1e-9:
@@ -59,7 +68,6 @@ class Hyperparams:
             raise PreconditionError("invalid optimizer settings")
         if self.epochs < 0 or self.batch_size < 1:
             raise PreconditionError("invalid epoch/batch settings")
-        self.lr_schedule = tuple((int(e), float(m)) for e, m in self.lr_schedule)
         epochs_in_schedule = [e for e, _ in self.lr_schedule]
         if epochs_in_schedule != sorted(epochs_in_schedule):
             raise PreconditionError("lr_schedule epochs must be increasing")
@@ -197,17 +205,9 @@ class BatchLosses:
     center_distance: float
 
     @classmethod
-    def mean_of(cls, k: losses.SculBatch) -> "BatchLosses":
-        return cls(*(float(v) for v in _term_rows(k).mean(axis=1)))
-
-    def total(self, hp: Hyperparams) -> float:
-        # scul already contains the lam-weighted distance term
-        return self.scul + hp.mu * self.classification + hp.alpha * self.quantization
-
-
-def _term_rows(k: losses.SculBatch) -> np.ndarray:
-    """(4, n) per-row terms in BatchLosses field order."""
-    return np.stack([k.scul, k.classification, k.quantization, k.center_distance])
+    def mean_of(cls, rows: np.ndarray) -> "BatchLosses":
+        """Means of (4, n) per-row terms given in field order."""
+        return cls(*(float(v) for v in rows.mean(axis=1)))
 
 
 class GradBuffers:
@@ -274,15 +274,17 @@ def sgd_update(model: EmbeddingModel, buffers: GradBuffers, lr: float,
         p += v
 
 
-def backward_step(model: EmbeddingModel, X, labels: np.ndarray,
-                  hp: Hyperparams, lr: float | None = None) -> BatchLosses:
-    """One SGD step on the summed supervised objective over a batch.
+def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
+              lr: float, consistency=None) -> tuple[np.ndarray, float]:
+    """One SGD step on the summed objective over a batch: forward pass, loss
+    kernel, finite checks, backprop and the momentum update.
 
-    ``labels`` is the batch's (n, C) label matrix.
+    ``labels`` is the batch's (n, C) label matrix.  ``consistency``, if given,
+    is called as ``consistency(logits, k, grad_F, grad_logits, grad_centers)``
+    after the kernel: it adds its gradients in place and returns its loss.
+    Returns the (4, n) per-row terms in ``BatchLosses`` field order and that
+    loss (0.0 without one).
     """
-    if len(labels) == 0:
-        raise PreconditionError("empty batch")
-    lr = hp.lr if lr is None else lr
     F, logits, acts = forward_batch(model, X)
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(logits))):
         raise DivergenceError(
@@ -292,17 +294,35 @@ def backward_step(model: EmbeddingModel, X, labels: np.ndarray,
     grad_F = np.zeros_like(F)
     grad_logits = np.zeros_like(logits)
     buffers = GradBuffers(model)
-    batch_losses = BatchLosses.mean_of(_accumulate_loss_grads(
-        model, F, logits, labels, hp, grad_F, grad_logits, buffers.centers
-    ))
-    total = batch_losses.total(hp)
+    k = _accumulate_loss_grads(model, F, logits, labels, hp, grad_F, grad_logits,
+                               buffers.centers)
+    extra = 0.0
+    if consistency is not None:
+        extra = consistency(logits, k, grad_F, grad_logits, buffers.centers)
+    rows = np.array([k.scul, k.classification, k.quantization, k.center_distance])
+    sums = rows.sum(axis=1)
+    # scul already contains the lam-weighted distance term
+    total = sums[0] + hp.mu * sums[1] + hp.alpha * sums[2] + extra
     if not np.isfinite(total):
         raise DivergenceError(
-            f"non-finite batch loss {total}; the learning rate is likely too high"
+            f"non-finite step loss {total}; the learning rate is likely too high"
         )
     _backprop_chain(model, acts, grad_F, grad_logits, buffers)
     sgd_update(model, buffers, lr, hp.momentum)
-    return batch_losses
+    return rows, extra
+
+
+def backward_step(model: EmbeddingModel, X, labels: np.ndarray,
+                  hp: Hyperparams, lr: float | None = None) -> BatchLosses:
+    """One SGD step on the summed supervised objective over a batch.
+
+    ``labels`` is the batch's (n, C) label matrix.  Returns the batch means
+    of the objective terms.
+    """
+    if len(labels) == 0:
+        raise PreconditionError("empty batch")
+    rows, _ = _sgd_step(model, X, labels, hp, hp.lr if lr is None else lr)
+    return BatchLosses.mean_of(rows)
 
 
 def warmup_project(centers, s: float, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -353,55 +373,9 @@ class TrainReport:
         }
 
 
-def _batch_ranges(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield start, min(start + batch_size, n)
-
-
 def mean_quantization(model: EmbeddingModel, features, hp: Hyperparams) -> float:
     F = forward_batch(model, features)[0]
     return float(losses.quantization_batch(F, hp.holder_p, hp.holder_q)[0].mean())
-
-
-def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
-               hidden: Sequence[int] = (64,),
-               model: EmbeddingModel | None = None) -> tuple[EmbeddingModel, TrainReport]:
-    """Train the supervised hashing model on a fully labeled dataset.
-
-    Mini-batches are shuffled per epoch from a seeded stream; the first
-    ``hp.warmup_epochs`` epochs project the center columns to norm
-    ``hp.warmup_norm_s`` after every step.  Deterministic given (dataset, hp)
-    under single-threaded execution.
-    """
-    if not dataset.labeled_mask().all():
-        raise PreconditionError("training dataset must be fully labeled")
-    losses.require_negative_class(dataset.labels)
-    root = np.random.SeedSequence(hp.seed)
-    init_ss, shuffle_ss, project_ss = root.spawn(3)
-    if model is None:
-        dims = (dataset.dim, *hidden)
-        model = init_model(dims, dataset.label_count, r, init_ss)
-    rng = np.random.default_rng(shuffle_ss)
-    project_rng = np.random.default_rng(project_ss)
-
-    features = dataset.features.astype(np.float64)
-    report = TrainReport()
-    for epoch in range(hp.epochs):
-        lr = hp.lr_at(epoch)
-        perm = rng.permutation(dataset.n)
-        sums = np.zeros(4)
-        for a, b in _batch_ranges(dataset.n, hp.batch_size):
-            idx = perm[a:b]
-            bl = backward_step(model, features[idx], dataset.labels[idx], hp, lr=lr)
-            if epoch < hp.warmup_epochs:
-                model.centers[:] = warmup_project(model.centers, hp.warmup_norm_s,
-                                                  project_rng)
-            sums += np.array([bl.scul, bl.classification, bl.quantization,
-                              bl.center_distance]) * len(idx)
-        means = sums / dataset.n
-        report.epochs.append(EpochRecord(epoch, *means, learning_rate=lr))
-    report.final_quantization = mean_quantization(model, features, hp)
-    return model, report
 
 
 def extract_embeddings(model: EmbeddingModel, features) -> np.ndarray:

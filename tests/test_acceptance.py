@@ -22,7 +22,8 @@ from scdh.data import (
     make_multilabel_splits,
     strip_labels,
 )
-from scdh.model import Hyperparams, extract_embeddings, train_scdh
+from scdh.meanteacher import train_scdh
+from scdh.model import Hyperparams, extract_embeddings
 
 from conftest import central_diff, rel_err
 

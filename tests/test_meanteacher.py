@@ -198,9 +198,23 @@ class TestTrainMtScdh:
                                batch_size=8, lr=1e-3, momentum=0.9, seed=9)
         student, teacher, _ = mt.train_mt_scdh(semi, hp, w=0.0, noise_std=0.0,
                                                r=5, hidden=(7,))
-        supervised, _ = model.train_scdh(ds, hp, r=5, hidden=(7,))
+        supervised, _ = mt.train_scdh(ds, hp, r=5, hidden=(7,))
         for a, b in zip(student.parameters(), supervised.parameters()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(w=np.nan), dict(w=np.inf), dict(w=-1.0), dict(noise_std=np.nan),
+        dict(noise_std=-0.5), dict(ramp_fraction=np.nan), dict(ramp_fraction=-1.0),
+        dict(ramp_fraction=1.5), dict(ema_decay=np.nan), dict(ema_decay=1.0),
+        dict(ema_decay=None, w=1.0),
+    ])
+    def test_bad_settings_rejected_before_training(self, kwargs, monkeypatch):
+        def no_init(*args, **kw):
+            raise AssertionError("a network was built")
+        monkeypatch.setattr(mt, "init_model", no_init)
+        hp = model.Hyperparams(epochs=1, batch_size=16)
+        with pytest.raises(PreconditionError):
+            mt.train_mt_scdh(small_semi(), hp, r=5, hidden=(7,), **kwargs)
 
     def test_consistency_zero_at_step_zero(self):
         semi = small_semi()
@@ -236,13 +250,11 @@ class TestTrainMtScdh:
                                momentum=0.0, seed=6)
         _, _, rep_semi = mt.train_mt_scdh(semi, hp, w=0.0, noise_std=0.0,
                                           r=5, hidden=(7,))
-        _, rep_sup = model.train_scdh(semi.labeled, hp, r=5, hidden=(7,))
+        _, rep_sup = mt.train_scdh(semi.labeled, hp, r=5, hidden=(7,))
         a, b = rep_semi.epochs[0], rep_sup.epochs[0]
-        assert a.scul_loss == pytest.approx(b.scul_loss, rel=1e-12)
-        assert a.classification_loss == pytest.approx(b.classification_loss,
-                                                      rel=1e-12)
-        assert a.quantization_loss == pytest.approx(b.quantization_loss,
-                                                    rel=1e-12)
+        assert a.scul_loss == b.scul_loss
+        assert a.classification_loss == b.classification_loss
+        assert a.quantization_loss == b.quantization_loss
 
     def test_teacher_untouched_between_ema_calls(self, monkeypatch):
         # checksum the teacher after every ema_update; nothing else may have

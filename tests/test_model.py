@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from scdh import losses, model
-from scdh.data import Dataset, SyntheticConfig, gen_gaussian_clusters, labels_from_sets
+from scdh import meanteacher as mt
+from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters, gen_multilabel,
+                       labels_from_sets)
 from scdh.errors import DivergenceError, ParseError, PreconditionError
 
 from conftest import rel_err
@@ -73,6 +75,19 @@ class TestHyperparams:
     def test_schedule_must_increase(self):
         with pytest.raises(PreconditionError):
             tiny_hp(lr_schedule=((10, 0.2), (5, 0.2)))
+
+    @pytest.mark.parametrize("field", ["lam", "mu", "alpha", "holder_p", "holder_q",
+                                       "warmup_norm_s", "lr", "momentum"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        # NaN passes every < and <= test, so finiteness is checked on its own
+        with pytest.raises(PreconditionError, match="finite"):
+            tiny_hp(**{field: value})
+
+    @pytest.mark.parametrize("mult", [np.nan, np.inf, 0.0, -0.5])
+    def test_schedule_multiplier_finite_positive(self, mult):
+        with pytest.raises(PreconditionError, match="multipliers"):
+            tiny_hp(lr_schedule=((2, 0.5), (4, mult)))
 
     def test_lr_at(self):
         hp = tiny_hp(lr=1.0, lr_schedule=((2, 0.2), (4, 0.5)))
@@ -250,6 +265,38 @@ class TestWarmupProject:
             np.testing.assert_allclose(norms, hp.warmup_norm_s, atol=1e-9)
 
 
+def ref_train_scdh(dataset, hp, *, r, hidden=(64,)):
+    """The supervised loop as it stood before it became the mean-teacher loop
+    without a teacher: per-batch means weighted by the batch size."""
+    init_ss, shuffle_ss, project_ss = np.random.SeedSequence(hp.seed).spawn(3)
+    net = model.init_model((dataset.dim, *hidden), dataset.label_count, r, init_ss)
+    rng = np.random.default_rng(shuffle_ss)
+    project_rng = np.random.default_rng(project_ss)
+    features = dataset.features.astype(np.float64)
+    report = model.TrainReport()
+    for epoch in range(hp.epochs):
+        lr = hp.lr_at(epoch)
+        perm = rng.permutation(dataset.n)
+        sums = np.zeros(4)
+        for a in range(0, dataset.n, hp.batch_size):
+            idx = perm[a:min(a + hp.batch_size, dataset.n)]
+            bl = model.backward_step(net, features[idx], dataset.labels[idx], hp, lr=lr)
+            if epoch < hp.warmup_epochs:
+                net.centers[:] = model.warmup_project(net.centers, hp.warmup_norm_s,
+                                                      project_rng)
+            sums += np.array([bl.scul, bl.classification, bl.quantization,
+                              bl.center_distance]) * len(idx)
+        report.epochs.append(model.EpochRecord(epoch, *(sums / dataset.n),
+                                               learning_rate=lr))
+    report.final_quantization = model.mean_quantization(net, features, hp)
+    return net, report
+
+
+def assert_within_ulps(a, b, ulps):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
 class TestTrainScdh:
     def _dataset(self, seed=0):
         cfg = SyntheticConfig(C=3, feature_dim=6, cluster_std=0.3,
@@ -260,7 +307,7 @@ class TestTrainScdh:
     def test_zero_epochs_returns_initial(self):
         ds = self._dataset()
         hp = tiny_hp(epochs=0)
-        net, report = model.train_scdh(ds, hp, r=6, hidden=(8,))
+        net, report = mt.train_scdh(ds, hp, r=6, hidden=(8,))
         fresh = model.init_model((6, 8), 3, 6,
                                  np.random.SeedSequence(hp.seed).spawn(3)[0])
         for p, q in zip(net.parameters(), fresh.parameters()):
@@ -270,15 +317,15 @@ class TestTrainScdh:
     def test_determinism(self):
         ds = self._dataset()
         hp = tiny_hp(epochs=3)
-        a, _ = model.train_scdh(ds, hp, r=6, hidden=(8,))
-        b, _ = model.train_scdh(ds, hp, r=6, hidden=(8,))
+        a, _ = mt.train_scdh(ds, hp, r=6, hidden=(8,))
+        b, _ = mt.train_scdh(ds, hp, r=6, hidden=(8,))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
     def test_epoch_mean_loss_improves(self):
         ds = self._dataset()
         hp = tiny_hp(epochs=10, lr=2e-3)
-        _, report = model.train_scdh(ds, hp, r=6, hidden=(8,))
+        _, report = mt.train_scdh(ds, hp, r=6, hidden=(8,))
         first = report.epochs[0]
         last = report.epochs[-1]
         total_first = first.scul_loss + hp.mu * first.classification_loss \
@@ -291,11 +338,67 @@ class TestTrainScdh:
         from scdh.data import strip_labels
         ds = strip_labels(self._dataset(), 0.5, seed=1)
         with pytest.raises(PreconditionError):
-            model.train_scdh(ds, tiny_hp(), r=6, hidden=(8,))
+            mt.train_scdh(ds, tiny_hp(), r=6, hidden=(8,))
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    @pytest.mark.parametrize("warmup_epochs,schedule", [(0, ()), (2, ((1, 0.5), (3, 0.2)))])
+    def test_matches_reference_loop(self, multilabel, warmup_epochs, schedule):
+        # the one loop reproduces the old supervised loop: parameters and the
+        # final quantization exactly; the epoch means, which it sums row by row
+        # instead of as batch mean times batch size, within 2 ulp at these few
+        # batches per epoch (the gap grows with the batch count: up to 4 ulp
+        # at the 47-63 batches of a full multilabel6 or clusters8 epoch)
+        if multilabel:
+            ds = gen_multilabel(SyntheticConfig(C=5, feature_dim=6, cluster_std=0.3,
+                                                center_spread=2.0, samples_per_class=12,
+                                                multilabel_p=0.3, seed=2))
+        else:
+            ds = self._dataset(seed=1)
+        hp = tiny_hp(epochs=4, batch_size=16, lr=2e-3, warmup_epochs=warmup_epochs,
+                     warmup_norm_s=3.0, lr_schedule=schedule)
+        net, report = mt.train_scdh(ds, hp, r=6, hidden=(8,))
+        ref_net, ref_report = ref_train_scdh(ds, hp, r=6, hidden=(8,))
+        for p, q in zip(net.parameters(), ref_net.parameters(), strict=True):
+            assert np.array_equal(p, q)
+        assert report.final_quantization == ref_report.final_quantization
+        assert len(report.epochs) == len(ref_report.epochs) == hp.epochs
+        for got, want in zip(report.epochs, ref_report.epochs):
+            got, want = got.to_dict(), want.to_dict()
+            assert got.keys() == want.keys()
+            assert_within_ulps(list(got.values()), list(want.values()), 2)
+
+    def test_no_teacher_work(self, monkeypatch):
+        # supervised training copies no network, makes no EMA update and runs
+        # the forward pass on the student only
+        ds = self._dataset()
+        calls = {"ema": 0, "copy": 0}
+        nets = []
+
+        def count(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def forward_spy(fn):
+            def wrapped(net, X):
+                nets.append(net)
+                return fn(net, X)
+            return wrapped
+
+        monkeypatch.setattr(mt, "ema_update", count("ema", mt.ema_update))
+        monkeypatch.setattr(model.EmbeddingModel, "copy",
+                            count("copy", model.EmbeddingModel.copy))
+        monkeypatch.setattr(mt, "forward_batch", forward_spy(mt.forward_batch))
+        monkeypatch.setattr(model, "forward_batch", forward_spy(model.forward_batch))
+        net, report = mt.train_scdh(ds, tiny_hp(epochs=2), r=6, hidden=(8,))
+        assert calls == {"ema": 0, "copy": 0}
+        assert nets and all(n is net for n in nets)
+        assert len(report.epochs) == 2
 
     def test_report_all_finite(self):
         ds = self._dataset()
-        _, report = model.train_scdh(ds, tiny_hp(), r=6, hidden=(8,))
+        _, report = mt.train_scdh(ds, tiny_hp(), r=6, hidden=(8,))
         for rec in report.epochs:
             vals = [rec.scul_loss, rec.classification_loss,
                     rec.quantization_loss, rec.center_distance_term,
@@ -328,6 +431,16 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         for a, b in zip(student.parameters(), loaded_s.parameters()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("field,value", [("lr", np.nan), ("mu", np.inf),
+                                             ("lr_schedule", ((2, np.nan),))])
+    def test_non_finite_meta_rejected(self, tmp_path, field, value):
+        hp = tiny_hp()
+        setattr(hp, field, value)        # bypasses __post_init__ validation
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, randomized_net(4), hp)
+        with pytest.raises(ParseError, match="bad hyperparameters"):
+            model.load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
         net = randomized_net(4)
