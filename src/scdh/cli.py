@@ -156,6 +156,26 @@ class Run:
         log.info("wrote %s", self.path("manifest.json"))
 
 
+# The JSON numbers a --config value may be where its flag takes a number (a
+# bool is never one).  Any other value must be a string in the flag's form.
+_CONFIG_NUMBERS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
+def _config_value(key: str, parse, value):
+    """One --config value, checked and parsed as its flag would be."""
+    if isinstance(value, str):
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ValidationError(f"config key {key!r}: cannot parse {value!r} "
+                                  f"({exc})") from None
+    types, want = _CONFIG_NUMBERS.get(parse, ((), f"a string as for --{key}"))
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"config key {key!r} must be {want}, "
+                              f"got {json.dumps(value)}")
+    return parse(value)
+
+
 def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
     """One command's configuration: defaults < named presets < config file < flags.
 
@@ -172,13 +192,16 @@ def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
                 config = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise ValidationError("config file must hold a JSON object")
         unknown = set(config) - set(spec)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    flags = {key: val for key, val in flags.items() if val is not None}
+        config = {key: _config_value(key, spec[key][0], val) for key, val in config.items()}
+    explicit = {**config, **{key: val for key, val in flags.items() if val is not None}}
     preset_values = {}
     for key, table in PRESETS.get(command, {}).items():
-        name = flags.get(key, config.get(key))
+        name = explicit.get(key)
         if name is None:
             continue
         if name not in table:
@@ -187,10 +210,10 @@ def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
         preset_values.update({k.replace("_", "-"): v for k, v in table[name].items()})
     resolved = {}
     for key, (parse, default, _help) in spec.items():
-        if key in flags:
-            resolved[key] = flags[key]
+        if key in explicit:
+            resolved[key] = explicit[key]
             continue
-        raw = config.get(key, preset_values.get(key, default))
+        raw = preset_values.get(key, default)
         resolved[key] = parse(raw) if isinstance(raw, str) and parse else raw
     return resolved
 
@@ -475,7 +498,9 @@ def cmd_eval(cfg: dict, run: Run):
     db = _labels_for(retrieval.load_codes(cfg["database"]), db_data, "database")
     metrics = retrieval.evaluate(queries, db, k=cfg["map-k"] or None,
                                  radius=cfg["radius"], ks=cfg["topk"])
-    run.save_json("metrics.json", metrics.to_dict())
+    report = dict(metrics.to_dict(),
+                  database_codes=retrieval.Buckets.of(db).summary())
+    run.save_json("metrics.json", report)
     with atomic_path(run.path("metrics.csv")) as tmp:
         with open(tmp, "w") as fh:
             fh.write("map,map_at_k,k,precision_at_radius2\n")
@@ -490,7 +515,7 @@ def cmd_eval(cfg: dict, run: Run):
                 for k, p in metrics.topk_curve:
                     fh.write(f"{k},{p}\n")
         run.register("topk_curve.csv")
-    run.result = metrics.to_dict()
+    run.result = report
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from scdh import model
+from scdh import cli, model, retrieval
 from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters,
                        labels_from_sets, load_dataset, save_dataset, strip_labels)
 
@@ -183,6 +183,15 @@ class TestConfigMerging:
         assert manifest["config"]["alpha"] == 1.0 and manifest["config"]["lam"] == 0.002
         assert manifest["config"]["hidden"] == [64]
 
+    def test_config_values_parse_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden": "16,8", "epochs": "2", "lr": 1,
+                                   "lr-schedule": "1:0.5", "momentum": "0.5"}))
+        got = cli.resolve("train", {}, str(cfg))
+        assert got["hidden"] == (16, 8) and got["epochs"] == 2
+        assert got["lr"] == 1.0 and isinstance(got["lr"], float)
+        assert got["lr-schedule"] == ((1, 0.5),) and got["momentum"] == 0.5
+
     def test_config_overrides_preset(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"preset": "clusters8", "train-per-class": 3,
@@ -223,6 +232,16 @@ class TestPipeline:
         manifest = json.loads((r / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"metrics.json", "metrics.csv",
                                             "topk_curve.csv"}
+        # the database's code clusters, recomputed from its unpacked bits
+        db = retrieval.load_codes(r / "db.scdh")
+        bits = retrieval.unpack_bits(db.words, db.nbits)
+        _, counts = np.unique(bits, axis=0, return_counts=True)
+        want = {"distinct": len(counts), "largest_bucket": int(counts.max()),
+                "constant_bits": np.flatnonzero((bits == bits[0]).all(axis=0)).tolist()}
+        assert metrics["database_codes"] == want
+        assert manifest["result"]["database_codes"] == want
+        assert (r / "metrics.csv").read_text().startswith(
+            "map,map_at_k,k,precision_at_radius2\n")
 
     def test_train_semi_pipeline(self, tmp_path):
         d = tmp_path / "data"
@@ -304,6 +323,24 @@ class TestVerifyAndToy:
         assert err["error"] == "validation"
         assert args[-2] in err["message"]           # names the bad flag
         assert not (tmp_path / "bounds.json").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("train", {"epochs": 2.5}),
+        ("train", {"hidden": 4}),
+        ("train", {"bits": True}),
+        ("train-semi", {"lr": None}),
+        ("train-semi", {"w": "abc"}),
+        ("eval", {"radius": "x"}),
+        ("gen", {"preset": ["clusters8"]}),
+    ])
+    def test_config_value_types(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = run_cli(command, "--config", cfg, "--out", tmp_path / "o", expect=1)
+        err = json.loads(proc.stderr)
+        assert err["error"] == "validation"
+        assert repr(next(iter(config))) in err["message"]     # names the key
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("args", [
         ["--ema-decay", "1.5"],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -529,3 +531,98 @@ class TestOneRankingPass:
         _, q = make_index(rng, 2, 8, with_labels=True)
         with pytest.raises(PreconditionError):
             call(q, db)
+
+
+@st.composite
+def bucket_case(draw):
+    """A database of more than 40 rows with m distinct codes, m drawn on
+    either side of the bucket-search cut-off, and queries near and far."""
+    r = draw(st.sampled_from([1, 24, 64, 65, 130]))
+    n = draw(st.integers(41, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cut = int(rt.BUCKET_SEARCH_MAX_DISTINCT * n)
+    m = draw(st.one_of(st.just(1), st.integers(1, cut), st.integers(cut + 1, n)))
+    bases = rng.random((m, r)) < 0.5
+    if draw(st.booleans()):
+        bases[:, :64] = bases[0, :64]       # codes differ past the first word only
+    bases = np.unique(bases, axis=0)        # fewer when they collide
+    rows = np.concatenate([np.arange(len(bases)),
+                           rng.integers(len(bases), size=n - len(bases))])
+    db_bits = bases[rng.permutation(rows)]
+    if draw(st.booleans()):
+        ids = rng.integers(0, max(1, n // 2), size=n)        # duplicate ids
+    else:
+        ids = rng.permutation(3 * n)[:n]                      # unsorted ids
+    q_bits = np.vstack([db_bits[rng.integers(n, size=2)], rng.random((2, r)) < 0.5])
+    k = draw(st.integers(2, n - 1))
+    return rt.CodeIndex(rt.pack_bits(db_bits), ids, r), db_bits, q_bits, len(bases), k
+
+
+class TestBucketSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(bucket_case())
+    def test_matches_unpacked_oracle(self, case):
+        db, db_bits, q_bits, distinct, mid = case
+        for qb in q_bits:
+            query = rt.HashCode(rt.pack_bits(qb), db.nbits)
+            for k in (0, 1, mid, db.n):
+                assert rt.search(query, db, k) == naive_search(qb, db_bits, db.ids, k)
+        scans = distinct > rt.BUCKET_SEARCH_MAX_DISTINCT * db.n
+        assert (db._search_buckets is None) == scans
+
+    def test_view_against_unique(self, rng):
+        bases = rng.random((40, 70)) < 0.5
+        bases[20:, :64] = bases[:20, :64]          # pairs equal in the first word
+        bits = bases[rng.integers(0, 40, size=500)]
+        bits[:, [3, 64]] = [True, False]                       # constant bits
+        ids = rng.integers(0, 200, size=500)
+        view = rt.Buckets.of(rt.CodeIndex(rt.pack_bits(bits), ids, 70))
+        codes, inverse, counts = np.unique(bits, axis=0, return_inverse=True,
+                                           return_counts=True)
+        assert len(view.sizes) == len(codes)
+        assert sorted(view.sizes.tolist()) == sorted(counts.tolist())
+        assert view.sizes.sum() == 500 and view.starts[0] == 0
+        for b in range(len(view.sizes)):
+            members = view.ids[view.starts[b]:view.starts[b] + view.sizes[b]]
+            code_bits = rt.unpack_bits(view.words[b], 70)
+            same = (bits == code_bits).all(axis=1)
+            assert members.tolist() == sorted(ids[same].tolist())
+        constant = np.flatnonzero((bits == bits[0]).all(axis=0)).tolist()
+        assert 3 in constant and 64 in constant
+        assert view.summary() == {"distinct": len(codes),
+                                    "largest_bucket": int(counts.max()),
+                                    "constant_bits": constant}
+
+    def test_all_codes_equal(self, rng):
+        bits = np.tile(rng.random(24) < 0.5, (60, 1))
+        db = rt.CodeIndex(rt.pack_bits(bits), rng.permutation(60), 24)
+        assert rt.Buckets.of(db).summary() == {
+            "distinct": 1, "largest_bucket": 60, "constant_bits": list(range(24))}
+        query = rt.HashCode(rt.pack_bits(~bits[0]), 24)
+        assert rt.search(query, db, 5) == [(i, 24) for i in range(5)]
+
+    def test_index_is_frozen(self, rng):
+        _, index = make_index(rng, 10, 8)
+        for field in ("words", "ids", "nbits", "labels"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(index, field, None)
+        # nor can its arrays be written, which would leave a cached view stale
+        _, labeled = make_index(rng, 10, 8, with_labels=True)
+        for array in (labeled.words, labeled.ids, labeled.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("duplicated", [True, False])
+    def test_view_built_once(self, rng, monkeypatch, duplicated):
+        bits = rng.random((200, 24)) < 0.5
+        if duplicated:
+            bits = bits[rng.integers(0, 10, size=200)]
+        index = rt.CodeIndex(rt.pack_bits(bits), np.arange(200), 24)
+        built = []
+        build = rt.Buckets.of
+        monkeypatch.setattr(rt.Buckets, "of", lambda idx: built.append(1) or build(idx))
+        query = rt.HashCode(rt.pack_bits(bits[3]), 24)
+        assert rt.search(query, index, 10) == rt.search(query, index, 10)
+        assert len(built) == 1
+        # a mostly-distinct index keeps no view and scans its rows
+        assert (index._search_buckets is None) == (not duplicated)
