@@ -18,6 +18,7 @@ from .bounds import (
     multilabel_brute_force_loss,
     toy_lambda_grid,
     unary_upper_bound,
+    unary_upper_bounds,
 )
 from .data import (
     Dataset,

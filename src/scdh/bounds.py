@@ -9,15 +9,20 @@ the estimated lambda over a (sigma, d) grid.
 Every path works an array at a time and returns the same bits as a plain
 per-row (or per-trial) loop, which the tests keep as the reference:
 
-- the exhaustive triplet sums reduce one (rows, k-1, n-k) block per label
-  multiplicity k (a single block for a balanced set) and add the row sums
-  in row order with ``cumsum``, as a running total would;
+- one kernel computes both sides of the unary bound for a (b, n, r) stack
+  of code sets that share one label vector; ``unary_upper_bound`` and
+  ``estimate_lambda`` are its b = 1 case, and ``unary_upper_bounds``
+  certifies a stack (verify-bounds groups its draws by shape into such
+  stacks).  The exhaustive triplet sums reduce one (b, rows, k-1, n-k)
+  block per label multiplicity k (a single block for a balanced set) and
+  add the row sums in row order with ``cumsum``, as a running total would;
 - the Monte Carlo check draws the label matrices of a block of trials from
   one stream of C-wide candidate rows and reduces the block with batched
   products, so memory is O(block n^2) for any trial count;
-- a sampled toy cell looks its T triplet distances up in the (n, n)
-  distance matrix when n^2 <= T, and otherwise computes them a chunk of
-  pairs at a time; it never gathers (T, r) code rows.
+- a sampled toy cell keeps its three (T,) index draws whole and does
+  everything after them a chunk of triplets at a time, looking the
+  distances up in the (n, n) distance table when n^2 <= T and otherwise
+  computing them per pair; it never gathers (T, r) code rows.
 
 ``bound_summary`` condenses a verify-bounds run: the minimum relative slack
 of each check family and a fixed-bin histogram of the lambda estimates.
@@ -26,8 +31,9 @@ of each check family and a fixed-bin histogram of the lambda estimates.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,43 +48,72 @@ BOUND_RTOL = 1e-9
 
 DEFAULT_TRIPLET_CAP = 64
 
+# Float64 elements in the largest working array of one unary stack, about
+# b n^2 max(n, r); ``unary_upper_bounds`` certifies longer stacks in pieces.
+UNARY_STACK_FLOATS = 1 << 20
+
+# Sampled toy triplets worked at a time after the whole-array draws.
+TOY_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class LabeledCodeSet:
-    """Codes (real or +/-1 valued) with one label set per row."""
+    """Codes (real or +/-1 valued) with their labels.
 
-    codes: np.ndarray                       # (n, r) float64
-    labels: tuple[frozenset, ...]           # length n
+    ``labels`` is given as one label set per row, or as an (n,) integer
+    vector when each row has one label; it is kept as the read-only (n, C)
+    bool membership matrix.
+    """
+
+    codes: np.ndarray                       # (n, r) float64, C-contiguous
+    labels: np.ndarray                      # (n, C) bool
     label_count: int                        # C
     balanced: bool = False
-    # the one label of each row, decoded once; None if any row has several
+    # the one label of each row; None if any row has several
     _single: np.ndarray | None = field(init=False, default=None, repr=False,
                                        compare=False)
+    # whether every label has one multiplicity; False for multilabel rows
+    _even: bool = field(init=False, default=False, repr=False, compare=False)
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.float64)
+        codes = np.ascontiguousarray(self.codes, dtype=np.float64)
         object.__setattr__(self, "codes", codes)
         if codes.ndim != 2:
             raise DimensionMismatch("codes must be an (n, r) matrix")
-        if len(self.labels) != codes.shape[0]:
-            raise DimensionMismatch("one label set per code row required")
-        for Y in self.labels:
-            if not Y:
-                raise LabelSetError("empty label set in code set")
-            if min(Y) < 0 or max(Y) >= self.label_count:
-                raise LabelSetError(f"label set {set(Y)} out of range for C={self.label_count}")
-        if all(len(Y) == 1 for Y in self.labels):
-            single = np.array([next(iter(Y)) for Y in self.labels], dtype=np.int64)
+        n, C = codes.shape[0], self.label_count
+        single = None
+        if isinstance(self.labels, np.ndarray):
+            single = self.labels.astype(np.int64)
+            if single.shape != (n,):
+                raise DimensionMismatch("one label per code row required")
+            bad = single[(single < 0) | (single >= C)]
+            if bad.size:
+                raise LabelSetError(f"label {bad[0]} out of range for C={C}")
+            member = single[:, None] == np.arange(C)
+        else:
+            if len(self.labels) != n:
+                raise DimensionMismatch("one label set per code row required")
+            member = np.zeros((n, C), dtype=bool)
+            for i, Y in enumerate(self.labels):
+                if not Y:
+                    raise LabelSetError("empty label set in code set")
+                if min(Y) < 0 or max(Y) >= C:
+                    raise LabelSetError(f"label set {set(Y)} out of range for C={C}")
+                member[i, list(Y)] = True
+            if (member.sum(axis=1) == 1).all():
+                single = member.argmax(axis=1)
+        member.flags.writeable = False
+        object.__setattr__(self, "labels", member)
+        if single is not None:
             single.flags.writeable = False
             object.__setattr__(self, "_single", single)
-        if self.balanced and not self.is_balanced():
+            counts = np.bincount(single, minlength=C)
+            object.__setattr__(self, "_even", bool((counts == counts[:1]).all()))
+        if self.balanced and not self._even:
             raise PreconditionError("balanced flag set but label multiplicities differ")
 
     def is_balanced(self) -> bool:
-        if self._single is None:
-            return False
-        counts = np.bincount(self._single, minlength=self.label_count)
-        return bool(np.all(counts == counts[0]))
+        return self._even
 
     @property
     def n(self) -> int:
@@ -95,8 +130,7 @@ class LabeledCodeSet:
                            balanced: bool = False) -> "LabeledCodeSet":
         labels = np.asarray(labels, dtype=np.int64)
         C = int(label_count if label_count is not None else labels.max() + 1)
-        return cls(np.asarray(codes, dtype=np.float64),
-                   tuple(frozenset((int(l),)) for l in labels), C, balanced)
+        return cls(codes, labels, C, balanced)
 
 
 @dataclass
@@ -140,33 +174,44 @@ class LambdaEstimate(float):
         return obj
 
 
-def _pairwise_distances(codes: np.ndarray, block: int = 64) -> np.ndarray:
-    """(n, n) Euclidean distances, ``block`` rows of differences at a time.
+def _norm(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` of a real array: the same arithmetic
+    (and bits) without the wrapper's dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
 
-    Each entry reduces one difference row over r, so it is bit-equal to the
-    full (n, n, r) tensor form and to ``_pair_distances``.
+
+def _pairwise_distances(codes: np.ndarray, block: int = 64) -> np.ndarray:
+    """(..., n, n) Euclidean distances between the rows of (..., n, r) codes.
+
+    Row block a is differenced against the rows from a on, and the part
+    below the diagonal is mirrored: |h_i - h_j| and |h_j - h_i| are
+    bit-equal.  Each entry reduces one difference row over r, so it is
+    bit-equal to the full (n, n, r) tensor form and to ``_pair_distances``.
     """
-    n = codes.shape[0]
-    D = np.empty((n, n))
+    n = codes.shape[-2]
+    if n <= block:
+        return _norm(codes[..., :, None, :] - codes[..., None, :, :], -1)
+    D = np.empty(codes.shape[:-1] + (n,))
     for a in range(0, n, block):
-        D[a:a + block] = np.linalg.norm(codes[a:a + block, None, :] - codes[None, :, :],
-                                        axis=2)
+        e = a + block
+        D[..., a:e, a:] = _norm(codes[..., a:e, None, :] - codes[..., None, a:, :], -1)
+        D[..., e:, a:e] = np.swapaxes(D[..., a:e, e:], -1, -2)
     return D
 
 
 def _pair_distances(codes: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    chunk: int = 1 << 15) -> np.ndarray:
+                    chunk: int = TOY_CHUNK) -> np.ndarray:
     """``|codes[a] - codes[b]|`` per index pair, ``chunk`` pairs at a time;
     bit-equal to the entries of ``_pairwise_distances``."""
     out = np.empty(len(a))
     for s in range(0, len(a), chunk):
-        out[s:s + chunk] = np.linalg.norm(codes[a[s:s + chunk]] - codes[b[s:s + chunk]],
-                                          axis=1)
+        out[s:s + chunk] = _norm(codes[a[s:s + chunk]] - codes[b[s:s + chunk]], 1)
     return out
 
 
 def _code_center_distances(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(codes[:, :, None] - centers[None, :, :], axis=1)
+    """(..., n, C) distances from (..., n, r) codes to (..., r, C) centers."""
+    return _norm(codes[..., :, :, None] - centers[..., None, :, :], -2)
 
 
 def _check_cap(n: int, max_n: int):
@@ -177,36 +222,81 @@ def _check_cap(n: int, max_n: int):
         )
 
 
-def _row_blocks(y: np.ndarray):
-    """Rows grouped by the multiplicity k of their label (one group when the
-    set is balanced): the rows (g,), each row's similar columns, the other
-    rows with its label, as a (g, k-1) matrix, and its dissimilar columns as
-    a (g, n-k) matrix, both ascending."""
+class _RowBlock(NamedTuple):
+    """The rows (g,) whose label has multiplicity k; each row's similar
+    columns, the other rows with its label, as a (g, k-1) matrix and its
+    dissimilar columns as a (g, n-k) matrix, both ascending; and both as
+    flat indices into a row-major (n, n) table."""
+
+    rows: np.ndarray
+    sim: np.ndarray
+    dis: np.ndarray
+    sim_at: np.ndarray
+    dis_at: np.ndarray
+
+
+def _row_blocks(y: np.ndarray) -> tuple[_RowBlock, ...]:
+    """The rows grouped by the multiplicity of their label, one block when
+    the set is balanced.  Raises unless y has two distinct labels.
+
+    The blocks are read-only and cached per label vector: a check of a few
+    dozen rows would spend a fifth of its time building them.
+    """
+    return _row_blocks_of(np.ascontiguousarray(y, dtype=np.int64).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _row_blocks_of(key: bytes) -> tuple[_RowBlock, ...]:
+    y = np.frombuffer(key, dtype=np.int64)
     n = y.size
+    if n < 2 or (y == y[0]).all():
+        raise PreconditionError("need at least two distinct labels for triplets")
     same = y[:, None] == y
     sim = same & ~np.eye(n, dtype=bool)
     counts = same.sum(axis=1)
+    blocks = []
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
-        yield (rows, np.nonzero(sim[rows])[1].reshape(rows.size, k - 1),
-               np.nonzero(~same[rows])[1].reshape(rows.size, n - k))
+        s = np.nonzero(sim[rows])[1].reshape(rows.size, k - 1)
+        d = np.nonzero(~same[rows])[1].reshape(rows.size, n - k)
+        block = _RowBlock(rows, s, d, rows[:, None] * n + s, rows[:, None] * n + d)
+        for a in block:
+            a.flags.writeable = False
+        blocks.append(block)
+    return tuple(blocks)
 
 
-def _sum_in_row_order(row_sums: np.ndarray) -> float:
-    """Add per-row sums one after another, as a running ``total +=`` does; a
-    pairwise ``sum`` would round differently in the last bit."""
-    return float(np.cumsum(row_sums)[-1]) if row_sums.size else 0.0
+def _sum_in_row_order(row_sums: np.ndarray) -> np.ndarray:
+    """Add the per-row sums along the last axis one after another, as a
+    running ``total +=`` does; a pairwise ``sum`` would round differently in
+    the last bit."""
+    return row_sums.cumsum(axis=-1)[..., -1]
 
 
-def _triplet_loss(D: np.ndarray, y: np.ndarray, kind: TripletLossKind) -> float:
-    if y.size < 2 or (y == y[0]).all():
-        raise PreconditionError("need at least two distinct labels for triplets")
-    row_sums = np.zeros(y.size)
-    for rows, sim, dis in _row_blocks(y):
-        d_pos = D[rows[:, None], sim][:, :, None]          # (g, k-1, 1)
-        d_neg = D[rows[:, None], dis][:, None, :]          # (g, 1, n-k)
-        row_sums[rows] = kind.g(d_pos, d_neg).sum(axis=(1, 2))
+def _triplet_sums(D: np.ndarray, y: np.ndarray, term) -> np.ndarray:
+    """Exhaustive triplet loss of each (n, n) distance table in the (..., n, n)
+    stack ``D``, whose sets share the labels ``y``.
+
+    ``term(d_pos, d_neg, rows, dis)`` gives the (..., g, k-1, n-k) triplet
+    terms of a row block from its (..., g, k-1, 1) similar and
+    (..., g, 1, n-k) dissimilar distances.
+    """
+    flat = D.reshape(D.shape[:-2] + (-1,))
+    row_sums = np.empty(D.shape[:-1])
+    for block in _row_blocks(y):
+        # ``take`` returns C-contiguous arrays, stacked or not, so each sum
+        # below runs pairwise as the one-set sum does; a fancy-index gather
+        # from a stack would not be contiguous and would sum in sequence
+        d_pos = flat.take(block.sim_at, axis=-1)[..., None]
+        d_neg = flat.take(block.dis_at, axis=-1)[..., None, :]
+        row_sums[..., block.rows] = term(d_pos, d_neg, block.rows,
+                                         block.dis).sum(axis=(-2, -1))
     return _sum_in_row_order(row_sums)
+
+
+def _comparator(kind: TripletLossKind):
+    """The triplet term g(d_pos, d_neg) of ``kind``, for ``_triplet_sums``."""
+    return lambda d_pos, d_neg, rows, dis: kind.g(d_pos, d_neg)
 
 
 def brute_force_triplet_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
@@ -218,7 +308,7 @@ def brute_force_triplet_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
     """
     _check_cap(code_set.n, max_n)
     y = code_set.single_labels()
-    return _triplet_loss(_pairwise_distances(code_set.codes), y, kind)
+    return float(_triplet_sums(_pairwise_distances(code_set.codes), y, _comparator(kind)))
 
 
 def multilabel_brute_force_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
@@ -230,10 +320,8 @@ def multilabel_brute_force_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
     """
     _check_cap(code_set.n, max_n)
     n = code_set.n
-    overlap = np.zeros((n, n), dtype=np.int64)
-    for i, Yi in enumerate(code_set.labels):
-        for j, Yj in enumerate(code_set.labels):
-            overlap[i, j] = len(Yi & Yj)
+    member = code_set.labels.astype(np.int64)
+    overlap = member @ member.T
     D = _pairwise_distances(code_set.codes)
     total = 0.0
     for i in range(n):
@@ -251,60 +339,110 @@ def multilabel_brute_force_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
 def _hinge_lc(d_own: np.ndarray, d_all: np.ndarray,
               kind: TripletLossKind) -> np.ndarray:
     """Per-item classification-style loss: mean of g(d_y, d_l) over l != y."""
-    n, C = d_all.shape
-    vals = kind.g(d_own[:, None], d_all)          # (n, C), includes l = y
+    C = d_all.shape[-1]
+    vals = kind.g(d_own[..., None], d_all)        # (..., n, C), includes l = y
     own = kind.g(d_own, d_own)                    # subtract the diagonal term
-    return (vals.sum(axis=1) - own) / (C - 1)
+    return (vals.sum(axis=-1) - own) / (C - 1)
 
 
-def _softmax_lc(d_all: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _softmax_lc(d_all: np.ndarray, d_own: np.ndarray) -> np.ndarray:
     """Per-item full softmax loss -log p_y over negative distances."""
     z = -d_all
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    return d_all[np.arange(len(y)), y] + lse
+    m = z.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+    return d_own + lse
 
 
-def _softmax_background_triplet_loss(D: np.ndarray, Dc: np.ndarray,
-                                     y: np.ndarray) -> float:
-    """Exhaustive triplet loss under the background-shared softmax comparator.
+def _unary_sides(codes: np.ndarray, y: np.ndarray, C: int, centers: np.ndarray,
+                 kind: TripletLossKind):
+    """Both sides of the unary bound for a (b, n, r) stack of code sets that
+    share the labels ``y``, each with its own centers, stacked (b, r, C).
 
-    For triplet (i, j, k) the comparator carries the fixed background mass
-    B = sum over centers other than c_{y_i}, c_{y_k} of exp(-|h_i - c_l|),
-    which is exactly the comparator whose per-item aggregate equals the full
-    softmax loss on the bound side.
+    Returns the (b,) arrays lhs, rhs, sum_i lc_i and sum_i |h_i - c_{y_i}|,
+    and the multiplier (n/C)^2 (C-1).  Entry t is bit-equal to the
+    computation on set t alone.
+
+    The margin kind pairs g on the triplet side with the hinge
+    classification loss.  The softmax kind pairs the full softmax loss with
+    the background-shared comparator: for triplet (i, j, k) it carries the
+    fixed background mass B = sum over centers other than c_{y_i}, c_{y_k}
+    of exp(-|h_i - c_l|), which is exactly the comparator whose per-item
+    aggregate equals the full softmax loss on the bound side.
     """
-    expd = np.exp(-Dc)
-    mass = expd.sum(axis=1)
-    row_sums = np.zeros(y.size)
-    for rows, sim, dis in _row_blocks(y):
-        a = D[rows[:, None], sim][:, :, None]              # (g, k-1, 1)
-        b = D[rows[:, None], dis][:, None, :]              # (g, 1, n-k)
-        background = (mass[rows] - expd[rows, y[rows]])[:, None] \
-            - expd[rows[:, None], y[dis]]                  # (g, n-k)
-        tail = np.logaddexp(-a, -b)
-        tail = np.logaddexp(tail, np.log(np.maximum(background, 1e-300))[:, None, :])
-        row_sums[rows] = (a + tail).sum(axis=(1, 2))
-    return _sum_in_row_order(row_sums)
-
-
-def _bound_sides(code_set: LabeledCodeSet, centers: np.ndarray,
-                 kind: TripletLossKind, max_n: int):
-    y = code_set.single_labels()
-    C = code_set.label_count
-    Dc = _code_center_distances(code_set.codes, centers)
-    d_own = Dc[np.arange(code_set.n), y]
-    _check_cap(code_set.n, max_n)
-    D = _pairwise_distances(code_set.codes)
+    n = codes.shape[1]
+    Dc = _code_center_distances(codes, centers)                  # (b, n, C)
+    d_own = np.ascontiguousarray(Dc[:, np.arange(n), y])         # (b, n)
     if kind.kind == "margin":
-        lhs = _triplet_loss(D, y, kind)
+        term = _comparator(kind)
         lc = _hinge_lc(d_own, Dc, kind)
     else:
-        lhs = _softmax_background_triplet_loss(D, Dc, y)
-        lc = _softmax_lc(Dc, y)
-    multiplier = (code_set.n / C) ** 2 * (C - 1)
-    rhs = multiplier * float((lc + 2.0 * d_own).sum())
-    return lhs, rhs, multiplier, float(lc.sum()), float(d_own.sum())
+        expd = np.exp(-Dc)
+        mass = expd.sum(axis=2)
+
+        def term(d_pos, d_neg, rows, dis):
+            background = ((mass[:, rows] - expd[:, rows, y[rows]])[:, :, None]
+                          - expd[:, rows[:, None], y[dis]])      # (b, g, n-k)
+            tail = np.logaddexp(-d_pos, -d_neg)
+            tail = np.logaddexp(tail, np.log(np.maximum(background, 1e-300))[:, :, None, :])
+            return d_pos + tail
+
+        lc = _softmax_lc(Dc, d_own)
+    lhs = _triplet_sums(_pairwise_distances(codes), y, term)
+    multiplier = (n / C) ** 2 * (C - 1)
+    rhs = multiplier * (lc + 2.0 * d_own).sum(axis=1)
+    return lhs, rhs, lc.sum(axis=1), d_own.sum(axis=1), multiplier
+
+
+def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
+                       dist_sum: float) -> LambdaEstimate:
+    if dist_sum <= 0.0:
+        return LambdaEstimate(0.0, degenerate=True)
+    return LambdaEstimate((lhs / multiplier - lc_sum) / dist_sum)
+
+
+def unary_upper_bounds(codes, labels, label_count: int, centers,
+                       kind: TripletLossKind,
+                       max_n: int = DEFAULT_TRIPLET_CAP) -> list[BoundReport]:
+    """``unary_upper_bound`` of each set in a (b, n, r) stack of codes that
+    share one balanced (n,) label vector, with their centers stacked
+    (b, r, C).
+
+    The reports come in stack order, each equal to the single check's.  The
+    stack is worked in pieces of about ``UNARY_STACK_FLOATS`` elements.
+    """
+    codes = np.ascontiguousarray(codes, dtype=np.float64)
+    if codes.ndim != 3:
+        raise DimensionMismatch("codes must be a (b, n, r) stack")
+    if not len(codes):
+        return []
+    labeled = LabeledCodeSet.from_single_labels(codes[0], labels, label_count)
+    return _unary_reports(codes, labeled, np.ascontiguousarray(centers, dtype=np.float64),
+                          kind, max_n)
+
+
+def _unary_reports(codes: np.ndarray, labeled: LabeledCodeSet, centers: np.ndarray,
+                   kind: TripletLossKind, max_n: int) -> list[BoundReport]:
+    """Reports for a (b, n, r) stack of codes carrying the labels of ``labeled``."""
+    if not labeled.is_balanced():
+        raise PreconditionError("unary bound requires a balanced single-label set")
+    b, n, r = codes.shape
+    y, C = labeled.single_labels(), labeled.label_count
+    if centers.shape != (b, r, C):
+        raise DimensionMismatch(f"need ({r}, {C}) centers per code set, got "
+                                f"{centers.shape[1:]}")
+    _check_cap(n, max_n)
+    step = max(1, UNARY_STACK_FLOATS // max(1, n * n * max(n, r)))
+    reports = []
+    for s in range(0, b, step):
+        sides = _unary_sides(codes[s:s + step], y, C, centers[s:s + step], kind)
+        multiplier = sides[-1]
+        for lhs, rhs, lc_sum, dist_sum in zip(*(a.tolist() for a in sides[:4])):
+            lam = _lambda_from_parts(lhs, multiplier, lc_sum, dist_sum)
+            reports.append(BoundReport(lhs, rhs, multiplier, float(lam),
+                                       lhs <= rhs + BOUND_RTOL * abs(rhs),
+                                       kind=kind.kind, n=n, label_count=C,
+                                       degenerate=lam.degenerate))
+    return reports
 
 
 def unary_upper_bound(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
@@ -317,22 +455,8 @@ def unary_upper_bound(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
     with the same comparator g on both sides (hinge, or full softmax paired
     with the background-shared comparator on the triplet side).
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    if not code_set.is_balanced():
-        raise PreconditionError("unary bound requires a balanced single-label set")
-    lhs, rhs, multiplier, lc_sum, dist_sum = _bound_sides(code_set, centers, kind, max_n)
-    holds = lhs <= rhs + BOUND_RTOL * abs(rhs)
-    lam = _lambda_from_parts(lhs, multiplier, lc_sum, dist_sum)
-    return BoundReport(lhs, rhs, multiplier, float(lam), bool(holds),
-                       kind=kind.kind, n=code_set.n, label_count=code_set.label_count,
-                       degenerate=lam.degenerate)
-
-
-def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
-                       dist_sum: float) -> LambdaEstimate:
-    if dist_sum <= 0.0:
-        return LambdaEstimate(0.0, degenerate=True)
-    return LambdaEstimate((lhs / multiplier - lc_sum) / dist_sum)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    return _unary_reports(code_set.codes[None], code_set, centers[None], kind, max_n)[0]
 
 
 def estimate_lambda(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
@@ -343,9 +467,13 @@ def estimate_lambda(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
     plain bound holds.  Returns 0 flagged degenerate when the denominator
     vanishes (every code sits exactly on its own center).
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    lhs, _, multiplier, lc_sum, dist_sum = _bound_sides(code_set, centers, kind, max_n)
-    return _lambda_from_parts(lhs, multiplier, lc_sum, dist_sum)
+    y = code_set.single_labels()
+    _check_cap(code_set.n, max_n)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    lhs, _, lc_sum, dist_sum, multiplier = _unary_sides(
+        code_set.codes[None], y, code_set.label_count, centers[None], kind)
+    return _lambda_from_parts(float(lhs[0]), multiplier, float(lc_sum[0]),
+                              float(dist_sum[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +543,9 @@ def _trial_sides(Y: np.ndarray, G: np.ndarray, Gc: np.ndarray, Dc: np.ndarray,
                     dis.astype(np.float64), G)
 
     sizes = Yi.sum(axis=2)
-    qy = (C - sizes) / (C - 1) * (1.0 - p) ** sizes
+    # (1-p)^|Y_i| from a table: numpy's power rounds a one-element 2-d
+    # array (b = n = 1) differently in the last bit from any other shape
+    qy = (C - sizes) / (C - 1) * ((1.0 - p) ** np.arange(C + 1))[sizes]
     pos = Y[:, :, :, None] & ~Y[:, :, None, :]       # (trial, i, s in Y_i, t not in Y_i)
     # where + sum keeps the one-trial pairwise order; an einsum would not
     lmc_raw = np.where(pos, Gc, 0.0).sum(axis=(2, 3))
@@ -573,36 +703,39 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
 
     total_triplets = n * (m - 1) * (n - m)
     if n < cfg.enumeration_threshold:
-        lt = _triplet_loss(_pairwise_distances(codes), y, kind)
+        lt = float(_triplet_sums(_pairwise_distances(codes), y, _comparator(kind)))
         # relaxed comparator summed over the same exhaustive triplet set
         row_sums = np.zeros(n)
-        for rows, sim, dis in _row_blocks(y):
+        for rows, sim, dis, *_ in _row_blocks(y):
             g_part = kind.g(d_own[rows, None], Dc[rows[:, None], y[dis]])   # (g, n-k)
             row_sums[rows] = (g_part[:, None, :] + d_own[sim][:, :, None]
                               + d_own[dis][:, None, :]).sum(axis=(1, 2))
-        relaxed = _sum_in_row_order(row_sums)
+        relaxed = float(_sum_in_row_order(row_sums))
     else:
         T = cfg.triplet_samples
-        i_idx = rng.integers(0, n, T)
-        first = (i_idx // m) * m                       # i's cluster starts here
-        # j: same cluster as i, j != i
-        off = rng.integers(0, m - 1, T)
-        j_idx = first + off + (off >= i_idx - first)
-        # k: uniform over the other clusters
-        k_raw = rng.integers(0, n - m, T)
-        k_idx = np.where(k_raw >= first, k_raw + m, k_raw)
-        if n * n <= T:      # the (n, n) table is no larger than the T pairs
-            D = _pairwise_distances(codes)
-            d_ij, d_ik = D[i_idx, j_idx], D[i_idx, k_idx]
-        else:
-            d_ij = _pair_distances(codes, i_idx, j_idx)
-            d_ik = _pair_distances(codes, i_idx, k_idx)
-        lt = float(kind.g(d_ij, d_ik).mean()) * total_triplets
-        relaxed_terms = (
-            kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
-            + d_own[j_idx]
-            + d_own[k_idx]
-        )
+        i_all = rng.integers(0, n, T)
+        off_all = rng.integers(0, m - 1, T)      # j: same cluster as i, j != i
+        k_all = rng.integers(0, n - m, T)        # k: uniform over the other clusters
+        D = _pairwise_distances(codes) if n * n <= T else None   # no larger than T pairs
+        g_terms = np.empty(T)
+        relaxed_terms = np.empty(T)
+        for s in range(0, T, TOY_CHUNK):
+            i_idx = i_all[s:s + TOY_CHUNK]
+            first = (i_idx // m) * m                   # i's cluster starts here
+            off = off_all[s:s + TOY_CHUNK]
+            j_idx = first + off + (off >= i_idx - first)
+            k_raw = k_all[s:s + TOY_CHUNK]
+            k_idx = np.where(k_raw >= first, k_raw + m, k_raw)
+            if D is not None:
+                d_ij, d_ik = D[i_idx, j_idx], D[i_idx, k_idx]
+            else:
+                d_ij = _pair_distances(codes, i_idx, j_idx)
+                d_ik = _pair_distances(codes, i_idx, k_idx)
+            g_terms[s:s + TOY_CHUNK] = kind.g(d_ij, d_ik)
+            relaxed_terms[s:s + TOY_CHUNK] = (kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
+                                              + d_own[j_idx] + d_own[k_idx])
+        # one mean over each whole array: the pairwise tree depends on its length
+        lt = float(g_terms.mean()) * total_triplets
         relaxed = float(relaxed_terms.mean()) * total_triplets
 
     lam = _lambda_from_parts(lt, multiplier, float(lc.sum()), float(d_own.sum()))

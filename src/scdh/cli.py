@@ -534,25 +534,55 @@ VERIFY_SPEC = dict(COMMON, **{
 })
 
 
+# Random instances drawn before their checks run; the suite's memory does
+# not grow with --instances.
+BOUND_DRAW_CHUNK = 1000
+
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _draw_bound_arrays(rng: np.random.Generator, classes, max_n: int, max_r: int):
+    """(C, per_class, codes, centers) of one instance; the same stream as
+    ``rng.choice`` over ``classes`` and over the signs would take."""
+    C = int(classes[rng.integers(len(classes))])
+    per_class = int(rng.integers(1, max(max_n // C, 1) + 1))
+    r = int(rng.integers(2, max_r + 1))
+    codes = _SIGNS[rng.integers(0, 2, (C * per_class, r))]
+    centers = rng.normal(0.0, 2.0, (r, C))
+    return C, per_class, codes, centers
+
+
 def random_bound_instance(rng: np.random.Generator, classes, max_n: int,
                           max_r: int):
     """Balanced +/-1 codes with random real centers for one bound check."""
-    C = int(rng.choice(list(classes)))
-    per_class = int(rng.integers(1, max(max_n // C, 1) + 1))
-    r = int(rng.integers(2, max_r + 1))
-    codes = rng.choice([-1.0, 1.0], size=(C * per_class, r))
+    C, per_class, codes, centers = _draw_bound_arrays(rng, classes, max_n, max_r)
     labels = np.repeat(np.arange(C), per_class)
-    centers = rng.normal(0.0, 2.0, (r, C))
     return bounds.LabeledCodeSet.from_single_labels(codes, labels, C), centers
 
 
 def run_bound_suite(instances: int, classes, max_n: int, max_r: int,
                     kind: losses.TripletLossKind, seed: int):
+    """``unary_upper_bound`` of each ``random_bound_instance`` drawn from
+    ``seed``, in draw order.  The draws of a chunk are grouped by (C, rows
+    per class, r), and each group is certified as one stack."""
+    classes = tuple(classes)
     reports = []
     rng = np.random.default_rng(seed)
-    for _ in range(instances):
-        code_set, centers = random_bound_instance(rng, classes, max_n, max_r)
-        reports.append(bounds.unary_upper_bound(code_set, centers, kind))
+    for first in range(0, instances, BOUND_DRAW_CHUNK):
+        draws = [_draw_bound_arrays(rng, classes, max_n, max_r)
+                 for _ in range(min(BOUND_DRAW_CHUNK, instances - first))]
+        groups: dict[tuple, list[int]] = {}
+        for t, (C, per_class, codes, _) in enumerate(draws):
+            groups.setdefault((C, per_class, codes.shape[1]), []).append(t)
+        chunk = [None] * len(draws)
+        for (C, per_class, _), members in groups.items():
+            stack = bounds.unary_upper_bounds(
+                np.stack([draws[t][2] for t in members]),
+                np.repeat(np.arange(C), per_class), C,
+                np.stack([draws[t][3] for t in members]), kind)
+            for t, report in zip(members, stack):
+                chunk[t] = report
+        reports.extend(chunk)
     return reports
 
 

@@ -133,12 +133,13 @@ class Buckets(NamedTuple):
                 "constant_bits": np.flatnonzero(~unpack_bits(varying, self.nbits)).tolist()}
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A view of ``a`` that cannot be written through, so that a view cached
-    on the index cannot go stale by a write into the index's arrays."""
-    view = a.view()
-    view.flags.writeable = False
-    return view
+def _read_only_copy(a, dtype) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``: the bucket view cached on an
+    index cannot go stale, neither by a write into the index's arrays nor by
+    the caller writing into the arrays it built the index from."""
+    copy = np.array(a, dtype=dtype, order="C")
+    copy.flags.writeable = False
+    return copy
 
 
 # search scans the rows instead of the buckets when more than this share of
@@ -152,7 +153,8 @@ BUCKET_SEARCH_MAX_DISTINCT = 0.3
 class CodeIndex:
     """Immutable parallel arrays of codes, ids, and optional label rows.
 
-    The fields cannot be reassigned, and the arrays are read-only views.
+    The fields cannot be reassigned, and the arrays are read-only copies of
+    the ones given.
 
     ``search`` works on the index's bucket view (see ``Buckets``) when at
     most ``BUCKET_SEARCH_MAX_DISTINCT`` of its codes are distinct.  The view
@@ -165,20 +167,20 @@ class CodeIndex:
     labels: np.ndarray | None = None   # (n, C) bool, as in data.Dataset
 
     def __post_init__(self):
-        words = np.ascontiguousarray(self.words, dtype="<u8")
-        ids = np.asarray(self.ids, dtype=np.int64)
+        words = _read_only_copy(self.words, "<u8")
+        ids = _read_only_copy(self.ids, np.int64)
         if words.ndim != 2 or words.shape[1] != _n_words(self.nbits):
             raise DimensionMismatch("words shape does not match nbits")
         if ids.shape != (words.shape[0],):
             raise DimensionMismatch("ids and codes must be parallel arrays")
-        object.__setattr__(self, "words", _read_only(words))
-        object.__setattr__(self, "ids", _read_only(ids))
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "ids", ids)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=bool)
+            labels = _read_only_copy(self.labels, bool)
             if labels.ndim != 2 or len(labels) != len(ids):
                 raise DimensionMismatch("labels must be an (n, C) matrix parallel "
                                         "to the codes")
-            object.__setattr__(self, "labels", _read_only(labels))
+            object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -474,7 +476,6 @@ def load_codes(path) -> CodeIndex:
         )
     rec = np.frombuffer(blob, dtype="<u8", offset=_HEADER.size).reshape(n, W + 1)
     tail = nbits % WORD_BITS
-    words = np.ascontiguousarray(rec[:, 1:])
-    if tail and np.any(words[:, -1] >> np.uint64(tail)):
+    if tail and np.any(rec[:, -1] >> np.uint64(tail)):
         raise ParseError("non-canonical padding bits in code records")
-    return CodeIndex(words, rec[:, 0].astype(np.int64), nbits)
+    return CodeIndex(rec[:, 1:], rec[:, 0], nbits)     # copied by the index

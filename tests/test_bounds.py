@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scdh import bounds
-from scdh.errors import LabelSetError, PreconditionError
+from scdh import bounds, cli
+from scdh.errors import DimensionMismatch, LabelSetError, PreconditionError
 from scdh.losses import margin_loss, softmax_loss
 
 
@@ -66,6 +66,32 @@ class TestLabeledCodeSet:
         with pytest.raises(LabelSetError):
             bounds.LabeledCodeSet(np.ones((2, 2)),
                                   (frozenset({0}), frozenset()), 2)
+
+
+    def test_label_vector_validated(self):
+        codes = np.ones((3, 2))
+        for bad in ([0, 2, 1], [-1, 0, 1]):
+            with pytest.raises(LabelSetError):
+                bounds.LabeledCodeSet.from_single_labels(codes, bad, 2)
+        with pytest.raises(DimensionMismatch):
+            bounds.LabeledCodeSet.from_single_labels(codes, [0, 1], 2)
+
+    def test_label_forms_agree(self):
+        y = np.array([1, 0, 1, 2])
+        vec = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 3)
+        sets = bounds.LabeledCodeSet(np.ones((4, 2)),
+                                     tuple(frozenset({int(l)}) for l in y), 3)
+        for cs in (vec, sets):
+            assert cs.labels.tolist() == (y[:, None] == np.arange(3)).tolist()
+            assert cs.single_labels().tolist() == y.tolist()
+            assert not cs.is_balanced()
+            with pytest.raises(ValueError, match="read-only"):
+                cs.labels[0, 0] = True
+        y[0] = 0                    # the set keeps its own copy
+        assert vec.single_labels()[0] == 1
+        multi = bounds.LabeledCodeSet(np.ones((2, 2)), (frozenset({0, 1}), frozenset({1})), 2)
+        assert multi.labels.tolist() == [[True, True], [False, True]]
+        assert not multi.is_balanced()
 
 
 class TestBruteForce:
@@ -453,10 +479,14 @@ class TestRowBlocksMatchReference:
     @given(labeled_sets())
     def test_softmax_background(self, case):
         cs, centers = case
-        D = bounds._pairwise_distances(cs.codes)
-        Dc = bounds._code_center_distances(cs.codes, centers)
-        got = bounds._softmax_background_triplet_loss(D, Dc, cs.single_labels())
-        assert got == ref_softmax_background_triplet_loss(cs, centers)
+        y = cs.single_labels()
+        args = (cs.codes[None], y, cs.label_count, centers[None], softmax_loss())
+        if np.unique(y).size < 2:
+            with pytest.raises(PreconditionError):
+                bounds._unary_sides(*args)
+            return
+        lhs = bounds._unary_sides(*args)[0]
+        assert lhs.tolist() == [ref_softmax_background_triplet_loss(cs, centers)]
 
     @settings(max_examples=200, deadline=None)
     @given(labeled_sets())
@@ -486,6 +516,138 @@ class TestRowBlocksMatchReference:
         assert np.array_equal(D, want)
         i, j = rng.integers(0, 150, 500), rng.integers(0, 150, 500)
         assert np.array_equal(bounds._pair_distances(codes, i, j, chunk=64), D[i, j])
+
+
+def ref_random_bound_instance(rng, classes, max_n, max_r):
+    """The verify-bounds draw as written with ``rng.choice``."""
+    C = int(rng.choice(list(classes)))
+    per_class = int(rng.integers(1, max(max_n // C, 1) + 1))
+    r = int(rng.integers(2, max_r + 1))
+    codes = rng.choice([-1.0, 1.0], size=(C * per_class, r))
+    labels = np.repeat(np.arange(C), per_class)
+    centers = rng.normal(0.0, 2.0, (r, C))
+    return bounds.LabeledCodeSet.from_single_labels(codes, labels, C), centers
+
+
+@st.composite
+def code_stacks(draw):
+    """(b, n, r) code stacks sharing one shuffled balanced label vector, with
+    per-class counts from 1, +/-1 or real codes, and their (b, r, C) centers."""
+    C = draw(st.integers(2, 5))
+    per_class = draw(st.integers(1, 4))
+    b = draw(st.sampled_from([1, 2, 7]))
+    r = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.repeat(np.arange(C), per_class)
+    if draw(st.booleans()):
+        y = rng.permutation(y)
+    shape = (b, y.size, r)
+    if draw(st.booleans()):
+        codes = np.array([-1.0, 1.0])[rng.integers(0, 2, shape)]
+    else:
+        codes = rng.normal(0, 1.5, shape)
+    return codes, y, C, rng.normal(0, 2, (b, r, C))
+
+
+class TestUnaryStackMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(code_stacks())
+    def test_stack_equals_single_checks_and_reference(self, case):
+        codes, y, C, centers = case
+        for kind in KINDS:
+            got = bounds.unary_upper_bounds(codes, y, C, centers, kind)
+            assert len(got) == len(codes)
+            for t, rep in enumerate(got):
+                cs = bounds.LabeledCodeSet.from_single_labels(codes[t], y, C)
+                assert rep.to_dict() == \
+                    bounds.unary_upper_bound(cs, centers[t], kind).to_dict()
+                want = (ref_softmax_background_triplet_loss(cs, centers[t])
+                        if kind.kind == "softmax" else ref_brute_force_triplet_loss(cs, kind))
+                assert rep.brute_force_loss == want
+                assert rep.lambda_estimate == bounds.estimate_lambda(cs, centers[t], kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(code_stacks())
+    def test_memory_layout_does_not_change_bits(self, case):
+        codes, y, C, centers = case
+        fortran = np.asfortranarray(codes)
+        transposed = np.ascontiguousarray(codes.transpose(0, 2, 1)).transpose(0, 2, 1)
+        wide = np.repeat(centers, 2, axis=2)[:, :, ::2]       # a strided view
+        assert not wide.flags.c_contiguous
+        assert min(codes.shape[1:]) == 1 or not transposed.flags.c_contiguous
+        for kind in KINDS:
+            want = [r.to_dict() for r in bounds.unary_upper_bounds(codes, y, C, centers, kind)]
+            for c, z in ((fortran, centers), (transposed, wide), (codes, wide)):
+                got = bounds.unary_upper_bounds(c, y, C, z, kind)
+                assert [r.to_dict() for r in got] == want
+            single = bounds.LabeledCodeSet.from_single_labels(np.asfortranarray(codes[0]), y, C)
+            assert bounds.unary_upper_bound(single, wide[0], kind).to_dict() == want[0]
+
+    def test_stack_worked_in_pieces(self, rng, monkeypatch):
+        codes = rng.normal(0, 1, (9, 6, 4))
+        centers = rng.normal(0, 2, (9, 4, 3))
+        y = np.array([2, 0, 1, 1, 2, 0])
+        want = bounds.unary_upper_bounds(codes, y, 3, centers, softmax_loss())
+        monkeypatch.setattr(bounds, "UNARY_STACK_FLOATS", 2 * 6 * 6 * 6)
+        got = bounds.unary_upper_bounds(codes, y, 3, centers, softmax_loss())
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert bounds.unary_upper_bounds(codes[:0], y, 3, centers[:0], softmax_loss()) == []
+
+    def test_stack_rejects_bad_input(self, rng):
+        codes = rng.normal(0, 1, (2, 4, 3))
+        centers = rng.normal(0, 2, (2, 3, 2))
+        kind = margin_loss(1.0)
+        with pytest.raises(PreconditionError):                   # not balanced
+            bounds.unary_upper_bounds(codes, [0, 0, 0, 1], 2, centers, kind)
+        with pytest.raises(LabelSetError):
+            bounds.unary_upper_bounds(codes, [0, 1, 0, 2], 2, centers, kind)
+        with pytest.raises(DimensionMismatch):
+            bounds.unary_upper_bounds(codes, [0, 1, 0, 1], 2, centers[:, :2], kind)
+        with pytest.raises(DimensionMismatch):
+            bounds.unary_upper_bounds(codes[0], [0, 1, 0, 1], 2, centers, kind)
+        with pytest.raises(PreconditionError):                   # over the cap
+            bounds.unary_upper_bounds(codes, [0, 1, 0, 1], 2, centers, kind, max_n=3)
+
+    def test_row_blocks_are_cached_read_only(self):
+        y = np.array([1, 0, 1, 0, 2, 2])
+        blocks = bounds._row_blocks(y)
+        assert bounds._row_blocks(y.astype(np.int32)) is blocks
+        (rows, sim, dis, sim_at, dis_at), = blocks
+        assert rows.tolist() == list(range(6))
+        assert sim.tolist() == [[2], [3], [0], [1], [5], [4]]
+        assert dis[0].tolist() == [1, 3, 4, 5]
+        assert np.array_equal(sim_at, rows[:, None] * 6 + sim)
+        assert np.array_equal(dis_at, rows[:, None] * 6 + dis)
+        with pytest.raises(ValueError, match="read-only"):
+            sim[0, 0] = 1
+        for one_label in ([3], [2, 2, 2]):
+            with pytest.raises(PreconditionError):
+                bounds._row_blocks(np.array(one_label))
+
+
+class TestBoundDraws:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_draws_continue_the_choice_stream(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            cs, centers = cli.random_bound_instance(rng, (2, 3, 4), 12, 16)
+            want, want_centers = ref_random_bound_instance(ref, (2, 3, 4), 12, 16)
+            assert cs.label_count == want.label_count
+            assert np.array_equal(cs.codes, want.codes)
+            assert np.array_equal(cs.labels, want.labels)
+            assert np.array_equal(cs.single_labels(), want.single_labels())
+            assert np.array_equal(centers, want_centers)
+
+    @pytest.mark.parametrize("kind", [margin_loss(1.0), softmax_loss()])
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_suite_reports_each_draw_in_order(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(cli, "BOUND_DRAW_CHUNK", chunk)
+        got = cli.run_bound_suite(150, (2, 3, 4), 12, 16, kind, seed=3)
+        rng = np.random.default_rng(3)
+        want = [bounds.unary_upper_bound(*ref_random_bound_instance(rng, (2, 3, 4), 12, 16),
+                                         kind) for _ in range(150)]
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert cli.run_bound_suite(0, (2, 3, 4), 12, 16, kind, seed=3) == []
 
 
 class TestMonteCarloMatchesReference:
@@ -522,6 +684,7 @@ class TestMonteCarloMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 14), st.integers(2, 7), st.integers(1, 40),
            st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32 - 1))
+    @example(n=1, C=4, b=1, p=0.2, seed=0)      # a one-element (b, n) power
     def test_trial_sides(self, n, C, b, p, seed):
         rng = np.random.default_rng(seed)
         codes = rng.normal(0, 1, (n, 4))
@@ -561,6 +724,18 @@ class TestToyCellMatchesReference:
         want = [ref_toy_cell(cfg, s, d, ss) for (s, d), ss in zip(cells, children)]
         assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
 
+    @pytest.mark.parametrize("kw", [
+        dict(samples_per_cluster=40, triplet_samples=20_000),    # table
+        dict(samples_per_cluster=60, triplet_samples=3_001),     # pairs
+    ])
+    def test_cells_in_chunks(self, kw, monkeypatch):
+        # chunks that do not divide T; each mean still runs over all T terms
+        monkeypatch.setattr(bounds, "TOY_CHUNK", 999)
+        cfg = bounds.ToyConfig(sigma_grid=(0.3,), d_grid=(4.0,), seed=5, **kw)
+        got = bounds.toy_lambda_grid(cfg)
+        seed_seq, = np.random.SeedSequence(cfg.seed).spawn(1)
+        assert [c.to_dict() for c in got] == [ref_toy_cell(cfg, 0.3, 4.0, seed_seq).to_dict()]
+
     def test_sampled_cell_memory(self):
         # the (T, r) gathers of the reference peak at ~162 MB here
         cfg = bounds.ToyConfig(sigma_grid=(1.5,), d_grid=(4.0,), seed=0,
@@ -573,6 +748,19 @@ class TestToyCellMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 2**20
+
+    def test_sampled_cell_memory_at_a_million_triplets(self):
+        # the three (T,) index draws and the two (T,) term arrays are whole;
+        # everything else is a chunk at a time (~97 MB with whole-array steps)
+        cfg = bounds.ToyConfig(sigma_grid=(1.5,), d_grid=(4.0,), seed=0,
+                               triplet_samples=1_000_000)
+        tracemalloc.start()
+        try:
+            bounds._toy_cell(cfg, 1.5, 4.0, np.random.SeedSequence(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
 
     @pytest.mark.parametrize("kw", [dict(C=1), dict(C=3, r=2),
                                     dict(samples_per_cluster=1),

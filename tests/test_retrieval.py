@@ -612,6 +612,22 @@ class TestBucketSearch:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
+    def test_index_copies_the_callers_arrays(self):
+        # 10 rows, 9 of them code 1: a write into the caller's arrays after a
+        # search must not reach the index or its cached bucket view
+        w = np.array([[1]] * 9 + [[2]], dtype=np.uint64)
+        ids = np.arange(10)
+        labels = np.ones((10, 2), dtype=bool)
+        index = rt.CodeIndex(w, ids, 8, labels)
+        query = rt.HashCode(np.array([1], dtype=np.uint64), 8)
+        assert rt.search(query, index, 2) == [(0, 0), (1, 0)]
+        w[:2] = 8
+        ids[0] = 99
+        labels[:] = False
+        assert rt.search(query, index, 2) == [(0, 0), (1, 0)]
+        assert index.ids[0] == 0 and index.labels.all()
+        assert rt.search(query, rt.CodeIndex(w, ids, 8), 2) == [(2, 0), (3, 0)]
+
     @pytest.mark.parametrize("duplicated", [True, False])
     def test_view_built_once(self, rng, monkeypatch, duplicated):
         bits = rng.random((200, 24)) < 0.5
