@@ -60,9 +60,9 @@ TOY_CHUNK = 1 << 15
 class LabeledCodeSet:
     """Codes (real or +/-1 valued) with their labels.
 
-    ``labels`` is given as one label set per row, or as an (n,) integer
-    vector when each row has one label; it is kept as the read-only (n, C)
-    bool membership matrix.
+    ``labels`` is given as one label set per row or as the (n, C) bool
+    membership matrix, and kept as a read-only copy of that matrix;
+    ``from_single_labels`` takes an (n,) label vector.
     """
 
     codes: np.ndarray                       # (n, r) float64, C-contiguous
@@ -81,30 +81,29 @@ class LabeledCodeSet:
         if codes.ndim != 2:
             raise DimensionMismatch("codes must be an (n, r) matrix")
         n, C = codes.shape[0], self.label_count
-        single = None
         if isinstance(self.labels, np.ndarray):
-            single = self.labels.astype(np.int64)
-            if single.shape != (n,):
-                raise DimensionMismatch("one label per code row required")
-            bad = single[(single < 0) | (single >= C)]
-            if bad.size:
-                raise LabelSetError(f"label {bad[0]} out of range for C={C}")
-            member = single[:, None] == np.arange(C)
+            if self.labels.dtype != bool:
+                raise LabelSetError("labels must be label sets or an (n, C) bool matrix, "
+                                    f"not {self.labels.dtype}; see from_single_labels")
+            if self.labels.shape != (n, C):
+                raise DimensionMismatch(f"labels must be an ({n}, {C}) bool matrix, "
+                                        f"got {self.labels.shape}")
+            member = np.array(self.labels, order="C")
         else:
             if len(self.labels) != n:
                 raise DimensionMismatch("one label set per code row required")
             member = np.zeros((n, C), dtype=bool)
             for i, Y in enumerate(self.labels):
-                if not Y:
-                    raise LabelSetError("empty label set in code set")
-                if min(Y) < 0 or max(Y) >= C:
+                if Y and (min(Y) < 0 or max(Y) >= C):
                     raise LabelSetError(f"label set {set(Y)} out of range for C={C}")
                 member[i, list(Y)] = True
-            if (member.sum(axis=1) == 1).all():
-                single = member.argmax(axis=1)
+        sizes = member.sum(axis=1)
+        if not sizes.all():
+            raise LabelSetError(f"row {int(np.argmin(sizes))} has no label in 0..{C - 1}")
         member.flags.writeable = False
         object.__setattr__(self, "labels", member)
-        if single is not None:
+        if (sizes == 1).all():
+            single = member.argmax(axis=1)
             single.flags.writeable = False
             object.__setattr__(self, "_single", single)
             counts = np.bincount(single, minlength=C)
@@ -130,7 +129,10 @@ class LabeledCodeSet:
                            balanced: bool = False) -> "LabeledCodeSet":
         labels = np.asarray(labels, dtype=np.int64)
         C = int(label_count if label_count is not None else labels.max() + 1)
-        return cls(codes, labels, C, balanced)
+        if labels.ndim != 1:
+            raise DimensionMismatch("one label per code row required")
+        # a label outside 0..C-1 leaves its row empty, which the set rejects
+        return cls(codes, labels[:, None] == np.arange(C), C, balanced)
 
 
 @dataclass
@@ -401,8 +403,7 @@ def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
 
 
 def unary_upper_bounds(codes, labels, label_count: int, centers,
-                       kind: TripletLossKind,
-                       max_n: int = DEFAULT_TRIPLET_CAP) -> list[BoundReport]:
+                       kind: TripletLossKind) -> list[BoundReport]:
     """``unary_upper_bound`` of each set in a (b, n, r) stack of codes that
     share one balanced (n,) label vector, with their centers stacked
     (b, r, C).
@@ -417,7 +418,7 @@ def unary_upper_bounds(codes, labels, label_count: int, centers,
         return []
     labeled = LabeledCodeSet.from_single_labels(codes[0], labels, label_count)
     return _unary_reports(codes, labeled, np.ascontiguousarray(centers, dtype=np.float64),
-                          kind, max_n)
+                          kind, DEFAULT_TRIPLET_CAP)
 
 
 def _unary_reports(codes: np.ndarray, labeled: LabeledCodeSet, centers: np.ndarray,

@@ -483,7 +483,7 @@ def _labels_for(codes: retrieval.CodeIndex, ds: data.Dataset, what: str):
     labels = ds.labels[order[pos]]
     if not labels.any(axis=1).all():
         raise ValidationError(f"{what}: unlabeled samples cannot be evaluated")
-    return retrieval.CodeIndex(codes.words, codes.ids, codes.nbits, labels)
+    return retrieval.CodeIndex._adopt(codes.words, codes.ids, codes.nbits, labels)
 
 
 def cmd_eval(cfg: dict, run: Run):

@@ -133,13 +133,14 @@ class Buckets(NamedTuple):
                 "constant_bits": np.flatnonzero(~unpack_bits(varying, self.nbits)).tolist()}
 
 
-def _read_only_copy(a, dtype) -> np.ndarray:
-    """A read-only C-ordered copy of ``a``: the bucket view cached on an
-    index cannot go stale, neither by a write into the index's arrays nor by
-    the caller writing into the arrays it built the index from."""
-    copy = np.array(a, dtype=dtype, order="C")
-    copy.flags.writeable = False
-    return copy
+def _read_only(a, dtype, copy: bool) -> np.ndarray:
+    """``a`` as a read-only C-ordered array; a copy when ``copy`` is set or
+    its dtype or layout differ.  The bucket view cached on an index cannot
+    go stale, neither by a write into the index's arrays nor, where the
+    arrays are copied, by the caller writing into the ones it passed."""
+    a = np.array(a, dtype=dtype, order="C") if copy else np.ascontiguousarray(a, dtype)
+    a.flags.writeable = False
+    return a
 
 
 # search scans the rows instead of the buckets when more than this share of
@@ -154,7 +155,7 @@ class CodeIndex:
     """Immutable parallel arrays of codes, ids, and optional label rows.
 
     The fields cannot be reassigned, and the arrays are read-only copies of
-    the ones given.
+    the ones given, so a caller's later write cannot reach them.
 
     ``search`` works on the index's bucket view (see ``Buckets``) when at
     most ``BUCKET_SEARCH_MAX_DISTINCT`` of its codes are distinct.  The view
@@ -167,8 +168,23 @@ class CodeIndex:
     labels: np.ndarray | None = None   # (n, C) bool, as in data.Dataset
 
     def __post_init__(self):
-        words = _read_only_copy(self.words, "<u8")
-        ids = _read_only_copy(self.ids, np.int64)
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, words, ids, nbits: int, labels=None) -> "CodeIndex":
+        """An index over arrays no caller can still write into (fresh
+        gathers, or another index's arrays): they are made read-only, not
+        copied."""
+        index = cls.__new__(cls)
+        for name, value in (("words", words), ("ids", ids), ("nbits", nbits),
+                            ("labels", labels)):
+            object.__setattr__(index, name, value)
+        index._freeze(copy=False)
+        return index
+
+    def _freeze(self, copy: bool):
+        words = _read_only(self.words, "<u8", copy)
+        ids = _read_only(self.ids, np.int64, copy)
         if words.ndim != 2 or words.shape[1] != _n_words(self.nbits):
             raise DimensionMismatch("words shape does not match nbits")
         if ids.shape != (words.shape[0],):
@@ -176,7 +192,7 @@ class CodeIndex:
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "ids", ids)
         if self.labels is not None:
-            labels = _read_only_copy(self.labels, bool)
+            labels = _read_only(self.labels, bool, copy)
             if labels.ndim != 2 or len(labels) != len(ids):
                 raise DimensionMismatch("labels must be an (n, C) matrix parallel "
                                         "to the codes")
@@ -336,7 +352,7 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
     qm = queries.label_masks(C)
     by_id = np.argsort(index.ids, kind="stable")
     dm = index.label_masks(C)[by_id]
-    db = CodeIndex(index.words[by_id], index.ids[by_id], index.nbits)
+    db = CodeIndex._adopt(index.words[by_id], index.ids[by_id], index.nbits)
     nq = queries.n
     out = _Ranking(np.zeros(nq, np.int64), np.zeros(nq), np.zeros(nq) if k else None,
                    np.zeros(nq, np.int64), np.zeros(nq, np.int64), list(ks), np.zeros(len(ks)))
@@ -478,4 +494,5 @@ def load_codes(path) -> CodeIndex:
     tail = nbits % WORD_BITS
     if tail and np.any(rec[:, -1] >> np.uint64(tail)):
         raise ParseError("non-canonical padding bits in code records")
-    return CodeIndex(rec[:, 1:], rec[:, 0], nbits)     # copied by the index
+    # the strided record columns are gathered into contiguous arrays
+    return CodeIndex._adopt(rec[:, 1:], rec[:, 0], nbits)

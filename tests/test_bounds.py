@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -92,6 +93,37 @@ class TestLabeledCodeSet:
         multi = bounds.LabeledCodeSet(np.ones((2, 2)), (frozenset({0, 1}), frozenset({1})), 2)
         assert multi.labels.tolist() == [[True, True], [False, True]]
         assert not multi.is_balanced()
+
+    def test_stored_matrix_round_trips(self):
+        y = np.array([1, 0, 1, 0])
+        for cs in (bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 2, balanced=True),
+                   bounds.LabeledCodeSet(np.ones((4, 2)), (frozenset({0, 1}), frozenset({1}),
+                                                           frozenset({0}), frozenset({1})), 2)):
+            again = dataclasses.replace(cs, codes=np.zeros((4, 2)))
+            assert np.array_equal(again.labels, cs.labels)
+            assert again.labels is not cs.labels and not again.labels.flags.writeable
+            assert again.is_balanced() == cs.is_balanced()
+            if cs.is_balanced():
+                assert again.single_labels().tolist() == y.tolist()
+        matrix = np.array([[True, False], [False, True], [True, True]])
+        cs = bounds.LabeledCodeSet(np.ones((3, 2)), matrix, 2)
+        matrix[0] = False                       # the set keeps its own copy
+        assert cs.labels[0].tolist() == [True, False]
+
+    def test_label_arrays_validated(self):
+        codes = np.ones((3, 2))
+        for bad in (np.array([0, 1, 0]), np.array([[0, 1]] * 3), np.ones((3, 2))):
+            with pytest.raises(LabelSetError, match="bool matrix"):   # not bool
+                bounds.LabeledCodeSet(codes, bad, 2)
+        for bad in (np.array([True, False, True]), np.ones((3, 3), dtype=bool),
+                    np.ones((2, 2), dtype=bool)):
+            with pytest.raises(DimensionMismatch):
+                bounds.LabeledCodeSet(codes, bad, 2)
+        with pytest.raises(LabelSetError, match="row 1 has no label"):
+            bounds.LabeledCodeSet(codes, np.array([[True, False], [False, False],
+                                                   [False, True]]), 2)
+        with pytest.raises(DimensionMismatch):
+            bounds.LabeledCodeSet.from_single_labels(codes, [[0], [1], [0]], 2)
 
 
 class TestBruteForce:
@@ -605,8 +637,10 @@ class TestUnaryStackMatchesReference:
             bounds.unary_upper_bounds(codes, [0, 1, 0, 1], 2, centers[:, :2], kind)
         with pytest.raises(DimensionMismatch):
             bounds.unary_upper_bounds(codes[0], [0, 1, 0, 1], 2, centers, kind)
-        with pytest.raises(PreconditionError):                   # over the cap
-            bounds.unary_upper_bounds(codes, [0, 1, 0, 1], 2, centers, kind, max_n=3)
+        over = bounds.DEFAULT_TRIPLET_CAP + 1                    # 65 = 5 x 13 rows
+        with pytest.raises(PreconditionError, match="cap"):
+            bounds.unary_upper_bounds(np.ones((2, over, 3)), np.repeat(np.arange(5), 13),
+                                      5, np.zeros((2, 3, 5)), kind)
 
     def test_row_blocks_are_cached_read_only(self):
         y = np.array([1, 0, 1, 0, 2, 2])

@@ -628,6 +628,24 @@ class TestBucketSearch:
         assert index.ids[0] == 0 and index.labels.all()
         assert rt.search(query, rt.CodeIndex(w, ids, 8), 2) == [(2, 0), (3, 0)]
 
+    def test_private_paths_share_arrays(self, tmp_path, rng):
+        # load_codes, eval's relabelling and evaluate's id-ordered copy take
+        # arrays no caller holds: they are made read-only, not copied again
+        bits = rng.random((12, 8)) < 0.5
+        ids = rng.permutation(12)
+        rt.save_codes(rt.CodeIndex(rt.pack_bits(bits), ids, 8), tmp_path / "c.bin")
+        loaded = rt.load_codes(tmp_path / "c.bin")
+        assert loaded.ids.tolist() == ids.tolist()
+        labels = bits[:, :3].copy()
+        labels[:, 0] = True
+        again = rt.CodeIndex._adopt(loaded.words, loaded.ids, 8, labels)
+        assert again.words is loaded.words and again.ids is loaded.ids
+        assert again.labels is labels and not labels.flags.writeable
+        for array in (loaded.words, loaded.ids):
+            assert array.flags.c_contiguous and not array.flags.writeable
+        with pytest.raises(DimensionMismatch):
+            rt.CodeIndex._adopt(loaded.words, loaded.ids[1:], 8)
+
     @pytest.mark.parametrize("duplicated", [True, False])
     def test_view_built_once(self, rng, monkeypatch, duplicated):
         bits = rng.random((200, 24)) < 0.5
