@@ -4,11 +4,14 @@ Codes are packed LSB-first into little-endian 64-bit words (bit i of a code
 lives in word i // 64 at bit position i % 64), with unused high bits of the
 last word forced to zero so equal codes are byte-identical.  Search orders
 by (distance, id).  It works on the index's distinct codes: trained codes
-form a few compact clusters, so many rows share one code.  It XOR-popcounts
-each distinct code once, counts the rows at each distance to find the k-th
+form a few compact clusters, so many rows share one code, and many queries
+carry a database code.  A query whose code has a bucket of at least k rows
+is answered by one hash-table lookup.  Any other query XOR-popcounts each
+distinct code once, counts the rows at each distance to find the k-th
 smallest, and sorts at most k ids from each code within it.  An index whose
 codes are mostly distinct is scanned row by row instead.  The metrics rank
-the database once per query and all reduce that one ranking.
+the database once per distinct (query code, label row) and all reduce that
+one ranking.
 """
 
 from __future__ import annotations
@@ -157,9 +160,10 @@ class CodeIndex:
     The fields cannot be reassigned, and the arrays are read-only copies of
     the ones given, so a caller's later write cannot reach them.
 
-    ``search`` works on the index's bucket view (see ``Buckets``) when at
-    most ``BUCKET_SEARCH_MAX_DISTINCT`` of its codes are distinct.  The view
-    is built on the first search and cached; it is not part of the code file.
+    ``search`` works on the index's bucket view (see ``Buckets``) and a
+    table from each distinct code to its bucket when at most
+    ``BUCKET_SEARCH_MAX_DISTINCT`` of its codes are distinct.  Both are
+    built on the first search and cached; they are not part of the code file.
     """
 
     words: np.ndarray        # (n, W) uint64
@@ -208,10 +212,15 @@ class CodeIndex:
         return cls(binarize_batch(F), np.asarray(ids, dtype=np.int64), F.shape[1], labels)
 
     @cached_property
-    def _search_buckets(self) -> Buckets | None:
-        """The bucket view search uses, or None where it scans the rows."""
+    def _search_buckets(self) -> tuple[Buckets, dict] | None:
+        """The bucket view search uses and its exact-code table, which maps
+        the bytes of each distinct code to its bucket's (start, size); None
+        where search scans the rows."""
         view = Buckets.of(self)
-        return view if len(view.sizes) <= BUCKET_SEARCH_MAX_DISTINCT * self.n else None
+        if len(view.sizes) > BUCKET_SEARCH_MAX_DISTINCT * self.n:
+            return None
+        return view, dict(zip(map(bytes, view.words),
+                              zip(view.starts.tolist(), view.sizes.tolist())))
 
     def label_masks(self, C: int) -> np.ndarray:
         """Label rows as (n, ceil(C/64)) uint64 bitmasks for fast overlap tests."""
@@ -242,7 +251,7 @@ def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
     """k nearest codes by Hamming distance, ties broken by ascending id.
 
     The first call on an index builds its bucket view (one lexsort of the
-    rows); later calls reuse it.
+    rows) and code table; later calls reuse them.
     """
     if index.n == 0:
         raise PreconditionError("cannot search an empty index")
@@ -254,9 +263,15 @@ def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
         raise PreconditionError(f"k={k} is negative")
     if k == 0:
         return []
-    view = index._search_buckets
-    if view is None:
+    buckets = index._search_buckets
+    if buckets is None:
         return _scan_search(query, index, k)
+    view, table = buckets
+    # a query whose code has a bucket of k or more rows is answered by the
+    # bucket's first k ids: it alone lies at distance 0, its ids ascending
+    start, size = table.get(query.words.tobytes(), (0, 0))
+    if size >= k:
+        return [(i, 0) for i in view.ids[start:start + k].tolist()]
     # the answer lies within the smallest distance t that at least k rows
     # reach; a bucket within t gives at most its k smallest ids
     dists = _distances(view.words, query.words, index.nbits)
@@ -273,19 +288,12 @@ def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
 def _scan_search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
     """search over every row, for indices whose codes are mostly distinct."""
     dists = distances_to_index(query.words, index)
-    # distances lie in 0..r: the answer is within the smallest distance t
-    # that at least k codes reach, so only those codes need sorting; t is
-    # found by binary search over 0..r, one count per step
-    lo, hi = 0, index.nbits
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if np.count_nonzero(dists <= mid) >= k:
-            hi = mid
-        else:
-            lo = mid + 1
-    near = np.flatnonzero(dists <= lo)
+    # the answer lies within the smallest distance t that at least k codes
+    # reach, so only those codes need sorting
+    t = int(np.searchsorted(np.cumsum(np.bincount(dists)), k))
+    near = np.flatnonzero(dists <= t)
     order = near[np.lexsort((index.ids[near], dists[near]))][:k]
-    return [(int(index.ids[i]), int(dists[i])) for i in order]
+    return list(zip(index.ids[order].tolist(), dists[order].tolist()))
 
 
 def _check_ks(ks: Sequence[int], n: int) -> list[int]:
@@ -342,9 +350,13 @@ class _Ranking:
 
 def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
           radius: int = 2, ks: Sequence[int] = ()) -> _Ranking:
-    """Rank the database once per query and reduce each ranking to numbers.
+    """Rank the database once per distinct query and reduce each ranking to
+    numbers.
 
-    A query or database row with no label shares no label with anything.
+    Queries with one code and one label row rank alike, so each distinct
+    (code, label row) pair is ranked once and its numbers are handed to
+    every query that has it.  A query or database row with no label shares
+    no label with anything.
     """
     if queries.labels is None or index.labels is None:
         raise PreconditionError("metrics require labels on both sides")
@@ -353,29 +365,36 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
     by_id = np.argsort(index.ids, kind="stable")
     dm = index.label_masks(C)[by_id]
     db = CodeIndex._adopt(index.words[by_id], index.ids[by_id], index.nbits)
-    nq = queries.n
-    out = _Ranking(np.zeros(nq, np.int64), np.zeros(nq), np.zeros(nq) if k else None,
-                   np.zeros(nq, np.int64), np.zeros(nq, np.int64), list(ks), np.zeros(len(ks)))
-    ks = np.asarray(ks, dtype=np.int64)
-    for qi in range(nq):
+    _, first, inverse = np.unique(np.concatenate([queries.words, qm], axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    inverse = inverse.ravel()       # numpy 2 may return it as a column
+    ng = len(first)
+    relevant, ball, ball_relevant = (np.zeros(ng, np.int64) for _ in range(3))
+    ap, ap_at_k, topk = np.zeros(ng), np.zeros(ng), np.zeros((ng, len(ks)))
+    ks_at = np.asarray(ks, dtype=np.int64)
+    for g, qi in enumerate(first):
         dists = distances_to_index(queries.words[qi], db)
-        relevant = (dm & qm[qi][None, :]).any(axis=1)
+        rel = (dm & qm[qi][None, :]).any(axis=1)
         inside = dists <= radius
-        out.ball[qi] = np.count_nonzero(inside)
-        out.ball_relevant[qi] = np.count_nonzero(relevant & inside)
+        ball[g] = np.count_nonzero(inside)
+        ball_relevant[g] = np.count_nonzero(rel & inside)
         # with the database in id order, a stable sort ranks by (distance, id)
         order = np.argsort(dists, kind="stable")
-        hits = np.flatnonzero(relevant[order]) + 1       # ranks of the relevant items
-        out.relevant[qi] = len(hits)
-        out.topk_sums += np.searchsorted(hits, ks, side="right") / ks
+        hits = np.flatnonzero(rel[order]) + 1       # ranks of the relevant items
+        relevant[g] = len(hits)
+        topk[g] = np.searchsorted(hits, ks_at, side="right") / ks_at
         if not len(hits):
             continue
         precisions = np.arange(1, len(hits) + 1) / hits
-        out.ap[qi] = precisions.sum() / len(hits)
+        ap[g] = precisions.sum() / len(hits)
         if k:
             top = np.searchsorted(hits, k, side="right")
-            out.ap_at_k[qi] = precisions[:top].sum() / min(k, len(hits))
-    return out
+            ap_at_k[g] = precisions[:top].sum() / min(k, len(hits))
+    # the top-k sums add the queries' precisions one at a time in query
+    # order, from zero: an accumulate runs in that order, a sum pairwise
+    topk_sums = np.cumsum(np.vstack([np.zeros(len(ks)), topk[inverse]]), axis=0)[-1]
+    return _Ranking(relevant[inverse], ap[inverse], ap_at_k[inverse] if k else None,
+                    ball[inverse], ball_relevant[inverse], list(ks), topk_sums)
 
 
 def mean_average_precision(queries: CodeIndex, index: CodeIndex,

@@ -389,6 +389,50 @@ def ref_topk_precision_curve(queries, index, ks):
     return [(k, float(s / count)) for k, s in zip(ks, sums)]
 
 
+def ref_rank(queries, index, k=None, radius=2, ks=()):
+    """The per-query ranking loop that ranked every query, duplicates too,
+    adding each query's top-k precisions to the sums in query order."""
+    C = queries.labels.shape[1]
+    qm = queries.label_masks(C)
+    by_id = np.argsort(index.ids, kind="stable")
+    dm = index.label_masks(C)[by_id]
+    words = index.words[by_id]
+    nq = queries.n
+    out = rt._Ranking(np.zeros(nq, np.int64), np.zeros(nq), np.zeros(nq) if k else None,
+                      np.zeros(nq, np.int64), np.zeros(nq, np.int64), list(ks),
+                      np.zeros(len(ks)))
+    ks = np.asarray(ks, dtype=np.int64)
+    for qi in range(nq):
+        dists = rt._distances(words, queries.words[qi], index.nbits)
+        relevant = (dm & qm[qi][None, :]).any(axis=1)
+        inside = dists <= radius
+        out.ball[qi] = np.count_nonzero(inside)
+        out.ball_relevant[qi] = np.count_nonzero(relevant & inside)
+        order = np.argsort(dists, kind="stable")
+        hits = np.flatnonzero(relevant[order]) + 1
+        out.relevant[qi] = len(hits)
+        out.topk_sums += np.searchsorted(hits, ks, side="right") / ks
+        if not len(hits):
+            continue
+        precisions = np.arange(1, len(hits) + 1) / hits
+        out.ap[qi] = precisions.sum() / len(hits)
+        if k:
+            top = np.searchsorted(hits, k, side="right")
+            out.ap_at_k[qi] = precisions[:top].sum() / min(k, len(hits))
+    return out
+
+
+def assert_rankings_equal(got, want):
+    """Every field equal with ==: the same values, bit for bit."""
+    for field in dataclasses.fields(rt._Ranking):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if b is None or isinstance(b, list):
+            assert a == b, field.name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert (a == b).all(), field.name
+
+
 def outcome(fn, *args, **kwargs):
     """The value of a call, or the PreconditionError type it raised."""
     try:
@@ -493,6 +537,13 @@ class TestOneRankingPass:
                             lambda *a: calls.append(1) or scan(*a))
         rt.evaluate(queries, db, k=10, radius=2, ks=[1, 5, 50])
         assert len(calls) == queries.n
+        # a query repeated with its label row is ranked once
+        rows = [0, 1, 0, 2, 1, 0]
+        repeated = rt.CodeIndex(queries.words[rows], np.arange(6), 24,
+                                queries.labels[rows])
+        calls.clear()
+        rt.evaluate(repeated, db, k=10, radius=2, ks=[1, 5, 50])
+        assert len(calls) == 3
 
     def test_diagnostics_in_dict(self, rng):
         _, db = make_index(rng, 30, 16, with_labels=True)
@@ -533,6 +584,58 @@ class TestOneRankingPass:
             call(q, db)
 
 
+class TestGroupedRanking:
+    """_rank ranks each distinct (code, label row) once; every per-query
+    number and the top-k sums equal the per-query loop's bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_case(), st.integers(0, 2**32 - 1))
+    def test_equals_per_query_loop(self, case, seed):
+        queries, db, _, _, k, radius, ks = case
+        rng = np.random.default_rng(seed)
+        # repeat the queries: some keep their label row, some get another
+        # query's, some none, so one code comes with several label rows
+        rows = rng.integers(queries.n, size=3 * queries.n + 1)
+        labels = queries.labels[rows]
+        other = rng.random(len(rows)) < 0.3
+        labels[other] = queries.labels[rng.integers(queries.n, size=other.sum())]
+        labels[rng.random(len(rows)) < 0.2] = False
+        dup = rt.CodeIndex(queries.words[rows], np.arange(len(rows)), queries.nbits,
+                           labels)
+        for args in ((k, radius, ks), (None, radius, ()), (None, 2, [db.n])):
+            for q in (queries, dup):
+                assert_rankings_equal(rt._rank(q, db, *args), ref_rank(q, db, *args))
+
+    def test_one_query_many_label_rows(self):
+        # one code, 130 bits, five label rows: the groups differ only in labels
+        r, C = 130, 3
+        db_bits = np.zeros((6, r), dtype=bool)
+        db_bits[3:, :70] = True
+        labels = np.eye(C, dtype=bool)[[0, 1, 2, 0, 1, 2]]
+        db = rt.CodeIndex(rt.pack_bits(db_bits), [5, 4, 3, 2, 1, 0], r, labels)
+        q_labels = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0], [1, 1, 0]],
+                            dtype=bool)
+        queries = rt.CodeIndex(rt.pack_bits(np.zeros((5, r), dtype=bool)), np.arange(5),
+                               r, q_labels)
+        got = rt._rank(queries, db, k=3, radius=2, ks=[1, 3, 6])
+        assert_rankings_equal(got, ref_rank(queries, db, 3, 2, [1, 3, 6]))
+        assert got.relevant.tolist() == [2, 2, 2, 0, 4]
+        assert got.ap[0] == got.ap[2] and got.ap[3] == 0.0
+
+    def test_empty_queries(self, rng):
+        _, db = make_index(rng, 20, 24, with_labels=True)
+        empty = rt.CodeIndex(np.zeros((0, 1), dtype=np.uint64), np.zeros(0, np.int64),
+                             24, np.zeros((0, 4), dtype=bool))
+        assert_rankings_equal(rt._rank(empty, db, 5, 2, [1, 20]),
+                              ref_rank(empty, db, 5, 2, [1, 20]))
+        with pytest.raises(PreconditionError, match="no query has a relevant"):
+            rt.evaluate(empty, db, k=5, ks=[1, 20])
+        with pytest.raises(PreconditionError, match="no query has a relevant"):
+            rt.mean_average_precision(empty, db)
+        with pytest.raises(PreconditionError, match="all query balls are empty"):
+            rt.precision_at_radius(empty, db, empty_ball="skip")
+
+
 @st.composite
 def bucket_case(draw):
     """A database of more than 40 rows with m distinct codes, m drawn on
@@ -553,7 +656,8 @@ def bucket_case(draw):
         ids = rng.integers(0, max(1, n // 2), size=n)        # duplicate ids
     else:
         ids = rng.permutation(3 * n)[:n]                      # unsorted ids
-    q_bits = np.vstack([db_bits[rng.integers(n, size=2)], rng.random((2, r)) < 0.5])
+    # most queries carry a database code, which the exact-bucket probe answers
+    q_bits = np.vstack([db_bits[rng.integers(n, size=3)], rng.random((1, r)) < 0.5])
     k = draw(st.integers(2, n - 1))
     return rt.CodeIndex(rt.pack_bits(db_bits), ids, r), db_bits, q_bits, len(bases), k
 
@@ -565,7 +669,10 @@ class TestBucketSearch:
         db, db_bits, q_bits, distinct, mid = case
         for qb in q_bits:
             query = rt.HashCode(rt.pack_bits(qb), db.nbits)
-            for k in (0, 1, mid, db.n):
+            # k up to the query's bucket size is a probe hit, one past it
+            # falls through to the distance pass
+            size = int((db_bits == qb).all(axis=1).sum())
+            for k in sorted({0, 1, mid, db.n, size, min(size + 1, db.n)}):
                 assert rt.search(query, db, k) == naive_search(qb, db_bits, db.ids, k)
         scans = distinct > rt.BUCKET_SEARCH_MAX_DISTINCT * db.n
         assert (db._search_buckets is None) == scans
@@ -645,6 +752,39 @@ class TestBucketSearch:
             assert array.flags.c_contiguous and not array.flags.writeable
         with pytest.raises(DimensionMismatch):
             rt.CodeIndex._adopt(loaded.words, loaded.ids[1:], 8)
+
+    def test_probe_hit_measures_no_distance(self, rng, monkeypatch, tmp_path):
+        # 300 rows over 12 codes: a query with a database code and k within
+        # its bucket is answered from the table, one past it by a distance pass
+        bits = (rng.random((12, 70)) < 0.5)[rng.integers(0, 12, size=300)]
+        index = rt.CodeIndex(rt.pack_bits(bits), rng.permutation(900)[:300], 70)
+        rt.save_codes(index, tmp_path / "before.scdh")
+        calls = []
+        measure = rt._distances
+        monkeypatch.setattr(rt, "_distances", lambda *a: calls.append(1) or measure(*a))
+        query = rt.HashCode(rt.pack_bits(bits[7]), 70)
+        size = int((bits == bits[7]).all(axis=1).sum())
+        for k in (1, size):
+            assert rt.search(query, index, k) == naive_search(bits[7], bits, index.ids, k)
+        assert calls == []
+        assert rt.search(query, index, size + 1) == naive_search(bits[7], bits,
+                                                                 index.ids, size + 1)
+        assert calls == [1]
+        # the table stays in memory: the code file is the same after a search
+        rt.save_codes(index, tmp_path / "after.scdh")
+        assert (tmp_path / "after.scdh").read_bytes() == (tmp_path / "before.scdh").read_bytes()
+
+    def test_scan_path_builds_no_table(self, rng, monkeypatch):
+        # mostly distinct codes: search scans the rows, and the index keeps
+        # nothing but a None for its view
+        bits = rng.random((200, 24)) < 0.5
+        index = rt.CodeIndex(rt.pack_bits(bits), np.arange(200), 24)
+        monkeypatch.setattr(rt, "dict", lambda *a: pytest.fail("table built"),
+                            raising=False)
+        query = rt.HashCode(rt.pack_bits(bits[3]), 24)
+        assert rt.search(query, index, 1) == [(3, 0)]
+        assert vars(index) == {"words": index.words, "ids": index.ids, "nbits": 24,
+                               "labels": None, "_search_buckets": None}
 
     @pytest.mark.parametrize("duplicated", [True, False])
     def test_view_built_once(self, rng, monkeypatch, duplicated):
