@@ -453,12 +453,15 @@ def cmd_encode(cfg: dict, run: Run):
     if dataset.dim != net.input_dim:
         raise ValidationError(f"--data has {dataset.dim} features per row, but the "
                               f"checkpoint's network takes {net.input_dim}")
-    F = model.extract_embeddings(net, dataset.features.astype(np.float64))
+    F = model.extract_embeddings(net, dataset.features)
     index = retrieval.CodeIndex.from_embeddings(F, dataset.ids)
     with atomic_path(run.path(cfg["name"])) as tmp:
         retrieval.save_codes(index, tmp)
     run.register(cfg["name"])
-    run.result = {"n": index.n, "bits": index.nbits}
+    # code health: the share of codes with each bit set, over bit positions
+    ones = np.count_nonzero(F >= 0.0, axis=0) / max(index.n, 1)
+    run.result = {"n": index.n, "bits": index.nbits,
+                  "bit_ones": {"min": float(ones.min()), "max": float(ones.max())}}
 
 
 EVAL_SPEC = dict(COMMON, **{

@@ -31,6 +31,9 @@ from .errors import DimensionMismatch, DivergenceError, ParseError, Precondition
 MODEL_MAGIC = b"SCDM"
 MODEL_VERSION = 1
 
+# Rows per block of the inference pass, extract_embeddings.
+EMBED_BLOCK_ROWS = 4096
+
 
 @dataclass
 class Hyperparams:
@@ -379,7 +382,34 @@ def mean_quantization(model: EmbeddingModel, features, hp: Hyperparams) -> float
 
 
 def extract_embeddings(model: EmbeddingModel, features) -> np.ndarray:
-    F, _, _ = forward_batch(model, np.asarray(features, dtype=np.float64))
+    """Hashing activations F of every row: the inference forward pass.
+
+    It computes no logits and keeps no trunk activations, and it works a
+    block of ``EMBED_BLOCK_ROWS`` rows at a time, in place, so its
+    temporaries stay a few blocks in size whatever the row count; only F is
+    whole.  Rows are converted to float64 a block at a time, which is exact
+    for float32 input.  A short last block is folded into the one before
+    it, so every block has B to 2B - 1 rows (fewer than B only when it is
+    the one block): BLAS may give a product of one to three rows another
+    kernel, and with no block that short F equals
+    ``forward_batch(model, features)[0]`` bit for bit.
+    """
+    X = np.asarray(features)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise DimensionMismatch(
+            f"expected (n, {model.input_dim}) inputs, got {X.shape}"
+        )
+    n, B = len(X), EMBED_BLOCK_ROWS
+    starts = list(range(0, max(n // B, 1) * B, B))
+    F = np.empty((n, model.r))
+    for s, e in zip(starts, starts[1:] + [n]):
+        a = X[s:e].astype(np.float64)
+        for layer in model.trunk:
+            a = a @ layer.W.T
+            a += layer.b
+            np.maximum(a, 0.0, out=a)
+        np.matmul(a, model.hash_layer.W.T, out=F[s:e])
+        F[s:e] += model.hash_layer.b
     return F
 
 
@@ -420,9 +450,9 @@ def save_checkpoint(path, model: EmbeddingModel, hp: Hyperparams,
             fh.write(_param_blob(teacher))
 
 
-def _read_network(blob: bytes, off: int, dims: tuple, C: int, r: int):
+def _read_network(blob: bytes, off: int, dims: tuple, C: int, r: int, network: str):
     trunk = []
-    def take(shape):
+    def take(shape, block):
         nonlocal off
         count = math.prod(shape)
         nbytes = count * 8
@@ -432,23 +462,29 @@ def _read_network(blob: bytes, off: int, dims: tuple, C: int, r: int):
                 f"have {len(blob) - off}"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"non-finite value in the {network} network's {block} "
+                             f"block at byte {off}")
         off += nbytes
         return arr.reshape(shape).copy()
 
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        W = take((d_out, d_in))
-        b = take((d_out,))
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        W = take((d_out, d_in), f"trunk[{i}].W")
+        b = take((d_out,), f"trunk[{i}].b")
         trunk.append(AffineLayer(W, b))
-    hash_layer = AffineLayer(take((r, dims[-1])), take((r,)))
-    classifier = AffineLayer(take((C, dims[-1])), take((C,)))
-    centers = take((r, C))
+    hash_layer = AffineLayer(take((r, dims[-1]), "hash_layer.W"),
+                             take((r,), "hash_layer.b"))
+    classifier = AffineLayer(take((C, dims[-1]), "classifier.W"),
+                             take((C,), "classifier.b"))
+    centers = take((r, C), "centers")
     return EmbeddingModel(trunk, hash_layer, centers, classifier), off
 
 
 def load_checkpoint(path):
     """Load a checkpoint: (model, hp, teacher_or_None, meta).
 
-    Damaged input of any kind raises ParseError.
+    Damaged input of any kind raises ParseError, and so does a parameter
+    that is NaN or infinite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -476,10 +512,10 @@ def load_checkpoint(path):
     meta = _parse_meta(blob[off:off + meta_len])
     off += meta_len
     hp = _hyperparams_from_meta(meta)
-    model, off = _read_network(blob, off, dims, C, r)
+    model, off = _read_network(blob, off, dims, C, r, "student")
     teacher = None
     if n_networks == 2:
-        teacher, off = _read_network(blob, off, dims, C, r)
+        teacher, off = _read_network(blob, off, dims, C, r, "teacher")
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after offset {off}")
     return model, hp, teacher, meta

@@ -334,9 +334,14 @@ class _Ranking:
         aps = self.ap[self.relevant > 0]
         return tuple(float(v) for v in np.quantile(aps, (0.1, 0.5, 0.9)))
 
+    def _require_queries(self):
+        if not len(self.relevant):
+            raise PreconditionError("the query index is empty")
+
     def precision_at_radius(self, empty_ball: str) -> float:
         ball, hits = self.ball, self.ball_relevant
         if empty_ball == "zero":
+            self._require_queries()
             precisions = np.where(ball > 0, hits / np.maximum(ball, 1), 0.0)
         else:
             precisions = hits[ball > 0] / ball[ball > 0]
@@ -345,6 +350,7 @@ class _Ranking:
         return float(np.mean(precisions))
 
     def topk_curve(self) -> list[tuple[int, float]]:
+        self._require_queries()
         return [(k, float(s / len(self.relevant))) for k, s in zip(self.ks, self.topk_sums)]
 
 

@@ -114,6 +114,19 @@ class TestValidation:
         assert "5 features" in err["message"] and "takes 4" in err["message"]
         assert not (tmp_path / "r" / "codes.scdh").exists()
 
+    def test_encode_non_finite_checkpoint(self, tmp_path):
+        # one NaN weight would clear one bit in every code: the load rejects it
+        net = model.init_model((4, 4), 3, 4, 0)
+        net.hash_layer.W[0, 1] = np.nan
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, net, model.Hyperparams())
+        path = tmp_path / "d.scds"
+        save_dataset(Dataset(np.arange(12), np.ones((12, 4)), np.zeros((12, 3), bool)), path)
+        proc = run_cli("encode", "--model", ckpt, "--data", path, "--out", tmp_path / "r",
+                       expect=2)
+        assert "student network's hash_layer.W block" in json.loads(proc.stderr)["message"]
+        assert not (tmp_path / "r" / "codes.scdh").exists()
+
     def test_eval_looks_labels_up_by_id(self, tmp_path):
         d = tmp_path / "data"
         r = tmp_path / "run"
@@ -242,6 +255,21 @@ class TestPipeline:
         assert manifest["result"]["database_codes"] == want
         assert (r / "metrics.csv").read_text().startswith(
             "map,map_at_k,k,precision_at_radius2\n")
+
+    def test_encode_reports_bit_balance(self, tmp_path):
+        d = tmp_path / "data"
+        r = tmp_path / "run"
+        tiny_gen(d)
+        tiny_train(d, r)
+        run_cli("encode", "--model", r / "model.ckpt", "--data", d / "db.scds",
+                "--name", "db.scdh", "--out", tmp_path / "enc")
+        manifest = json.loads((tmp_path / "enc" / "manifest.json").read_text())
+        codes = retrieval.load_codes(tmp_path / "enc" / "db.scdh")
+        ones = retrieval.unpack_bits(codes.words, codes.nbits).mean(axis=0)
+        assert manifest["result"] == {
+            "n": codes.n, "bits": 8,
+            "bit_ones": {"min": float(ones.min()), "max": float(ones.max())}}
+        assert list(manifest["outputs"]) == ["db.scdh"]
 
     def test_train_semi_pipeline(self, tmp_path):
         d = tmp_path / "data"
@@ -486,6 +514,26 @@ class TestDeterminism:
         tiny_gen(tmp_path / "a", seed=5)
         tiny_gen(tmp_path / "b", seed=5)
         self.compare_dirs(tmp_path / "a", tmp_path / "b")
+
+    def test_encode_byte_identical_across_blas_threads(self, tmp_path):
+        # a trunk wide enough for OpenBLAS to split each block's products
+        # between threads, over more than four blocks of rows
+        n, dims = 20_001, (32, 512, 256)
+        ckpt, path = tmp_path / "m.ckpt", tmp_path / "d.scds"
+        model.save_checkpoint(ckpt, model.init_model(dims, 6, 64, seed=1),
+                              model.Hyperparams())
+        features = np.random.default_rng(2).normal(size=(n, dims[0]))
+        save_dataset(Dataset(np.arange(n), features, np.zeros((n, 6), bool)), path)
+        digests = set()
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [*RUN, "encode", "--model", ckpt, "--data", path, "--out", out],
+                capture_output=True, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            digests.add(hashlib.sha256((out / "codes.scdh").read_bytes()).hexdigest())
+        assert len(digests) == 1
 
     def test_train_byte_identical(self, tmp_path):
         d = tmp_path / "data"

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from scdh import losses, model
 from scdh import meanteacher as mt
 from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters, gen_multilabel,
                        labels_from_sets)
-from scdh.errors import DivergenceError, ParseError, PreconditionError
+from scdh.errors import DimensionMismatch, DivergenceError, ParseError, PreconditionError
 
 from conftest import rel_err
 
@@ -164,6 +167,46 @@ class TestForward:
         net = model.init_model((4, 6), C=3, r=5, seed=0)
         with pytest.raises(Exception):
             model.forward(net, np.ones(5))
+
+
+class TestExtractEmbeddings:
+    @pytest.mark.parametrize("dims", [(5,), (5, 12, 7)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_training_forward(self, dims, dtype):
+        # bit for bit at block edges: a short last block joins the one before
+        # it, so no product runs on a one- to three-row slice
+        B = model.EMBED_BLOCK_ROWS
+        net = randomized_net(2, dims=dims, C=3, r=6)
+        X = np.random.default_rng(3).normal(size=(3 * B + 1, dims[0])).astype(dtype)
+        for n in (1, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 3 * B + 1):
+            F = model.extract_embeddings(net, X[:n])
+            assert F.dtype == np.float64
+            assert F.shape == (n, 6)
+            assert (F == model.forward_batch(net, X[:n])[0]).all(), n
+
+    def test_input_untouched_and_shapes_checked(self):
+        net = randomized_net(2, dims=(5,), C=3, r=6)
+        X = np.random.default_rng(3).normal(size=(7, 5))
+        before = X.copy()
+        model.extract_embeddings(net, X)
+        assert (X == before).all()
+        assert model.extract_embeddings(net, X[:0]).shape == (0, 6)
+        for bad in (X[:, :4], X[0]):
+            with pytest.raises(DimensionMismatch):
+                model.extract_embeddings(net, bad)
+
+    def test_memory_at_100k_rows(self):
+        # only F (18.3 MiB) is whole; the whole-batch training pass over the
+        # same rows peaks near 159 MiB
+        net = model.init_model((32, 64), C=4, r=24, seed=0)
+        X = np.random.default_rng(0).normal(size=(100_000, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model.extract_embeddings(net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestBackwardStep:
@@ -440,6 +483,30 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         model.save_checkpoint(path, randomized_net(4), hp)
         with pytest.raises(ParseError, match="bad hyperparameters"):
+            model.load_checkpoint(path)
+
+    BLOCKS = ["trunk[0].W", "trunk[0].b", "hash_layer.W", "hash_layer.b",
+              "classifier.W", "classifier.b", "centers"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", range(len(BLOCKS)))
+    def test_non_finite_parameter_rejected(self, tmp_path, block, value):
+        net = randomized_net(4, dims=(5, 7), C=4, r=6)
+        net.parameters()[block].flat[-1] = value
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, net, tiny_hp())
+        name = re.escape(f"student network's {self.BLOCKS[block]} block")
+        with pytest.raises(ParseError, match=name):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("block", [0, 6])
+    def test_non_finite_teacher_parameter_rejected(self, tmp_path, block):
+        teacher = randomized_net(9)
+        teacher.parameters()[block].flat[0] = -np.inf
+        path = tmp_path / "dual.ckpt"
+        model.save_checkpoint(path, randomized_net(4), tiny_hp(), teacher=teacher)
+        name = re.escape(f"teacher network's {self.BLOCKS[block]} block")
+        with pytest.raises(ParseError, match=name):
             model.load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):

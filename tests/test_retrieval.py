@@ -622,6 +622,7 @@ class TestGroupedRanking:
         assert got.relevant.tolist() == [2, 2, 2, 0, 4]
         assert got.ap[0] == got.ap[2] and got.ap[3] == 0.0
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_queries(self, rng):
         _, db = make_index(rng, 20, 24, with_labels=True)
         empty = rt.CodeIndex(np.zeros((0, 1), dtype=np.uint64), np.zeros(0, np.int64),
@@ -634,6 +635,10 @@ class TestGroupedRanking:
             rt.mean_average_precision(empty, db)
         with pytest.raises(PreconditionError, match="all query balls are empty"):
             rt.precision_at_radius(empty, db, empty_ball="skip")
+        with pytest.raises(PreconditionError, match="the query index is empty"):
+            rt.precision_at_radius(empty, db)
+        with pytest.raises(PreconditionError, match="the query index is empty"):
+            rt.topk_precision_curve(empty, db, [1, 20])
 
 
 @st.composite
