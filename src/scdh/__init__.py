@@ -63,8 +63,6 @@ from .model import (
     EmbeddingModel,
     Hyperparams,
     TrainReport,
-    backward_step,
-    forward,
     init_model,
     load_checkpoint,
     save_checkpoint,

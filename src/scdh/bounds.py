@@ -640,15 +640,17 @@ class ToyConfig:
         if self.samples_per_cluster < 2:
             raise PreconditionError("a triplet needs two points in a cluster, got "
                                     f"{self.samples_per_cluster} per cluster")
-        if self.margin < 0:
-            raise PreconditionError(f"margin must be non-negative, got {self.margin}")
+        if not 0.0 <= self.margin < np.inf:
+            raise PreconditionError(f"margin must be finite and non-negative, got "
+                                    f"{self.margin}")
         if self.triplet_samples < 1:
             raise PreconditionError(f"need at least 1 sampled triplet, got "
                                     f"{self.triplet_samples}")
-        if any(s <= 0 for s in self.sigma_grid):
-            raise PreconditionError("all sigma values must be positive")
-        if any(d < 0 for d in self.d_grid):
-            raise PreconditionError("center distances must be non-negative")
+        # written as "not in range" so that NaN fails
+        if not all(0.0 < s < np.inf for s in self.sigma_grid):
+            raise PreconditionError("all sigma values must be finite and positive")
+        if not all(0.0 <= d < np.inf for d in self.d_grid):
+            raise PreconditionError("center distances must be finite and non-negative")
 
 
 @dataclass

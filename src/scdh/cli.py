@@ -5,8 +5,9 @@ Every run resolves its configuration from defaults < --preset/--hp-preset <
 --config JSON < explicit flags, writes all artifacts atomically (temp file +
 rename), and finishes with a run-manifest JSON recording the resolved config,
 seed, versions, and sha256 hashes of every output.  Exit codes: 0 success,
-1 validation error, 2 runtime/numeric error, with a machine-readable JSON
-object on stderr for failures.  SCDH_LOG sets the log level.
+1 validation error (a damaged input file included), 2 runtime/numeric
+error, with a machine-readable JSON object on stderr for failures.  SCDH_LOG
+sets the log level.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, bounds, data, losses, meanteacher, model, retrieval
-from .errors import LabelSetError, PreconditionError, ScdhError
+from .errors import LabelSetError, ParseError, PreconditionError, ScdhError
 
 log = logging.getLogger("scdh")
 
@@ -114,7 +115,7 @@ def _sha256(path: str) -> str:
 def _write_json(path: str, payload):
     with atomic_path(path) as tmp:
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -283,19 +284,25 @@ def make_splits(cfg: dict) -> tuple[data.Dataset, data.Dataset, data.Dataset]:
     if cfg["mode"] not in ("single", "multi"):
         raise ValidationError(f"mode must be 'single' or 'multi', got {cfg['mode']!r}")
     multi = cfg["mode"] == "multi"
-    syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
-                               cluster_std=cfg["cluster-std"],
-                               center_spread=cfg["center-spread"],
-                               samples_per_class=cfg["train-per-class"],
-                               multilabel_p=cfg["multilabel-p"] if multi else None,
-                               seed=cfg["seed"])
-    if multi:
-        return data.make_multilabel_splits(syn, cfg["n-query"], cfg["n-db"])
-    return data.make_cluster_splits(syn, cfg["query-per-class"], cfg["db-per-class"])
+    try:
+        syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
+                                   cluster_std=cfg["cluster-std"],
+                                   center_spread=cfg["center-spread"],
+                                   samples_per_class=cfg["train-per-class"],
+                                   multilabel_p=cfg["multilabel-p"] if multi else None,
+                                   seed=cfg["seed"])
+        if multi:
+            return data.make_multilabel_splits(syn, cfg["n-query"], cfg["n-db"])
+        return data.make_cluster_splits(syn, cfg["query-per-class"],
+                                        cfg["db-per-class"])
+    except PreconditionError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def cmd_gen(cfg: dict, run: Run):
     seed = cfg["seed"]
+    if not 0.0 < cfg["keep-labels"] <= 1.0:
+        raise ValidationError(f"--keep-labels must lie in (0, 1], got {cfg['keep-labels']}")
     train, query, db = make_splits(cfg)
     if cfg["balance"]:
         train = data.balance_upsample(train, seed=seed)
@@ -345,7 +352,11 @@ TRAIN_SEMI_SPEC = dict(TRAIN_SPEC, **{
 
 
 def hyperparams(cfg: dict) -> model.Hyperparams:
-    """The training hyperparameters of a resolved train or train-semi config."""
+    """The training hyperparameters of a resolved train or train-semi config,
+    after its layer sizes are checked."""
+    if cfg["bits"] < 1 or not all(h >= 1 for h in cfg["hidden"]):
+        raise ValidationError(f"--bits and every --hidden width must be positive, got "
+                              f"--bits {cfg['bits']} --hidden {list(cfg['hidden'])}")
     try:
         return model.Hyperparams(
             lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
@@ -435,19 +446,26 @@ def cmd_train_semi(cfg: dict, run: Run):
 ENCODE_SPEC = dict(COMMON, **{
     "model": (str, None, "model checkpoint"),
     "data": (str, None, "dataset to encode (.scds)"),
-    "network": (str, "teacher", "teacher or student (dual checkpoints)"),
+    "network": (str, None, "teacher or student; unset takes the teacher of a "
+                           "dual checkpoint, else the student"),
     "name": (str, "codes.scdh", "output code file name"),
 })
 
 
 def cmd_encode(cfg: dict, run: Run):
+    if cfg["network"] not in (None, "teacher", "student"):
+        raise ValidationError("--network must be 'teacher' or 'student'")
     _require_file(cfg["model"], "--model")
     _require_file(cfg["data"], "--data")
     net, _, teacher, _ = model.load_checkpoint(cfg["model"])
-    if cfg["network"] == "teacher" and teacher is not None:
+    if cfg["network"] is None:
+        # the manifest records the network the codes come from
+        cfg["network"] = "student" if teacher is None else "teacher"
+    if cfg["network"] == "teacher":
+        if teacher is None:
+            raise ValidationError(f"--network teacher: {cfg['model']} is a "
+                                  "student-only checkpoint")
         net = teacher
-    elif cfg["network"] not in ("teacher", "student"):
-        raise ValidationError("--network must be 'teacher' or 'student'")
     dataset = data.load_dataset(cfg["data"])
     _require_finite(dataset, "--data")
     if dataset.dim != net.input_dim:
@@ -608,9 +626,10 @@ def _verify_kind(cfg: dict) -> losses.TripletLossKind:
     """The comparator of a resolved verify-bounds config, after rejecting the
     values that would fail mid-run."""
     cap = bounds.DEFAULT_TRIPLET_CAP
-    for key in ("instances", "ml-configs"):
-        if cfg[key] < 0:
-            raise ValidationError(f"--{key} must be non-negative, got {cfg[key]}")
+    if cfg["instances"] < 1:
+        raise ValidationError(f"--instances must be at least 1, got {cfg['instances']}")
+    if cfg["ml-configs"] < 0:
+        raise ValidationError(f"--ml-configs must be non-negative, got {cfg['ml-configs']}")
     if cfg["trials"] < bounds.MIN_TRIALS:
         raise ValidationError(f"--trials must be at least {bounds.MIN_TRIALS}, "
                               f"got {cfg['trials']}")
@@ -753,7 +772,8 @@ def main(argv=None) -> int:
         run.finish()
         return 0
     except (ValidationError, ScdhError) as exc:
-        kind = "validation" if isinstance(exc, ValidationError) else "runtime"
+        # only the readers of .ckpt, .scds, .scdh and CSV files raise ParseError
+        kind = "validation" if isinstance(exc, (ValidationError, ParseError)) else "runtime"
         json.dump({"error": kind, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1 if kind == "validation" else 2

@@ -113,6 +113,9 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.C < 1 or self.feature_dim < 1 or self.samples_per_class < 1:
             raise PreconditionError("sizes must be positive")
+        if not (0.0 <= self.cluster_std < np.inf and 0.0 <= self.center_spread < np.inf):
+            raise PreconditionError("cluster_std and center_spread must be finite and "
+                                    "non-negative")
         if self.multilabel_p is not None and not 0.0 < self.multilabel_p < 1.0:
             raise PreconditionError("multilabel_p must lie in (0, 1)")
 

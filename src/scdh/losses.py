@@ -39,8 +39,8 @@ class TripletLossKind:
     def __post_init__(self):
         if self.kind not in ("margin", "softmax"):
             raise ValueError(f"unknown triplet loss kind: {self.kind!r}")
-        if self.kind == "margin" and self.margin < 0:
-            raise ValueError("margin must be non-negative")
+        if self.kind == "margin" and not 0.0 <= self.margin < np.inf:
+            raise ValueError("margin must be finite and non-negative")
 
     def g(self, d_pos, d_neg, background=0.0):
         """Evaluate g elementwise; broadcasts like numpy."""

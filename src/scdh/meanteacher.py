@@ -77,15 +77,11 @@ def ema_update(teacher: TeacherState, student: EmbeddingModel,
     """theta_T <- decay * theta_T + (1 - decay) * theta_S, elementwise."""
     if not 0.0 <= decay < 1.0:
         raise PreconditionError("decay must lie in [0, 1)")
-    t_params = teacher.model.parameters()
-    s_params = student.parameters()
-    if len(t_params) != len(s_params):
-        raise DimensionMismatch("teacher and student parameter counts differ")
-    for t, s in zip(t_params, s_params):
-        if t.shape != s.shape:
-            raise DimensionMismatch(f"shape mismatch {t.shape} vs {s.shape}")
-        t *= decay
-        t += (1.0 - decay) * s
+    if teacher.model.layout != student.layout:
+        raise DimensionMismatch("teacher and student parameter layouts differ")
+    t = teacher.model.theta
+    t *= decay
+    t += (1.0 - decay) * student.theta
     return teacher
 
 

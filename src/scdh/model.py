@@ -98,56 +98,69 @@ class AffineLayer:
     b: np.ndarray   # (out,)
 
 
+def param_layout(dims: Sequence[int], C: int, r: int) -> list[tuple[str, tuple]]:
+    """Name and shape of every parameter block, in checkpoint order: trunk
+    W/b pairs, hash W/b, classifier W/b, centers.
+
+    This is the one place the order is written down.  A model's parameters,
+    its velocity, a step's gradients and a checkpoint's network all follow it.
+    """
+    blocks = []
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        blocks += [(f"trunk[{i}].W", (d_out, d_in)), (f"trunk[{i}].b", (d_out,))]
+    return blocks + [("hash_layer.W", (r, dims[-1])), ("hash_layer.b", (r,)),
+                     ("classifier.W", (C, dims[-1])), ("classifier.b", (C,)),
+                     ("centers", (r, C))]
+
+
 class EmbeddingModel:
     """Trunk + hashing layer + centers + classifier head, with SGD state.
 
-    ``parameters()`` yields arrays in a fixed order (trunk W/b pairs, hash
-    W/b, classifier W/b, centers); the momentum buffers are kept aligned with
-    that order.  Parameter arrays are mutated in place by the optimizer.
+    Every parameter is a view into one contiguous float64 vector ``theta``
+    laid out by ``param_layout``; the momentum buffer ``velocity`` has the
+    same layout.  ``theta``, if given, is adopted, not copied.  The optimizer
+    updates ``theta`` in place, so a parameter is changed by writing into it
+    (``centers[:] = ...``): rebinding an attribute detaches it from ``theta``.
     """
 
-    def __init__(self, trunk: list[AffineLayer], hash_layer: AffineLayer,
-                 centers: np.ndarray, classifier: AffineLayer):
-        self.trunk = trunk
-        self.hash_layer = hash_layer
-        self.centers = np.asarray(centers, dtype=np.float64)
-        self.classifier = classifier
-        self.velocities = [np.zeros_like(p) for p in self.parameters()]
-
-    @property
-    def r(self) -> int:
-        return self.hash_layer.W.shape[0]
-
-    @property
-    def label_count(self) -> int:
-        return self.classifier.W.shape[0]
+    def __init__(self, dims: Sequence[int], C: int, r: int,
+                 theta: np.ndarray | None = None):
+        self.trunk_dims = tuple(int(d) for d in dims)
+        self.label_count, self.r = C, r
+        self.layout = param_layout(self.trunk_dims, C, r)
+        size = sum(math.prod(shape) for _, shape in self.layout)
+        self.theta = np.zeros(size) if theta is None else theta
+        if self.theta.shape != (size,) or self.theta.dtype != np.float64:
+            raise DimensionMismatch(f"theta must be {size} float64 values")
+        self.velocity = np.zeros(size)
+        p = self.blocks(self.theta)
+        self.trunk = [AffineLayer(p[f"trunk[{i}].W"], p[f"trunk[{i}].b"])
+                      for i in range(len(self.trunk_dims) - 1)]
+        self.hash_layer = AffineLayer(p["hash_layer.W"], p["hash_layer.b"])
+        self.classifier = AffineLayer(p["classifier.W"], p["classifier.b"])
+        self.centers = p["centers"]
 
     @property
     def input_dim(self) -> int:
-        layers = self.trunk or [self.hash_layer]
-        return layers[0].W.shape[1]
+        return self.trunk_dims[0]
 
-    @property
-    def trunk_dims(self) -> tuple:
-        dims = [self.input_dim] + [layer.W.shape[0] for layer in self.trunk]
-        return tuple(dims)
+    def blocks(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """A vector in ``theta``'s layout seen as its named blocks (views)."""
+        views, off = {}, 0
+        for name, shape in self.layout:
+            end = off + math.prod(shape)
+            views[name] = flat[off:end].reshape(shape)
+            off = end
+        return views
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.trunk:
-            params.extend([layer.W, layer.b])
-        params.extend([self.hash_layer.W, self.hash_layer.b,
-                       self.classifier.W, self.classifier.b, self.centers])
-        return params
+        """Views of ``theta``, one per block in checkpoint order."""
+        return list(self.blocks(self.theta).values())
 
     def copy(self) -> "EmbeddingModel":
-        clone = EmbeddingModel(
-            [AffineLayer(l.W.copy(), l.b.copy()) for l in self.trunk],
-            AffineLayer(self.hash_layer.W.copy(), self.hash_layer.b.copy()),
-            self.centers.copy(),
-            AffineLayer(self.classifier.W.copy(), self.classifier.b.copy()),
-        )
-        clone.velocities = [v.copy() for v in self.velocities]
+        clone = EmbeddingModel(self.trunk_dims, self.label_count, self.r,
+                               self.theta.copy())
+        clone.velocity[:] = self.velocity
         return clone
 
 
@@ -163,21 +176,11 @@ def init_model(dims: Sequence[int], C: int, r: int, seed) -> EmbeddingModel:
     if len(dims) < 1 or min(dims) < 1 or C < 1 or r < 1:
         raise PreconditionError("invalid layer sizes")
     rng = np.random.default_rng(seed)
-    trunk = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        trunk.append(AffineLayer(rng.normal(0.0, 0.01, (d_out, d_in)),
-                                 np.zeros(d_out)))
-    last = dims[-1]
-    hash_layer = AffineLayer(rng.normal(0.0, 0.01, (r, last)), np.zeros(r))
-    classifier = AffineLayer(rng.normal(0.0, 0.01, (C, last)), np.zeros(C))
-    centers = rng.normal(0.0, 0.5, (r, C))
-    return EmbeddingModel(trunk, hash_layer, centers, classifier)
-
-
-def forward(model: EmbeddingModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample forward pass: (hashing activations F(x), logits)."""
-    F, logits, _ = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    return F[0], logits[0]
+    net = EmbeddingModel(dims, C, r)
+    for layer in (*net.trunk, net.hash_layer, net.classifier):
+        layer.W[:] = rng.normal(0.0, 0.01, layer.W.shape)
+    net.centers[:] = rng.normal(0.0, 0.5, net.centers.shape)
+    return net
 
 
 def forward_batch(model: EmbeddingModel, X) -> tuple[np.ndarray, np.ndarray, list]:
@@ -196,40 +199,6 @@ def forward_batch(model: EmbeddingModel, X) -> tuple[np.ndarray, np.ndarray, lis
     F = a @ model.hash_layer.W.T + model.hash_layer.b
     logits = a @ model.classifier.W.T + model.classifier.b
     return F, logits, acts
-
-
-@dataclass
-class BatchLosses:
-    """Per-sample means of the objective terms over one batch."""
-
-    scul: float
-    classification: float
-    quantization: float
-    center_distance: float
-
-    @classmethod
-    def mean_of(cls, rows: np.ndarray) -> "BatchLosses":
-        """Means of (4, n) per-row terms given in field order."""
-        return cls(*(float(v) for v in rows.mean(axis=1)))
-
-
-class GradBuffers:
-    """Gradient accumulators aligned with EmbeddingModel.parameters()."""
-
-    def __init__(self, model: EmbeddingModel):
-        self.trunk = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in model.trunk]
-        self.hash_W = np.zeros_like(model.hash_layer.W)
-        self.hash_b = np.zeros_like(model.hash_layer.b)
-        self.cls_W = np.zeros_like(model.classifier.W)
-        self.cls_b = np.zeros_like(model.classifier.b)
-        self.centers = np.zeros_like(model.centers)
-
-    def as_list(self) -> list[np.ndarray]:
-        grads = []
-        for gW, gb in self.trunk:
-            grads.extend([gW, gb])
-        grads.extend([self.hash_W, self.hash_b, self.cls_W, self.cls_b, self.centers])
-        return grads
 
 
 def _accumulate_loss_grads(model: EmbeddingModel, F: np.ndarray, logits: np.ndarray,
@@ -251,30 +220,33 @@ def _accumulate_loss_grads(model: EmbeddingModel, F: np.ndarray, logits: np.ndar
 
 
 def _backprop_chain(model: EmbeddingModel, acts: list, grad_F: np.ndarray,
-                    grad_logits: np.ndarray, buffers: GradBuffers):
-    """Backpropagate output gradients through the affine trunk into buffers."""
+                    grad_logits: np.ndarray, grads: dict[str, np.ndarray]):
+    """Backpropagate output gradients through the affine trunk, adding them
+    into ``grads``, the named blocks of a gradient vector."""
     a_last = acts[-1]
-    buffers.hash_W += grad_F.T @ a_last
-    buffers.hash_b += grad_F.sum(axis=0)
-    buffers.cls_W += grad_logits.T @ a_last
-    buffers.cls_b += grad_logits.sum(axis=0)
+    grads["hash_layer.W"] += grad_F.T @ a_last
+    grads["hash_layer.b"] += grad_F.sum(axis=0)
+    grads["classifier.W"] += grad_logits.T @ a_last
+    grads["classifier.b"] += grad_logits.sum(axis=0)
     grad_a = grad_F @ model.hash_layer.W + grad_logits @ model.classifier.W
     for idx in range(len(model.trunk) - 1, -1, -1):
         grad_z = grad_a * (acts[idx + 1] > 0.0)
-        gW, gb = buffers.trunk[idx]
-        gW += grad_z.T @ acts[idx]
-        gb += grad_z.sum(axis=0)
+        grads[f"trunk[{idx}].W"] += grad_z.T @ acts[idx]
+        grads[f"trunk[{idx}].b"] += grad_z.sum(axis=0)
         grad_a = grad_z @ model.trunk[idx].W
     return grad_a
 
 
-def sgd_update(model: EmbeddingModel, buffers: GradBuffers, lr: float,
+def sgd_update(model: EmbeddingModel, grad: np.ndarray, lr: float,
                momentum: float):
-    """v <- momentum * v - lr * g;  theta <- theta + v  (in place)."""
-    for p, v, g in zip(model.parameters(), model.velocities, buffers.as_list()):
-        v *= momentum
-        v -= lr * g
-        p += v
+    """v <- momentum * v - lr * g;  theta <- theta + v  (in place).
+
+    ``grad`` is a gradient vector in ``theta``'s layout.
+    """
+    v = model.velocity
+    v *= momentum
+    v -= lr * grad
+    model.theta += v
 
 
 def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
@@ -285,9 +257,11 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
     ``labels`` is the batch's (n, C) label matrix.  ``consistency``, if given,
     is called as ``consistency(logits, k, grad_F, grad_logits, grad_centers)``
     after the kernel: it adds its gradients in place and returns its loss.
-    Returns the (4, n) per-row terms in ``BatchLosses`` field order and that
-    loss (0.0 without one).
+    Returns the (4, n) per-row terms, in the order scul, classification,
+    quantization, center distance, and that loss (0.0 without one).
     """
+    if len(labels) == 0:
+        raise PreconditionError("empty batch")
     F, logits, acts = forward_batch(model, X)
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(logits))):
         raise DivergenceError(
@@ -296,12 +270,13 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
         )
     grad_F = np.zeros_like(F)
     grad_logits = np.zeros_like(logits)
-    buffers = GradBuffers(model)
+    grad = np.zeros_like(model.theta)
+    grads = model.blocks(grad)
     k = _accumulate_loss_grads(model, F, logits, labels, hp, grad_F, grad_logits,
-                               buffers.centers)
+                               grads["centers"])
     extra = 0.0
     if consistency is not None:
-        extra = consistency(logits, k, grad_F, grad_logits, buffers.centers)
+        extra = consistency(logits, k, grad_F, grad_logits, grads["centers"])
     rows = np.array([k.scul, k.classification, k.quantization, k.center_distance])
     sums = rows.sum(axis=1)
     # scul already contains the lam-weighted distance term
@@ -310,22 +285,9 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
         raise DivergenceError(
             f"non-finite step loss {total}; the learning rate is likely too high"
         )
-    _backprop_chain(model, acts, grad_F, grad_logits, buffers)
-    sgd_update(model, buffers, lr, hp.momentum)
+    _backprop_chain(model, acts, grad_F, grad_logits, grads)
+    sgd_update(model, grad, lr, hp.momentum)
     return rows, extra
-
-
-def backward_step(model: EmbeddingModel, X, labels: np.ndarray,
-                  hp: Hyperparams, lr: float | None = None) -> BatchLosses:
-    """One SGD step on the summed supervised objective over a batch.
-
-    ``labels`` is the batch's (n, C) label matrix.  Returns the batch means
-    of the objective terms.
-    """
-    if len(labels) == 0:
-        raise PreconditionError("empty batch")
-    rows, _ = _sgd_step(model, X, labels, hp, hp.lr if lr is None else lr)
-    return BatchLosses.mean_of(rows)
 
 
 def warmup_project(centers, s: float, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -417,15 +379,14 @@ def extract_embeddings(model: EmbeddingModel, features) -> np.ndarray:
 # Checkpoint container: magic "SCDM", version u16, n_networks u16, r u32,
 # C u32, n_trunk_dims u32, dims u32[n_trunk_dims], meta_len u64, meta JSON,
 # then per network the parameter blocks as little-endian float64 in
-# parameters() order.
+# param_layout order.
 # ---------------------------------------------------------------------------
 
 _CKPT_HEADER = struct.Struct("<4sHHIII")
 
 
 def _param_blob(model: EmbeddingModel) -> bytes:
-    return b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes()
-                    for p in model.parameters())
+    return model.theta.astype("<f8").tobytes()
 
 
 def save_checkpoint(path, model: EmbeddingModel, hp: Hyperparams,
@@ -445,39 +406,28 @@ def save_checkpoint(path, model: EmbeddingModel, hp: Hyperparams,
         fh.write(meta_bytes)
         fh.write(_param_blob(model))
         if teacher is not None:
-            if teacher.trunk_dims != dims or teacher.r != model.r:
+            if teacher.layout != model.layout:
                 raise DimensionMismatch("teacher and student shapes differ")
             fh.write(_param_blob(teacher))
 
 
 def _read_network(blob: bytes, off: int, dims: tuple, C: int, r: int, network: str):
-    trunk = []
-    def take(shape, block):
-        nonlocal off
-        count = math.prod(shape)
-        nbytes = count * 8
-        if off + nbytes > len(blob):
-            raise ParseError(
-                f"truncated parameter block at byte {off}: need {nbytes} bytes, "
-                f"have {len(blob) - off}"
-            )
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        if not np.isfinite(arr).all():
-            raise ParseError(f"non-finite value in the {network} network's {block} "
-                             f"block at byte {off}")
-        off += nbytes
-        return arr.reshape(shape).copy()
-
-    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-        W = take((d_out, d_in), f"trunk[{i}].W")
-        b = take((d_out,), f"trunk[{i}].b")
-        trunk.append(AffineLayer(W, b))
-    hash_layer = AffineLayer(take((r, dims[-1]), "hash_layer.W"),
-                             take((r,), "hash_layer.b"))
-    classifier = AffineLayer(take((C, dims[-1]), "classifier.W"),
-                             take((C,), "classifier.b"))
-    centers = take((r, C), "centers")
-    return EmbeddingModel(trunk, hash_layer, centers, classifier), off
+    """The network whose parameters start at byte ``off``, and the end offset."""
+    layout = param_layout(dims, C, r)
+    sizes = [math.prod(shape) for _, shape in layout]
+    nbytes = 8 * sum(sizes)
+    if off + nbytes > len(blob):
+        raise ParseError(f"truncated parameter blocks of the {network} network at "
+                         f"byte {off}: need {nbytes} bytes, have {len(blob) - off}")
+    theta = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=off)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        ends = np.cumsum(sizes)
+        i = int(np.searchsorted(ends, bad[0], side="right"))
+        start = off + 8 * int(ends[i] - sizes[i])
+        raise ParseError(f"non-finite value in the {network} network's {layout[i][0]} "
+                         f"block at byte {start}")
+    return EmbeddingModel(dims, C, r, theta.astype(np.float64)), off + nbytes
 
 
 def load_checkpoint(path):

@@ -138,13 +138,13 @@ def test_criterion_1_gradient_suite():
         F, logits, acts = model.forward_batch(net, X)
         grad_F = np.zeros_like(F)
         grad_logits = np.zeros_like(logits)
-        buffers = model.GradBuffers(net)
+        grads = net.blocks(np.zeros_like(net.theta))
         model._accumulate_loss_grads(net, F, logits, labels_from_sets(Y, 3), hp,
                                      grad_F, grad_logits,
-                                     buffers.centers)
-        model._backprop_chain(net, acts, grad_F, grad_logits, buffers)
+                                     grads["centers"])
+        model._backprop_chain(net, acts, grad_F, grad_logits, grads)
         inst_err = 0.0
-        for analytic, p in zip(buffers.as_list(), net.parameters()):
+        for analytic, p in zip(grads.values(), net.parameters()):
             num = np.zeros_like(p)
             for j in range(p.size):
                 orig = p.flat[j]

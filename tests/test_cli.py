@@ -123,9 +123,92 @@ class TestValidation:
         path = tmp_path / "d.scds"
         save_dataset(Dataset(np.arange(12), np.ones((12, 4)), np.zeros((12, 3), bool)), path)
         proc = run_cli("encode", "--model", ckpt, "--data", path, "--out", tmp_path / "r",
-                       expect=2)
+                       expect=1)
         assert "student network's hash_layer.W block" in json.loads(proc.stderr)["message"]
         assert not (tmp_path / "r" / "codes.scdh").exists()
+
+    def test_encode_teacher_of_student_only_checkpoint(self, tmp_path, capsys):
+        # the value is checked before the load; a missing teacher is named,
+        # and an unset --network records the network the codes come from
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 4, 0),
+                              model.Hyperparams())
+        path = tmp_path / "d.scds"
+        save_dataset(Dataset(np.arange(12), np.ones((12, 4)), np.zeros((12, 3), bool)), path)
+        out = tmp_path / "r"
+        assert cli.main(["encode", "--model", str(tmp_path / "none.ckpt"), "--data",
+                         str(path), "--network", "both", "--out", str(out)]) == 1
+        assert "--network must be" in json.loads(capsys.readouterr().err)["message"]
+        assert cli.main(["encode", "--model", str(ckpt), "--data", str(path),
+                         "--network", "teacher", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert str(ckpt) in err["message"] and "student-only" in err["message"]
+        assert not list(out.glob("*.scdh"))
+        assert cli.main(["encode", "--model", str(ckpt), "--data", str(path),
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["network"] == "student"
+
+    @pytest.mark.parametrize("damaged", ["query.scds", "query.scdh"])
+    def test_damaged_input_file_exits_1(self, tmp_path, capsys, damaged):
+        # a file cut a few bytes short is bad input, not a runtime failure
+        r = tmp_path / "run"
+        cfg = SyntheticConfig(C=3, feature_dim=4, cluster_std=0.3,
+                              center_spread=2.0, samples_per_class=6, seed=0)
+        save_dataset(gen_gaussian_clusters(cfg), tmp_path / "query.scds")
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 8, 0),
+                              model.Hyperparams())
+        assert cli.main(["encode", "--model", str(ckpt), "--data",
+                         str(tmp_path / "query.scds"), "--name", "query.scdh",
+                         "--out", str(tmp_path)]) == 0
+        blob = (tmp_path / damaged).read_bytes()
+        (tmp_path / damaged).write_bytes(blob[:-5])
+        capsys.readouterr()
+        if damaged.endswith(".scds"):
+            argv = ["encode", "--model", str(ckpt), "--data", str(tmp_path / damaged)]
+            written = "codes.scdh"
+        else:
+            argv = ["eval", "--queries", str(tmp_path / damaged), "--database",
+                    str(tmp_path / damaged), "--query-data", str(tmp_path / "query.scds"),
+                    "--db-data", str(tmp_path / "query.scds")]
+            written = "metrics.json"
+        assert cli.main([*argv, "--out", str(r)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert not (r / written).exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--classes", "0"],
+        ["gen", "--dim", "0"],
+        ["gen", "--cluster-std", "nan"],
+        ["gen", "--keep-labels", "2"],
+        ["train", "--bits", "0"],
+        ["train", "--bits", "-3"],
+        ["train", "--hidden", "0"],
+        ["train-semi", "--bits", "0"],
+        ["train-semi", "--bits", "-3"],
+        ["train-semi", "--hidden", "0"],
+    ])
+    def test_bad_sizes_fail_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        # training never reads its data; no command writes a data file
+        junk = tmp_path / "junk.scds"
+        junk.write_bytes(b"not a dataset")
+        loads = []
+        monkeypatch.setattr(cli.data, "load_dataset", lambda *a: loads.append(a))
+        extra = [] if argv[0] == "gen" else ["--data", str(junk)]
+        out = tmp_path / "out"
+        assert cli.main([*argv, *extra, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert not loads
+        assert not [p for p in out.iterdir() if p.suffix in (".scds", ".ckpt")]
+
+    def test_json_outputs_reject_nan(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            cli._write_json(str(path), {"lambda_max": float("nan")})
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_looks_labels_up_by_id(self, tmp_path):
         d = tmp_path / "data"
@@ -342,7 +425,9 @@ class TestVerifyAndToy:
         ["--classes", "1,2"],
         ["--classes", "2,65"],
         ["--instances", -1],
+        ["--instances", 0],
         ["--ml-configs", -1],
+        ["--margin", "nan"],
     ])
     def test_verify_bounds_bad_input(self, tmp_path, args):
         proc = run_cli("verify-bounds", "--instances", 50, "--ml-configs", 1,
@@ -383,8 +468,8 @@ class TestVerifyAndToy:
         ["--ramp-fraction", "1.5"],
     ])
     def test_train_semi_bad_settings(self, tmp_path, args):
-        # rejected before the data is read: an unreadable file would be a
-        # runtime error (exit 2)
+        # rejected before the data is read: the unreadable file would also
+        # exit 1, but with a message that names no flag
         junk = tmp_path / "junk.scds"
         junk.write_bytes(b"not a dataset")
         proc = run_cli("train-semi", "--data", junk, *args, "--out", tmp_path / "r",
@@ -404,7 +489,9 @@ class TestVerifyAndToy:
         junk.write_bytes(b"not a dataset")
         proc = run_cli(command, "--data", junk, *args, "--out", tmp_path / "r",
                        expect=1)
-        assert json.loads(proc.stderr)["error"] == "validation"
+        err = json.loads(proc.stderr)
+        # the hyperparameter check, not the unreadable file, is what failed
+        assert err["error"] == "validation" and "finite" in err["message"]
         assert not (tmp_path / "r" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("args", [
@@ -413,6 +500,11 @@ class TestVerifyAndToy:
         ["--samples-per-cluster", 1, "--clusters", 40],
         ["--bits", 2, "--clusters", 3],
         ["--sigma-grid", "-0.5"],
+        ["--sigma-grid", "nan"],
+        ["--sigma-grid", "inf"],
+        ["--d-grid", "nan"],
+        ["--d-grid", "inf"],
+        ["--margin", "nan"],
     ])
     def test_lambda_toy_bad_input(self, tmp_path, args):
         proc = run_cli("lambda-toy", "--sigma-grid", "1.0", "--d-grid", "2.0",

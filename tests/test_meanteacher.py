@@ -24,6 +24,13 @@ def params_checksum(net):
     return [p.copy() for p in net.parameters()]
 
 
+def ref_ema_update(teacher_params, student_params, decay):
+    """The per-array EMA update that the flat-vector one replaced."""
+    for t, s in zip(teacher_params, student_params):
+        t *= decay
+        t += (1.0 - decay) * s
+
+
 class TestEmaUpdate:
     def test_decay_zero_copies_student(self):
         student = model.init_model((4, 5), C=2, r=3, seed=1)
@@ -57,6 +64,28 @@ class TestEmaUpdate:
         teacher = mt.TeacherState(other, 0.9)
         with pytest.raises(DimensionMismatch):
             mt.ema_update(teacher, student, 0.9)
+
+    def test_layouts_of_equal_size_rejected(self):
+        # 15 values each, in other blocks: C=1, r=3 against C=3, r=1
+        student = model.init_model((2,), C=1, r=3, seed=1)
+        teacher = mt.TeacherState(model.init_model((2,), C=3, r=1, seed=1), 0.9)
+        assert student.theta.size == teacher.model.theta.size
+        with pytest.raises(DimensionMismatch):
+            mt.ema_update(teacher, student, 0.9)
+
+    @pytest.mark.parametrize("dims", [(5,), (5, 7, 4)])
+    def test_matches_per_array_reference(self, dims):
+        rng = np.random.default_rng(4)
+        student = model.init_model(dims, C=3, r=6, seed=1)
+        teacher = mt.TeacherState(model.init_model(dims, C=3, r=6, seed=2), 0.99)
+        ref = [p.copy() for p in teacher.model.parameters()]
+        for _ in range(25):
+            student.theta[:] = rng.normal(0.0, 1.0, student.theta.shape)
+            decay = rng.uniform(0.0, 0.999)
+            mt.ema_update(teacher, student, decay)
+            ref_ema_update(ref, student.parameters(), decay)
+            for got, want in zip(teacher.model.parameters(), ref, strict=True):
+                assert np.array_equal(got, want)
 
     def test_geometric_recurrence_scalar(self):
         # theta_T(t) = d^t theta_T(0) + (1-d) sum d^(t-1-k) theta_S(k)

@@ -46,12 +46,12 @@ def analytic_grads(net, X, labelsets, hp):
     F, logits, acts = model.forward_batch(net, X)
     grad_F = np.zeros_like(F)
     grad_logits = np.zeros_like(logits)
-    buffers = model.GradBuffers(net)
+    grads = net.blocks(np.zeros_like(net.theta))
     model._accumulate_loss_grads(net, F, logits,
                                  labels_from_sets(labelsets, net.label_count), hp,
-                                 grad_F, grad_logits, buffers.centers)
-    model._backprop_chain(net, acts, grad_F, grad_logits, buffers)
-    return buffers.as_list()
+                                 grad_F, grad_logits, grads["centers"])
+    model._backprop_chain(net, acts, grad_F, grad_logits, grads)
+    return list(grads.values())
 
 
 def fd_grads(net, X, labelsets, hp, eps=1e-5):
@@ -140,7 +140,7 @@ class TestForward:
         net = model.init_model((5, 3), C=2, r=4, seed=0)
         for p in net.parameters():
             p[:] = 0.0
-        F, logits = model.forward(net, np.ones(5))
+        F, logits, _ = model.forward_batch(net, np.ones((1, 5)))
         assert not F.any() and not logits.any()
 
     def test_identity_hash_layer(self):
@@ -148,14 +148,14 @@ class TestForward:
         net.hash_layer.W[:] = np.eye(3)
         net.hash_layer.b[:] = 0.0
         x = np.array([0.5, -1.5, 2.0])
-        F, _ = model.forward(net, x)
+        F = model.forward_batch(net, x[None, :])[0][0]
         np.testing.assert_allclose(F, x, atol=1e-15)
 
     def test_golden_activations(self):
         # frozen reference output of a fixed seeded model on a fixed input
         net = model.init_model((4, 6), C=3, r=5, seed=123)
-        F, logits = model.forward(net, np.array([1.0, -2.0, 0.5, 3.0]))
-        got = np.concatenate([F, logits])
+        F, logits, _ = model.forward_batch(net, np.array([[1.0, -2.0, 0.5, 3.0]]))
+        got = np.concatenate([F[0], logits[0]])
         frozen = np.array([
             0.0005733379152323032, -0.0010477595905324395, 0.00040613229580860636,
             -0.0001318887333623554, 0.00016728878286368523, -0.0005133273576026027,
@@ -166,7 +166,7 @@ class TestForward:
     def test_dimension_check(self):
         net = model.init_model((4, 6), C=3, r=5, seed=0)
         with pytest.raises(Exception):
-            model.forward(net, np.ones(5))
+            model.forward_batch(net, np.ones((1, 5)))
 
 
 class TestExtractEmbeddings:
@@ -235,8 +235,8 @@ class TestBackwardStep:
         net = randomized_net(5)
         before = [p.copy() for p in net.parameters()]
         hp = tiny_hp(momentum=0.0)
-        model.backward_step(net, rng.normal(0, 1, (3, 4)),
-                            labels_from_sets([frozenset({0})] * 3, 3), hp, lr=0.0)
+        model._sgd_step(net, rng.normal(0, 1, (3, 4)),
+                        labels_from_sets([frozenset({0})] * 3, 3), hp, lr=0.0)
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
 
@@ -252,9 +252,10 @@ class TestBackwardStep:
         first = None
         last = None
         for _ in range(50):
-            bl = model.backward_step(net, feats, ds.labels, hp)
-            first = bl.scul if first is None else first
-            last = bl.scul
+            rows, _ = model._sgd_step(net, feats, ds.labels, hp, hp.lr)
+            scul = rows[0].mean()
+            first = scul if first is None else first
+            last = scul
         assert last < first
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -263,13 +264,71 @@ class TestBackwardStep:
         hp = tiny_hp()
         net.trunk[0].W[:] = np.inf
         with pytest.raises(DivergenceError):
-            model.backward_step(net, rng.normal(0, 1, (2, 4)),
-                                labels_from_sets([frozenset({0})] * 2, 3), hp)
+            model._sgd_step(net, rng.normal(0, 1, (2, 4)),
+                            labels_from_sets([frozenset({0})] * 2, 3), hp, hp.lr)
 
     def test_empty_batch_rejected(self):
         net = randomized_net(6)
         with pytest.raises(PreconditionError):
-            model.backward_step(net, np.zeros((0, 4)), [], tiny_hp())
+            model._sgd_step(net, np.zeros((0, 4)), np.zeros((0, 3), bool), tiny_hp(), 1e-3)
+
+
+def ref_sgd_update(params, velocities, grads, lr, momentum):
+    """The per-array momentum update that the flat-vector one replaced."""
+    for p, v, g in zip(params, velocities, grads):
+        v *= momentum
+        v -= lr * g
+        p += v
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("dims", [(5,), (5, 7, 4)])
+    def test_sgd_update_matches_per_array_reference(self, dims):
+        rng = np.random.default_rng(8)
+        net = randomized_net(1, dims=dims, C=3, r=6)
+        params = [p.copy() for p in net.parameters()]
+        velocities = [np.zeros_like(p) for p in params]
+        for _ in range(25):
+            grad = rng.normal(0.0, 1.0, net.theta.shape)
+            lr, momentum = rng.uniform(1e-4, 0.1), rng.uniform(0.0, 0.99)
+            model.sgd_update(net, grad, lr, momentum)
+            ref_sgd_update(params, velocities, list(net.blocks(grad).values()),
+                           lr, momentum)
+            for got, want in zip(net.parameters(), params, strict=True):
+                assert np.array_equal(got, want)
+            for got, want in zip(net.blocks(net.velocity).values(), velocities):
+                assert np.array_equal(got, want)
+        # the named attributes still see the updated vector
+        assert np.array_equal(net.centers, params[-1])
+        assert np.array_equal(net.hash_layer.W, params[-5])
+
+    @pytest.mark.parametrize("dims", [(5,), (5, 7, 4)])
+    def test_parameters_are_views_in_checkpoint_order(self, dims):
+        net = randomized_net(3, dims=dims, C=3, r=6)
+        params = net.parameters()
+        assert [p.shape for p in params] == [s for _, s in net.layout]
+        assert sum(p.size for p in params) == net.theta.size
+        for p in params:
+            assert np.shares_memory(p, net.theta)
+        for layer in (*net.trunk, net.hash_layer, net.classifier):
+            assert np.shares_memory(layer.W, net.theta)
+            assert np.shares_memory(layer.b, net.theta)
+        assert np.shares_memory(net.centers, net.theta)
+        assert model._param_blob(net) == b"".join(p.tobytes() for p in params)
+
+    def test_copy_shares_no_memory(self):
+        net = randomized_net(3, dims=(5, 7), C=3, r=6)
+        net.velocity[:] = np.arange(net.velocity.size)
+        clone = net.copy()
+        assert np.array_equal(clone.theta, net.theta)
+        assert np.array_equal(clone.velocity, net.velocity)
+        for a in (clone.theta, clone.velocity, *clone.parameters()):
+            for b in (net.theta, net.velocity):
+                assert not np.shares_memory(a, b)
+
+    def test_theta_must_fit_the_layout(self):
+        with pytest.raises(DimensionMismatch):
+            model.EmbeddingModel((4, 5), 2, 3, np.zeros(10))
 
 
 class TestWarmupProject:
@@ -302,7 +361,7 @@ class TestWarmupProject:
         rng = np.random.default_rng(0)
         for _ in range(6):
             idx = rng.permutation(ds.n)[:8]
-            model.backward_step(net, feats[idx], ds.labels[idx], hp)
+            model._sgd_step(net, feats[idx], ds.labels[idx], hp, hp.lr)
             net.centers[:] = model.warmup_project(net.centers, hp.warmup_norm_s)
             norms = np.linalg.norm(net.centers, axis=0)
             np.testing.assert_allclose(norms, hp.warmup_norm_s, atol=1e-9)
@@ -323,12 +382,11 @@ def ref_train_scdh(dataset, hp, *, r, hidden=(64,)):
         sums = np.zeros(4)
         for a in range(0, dataset.n, hp.batch_size):
             idx = perm[a:min(a + hp.batch_size, dataset.n)]
-            bl = model.backward_step(net, features[idx], dataset.labels[idx], hp, lr=lr)
+            rows, _ = model._sgd_step(net, features[idx], dataset.labels[idx], hp, lr)
             if epoch < hp.warmup_epochs:
                 net.centers[:] = model.warmup_project(net.centers, hp.warmup_norm_s,
                                                       project_rng)
-            sums += np.array([bl.scul, bl.classification, bl.quantization,
-                              bl.center_distance]) * len(idx)
+            sums += rows.mean(axis=1) * len(idx)
         report.epochs.append(model.EpochRecord(epoch, *(sums / dataset.n),
                                                learning_rate=lr))
     report.final_quantization = model.mean_quantization(net, features, hp)
@@ -508,6 +566,20 @@ class TestCheckpoint:
         name = re.escape(f"teacher network's {self.BLOCKS[block]} block")
         with pytest.raises(ParseError, match=name):
             model.load_checkpoint(path)
+
+    def test_non_finite_parameter_names_block_start(self, tmp_path):
+        net = randomized_net(4, dims=(5, 7), C=4, r=6)
+        path = tmp_path / "model.ckpt"
+        start = 0
+        for i, p in enumerate(net.parameters()):
+            p.flat[-1], saved = np.nan, p.flat[-1]
+            model.save_checkpoint(path, net, tiny_hp())
+            p.flat[-1] = saved
+            byte = path.stat().st_size - 8 * net.theta.size + 8 * start
+            with pytest.raises(ParseError, match=f"{re.escape(self.BLOCKS[i])} block "
+                                                 f"at byte {byte}$"):
+                model.load_checkpoint(path)
+            start += p.size
 
     def test_truncation_detected(self, tmp_path):
         net = randomized_net(4)
