@@ -60,8 +60,8 @@ TOY_CHUNK = 1 << 15
 class LabeledCodeSet:
     """Codes (real or +/-1 valued) with their labels.
 
-    ``labels`` is given as one label set per row or as the (n, C) bool
-    membership matrix, and kept as a read-only copy of that matrix;
+    ``labels`` is the (n, C) bool membership matrix (``data.labels_from_sets``
+    builds one from label sets), kept as a read-only copy;
     ``from_single_labels`` takes an (n,) label vector.
     """
 
@@ -81,22 +81,13 @@ class LabeledCodeSet:
         if codes.ndim != 2:
             raise DimensionMismatch("codes must be an (n, r) matrix")
         n, C = codes.shape[0], self.label_count
-        if isinstance(self.labels, np.ndarray):
-            if self.labels.dtype != bool:
-                raise LabelSetError("labels must be label sets or an (n, C) bool matrix, "
-                                    f"not {self.labels.dtype}; see from_single_labels")
-            if self.labels.shape != (n, C):
-                raise DimensionMismatch(f"labels must be an ({n}, {C}) bool matrix, "
-                                        f"got {self.labels.shape}")
-            member = np.array(self.labels, order="C")
-        else:
-            if len(self.labels) != n:
-                raise DimensionMismatch("one label set per code row required")
-            member = np.zeros((n, C), dtype=bool)
-            for i, Y in enumerate(self.labels):
-                if Y and (min(Y) < 0 or max(Y) >= C):
-                    raise LabelSetError(f"label set {set(Y)} out of range for C={C}")
-                member[i, list(Y)] = True
+        member = np.array(self.labels, order="C")
+        if member.dtype != bool:
+            raise LabelSetError(f"labels must be an (n, C) bool matrix, not {member.dtype}; "
+                                "see from_single_labels and data.labels_from_sets")
+        if member.shape != (n, C):
+            raise DimensionMismatch(f"labels must be an ({n}, {C}) bool matrix, "
+                                    f"got {member.shape}")
         sizes = member.sum(axis=1)
         if not sizes.all():
             raise LabelSetError(f"row {int(np.argmin(sizes))} has no label in 0..{C - 1}")

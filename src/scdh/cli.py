@@ -508,6 +508,14 @@ def _labels_for(codes: retrieval.CodeIndex, ds: data.Dataset, what: str):
 
 
 def cmd_eval(cfg: dict, run: Run):
+    if cfg["map-k"] < 0:
+        raise ValidationError(f"--map-k must be 0 (untruncated) or positive, "
+                              f"got {cfg['map-k']}")
+    if cfg["radius"] < 0:
+        raise ValidationError(f"--radius must be non-negative, got {cfg['radius']}")
+    topk = list(cfg["topk"])
+    if topk != sorted(topk) or (topk and topk[0] < 1):
+        raise ValidationError(f"--topk must be ascending positive values, got {topk}")
     for key in ("queries", "database", "query-data", "db-data"):
         _require_file(cfg[key], f"--{key}")
     query_data = data.load_dataset(cfg["query-data"])
@@ -517,8 +525,10 @@ def cmd_eval(cfg: dict, run: Run):
                               f"--db-data {db_data.label_count}")
     queries = _labels_for(retrieval.load_codes(cfg["queries"]), query_data, "queries")
     db = _labels_for(retrieval.load_codes(cfg["database"]), db_data, "database")
+    if topk and topk[-1] > db.n:
+        raise ValidationError(f"--topk {topk[-1]} exceeds the {db.n} database codes")
     metrics = retrieval.evaluate(queries, db, k=cfg["map-k"] or None,
-                                 radius=cfg["radius"], ks=cfg["topk"])
+                                 radius=cfg["radius"], ks=topk)
     report = dict(metrics.to_dict(),
                   database_codes=retrieval.Buckets.of(db).summary())
     run.save_json("metrics.json", report)

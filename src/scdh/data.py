@@ -308,8 +308,8 @@ def load_dataset(path) -> Dataset:
             if past.any():
                 i = int(np.argmax(past))
                 h = int(high[i])
-                raise LabelSetError(f"row {i}: label {C + (h & -h).bit_length() - 1} "
-                                    f"out of range for C={C}")
+                raise ParseError(f"row {i}: label {C + (h & -h).bit_length() - 1} "
+                                 f"out of range for C={C}")
             labels = np.unpackbits(words.view(np.uint8), axis=1, count=C,
                                    bitorder="little").view(bool) & mask[:, None]
         else:
@@ -318,8 +318,8 @@ def load_dataset(path) -> Dataset:
             past = vals[rows] >= C
             if past.any():
                 i = int(rows[np.argmax(past)])
-                raise LabelSetError(f"row {i}: label {int(vals[i])} out of range "
-                                    f"for C={C}")
+                raise ParseError(f"row {i}: label {int(vals[i])} out of range "
+                                 f"for C={C}")
             labels[rows, vals[rows]] = True
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after offset {off}")

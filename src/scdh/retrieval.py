@@ -8,10 +8,9 @@ form a few compact clusters, so many rows share one code, and many queries
 carry a database code.  A query whose code has a bucket of at least k rows
 is answered by one hash-table lookup.  Any other query XOR-popcounts each
 distinct code once, counts the rows at each distance to find the k-th
-smallest, and sorts at most k ids from each code within it.  An index whose
-codes are mostly distinct is scanned row by row instead.  The metrics rank
-the database once per distinct (query code, label row) and all reduce that
-one ranking.
+smallest, and sorts at most k ids from each code within it; an index whose
+codes are all distinct takes the same path.  The metrics rank the database
+once per distinct (query code, label row) and all reduce that one ranking.
 """
 
 from __future__ import annotations
@@ -146,13 +145,6 @@ def _read_only(a, dtype, copy: bool) -> np.ndarray:
     return a
 
 
-# search scans the rows instead of the buckets when more than this share of
-# the codes are distinct: the bucket search's cost grows with the distinct
-# count and passes the row scan's between 0.25 and 0.35 at 2,000-4,000 rows
-# and near 0.45 at 100,000
-BUCKET_SEARCH_MAX_DISTINCT = 0.3
-
-
 @dataclass(frozen=True)
 class CodeIndex:
     """Immutable parallel arrays of codes, ids, and optional label rows.
@@ -161,9 +153,8 @@ class CodeIndex:
     the ones given, so a caller's later write cannot reach them.
 
     ``search`` works on the index's bucket view (see ``Buckets``) and a
-    table from each distinct code to its bucket when at most
-    ``BUCKET_SEARCH_MAX_DISTINCT`` of its codes are distinct.  Both are
-    built on the first search and cached; they are not part of the code file.
+    table from each distinct code to its bucket.  Both are built on the
+    first search and cached; they are not part of the code file.
     """
 
     words: np.ndarray        # (n, W) uint64
@@ -212,13 +203,10 @@ class CodeIndex:
         return cls(binarize_batch(F), np.asarray(ids, dtype=np.int64), F.shape[1], labels)
 
     @cached_property
-    def _search_buckets(self) -> tuple[Buckets, dict] | None:
+    def _search_buckets(self) -> tuple[Buckets, dict]:
         """The bucket view search uses and its exact-code table, which maps
-        the bytes of each distinct code to its bucket's (start, size); None
-        where search scans the rows."""
+        the bytes of each distinct code to its bucket's (start, size)."""
         view = Buckets.of(self)
-        if len(view.sizes) > BUCKET_SEARCH_MAX_DISTINCT * self.n:
-            return None
         return view, dict(zip(map(bytes, view.words),
                               zip(view.starts.tolist(), view.sizes.tolist())))
 
@@ -231,20 +219,17 @@ class CodeIndex:
         return pack_bits(self.labels)
 
 
-def _distances(words: np.ndarray, query_words: np.ndarray, nbits: int) -> np.ndarray:
-    if words.shape[1] == 1:     # r <= 64: no sum over words, and already uint8
-        return np.bitwise_count(words.ravel() ^ query_words[0])
-    return np.bitwise_count(words ^ query_words[None, :]).sum(
-        axis=1, dtype=np.min_scalar_type(nbits))
-
-
-def distances_to_index(query_words: np.ndarray, index: CodeIndex) -> np.ndarray:
-    """Hamming distances from one packed query to every index entry.
+def distances_to_index(query_words: np.ndarray, index: CodeIndex | Buckets) -> np.ndarray:
+    """Hamming distances from one packed query to every code of an index or
+    of its bucket view.
 
     The dtype is the smallest unsigned integer type that holds r, so a
     stable sort of the distances is a radix sort.
     """
-    return _distances(index.words, query_words, index.nbits)
+    if index.words.shape[1] == 1:   # r <= 64: no sum over words, and already uint8
+        return np.bitwise_count(index.words.ravel() ^ query_words[0])
+    return np.bitwise_count(index.words ^ query_words[None, :]).sum(
+        axis=1, dtype=np.min_scalar_type(index.nbits))
 
 
 def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
@@ -263,37 +248,25 @@ def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
         raise PreconditionError(f"k={k} is negative")
     if k == 0:
         return []
-    buckets = index._search_buckets
-    if buckets is None:
-        return _scan_search(query, index, k)
-    view, table = buckets
+    view, table = index._search_buckets
     # a query whose code has a bucket of k or more rows is answered by the
     # bucket's first k ids: it alone lies at distance 0, its ids ascending
     start, size = table.get(query.words.tobytes(), (0, 0))
     if size >= k:
         return [(i, 0) for i in view.ids[start:start + k].tolist()]
     # the answer lies within the smallest distance t that at least k rows
-    # reach; a bucket within t gives at most its k smallest ids
-    dists = _distances(view.words, query.words, index.nbits)
-    t = int(np.searchsorted(np.cumsum(np.bincount(dists, weights=view.sizes)), k))
-    near = np.flatnonzero(dists <= t)
+    # reach; a bucket within t gives at most its k smallest ids.  (The array
+    # methods skip the Python wrappers of np.cumsum, np.repeat and
+    # np.flatnonzero: about 10 of the ~40 us of a miss on 2,000 rows.)
+    dists = distances_to_index(query.words, view)
+    t = int(np.bincount(dists, weights=view.sizes).cumsum().searchsorted(k))
+    near = (dists <= t).nonzero()[0]
     take = np.minimum(view.sizes[near], k)
-    ends = np.cumsum(take)
-    rows = np.arange(ends[-1]) + np.repeat(view.starts[near] - (ends - take), take)
-    ids, dists = view.ids[rows], np.repeat(dists[near], take)
+    ends = take.cumsum()
+    rows = np.arange(ends[-1]) + (view.starts[near] - (ends - take)).repeat(take)
+    ids, dists = view.ids[rows], dists[near].repeat(take)
     order = np.lexsort((ids, dists))[:k]
     return list(zip(ids[order].tolist(), dists[order].tolist()))
-
-
-def _scan_search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
-    """search over every row, for indices whose codes are mostly distinct."""
-    dists = distances_to_index(query.words, index)
-    # the answer lies within the smallest distance t that at least k codes
-    # reach, so only those codes need sorting
-    t = int(np.searchsorted(np.cumsum(np.bincount(dists)), k))
-    near = np.flatnonzero(dists <= t)
-    order = near[np.lexsort((index.ids[near], dists[near]))][:k]
-    return list(zip(index.ids[order].tolist(), dists[order].tolist()))
 
 
 def _check_ks(ks: Sequence[int], n: int) -> list[int]:
@@ -364,6 +337,10 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
     every query that has it.  A query or database row with no label shares
     no label with anything.
     """
+    if k is not None and k < 1:
+        raise PreconditionError(f"k={k} must be positive")
+    if radius < 0:
+        raise PreconditionError(f"radius={radius} must be non-negative")
     if queries.labels is None or index.labels is None:
         raise PreconditionError("metrics require labels on both sides")
     C = queries.labels.shape[1]
@@ -411,8 +388,6 @@ def mean_average_precision(queries: CodeIndex, index: CodeIndex,
     truncated at k it divides by min(k, #relevant).  Queries with no relevant
     item anywhere in the database are excluded from the mean.
     """
-    if k is not None and k < 1:
-        raise PreconditionError(f"k={k} must be positive")
     return _rank(queries, index, k=k).mean_ap(at_k=k is not None)
 
 

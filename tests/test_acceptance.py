@@ -395,8 +395,11 @@ def test_criterion_10_command_determinism(tmp_path):
         return proc
 
     def dir_bytes(path):
-        return {name: open(os.path.join(path, name), "rb").read()
-                for name in sorted(os.listdir(path))}
+        out = {}
+        for name in sorted(os.listdir(path)):
+            with open(os.path.join(path, name), "rb") as fh:
+                out[name] = fh.read()
+        return out
 
     # shared inputs: both runs of every command see identical arguments
     # except for the output directory (which is not part of the config)

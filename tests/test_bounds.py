@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scdh import bounds, cli
+from scdh import bounds, cli, data
 from scdh.errors import DimensionMismatch, LabelSetError, PreconditionError
 from scdh.losses import margin_loss, softmax_loss
 
@@ -65,8 +65,7 @@ class TestLabeledCodeSet:
 
     def test_empty_label_rejected(self):
         with pytest.raises(LabelSetError):
-            bounds.LabeledCodeSet(np.ones((2, 2)),
-                                  (frozenset({0}), frozenset()), 2)
+            bounds.LabeledCodeSet(np.ones((2, 2)), data.labels_from_sets(({0}, set()), 2), 2)
 
 
     def test_label_vector_validated(self):
@@ -81,7 +80,7 @@ class TestLabeledCodeSet:
         y = np.array([1, 0, 1, 2])
         vec = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 3)
         sets = bounds.LabeledCodeSet(np.ones((4, 2)),
-                                     tuple(frozenset({int(l)}) for l in y), 3)
+                                     data.labels_from_sets([{int(l)} for l in y], 3), 3)
         for cs in (vec, sets):
             assert cs.labels.tolist() == (y[:, None] == np.arange(3)).tolist()
             assert cs.single_labels().tolist() == y.tolist()
@@ -90,15 +89,16 @@ class TestLabeledCodeSet:
                 cs.labels[0, 0] = True
         y[0] = 0                    # the set keeps its own copy
         assert vec.single_labels()[0] == 1
-        multi = bounds.LabeledCodeSet(np.ones((2, 2)), (frozenset({0, 1}), frozenset({1})), 2)
+        multi = bounds.LabeledCodeSet(np.ones((2, 2)),
+                                      data.labels_from_sets(({0, 1}, {1}), 2), 2)
         assert multi.labels.tolist() == [[True, True], [False, True]]
         assert not multi.is_balanced()
 
     def test_stored_matrix_round_trips(self):
         y = np.array([1, 0, 1, 0])
         for cs in (bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 2, balanced=True),
-                   bounds.LabeledCodeSet(np.ones((4, 2)), (frozenset({0, 1}), frozenset({1}),
-                                                           frozenset({0}), frozenset({1})), 2)):
+                   bounds.LabeledCodeSet(np.ones((4, 2)),
+                                         data.labels_from_sets(({0, 1}, {1}, {0}, {1}), 2), 2)):
             again = dataclasses.replace(cs, codes=np.zeros((4, 2)))
             assert np.array_equal(again.labels, cs.labels)
             assert again.labels is not cs.labels and not again.labels.flags.writeable
@@ -112,7 +112,9 @@ class TestLabeledCodeSet:
 
     def test_label_arrays_validated(self):
         codes = np.ones((3, 2))
-        for bad in (np.array([0, 1, 0]), np.array([[0, 1]] * 3), np.ones((3, 2))):
+        # label sets are rejected too: data.labels_from_sets makes the matrix
+        for bad in (np.array([0, 1, 0]), np.array([[0, 1]] * 3), np.ones((3, 2)),
+                    (frozenset({0}), frozenset({1}), frozenset({0}))):
             with pytest.raises(LabelSetError, match="bool matrix"):   # not bool
                 bounds.LabeledCodeSet(codes, bad, 2)
         for bad in (np.array([True, False, True]), np.ones((3, 3), dtype=bool),
@@ -162,16 +164,15 @@ class TestBruteForce:
 
     def test_single_label_required(self):
         cs = bounds.LabeledCodeSet(np.ones((3, 2)),
-                                   (frozenset({0, 1}), frozenset({1}), frozenset({0})), 2)
+                                   data.labels_from_sets(({0, 1}, {1}, {0}), 2), 2)
         with pytest.raises(LabelSetError):
             bounds.brute_force_triplet_loss(cs, margin_loss(1.0))
 
 
 class TestMultilabelBruteForce:
     def test_all_share_everything(self):
-        sets = tuple(frozenset({0, 1}) for _ in range(4))
         cs = bounds.LabeledCodeSet(np.random.default_rng(0).normal(0, 1, (4, 3)),
-                                   sets, 3)
+                                   data.labels_from_sets([{0, 1}] * 4, 3), 3)
         assert bounds.multilabel_brute_force_loss(cs, margin_loss(1.0)) == 0.0
 
     def test_singletons_reduce_to_single_label(self, rng):
@@ -187,7 +188,7 @@ class TestMultilabelBruteForce:
         for _ in range(8):
             size = int(rng.integers(1, 3))
             sets.append(frozenset(rng.choice(3, size=size, replace=False).tolist()))
-        cs = bounds.LabeledCodeSet(codes, tuple(sets), 3)
+        cs = bounds.LabeledCodeSet(codes, data.labels_from_sets(sets, 3), 3)
         got = bounds.multilabel_brute_force_loss(cs, kind)
         want = naive_multilabel_loss(codes, sets, kind)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from scdh import cli, model, retrieval
+from scdh import cli, data, model, retrieval
 from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters,
                        labels_from_sets, load_dataset, save_dataset, strip_labels)
 
@@ -177,6 +177,52 @@ class TestValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert not (r / written).exists()
+
+    def test_scds_label_past_label_count_exits_1(self, tmp_path, capsys):
+        # a 3-class dataset whose header is rewritten to C = 2 holds labels at C
+        path = tmp_path / "d.scds"
+        save_dataset(gen_gaussian_clusters(SyntheticConfig(
+            C=3, feature_dim=4, cluster_std=0.3, center_spread=2.0,
+            samples_per_class=6, seed=0)), path)
+        blob = bytearray(path.read_bytes())
+        data._DS_HEADER.pack_into(blob, 0, *data._DS_HEADER.unpack_from(blob, 0)[:-1], 2)
+        path.write_bytes(bytes(blob))
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 2, 8, 0), model.Hyperparams())
+        out = tmp_path / "r"
+        assert cli.main(["encode", "--model", str(ckpt), "--data", str(path),
+                         "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "out of range for C=2" in err["message"]
+        assert not (out / "codes.scdh").exists()
+
+    @pytest.mark.parametrize("flags", [["--map-k", "-3"], ["--radius", "-1"],
+                                       ["--topk", "0"], ["--topk", "5,3"],
+                                       ["--topk", "19"]])
+    def test_eval_bad_flags_exit_1(self, tmp_path, capsys, monkeypatch, flags):
+        # each value but the last is rejected before any file is read; the
+        # last exceeds the 18 database codes, and is rejected before ranking
+        ds = tmp_path / "d.scds"
+        save_dataset(gen_gaussian_clusters(SyntheticConfig(
+            C=3, feature_dim=4, cluster_std=0.3, center_spread=2.0,
+            samples_per_class=6, seed=0)), ds)
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 8, 0), model.Hyperparams())
+        assert cli.main(["encode", "--model", str(ckpt), "--data", str(ds),
+                         "--out", str(tmp_path)]) == 0
+        codes = str(tmp_path / "codes.scdh")
+        argv = ["eval", "--queries", codes, "--database", codes,
+                "--query-data", str(ds), "--db-data", str(ds)]
+        assert cli.main([*argv, "--topk", "18", "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        if flags[1] != "19":
+            monkeypatch.setattr(cli.data, "load_dataset",
+                                lambda *a: pytest.fail("data read"))
+        out = tmp_path / "bad"
+        assert cli.main([*argv, *flags, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and flags[0] in err["message"]
+        assert not (out / "metrics.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--classes", "0"],

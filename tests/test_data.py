@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdh import data, model, retrieval
-from scdh.errors import LabelSetError, ParseError, PreconditionError
+from scdh.errors import ParseError, PreconditionError
 
 
 def cfg(**kw):
@@ -349,7 +349,7 @@ class TestLabelIO:
         word = data._DS_HEADER.size + 3 * 8 + 3 * 2 * 4 + 3 + 8 * (bit // 64)
         blob[word + (bit % 64) // 8] |= 1 << (bit % 8)
         path.write_bytes(bytes(blob))
-        with pytest.raises(LabelSetError):
+        with pytest.raises(ParseError, match="out of range"):
             data.load_dataset(path)
 
     def test_masked_row_bits_ignored(self, tmp_path):
@@ -388,7 +388,7 @@ class TestLabelIO:
         blob = bytearray(path.read_bytes())
         blob[-4:] = (2).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(LabelSetError):
+        with pytest.raises(ParseError, match="out of range"):
             data.load_dataset(path)
 
     def test_label_bitmasks_layout(self):
@@ -417,7 +417,7 @@ FILES = ["multi.scds", "single.scds", "codes.scdh", "model.ckpt", "student.ckpt"
 
 
 class TestParserFuzz:
-    """Damaged files raise ParseError or LabelSetError, never anything else."""
+    """Damaged files raise ParseError, never anything else."""
 
     @pytest.fixture(scope="class")
     def blobs(self, tmp_path_factory):
@@ -469,7 +469,7 @@ class TestParserFuzz:
         path.write_bytes(head + blob[len(head):])
         try:
             loader(name)(path)
-        except (ParseError, LabelSetError):
+        except ParseError:
             pass
 
     @pytest.mark.parametrize("name", ["model.ckpt", "student.ckpt"])

@@ -396,14 +396,13 @@ def ref_rank(queries, index, k=None, radius=2, ks=()):
     qm = queries.label_masks(C)
     by_id = np.argsort(index.ids, kind="stable")
     dm = index.label_masks(C)[by_id]
-    words = index.words[by_id]
     nq = queries.n
     out = rt._Ranking(np.zeros(nq, np.int64), np.zeros(nq), np.zeros(nq) if k else None,
                       np.zeros(nq, np.int64), np.zeros(nq, np.int64), list(ks),
                       np.zeros(len(ks)))
     ks = np.asarray(ks, dtype=np.int64)
     for qi in range(nq):
-        dists = rt._distances(words, queries.words[qi], index.nbits)
+        dists = rt.distances_to_index(queries.words[qi], index)[by_id]
         relevant = (dm & qm[qi][None, :]).any(axis=1)
         inside = dists <= radius
         out.ball[qi] = np.count_nonzero(inside)
@@ -576,6 +575,11 @@ class TestOneRankingPass:
         lambda q, db: rt.search(rt.HashCode(q.words[0], q.nbits), db, -1),
         lambda q, db: rt.mean_average_precision(q, db, k=0),
         lambda q, db: rt.topk_precision_curve(q, db, [0, 3]),
+        lambda q, db: rt.evaluate(q, db, k=0),
+        lambda q, db: rt.evaluate(q, db, k=-3),
+        # a negative radius is rejected the same way: every ball would be empty
+        lambda q, db: rt.evaluate(q, db, radius=-1),
+        lambda q, db: rt.precision_at_radius(q, db, radius=-1),
     ])
     def test_nonpositive_k_rejected(self, rng, call):
         _, db = make_index(rng, 10, 8, with_labels=True)
@@ -643,13 +647,12 @@ class TestGroupedRanking:
 
 @st.composite
 def bucket_case(draw):
-    """A database of more than 40 rows with m distinct codes, m drawn on
-    either side of the bucket-search cut-off, and queries near and far."""
+    """A database of more than 40 rows with m distinct codes, m drawn over
+    1..n, and queries near and far."""
     r = draw(st.sampled_from([1, 24, 64, 65, 130]))
     n = draw(st.integers(41, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cut = int(rt.BUCKET_SEARCH_MAX_DISTINCT * n)
-    m = draw(st.one_of(st.just(1), st.integers(1, cut), st.integers(cut + 1, n)))
+    m = draw(st.integers(1, n))
     bases = rng.random((m, r)) < 0.5
     if draw(st.booleans()):
         bases[:, :64] = bases[0, :64]       # codes differ past the first word only
@@ -679,8 +682,7 @@ class TestBucketSearch:
             size = int((db_bits == qb).all(axis=1).sum())
             for k in sorted({0, 1, mid, db.n, size, min(size + 1, db.n)}):
                 assert rt.search(query, db, k) == naive_search(qb, db_bits, db.ids, k)
-        scans = distinct > rt.BUCKET_SEARCH_MAX_DISTINCT * db.n
-        assert (db._search_buckets is None) == scans
+        assert len(db._search_buckets[0].sizes) == distinct
 
     def test_view_against_unique(self, rng):
         bases = rng.random((40, 70)) < 0.5
@@ -765,8 +767,9 @@ class TestBucketSearch:
         index = rt.CodeIndex(rt.pack_bits(bits), rng.permutation(900)[:300], 70)
         rt.save_codes(index, tmp_path / "before.scdh")
         calls = []
-        measure = rt._distances
-        monkeypatch.setattr(rt, "_distances", lambda *a: calls.append(1) or measure(*a))
+        measure = rt.distances_to_index
+        monkeypatch.setattr(rt, "distances_to_index",
+                            lambda *a: calls.append(1) or measure(*a))
         query = rt.HashCode(rt.pack_bits(bits[7]), 70)
         size = int((bits == bits[7]).all(axis=1).sum())
         for k in (1, size):
@@ -779,17 +782,24 @@ class TestBucketSearch:
         rt.save_codes(index, tmp_path / "after.scdh")
         assert (tmp_path / "after.scdh").read_bytes() == (tmp_path / "before.scdh").read_bytes()
 
-    def test_scan_path_builds_no_table(self, rng, monkeypatch):
-        # mostly distinct codes: search scans the rows, and the index keeps
-        # nothing but a None for its view
-        bits = rng.random((200, 24)) < 0.5
-        index = rt.CodeIndex(rt.pack_bits(bits), np.arange(200), 24)
-        monkeypatch.setattr(rt, "dict", lambda *a: pytest.fail("table built"),
+    @pytest.mark.parametrize("r", [24, 130])
+    def test_all_distinct_index_builds_view_once(self, rng, monkeypatch, r):
+        # no two rows share a code: every bucket holds one row, and search
+        # takes the one path, its view and table built on the first call
+        bits = rng.random((60, r)) < 0.5
+        bits[:, :6] = ((np.arange(60)[:, None] >> np.arange(6)) & 1).astype(bool)
+        index = rt.CodeIndex(rt.pack_bits(bits), rng.permutation(60), r)
+        views, tables = [], []
+        build = rt.Buckets.of
+        monkeypatch.setattr(rt.Buckets, "of", lambda idx: views.append(1) or build(idx))
+        monkeypatch.setattr(rt, "dict", lambda *a: tables.append(1) or dict(*a),
                             raising=False)
-        query = rt.HashCode(rt.pack_bits(bits[3]), 24)
-        assert rt.search(query, index, 1) == [(3, 0)]
-        assert vars(index) == {"words": index.words, "ids": index.ids, "nbits": 24,
-                               "labels": None, "_search_buckets": None}
+        for qb in (bits[3], bits[41], ~bits[3], rng.random(r) < 0.5):
+            query = rt.HashCode(rt.pack_bits(qb), r)
+            for k in range(index.n + 1):
+                assert rt.search(query, index, k) == naive_search(qb, bits, index.ids, k)
+        assert views == [1] and tables == [1]
+        assert index._search_buckets[0].sizes.tolist() == [1] * 60
 
     @pytest.mark.parametrize("duplicated", [True, False])
     def test_view_built_once(self, rng, monkeypatch, duplicated):
@@ -803,5 +813,3 @@ class TestBucketSearch:
         query = rt.HashCode(rt.pack_bits(bits[3]), 24)
         assert rt.search(query, index, 10) == rt.search(query, index, 10)
         assert len(built) == 1
-        # a mostly-distinct index keeps no view and scans its rows
-        assert (index._search_buckets is None) == (not duplicated)
