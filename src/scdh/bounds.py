@@ -19,10 +19,14 @@ per-row (or per-trial) loop, which the tests keep as the reference:
 - the Monte Carlo check draws the label matrices of a block of trials from
   one stream of C-wide candidate rows and reduces the block with batched
   products, so memory is O(block n^2) for any trial count;
-- a sampled toy cell keeps its three (T,) index draws whole and does
-  everything after them a chunk of triplets at a time, looking the
-  distances up in the (n, n) distance table when n^2 <= T and otherwise
-  computing them per pair; it never gathers (T, r) code rows.
+- a sampled toy cell keeps two (T,) index draws whole, in the narrowest
+  integer dtype that holds n, and does everything after them a chunk of
+  triplets at a time: it draws the third index per chunk from the same
+  stream, looks the distances up in the (n, n) distance table when
+  n^2 <= T (otherwise computes them per pair) and never gathers (T, r)
+  code rows.  Its two means over T terms are rebuilt from chunk sums along
+  numpy's pairwise summation tree, so they keep the bits of one
+  ``.mean()`` over whole term arrays.
 
 ``bound_summary`` condenses a verify-bounds run: the minimum relative slack
 of each check family and a fixed-bin histogram of the lambda estimates.
@@ -52,8 +56,13 @@ DEFAULT_TRIPLET_CAP = 64
 # b n^2 max(n, r); ``unary_upper_bounds`` certifies longer stacks in pieces.
 UNARY_STACK_FLOATS = 1 << 20
 
-# Sampled toy triplets worked at a time after the whole-array draws.
+# Most sampled toy triplets drawn or worked at a time; the worked chunks are
+# nodes of numpy's pairwise summation tree (see ``_pairwise_sum``).
 TOY_CHUNK = 1 << 15
+
+# numpy's pairwise summation sums a range of at most this many float64 terms
+# with eight running accumulators and splits a longer one in two.
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -200,6 +209,26 @@ def _pair_distances(codes: np.ndarray, a: np.ndarray, b: np.ndarray,
     for s in range(0, len(a), chunk):
         out[s:s + chunk] = _norm(codes[a[s:s + chunk]] - codes[b[s:s + chunk]], 1)
     return out
+
+
+def _pairwise_sum(n: int, leaf_sums, leaf: int, start: int = 0):
+    """``np.add.reduce`` over n float64 terms, from the sums of their pieces.
+
+    numpy sums a contiguous float64 array along a pairwise tree: a range of
+    more than ``_PAIRWISE_BLOCK`` terms splits at half its length, rounded
+    down to a multiple of 8.  This walks that tree from ``start``, calls
+    ``leaf_sums(lo, hi)`` on each node of at most ``max(leaf,
+    _PAIRWISE_BLOCK)`` terms, left to right, and adds the returned sums back
+    up the tree.  When ``leaf_sums`` returns ``np.add.reduce`` of the terms
+    lo:hi (or an array of several such sums), the result is bit-equal to one
+    ``np.add.reduce`` over all n terms.
+    """
+    if n <= max(leaf, _PAIRWISE_BLOCK):
+        return leaf_sums(start, start + n)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(half, leaf_sums, leaf, start)
+            + _pairwise_sum(n - half, leaf_sums, leaf, start + half))
 
 
 def _code_center_distances(codes: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -707,30 +736,38 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
         relaxed = float(_sum_in_row_order(row_sums))
     else:
         T = cfg.triplet_samples
-        i_all = rng.integers(0, n, T)
-        off_all = rng.integers(0, m - 1, T)      # j: same cluster as i, j != i
-        k_all = rng.integers(0, n - m, T)        # k: uniform over the other clusters
-        D = _pairwise_distances(codes) if n * n <= T else None   # no larger than T pairs
-        g_terms = np.empty(T)
-        relaxed_terms = np.empty(T)
-        for s in range(0, T, TOY_CHUNK):
-            i_idx = i_all[s:s + TOY_CHUNK]
+        # i, then j's offset within i's cluster, drawn a chunk at a time into
+        # narrow arrays (the stream is the same as one whole draw of each)
+        i_all = np.empty(T, np.min_scalar_type(n))
+        off_all = np.empty(T, i_all.dtype)
+        for draws, high in ((i_all, n), (off_all, m - 1)):
+            for s in range(0, T, TOY_CHUNK):
+                draws[s:s + TOY_CHUNK] = rng.integers(0, high, min(TOY_CHUNK, T - s))
+        # the (n, n) table is no larger than T pairs; small row blocks keep
+        # its (block, n, r) differences small
+        D = _pairwise_distances(codes, block=16) if n * n <= T else None
+
+        def leaf_sums(lo: int, hi: int) -> np.ndarray:
+            i_idx = i_all[lo:hi].astype(np.intp)
             first = (i_idx // m) * m                   # i's cluster starts here
-            off = off_all[s:s + TOY_CHUNK]
-            j_idx = first + off + (off >= i_idx - first)
-            k_raw = k_all[s:s + TOY_CHUNK]
+            off = off_all[lo:hi]
+            j_idx = first + off + (off >= i_idx - first)          # j != i
+            k_raw = rng.integers(0, n - m, hi - lo)    # k: the other clusters
             k_idx = np.where(k_raw >= first, k_raw + m, k_raw)
             if D is not None:
                 d_ij, d_ik = D[i_idx, j_idx], D[i_idx, k_idx]
             else:
                 d_ij = _pair_distances(codes, i_idx, j_idx)
                 d_ik = _pair_distances(codes, i_idx, k_idx)
-            g_terms[s:s + TOY_CHUNK] = kind.g(d_ij, d_ik)
-            relaxed_terms[s:s + TOY_CHUNK] = (kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
-                                              + d_own[j_idx] + d_own[k_idx])
-        # one mean over each whole array: the pairwise tree depends on its length
-        lt = float(g_terms.mean()) * total_triplets
-        relaxed = float(relaxed_terms.mean()) * total_triplets
+            relaxed_terms = (kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
+                             + d_own[j_idx] + d_own[k_idx])
+            return np.array([np.add.reduce(kind.g(d_ij, d_ik)),
+                             np.add.reduce(relaxed_terms)])
+
+        # each mean is .mean() over all T terms: the tree sum divided by T
+        g_sum, relaxed_sum = _pairwise_sum(T, leaf_sums, TOY_CHUNK)
+        lt = float(g_sum / T) * total_triplets
+        relaxed = float(relaxed_sum / T) * total_triplets
 
     lam = _lambda_from_parts(lt, multiplier, float(lc.sum()), float(d_own.sum()))
     return ToyCell(sigma, d, lt, relaxed, unary, float(lam), lam.degenerate)

@@ -311,16 +311,23 @@ def require_negative_class(Y) -> None:
                             "class exists")
 
 
+def center_differences(F, centers) -> tuple[Array, Array]:
+    """The (n, r, C) differences f_i - c_k of every row of F (n, r) from every
+    center (r, C), and their (n, C) norms D[i, k] = |f_i - c_k|."""
+    diff = F[:, :, None] - centers[None, :, :]
+    return diff, np.sqrt(np.einsum("nrc,nrc->nc", diff, diff))
+
+
 def center_directions(F, centers) -> tuple[Array, Array]:
     """Distances from every row of F to every center, and their unit directions.
 
     Returns ``D`` (n, C) with D[i, k] = |f_i - c_k| and ``U`` (n, r, C) with
     U[i, :, k] = (f_i - c_k) / D[i, k], zero where D[i, k] = 0 (the
     subgradient choice of ``_unit_directions``).  Both come from the
-    differences, so no precision is lost near a center.
+    differences of ``center_differences``, so no precision is lost near a
+    center.
     """
-    diff = F[:, :, None] - centers[None, :, :]
-    D = np.sqrt(np.einsum("nrc,nrc->nc", diff, diff))
+    diff, D = center_differences(F, centers)
     with np.errstate(invalid="ignore", divide="ignore"):
         U = np.where(D[:, None, :] > 0.0, diff / D[:, None, :], 0.0)
     return D, U

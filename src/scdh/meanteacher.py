@@ -160,7 +160,7 @@ def consistency_losses(student_logits, teacher_logits, student_negdists,
 def negative_center_distances(F, centers: np.ndarray) -> np.ndarray:
     """-|f_i - c_k| for every row of F (n, r) -> (n, C); a 1-d f gives (C,)."""
     F = np.asarray(F, dtype=np.float64)
-    D, _ = losses.center_directions(np.atleast_2d(F), np.asarray(centers, np.float64))
+    _, D = losses.center_differences(np.atleast_2d(F), np.asarray(centers, np.float64))
     return -D[0] if F.ndim == 1 else -D
 
 

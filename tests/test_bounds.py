@@ -547,6 +547,7 @@ class TestRowBlocksMatchReference:
         # the reference's full (n, n, r) difference tensor, reduced per row
         want = np.linalg.norm(codes[:, None, :] - codes[None, :, :], axis=2)
         assert np.array_equal(D, want)
+        assert np.array_equal(bounds._pairwise_distances(codes, block=16), want)
         i, j = rng.integers(0, 150, 500), rng.integers(0, 150, 500)
         assert np.array_equal(bounds._pair_distances(codes, i, j, chunk=64), D[i, j])
 
@@ -762,40 +763,50 @@ class TestToyCellMatchesReference:
     @pytest.mark.parametrize("kw", [
         dict(samples_per_cluster=40, triplet_samples=20_000),    # table
         dict(samples_per_cluster=60, triplet_samples=3_001),     # pairs
+        # n = 30: T below, equal to or a multiple of some chunk
+        dict(samples_per_cluster=15, triplet_samples=5),         # pairs
+        dict(samples_per_cluster=15, triplet_samples=7),
+        dict(samples_per_cluster=15, triplet_samples=999),       # table from here
+        dict(samples_per_cluster=15, triplet_samples=1024),
+        dict(samples_per_cluster=15, triplet_samples=6993),      # 7 * 999
+        dict(samples_per_cluster=15, triplet_samples=7168),      # 7 * 1024
     ])
     def test_cells_in_chunks(self, kw, monkeypatch):
         # chunks that do not divide T; each mean still runs over all T terms
-        monkeypatch.setattr(bounds, "TOY_CHUNK", 999)
         cfg = bounds.ToyConfig(sigma_grid=(0.3,), d_grid=(4.0,), seed=5, **kw)
-        got = bounds.toy_lambda_grid(cfg)
         seed_seq, = np.random.SeedSequence(cfg.seed).spawn(1)
-        assert [c.to_dict() for c in got] == [ref_toy_cell(cfg, 0.3, 4.0, seed_seq).to_dict()]
+        want = [ref_toy_cell(cfg, 0.3, 4.0, seed_seq).to_dict()]
+        for chunk in (7, 999, 1024):
+            monkeypatch.setattr(bounds, "TOY_CHUNK", chunk)
+            assert [c.to_dict() for c in bounds.toy_lambda_grid(cfg)] == want, chunk
 
-    def test_sampled_cell_memory(self):
-        # the (T, r) gathers of the reference peak at ~162 MB here
+    @staticmethod
+    def _cell_peak(triplets: int) -> int:
         cfg = bounds.ToyConfig(sigma_grid=(1.5,), d_grid=(4.0,), seed=0,
-                               triplet_samples=200_000)
-        seed_seq = np.random.SeedSequence(0)
-        tracemalloc.start()
-        try:
-            bounds._toy_cell(cfg, 1.5, 4.0, seed_seq)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 50 * 2**20
-
-    def test_sampled_cell_memory_at_a_million_triplets(self):
-        # the three (T,) index draws and the two (T,) term arrays are whole;
-        # everything else is a chunk at a time (~97 MB with whole-array steps)
-        cfg = bounds.ToyConfig(sigma_grid=(1.5,), d_grid=(4.0,), seed=0,
-                               triplet_samples=1_000_000)
+                               triplet_samples=triplets)
         tracemalloc.start()
         try:
             bounds._toy_cell(cfg, 1.5, 4.0, np.random.SeedSequence(0))
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60 * 2**20
+
+    def test_sampled_cell_memory(self):
+        # the (T, r) gathers of the reference peak at ~162 MB here; the cell
+        # peaks at ~7 MB, most of it chunk temporaries and the distance table
+        assert self._cell_peak(200_000) < 10 * 2**20
+
+    def test_sampled_cell_memory_at_a_million_triplets(self):
+        # two narrow (T,) index draws (2 bytes a triplet each at n = 400) are
+        # whole; everything else is a chunk at a time (~44 MB with three int64
+        # draws and two float64 term arrays whole, ~97 MB with whole-array
+        # steps); the cell peaks at ~11 MB
+        assert self._cell_peak(1_000_000) < 16 * 2**20
+
+    def test_sampled_cell_memory_grows_by_the_draws_alone(self):
+        # n = 400: 3M more triplets add 4 bytes each, plus under 1 MB of slack
+        assert self._cell_peak(4_000_000) <= (self._cell_peak(1_000_000)
+                                              + 4 * 3_000_000 + 2**20)
 
     @pytest.mark.parametrize("kw", [dict(C=1), dict(C=3, r=2),
                                     dict(samples_per_cluster=1),
@@ -803,6 +814,28 @@ class TestToyCellMatchesReference:
     def test_bad_config_rejected(self, kw):
         with pytest.raises(PreconditionError):
             bounds.ToyConfig(**kw)
+
+
+class TestPairwiseSum:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5 * 1024))
+    @example(n=5 * 1024)
+    def test_leaf_sums_up_the_tree_equal_add_reduce(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+        for leaf in (7, 999, 1024):
+            leaves = []
+
+            def leaf_sums(lo, hi):
+                leaves.append((lo, hi))
+                return np.add.reduce(x[lo:hi])
+
+            assert bounds._pairwise_sum(n, leaf_sums, leaf) == np.add.reduce(x)
+            # the leaves tile 0..n left to right, none longer than the leaf
+            assert leaves[0][0] == 0 and leaves[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+            top = max(leaf, bounds._PAIRWISE_BLOCK)
+            assert all(0 < hi - lo <= top for lo, hi in leaves)
 
 
 class TestBoundSummary:

@@ -196,6 +196,8 @@ class TestBatchedConsistency:
         want = np.stack([-losses.center_distances(f, centers) for f in F])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         assert got[2, 1] == 0.0
+        # the training kernel's distances, with the same arithmetic
+        np.testing.assert_array_equal(got, -losses.center_directions(F, centers)[0])
         np.testing.assert_array_equal(mt.negative_center_distances(F[0], centers),
                                       got[0])
 
