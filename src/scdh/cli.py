@@ -239,17 +239,17 @@ def _require_file(path: str, what: str):
         raise ValidationError(f"{what} not found: {path}")
 
 
-def _require_finite(dataset: data.Dataset, what: str):
-    bad = ~np.isfinite(dataset.features).all(axis=1)
+def _require_finite(features: np.ndarray, ids: np.ndarray, what: str, first_row: int = 0):
+    bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValidationError(f"{what}: row {i} (id {int(dataset.ids[i])}) has a "
+        raise ValidationError(f"{what}: row {first_row + i} (id {int(ids[i])}) has a "
                               "non-finite feature value")
 
 
 def _require_trainable(dataset: data.Dataset, what: str):
     """Reject features and label sets that training cannot use, before epoch 0."""
-    _require_finite(dataset, what)
+    _require_finite(dataset.features, dataset.ids, what)
     try:
         losses.require_negative_class(dataset.labels)
     except LabelSetError as exc:
@@ -466,18 +466,25 @@ def cmd_encode(cfg: dict, run: Run):
             raise ValidationError(f"--network teacher: {cfg['model']} is a "
                                   "student-only checkpoint")
         net = teacher
-    dataset = data.load_dataset(cfg["data"])
-    _require_finite(dataset, "--data")
+    dataset = data.open_dataset(cfg["data"])
     if dataset.dim != net.input_dim:
         raise ValidationError(f"--data has {dataset.dim} features per row, but the "
                               f"checkpoint's network takes {net.input_dim}")
-    F = model.extract_embeddings(net, dataset.features)
-    index = retrieval.CodeIndex.from_embeddings(F, dataset.ids)
+    # a block of rows at a time: only the code words and bit counts are whole
+    words = np.empty((dataset.n, retrieval._n_words(net.r)), dtype="<u8")
+    ones = np.zeros(net.r, dtype=np.int64)
+    for s, e in model.row_blocks(dataset.n):
+        X = dataset.rows(s, e)
+        _require_finite(X, dataset.ids[s:e], "--data", s)
+        F = model.extract_embeddings(net, X)
+        words[s:e] = retrieval.binarize_batch(F)
+        ones += np.count_nonzero(F >= 0.0, axis=0)
+    index = retrieval.CodeIndex._adopt(words, dataset.ids, net.r)
     with atomic_path(run.path(cfg["name"])) as tmp:
         retrieval.save_codes(index, tmp)
     run.register(cfg["name"])
     # code health: the share of codes with each bit set, over bit positions
-    ones = np.count_nonzero(F >= 0.0, axis=0) / max(index.n, 1)
+    ones = ones / max(index.n, 1)
     run.result = {"n": index.n, "bits": index.nbits,
                   "bit_ones": {"min": float(ones.min()), "max": float(ones.max())}}
 
@@ -493,7 +500,7 @@ EVAL_SPEC = dict(COMMON, **{
 })
 
 
-def _labels_for(codes: retrieval.CodeIndex, ds: data.Dataset, what: str):
+def _labels_for(codes: retrieval.CodeIndex, ds: data.DatasetFile, what: str):
     order = np.argsort(ds.ids, kind="stable")
     pos = np.searchsorted(ds.ids, codes.ids, sorter=order)
     found = pos < ds.n
@@ -518,11 +525,12 @@ def cmd_eval(cfg: dict, run: Run):
         raise ValidationError(f"--topk must be ascending positive values, got {topk}")
     for key in ("queries", "database", "query-data", "db-data"):
         _require_file(cfg[key], f"--{key}")
-    query_data = data.load_dataset(cfg["query-data"])
-    db_data = data.load_dataset(cfg["db-data"])
-    if query_data.label_count != db_data.label_count:
-        raise ValidationError(f"--query-data has {query_data.label_count} label classes, "
-                              f"--db-data {db_data.label_count}")
+    # ids and labels only: eval reads no feature row
+    query_data = data.open_dataset(cfg["query-data"])
+    db_data = data.open_dataset(cfg["db-data"])
+    C, db_C = query_data.labels.shape[1], db_data.labels.shape[1]
+    if C != db_C:
+        raise ValidationError(f"--query-data has {C} label classes, --db-data {db_C}")
     queries = _labels_for(retrieval.load_codes(cfg["queries"]), query_data, "queries")
     db = _labels_for(retrieval.load_codes(cfg["database"]), db_data, "database")
     if topk and topk[-1] > db.n:

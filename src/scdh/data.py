@@ -4,17 +4,22 @@ Features are stored as float32 (the on-disk format).  Labels are an (n, C)
 bool matrix: entry (i, l) is set when sample i carries label l, and a row
 with no set entry marks an unlabeled sample.  Label sets appear only at the
 input edge, where ``labels_from_sets`` turns them into that matrix.
+``open_dataset`` is the one .scds reader: it checks the whole layout, reads
+the ids and labels, and reads feature rows on demand, so a command that
+works a row block at a time never holds the whole feature matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, LabelSetError, ParseError, PreconditionError
+from .model import row_blocks
 from .retrieval import pack_bits
 
 DATASET_MAGIC = b"SCDS"
@@ -178,14 +183,19 @@ def gen_multilabel(cfg: SyntheticConfig) -> Dataset:
 
 def sample_multilabel(protos: np.ndarray, n: int, p: float, std: float,
                       seed, id_start: int = 0) -> Dataset:
-    """Draw n multilabel samples around prototype averages."""
+    """Draw n multilabel samples around prototype averages, one ``row_blocks``
+    block at a time: the noise stream and every value are the whole array's."""
     rng = np.random.default_rng(seed)
     C, dim = protos.shape
     member = _sample_label_matrix(rng, n, C, p)
-    feats = member @ protos / member.sum(axis=1, keepdims=True)
-    feats = feats + std * rng.standard_normal((n, dim))
+    feats = np.empty((n, dim), dtype=np.float32)
+    for s, e in row_blocks(n):
+        f = member[s:e] @ protos
+        f /= member[s:e].sum(axis=1, keepdims=True)
+        f += std * rng.standard_normal((e - s, dim))
+        feats[s:e] = f
     ids = np.arange(id_start, id_start + n, dtype=np.int64)
-    return Dataset(ids, feats.astype(np.float32), member)
+    return Dataset(ids, feats, member)
 
 
 def balance_upsample(dataset: Dataset, seed: int = 0) -> Dataset:
@@ -243,29 +253,26 @@ def save_dataset(dataset: Dataset, path):
     with open(path, "wb") as fh:
         fh.write(_DS_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, flags,
                                  dataset.n, dataset.dim, dataset.label_count))
-        fh.write(dataset.ids.astype("<u8").tobytes())
-        fh.write(dataset.features.astype("<f4").tobytes())
+        # each array's own buffer; an int64 id has the bytes of its u64 cast
+        fh.write(np.ascontiguousarray(dataset.ids, dtype="<i8"))
+        fh.write(np.ascontiguousarray(dataset.features, dtype="<f4"))
         if not any_labeled:
             return
         if flags & _FLAG_PARTIAL:
-            fh.write(mask.astype(np.uint8).tobytes())
+            fh.write(mask.astype(np.uint8))
         if flags & _FLAG_MULTILABEL:
             # label l is bit l % 64 of word l // 64, the bit order of codes
-            fh.write(pack_bits(dataset.labels).tobytes())
+            fh.write(pack_bits(dataset.labels))
         else:
             vals = np.where(mask, dataset.labels.argmax(axis=1), _UNLABELED_U32)
-            fh.write(vals.astype("<u4").tobytes())
+            fh.write(vals.astype("<u4"))
 
 
-def _take(blob: bytes, offset: int, count: int, dtype, what: str):
-    nbytes = count * np.dtype(dtype).itemsize
-    if offset + nbytes > len(blob):
-        raise ParseError(
-            f"truncated {what} at byte {offset}: expected {nbytes} bytes, "
-            f"only {len(blob) - offset} remain"
-        )
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-    return arr, offset + nbytes
+def _read(fh, count: int, dtype) -> np.ndarray:
+    out = np.empty(count, dtype=dtype)
+    if fh.readinto(out) != out.nbytes:
+        raise ParseError(f"{fh.name}: file shrank while it was read")
+    return out
 
 
 def _check_label_count(C: int):
@@ -273,57 +280,95 @@ def _check_label_count(C: int):
         raise ParseError(f"label count {C} exceeds the supported {_MAX_LABEL_COUNT}")
 
 
-def load_dataset(path) -> Dataset:
+@dataclass(frozen=True)
+class DatasetFile:
+    """An opened .scds file: ids and labels in memory, features on disk."""
+
+    path: object
+    ids: np.ndarray                       # (n,) int64
+    labels: np.ndarray                    # (n, C) bool
+    dim: int
+    features_at: int                      # byte offset of the feature block
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    def rows(self, s: int, e: int) -> np.ndarray:
+        """Feature rows s:e as a fresh (e - s, dim) float32 array."""
+        if not 0 <= s <= e <= self.n:
+            raise PreconditionError(f"rows {s}:{e} outside 0:{self.n}")
+        with open(self.path, "rb") as fh:
+            fh.seek(self.features_at + 4 * s * self.dim)
+            return _read(fh, (e - s) * self.dim, "<f4").reshape(e - s, self.dim)
+
+
+def open_dataset(path) -> DatasetFile:
+    """Check a .scds file's whole layout against its size, then read its ids
+    and labels; feature rows stay on disk for ``DatasetFile.rows``."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _DS_HEADER.size:
-        raise ParseError(
-            f"truncated header: expected {_DS_HEADER.size} bytes, got {len(blob)}"
-        )
-    magic, version, flags, n, dim, C = _DS_HEADER.unpack_from(blob, 0)
-    if magic != DATASET_MAGIC:
-        raise ParseError(f"bad magic {magic!r} at offset 0")
-    if version != DATASET_VERSION:
-        raise ParseError(f"unsupported dataset version {version}")
-    _check_label_count(C)
-    off = _DS_HEADER.size
-    ids, off = _take(blob, off, n, "<u8", "id block")
-    feats, off = _take(blob, off, n * dim, "<f4", "feature block")
-    feats = feats.reshape(n, dim)
-    labels = np.zeros((n, C), dtype=bool)
-    if flags & _FLAG_LABELED:
-        if flags & _FLAG_PARTIAL:
-            mask, off = _take(blob, off, n, np.uint8, "label mask")
-            mask = mask.astype(bool)
-        else:
-            mask = np.ones(n, dtype=bool)
-        if flags & _FLAG_MULTILABEL:
-            Wc = (C + 63) // 64
-            words, off = _take(blob, off, n * Wc, "<u8", "label bitmasks")
-            words = words.reshape(n, Wc)
-            # bits from C on can only sit in the last word
-            high = (words[:, -1] >> np.uint64(C % 64) if C % 64
-                    else np.zeros(n, dtype=np.uint64))
-            past = mask & (high != 0)
-            if past.any():
-                i = int(np.argmax(past))
-                h = int(high[i])
-                raise ParseError(f"row {i}: label {C + (h & -h).bit_length() - 1} "
-                                 f"out of range for C={C}")
-            labels = np.unpackbits(words.view(np.uint8), axis=1, count=C,
-                                   bitorder="little").view(bool) & mask[:, None]
-        else:
-            vals, off = _take(blob, off, n, "<u4", "label block")
-            rows = np.flatnonzero(mask & (vals != _UNLABELED_U32))
-            past = vals[rows] >= C
-            if past.any():
-                i = int(rows[np.argmax(past)])
-                raise ParseError(f"row {i}: label {int(vals[i])} out of range "
-                                 f"for C={C}")
-            labels[rows, vals[rows]] = True
-    if off != len(blob):
-        raise ParseError(f"{len(blob) - off} trailing bytes after offset {off}")
-    return Dataset(ids.astype(np.int64), feats.copy(), labels)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_DS_HEADER.size)
+        if len(head) < _DS_HEADER.size:
+            raise ParseError(
+                f"truncated header: expected {_DS_HEADER.size} bytes, got {len(head)}"
+            )
+        magic, version, flags, n, dim, C = _DS_HEADER.unpack(head)
+        if magic != DATASET_MAGIC:
+            raise ParseError(f"bad magic {magic!r} at offset 0")
+        if version != DATASET_VERSION:
+            raise ParseError(f"unsupported dataset version {version}")
+        _check_label_count(C)
+        Wc = (C + 63) // 64
+        sections = [("id block", 8 * n), ("feature block", 4 * n * dim)]
+        if flags & _FLAG_LABELED:
+            if flags & _FLAG_PARTIAL:
+                sections.append(("label mask", n))
+            sections.append(("label bitmasks", 8 * n * Wc) if flags & _FLAG_MULTILABEL
+                            else ("label block", 4 * n))
+        end = _DS_HEADER.size
+        for what, nbytes in sections:
+            if end + nbytes > size:
+                raise ParseError(f"truncated {what} at byte {end}: expected {nbytes} "
+                                 f"bytes, only {size - end} remain")
+            end += nbytes
+        ids = _read(fh, n, "<i8")
+        features_at = fh.tell()
+        fh.seek(4 * n * dim, os.SEEK_CUR)
+        labels = np.zeros((n, C), dtype=bool)
+        if flags & _FLAG_LABELED:
+            mask = (_read(fh, n, np.uint8).astype(bool) if flags & _FLAG_PARTIAL
+                    else np.ones(n, dtype=bool))
+            if flags & _FLAG_MULTILABEL:
+                words = _read(fh, n * Wc, "<u8").reshape(n, Wc)
+                # bits from C on can only sit in the last word
+                high = (words[:, -1] >> np.uint64(C % 64) if C % 64
+                        else np.zeros(n, dtype=np.uint64))
+                past = mask & (high != 0)
+                if past.any():
+                    i = int(np.argmax(past))
+                    h = int(high[i])
+                    raise ParseError(f"row {i}: label {C + (h & -h).bit_length() - 1} "
+                                     f"out of range for C={C}")
+                labels = np.unpackbits(words.view(np.uint8), axis=1, count=C,
+                                       bitorder="little").view(bool) & mask[:, None]
+            else:
+                vals = _read(fh, n, "<u4")
+                rows = np.flatnonzero(mask & (vals != _UNLABELED_U32))
+                past = vals[rows] >= C
+                if past.any():
+                    i = int(rows[np.argmax(past)])
+                    raise ParseError(f"row {i}: label {int(vals[i])} out of range "
+                                     f"for C={C}")
+                labels[rows, vals[rows]] = True
+    if end != size:
+        raise ParseError(f"{size - end} trailing bytes after offset {end}")
+    return DatasetFile(path, ids, labels, dim, features_at)
+
+
+def load_dataset(path) -> Dataset:
+    f = open_dataset(path)
+    return Dataset(f.ids, f.rows(0, f.n), f.labels)
 
 
 def load_csv_dataset(path, label_count: int | None = None) -> Dataset:

@@ -31,7 +31,7 @@ from .errors import DimensionMismatch, DivergenceError, ParseError, Precondition
 MODEL_MAGIC = b"SCDM"
 MODEL_VERSION = 1
 
-# Rows per block of the inference pass, extract_embeddings.
+# Rows per block of row_blocks: the inference pass, encode and the generator.
 EMBED_BLOCK_ROWS = 4096
 
 
@@ -343,28 +343,34 @@ def mean_quantization(model: EmbeddingModel, features, hp: Hyperparams) -> float
     return float(losses.quantization_batch(F, hp.holder_p, hp.holder_q)[0].mean())
 
 
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, end) of each block of n rows, in order.  With B =
+    ``EMBED_BLOCK_ROWS``, a block has B to 2B - 1 rows (fewer only when it is
+    the one block): a short last block is folded into the one before.  BLAS
+    may give a product of one to three rows another kernel; with no block
+    that short, a product taken block by block equals the whole one bit for
+    bit."""
+    B = EMBED_BLOCK_ROWS
+    starts = list(range(0, max(n // B, 1) * B, B))
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def extract_embeddings(model: EmbeddingModel, features) -> np.ndarray:
     """Hashing activations F of every row: the inference forward pass.
 
-    It computes no logits and keeps no trunk activations, and it works a
-    block of ``EMBED_BLOCK_ROWS`` rows at a time, in place, so its
-    temporaries stay a few blocks in size whatever the row count; only F is
-    whole.  Rows are converted to float64 a block at a time, which is exact
-    for float32 input.  A short last block is folded into the one before
-    it, so every block has B to 2B - 1 rows (fewer than B only when it is
-    the one block): BLAS may give a product of one to three rows another
-    kernel, and with no block that short F equals
-    ``forward_batch(model, features)[0]`` bit for bit.
+    It computes no logits and keeps no trunk activations, and it works one
+    ``row_blocks`` block at a time, in place, so its temporaries stay a few
+    blocks in size whatever the row count; only F is whole.  Rows are
+    converted to float64 a block at a time, which is exact for float32
+    input.  F equals ``forward_batch(model, features)[0]`` bit for bit.
     """
     X = np.asarray(features)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"expected (n, {model.input_dim}) inputs, got {X.shape}"
         )
-    n, B = len(X), EMBED_BLOCK_ROWS
-    starts = list(range(0, max(n // B, 1) * B, B))
-    F = np.empty((n, model.r))
-    for s, e in zip(starts, starts[1:] + [n]):
+    F = np.empty((len(X), model.r))
+    for s, e in row_blocks(len(X)):
         a = X[s:e].astype(np.float64)
         for layer in model.trunk:
             a = a @ layer.W.T

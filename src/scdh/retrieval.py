@@ -469,7 +469,7 @@ def save_codes(index: CodeIndex, path):
         rec = np.empty((index.n, W + 1), dtype="<u8")
         rec[:, 0] = index.ids.astype(np.uint64)
         rec[:, 1:] = index.words
-        fh.write(rec.tobytes())
+        fh.write(rec)
 
 
 def load_codes(path) -> CodeIndex:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ class TestValidation:
         assert cli.main([*argv, "--topk", "18", "--out", str(tmp_path / "ok")]) == 0
         capsys.readouterr()
         if flags[1] != "19":
-            monkeypatch.setattr(cli.data, "load_dataset",
+            monkeypatch.setattr(cli.data, "open_dataset",
                                 lambda *a: pytest.fail("data read"))
         out = tmp_path / "bad"
         assert cli.main([*argv, *flags, "--out", str(out)]) == 1
@@ -294,6 +295,151 @@ class TestValidation:
         proc = subprocess.run([*RUN, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "verify-bounds" in proc.stdout
+
+
+B = model.EMBED_BLOCK_ROWS
+
+
+def encode_argv(d, data_name, out, name="codes.scdh"):
+    return ["encode", "--model", str(d / "m.ckpt"), "--data", str(d / data_name),
+            "--name", name, "--out", str(out)]
+
+
+def eval_argv(d, queries, database, db_data, out):
+    return ["eval", "--queries", str(queries), "--database", str(database),
+            "--query-data", str(d / "q.scds"), "--db-data", str(d / db_data),
+            "--out", str(out)]
+
+
+class TestStreamedEncodeEval:
+    """encode works a row block at a time and eval reads ids and labels only."""
+
+    n = 3 * B + 5
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("stream")
+        rng = np.random.default_rng(4)
+        net = model.init_model((5, 7), 3, 70, seed=2)   # 70 bits: two code words
+        model.save_checkpoint(d / "m.ckpt", net, model.Hyperparams())
+        X = rng.normal(size=(self.n, 5)).astype(np.float32)
+        labels = np.eye(3, dtype=bool)[rng.integers(3, size=self.n)]
+        save_dataset(Dataset(np.arange(self.n) * 3 + 1, X, labels), d / "db.scds")
+        save_dataset(Dataset(np.arange(9), X[:9], labels[:9]), d / "q.scds")
+        return d, net, X
+
+    def test_encode_equals_the_whole_forward_pass(self, files, tmp_path, monkeypatch):
+        d, net, X = files
+        calls = []
+        embed = model.extract_embeddings
+        monkeypatch.setattr(cli.model, "extract_embeddings",
+                            lambda net, rows: calls.append(len(rows)) or embed(net, rows))
+        assert cli.main(encode_argv(d, "db.scds", tmp_path)) == 0
+        # one call per block, none short: F keeps its bits
+        assert calls == [B, B, B + 5]
+        F = model.forward_batch(net, X)[0]
+        codes = retrieval.load_codes(tmp_path / "codes.scdh")
+        assert np.array_equal(codes.words, retrieval.binarize_batch(F))
+        assert np.array_equal(codes.ids, np.arange(self.n) * 3 + 1)
+        ones = np.count_nonzero(F >= 0.0, axis=0) / self.n
+        result = json.loads((tmp_path / "manifest.json").read_text())["result"]
+        assert result == {"n": self.n, "bits": 70,
+                          "bit_ones": {"min": float(ones.min()), "max": float(ones.max())}}
+
+    def test_nan_in_the_last_block_exits_1(self, files, tmp_path, capsys):
+        d, _, X = files
+        ds = load_dataset(d / "db.scds")
+        row = self.n - 2                                # in the last block
+        ds.features[row, 3] = np.nan
+        save_dataset(ds, tmp_path / "nan.scds")
+        (tmp_path / "m.ckpt").write_bytes((d / "m.ckpt").read_bytes())
+        out = tmp_path / "r"
+        assert cli.main(encode_argv(tmp_path, "nan.scds", out)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"] == (f"--data: row {row} (id {row * 3 + 1}) has a "
+                                  "non-finite feature value")
+        assert not (out / "codes.scdh").exists()
+
+    def test_eval_reads_no_feature_row(self, files, tmp_path, monkeypatch):
+        d, _, _ = files
+        assert cli.main(encode_argv(d, "q.scds", tmp_path, "q.scdh")) == 0
+        assert cli.main(encode_argv(d, "db.scds", tmp_path, "db.scdh")) == 0
+        reads = []
+        monkeypatch.setattr(data.DatasetFile, "rows", lambda *a: reads.append(a))
+        assert cli.main(eval_argv(d, tmp_path / "q.scdh", tmp_path / "db.scdh",
+                                  "db.scds", tmp_path / "eval")) == 0
+        assert reads == []
+
+    def test_eval_rejects_a_cut_feature_block(self, files, tmp_path, capsys):
+        # eval reads no feature row, but checks the whole layout
+        d, _, _ = files
+        assert cli.main(encode_argv(d, "q.scds", tmp_path, "q.scdh")) == 0
+        blob = (d / "q.scds").read_bytes()
+        features_at = data._DS_HEADER.size + 9 * 8
+        (tmp_path / "cut.scds").write_bytes(blob[:features_at + 4 * 5 * 4 + 3])
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        argv = eval_argv(d, tmp_path / "q.scdh", tmp_path / "q.scdh", "q.scds", out)
+        argv[argv.index("--db-data") + 1] = str(tmp_path / "cut.scds")
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(f"truncated feature block at byte {features_at}")
+        assert not (out / "metrics.json").exists()
+
+
+class TestStreamedMemory:
+    """encode and eval hold no whole feature matrix and no whole F.
+
+    Between n and 4n database rows, a command's tracemalloc peak may grow
+    only by the bytes of each extra row that stay whole, plus 1 MiB.  A
+    feature row here is 512 bytes and an F row 512 bytes, so either one kept
+    whole would add over 12 MB.
+    """
+
+    n, dim, C, r = 2 * B, 128, 6, 64
+    # encode: the row's id (8), label row (C) and code words (8 W)
+    ENCODE_ROW = 8 + C + 8 * ((r + 63) // 64)
+    # eval ranks the whole database: the row's code record (8 + 8 W), its
+    # dataset id and label row (8 + C), the index's label row and masks
+    # (C + 8), the id-ordered copies (8 + 8 W + 8 + 8) and one query's
+    # distances, order, hits and precisions (4 x 8), about 120 bytes
+    EVAL_ROW = 128
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("mem")
+        model.save_checkpoint(d / "m.ckpt", model.init_model((self.dim, 32), self.C,
+                                                             self.r, seed=0),
+                              model.Hyperparams())
+        rng = np.random.default_rng(0)
+        for name, n in (("q", 20), ("n", self.n), ("4n", 4 * self.n)):
+            labels = np.eye(self.C, dtype=bool)[rng.integers(self.C, size=n)]
+            save_dataset(Dataset(np.arange(n), rng.normal(size=(n, self.dim)), labels),
+                         d / f"{name}.scds")
+            assert cli.main(encode_argv(d, f"{name}.scds", d, f"{name}.scdh")) == 0
+        return d
+
+    @staticmethod
+    def peak(argv) -> int:
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_encode_grows_by_the_whole_row_bytes_alone(self, files, tmp_path):
+        small, large = (self.peak(encode_argv(files, f"{name}.scds", tmp_path / name))
+                        for name in ("n", "4n"))
+        assert large <= small + 3 * self.n * self.ENCODE_ROW + 2**20
+
+    def test_eval_grows_by_the_whole_row_bytes_alone(self, files, tmp_path):
+        small, large = (self.peak(eval_argv(files, files / "q.scdh", files / f"{name}.scdh",
+                                            f"{name}.scds", tmp_path / name))
+                        for name in ("n", "4n"))
+        assert large <= small + 3 * self.n * self.EVAL_ROW + 2**20
 
 
 class TestConfigMerging:

@@ -400,6 +400,191 @@ class TestLabelIO:
         assert not words[1:].any()
 
 
+# ---------------------------------------------------------------------------
+# Reference: the whole-file .scds loader.  It reads the file into one bytes
+# object and takes each section from it in order; the streaming reader must
+# give the same arrays and, on a damaged file, the same message.
+# ---------------------------------------------------------------------------
+
+def _ref_take(blob: bytes, offset: int, count: int, dtype, what: str):
+    nbytes = count * np.dtype(dtype).itemsize
+    if offset + nbytes > len(blob):
+        raise ParseError(
+            f"truncated {what} at byte {offset}: expected {nbytes} bytes, "
+            f"only {len(blob) - offset} remain"
+        )
+    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    return arr, offset + nbytes
+
+
+def ref_load_dataset(path) -> data.Dataset:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < data._DS_HEADER.size:
+        raise ParseError(
+            f"truncated header: expected {data._DS_HEADER.size} bytes, got {len(blob)}"
+        )
+    magic, version, flags, n, dim, C = data._DS_HEADER.unpack_from(blob, 0)
+    if magic != data.DATASET_MAGIC:
+        raise ParseError(f"bad magic {magic!r} at offset 0")
+    if version != data.DATASET_VERSION:
+        raise ParseError(f"unsupported dataset version {version}")
+    data._check_label_count(C)
+    off = data._DS_HEADER.size
+    ids, off = _ref_take(blob, off, n, "<u8", "id block")
+    feats, off = _ref_take(blob, off, n * dim, "<f4", "feature block")
+    feats = feats.reshape(n, dim)
+    labels = np.zeros((n, C), dtype=bool)
+    if flags & 1:
+        if flags & 4:
+            mask, off = _ref_take(blob, off, n, np.uint8, "label mask")
+            mask = mask.astype(bool)
+        else:
+            mask = np.ones(n, dtype=bool)
+        if flags & 2:
+            Wc = (C + 63) // 64
+            words, off = _ref_take(blob, off, n * Wc, "<u8", "label bitmasks")
+            words = words.reshape(n, Wc)
+            high = (words[:, -1] >> np.uint64(C % 64) if C % 64
+                    else np.zeros(n, dtype=np.uint64))
+            past = mask & (high != 0)
+            if past.any():
+                i = int(np.argmax(past))
+                h = int(high[i])
+                raise ParseError(f"row {i}: label {C + (h & -h).bit_length() - 1} "
+                                 f"out of range for C={C}")
+            labels = np.unpackbits(words.view(np.uint8), axis=1, count=C,
+                                   bitorder="little").view(bool) & mask[:, None]
+        else:
+            vals, off = _ref_take(blob, off, n, "<u4", "label block")
+            rows = np.flatnonzero(mask & (vals != 0xFFFFFFFF))
+            past = vals[rows] >= C
+            if past.any():
+                i = int(rows[np.argmax(past)])
+                raise ParseError(f"row {i}: label {int(vals[i])} out of range "
+                                 f"for C={C}")
+            labels[rows, vals[rows]] = True
+    if off != len(blob):
+        raise ParseError(f"{len(blob) - off} trailing bytes after offset {off}")
+    return data.Dataset(ids.astype(np.int64), feats.copy(), labels)
+
+
+def ref_sample_multilabel(protos, n, p, std, seed, id_start=0) -> data.Dataset:
+    """The whole-array generator: one (n, C) @ (C, dim) product, one noise draw."""
+    rng = np.random.default_rng(seed)
+    C, dim = protos.shape
+    member = data._sample_label_matrix(rng, n, C, p)
+    feats = member @ protos / member.sum(axis=1, keepdims=True)
+    feats = feats + std * rng.standard_normal((n, dim))
+    ids = np.arange(id_start, id_start + n, dtype=np.int64)
+    return data.Dataset(ids, feats.astype(np.float32), member)
+
+
+def assert_same_dataset(got: data.Dataset, want: data.Dataset):
+    for name in ("ids", "features", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def small_files(d):
+    """Small .scds files of every label layout, by name."""
+    sets = ({0, 2}, None, {1}, {0, 1}, {129})
+    layouts = {
+        "multi-partial": data.labels_from_sets(sets, 130),
+        "multi": data.labels_from_sets(({0, 2}, {1}, {0, 1}), 3),
+        "single-partial": data.labels_from_sets(({2}, None, {0}, {1}), 3),
+        "single": data.labels_from_sets(({2}, {0}), 3),
+        "unlabeled": np.zeros((3, 2), dtype=bool),
+    }
+    paths = {}
+    for name, labels in layouts.items():
+        n = len(labels)
+        feats = np.arange(3.0 * n).reshape(n, 3) - 4.5
+        paths[name] = d / f"{name}.scds"
+        data.save_dataset(data.Dataset(np.arange(n) * 7 - 3, feats, labels), paths[name])
+    return paths
+
+
+def parse_error(load, path) -> str:
+    with pytest.raises(ParseError) as err:
+        load(path)
+    return str(err.value)
+
+
+class TestStreamingReader:
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_sets())
+    @example((np.arange(0), np.zeros((0, 3)), [], 130))
+    def test_load_equals_whole_file_reference(self, tmp_path_factory, case):
+        ids, features, labelsets, C = case
+        path = tmp_path_factory.mktemp("load") / "d.scds"
+        data.save_dataset(data.Dataset(ids, features, data.labels_from_sets(labelsets, C)),
+                          path)
+        assert_same_dataset(data.load_dataset(path), ref_load_dataset(path))
+        f = data.open_dataset(path)
+        assert_same_dataset(data.Dataset(f.ids, f.rows(0, f.n), f.labels),
+                            ref_load_dataset(path))
+
+    @pytest.mark.parametrize("name", ["multi-partial", "multi", "single-partial", "single",
+                                      "unlabeled"])
+    def test_damage_gives_the_reference_message(self, tmp_path, name):
+        path = small_files(tmp_path)[name]
+        blob = path.read_bytes()
+        assert_same_dataset(data.load_dataset(path), ref_load_dataset(path))
+        damaged = [blob[:cut] for cut in range(len(blob))]
+        damaged += [blob + b"x", blob + bytes(9)]
+        for bad in damaged:
+            path.write_bytes(bad)
+            assert parse_error(data.load_dataset, path) == parse_error(ref_load_dataset, path)
+            assert parse_error(data.open_dataset, path) == parse_error(ref_load_dataset, path)
+
+    def test_rows_read_any_range(self, tmp_path):
+        path = small_files(tmp_path)["multi-partial"]
+        f, want = data.open_dataset(path), ref_load_dataset(path)
+        for s in range(f.n + 1):
+            for e in range(s, f.n + 1):
+                rows = f.rows(s, e)
+                assert rows.dtype == np.float32 and rows.shape == (e - s, 3)
+                assert np.array_equal(rows, want.features[s:e])
+        for s, e in ((-1, 2), (3, 2), (0, f.n + 1)):
+            with pytest.raises(PreconditionError):
+                f.rows(s, e)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided", "float64"])
+    def test_save_writes_the_astype_tobytes_bytes(self, tmp_path, layout):
+        # ids past int64's positive range and features that are not a
+        # contiguous float32 array are written as their u64 / f4 casts
+        base = np.random.default_rng(0).normal(size=(6, 8)).astype(np.float32)
+        features = {"contiguous": base, "fortran": np.asfortranarray(base),
+                    "strided": base[:, ::2], "float64": base * 1.1}[layout]
+        ids = np.array([0, -1, 2**62, -(2**63), 5, 2**63 - 1])
+        sets = ({0, 70}, None, {3}, {1, 2}, {5}, ())
+        ds = data.Dataset(ids, features, data.labels_from_sets(sets, 71))
+        data.save_dataset(ds, tmp_path / "new.scds")
+        ref_save_dataset(ids, ds.features, sets, 71, tmp_path / "ref.scds")
+        assert (tmp_path / "new.scds").read_bytes() == (tmp_path / "ref.scds").read_bytes()
+        assert_same_dataset(data.load_dataset(tmp_path / "new.scds"), ds)
+
+
+B = model.EMBED_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B + 5])
+def test_block_wise_generator_equals_whole_array(n):
+    protos = np.random.default_rng(1).normal(size=(7, 12))
+    assert_same_dataset(data.sample_multilabel(protos, n, 0.3, 0.5, 11, id_start=40),
+                        ref_sample_multilabel(protos, n, 0.3, 0.5, 11, id_start=40))
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, 2 * B - 1, 2 * B, 3 * B + 5])
+def test_row_blocks_tile_the_rows(n):
+    blocks = model.row_blocks(n)
+    assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+    assert blocks[-1][1] == n
+    assert all(B <= e - s < 2 * B for s, e in blocks) or blocks == [(0, n)]
+
+
 def loader(name):
     return {".scds": data.load_dataset, ".scdh": retrieval.load_codes,
             ".ckpt": model.load_checkpoint}[name[name.rindex("."):]]
