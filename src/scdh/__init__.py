@@ -24,31 +24,17 @@ from .data import (
     Dataset,
     SyntheticConfig,
     balance_upsample,
-    gen_gaussian_clusters,
-    gen_multilabel,
     labels_from_sets,
-    load_csv_dataset,
     load_dataset,
     save_dataset,
 )
 from .losses import (
     SculBatch,
-    SculGradients,
     TripletLossKind,
-    classification_loss,
-    euclidean_distance,
     margin_loss,
-    neg_dist_softmax,
-    quantization_gradient,
-    quantization_loss,
     require_negative_class,
     scul_batch,
-    scul_gradients,
-    scul_loss,
-    scul_multilabel_gradients,
-    scul_multilabel_loss,
     softmax_loss,
-    triplet_ranking_loss,
 )
 from .meanteacher import (
     SemiDataset,
@@ -74,11 +60,7 @@ from .retrieval import (
     RetrievalMetrics,
     binarize,
     evaluate,
-    hamming,
     load_codes,
-    mean_average_precision,
-    precision_at_radius,
     save_codes,
     search,
-    topk_precision_curve,
 )

@@ -666,6 +666,9 @@ class ToyConfig:
         if self.triplet_samples < 1:
             raise PreconditionError(f"need at least 1 sampled triplet, got "
                                     f"{self.triplet_samples}")
+        if not (self.sigma_grid and self.d_grid):
+            raise PreconditionError("the sigma and d grids must each hold at least "
+                                    "one value")
         # written as "not in range" so that NaN fails
         if not all(0.0 < s < np.inf for s in self.sigma_grid):
             raise PreconditionError("all sigma values must be finite and positive")

@@ -216,6 +216,8 @@ def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
             continue
         raw = preset_values.get(key, default)
         resolved[key] = parse(raw) if isinstance(raw, str) and parse else raw
+    if resolved["seed"] < 0:
+        raise ValidationError(f"--seed must be non-negative, got {resolved['seed']}")
     return resolved
 
 
@@ -284,6 +286,9 @@ def make_splits(cfg: dict) -> tuple[data.Dataset, data.Dataset, data.Dataset]:
     if cfg["mode"] not in ("single", "multi"):
         raise ValidationError(f"mode must be 'single' or 'multi', got {cfg['mode']!r}")
     multi = cfg["mode"] == "multi"
+    for key in ("n-query", "n-db") if multi else ("query-per-class", "db-per-class"):
+        if cfg[key] < 1:
+            raise ValidationError(f"--{key} must be at least 1, got {cfg[key]}")
     try:
         syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
                                    cluster_std=cfg["cluster-std"],
@@ -299,7 +304,13 @@ def make_splits(cfg: dict) -> tuple[data.Dataset, data.Dataset, data.Dataset]:
         raise ValidationError(str(exc)) from None
 
 
+def _require_balance(cfg: dict):
+    if cfg["balance"] not in (0, 1):
+        raise ValidationError(f"--balance must be 0 or 1, got {cfg['balance']}")
+
+
 def cmd_gen(cfg: dict, run: Run):
+    _require_balance(cfg)
     seed = cfg["seed"]
     if not 0.0 < cfg["keep-labels"] <= 1.0:
         raise ValidationError(f"--keep-labels must lie in (0, 1], got {cfg['keep-labels']}")
@@ -372,19 +383,15 @@ def hyperparams(cfg: dict) -> model.Hyperparams:
 
 def _report_files(run: Run, report: model.TrainReport):
     run.save_json("train_report.json", report.to_dict())
-    rows = [e.to_dict() for e in report.epochs]
-    fields = ["epoch", "scul_loss", "classification_loss", "quantization_loss",
-              "center_distance_term", "learning_rate", "consistency_loss"]
     with atomic_path(run.path("train_report.csv")) as tmp:
-        import csv as _csv
-        with open(tmp, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
+        bounds.write_rows_csv(tmp, report.epochs, [
+            "epoch", "scul_loss", "classification_loss", "quantization_loss",
+            "center_distance_term", "learning_rate", "consistency_loss"])
     run.register("train_report.csv")
 
 
 def cmd_train(cfg: dict, run: Run):
+    _require_balance(cfg)
     hp = hyperparams(cfg)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
@@ -790,7 +797,7 @@ def main(argv=None) -> int:
         run.finish()
         return 0
     except (ValidationError, ScdhError) as exc:
-        # only the readers of .ckpt, .scds, .scdh and CSV files raise ParseError
+        # only the readers of .ckpt, .scds and .scdh files raise ParseError
         kind = "validation" if isinstance(exc, (ValidationError, ParseError)) else "runtime"
         json.dump({"error": kind, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

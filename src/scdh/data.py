@@ -11,7 +11,6 @@ works a row block at a time never holds the whole feature matrix.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -129,17 +128,6 @@ def _draw_prototypes(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarr
     return rng.normal(0.0, cfg.center_spread, (cfg.C, cfg.feature_dim))
 
 
-def gen_gaussian_clusters(cfg: SyntheticConfig) -> Dataset:
-    """Balanced single-label Gaussian clusters, deterministic per seed."""
-    if cfg.multilabel_p is not None:
-        raise PreconditionError("multilabel_p set; use gen_multilabel")
-    root = np.random.SeedSequence(cfg.seed)
-    means_ss, samples_ss = root.spawn(2)
-    means = _draw_prototypes(cfg, np.random.default_rng(means_ss))
-    return sample_clusters(means, cfg.samples_per_class, cfg.cluster_std,
-                           samples_ss, id_start=0)
-
-
 def sample_clusters(means: np.ndarray, per_class: int, std: float,
                     seed, id_start: int = 0) -> Dataset:
     """Draw ``per_class`` Gaussian samples around each given mean."""
@@ -162,23 +150,6 @@ def _sample_label_matrix(rng: np.random.Generator, n: int, C: int, p: float) -> 
         if not bad.any():
             return Y
         Y[bad] = rng.random((int(bad.sum()), C)) < p
-
-
-def gen_multilabel(cfg: SyntheticConfig) -> Dataset:
-    """Multilabel mixture: independent per-label inclusion with probability p.
-
-    Empty label draws are resampled.  Features are the mean of the member
-    labels' prototypes plus Gaussian noise, which gives retrieval-learnable
-    structure; n = C * samples_per_class.
-    """
-    if cfg.multilabel_p is None:
-        raise PreconditionError("multilabel_p missing; use gen_gaussian_clusters")
-    root = np.random.SeedSequence(cfg.seed)
-    proto_ss, samples_ss = root.spawn(2)
-    protos = _draw_prototypes(cfg, np.random.default_rng(proto_ss))
-    n = cfg.C * cfg.samples_per_class
-    return sample_multilabel(protos, n, cfg.multilabel_p, cfg.cluster_std,
-                             samples_ss, id_start=0)
 
 
 def sample_multilabel(protos: np.ndarray, n: int, p: float, std: float,
@@ -275,11 +246,6 @@ def _read(fh, count: int, dtype) -> np.ndarray:
     return out
 
 
-def _check_label_count(C: int):
-    if C > _MAX_LABEL_COUNT:
-        raise ParseError(f"label count {C} exceeds the supported {_MAX_LABEL_COUNT}")
-
-
 @dataclass(frozen=True)
 class DatasetFile:
     """An opened .scds file: ids and labels in memory, features on disk."""
@@ -318,7 +284,8 @@ def open_dataset(path) -> DatasetFile:
             raise ParseError(f"bad magic {magic!r} at offset 0")
         if version != DATASET_VERSION:
             raise ParseError(f"unsupported dataset version {version}")
-        _check_label_count(C)
+        if C > _MAX_LABEL_COUNT:
+            raise ParseError(f"label count {C} exceeds the supported {_MAX_LABEL_COUNT}")
         Wc = (C + 63) // 64
         sections = [("id block", 8 * n), ("feature block", 4 * n * dim)]
         if flags & _FLAG_LABELED:
@@ -369,45 +336,6 @@ def open_dataset(path) -> DatasetFile:
 def load_dataset(path) -> Dataset:
     f = open_dataset(path)
     return Dataset(f.ids, f.rows(0, f.n), f.labels)
-
-
-def load_csv_dataset(path, label_count: int | None = None) -> Dataset:
-    """Read a CSV of feature columns plus a final label field.
-
-    The label field is a class index ("3"), a multilabel list ("1|4|7"), or
-    empty for an unlabeled row.  Row order assigns ids 0..n-1.
-    """
-    feats = []
-    labels = []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            *feat_fields, label_field = row
-            if not feat_fields:
-                raise ParseError(f"row {row_no}: no feature columns")
-            try:
-                feats.append([float(v) for v in feat_fields])
-            except ValueError as exc:
-                raise ParseError(f"row {row_no}: bad feature value ({exc})") from None
-            label_field = label_field.strip()
-            if not label_field:
-                labels.append(None)
-            else:
-                try:
-                    labels.append(frozenset(int(v) for v in label_field.split("|")))
-                except ValueError:
-                    raise ParseError(f"row {row_no}: bad label field {label_field!r}") from None
-    if not feats:
-        raise ParseError("CSV contains no samples")
-    widths = {len(f) for f in feats}
-    if len(widths) != 1:
-        raise ParseError(f"inconsistent feature counts: {sorted(widths)}")
-    if label_count is None:
-        label_count = max((max(Y) + 1 for Y in labels if Y), default=0)
-    _check_label_count(label_count)
-    return Dataset(np.arange(len(feats), dtype=np.int64), np.asarray(feats, dtype=np.float32),
-                   labels_from_sets(labels, label_count))
 
 
 # ---------------------------------------------------------------------------

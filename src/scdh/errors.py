@@ -22,7 +22,7 @@ class PreconditionError(ScdhError, ValueError):
 
 
 class ParseError(ScdhError, ValueError):
-    """Malformed or truncated binary/CSV input."""
+    """Malformed or truncated input file."""
 
 
 class DivergenceError(ScdhError, ArithmeticError):

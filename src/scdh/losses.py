@@ -3,20 +3,20 @@
 Everything here is a pure function of its inputs, computed in float64.
 Centers are held as an ``(r, C)`` matrix whose columns are the per-label
 cluster centers; embeddings are length-``r`` vectors (the real-valued
-activations that get sign-thresholded into hash codes downstream).  The
-batched functions (``scul_batch`` and its helpers) take an ``(n, r)``
-matrix with one embedding per row; the per-sample functions are their
-reference.
+activations that get sign-thresholded into hash codes downstream).
+``scul_batch`` and its helpers take an ``(n, r)`` matrix with one embedding
+per row and compute a whole batch's terms and gradients at once.  Their
+per-sample reference, one embedding and one label set at a time, lives
+with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, LabelSetError, NonFiniteError
+from .errors import DimensionMismatch, LabelSetError
 
 Array = np.ndarray
 
@@ -63,13 +63,6 @@ def softmax_loss() -> TripletLossKind:
     return TripletLossKind("softmax")
 
 
-def _as_vector(x, name: str) -> Array:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
-    return v
-
-
 def _as_centers(centers) -> Array:
     m = np.asarray(centers, dtype=np.float64)
     if m.ndim != 2:
@@ -77,226 +70,11 @@ def _as_centers(centers) -> Array:
     return m
 
 
-def _normalize_labels(y, C: int) -> tuple[int, ...]:
-    """Coerce an int or iterable of ints into a sorted, validated label tuple."""
-    if isinstance(y, (int, np.integer)):
-        labels = (int(y),)
-    else:
-        labels = tuple(sorted({int(l) for l in y}))
-    if not labels:
-        raise LabelSetError("label set is empty")
-    if labels[0] < 0 or labels[-1] >= C:
-        raise LabelSetError(f"labels {labels} out of range for C={C}")
-    return labels
-
-
-def euclidean_distance(a, b) -> float:
-    """L2 distance between two equal-length vectors."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
-
-
-def center_distances(f, centers) -> Array:
-    """Vector of Euclidean distances from embedding f to every center column."""
-    f = _as_vector(f, "f")
-    centers = _as_centers(centers)
-    if centers.shape[0] != f.shape[0]:
-        raise DimensionMismatch(
-            f"embedding length {f.shape[0]} != center rows {centers.shape[0]}"
-        )
-    return np.linalg.norm(centers - f[:, None], axis=0)
-
-
-def stable_softmax(z) -> Array:
-    """Softmax with max-subtraction; entries positive, summing to 1."""
-    z = _as_vector(z, "z")
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError("softmax input contains non-finite entries")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def neg_dist_softmax(f, centers) -> Array:
-    """Class probabilities p_k = softmax over negative center distances."""
-    d = center_distances(f, centers)
-    if not np.all(np.isfinite(d)):
-        raise NonFiniteError("non-finite center distance")
-    return stable_softmax(-d)
-
-
-def _log_p(d: Array) -> Array:
-    """log softmax(-d), computed stably from a distance vector."""
-    z = -d
-    m = z.max()
-    return z - (m + np.log(np.exp(z - m).sum()))
-
-
-def scul_loss(f, y, centers, lam: float) -> float:
-    """Single-label semantic-cluster unary loss.
-
-    -log p_y + lam * |f - c_y|, with p the negative-distance softmax.
-    ``y`` may be an int or a singleton label set.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    centers = _as_centers(centers)
-    labels = _normalize_labels(y, centers.shape[1])
-    if len(labels) != 1:
-        raise LabelSetError("scul_loss expects a single label; use the multilabel form")
-    d = center_distances(f, centers)
-    y = labels[0]
-    return float(-_log_p(d)[y] + lam * d[y])
-
-
-@dataclass
-class SculGradients:
-    """Analytic gradients of a unary loss w.r.t. the embedding and centers."""
-
-    grad_embedding: Array  # (r,)
-    grad_centers: Array    # (r, C), zero columns where untouched
-
-
-def _unit_directions(f: Array, centers: Array, d: Array) -> Array:
-    """(r, C) matrix of (f - c_j)/|f - c_j|; zero columns at zero distance.
-
-    The zero-distance column is the subgradient choice for the kink of the
-    Euclidean norm: any unit vector is valid, zero keeps gradients finite.
-    """
-    diff = f[:, None] - centers
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u = np.where(d > 0.0, diff / d, 0.0)
-    return u
-
-
-def scul_gradients(f, y, centers, lam: float) -> SculGradients:
-    """Gradients of scul_loss w.r.t. f and every center column."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    f = _as_vector(f, "f")
-    centers = _as_centers(centers)
-    labels = _normalize_labels(y, centers.shape[1])
-    if len(labels) != 1:
-        raise LabelSetError("scul_gradients expects a single label")
-    y = labels[0]
-    d = center_distances(f, centers)
-    p = stable_softmax(-d)
-    u = _unit_directions(f, centers, d)
-
-    grad_f = (1.0 + lam) * u[:, y] - u @ p
-    grad_c = u * p[None, :]                 # -p_j * (c_j - f)/d_j for j != y
-    grad_c[:, y] = -(1.0 - p[y] + lam) * u[:, y]
-    return SculGradients(grad_f, grad_c)
-
-
-def scul_multilabel_loss(f, labels, centers, lam: float) -> float:
-    """Multilabel semantic-cluster unary loss.
-
-    (1/|Y|) * sum_{s in Y} -log p_s  +  lam * sum_{s in Y} |f - c_s|.
-    The 1/|Y| weight is the reciprocal-count choice used by the trainer.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    centers = _as_centers(centers)
-    C = centers.shape[1]
-    Y = _normalize_labels(labels, C)
-    if len(Y) >= C:
-        raise LabelSetError("label set covers every class; no negative class exists")
-    d = center_distances(f, centers)
-    logp = _log_p(d)
-    idx = list(Y)
-    return float(-logp[idx].mean() + lam * d[idx].sum())
-
-
-def scul_multilabel_gradients(f, labels, centers, lam: float) -> SculGradients:
-    """Gradients of scul_multilabel_loss w.r.t. f and the centers.
-
-    Per-distance coefficient: [k in Y]*(1/|Y| + lam) - p_k, pushed through
-    the unit directions (f - c_k)/|f - c_k|.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    f = _as_vector(f, "f")
-    centers = _as_centers(centers)
-    C = centers.shape[1]
-    Y = _normalize_labels(labels, C)
-    if len(Y) >= C:
-        raise LabelSetError("label set covers every class; no negative class exists")
-    d = center_distances(f, centers)
-    p = stable_softmax(-d)
-    u = _unit_directions(f, centers, d)
-
-    coef = -p.copy()
-    coef[list(Y)] += 1.0 / len(Y) + lam
-    grad_f = u @ coef
-    grad_c = -u * coef[None, :]
-    return SculGradients(grad_f, grad_c)
-
-
 def _check_dual_norms(p: float, q: float):
     if p <= 1.0 or q <= 1.0:
         raise ValueError("p and q must both exceed 1")
     if abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
         raise ValueError(f"(p, q) = ({p}, {q}) are not dual: 1/p + 1/q != 1")
-
-
-def quantization_loss(f, p: float = 3.0, q: float = 1.5) -> float:
-    """Anti-quantization penalty 1 - sum|f_i| / (r^(1/q) * ||f||_p).
-
-    In [0, 1] by Hoelder's inequality; 0 exactly when all |f_i| agree, so it
-    drives entries toward equal magnitude before sign binarization.  Scale
-    invariant.  The zero vector gets the maximal penalty 1.0 (maximally
-    ambiguous for sign thresholding).
-    """
-    _check_dual_norms(p, q)
-    f = _as_vector(f, "f")
-    a = np.abs(f)
-    norm_p = float((a**p).sum() ** (1.0 / p))
-    if norm_p == 0.0:
-        return 1.0
-    ones_q = float(len(f)) ** (1.0 / q)
-    val = 1.0 - a.sum() / (ones_q * norm_p)
-    return float(min(1.0, max(0.0, val)))
-
-
-def quantization_gradient(f, p: float = 3.0, q: float = 1.5) -> Array:
-    """Gradient of quantization_loss; entries exactly at 0 get subgradient 0."""
-    _check_dual_norms(p, q)
-    f = _as_vector(f, "f")
-    a = np.abs(f)
-    s = a.sum()
-    norm_p = float((a**p).sum() ** (1.0 / p))
-    if norm_p == 0.0:
-        return np.zeros_like(f)
-    ones_q = float(len(f)) ** (1.0 / q)
-    sign = np.sign(f)
-    # d/df_i [S / N_p] = sign_i/N_p - S * sign_i * |f_i|^(p-1) * N_p^(-p-1)
-    grad = -(sign * norm_p - s * sign * a ** (p - 1.0) * norm_p ** (1.0 - p)) / (
-        ones_q * norm_p**2
-    )
-    return grad
-
-
-def classification_loss(logits, labels) -> tuple[float, Array]:
-    """Cross-entropy of a logit vector against one or several labels.
-
-    Single label: -log softmax(logits)_y.  Multilabel: the mean of the
-    per-label cross-entropies.  Returns (loss, gradient w.r.t. logits).
-    """
-    logits = _as_vector(logits, "logits")
-    C = logits.shape[0]
-    Y = _normalize_labels(labels, C)
-    m = logits.max()
-    logp = logits - (m + np.log(np.exp(logits - m).sum()))
-    idx = list(Y)
-    loss = float(-logp[idx].mean())
-    target = np.zeros(C)
-    target[idx] = 1.0 / len(Y)
-    grad = np.exp(logp) - target
-    return loss, grad
 
 
 def require_negative_class(Y) -> None:
@@ -322,10 +100,10 @@ def center_directions(F, centers) -> tuple[Array, Array]:
     """Distances from every row of F to every center, and their unit directions.
 
     Returns ``D`` (n, C) with D[i, k] = |f_i - c_k| and ``U`` (n, r, C) with
-    U[i, :, k] = (f_i - c_k) / D[i, k], zero where D[i, k] = 0 (the
-    subgradient choice of ``_unit_directions``).  Both come from the
-    differences of ``center_differences``, so no precision is lost near a
-    center.
+    U[i, :, k] = (f_i - c_k) / D[i, k], zero where D[i, k] = 0 (any unit
+    vector is a subgradient at the norm's kink; zero keeps gradients finite).
+    Both come from the differences of ``center_differences``, so no precision
+    is lost near a center.
     """
     diff, D = center_differences(F, centers)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -344,10 +122,13 @@ def distance_gradients(U, coef) -> tuple[Array, Array]:
 
 
 def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]:
-    """Row-wise ``quantization_loss`` and ``quantization_gradient`` of (n, r) F.
+    """Row-wise penalty 1 - sum|f_i| / (r^(1/q) * ||f||_p) of (n, r) F, and
+    its gradient.
 
-    All-zero rows get loss 1 and gradient 0; entries exactly at 0 get
-    subgradient 0.
+    In [0, 1] by Hoelder's inequality and scale invariant; 0 exactly when all
+    |f_i| of a row agree, so it drives entries toward equal magnitude before
+    sign binarization.  All-zero rows get loss 1 and gradient 0; entries
+    exactly at 0 get subgradient 0.
     """
     _check_dual_norms(p, q)
     a = np.abs(F)
@@ -396,9 +177,10 @@ def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
     """The unary objective's terms and gradients for a whole batch at once.
 
     ``F`` is (n, r), ``centers`` (r, C), ``logits`` (n, C) and ``Y`` the
-    (n, C) label matrix of ``data.Dataset``.  Row by row the terms equal
-    ``scul_loss`` (one label) or ``scul_multilabel_loss`` (several),
-    ``classification_loss`` and ``quantization_loss``.  Single-label and
+    (n, C) label matrix of ``data.Dataset``.  A row with label set Y gets the
+    unary loss (1/|Y|) sum_{s in Y} -log p_s + lam sum_{s in Y} |f - c_s|,
+    p the softmax of the negative center distances, the mean cross-entropy
+    of its logits over Y, and the quantization penalty.  Single-label and
     multilabel rows share one per-distance coefficient
     [k in Y](1/|Y| + lam) - p_k, pushed through the unit directions.
     """
@@ -433,9 +215,3 @@ def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
     return SculBatch(scul, classification, quant, pull, grad_F, grad_q,
                      grad_logits, grad_c, D, U)
 
-
-def triplet_ranking_loss(d_pos: float, d_neg: float, kind: TripletLossKind) -> float:
-    """Ranking loss g(d_pos, d_neg) for one (anchor, positive, negative) triplet."""
-    if d_pos < 0 or d_neg < 0:
-        raise ValueError("distances must be non-negative")
-    return float(kind.g(d_pos, d_neg))

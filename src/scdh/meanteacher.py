@@ -108,17 +108,6 @@ class ConsistencyResult:
     grad_negdists: np.ndarray  # d distance_loss / d student negative distances
 
 
-def _softmax_sqdist_grad(student_vec: np.ndarray, teacher_vec: np.ndarray):
-    """Per-row reference form of ``_softmax_sqdist_rows``."""
-    s = losses.stable_softmax(student_vec)
-    t = losses.stable_softmax(teacher_vec)
-    e = s - t
-    loss = float(e @ e)
-    # Jacobian of softmax applied to 2e: diag(s) - s s^T
-    grad = 2.0 * (s * e - s * float(s @ e))
-    return loss, grad
-
-
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     e = np.exp(Z - Z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

@@ -92,13 +92,6 @@ def binarize_batch(F) -> np.ndarray:
     return pack_bits(F >= 0.0)
 
 
-def hamming(a: HashCode, b: HashCode) -> int:
-    """Number of differing bit positions between two equal-length codes."""
-    if a.nbits != b.nbits:
-        raise DimensionMismatch(f"code lengths differ: {a.nbits} vs {b.nbits}")
-    return int(np.bitwise_count(a.words ^ b.words).sum())
-
-
 class Buckets(NamedTuple):
     """The distinct codes of an index, each with its member ids (CSR form).
 
@@ -311,16 +304,12 @@ class _Ranking:
         if not len(self.relevant):
             raise PreconditionError("the query index is empty")
 
-    def precision_at_radius(self, empty_ball: str) -> float:
+    def precision_at_radius(self) -> float:
+        """Mean fraction of relevant items within the radius; a query whose
+        ball is empty counts 0, which penalises codes that isolate queries."""
+        self._require_queries()
         ball, hits = self.ball, self.ball_relevant
-        if empty_ball == "zero":
-            self._require_queries()
-            precisions = np.where(ball > 0, hits / np.maximum(ball, 1), 0.0)
-        else:
-            precisions = hits[ball > 0] / ball[ball > 0]
-        if not len(precisions):
-            raise PreconditionError("all query balls are empty and empty_ball='skip'")
-        return float(np.mean(precisions))
+        return float(np.mean(np.where(ball > 0, hits / np.maximum(ball, 1), 0.0)))
 
     def topk_curve(self) -> list[tuple[int, float]]:
         self._require_queries()
@@ -380,36 +369,6 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
                     ball[inverse], ball_relevant[inverse], list(ks), topk_sums)
 
 
-def mean_average_precision(queries: CodeIndex, index: CodeIndex,
-                           k: int | None = None) -> float:
-    """MAP over queries; relevance is sharing at least one label.
-
-    Untruncated AP divides by the number of relevant database items; when
-    truncated at k it divides by min(k, #relevant).  Queries with no relevant
-    item anywhere in the database are excluded from the mean.
-    """
-    return _rank(queries, index, k=k).mean_ap(at_k=k is not None)
-
-
-def precision_at_radius(queries: CodeIndex, index: CodeIndex, radius: int = 2,
-                        empty_ball: str = "zero") -> float:
-    """Mean fraction of relevant items among those within the Hamming ball.
-
-    Queries whose ball is empty contribute 0 by default (``empty_ball="zero"``,
-    penalising codes that isolate queries) or can be skipped entirely
-    (``empty_ball="skip"``).
-    """
-    if empty_ball not in ("zero", "skip"):
-        raise ValueError("empty_ball must be 'zero' or 'skip'")
-    return _rank(queries, index, radius=radius).precision_at_radius(empty_ball)
-
-
-def topk_precision_curve(queries: CodeIndex, index: CodeIndex,
-                         ks: Sequence[int]) -> list[tuple[int, float]]:
-    """Mean precision among the top-k ranked items, for each k (ascending)."""
-    return _rank(queries, index, ks=_check_ks(ks, index.n)).topk_curve()
-
-
 @dataclass
 class RetrievalMetrics:
     """Bundle of the standard evaluation numbers.
@@ -441,13 +400,14 @@ class RetrievalMetrics:
 
 def evaluate(queries: CodeIndex, index: CodeIndex, k: int | None = None,
              radius: int = 2, ks: Sequence[int] = ()) -> RetrievalMetrics:
-    """Compute the full metric bundle from one ranking per query."""
+    """Compute the full metric bundle from one ranking per query; an item is
+    relevant to a query when they share at least one label."""
     ranking = _rank(queries, index, k=k, radius=radius, ks=_check_ks(ks, index.n))
     return RetrievalMetrics(
         map=ranking.mean_ap(),
         map_at_k=ranking.mean_ap(at_k=True) if k else None,
         k=k,
-        precision_at_radius2=ranking.precision_at_radius("zero"),
+        precision_at_radius2=ranking.precision_at_radius(),
         topk_curve=ranking.topk_curve(),
         empty_ball_queries=int(np.count_nonzero(ranking.ball == 0)),
         ap_quantiles=ranking.ap_quantiles(),

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from scdh.data import (Dataset, SyntheticConfig, _draw_prototypes, sample_clusters,
+                       sample_multilabel)
+from scdh.errors import PreconditionError
+
 
 def central_diff(fun, x, eps=1e-4):
     """Central finite differences of a scalar function, elementwise over x."""
@@ -25,3 +29,26 @@ def rel_err(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+def gen_gaussian_clusters(cfg: SyntheticConfig) -> Dataset:
+    """Balanced single-label Gaussian clusters, deterministic per seed: one
+    split of the kind ``data.make_cluster_splits`` draws three of."""
+    if cfg.multilabel_p is not None:
+        raise PreconditionError("multilabel_p set; use gen_multilabel")
+    means_ss, samples_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    means = _draw_prototypes(cfg, np.random.default_rng(means_ss))
+    return sample_clusters(means, cfg.samples_per_class, cfg.cluster_std, samples_ss)
+
+
+def gen_multilabel(cfg: SyntheticConfig) -> Dataset:
+    """Multilabel mixture of n = C * samples_per_class rows, deterministic per
+    seed: independent per-label inclusion with probability p, empty and full
+    label draws resampled, features the mean of the member labels'
+    prototypes plus Gaussian noise."""
+    if cfg.multilabel_p is None:
+        raise PreconditionError("multilabel_p missing; use gen_gaussian_clusters")
+    proto_ss, samples_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    protos = _draw_prototypes(cfg, np.random.default_rng(proto_ss))
+    return sample_multilabel(protos, cfg.C * cfg.samples_per_class, cfg.multilabel_p,
+                             cfg.cluster_std, samples_ss)

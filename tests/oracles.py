@@ -1,0 +1,238 @@
+"""Per-sample reference forms of the losses the training loop computes in batch.
+
+``losses.scul_batch``, ``losses.quantization_batch`` and the mean teacher's
+``_softmax_sqdist_rows`` work on whole (n, ...) arrays.  The functions here
+take one embedding, one logit vector or one label set at a time and follow
+the paper's formulas term by term; the tests compare the batched kernels
+against them and check their hand-derived gradients by finite differences.
+Centers are an ``(r, C)`` matrix whose columns are the per-label cluster
+centers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from scdh.errors import DimensionMismatch, LabelSetError, NonFiniteError
+from scdh.losses import _as_centers, _check_dual_norms
+
+Array = np.ndarray
+
+
+def _as_vector(x, name: str) -> Array:
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
+    return v
+
+
+def _normalize_labels(y, C: int) -> tuple[int, ...]:
+    """Coerce an int or iterable of ints into a sorted, validated label tuple."""
+    if isinstance(y, (int, np.integer)):
+        labels = (int(y),)
+    else:
+        labels = tuple(sorted({int(l) for l in y}))
+    if not labels:
+        raise LabelSetError("label set is empty")
+    if labels[0] < 0 or labels[-1] >= C:
+        raise LabelSetError(f"labels {labels} out of range for C={C}")
+    return labels
+
+
+def center_distances(f, centers) -> Array:
+    """Vector of Euclidean distances from embedding f to every center column."""
+    f = _as_vector(f, "f")
+    centers = _as_centers(centers)
+    if centers.shape[0] != f.shape[0]:
+        raise DimensionMismatch(
+            f"embedding length {f.shape[0]} != center rows {centers.shape[0]}"
+        )
+    return np.linalg.norm(centers - f[:, None], axis=0)
+
+
+def stable_softmax(z) -> Array:
+    """Softmax with max-subtraction; entries positive, summing to 1."""
+    z = _as_vector(z, "z")
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteError("softmax input contains non-finite entries")
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _log_p(d: Array) -> Array:
+    """log softmax(-d), computed stably from a distance vector."""
+    z = -d
+    m = z.max()
+    return z - (m + np.log(np.exp(z - m).sum()))
+
+
+def scul_loss(f, y, centers, lam: float) -> float:
+    """Single-label semantic-cluster unary loss.
+
+    -log p_y + lam * |f - c_y|, with p the negative-distance softmax.
+    ``y`` may be an int or a singleton label set.
+    """
+    if lam < 0:
+        raise ValueError("lam must be non-negative")
+    centers = _as_centers(centers)
+    labels = _normalize_labels(y, centers.shape[1])
+    if len(labels) != 1:
+        raise LabelSetError("scul_loss expects a single label; use the multilabel form")
+    d = center_distances(f, centers)
+    y = labels[0]
+    return float(-_log_p(d)[y] + lam * d[y])
+
+
+@dataclass
+class SculGradients:
+    """Analytic gradients of a unary loss w.r.t. the embedding and centers."""
+
+    grad_embedding: Array  # (r,)
+    grad_centers: Array    # (r, C), zero columns where untouched
+
+
+def _unit_directions(f: Array, centers: Array, d: Array) -> Array:
+    """(r, C) matrix of (f - c_j)/|f - c_j|; zero columns at zero distance.
+
+    The zero-distance column is the subgradient choice for the kink of the
+    Euclidean norm: any unit vector is valid, zero keeps gradients finite.
+    """
+    diff = f[:, None] - centers
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.where(d > 0.0, diff / d, 0.0)
+    return u
+
+
+def scul_gradients(f, y, centers, lam: float) -> SculGradients:
+    """Gradients of scul_loss w.r.t. f and every center column."""
+    if lam < 0:
+        raise ValueError("lam must be non-negative")
+    f = _as_vector(f, "f")
+    centers = _as_centers(centers)
+    labels = _normalize_labels(y, centers.shape[1])
+    if len(labels) != 1:
+        raise LabelSetError("scul_gradients expects a single label")
+    y = labels[0]
+    d = center_distances(f, centers)
+    p = stable_softmax(-d)
+    u = _unit_directions(f, centers, d)
+
+    grad_f = (1.0 + lam) * u[:, y] - u @ p
+    grad_c = u * p[None, :]                 # -p_j * (c_j - f)/d_j for j != y
+    grad_c[:, y] = -(1.0 - p[y] + lam) * u[:, y]
+    return SculGradients(grad_f, grad_c)
+
+
+def scul_multilabel_loss(f, labels, centers, lam: float) -> float:
+    """Multilabel semantic-cluster unary loss.
+
+    (1/|Y|) * sum_{s in Y} -log p_s  +  lam * sum_{s in Y} |f - c_s|.
+    The 1/|Y| weight is the reciprocal-count choice used by the trainer.
+    """
+    if lam < 0:
+        raise ValueError("lam must be non-negative")
+    centers = _as_centers(centers)
+    C = centers.shape[1]
+    Y = _normalize_labels(labels, C)
+    if len(Y) >= C:
+        raise LabelSetError("label set covers every class; no negative class exists")
+    d = center_distances(f, centers)
+    logp = _log_p(d)
+    idx = list(Y)
+    return float(-logp[idx].mean() + lam * d[idx].sum())
+
+
+def scul_multilabel_gradients(f, labels, centers, lam: float) -> SculGradients:
+    """Gradients of scul_multilabel_loss w.r.t. f and the centers.
+
+    Per-distance coefficient: [k in Y]*(1/|Y| + lam) - p_k, pushed through
+    the unit directions (f - c_k)/|f - c_k|.
+    """
+    if lam < 0:
+        raise ValueError("lam must be non-negative")
+    f = _as_vector(f, "f")
+    centers = _as_centers(centers)
+    C = centers.shape[1]
+    Y = _normalize_labels(labels, C)
+    if len(Y) >= C:
+        raise LabelSetError("label set covers every class; no negative class exists")
+    d = center_distances(f, centers)
+    p = stable_softmax(-d)
+    u = _unit_directions(f, centers, d)
+
+    coef = -p.copy()
+    coef[list(Y)] += 1.0 / len(Y) + lam
+    grad_f = u @ coef
+    grad_c = -u * coef[None, :]
+    return SculGradients(grad_f, grad_c)
+
+
+def quantization_loss(f, p: float = 3.0, q: float = 1.5) -> float:
+    """Anti-quantization penalty 1 - sum|f_i| / (r^(1/q) * ||f||_p).
+
+    In [0, 1] by Hoelder's inequality; 0 exactly when all |f_i| agree, so it
+    drives entries toward equal magnitude before sign binarization.  Scale
+    invariant.  The zero vector gets the maximal penalty 1.0 (maximally
+    ambiguous for sign thresholding).
+    """
+    _check_dual_norms(p, q)
+    f = _as_vector(f, "f")
+    a = np.abs(f)
+    norm_p = float((a**p).sum() ** (1.0 / p))
+    if norm_p == 0.0:
+        return 1.0
+    ones_q = float(len(f)) ** (1.0 / q)
+    val = 1.0 - a.sum() / (ones_q * norm_p)
+    return float(min(1.0, max(0.0, val)))
+
+
+def quantization_gradient(f, p: float = 3.0, q: float = 1.5) -> Array:
+    """Gradient of quantization_loss; entries exactly at 0 get subgradient 0."""
+    _check_dual_norms(p, q)
+    f = _as_vector(f, "f")
+    a = np.abs(f)
+    s = a.sum()
+    norm_p = float((a**p).sum() ** (1.0 / p))
+    if norm_p == 0.0:
+        return np.zeros_like(f)
+    ones_q = float(len(f)) ** (1.0 / q)
+    sign = np.sign(f)
+    # d/df_i [S / N_p] = sign_i/N_p - S * sign_i * |f_i|^(p-1) * N_p^(-p-1)
+    grad = -(sign * norm_p - s * sign * a ** (p - 1.0) * norm_p ** (1.0 - p)) / (
+        ones_q * norm_p**2
+    )
+    return grad
+
+
+def classification_loss(logits, labels) -> tuple[float, Array]:
+    """Cross-entropy of a logit vector against one or several labels.
+
+    Single label: -log softmax(logits)_y.  Multilabel: the mean of the
+    per-label cross-entropies.  Returns (loss, gradient w.r.t. logits).
+    """
+    logits = _as_vector(logits, "logits")
+    C = logits.shape[0]
+    Y = _normalize_labels(labels, C)
+    m = logits.max()
+    logp = logits - (m + np.log(np.exp(logits - m).sum()))
+    idx = list(Y)
+    loss = float(-logp[idx].mean())
+    target = np.zeros(C)
+    target[idx] = 1.0 / len(Y)
+    grad = np.exp(logp) - target
+    return loss, grad
+
+
+def softmax_sqdist_grad(student_vec: np.ndarray, teacher_vec: np.ndarray):
+    """|softmax(student) - softmax(teacher)|^2 of one row, and its gradient
+    w.r.t. the student: the per-row form of the mean teacher's consistency."""
+    s = stable_softmax(student_vec)
+    t = stable_softmax(teacher_vec)
+    e = s - t
+    loss = float(e @ e)
+    # Jacobian of softmax applied to 2e: diag(s) - s s^T
+    grad = 2.0 * (s * e - s * float(s @ e))
+    return loss, grad

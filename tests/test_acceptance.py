@@ -25,6 +25,7 @@ from scdh.data import (
 from scdh.meanteacher import train_scdh
 from scdh.model import Hyperparams, extract_embeddings
 
+import oracles
 from conftest import central_diff, rel_err
 
 
@@ -45,11 +46,11 @@ def full_objective(net, X, labelsets, hp):
     total = 0.0
     for i, Y in enumerate(labelsets):
         if len(Y) == 1:
-            total += losses.scul_loss(F[i], next(iter(Y)), net.centers, hp.lam)
+            total += oracles.scul_loss(F[i], next(iter(Y)), net.centers, hp.lam)
         else:
-            total += losses.scul_multilabel_loss(F[i], Y, net.centers, hp.lam)
-        total += hp.mu * losses.classification_loss(logits[i], Y)[0]
-        total += hp.alpha * losses.quantization_loss(F[i], hp.holder_p,
+            total += oracles.scul_multilabel_loss(F[i], Y, net.centers, hp.lam)
+        total += hp.mu * oracles.classification_loss(logits[i], Y)[0]
+        total += hp.alpha * oracles.quantization_loss(F[i], hp.holder_p,
                                                      hp.holder_q)
     return total
 
@@ -74,9 +75,9 @@ def test_criterion_1_gradient_suite():
         f = rng.normal(0, 1, 16)
         centers = rng.normal(0, 1, (16, 5))
         y = int(rng.integers(5))
-        g = losses.scul_gradients(f, y, centers, 0.005)
-        nf = central_diff(lambda x: losses.scul_loss(x, y, centers, 0.005), f)
-        nc = central_diff(lambda c: losses.scul_loss(f, y, c, 0.005), centers)
+        g = oracles.scul_gradients(f, y, centers, 0.005)
+        nf = central_diff(lambda x: oracles.scul_loss(x, y, centers, 0.005), f)
+        nc = central_diff(lambda c: oracles.scul_loss(f, y, c, 0.005), centers)
         errs.append(max(rel_err(g.grad_embedding, nf), rel_err(g.grad_centers, nc)))
     worst["scul"] = max(errs)
 
@@ -85,9 +86,9 @@ def test_criterion_1_gradient_suite():
         f = rng.normal(0, 1, 16)
         centers = rng.normal(0, 1, (16, 5))
         Y = frozenset(rng.choice(5, size=2, replace=False).tolist())
-        g = losses.scul_multilabel_gradients(f, Y, centers, 0.01)
-        nf = central_diff(lambda x: losses.scul_multilabel_loss(x, Y, centers, 0.01), f)
-        nc = central_diff(lambda c: losses.scul_multilabel_loss(f, Y, c, 0.01), centers)
+        g = oracles.scul_multilabel_gradients(f, Y, centers, 0.01)
+        nf = central_diff(lambda x: oracles.scul_multilabel_loss(x, Y, centers, 0.01), f)
+        nc = central_diff(lambda c: oracles.scul_multilabel_loss(f, Y, c, 0.01), centers)
         errs.append(max(rel_err(g.grad_embedding, nf), rel_err(g.grad_centers, nc)))
     worst["scul_multilabel"] = max(errs)
 
@@ -95,8 +96,8 @@ def test_criterion_1_gradient_suite():
     for _ in range(n_inst):
         f = rng.normal(0, 1, 16)
         f[np.abs(f) < 0.05] = 0.2          # stay off the |.| kink for FD
-        g = losses.quantization_gradient(f)
-        errs.append(rel_err(g, central_diff(losses.quantization_loss, f, eps=1e-6)))
+        g = oracles.quantization_gradient(f)
+        errs.append(rel_err(g, central_diff(oracles.quantization_loss, f, eps=1e-6)))
     worst["quantization"] = max(errs)
 
     errs = []
@@ -104,8 +105,8 @@ def test_criterion_1_gradient_suite():
         logits = rng.normal(0, 2, 8)
         Y = frozenset(rng.choice(8, size=int(rng.integers(1, 3)),
                                  replace=False).tolist())
-        _, g = losses.classification_loss(logits, Y)
-        num = central_diff(lambda z: losses.classification_loss(z, Y)[0],
+        _, g = oracles.classification_loss(logits, Y)
+        num = central_diff(lambda z: oracles.classification_loss(z, Y)[0],
                            logits, eps=1e-6)
         errs.append(rel_err(g, num))
     worst["classification"] = max(errs)
@@ -121,6 +122,41 @@ def test_criterion_1_gradient_suite():
                           d, eps=1e-6)
         errs.append(max(rel_err(res.grad_logits, na), rel_err(res.grad_negdists, nd)))
     worst["consistency"] = max(errs)
+
+    # the batched kernels training runs, row by row: each row's unary,
+    # classification and quantization gradients, and the center gradient of
+    # the batch's summed unary loss
+    def row_diff(fun, A, i, eps=1e-4):
+        def at(x):
+            B = A.copy()
+            B[i] = x
+            return fun(B)[i]
+        return central_diff(at, A[i], eps=eps)
+
+    krng = np.random.default_rng(102)    # leaves the draws of the checks below alone
+    errs = {"scul_batch": [], "quantization_batch": []}
+    for _ in range(n_inst):
+        F = krng.normal(0, 1, (2, 16))
+        F[np.abs(F) < 0.05] = 0.2          # stay off the |.| kink for FD
+        centers = krng.normal(0, 1, (16, 5))
+        logits = krng.normal(0, 2, (2, 5))
+        # one single-label row and one multilabel row
+        Y = labels_from_sets([krng.choice(5, size=1 + i, replace=False).tolist()
+                              for i in range(2)], 5)
+        k = losses.scul_batch(F, centers, logits, Y, 0.01)
+        nc = central_diff(
+            lambda c: losses.scul_batch(F, c, logits, Y, 0.01).scul.sum(), centers)
+        err = rel_err(k.grad_centers, nc)
+        for i in range(2):
+            nf = row_diff(lambda A: losses.scul_batch(A, centers, logits, Y, 0.01).scul,
+                          F, i)
+            nz = row_diff(lambda Z: losses.scul_batch(F, centers, Z, Y, 0.01)
+                          .classification, logits, i, eps=1e-6)
+            nq = row_diff(lambda A: losses.quantization_batch(A)[0], F, i, eps=1e-6)
+            err = max(err, rel_err(k.grad_embedding[i], nf), rel_err(k.grad_logits[i], nz))
+            errs["quantization_batch"].append(rel_err(k.grad_quantization[i], nq))
+        errs["scul_batch"].append(err)
+    worst.update((name, max(e)) for name, e in errs.items())
 
     for name, err in worst.items():
         assert err < 1e-5, f"{name} gradient error {err}"
@@ -227,21 +263,26 @@ def test_criterion_4_multilabel_bound_certification():
 
 
 def test_criterion_5_quantization_properties():
+    # the penalty training computes, one row at a time
+    def lq(f, **kw):
+        return float(losses.quantization_batch(np.atleast_2d(np.asarray(f, float)),
+                                               **kw)[0][0])
+
     rng = np.random.default_rng(5)
     for _ in range(500):
         f = rng.normal(0, 2, int(rng.integers(2, 48)))
-        assert 0.0 <= losses.quantization_loss(f) <= 1.0
+        assert 0.0 <= lq(f) <= 1.0
     # zero iff all magnitudes agree
     signs = rng.choice([-1.0, 1.0], size=16)
-    assert losses.quantization_loss(1.7 * signs) < 1e-12
-    assert losses.quantization_loss([1.0, 0.5]) > 1e-9
+    assert lq(1.7 * signs) < 1e-12
+    assert lq([1.0, 0.5]) > 1e-9
     # positive-scale invariance
     f = rng.normal(0, 1, 24)
-    base = losses.quantization_loss(f)
+    base = lq(f)
     for t in (1e-3, 0.25, 7.0, 1e4):
-        assert abs(losses.quantization_loss(t * f) - base) < 1e-12
+        assert abs(lq(t * f) - base) < 1e-12
     # hand value at the stated default exponents
-    val = losses.quantization_loss([1.0, 0.0], p=3.0, q=1.5)
+    val = lq([1.0, 0.0], p=3.0, q=1.5)
     assert abs(val - (1.0 - 2.0 ** (-2.0 / 3.0))) < 1e-12
     report(5, "quantization-properties")
 
@@ -277,8 +318,9 @@ def test_criterion_6_synthetic_retrieval():
         assert elapsed < 120.0, f"seed {seed} training took {elapsed:.1f}s"
         final_lqs.append(rep.final_quantization)
         qi, di = eval_codes(net, query, db)
-        maps.append(rt.mean_average_precision(qi, di))
-        p2s.append(rt.precision_at_radius(qi, di, 2))
+        metrics = rt.evaluate(qi, di, radius=2)
+        maps.append(metrics.map)
+        p2s.append(metrics.precision_at_radius2)
     assert 0.96 <= np.mean(nn_accs) <= 0.995, f"raw 1-NN accuracy {np.mean(nn_accs)}"
     for seed, (m, p2) in enumerate(zip(maps, p2s)):
         assert m >= 0.95, f"seed {seed}: MAP {m:.4f} below 0.95"
@@ -307,7 +349,7 @@ def test_criterion_7_multilabel_retrieval():
         elapsed = time.monotonic() - t0
         assert elapsed < 180.0, f"seed {seed} training took {elapsed:.1f}s"
         qi, di = eval_codes(net, query, db)
-        maps.append(rt.mean_average_precision(qi, di, k=500))
+        maps.append(rt.evaluate(qi, di, k=500).map_at_k)
     for seed, m in enumerate(maps):
         assert m >= 0.85, f"seed {seed}: MAP@500 {m:.4f} below 0.85"
     report(7, "multilabel-retrieval", f"(MAP@500 {np.mean(maps):.3f})")
@@ -329,7 +371,7 @@ def test_criterion_8_mean_teacher_non_degradation():
                               lr_schedule=((40, 0.2),), seed=seed)
         base_net, _ = train_scdh(semi.labeled, hp_base, r=24, hidden=(64,))
         qi, di = eval_codes(base_net, query, db)
-        base_map = rt.mean_average_precision(qi, di)
+        base_map = rt.evaluate(qi, di).map
 
         hp_mt = Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=40,
                             batch_size=64, lr=1e-3, momentum=0.9,
@@ -337,7 +379,7 @@ def test_criterion_8_mean_teacher_non_degradation():
         _, teacher, _ = mt.train_mt_scdh(semi, hp_mt, w=0.1, ema_decay=0.99,
                                          noise_std=0.15, r=24, hidden=(64,))
         qi, di = eval_codes(teacher.model, query, db)
-        teacher_map = rt.mean_average_precision(qi, di)
+        teacher_map = rt.evaluate(qi, di).map
 
         base_maps.append(base_map)
         teacher_maps.append(teacher_map)
@@ -380,7 +422,7 @@ def test_criterion_9_retrieval_oracle_equivalence():
     q = rt.CodeIndex(rt.pack_bits(qbits[None, :]), np.array([99]), 8,
                      labels_from_sets(({0},), 2))
     db = rt.CodeIndex(rt.pack_bits(db_bits), np.arange(4), 8, labels)
-    ap = rt.mean_average_precision(q, db)
+    ap = rt.evaluate(q, db).map
     assert abs(ap - 5.0 / 6.0) < 1e-12
     report(9, "retrieval-oracle-equivalence")
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from scdh import cli, data, model, retrieval
-from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters,
-                       labels_from_sets, load_dataset, save_dataset, strip_labels)
+from scdh.data import (Dataset, SyntheticConfig, labels_from_sets, load_dataset,
+                       save_dataset, strip_labels)
+
+from conftest import gen_gaussian_clusters
 
 RUN = [sys.executable, "-m", "scdh.cli"]
 
@@ -250,6 +252,29 @@ class TestValidation:
         assert err["error"] == "validation"
         assert not loads
         assert not [p for p in out.iterdir() if p.suffix in (".scds", ".ckpt")]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["gen", "--db-per-class", "-2"], "--db-per-class"),
+        (["gen", "--query-per-class", "0"], "--query-per-class"),
+        (["gen", "--mode", "multi", "--n-query", "-1"], "--n-query"),
+        (["gen", "--mode", "multi", "--n-db", "0"], "--n-db"),
+        (["gen", "--balance", "7"], "--balance"),
+        (["train", "--balance", "7"], "--balance"),
+        *(([command, "--seed", "-1"], "--seed") for command in cli.COMMANDS),
+        (["lambda-toy", "--sigma-grid", ""], "grid"),
+        (["lambda-toy", "--d-grid", ""], "grid"),
+    ])
+    def test_bad_input_exits_1_with_one_message(self, tmp_path, capsys, argv, named):
+        # sizes below 1, a --balance other than 0 or 1, a negative seed and an
+        # empty toy grid are refused before any file is read or written
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validation" and named in err["message"]
+        assert "Error:" not in err["message"]           # no raw exception text
+        assert not out.exists() or not any(out.iterdir())
 
     def test_json_outputs_reject_nan(self, tmp_path):
         path = tmp_path / "x.json"

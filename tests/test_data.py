@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scdh import data, model, retrieval
 from scdh.errors import ParseError, PreconditionError
 
+from conftest import gen_gaussian_clusters, gen_multilabel
+
 
 def cfg(**kw):
     base = dict(C=3, feature_dim=4, cluster_std=0.5, center_spread=2.0,
@@ -20,15 +22,15 @@ def cfg(**kw):
 
 class TestGaussianClusters:
     def test_zero_std_collapses_to_means(self):
-        ds = data.gen_gaussian_clusters(cfg(cluster_std=0.0))
+        ds = gen_gaussian_clusters(cfg(cluster_std=0.0))
         for c in range(3):
             block = ds.features[ds.labels[:, c]]
             assert np.all(block == block[0])
 
     def test_sample_means_near_cluster_means(self):
         m = 4000
-        ds = data.gen_gaussian_clusters(cfg(samples_per_class=m, cluster_std=1.0))
-        ds0 = data.gen_gaussian_clusters(cfg(samples_per_class=m, cluster_std=0.0))
+        ds = gen_gaussian_clusters(cfg(samples_per_class=m, cluster_std=1.0))
+        ds0 = gen_gaussian_clusters(cfg(samples_per_class=m, cluster_std=0.0))
         for c in range(3):
             mask = ds.labels[:, c]
             sample_mean = ds.features[mask].mean(axis=0)
@@ -36,21 +38,21 @@ class TestGaussianClusters:
             assert np.all(np.abs(sample_mean - true_mean) < 4.0 / np.sqrt(m))
 
     def test_determinism(self):
-        a = data.gen_gaussian_clusters(cfg())
-        b = data.gen_gaussian_clusters(cfg())
-        c = data.gen_gaussian_clusters(cfg(seed=8))
+        a = gen_gaussian_clusters(cfg())
+        b = gen_gaussian_clusters(cfg())
+        c = gen_gaussian_clusters(cfg(seed=8))
         assert np.array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
 
     def test_balanced_by_construction(self):
-        ds = data.gen_gaussian_clusters(cfg())
+        ds = gen_gaussian_clusters(cfg())
         counts = np.bincount(ds.single_labels())
         assert np.all(counts == 20)
 
 
 class TestMultilabelGenerator:
     def test_near_one_probability(self):
-        ds = data.gen_multilabel(cfg(C=6, multilabel_p=0.9, samples_per_class=100))
+        ds = gen_multilabel(cfg(C=6, multilabel_p=0.9, samples_per_class=100))
         sizes = ds.labels.sum(axis=1)
         # nearly every sample carries nearly every label (full sets resampled,
         # so the ceiling is C - 1)
@@ -59,7 +61,7 @@ class TestMultilabelGenerator:
 
     def test_mean_label_count(self):
         C, p = 4, 0.3
-        ds = data.gen_multilabel(
+        ds = gen_multilabel(
             data.SyntheticConfig(C=C, feature_dim=3, cluster_std=0.1,
                                  center_spread=1.0, samples_per_class=2500,
                                  multilabel_p=p, seed=1))
@@ -70,7 +72,7 @@ class TestMultilabelGenerator:
 
     def test_per_label_frequency_band(self):
         C, p, n = 5, 0.3, 10_000
-        ds = data.gen_multilabel(
+        ds = gen_multilabel(
             data.SyntheticConfig(C=C, feature_dim=3, cluster_std=0.1,
                                  center_spread=1.0, samples_per_class=n // C,
                                  multilabel_p=p, seed=3))
@@ -82,16 +84,16 @@ class TestMultilabelGenerator:
         assert np.all(np.abs(freq - cond) < band + 0.01)
 
     def test_determinism(self):
-        a = data.gen_multilabel(cfg(multilabel_p=0.4))
-        b = data.gen_multilabel(cfg(multilabel_p=0.4))
+        a = gen_multilabel(cfg(multilabel_p=0.4))
+        b = gen_multilabel(cfg(multilabel_p=0.4))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_wrong_generator_rejected(self):
         with pytest.raises(PreconditionError):
-            data.gen_multilabel(cfg())
+            gen_multilabel(cfg())
         with pytest.raises(PreconditionError):
-            data.gen_gaussian_clusters(cfg(multilabel_p=0.3))
+            gen_gaussian_clusters(cfg(multilabel_p=0.3))
 
 
 class TestBalanceUpsample:
@@ -109,7 +111,7 @@ class TestBalanceUpsample:
         assert np.all(extra == ds.features[3])
 
     def test_already_balanced_unchanged(self):
-        ds = data.gen_gaussian_clusters(cfg())
+        ds = gen_gaussian_clusters(cfg())
         out = data.balance_upsample(ds, seed=0)
         assert out.n == ds.n
         assert np.array_equal(out.features, ds.features)
@@ -128,7 +130,7 @@ class TestBalanceUpsample:
 
 class TestDatasetIO:
     def test_roundtrip_single(self, tmp_path):
-        ds = data.gen_gaussian_clusters(cfg())
+        ds = gen_gaussian_clusters(cfg())
         path = tmp_path / "ds.scds"
         data.save_dataset(ds, path)
         loaded = data.load_dataset(path)
@@ -138,7 +140,7 @@ class TestDatasetIO:
         assert loaded.label_count == ds.label_count
 
     def test_roundtrip_multilabel(self, tmp_path):
-        ds = data.gen_multilabel(cfg(multilabel_p=0.4))
+        ds = gen_multilabel(cfg(multilabel_p=0.4))
         path = tmp_path / "ds.scds"
         data.save_dataset(ds, path)
         loaded = data.load_dataset(path)
@@ -146,21 +148,21 @@ class TestDatasetIO:
         assert np.array_equal(loaded.labels, ds.labels)
 
     def test_roundtrip_partial_labels(self, tmp_path):
-        ds = data.strip_labels(data.gen_gaussian_clusters(cfg()), 0.5, seed=2)
+        ds = data.strip_labels(gen_gaussian_clusters(cfg()), 0.5, seed=2)
         path = tmp_path / "ds.scds"
         data.save_dataset(ds, path)
         loaded = data.load_dataset(path)
         assert np.array_equal(loaded.labels, ds.labels)
 
     def test_roundtrip_bytes_stable(self, tmp_path):
-        ds = data.gen_gaussian_clusters(cfg())
+        ds = gen_gaussian_clusters(cfg())
         p1, p2 = tmp_path / "a.scds", tmp_path / "b.scds"
         data.save_dataset(ds, p1)
         data.save_dataset(data.load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_features(self, tmp_path):
-        ds = data.gen_gaussian_clusters(cfg())
+        ds = gen_gaussian_clusters(cfg())
         path = tmp_path / "ds.scds"
         data.save_dataset(ds, path)
         blob = path.read_bytes()
@@ -175,7 +177,7 @@ class TestDatasetIO:
             data.load_dataset(path)
 
     def test_trailing_bytes(self, tmp_path):
-        ds = data.gen_gaussian_clusters(cfg())
+        ds = gen_gaussian_clusters(cfg())
         path = tmp_path / "ds.scds"
         data.save_dataset(ds, path)
         path.write_bytes(path.read_bytes() + b"xx")
@@ -183,40 +185,16 @@ class TestDatasetIO:
             data.load_dataset(path)
 
 
-class TestCsvImport:
-    def test_hand_written_fixture(self, tmp_path):
-        path = tmp_path / "fixture.csv"
-        path.write_text("1.0,2.0,3\n-0.5,0.25,1|2\n4.0,5.0,\n")
-        ds = data.load_csv_dataset(path)
-        np.testing.assert_allclose(
-            ds.features, [[1.0, 2.0], [-0.5, 0.25], [4.0, 5.0]])
-        np.testing.assert_array_equal(
-            ds.labels, [[0, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]])
-        assert ds.label_count == 4
-
-    def test_bad_feature(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,abc,0\n")
-        with pytest.raises(ParseError, match="row 0"):
-            data.load_csv_dataset(path)
-
-    def test_inconsistent_width(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0,0\n1.0,0\n")
-        with pytest.raises(ParseError, match="inconsistent"):
-            data.load_csv_dataset(path)
-
-
 class TestStripLabels:
     def test_keeps_requested_fraction(self):
-        ds = data.gen_gaussian_clusters(cfg(samples_per_class=50))
+        ds = gen_gaussian_clusters(cfg(samples_per_class=50))
         out = data.strip_labels(ds, 0.1, seed=4)
         assert int(out.labeled_mask().sum()) == 15   # 5 of 50 per class
         # every class still has a labeled representative
         assert out.labels.any(axis=0).all()
 
     def test_invalid_fraction(self):
-        ds = data.gen_gaussian_clusters(cfg())
+        ds = gen_gaussian_clusters(cfg())
         with pytest.raises(PreconditionError):
             data.strip_labels(ds, 0.0)
 
@@ -375,10 +353,6 @@ class TestLabelIO:
         path.write_bytes(bytes(blob))
         with pytest.raises(ParseError, match="label count"):
             data.load_dataset(path)
-        csv_path = tmp_path / "wide.csv"
-        csv_path.write_text(f"1.0,{1 << 16}\n")
-        with pytest.raises(ParseError, match="label count"):
-            data.load_csv_dataset(csv_path)
 
     def test_single_label_past_label_count_rejected(self, tmp_path):
         ds = data.Dataset(np.arange(2), np.zeros((2, 2)),
@@ -429,7 +403,8 @@ def ref_load_dataset(path) -> data.Dataset:
         raise ParseError(f"bad magic {magic!r} at offset 0")
     if version != data.DATASET_VERSION:
         raise ParseError(f"unsupported dataset version {version}")
-    data._check_label_count(C)
+    if C > data._MAX_LABEL_COUNT:
+        raise ParseError(f"label count {C} exceeds the supported {data._MAX_LABEL_COUNT}")
     off = data._DS_HEADER.size
     ids, off = _ref_take(blob, off, n, "<u8", "id block")
     feats, off = _ref_take(blob, off, n * dim, "<f4", "feature block")
@@ -610,7 +585,7 @@ class TestParserFuzz:
         multi = data.Dataset(np.arange(4), np.arange(8.0).reshape(4, 2),
                              data.labels_from_sets(({0, 2}, None, {1}, {0, 1}), 3))
         data.save_dataset(multi, d / "multi.scds")
-        single = data.strip_labels(data.gen_gaussian_clusters(cfg(samples_per_class=2)),
+        single = data.strip_labels(gen_gaussian_clusters(cfg(samples_per_class=2)),
                                    0.5, seed=0)
         data.save_dataset(single, d / "single.scds")
         bits = np.random.default_rng(0).random((5, 70)) < 0.5

@@ -9,6 +9,7 @@ from scdh import losses
 from scdh.data import labels_from_sets
 from scdh.errors import DimensionMismatch, LabelSetError, NonFiniteError
 
+import oracles
 from conftest import central_diff, rel_err
 
 
@@ -23,106 +24,121 @@ def centers_with_distances(f, dists, rng, r=6):
     return np.stack(cols, axis=1)
 
 
+def kernel_distance(a, b) -> float:
+    """|a - b| as the training kernel computes it: one row from one center."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(losses.center_differences(a[None, :], b[:, None])[1][0, 0])
+
+
+def neg_dist_softmax(f, centers):
+    """Class probabilities p_k: the softmax over negative center distances."""
+    return oracles.stable_softmax(-oracles.center_distances(f, centers))
+
+
 class TestEuclideanDistance:
     def test_identity(self):
-        assert losses.euclidean_distance([0, 0, 0], [0, 0, 0]) == 0.0
+        assert kernel_distance([0, 0, 0], [0, 0, 0]) == 0.0
 
     def test_unit(self):
-        assert losses.euclidean_distance([1, 0], [0, 0]) == 1.0
+        assert kernel_distance([1, 0], [0, 0]) == 1.0
 
     def test_345(self):
-        assert losses.euclidean_distance([3, 4], [0, 0]) == pytest.approx(5.0)
+        assert kernel_distance([3, 4], [0, 0]) == pytest.approx(5.0)
 
     def test_length_mismatch(self):
+        # embeddings of length 2 against centers of length 3
         with pytest.raises(DimensionMismatch):
-            losses.euclidean_distance([1, 2], [1, 2, 3])
+            losses.scul_batch(np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((1, 2)),
+                              np.eye(2)[:1], 0.0)
+        with pytest.raises(DimensionMismatch):
+            oracles.center_distances([1, 2], np.zeros((3, 1)))
 
 
 class TestNegDistSoftmax:
     def test_symmetric_four(self):
-        p = losses.neg_dist_softmax(np.zeros(3), np.zeros((3, 4)))
+        p = neg_dist_softmax(np.zeros(3), np.zeros((3, 4)))
         np.testing.assert_allclose(p, 0.25)
 
     def test_hand_value(self, rng):
         centers = centers_with_distances(np.zeros(5), [0.0, math.log(3)], rng)
-        p = losses.neg_dist_softmax(np.zeros(5), centers)
+        p = neg_dist_softmax(np.zeros(5), centers)
         np.testing.assert_allclose(p, [0.75, 0.25], atol=1e-12)
 
     def test_equal_distances(self, rng):
         centers = centers_with_distances(np.ones(4), [2.0, 2.0], rng)
-        p = losses.neg_dist_softmax(np.ones(4), centers)
+        p = neg_dist_softmax(np.ones(4), centers)
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
     def test_sums_to_one(self, rng):
         for _ in range(50):
             f = rng.normal(0, 3, 8)
             centers = rng.normal(0, 3, (8, 5))
-            assert abs(losses.neg_dist_softmax(f, centers).sum() - 1.0) < 1e-12
+            assert abs(neg_dist_softmax(f, centers).sum() - 1.0) < 1e-12
 
     def test_shift_invariance(self):
         # adding a constant to all distances leaves the softmax unchanged
         d = np.array([1.0, 3.0, 0.5])
-        p1 = losses.stable_softmax(-d)
-        p2 = losses.stable_softmax(-(d + 17.3))
+        p1 = oracles.stable_softmax(-d)
+        p2 = oracles.stable_softmax(-(d + 17.3))
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_large_distances_stable(self, rng):
         centers = centers_with_distances(np.zeros(4), [1000.0, 2000.0], rng)
-        p = losses.neg_dist_softmax(np.zeros(4), centers)
+        p = neg_dist_softmax(np.zeros(4), centers)
         assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) < 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
-            losses.neg_dist_softmax(np.array([np.nan, 0.0]), np.zeros((2, 3)))
+            neg_dist_softmax(np.array([np.nan, 0.0]), np.zeros((2, 3)))
 
 
 class TestSculLoss:
     def test_symmetric_two_centers(self, rng):
         centers = centers_with_distances(np.zeros(6), [2.0, 2.0], rng)
-        assert losses.scul_loss(np.zeros(6), 0, centers, 0.0) == pytest.approx(
+        assert oracles.scul_loss(np.zeros(6), 0, centers, 0.0) == pytest.approx(
             math.log(2), abs=1e-12)
         # both centers exactly at f: same symmetric value
-        assert losses.scul_loss(np.zeros(6), 0, np.zeros((6, 2)), 0.0) == \
+        assert oracles.scul_loss(np.zeros(6), 0, np.zeros((6, 2)), 0.0) == \
             pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_value(self, rng):
         centers = centers_with_distances(np.zeros(6), [0.0, math.log(3)], rng)
-        assert losses.scul_loss(np.zeros(6), 0, centers, 0.0) == pytest.approx(
+        assert oracles.scul_loss(np.zeros(6), 0, centers, 0.0) == pytest.approx(
             -math.log(0.75), abs=1e-12)
 
     def test_lambda_term_additive(self, rng):
         centers = centers_with_distances(np.zeros(6), [2.0, 2.0 + math.log(3)], rng)
-        base = losses.scul_loss(np.zeros(6), 0, centers, 0.0)
-        with_term = losses.scul_loss(np.zeros(6), 0, centers, 0.5)
+        base = oracles.scul_loss(np.zeros(6), 0, centers, 0.0)
+        with_term = oracles.scul_loss(np.zeros(6), 0, centers, 0.5)
         assert base == pytest.approx(-math.log(0.75), abs=1e-12)
         assert with_term == pytest.approx(base + 0.5 * 2.0, abs=1e-12)
 
     def test_empty_label_set(self):
         with pytest.raises(LabelSetError):
-            losses.scul_loss(np.zeros(3), frozenset(), np.zeros((3, 2)), 0.0)
+            oracles.scul_loss(np.zeros(3), frozenset(), np.zeros((3, 2)), 0.0)
 
     def test_decreasing_in_other_distance(self, rng):
         # pushing a non-own center further away strictly decreases the loss
         f = rng.normal(0, 1, 8)
         centers = rng.normal(0, 1, (8, 4))
-        base = losses.scul_loss(f, 1, centers, 0.3)
+        base = oracles.scul_loss(f, 1, centers, 0.3)
         far = centers.copy()
         far[:, 2] = f + 10.0 * (far[:, 2] - f)
-        assert losses.scul_loss(f, 1, far, 0.3) < base
+        assert oracles.scul_loss(f, 1, far, 0.3) < base
 
     def test_increasing_in_own_distance_with_lambda(self, rng):
         # move f away from its own center along the center ray, keeping the
         # other distances fixed by moving them with f
         f = rng.normal(0, 1, 8)
         centers = rng.normal(0, 1, (8, 3))
-        d = losses.center_distances(f, centers)
+        d = oracles.center_distances(f, centers)
         direction = (f - centers[:, 0]) / d[0]
         f2 = f + 0.5 * direction
         shifted = centers.copy()
         shifted[:, 1:] += (f2 - f)[:, None]
-        d2 = losses.center_distances(f2, shifted)
+        d2 = oracles.center_distances(f2, shifted)
         np.testing.assert_allclose(d2[1:], d[1:], atol=1e-12)
-        assert losses.scul_loss(f2, 0, shifted, 0.5) > losses.scul_loss(
+        assert oracles.scul_loss(f2, 0, shifted, 0.5) > oracles.scul_loss(
             f, 0, centers, 0.5)
 
 
@@ -132,16 +148,16 @@ class TestSculGradients:
             f = rng.normal(0, 1, 16)
             centers = rng.normal(0, 1, (16, 5))
             y = int(rng.integers(5))
-            g = losses.scul_gradients(f, y, centers, 0.005)
-            num_f = central_diff(lambda x: losses.scul_loss(x, y, centers, 0.005), f)
-            num_c = central_diff(lambda c: losses.scul_loss(f, y, c, 0.005), centers)
+            g = oracles.scul_gradients(f, y, centers, 0.005)
+            num_f = central_diff(lambda x: oracles.scul_loss(x, y, centers, 0.005), f)
+            num_c = central_diff(lambda c: oracles.scul_loss(f, y, c, 0.005), centers)
             assert rel_err(g.grad_embedding, num_f) < 1e-5
             assert rel_err(g.grad_centers, num_c) < 1e-5
 
     def test_symmetric_center_gradients(self, rng):
         f = np.zeros(6)
         centers = centers_with_distances(f, [3.0, 3.0], rng)
-        g = losses.scul_gradients(f, 0, centers, 0.0)
+        g = oracles.scul_gradients(f, 0, centers, 0.0)
         u0 = (f - centers[:, 0]) / 3.0
         u1 = (f - centers[:, 1]) / 3.0
         np.testing.assert_allclose(g.grad_centers[:, 0], -(1 - 0.5) * u0, atol=1e-12)
@@ -152,8 +168,8 @@ class TestSculGradients:
     def test_lambda_scaling(self, rng):
         f = rng.normal(0, 1, 10)
         centers = rng.normal(0, 1, (10, 4))
-        g0 = losses.scul_gradients(f, 2, centers, 0.0)
-        g1 = losses.scul_gradients(f, 2, centers, 1.0)
+        g0 = oracles.scul_gradients(f, 2, centers, 0.0)
+        g1 = oracles.scul_gradients(f, 2, centers, 1.0)
         unit = (f - centers[:, 2]) / np.linalg.norm(f - centers[:, 2])
         np.testing.assert_allclose(g1.grad_embedding - g0.grad_embedding, unit,
                                    atol=1e-12)
@@ -162,7 +178,7 @@ class TestSculGradients:
         centers = np.zeros((4, 3))
         centers[:, 1] = 1.0
         centers[:, 2] = -1.0
-        g = losses.scul_gradients(np.zeros(4), 0, centers, 0.5)
+        g = oracles.scul_gradients(np.zeros(4), 0, centers, 0.5)
         assert np.all(np.isfinite(g.grad_embedding))
         assert np.all(np.isfinite(g.grad_centers))
 
@@ -171,22 +187,22 @@ class TestSculMultilabel:
     def test_reduces_to_single(self, rng):
         f = rng.normal(0, 1, 12)
         centers = rng.normal(0, 1, (12, 5))
-        assert losses.scul_multilabel_loss(f, {3}, centers, 0.2) == pytest.approx(
-            losses.scul_loss(f, 3, centers, 0.2), abs=1e-12)
-        gm = losses.scul_multilabel_gradients(f, {3}, centers, 0.2)
-        gs = losses.scul_gradients(f, 3, centers, 0.2)
+        assert oracles.scul_multilabel_loss(f, {3}, centers, 0.2) == pytest.approx(
+            oracles.scul_loss(f, 3, centers, 0.2), abs=1e-12)
+        gm = oracles.scul_multilabel_gradients(f, {3}, centers, 0.2)
+        gs = oracles.scul_gradients(f, 3, centers, 0.2)
         np.testing.assert_allclose(gm.grad_embedding, gs.grad_embedding, atol=1e-12)
         np.testing.assert_allclose(gm.grad_centers, gs.grad_centers, atol=1e-12)
 
     def test_symmetric_three(self, rng):
         f = np.zeros(6)
         centers = centers_with_distances(f, [2.0, 2.0, 2.0], rng)
-        val = losses.scul_multilabel_loss(f, {0, 1}, centers, 0.0)
+        val = oracles.scul_multilabel_loss(f, {0, 1}, centers, 0.0)
         assert val == pytest.approx(math.log(3), abs=1e-12)
 
     def test_hand_value(self, rng):
         centers = centers_with_distances(np.zeros(6), [0.0, 0.0, math.log(2)], rng)
-        val = losses.scul_multilabel_loss(np.zeros(6), {0, 1}, centers, 0.1)
+        val = oracles.scul_multilabel_loss(np.zeros(6), {0, 1}, centers, 0.1)
         assert val == pytest.approx(math.log(2.5), abs=1e-12)
 
     def test_finite_difference(self, rng):
@@ -194,11 +210,11 @@ class TestSculMultilabel:
             f = rng.normal(0, 1, 16)
             centers = rng.normal(0, 1, (16, 5))
             Y = frozenset(rng.choice(5, size=2, replace=False).tolist())
-            g = losses.scul_multilabel_gradients(f, Y, centers, 0.01)
+            g = oracles.scul_multilabel_gradients(f, Y, centers, 0.01)
             num_f = central_diff(
-                lambda x: losses.scul_multilabel_loss(x, Y, centers, 0.01), f)
+                lambda x: oracles.scul_multilabel_loss(x, Y, centers, 0.01), f)
             num_c = central_diff(
-                lambda c: losses.scul_multilabel_loss(f, Y, c, 0.01), centers)
+                lambda c: oracles.scul_multilabel_loss(f, Y, c, 0.01), centers)
             assert rel_err(g.grad_embedding, num_f) < 1e-5
             assert rel_err(g.grad_centers, num_c) < 1e-5
 
@@ -210,70 +226,70 @@ class TestSculMultilabel:
         centers = np.zeros((r, 4))
         centers[0, 0], centers[0, 1] = 2.0, -2.0
         centers[1, 2], centers[1, 3] = 3.5, -3.5
-        g = losses.scul_multilabel_gradients(f, {0, 1}, centers, 0.0)
+        g = oracles.scul_multilabel_gradients(f, {0, 1}, centers, 0.0)
         np.testing.assert_allclose(g.grad_embedding, 0.0, atol=1e-12)
 
     def test_degenerate_full_label_set(self):
         with pytest.raises(LabelSetError):
-            losses.scul_multilabel_loss(np.zeros(3), {0, 1}, np.zeros((3, 2)), 0.0)
+            oracles.scul_multilabel_loss(np.zeros(3), {0, 1}, np.zeros((3, 2)), 0.0)
 
 
 class TestQuantizationLoss:
     def test_equal_magnitudes_zero(self):
-        assert losses.quantization_loss([1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
-        assert losses.quantization_loss([2.0, 2.0, 2.0, 2.0]) == pytest.approx(
+        assert oracles.quantization_loss([1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.quantization_loss([2.0, 2.0, 2.0, 2.0]) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_hand_value(self):
         expected = 1.0 - 2.0 ** (-2.0 / 3.0)
-        assert losses.quantization_loss([1.0, 0.0]) == pytest.approx(expected,
+        assert oracles.quantization_loss([1.0, 0.0]) == pytest.approx(expected,
                                                                      abs=1e-12)
 
     def test_scale_invariance(self, rng):
         f = rng.normal(0, 1, 24)
-        base = losses.quantization_loss(f)
+        base = oracles.quantization_loss(f)
         for t in (0.001, 0.5, 3.0, 1000.0):
-            assert abs(losses.quantization_loss(t * f) - base) < 1e-12
+            assert abs(oracles.quantization_loss(t * f) - base) < 1e-12
 
     def test_range(self, rng):
         for _ in range(200):
             f = rng.normal(0, 2, int(rng.integers(2, 40)))
-            val = losses.quantization_loss(f)
+            val = oracles.quantization_loss(f)
             assert 0.0 <= val <= 1.0
 
     def test_zero_vector(self):
-        assert losses.quantization_loss(np.zeros(8)) == 1.0
-        np.testing.assert_allclose(losses.quantization_gradient(np.zeros(8)), 0.0)
+        assert oracles.quantization_loss(np.zeros(8)) == 1.0
+        np.testing.assert_allclose(oracles.quantization_gradient(np.zeros(8)), 0.0)
 
     def test_non_dual_exponents_rejected(self):
         with pytest.raises(ValueError):
-            losses.quantization_loss([1.0, 2.0], p=3.0, q=2.0)
+            oracles.quantization_loss([1.0, 2.0], p=3.0, q=2.0)
 
     def test_gradient_zero_at_minimum(self):
-        g = losses.quantization_gradient(np.array([1.5, -1.5, 1.5]))
+        g = oracles.quantization_gradient(np.array([1.5, -1.5, 1.5]))
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_gradient_finite_difference(self, rng):
         for _ in range(20):
             f = rng.normal(0, 1, 12)
             f[np.abs(f) < 0.05] = 0.3   # keep away from the |.| kink
-            g = losses.quantization_gradient(f)
-            num = central_diff(losses.quantization_loss, f, eps=1e-6)
+            g = oracles.quantization_gradient(f)
+            num = central_diff(oracles.quantization_loss, f, eps=1e-6)
             assert rel_err(g, num) < 1e-5
 
     def test_sign_antisymmetry(self, rng):
         f = rng.normal(0, 1, 10)
-        np.testing.assert_allclose(losses.quantization_gradient(-f),
-                                   -losses.quantization_gradient(f), atol=1e-12)
+        np.testing.assert_allclose(oracles.quantization_gradient(-f),
+                                   -oracles.quantization_gradient(f), atol=1e-12)
 
 
 class TestClassificationLoss:
     def test_uniform_logits(self):
-        loss, _ = losses.classification_loss(np.zeros(10), 3)
+        loss, _ = oracles.classification_loss(np.zeros(10), 3)
         assert loss == pytest.approx(math.log(10), abs=1e-12)
 
     def test_hand_value(self):
-        loss, _ = losses.classification_loss([math.log(9), 0.0], 0)
+        loss, _ = oracles.classification_loss([math.log(9), 0.0], 0)
         assert loss == pytest.approx(-math.log(0.9), abs=1e-12)
 
     def test_gradient_finite_difference(self, rng):
@@ -281,34 +297,30 @@ class TestClassificationLoss:
             logits = rng.normal(0, 2, 7)
             Y = frozenset(rng.choice(7, size=int(rng.integers(1, 3)),
                                      replace=False).tolist())
-            _, grad = losses.classification_loss(logits, Y)
+            _, grad = oracles.classification_loss(logits, Y)
             num = central_diff(
-                lambda z: losses.classification_loss(z, Y)[0], logits, eps=1e-6)
+                lambda z: oracles.classification_loss(z, Y)[0], logits, eps=1e-6)
             assert rel_err(grad, num) < 1e-6
 
     def test_empty_labels(self):
         with pytest.raises(LabelSetError):
-            losses.classification_loss(np.zeros(4), frozenset())
+            oracles.classification_loss(np.zeros(4), frozenset())
 
 
 class TestTripletRankingLoss:
+    """g(d_pos, d_neg) of one (anchor, positive, negative) triplet."""
+
     def test_margin_satisfied(self):
-        assert losses.triplet_ranking_loss(2, 5, losses.margin_loss(1.0)) == 0.0
+        assert losses.margin_loss(1.0).g(2, 5) == 0.0
 
     def test_margin_violated(self):
-        assert losses.triplet_ranking_loss(5, 2, losses.margin_loss(1.0)) == 4.0
+        assert losses.margin_loss(1.0).g(5, 2) == 4.0
 
     def test_boundary(self):
-        assert losses.triplet_ranking_loss(3, 3, losses.margin_loss(0.0)) == 0.0
+        assert losses.margin_loss(0.0).g(3, 3) == 0.0
 
     def test_softmax_form(self):
-        kind = losses.softmax_loss()
-        assert losses.triplet_ranking_loss(1.0, 1.0, kind) == pytest.approx(
-            math.log(2), abs=1e-12)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            losses.triplet_ranking_loss(-1, 1, losses.margin_loss(1.0))
+        assert losses.softmax_loss().g(1.0, 1.0) == pytest.approx(math.log(2), abs=1e-12)
 
 
 bounded = st.floats(0.0, 50.0, allow_nan=False)
@@ -367,20 +379,20 @@ def loop_reference(F, centers, logits, labelsets, lam, p=3.0, q=1.5):
     for f, z, Y in zip(F, logits, labelsets):
         if len(Y) == 1:
             y = next(iter(Y))
-            rows["scul"].append(losses.scul_loss(f, y, centers, lam))
-            g = losses.scul_gradients(f, y, centers, lam)
+            rows["scul"].append(oracles.scul_loss(f, y, centers, lam))
+            g = oracles.scul_gradients(f, y, centers, lam)
         else:
-            rows["scul"].append(losses.scul_multilabel_loss(f, Y, centers, lam))
-            g = losses.scul_multilabel_gradients(f, Y, centers, lam)
+            rows["scul"].append(oracles.scul_multilabel_loss(f, Y, centers, lam))
+            g = oracles.scul_multilabel_gradients(f, Y, centers, lam)
         rows["center_distance"].append(
-            sum(losses.euclidean_distance(f, centers[:, s]) for s in Y))
+            sum(oracles.center_distances(f, centers)[s] for s in Y))
         rows["grad_embedding"].append(g.grad_embedding)
         grad_centers += g.grad_centers
-        cls, g_cls = losses.classification_loss(z, Y)
+        cls, g_cls = oracles.classification_loss(z, Y)
         rows["classification"].append(cls)
         rows["grad_logits"].append(g_cls)
-        rows["quantization"].append(losses.quantization_loss(f, p, q))
-        rows["grad_quantization"].append(losses.quantization_gradient(f, p, q))
+        rows["quantization"].append(oracles.quantization_loss(f, p, q))
+        rows["grad_quantization"].append(oracles.quantization_gradient(f, p, q))
     out = {k: np.array(v) for k, v in rows.items()}
     out["grad_centers"] = grad_centers
     return out
@@ -429,7 +441,7 @@ class TestSculBatch:
         assert not got.grad_logits[1:3].any()
         np.testing.assert_allclose(
             got.quantization[1:3],
-            [losses.quantization_loss(f) for f in F[1:3]], atol=1e-15)
+            [oracles.quantization_loss(f) for f in F[1:3]], atol=1e-15)
         labeled = losses.scul_batch(F[[0, 3]], centers, logits[[0, 3]], Y[[0, 3]], 0.01)
         np.testing.assert_allclose(got.grad_centers, labeled.grad_centers, atol=1e-15)
 

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from scdh import losses
 from scdh import meanteacher as mt
 from scdh import model
-from scdh.data import Dataset, SyntheticConfig, gen_gaussian_clusters, strip_labels
+from scdh.data import Dataset, SyntheticConfig, strip_labels
 from scdh.errors import DimensionMismatch, PreconditionError
 
-from conftest import central_diff, rel_err
+import oracles
+from conftest import central_diff, gen_gaussian_clusters, rel_err
 
 
 def small_semi(seed=0, keep=0.3, per_class=20):
@@ -181,8 +182,8 @@ class TestBatchedConsistency:
         res = mt.consistency_losses(a, at, d, dt)
         assert res.classifier_loss.shape == (n,)
         for i in range(n):
-            cls_loss, cls_grad = mt._softmax_sqdist_grad(a[i], at[i])
-            dist_loss, dist_grad = mt._softmax_sqdist_grad(d[i], dt[i])
+            cls_loss, cls_grad = oracles.softmax_sqdist_grad(a[i], at[i])
+            dist_loss, dist_grad = oracles.softmax_sqdist_grad(d[i], dt[i])
             assert abs(res.classifier_loss[i] - cls_loss) <= 1e-12
             assert abs(res.distance_loss[i] - dist_loss) <= 1e-12
             assert np.max(np.abs(res.grad_logits[i] - cls_grad)) <= 1e-12
@@ -193,7 +194,7 @@ class TestBatchedConsistency:
         centers = rng.normal(0, 1, (4, 3))
         F[2] = centers[:, 1]
         got = mt.negative_center_distances(F, centers)
-        want = np.stack([-losses.center_distances(f, centers) for f in F])
+        want = np.stack([-oracles.center_distances(f, centers) for f in F])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         assert got[2, 1] == 0.0
         # the training kernel's distances, with the same arithmetic

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scdh import losses, model
+from scdh import model
 from scdh import meanteacher as mt
-from scdh.data import (Dataset, SyntheticConfig, gen_gaussian_clusters, gen_multilabel,
-                       labels_from_sets)
+from scdh.data import Dataset, SyntheticConfig, labels_from_sets
 from scdh.errors import DimensionMismatch, DivergenceError, ParseError, PreconditionError
 
-from conftest import rel_err
+import oracles
+from conftest import gen_gaussian_clusters, gen_multilabel, rel_err
 
 
 def tiny_hp(**kw):
@@ -34,11 +34,11 @@ def full_objective(net, X, labelsets, hp):
     total = 0.0
     for i, Y in enumerate(labelsets):
         if len(Y) == 1:
-            total += losses.scul_loss(F[i], next(iter(Y)), net.centers, hp.lam)
+            total += oracles.scul_loss(F[i], next(iter(Y)), net.centers, hp.lam)
         else:
-            total += losses.scul_multilabel_loss(F[i], Y, net.centers, hp.lam)
-        total += hp.mu * losses.classification_loss(logits[i], Y)[0]
-        total += hp.alpha * losses.quantization_loss(F[i], hp.holder_p, hp.holder_q)
+            total += oracles.scul_multilabel_loss(F[i], Y, net.centers, hp.lam)
+        total += hp.mu * oracles.classification_loss(logits[i], Y)[0]
+        total += hp.alpha * oracles.quantization_loss(F[i], hp.holder_p, hp.holder_q)
     return total
 
 

@@ -54,27 +54,32 @@ class TestBinarize:
             rt.HashCode(np.array([0xFF], dtype=np.uint64), 3)
 
 
+def hamming(a, b):
+    """The Hamming distance search reports from code a to code b."""
+    return rt.search(a, rt.CodeIndex(b.words[None, :], [0], b.nbits), 1)[0][1]
+
+
 class TestHamming:
     def test_self_zero(self, rng):
         code = rt.binarize(rng.normal(0, 1, 24))
-        assert rt.hamming(code, code) == 0
+        assert hamming(code, code) == 0
 
     def test_hand_count(self):
         a = rt.HashCode(rt.pack_bits(np.array([True, False, True, False])), 4)
         b = rt.HashCode(rt.pack_bits(np.array([False, True, True, False])), 4)
-        assert rt.hamming(a, b) == 2
+        assert hamming(a, b) == 2
 
     def test_complement(self):
         bits = np.zeros(48, dtype=bool)
         a = rt.HashCode(rt.pack_bits(bits), 48)
         b = rt.HashCode(rt.pack_bits(~bits), 48)
-        assert rt.hamming(a, b) == 48
+        assert hamming(a, b) == 48
 
     def test_length_mismatch(self):
         a = rt.binarize(np.ones(24))
         b = rt.binarize(np.ones(32))
         with pytest.raises(DimensionMismatch):
-            rt.hamming(a, b)
+            hamming(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
@@ -83,9 +88,9 @@ class TestHamming:
         r = 63
         mk = lambda v: rt.HashCode(np.array([v], dtype=np.uint64), r)
         a, b, c = mk(x), mk(y), mk(z)
-        assert rt.hamming(a, b) == rt.hamming(b, a)
-        assert (rt.hamming(a, b) == 0) == (x == y)
-        assert rt.hamming(a, c) <= rt.hamming(a, b) + rt.hamming(b, c)
+        assert hamming(a, b) == hamming(b, a)
+        assert (hamming(a, b) == 0) == (x == y)
+        assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
     def test_euclidean_equivalence(self, rng):
         # on +/-1 vectors: squared Euclidean distance = 4 * Hamming
@@ -95,7 +100,7 @@ class TestHamming:
         b = rt.HashCode(rt.pack_bits(bits_b), 48)
         ua = np.where(bits_a, 1.0, -1.0)
         ub = np.where(bits_b, 1.0, -1.0)
-        assert ((ua - ub) ** 2).sum() == 4 * rt.hamming(a, b)
+        assert ((ua - ub) ** 2).sum() == 4 * hamming(a, b)
 
 
 class TestSearch:
@@ -136,6 +141,12 @@ class TestSearch:
             rt.search(rt.binarize(np.ones(8)), index, 1)
 
 
+def mean_ap(queries, index, k=None):
+    """MAP, or MAP at k when k is given, from the metric bundle."""
+    metrics = rt.evaluate(queries, index, k=k)
+    return metrics.map_at_k if k else metrics.map
+
+
 def tiny_eval_setup(query_bits, db_bits, db_relevant, r):
     """One query; relevance given explicitly via shared label 0."""
     q = rt.CodeIndex(rt.pack_bits(query_bits[None, :]), np.array([1000]), r,
@@ -157,13 +168,13 @@ class TestMeanAveragePrecision:
         db_bits[2, :2] = True                   # distance 2  (rank 3, relevant)
         db_bits[3, :3] = True                   # distance 3
         q, db = tiny_eval_setup(qbits, db_bits, [True, False, True, False], r)
-        ap = rt.mean_average_precision(q, db)
+        ap = mean_ap(q, db)
         assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
 
     def test_all_relevant(self, rng):
         bits, _ = make_index(rng, 6, 16)
         q, db = tiny_eval_setup(bits[0], bits, [True] * 6, 16)
-        assert rt.mean_average_precision(q, db) == pytest.approx(1.0)
+        assert mean_ap(q, db) == pytest.approx(1.0)
 
     def test_truncated_no_relevant_in_topk(self):
         r = 8
@@ -173,7 +184,7 @@ class TestMeanAveragePrecision:
         db_bits[1, :2] = True
         db_bits[2, :6] = True                   # the only relevant, rank 3
         q, db = tiny_eval_setup(qbits, db_bits, [False, False, True], r)
-        assert rt.mean_average_precision(q, db, k=2) == 0.0
+        assert mean_ap(q, db, k=2) == 0.0
 
     def test_no_labeled_relevant_raises(self):
         r = 4
@@ -181,7 +192,7 @@ class TestMeanAveragePrecision:
         db_bits = np.zeros((2, r), dtype=bool)
         q, db = tiny_eval_setup(qbits, db_bits, [False, False], r)
         with pytest.raises(PreconditionError):
-            rt.mean_average_precision(q, db)
+            mean_ap(q, db)
 
     def test_db_permutation_invariance(self, rng):
         bits, index = make_index(rng, 60, 24, with_labels=True)
@@ -190,8 +201,8 @@ class TestMeanAveragePrecision:
         shuffled = rt.CodeIndex(index.words[perm], index.ids[perm], 24,
                                 index.labels[perm])
         for k in (None, 20):
-            assert rt.mean_average_precision(qindex, index, k) == pytest.approx(
-                rt.mean_average_precision(qindex, shuffled, k), abs=1e-12)
+            assert mean_ap(qindex, index, k) == pytest.approx(
+                mean_ap(qindex, shuffled, k), abs=1e-12)
 
     def test_random_codes_concentrate_at_prior(self, rng):
         # with labels independent of codes, MAP estimates the relevant prior
@@ -203,7 +214,7 @@ class TestMeanAveragePrecision:
         qbits = rng.random((50, 32)) < 0.5
         qlabels = labels_from_sets([{int(rng.integers(C))} for _ in range(50)], C)
         q = rt.CodeIndex(rt.pack_bits(qbits), np.arange(1000, 1050), 32, qlabels)
-        val = rt.mean_average_precision(q, db)
+        val = mean_ap(q, db)
         prior = 1.0 / C
         # AP of a random ranking concentrates near the prior; allow 3 sigma
         # of the per-query spread observed for this configuration (~0.02)
@@ -215,16 +226,16 @@ class TestPrecisionAtRadius:
         bits, _ = make_index(rng, 5, 16)
         same = np.tile(bits[0], (5, 1))
         q, db = tiny_eval_setup(bits[0], same, [True] * 5, 16)
-        assert rt.precision_at_radius(q, db, 2) == 1.0
+        assert rt.evaluate(q, db, radius=2).precision_at_radius2 == 1.0
 
     def test_empty_ball_zero_convention(self):
         r = 16
         qbits = np.zeros(r, dtype=bool)
         db_bits = np.ones((3, r), dtype=bool)
         q, db = tiny_eval_setup(qbits, db_bits, [True, True, True], r)
-        assert rt.precision_at_radius(q, db, 2) == 0.0
-        with pytest.raises(PreconditionError):
-            rt.precision_at_radius(q, db, 2, empty_ball="skip")
+        metrics = rt.evaluate(q, db, radius=2)
+        assert metrics.precision_at_radius2 == 0.0
+        assert metrics.empty_ball_queries == 1
 
     def test_hand_instance(self):
         # 3 items inside the radius-2 ball, 2 of them relevant
@@ -236,7 +247,7 @@ class TestPrecisionAtRadius:
         db_bits[3, :5] = True
         db_bits[4, :6] = True
         q, db = tiny_eval_setup(qbits, db_bits, [True, True, False, True, False], r)
-        assert rt.precision_at_radius(q, db, 2) == pytest.approx(2.0 / 3.0)
+        assert rt.evaluate(q, db, radius=2).precision_at_radius2 == pytest.approx(2.0 / 3.0)
 
 
 class TestTopkCurve:
@@ -248,13 +259,13 @@ class TestTopkCurve:
         db_bits[3, :6] = True
         q, db = tiny_eval_setup(np.zeros(16, dtype=bool), db_bits,
                                 [True, False, False, False], 16)
-        curve = rt.topk_precision_curve(q, db, [1])
+        curve = rt.evaluate(q, db, ks=[1]).topk_curve
         assert curve == [(1, 1.0)]
 
     def test_full_k_equals_prior(self, rng):
         bits, index = make_index(rng, 40, 24, with_labels=True, C=2)
         qbits, qidx = make_index(rng, 8, 24, with_labels=True, C=2)
-        curve = rt.topk_precision_curve(qidx, index, [40])
+        curve = rt.evaluate(qidx, index, ks=[40]).topk_curve
         # precision at k=n is the relevant fraction, independent of ranking
         relevant_fraction = np.mean([
             np.mean([bool(qs & ds) for ds in labelsets(index)])
@@ -269,7 +280,7 @@ class TestTopkCurve:
             db_bits[i, :8] = True              # far irrelevant block
         q, db = tiny_eval_setup(np.zeros(r, dtype=bool), db_bits,
                                 [True, True, True, False, False, False], r)
-        curve = rt.topk_precision_curve(q, db, [1, 2, 3, 4, 5, 6])
+        curve = rt.evaluate(q, db, ks=[1, 2, 3, 4, 5, 6]).topk_curve
         precisions = [p for _, p in curve]
         assert all(a >= b - 1e-12 for a, b in zip(precisions, precisions[1:]))
 
@@ -277,7 +288,7 @@ class TestTopkCurve:
         _, index = make_index(rng, 10, 8, with_labels=True)
         _, qidx = make_index(rng, 2, 8, with_labels=True)
         with pytest.raises(PreconditionError):
-            rt.topk_precision_curve(qidx, index, [5, 3])
+            rt.evaluate(qidx, index, ks=[5, 3])
 
 
 class TestCodeFile:
@@ -363,18 +374,15 @@ def ref_mean_average_precision(queries, index, k=None):
     return float(np.mean(aps))
 
 
-def ref_precision_at_radius(queries, index, radius=2, empty_ball="zero"):
+def ref_precision_at_radius(queries, index, radius=2):
+    """An empty ball counts 0."""
     precisions = []
     for relevant, dists in ref_relevance_and_order(queries, index):
         inside = dists <= radius
         m = int(inside.sum())
-        if m == 0:
-            if empty_ball == "zero":
-                precisions.append(0.0)
-            continue
-        precisions.append(float(relevant[inside].sum()) / m)
+        precisions.append(float(relevant[inside].sum()) / m if m else 0.0)
     if not precisions:
-        raise PreconditionError("all query balls are empty and empty_ball='skip'")
+        raise PreconditionError("the query index is empty")
     return float(np.mean(precisions))
 
 
@@ -488,17 +496,16 @@ class TestOneRankingPass:
     @given(ranking_case())
     def test_metrics_equal_per_metric_reference(self, case):
         queries, db, _, _, k, radius, ks = case
-        assert outcome(rt.mean_average_precision, queries, db) == outcome(
-            ref_mean_average_precision, queries, db)
+        # each reduction of the one ranking, also where evaluate raises
+        # because no query has a relevant item
+        ranking = rt._rank(queries, db, k=k, radius=radius, ks=ks)
+        assert outcome(ranking.mean_ap) == outcome(ref_mean_average_precision, queries, db)
         if k is not None:
-            assert outcome(rt.mean_average_precision, queries, db, k) == outcome(
+            assert outcome(ranking.mean_ap, at_k=True) == outcome(
                 ref_mean_average_precision, queries, db, k)
-        for empty_ball in ("zero", "skip"):
-            assert outcome(rt.precision_at_radius, queries, db, radius, empty_ball) == \
-                outcome(ref_precision_at_radius, queries, db, radius, empty_ball)
+        assert ranking.precision_at_radius() == ref_precision_at_radius(queries, db, radius)
         if ks:
-            assert rt.topk_precision_curve(queries, db, ks) == \
-                ref_topk_precision_curve(queries, db, ks)
+            assert ranking.topk_curve() == ref_topk_precision_curve(queries, db, ks)
 
         want_map = outcome(ref_mean_average_precision, queries, db)
         got = outcome(rt.evaluate, queries, db, k=k, radius=radius, ks=ks)
@@ -519,13 +526,9 @@ class TestOneRankingPass:
             return
         got = rt.evaluate(queries, db, radius=radius)
         assert got.ap_quantiles == tuple(np.quantile(aps, (0.1, 0.5, 0.9)).tolist())
-        # an empty ball counts 0 under "zero" and is left out under "skip"
-        nonempty = queries.n - got.empty_ball_queries
-        skip = outcome(rt.precision_at_radius, queries, db, radius, "skip")
-        if nonempty == 0:
-            assert skip is PreconditionError
-        else:
-            assert got.precision_at_radius2 * queries.n == pytest.approx(skip * nonempty)
+        empty = [not (dists <= radius).any()
+                 for _, dists in ref_relevance_and_order(queries, db)]
+        assert got.empty_ball_queries == sum(empty)
 
     def test_one_distance_scan_per_query(self, rng, monkeypatch):
         _, db = make_index(rng, 50, 24, with_labels=True)
@@ -573,13 +576,13 @@ class TestOneRankingPass:
 
     @pytest.mark.parametrize("call", [
         lambda q, db: rt.search(rt.HashCode(q.words[0], q.nbits), db, -1),
-        lambda q, db: rt.mean_average_precision(q, db, k=0),
-        lambda q, db: rt.topk_precision_curve(q, db, [0, 3]),
+        lambda q, db: rt._rank(q, db, k=0),
+        lambda q, db: rt.evaluate(q, db, ks=[0, 3]),
         lambda q, db: rt.evaluate(q, db, k=0),
         lambda q, db: rt.evaluate(q, db, k=-3),
         # a negative radius is rejected the same way: every ball would be empty
         lambda q, db: rt.evaluate(q, db, radius=-1),
-        lambda q, db: rt.precision_at_radius(q, db, radius=-1),
+        lambda q, db: rt._rank(q, db, radius=-1),
     ])
     def test_nonpositive_k_rejected(self, rng, call):
         _, db = make_index(rng, 10, 8, with_labels=True)
@@ -635,14 +638,13 @@ class TestGroupedRanking:
                               ref_rank(empty, db, 5, 2, [1, 20]))
         with pytest.raises(PreconditionError, match="no query has a relevant"):
             rt.evaluate(empty, db, k=5, ks=[1, 20])
+        ranking = rt._rank(empty, db, ks=[1, 20])
         with pytest.raises(PreconditionError, match="no query has a relevant"):
-            rt.mean_average_precision(empty, db)
-        with pytest.raises(PreconditionError, match="all query balls are empty"):
-            rt.precision_at_radius(empty, db, empty_ball="skip")
+            ranking.mean_ap()
         with pytest.raises(PreconditionError, match="the query index is empty"):
-            rt.precision_at_radius(empty, db)
+            ranking.precision_at_radius()
         with pytest.raises(PreconditionError, match="the query index is empty"):
-            rt.topk_precision_curve(empty, db, [1, 20])
+            ranking.topk_curve()
 
 
 @st.composite
