@@ -218,6 +218,8 @@ def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
         resolved[key] = parse(raw) if isinstance(raw, str) and parse else raw
     if resolved["seed"] < 0:
         raise ValidationError(f"--seed must be non-negative, got {resolved['seed']}")
+    if resolved["threads"] < 1:
+        raise ValidationError(f"--threads must be at least 1, got {resolved['threads']}")
     return resolved
 
 
@@ -242,9 +244,9 @@ def _require_file(path: str, what: str):
 
 
 def _require_finite(features: np.ndarray, ids: np.ndarray, what: str, first_row: int = 0):
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    """One pass over the block; the first bad row is found only on failure."""
+    if not np.isfinite(features).all():
+        i = int(np.argmin(np.isfinite(features).all(axis=1)))
         raise ValidationError(f"{what}: row {first_row + i} (id {int(ids[i])}) has a "
                               "non-finite feature value")
 
@@ -349,12 +351,13 @@ _TRAIN_BASE = {
     "lr-schedule": (_parse_schedule, (), "epoch:multiplier list, e.g. 100:0.2,140:0.2"),
     "warmup-epochs": (int, 0, "epochs with center-norm projection"),
     "warmup-norm": (float, 8.0, "projection norm s"),
-    "balance": (int, 0, "1 = upsample classes to equal counts before training"),
 }
 
-TRAIN_SPEC = dict(COMMON, **_TRAIN_BASE)
+TRAIN_SPEC = dict(COMMON, **_TRAIN_BASE, **{
+    "balance": (int, 0, "1 = upsample classes to equal counts before training"),
+})
 
-TRAIN_SEMI_SPEC = dict(TRAIN_SPEC, **{
+TRAIN_SEMI_SPEC = dict(COMMON, **_TRAIN_BASE, **{
     "w": (float, meanteacher.DEFAULT_CONSISTENCY_WEIGHT, "consistency weight"),
     "ema-decay": (float, meanteacher.DEFAULT_EMA_DECAY, "teacher EMA decay"),
     "noise-std": (float, meanteacher.DEFAULT_NOISE_STD, "input perturbation std"),
@@ -364,10 +367,12 @@ TRAIN_SEMI_SPEC = dict(TRAIN_SPEC, **{
 
 def hyperparams(cfg: dict) -> model.Hyperparams:
     """The training hyperparameters of a resolved train or train-semi config,
-    after its layer sizes are checked."""
+    after its layer sizes and epoch count are checked."""
     if cfg["bits"] < 1 or not all(h >= 1 for h in cfg["hidden"]):
         raise ValidationError(f"--bits and every --hidden width must be positive, got "
                               f"--bits {cfg['bits']} --hidden {list(cfg['hidden'])}")
+    if cfg["epochs"] < 1:
+        raise ValidationError(f"--epochs must be at least 1, got {cfg['epochs']}")
     try:
         return model.Hyperparams(
             lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
@@ -508,14 +513,20 @@ EVAL_SPEC = dict(COMMON, **{
 
 
 def _labels_for(codes: retrieval.CodeIndex, ds: data.DatasetFile, what: str):
-    order = np.argsort(ds.ids, kind="stable")
-    pos = np.searchsorted(ds.ids, codes.ids, sorter=order)
-    found = pos < ds.n
-    found[found] = ds.ids[order[pos[found]]] == codes.ids[found]
-    if not found.all():
-        raise ValidationError(f"{what}: id {int(codes.ids[np.argmin(found)])} "
-                              "missing from dataset")
-    labels = ds.labels[order[pos]]
+    """The code index with each code's label row from the dataset.  A code
+    file with the dataset's ids in order, as ``encode`` writes it, takes the
+    label rows as they are; any other is looked up by id."""
+    if np.array_equal(codes.ids, ds.ids):
+        labels = ds.labels
+    else:
+        order = np.argsort(ds.ids, kind="stable")
+        pos = np.searchsorted(ds.ids, codes.ids, sorter=order)
+        found = pos < ds.n
+        found[found] = ds.ids[order[pos[found]]] == codes.ids[found]
+        if not found.all():
+            raise ValidationError(f"{what}: id {int(codes.ids[np.argmin(found)])} "
+                                  "missing from dataset")
+        labels = ds.labels[order[pos]]
     if not labels.any(axis=1).all():
         raise ValidationError(f"{what}: unlabeled samples cannot be evaluated")
     return retrieval.CodeIndex._adopt(codes.words, codes.ids, codes.nbits, labels)
@@ -767,12 +778,16 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with a command named, it holds only that
+    command's subparser, which parses that command's argv alike."""
     parser = argparse.ArgumentParser(
         prog="scdh",
         description="semantic-cluster hashing: training, bounds, retrieval")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (spec, _fn, help_text) in COMMANDS.items():
+        if command is not None and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", default=".", help="output directory (default: .)")
@@ -783,7 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SCDH_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked command's subparser; -h or an unknown command gets all
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -32,7 +32,7 @@ MODEL_MAGIC = b"SCDM"
 MODEL_VERSION = 1
 
 # Rows per block of row_blocks: the inference pass, encode and the generator.
-EMBED_BLOCK_ROWS = 4096
+EMBED_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -349,7 +349,9 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     the one block): a short last block is folded into the one before.  BLAS
     may give a product of one to three rows another kernel; with no block
     that short, a product taken block by block equals the whole one bit for
-    bit."""
+    bit.  B = 1024 keeps a block's rows and activations (a few hundred KB at
+    the presets' widths) in cache between the passes of encode: the finite
+    check, each layer, and the packing."""
     B = EMBED_BLOCK_ROWS
     starts = list(range(0, max(n // B, 1) * B, B))
     return list(zip(starts, starts[1:] + [n]))

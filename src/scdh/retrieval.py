@@ -2,8 +2,10 @@
 
 Codes are packed LSB-first into little-endian 64-bit words (bit i of a code
 lives in word i // 64 at bit position i % 64), with unused high bits of the
-last word forced to zero so equal codes are byte-identical.  Search orders
-by (distance, id).  It works on the index's distinct codes: trained codes
+last word forced to zero so equal codes are byte-identical; one
+``np.packbits`` packs a whole array.  Search orders by (distance, id).  It
+works on the index's distinct codes, its bucket view, which one sort of
+packed (code, id) keys builds where both fit in one word: trained codes
 form a few compact clusters, so many rows share one code, and many queries
 carry a database code.  A query whose code has a bucket of at least k rows
 is answered by one hash-table lookup.  Any other query XOR-popcounts each
@@ -35,17 +37,26 @@ def _n_words(nbits: int) -> int:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean (..., r) array into (..., ceil(r/64)) uint64 words."""
+    """Pack a boolean (..., r) array into (..., ceil(r/64)) uint64 words.
+
+    One ``np.packbits`` runs over the flattened array (per-row packing loops
+    in numpy, several times slower): rows are padded with zero bits to whole
+    bytes only when r % 8 != 0, and with zero bytes to whole words only when
+    they fall short of them.
+    """
     bits = np.asarray(bits, dtype=bool)
-    r = bits.shape[-1]
-    W = _n_words(r)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = W * 8 - packed.shape[-1]
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-        )
-    return packed.view("<u8").reshape(bits.shape[:-1] + (W,))
+    lead, r = bits.shape[:-1], bits.shape[-1]
+    nbytes, W = (r + 7) // 8, _n_words(r)
+    if r % 8:
+        padded = np.zeros(lead + (nbytes * 8,), dtype=bool)
+        padded[..., :r] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(lead + (nbytes,))
+    if nbytes < W * 8:
+        words = np.zeros(lead + (W * 8,), dtype=np.uint8)
+        words[..., :nbytes] = packed
+        packed = words
+    return packed.view("<u8")
 
 
 def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
@@ -97,8 +108,9 @@ class Buckets(NamedTuple):
 
     Bucket b holds the code ``words[b]`` and the ids
     ``ids[starts[b]:starts[b] + sizes[b]]``, ascending.  Codes ascend
-    lexicographically by word.  (A named tuple, because a frozen dataclass
-    costs several times as much to define at import.)
+    lexicographically by word.  ``of`` builds the view with one sort of the
+    rows and reads every field off the sorted rows.  (A named tuple, because
+    a frozen dataclass costs several times as much to define at import.)
     """
 
     words: np.ndarray    # (m, W) distinct code words
@@ -109,15 +121,34 @@ class Buckets(NamedTuple):
 
     @classmethod
     def of(cls, index: "CodeIndex") -> "Buckets":
-        """Group the rows with one lexsort by (code, id); a bucket starts
-        where consecutive sorted codes differ."""
-        order = np.lexsort((index.ids, *index.words.T[::-1]))
-        words = index.words[order]
-        new = np.ones(index.n, dtype=bool)
+        """Group the rows by (code, id); a bucket starts where consecutive
+        sorted codes differ.
+
+        A one-word code that leaves room for b = bit_length(max id - min id)
+        more bits is sorted as one uint64 key, the code shifted up by b above
+        the row's id offset; the codes and ids are read back off the sorted
+        keys.  Rows with one code and one id give one key, and the same
+        field values in either order.  Wider keys take one lexsort by
+        (code, id).
+        """
+        n = index.n
+        lo = int(index.ids.min()) if n else 0
+        b = (int(index.ids.max()) - lo if n else 0).bit_length()
+        if index.words.shape[1] == 1 and index.nbits + b <= WORD_BITS:
+            keys = index.words[:, 0] << np.uint64(b)
+            keys |= (index.ids - lo).view(np.uint64)
+            keys.sort()
+            ids = (keys & np.uint64((1 << b) - 1)).view(np.int64)
+            ids += lo
+            keys >>= np.uint64(b)
+            words = keys[:, None]
+        else:
+            order = np.lexsort((index.ids, *index.words.T[::-1]))
+            words, ids = index.words[order], index.ids[order]
+        new = np.ones(n, dtype=bool)
         new[1:] = (words[1:] != words[:-1]).any(axis=1)
         starts = np.flatnonzero(new)
-        return cls(words[starts], index.nbits, np.diff(starts, append=index.n), starts,
-                   index.ids[order])
+        return cls(words[starts], index.nbits, np.diff(starts, append=n), starts, ids)
 
     def summary(self) -> dict:
         """Distinct codes, the largest bucket, and the bit positions that
@@ -228,8 +259,8 @@ def distances_to_index(query_words: np.ndarray, index: CodeIndex | Buckets) -> n
 def search(query: HashCode, index: CodeIndex, k: int) -> list[tuple[int, int]]:
     """k nearest codes by Hamming distance, ties broken by ascending id.
 
-    The first call on an index builds its bucket view (one lexsort of the
-    rows) and code table; later calls reuse them.
+    The first call on an index builds its bucket view (one sort of the
+    rows, see ``Buckets.of``) and code table; later calls reuse them.
     """
     if index.n == 0:
         raise PreconditionError("cannot search an empty index")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -420,7 +421,7 @@ class TestStreamedMemory:
     Between n and 4n database rows, a command's tracemalloc peak may grow
     only by the bytes of each extra row that stay whole, plus 1 MiB.  A
     feature row here is 512 bytes and an F row 512 bytes, so either one kept
-    whole would add over 12 MB.
+    whole would add over 3 MB (n = 2,048 rows at 1,024-row blocks).
     """
 
     n, dim, C, r = 2 * B, 128, 6, 64
@@ -850,3 +851,193 @@ class TestDeterminism:
         tiny_train(d, tmp_path / "a", seed=5)
         tiny_train(d, tmp_path / "b", seed=5)
         self.compare_dirs(tmp_path / "a", tmp_path / "b")
+
+
+def ref_labels_for(codes, ds, what):
+    """eval's label lookup before the direct path: every code file's ids are
+    looked up in the dataset's sorted ids."""
+    order = np.argsort(ds.ids, kind="stable")
+    pos = np.searchsorted(ds.ids, codes.ids, sorter=order)
+    found = pos < ds.n
+    found[found] = ds.ids[order[pos[found]]] == codes.ids[found]
+    if not found.all():
+        raise cli.ValidationError(f"{what}: id {int(codes.ids[np.argmin(found)])} "
+                                  "missing from dataset")
+    labels = ds.labels[order[pos]]
+    if not labels.any(axis=1).all():
+        raise cli.ValidationError(f"{what}: unlabeled samples cannot be evaluated")
+    return retrieval.CodeIndex._adopt(codes.words, codes.ids, codes.nbits, labels)
+
+
+def ref_require_finite(features, ids, what, first_row=0):
+    """The row-wise finite check before the one-pass block check."""
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise cli.ValidationError(f"{what}: row {first_row + i} (id {int(ids[i])}) has a "
+                                  "non-finite feature value")
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except cli.ValidationError as exc:
+        return str(exc)
+
+
+class TestDatabasePasses:
+    """The one-pass helpers of encode and eval against the code they replaced."""
+
+    @pytest.fixture
+    def dataset_file(self, tmp_path):
+        rng = np.random.default_rng(6)
+        n = 50
+        labels = np.eye(4, dtype=bool)[rng.integers(4, size=n)]
+        labels[rng.integers(n, size=10), rng.integers(4, size=10)] = True
+        save_dataset(Dataset(rng.permutation(3 * n)[:n], rng.normal(size=(n, 3)), labels),
+                     tmp_path / "d.scds")
+        return data.open_dataset(tmp_path / "d.scds")
+
+    def test_labels_for_takes_the_rows_directly_in_id_order(self, dataset_file, rng):
+        ds = dataset_file
+        words = rng.integers(0, 2**20, size=(ds.n, 1)).astype(np.uint64)
+        codes = retrieval.CodeIndex(words, ds.ids, 20)
+        want = ref_labels_for(codes, ds, "database")
+        got = cli._labels_for(codes, ds, "database")
+        assert got.labels is ds.labels                 # no gather
+        assert np.array_equal(got.labels, want.labels)
+        assert got.words is codes.words and got.ids is codes.ids
+
+    @pytest.mark.parametrize("rows", ["reversed", "subset", "shuffled", "repeated"])
+    def test_other_id_orders_take_the_lookup(self, dataset_file, rng, rows):
+        ds = dataset_file
+        take = {"reversed": np.arange(ds.n)[::-1], "subset": np.arange(0, ds.n, 3),
+                "shuffled": rng.permutation(ds.n),
+                "repeated": np.arange(ds.n).repeat(2)}[rows]
+        words = rng.integers(0, 2**20, size=(len(take), 1)).astype(np.uint64)
+        codes = retrieval.CodeIndex(words, ds.ids[take], 20)
+        got = cli._labels_for(codes, ds, "queries")
+        assert got.labels is not ds.labels
+        assert np.array_equal(got.labels, ref_labels_for(codes, ds, "queries").labels)
+        assert np.array_equal(got.labels, ds.labels[take])
+
+    def test_labels_for_failures_match_the_lookup(self, dataset_file):
+        ds = dataset_file
+        words = np.zeros((ds.n, 1), dtype=np.uint64)
+        missing = ds.ids.copy()
+        missing[7] = 10**6
+        ds.labels[3] = False                           # an unlabeled row
+        for ids, message in ((missing, "id 1000000 missing"), (ds.ids, "unlabeled")):
+            codes = retrieval.CodeIndex(words, ids, 20)
+            got = outcome_of(cli._labels_for, codes, ds, "database")
+            assert got == outcome_of(ref_labels_for, codes, ds, "database")
+            assert message in got
+
+    @pytest.mark.parametrize("bad_rows", [[], [9], [40, 3, 17], [0, 63]])
+    def test_require_finite_names_the_first_bad_row(self, bad_rows):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(64, 32)).astype(np.float32)
+        for j, row in enumerate(bad_rows):
+            X[row, (5 * j) % 32] = (np.nan, np.inf, -np.inf)[j % 3]
+        ids = rng.permutation(640)[:64]
+        args = (X, ids, "--data", 2048)
+        assert outcome_of(cli._require_finite, *args) == outcome_of(ref_require_finite, *args)
+        if bad_rows:
+            first = min(bad_rows)
+            assert outcome_of(cli._require_finite, *args) == (
+                f"--data: row {2048 + first} (id {ids[first]}) has a non-finite "
+                "feature value")
+
+
+def spec_argv(spec: dict) -> list[str]:
+    """A flag for every key of a command's spec, each with a value its
+    parser takes."""
+    sample = {int: "3", float: "0.5", str: "x", cli._parse_int_list: "4,2",
+              cli._parse_float_list: "0.5,1", cli._parse_schedule: "2:0.5"}
+    argv = []
+    for key, (parse, _default, _help) in spec.items():
+        argv += [f"--{key}", sample[parse or str]]
+    return argv
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_one_command_parser_parses_alike(self, command):
+        spec = cli.COMMANDS[command][0]
+        full, one = cli.build_parser(), cli.build_parser(command)
+        for argv in ([command], [command, "--config", "c.json", "--out", "o",
+                                 *spec_argv(spec)]):
+            assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+        sub = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub[0].choices) == [command]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_unknown_flag_exits_2_on_both_parsers(self, command, capsys):
+        for parser in (cli.build_parser(), cli.build_parser(command)):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "--no-such-flag", "1"])
+            assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+
+    def test_main_builds_the_invoked_commands_parser(self, monkeypatch, tmp_path, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+        assert cli.main(["lambda-toy", "--threads", "0", "--out", str(tmp_path)]) == 1
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["no-such-command"]) == 2
+        assert built == [("lambda-toy",), (None,), (None,)]
+
+    def test_help_lists_every_command(self, capsys):
+        assert cli.main(["--help"]) == 0
+        listing = capsys.readouterr().out
+        assert all(command in listing for command in cli.COMMANDS)
+        assert len(cli.COMMANDS) == 7
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_threads_below_one_exit_1(self, tmp_path, capsys, command, threads):
+        # refused while the config resolves: no file is read or written
+        out = tmp_path / "out"
+        assert cli.main([command, "--threads", threads, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validation"
+        assert err["message"] == f"--threads must be at least 1, got {threads}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "train-semi"])
+    def test_zero_epochs_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        loads = []
+        monkeypatch.setattr(cli.data, "load_dataset", lambda *a: loads.append(a))
+        out = tmp_path / "out"
+        assert cli.main([command, "--data", str(tmp_path / "d.scds"), "--epochs", "0",
+                         "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation",
+                       "message": "--epochs must be at least 1, got 0"}
+        assert not loads and not (out / "model.ckpt").exists()
+        # the library still takes zero epochs
+        assert model.Hyperparams(epochs=0).epochs == 0
+
+    def test_train_semi_refuses_balance(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        tiny_gen(d)
+        out = tmp_path / "out"
+        argv = ["train-semi", "--data", str(d / "train.scds"), "--bits", "4",
+                "--hidden", "4", "--epochs", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser("train-semi").parse_args([*argv, "--balance", "1"])
+        assert exc.value.code == 2
+        assert cli.main([*argv, "--balance", "1"]) == 2
+        assert "unrecognized arguments: --balance 1" in capsys.readouterr().err
+        assert not out.exists()
+        # nor does a config file set it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"balance": 1}))
+        assert cli.main([*argv, "--config", str(cfg)]) == 1
+        assert "balance" in json.loads(capsys.readouterr().err)["message"]
+        assert "balance" in cli.TRAIN_SPEC and "balance" not in cli.TRAIN_SEMI_SPEC

@@ -545,14 +545,16 @@ class TestStreamingReader:
 B = model.EMBED_BLOCK_ROWS
 
 
-@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B + 5])
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B + 5,
+                               4 * B - 1, 4 * B, 4 * B + 1, 8 * B - 1, 8 * B, 12 * B + 5])
 def test_block_wise_generator_equals_whole_array(n):
     protos = np.random.default_rng(1).normal(size=(7, 12))
     assert_same_dataset(data.sample_multilabel(protos, n, 0.3, 0.5, 11, id_start=40),
                         ref_sample_multilabel(protos, n, 0.3, 0.5, 11, id_start=40))
 
 
-@pytest.mark.parametrize("n", [0, 1, B - 1, B, 2 * B - 1, 2 * B, 3 * B + 5])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, 2 * B - 1, 2 * B, 3 * B + 5,
+                               4 * B - 1, 4 * B, 8 * B - 1, 8 * B, 12 * B + 5])
 def test_row_blocks_tile_the_rows(n):
     blocks = model.row_blocks(n)
     assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]

@@ -815,3 +815,115 @@ class TestBucketSearch:
         query = rt.HashCode(rt.pack_bits(bits[3]), 24)
         assert rt.search(query, index, 10) == rt.search(query, index, 10)
         assert len(built) == 1
+
+
+def ref_pack_bits(bits):
+    """The per-row packing pack_bits replaced: packbits along the last axis,
+    then zero bytes concatenated up to whole words."""
+    bits = np.asarray(bits, dtype=bool)
+    W = rt._n_words(bits.shape[-1])
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    pad = W * 8 - packed.shape[-1]
+    if pad:
+        packed = np.concatenate(
+            [packed, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
+    return packed.view("<u8").reshape(bits.shape[:-1] + (W,))
+
+
+def ref_buckets_of(index):
+    """The bucket view by one lexsort of the rows by (code, id)."""
+    order = np.lexsort((index.ids, *index.words.T[::-1]))
+    words = index.words[order]
+    new = np.ones(index.n, dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return rt.Buckets(words[starts], index.nbits, np.diff(starts, append=index.n),
+                      starts, index.ids[order])
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestFlatPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(1, 130),
+           lead=st.sampled_from([(), (0,), (1,), (17,), (3, 5), (0, 4)]),
+           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_packing(self, r, lead, strided, seed):
+        rng = np.random.default_rng(seed)
+        if strided:     # every other row and bit of a larger array
+            bits = (rng.random(lead[:-1] + (2 * lead[-1] if lead else 1, 2 * r)) < 0.5)
+            bits = bits[..., ::2, ::2] if lead else bits[0, ::2]
+            assert not bits.flags.c_contiguous or bits.size <= 1
+        else:
+            bits = rng.random(lead + (r,)) < 0.5
+        assert_same_array(rt.pack_bits(bits), ref_pack_bits(bits))
+
+    def test_label_masks_and_codes_are_the_per_row_packing(self, rng):
+        _, index = make_index(rng, 300, 70, with_labels=True, C=6)
+        assert_same_array(index.label_masks(6), ref_pack_bits(index.labels))
+        F = rng.normal(size=(300, 24))
+        assert_same_array(rt.binarize_batch(F), ref_pack_bits(F >= 0.0))
+
+
+class TestOneSortBuckets:
+    """Buckets.of against the lexsort on every field."""
+
+    @staticmethod
+    def check(index):
+        got, want = rt.Buckets.of(index), ref_buckets_of(index)
+        assert got.nbits == want.nbits
+        for field in ("words", "sizes", "starts", "ids"):
+            assert_same_array(getattr(got, field), getattr(want, field))
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.sampled_from([1, 24, 50, 64, 130]), n=st.integers(1, 300),
+           m=st.integers(1, 300), duplicate_ids=st.booleans(),
+           offset=st.sampled_from([0, -2**40, 2**62]), far_id=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_lexsort(self, r, n, m, duplicate_ids, offset, far_id, seed):
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((min(m, n), r)) < 0.5)[rng.integers(min(m, n), size=n)]
+        ids = (rng.integers(0, max(1, n // 3), size=n) if duplicate_ids
+               else rng.permutation(3 * n)[:n]) + offset
+        if far_id:      # one id far from the rest: the key needs up to 63 id bits
+            ids[rng.integers(n)] = 2**62 + 12345 if offset >= 0 else -2**62
+        self.check(rt.CodeIndex(rt.pack_bits(bits), ids, r))
+
+    @pytest.mark.parametrize("r", [24, 64, 130])
+    def test_edge_cases(self, rng, r):
+        bits = rng.random((200, r)) < 0.5
+        one_code = np.tile(bits[0], (200, 1))
+        dup_ids = rng.integers(0, 20, size=200)
+        for b, ids in ((bits, dup_ids), (one_code, dup_ids),
+                       (one_code, rng.permutation(200)), (bits[:1], [7])):
+            self.check(rt.CodeIndex(rt.pack_bits(b), ids, r))
+
+    def test_packed_key_path_and_fallback(self, rng, monkeypatch):
+        # r + bit_length(max id - min id) <= 64 sorts packed keys; a wider
+        # span of ids, or a two-word code, keeps the lexsort
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(rt.np, "lexsort", lambda keys: lexsorts.append(1) or
+                            lexsort(keys))
+        span = lambda n: rng.permutation(n)
+        for r, ids, lexsorted in ((24, span(1000), 0), (54, 5 + span(1024), 0),
+                                  (54, span(1025), 1), (24, span(1000) - 500, 0),
+                                  (64, [7, 7, 7], 0), (64, [0, 1], 1),
+                                  (1, [-2**62, 2**62 - 1], 0), (2, [-2**62, 2**62 - 1], 1),
+                                  (130, span(50), 1)):
+            n = len(ids)
+            bits = (rng.random((8, r)) < 0.5)[rng.integers(8, size=n)]
+            lexsorts.clear()
+            self.check(rt.CodeIndex(rt.pack_bits(bits), ids, r))
+            assert len(lexsorts) == 1 + lexsorted      # ref_buckets_of's own lexsort
+
+    def test_top_bit_of_a_full_word(self):
+        # a 63-bit code with ids one apart fills the key's 64 bits
+        words = np.array([[2**63 - 1], [1], [2**63 - 1]], dtype=np.uint64)
+        view = self.check(rt.CodeIndex(words, [5, 4, 4], 63))
+        assert view.words.ravel().tolist() == [1, 2**63 - 1]
+        assert view.ids.tolist() == [4, 4, 5]
