@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -151,18 +151,7 @@ class BoundReport:
     confidence_margin: float = 0.0  # nonzero only for Monte Carlo checks
 
     def to_dict(self) -> dict:
-        return {
-            "brute_force_loss": self.brute_force_loss,
-            "bound_value": self.bound_value,
-            "multiplier": self.multiplier,
-            "lambda_estimate": self.lambda_estimate,
-            "holds": self.holds,
-            "kind": self.kind,
-            "n": self.n,
-            "label_count": self.label_count,
-            "degenerate": self.degenerate,
-            "confidence_margin": self.confidence_margin,
-        }
+        return asdict(self)
 
 
 class LambdaEstimate(float):
@@ -687,15 +676,7 @@ class ToyCell:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "d": self.d,
-            "triplet_loss": self.triplet_loss,
-            "relaxed_triplet_loss": self.relaxed_triplet_loss,
-            "unary_bound": self.unary_bound,
-            "lambda_estimate": self.lambda_estimate,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def _simplex_centers(C: int, d: float, r: int) -> np.ndarray:
@@ -830,18 +811,10 @@ def bound_summary(unary: Sequence[BoundReport],
     }
 
 
-TOY_CSV_FIELDS = ["sigma", "d", "triplet_loss", "relaxed_triplet_loss",
-                  "unary_bound", "lambda_estimate", "degenerate"]
-
-REPORT_CSV_FIELDS = ["brute_force_loss", "bound_value", "multiplier",
-                     "lambda_estimate", "holds", "kind", "n", "label_count",
-                     "degenerate", "confidence_margin"]
-
-
-def write_rows_csv(path, rows: Sequence, fields: Sequence[str]):
-    """One row per cell/instance; rows expose to_dict()."""
+def write_rows_csv(path, rows: Sequence[dict], cls: type):
+    """One row per cell/instance, each the ``to_dict()`` of an instance of the
+    dataclass ``cls``; the header is its fields, in declaration order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fields))
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(cls)])
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row.to_dict())
+        writer.writerows(rows)

@@ -2,7 +2,8 @@
 
 Subcommands: gen, train, train-semi, encode, eval, verify-bounds, lambda-toy.
 Every run resolves its configuration from defaults < --preset/--hp-preset <
---config JSON < explicit flags, writes all artifacts atomically (temp file +
+--config JSON < explicit flags, each value checked against its flag's domain
+before any work starts, writes all artifacts atomically (temp file +
 rename), and finishes with a run-manifest JSON recording the resolved config,
 seed, versions, and sha256 hashes of every output.  Exit codes: 0 success,
 1 validation error (a damaged input file included), 2 runtime/numeric
@@ -21,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,25 +70,6 @@ TRAIN_PRESETS = {
                           lr_schedule="30:0.2", w=0.1, ema_decay=0.99,
                           noise_std=0.15),
 }
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _parse_schedule(text: str) -> tuple:
-    """"100:0.2,140:0.2" -> ((100, 0.2), (140, 0.2))."""
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        epoch, mult = part.split(":")
-        out.append((int(epoch), float(mult)))
-    return tuple(out)
 
 
 @contextlib.contextmanager
@@ -157,31 +140,147 @@ class Run:
         log.info("wrote %s", self.path("manifest.json"))
 
 
-# The JSON numbers a --config value may be where its flag takes a number (a
-# bool is never one).  Any other value must be a string in the flag's form.
-_CONFIG_NUMBERS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+# ---------------------------------------------------------------------------
+# Flag domains.  Each spec entry is (domain, default, help); the domain says
+# what the flag accepts.  ``parse`` takes a flag's text or a JSON value from
+# --config and returns the value, or raises ValueError; ``str()`` says what
+# the domain is, for refusals and --help.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Int:
+    lo: int
+    hi: int | None = None
+
+    def __str__(self):
+        if self.hi is None:
+            return f"at least {self.lo}"
+        return f"an integer in {self.lo}..{self.hi}"
+
+    def parse(self, raw):
+        value = int(raw) if isinstance(raw, str) else raw
+        if type(value) is not int or value < self.lo or \
+                self.hi is not None and value > self.hi:
+            raise ValueError
+        return value
 
 
-def _config_value(key: str, parse, value):
-    """One --config value, checked and parsed as its flag would be."""
-    if isinstance(value, str):
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise ValidationError(f"config key {key!r}: cannot parse {value!r} "
-                                  f"({exc})") from None
-    types, want = _CONFIG_NUMBERS.get(parse, ((), f"a string as for --{key}"))
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValidationError(f"config key {key!r} must be {want}, "
-                              f"got {json.dumps(value)}")
-    return parse(value)
+@dataclass(frozen=True)
+class Float:
+    """A finite number between ``lo`` and ``hi``; each end open or closed."""
+
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = True
+
+    def __str__(self):
+        if self.hi == math.inf:
+            return f"a finite number {'above' if self.lo_open else 'at least'} {self.lo:g}"
+        return (f"a finite number in {'(' if self.lo_open else '['}{self.lo:g}, "
+                f"{self.hi:g}{')' if self.hi_open else ']'}")
+
+    def parse(self, raw):
+        if not isinstance(raw, str) and type(raw) not in (int, float):
+            raise ValueError
+        value = float(raw)
+        above = self.lo < value if self.lo_open else self.lo <= value
+        below = value < self.hi if self.hi_open else value <= self.hi
+        if not (above and below and math.isfinite(value)):
+            raise ValueError
+        return value
+
+
+@dataclass(frozen=True)
+class Choice:
+    """One of ``names``; a preset flag's names are its table's keys."""
+
+    names: tuple | dict
+
+    def __str__(self):
+        return f"one of {sorted(self.names)}"
+
+    def parse(self, raw):
+        if not isinstance(raw, str) or raw not in self.names:
+            raise ValueError
+        return raw
+
+
+@dataclass(frozen=True)
+class List:
+    """A comma list of ``entry`` values, as a tuple; blank entries are skipped."""
+
+    entry: Int | Float
+    nonempty: bool = False
+    ascending: bool = False
+
+    def __str__(self):
+        return (f"a comma list{', non-empty' if self.nonempty else ''}"
+                f"{', ascending' if self.ascending else ''}, each entry {self.entry}")
+
+    def parse(self, raw):
+        if not isinstance(raw, str):
+            raise ValueError
+        values = tuple(self.entry.parse(v) for v in raw.split(",") if v.strip())
+        if self.nonempty and not values or self.ascending and list(values) != sorted(values):
+            raise ValueError
+        return values
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Learning-rate steps "epoch:multiplier", none blank, as a tuple of pairs."""
+
+    epoch: Int = Int(0)
+    multiplier: Float = Float(0.0, lo_open=True)
+
+    def __str__(self):
+        return (f"a comma list of epoch:multiplier steps, the epoch {self.epoch} and the "
+                f"multiplier {self.multiplier}")
+
+    def parse(self, raw):
+        if not isinstance(raw, str):
+            raise ValueError
+        steps = [step.split(":") for step in raw.split(",")] if raw else []
+        return tuple((self.epoch.parse(e), self.multiplier.parse(m)) for e, m in steps)
+
+
+@dataclass(frozen=True)
+class File:
+    """A file path; a plain one is a file name in the --out directory, which
+    the manifest's name cannot be."""
+
+    plain: bool = False
+
+    def __str__(self):
+        return "a file name other than manifest.json" if self.plain else "a file path"
+
+    def parse(self, raw):
+        if not isinstance(raw, str) or not raw:
+            raise ValueError
+        if self.plain and (os.path.basename(raw) != raw or
+                           raw in (".", "..", "manifest.json")):
+            raise ValueError
+        return raw
+
+
+def _check(spec: dict, key: str, name: str, raw):
+    """``raw`` parsed and checked by the domain of ``spec[key]``; ``name`` is
+    how a refusal names the value's source."""
+    domain = spec[key][0]
+    try:
+        return domain.parse(raw)
+    except (ValueError, OverflowError):
+        shown = raw if isinstance(raw, str) and raw.strip() else json.dumps(raw)
+        raise ValidationError(f"{name} must be {domain}, got {shown}") from None
 
 
 def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
     """One command's configuration: defaults < named presets < config file < flags.
 
-    ``flags`` maps spec keys to explicit values; ``None`` means unset.
-    Unknown config keys and unknown preset names are rejected.
+    ``flags`` maps spec keys to flag text; ``None`` means unset.  Every value,
+    be it a flag, a config value, a preset value or a default, goes through
+    its spec entry's domain.  Unknown config keys are rejected.
     """
     spec = COMMANDS[command][0]
     config = {}
@@ -198,41 +297,29 @@ def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
         unknown = set(config) - set(spec)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        config = {key: _config_value(key, spec[key][0], val) for key, val in config.items()}
-    explicit = {**config, **{key: val for key, val in flags.items() if val is not None}}
+    explicit = {key: _check(spec, key, f"config key {key!r}", raw)
+                for key, raw in config.items()}
+    explicit.update({key: _check(spec, key, f"--{key}", raw)
+                     for key, raw in flags.items() if raw is not None})
     preset_values = {}
-    for key, table in PRESETS.get(command, {}).items():
-        name = explicit.get(key)
-        if name is None:
-            continue
-        if name not in table:
-            raise ValidationError(f"unknown --{key} {name!r}, expected one of "
-                                  f"{sorted(table)}")
-        preset_values.update({k.replace("_", "-"): v for k, v in table[name].items()})
+    for key, (domain, _default, _help) in spec.items():
+        # a preset flag chooses among the names of its table
+        if key in explicit and isinstance(domain, Choice) and isinstance(domain.names, dict):
+            preset_values.update({k.replace("_", "-"): v
+                                  for k, v in domain.names[explicit[key]].items()})
     resolved = {}
-    for key, (parse, default, _help) in spec.items():
+    for key, (_domain, default, _help) in spec.items():
         if key in explicit:
             resolved[key] = explicit[key]
             continue
         raw = preset_values.get(key, default)
-        resolved[key] = parse(raw) if isinstance(raw, str) and parse else raw
-    if resolved["seed"] < 0:
-        raise ValidationError(f"--seed must be non-negative, got {resolved['seed']}")
-    if resolved["threads"] < 1:
-        raise ValidationError(f"--threads must be at least 1, got {resolved['threads']}")
+        resolved[key] = None if raw is None else _check(spec, key, f"--{key}", raw)
     return resolved
 
 
-def _add_spec_args(parser: argparse.ArgumentParser, spec: dict):
-    for key, (parse, default, help_text) in spec.items():
-        parser.add_argument(f"--{key}", dest=key.replace("-", "_"),
-                            type=parse if parse else str, default=None,
-                            help=f"{help_text} (default: {default})")
-
-
 COMMON = {
-    "seed": (int, 0, "master RNG seed"),
-    "threads": (int, 1, "worker bound for parallel sections (1 = bit-exact)"),
+    "seed": (Int(0), 0, "master RNG seed"),
+    "threads": (Int(1), 1, "worker bound for parallel sections (1 = bit-exact)"),
 }
 
 
@@ -265,58 +352,48 @@ def _require_trainable(dataset: data.Dataset, what: str):
 # ---------------------------------------------------------------------------
 
 GEN_SPEC = dict(COMMON, **{
-    "preset": (str, None, f"synthetic preset, one of {sorted(SYNTH_PRESETS)}"),
-    "mode": (str, "single", "single or multi (label regime)"),
-    "classes": (int, 8, "number of classes C"),
-    "dim": (int, 32, "feature dimension"),
-    "cluster-std": (float, 1.0, "Gaussian cluster standard deviation"),
-    "center-spread": (float, 1.0, "std of the cluster-mean draw"),
-    "train-per-class": (int, 500, "training samples per class"),
-    "query-per-class": (int, 100, "query samples per class (single-label)"),
-    "db-per-class": (int, 500, "database samples per class (single-label)"),
-    "multilabel-p": (float, 0.3, "per-label inclusion probability (multi)"),
-    "n-query": (int, 500, "query set size (multi)"),
-    "n-db": (int, 3000, "database size (multi)"),
-    "keep-labels": (float, 1.0, "fraction of train labels kept (rest stripped)"),
-    "balance": (int, 0, "1 = upsample training classes to equal counts"),
+    "preset": (Choice(SYNTH_PRESETS), None, "synthetic preset"),
+    "mode": (Choice(("single", "multi")), "single", "label regime"),
+    "classes": (Int(1), 8, "number of classes C"),
+    "dim": (Int(1), 32, "feature dimension"),
+    "cluster-std": (Float(0.0), 1.0, "Gaussian cluster standard deviation"),
+    "center-spread": (Float(0.0), 1.0, "std of the cluster-mean draw"),
+    "train-per-class": (Int(1), 500, "training samples per class"),
+    "query-per-class": (Int(1), 100, "query samples per class (single-label)"),
+    "db-per-class": (Int(1), 500, "database samples per class (single-label)"),
+    "multilabel-p": (Float(0.0, 1.0, lo_open=True), 0.3,
+                     "per-label inclusion probability (multi)"),
+    "n-query": (Int(1), 500, "query set size (multi)"),
+    "n-db": (Int(1), 3000, "database size (multi)"),
+    "keep-labels": (Float(0.0, 1.0, lo_open=True, hi_open=False), 1.0,
+                    "fraction of train labels kept, the rest stripped (single)"),
+    "balance": (Int(0, 1), 0, "1 = upsample training classes to equal counts (single)"),
 })
 
 
-def make_splits(cfg: dict) -> tuple[data.Dataset, data.Dataset, data.Dataset]:
-    """The train, query and database sets of a resolved gen config, before
-    balancing and label stripping."""
-    if cfg["mode"] not in ("single", "multi"):
-        raise ValidationError(f"mode must be 'single' or 'multi', got {cfg['mode']!r}")
-    multi = cfg["mode"] == "multi"
-    for key in ("n-query", "n-db") if multi else ("query-per-class", "db-per-class"):
-        if cfg[key] < 1:
-            raise ValidationError(f"--{key} must be at least 1, got {cfg[key]}")
+def cmd_gen(cfg: dict, run: Run):
+    seed, multi = cfg["seed"], cfg["mode"] == "multi"
+    if multi:
+        # balancing and label stripping take one label per sample
+        for key, off in (("balance", 0), ("keep-labels", 1.0)):
+            if cfg[key] != off:
+                raise ValidationError(f"--{key} {cfg[key]} needs --mode single, "
+                                      "got --mode multi")
     try:
         syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
                                    cluster_std=cfg["cluster-std"],
                                    center_spread=cfg["center-spread"],
                                    samples_per_class=cfg["train-per-class"],
                                    multilabel_p=cfg["multilabel-p"] if multi else None,
-                                   seed=cfg["seed"])
-        if multi:
-            return data.make_multilabel_splits(syn, cfg["n-query"], cfg["n-db"])
-        return data.make_cluster_splits(syn, cfg["query-per-class"],
-                                        cfg["db-per-class"])
+                                   seed=seed)
     except PreconditionError as exc:
-        raise ValidationError(str(exc)) from None
-
-
-def _require_balance(cfg: dict):
-    if cfg["balance"] not in (0, 1):
-        raise ValidationError(f"--balance must be 0 or 1, got {cfg['balance']}")
-
-
-def cmd_gen(cfg: dict, run: Run):
-    _require_balance(cfg)
-    seed = cfg["seed"]
-    if not 0.0 < cfg["keep-labels"] <= 1.0:
-        raise ValidationError(f"--keep-labels must lie in (0, 1], got {cfg['keep-labels']}")
-    train, query, db = make_splits(cfg)
+        # the flag domains leave only the class count of a multilabel draw
+        raise ValidationError(f"--classes {cfg['classes']} with --mode multi: {exc}") from None
+    if multi:
+        train, query, db = data.make_multilabel_splits(syn, cfg["n-query"], cfg["n-db"])
+    else:
+        train, query, db = data.make_cluster_splits(syn, cfg["query-per-class"],
+                                                    cfg["db-per-class"])
     if cfg["balance"]:
         train = data.balance_upsample(train, seed=seed)
     if cfg["keep-labels"] < 1.0:
@@ -333,46 +410,45 @@ def cmd_gen(cfg: dict, run: Run):
 # train / train-semi
 # ---------------------------------------------------------------------------
 
+# A Hoelder exponent and its dual: 1/p + 1/q = 1 holds only for both above 1.
+HOLDER = Float(1.0, lo_open=True)
+
 _TRAIN_BASE = {
-    "data": (str, None, "training dataset (.scds)"),
-    "preset": (str, None, f"training preset, one of {sorted(TRAIN_PRESETS)}"),
-    "hp-preset": (str, None, f"hyperparameter triple, one of {sorted(model.HP_PRESETS)}"),
-    "bits": (int, 24, "code length r"),
-    "hidden": (_parse_int_list, (64,), "comma list of trunk widths"),
-    "lam": (float, 0.005, "center-distance weight lambda"),
-    "mu": (float, 0.2, "classification weight mu"),
-    "alpha": (float, 0.05, "quantization weight alpha"),
-    "holder-p": (float, 3.0, "Hoelder exponent p"),
-    "holder-q": (float, 1.5, "dual exponent q"),
-    "epochs": (int, 30, "training epochs"),
-    "batch-size": (int, 64, "mini-batch size"),
-    "lr": (float, 1e-3, "initial learning rate"),
-    "momentum": (float, 0.9, "SGD momentum"),
-    "lr-schedule": (_parse_schedule, (), "epoch:multiplier list, e.g. 100:0.2,140:0.2"),
-    "warmup-epochs": (int, 0, "epochs with center-norm projection"),
-    "warmup-norm": (float, 8.0, "projection norm s"),
+    "data": (File(), None, "training dataset (.scds)"),
+    "preset": (Choice(TRAIN_PRESETS), None, "training preset"),
+    "hp-preset": (Choice(model.HP_PRESETS), None, "hyperparameter triple"),
+    "bits": (Int(1), 24, "code length r"),
+    "hidden": (List(Int(1)), "64", "trunk widths"),
+    "lam": (Float(0.0), 0.005, "center-distance weight lambda"),
+    "mu": (Float(0.0), 0.2, "classification weight mu"),
+    "alpha": (Float(0.0), 0.05, "quantization weight alpha"),
+    "holder-p": (HOLDER, 3.0, "Hoelder exponent p"),
+    "holder-q": (HOLDER, 1.5, "dual exponent q"),
+    "epochs": (Int(1), 30, "training epochs"),
+    "batch-size": (Int(1), 64, "mini-batch size"),
+    "lr": (Float(0.0, lo_open=True), 1e-3, "initial learning rate"),
+    "momentum": (Float(0.0, 1.0), 0.9, "SGD momentum"),
+    "lr-schedule": (Schedule(), "", "learning-rate steps, e.g. 100:0.2,140:0.2"),
+    "warmup-epochs": (Int(0), 0, "epochs with center-norm projection"),
+    "warmup-norm": (Float(0.0, lo_open=True), 8.0, "projection norm s"),
 }
 
 TRAIN_SPEC = dict(COMMON, **_TRAIN_BASE, **{
-    "balance": (int, 0, "1 = upsample classes to equal counts before training"),
+    "balance": (Int(0, 1), 0, "1 = upsample classes to equal counts before training"),
 })
 
 TRAIN_SEMI_SPEC = dict(COMMON, **_TRAIN_BASE, **{
-    "w": (float, meanteacher.DEFAULT_CONSISTENCY_WEIGHT, "consistency weight"),
-    "ema-decay": (float, meanteacher.DEFAULT_EMA_DECAY, "teacher EMA decay"),
-    "noise-std": (float, meanteacher.DEFAULT_NOISE_STD, "input perturbation std"),
-    "ramp-fraction": (float, 0.2, "fraction of epochs to ramp the consistency weight"),
+    "w": (Float(0.0), meanteacher.DEFAULT_CONSISTENCY_WEIGHT, "consistency weight"),
+    "ema-decay": (Float(0.0, 1.0), meanteacher.DEFAULT_EMA_DECAY, "teacher EMA decay"),
+    "noise-std": (Float(0.0), meanteacher.DEFAULT_NOISE_STD, "input perturbation std"),
+    "ramp-fraction": (Float(0.0, 1.0, hi_open=False), 0.2,
+                      "fraction of epochs to ramp the consistency weight"),
 })
 
 
 def hyperparams(cfg: dict) -> model.Hyperparams:
-    """The training hyperparameters of a resolved train or train-semi config,
-    after its layer sizes and epoch count are checked."""
-    if cfg["bits"] < 1 or not all(h >= 1 for h in cfg["hidden"]):
-        raise ValidationError(f"--bits and every --hidden width must be positive, got "
-                              f"--bits {cfg['bits']} --hidden {list(cfg['hidden'])}")
-    if cfg["epochs"] < 1:
-        raise ValidationError(f"--epochs must be at least 1, got {cfg['epochs']}")
+    """The training hyperparameters of a resolved train or train-semi config;
+    the cross-field checks of ``model.Hyperparams`` exit 1."""
     try:
         return model.Hyperparams(
             lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
@@ -389,14 +465,11 @@ def hyperparams(cfg: dict) -> model.Hyperparams:
 def _report_files(run: Run, report: model.TrainReport):
     run.save_json("train_report.json", report.to_dict())
     with atomic_path(run.path("train_report.csv")) as tmp:
-        bounds.write_rows_csv(tmp, report.epochs, [
-            "epoch", "scul_loss", "classification_loss", "quantization_loss",
-            "center_distance_term", "learning_rate", "consistency_loss"])
+        bounds.write_rows_csv(tmp, [e.to_dict() for e in report.epochs], model.EpochRecord)
     run.register("train_report.csv")
 
 
 def cmd_train(cfg: dict, run: Run):
-    _require_balance(cfg)
     hp = hyperparams(cfg)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
@@ -408,7 +481,7 @@ def cmd_train(cfg: dict, run: Run):
     if cfg["balance"]:
         dataset = data.balance_upsample(dataset, seed=cfg["seed"])
     net, report = meanteacher.train_scdh(dataset, hp, r=cfg["bits"],
-                                         hidden=tuple(cfg["hidden"]))
+                                         hidden=cfg["hidden"])
     with atomic_path(run.path("model.ckpt")) as tmp:
         model.save_checkpoint(tmp, net, hp)
     run.register("model.ckpt")
@@ -417,20 +490,7 @@ def cmd_train(cfg: dict, run: Run):
                   "epochs": len(report.epochs)}
 
 
-def _require_semi_settings(cfg: dict):
-    """Reject non-finite or out-of-range mean-teacher settings, which would
-    otherwise fail mid-run or be ignored."""
-    for key, ok, want in (
-            ("w", lambda v: 0.0 <= v < math.inf, "finite and non-negative"),
-            ("ema-decay", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-            ("noise-std", lambda v: 0.0 <= v < math.inf, "finite and non-negative"),
-            ("ramp-fraction", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")):
-        if not ok(cfg[key]):
-            raise ValidationError(f"--{key} must be {want}, got {cfg[key]}")
-
-
 def cmd_train_semi(cfg: dict, run: Run):
-    _require_semi_settings(cfg)
     hp = hyperparams(cfg)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
@@ -438,7 +498,7 @@ def cmd_train_semi(cfg: dict, run: Run):
     semi = meanteacher.SemiDataset.from_partial(dataset)
     student, teacher, report = meanteacher.train_mt_scdh(
         semi, hp, w=cfg["w"], ema_decay=cfg["ema-decay"],
-        noise_std=cfg["noise-std"], r=cfg["bits"], hidden=tuple(cfg["hidden"]),
+        noise_std=cfg["noise-std"], r=cfg["bits"], hidden=cfg["hidden"],
         ramp_fraction=cfg["ramp-fraction"])
     with atomic_path(run.path("model.ckpt")) as tmp:
         model.save_checkpoint(tmp, student, hp, teacher=teacher.model,
@@ -456,17 +516,16 @@ def cmd_train_semi(cfg: dict, run: Run):
 # ---------------------------------------------------------------------------
 
 ENCODE_SPEC = dict(COMMON, **{
-    "model": (str, None, "model checkpoint"),
-    "data": (str, None, "dataset to encode (.scds)"),
-    "network": (str, None, "teacher or student; unset takes the teacher of a "
-                           "dual checkpoint, else the student"),
-    "name": (str, "codes.scdh", "output code file name"),
+    "model": (File(), None, "model checkpoint"),
+    "data": (File(), None, "dataset to encode (.scds)"),
+    "network": (Choice(("teacher", "student")), None,
+                "network to encode; unset takes the teacher of a dual checkpoint, "
+                "else the student"),
+    "name": (File(plain=True), "codes.scdh", "output code file name"),
 })
 
 
 def cmd_encode(cfg: dict, run: Run):
-    if cfg["network"] not in (None, "teacher", "student"):
-        raise ValidationError("--network must be 'teacher' or 'student'")
     _require_file(cfg["model"], "--model")
     _require_file(cfg["data"], "--data")
     net, _, teacher, _ = model.load_checkpoint(cfg["model"])
@@ -502,13 +561,13 @@ def cmd_encode(cfg: dict, run: Run):
 
 
 EVAL_SPEC = dict(COMMON, **{
-    "queries": (str, None, "query code file (.scdh)"),
-    "database": (str, None, "database code file (.scdh)"),
-    "query-data": (str, None, "dataset supplying query labels (.scds)"),
-    "db-data": (str, None, "dataset supplying database labels (.scds)"),
-    "map-k": (int, 0, "0 = untruncated MAP, else MAP@k as well"),
-    "radius": (int, 2, "Hamming ball radius for the precision metric"),
-    "topk": (_parse_int_list, (), "comma list of k for the precision curve"),
+    "queries": (File(), None, "query code file (.scdh)"),
+    "database": (File(), None, "database code file (.scdh)"),
+    "query-data": (File(), None, "dataset supplying query labels (.scds)"),
+    "db-data": (File(), None, "dataset supplying database labels (.scds)"),
+    "map-k": (Int(0), 0, "0 = untruncated MAP, else MAP@k as well"),
+    "radius": (Int(0), 2, "Hamming ball radius for the precision metric"),
+    "topk": (List(Int(1), ascending=True), "", "k values of the precision curve"),
 })
 
 
@@ -533,14 +592,7 @@ def _labels_for(codes: retrieval.CodeIndex, ds: data.DatasetFile, what: str):
 
 
 def cmd_eval(cfg: dict, run: Run):
-    if cfg["map-k"] < 0:
-        raise ValidationError(f"--map-k must be 0 (untruncated) or positive, "
-                              f"got {cfg['map-k']}")
-    if cfg["radius"] < 0:
-        raise ValidationError(f"--radius must be non-negative, got {cfg['radius']}")
-    topk = list(cfg["topk"])
-    if topk != sorted(topk) or (topk and topk[0] < 1):
-        raise ValidationError(f"--topk must be ascending positive values, got {topk}")
+    topk = cfg["topk"]
     for key in ("queries", "database", "query-data", "db-data"):
         _require_file(cfg[key], f"--{key}")
     # ids and labels only: eval reads no feature row
@@ -580,14 +632,15 @@ def cmd_eval(cfg: dict, run: Run):
 # ---------------------------------------------------------------------------
 
 VERIFY_SPEC = dict(COMMON, **{
-    "instances": (int, 1000, "randomized single-label bound instances"),
-    "max-n": (int, 12, "max codes per instance"),
-    "classes": (_parse_int_list, (2, 3, 4), "candidate class counts"),
-    "max-r": (int, 16, "max code length"),
-    "kind": (str, "margin", "comparator kind: margin or softmax"),
-    "margin": (float, 1.0, "margin m for the hinge comparator"),
-    "ml-configs": (int, 20, "multilabel Monte Carlo configurations"),
-    "trials": (int, 5000, "Monte Carlo trials per configuration"),
+    "instances": (Int(1), 1000, "randomized single-label bound instances"),
+    "max-n": (Int(1, bounds.DEFAULT_TRIPLET_CAP), 12, "max codes per instance"),
+    "classes": (List(Int(2, bounds.DEFAULT_TRIPLET_CAP), nonempty=True), "2,3,4",
+                "candidate class counts"),
+    "max-r": (Int(2), 16, "max code length"),
+    "kind": (Choice(("margin", "softmax")), "margin", "comparator kind"),
+    "margin": (Float(0.0), 1.0, "margin m for the hinge comparator"),
+    "ml-configs": (Int(0), 20, "multilabel Monte Carlo configurations"),
+    "trials": (Int(bounds.MIN_TRIALS), 5000, "Monte Carlo trials per configuration"),
 })
 
 
@@ -658,45 +711,22 @@ def run_multilabel_suite(configs: int, trials: int, seed: int):
     return reports
 
 
-def _verify_kind(cfg: dict) -> losses.TripletLossKind:
-    """The comparator of a resolved verify-bounds config, after rejecting the
-    values that would fail mid-run."""
-    cap = bounds.DEFAULT_TRIPLET_CAP
-    if cfg["instances"] < 1:
-        raise ValidationError(f"--instances must be at least 1, got {cfg['instances']}")
-    if cfg["ml-configs"] < 0:
-        raise ValidationError(f"--ml-configs must be non-negative, got {cfg['ml-configs']}")
-    if cfg["trials"] < bounds.MIN_TRIALS:
-        raise ValidationError(f"--trials must be at least {bounds.MIN_TRIALS}, "
-                              f"got {cfg['trials']}")
-    if cfg["max-n"] > cap:
-        raise ValidationError(f"--max-n {cfg['max-n']} exceeds the {cap}-row "
-                              "exhaustive-enumeration cap")
-    if cfg["max-r"] < 2:
-        raise ValidationError(f"--max-r must be at least 2, got {cfg['max-r']}")
-    if not cfg["classes"] or not all(2 <= C <= cap for C in cfg["classes"]):
-        raise ValidationError(f"--classes entries must lie in 2..{cap}, "
-                              f"got {list(cfg['classes'])}")
-    try:
-        return losses.TripletLossKind(cfg["kind"], cfg["margin"])
-    except ValueError as exc:
-        raise ValidationError(f"--kind/--margin: {exc}") from None
-
-
 def cmd_verify_bounds(cfg: dict, run: Run):
-    kind = _verify_kind(cfg)
+    kind = losses.TripletLossKind(cfg["kind"], cfg["margin"])
     single = run_bound_suite(cfg["instances"], cfg["classes"], cfg["max-n"],
                              cfg["max-r"], kind, cfg["seed"])
     multi = run_multilabel_suite(cfg["ml-configs"], cfg["trials"], cfg["seed"])
+    # asdict copies deeply: one dict per report serves its CSV row and JSON entry
+    unary, multilabel = [r.to_dict() for r in single], [r.to_dict() for r in multi]
     with atomic_path(run.path("unary_bounds.csv")) as tmp:
-        bounds.write_rows_csv(tmp, single, bounds.REPORT_CSV_FIELDS)
+        bounds.write_rows_csv(tmp, unary, bounds.BoundReport)
     run.register("unary_bounds.csv")
     with atomic_path(run.path("multilabel_bounds.csv")) as tmp:
-        bounds.write_rows_csv(tmp, multi, bounds.REPORT_CSV_FIELDS)
+        bounds.write_rows_csv(tmp, multilabel, bounds.BoundReport)
     run.register("multilabel_bounds.csv")
     run.save_json("bounds.json", {
-        "unary": [r.to_dict() for r in single],
-        "multilabel": [r.to_dict() for r in multi],
+        "unary": unary,
+        "multilabel": multilabel,
         "summary": bounds.bound_summary(single, multi),
     })
     violations = sum(not r.holds for r in single) + sum(not r.holds for r in multi)
@@ -717,18 +747,16 @@ def cmd_verify_bounds(cfg: dict, run: Run):
 # ---------------------------------------------------------------------------
 
 TOY_SPEC = dict(COMMON, **{
-    "bits": (int, 48, "embedding dimension r"),
-    "clusters": (int, 2, "number of clusters C"),
-    "sigma-grid": (_parse_float_list,
-                   (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0),
-                   "comma list of cluster stds"),
-    "d-grid": (_parse_float_list,
-               (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
-               "comma list of center distances"),
-    "samples-per-cluster": (int, 200, "points per cluster"),
-    "margin": (float, 1.0, "hinge margin"),
-    "triplet-samples": (int, 1_000_000, "sampled triplets per cell above the "
-                                        "enumeration threshold"),
+    "bits": (Int(1), 48, "embedding dimension r (at least --clusters)"),
+    "clusters": (Int(2), 2, "number of clusters C"),
+    "sigma-grid": (List(Float(0.0, lo_open=True), nonempty=True),
+                   "0.1,0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0", "cluster stds"),
+    "d-grid": (List(Float(0.0), nonempty=True),
+               "1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0", "center distances"),
+    "samples-per-cluster": (Int(2), 200, "points per cluster"),
+    "margin": (Float(0.0), 1.0, "hinge margin"),
+    "triplet-samples": (Int(1), 1_000_000, "sampled triplets per cell above the "
+                                           "enumeration threshold"),
 })
 
 
@@ -742,10 +770,11 @@ def cmd_lambda_toy(cfg: dict, run: Run):
     except PreconditionError as exc:
         raise ValidationError(str(exc)) from None
     rows = bounds.toy_lambda_grid(toy, threads=cfg["threads"])
+    cells = [r.to_dict() for r in rows]
     with atomic_path(run.path("lambda_grid.csv")) as tmp:
-        bounds.write_rows_csv(tmp, rows, bounds.TOY_CSV_FIELDS)
+        bounds.write_rows_csv(tmp, cells, bounds.ToyCell)
     run.register("lambda_grid.csv")
-    run.save_json("lambda_grid.json", [r.to_dict() for r in rows])
+    run.save_json("lambda_grid.json", cells)
     lams = [r.lambda_estimate for r in rows if not r.degenerate]
     run.result = {
         "cells": len(rows),
@@ -758,13 +787,6 @@ def cmd_lambda_toy(cfg: dict, run: Run):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-# The preset tables each command's --preset and --hp-preset name into.
-PRESETS = {
-    "gen": {"preset": SYNTH_PRESETS},
-    "train": {"preset": TRAIN_PRESETS, "hp-preset": model.HP_PRESETS},
-    "train-semi": {"preset": TRAIN_PRESETS, "hp-preset": model.HP_PRESETS},
-}
 
 COMMANDS = {
     "gen": (GEN_SPEC, cmd_gen, "generate synthetic train/query/db datasets"),
@@ -791,7 +813,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        _add_spec_args(p, spec)
+        for key, (domain, default, help_text) in spec.items():
+            shown = "unset" if default is None else default if default != "" else "empty"
+            p.add_argument(f"--{key}", dest=key.replace("-", "_"), default=None,
+                           help=f"{help_text}; {domain} (default: {shown})")
     return parser
 
 

@@ -122,6 +122,10 @@ class SyntheticConfig:
                                     "non-negative")
         if self.multilabel_p is not None and not 0.0 < self.multilabel_p < 1.0:
             raise PreconditionError("multilabel_p must lie in (0, 1)")
+        # one class leaves every label row empty or full, which is redrawn
+        if self.multilabel_p is not None and self.C < 2:
+            raise PreconditionError(f"a multilabel draw needs at least 2 classes, "
+                                    f"got C={self.C}")
 
 
 def _draw_prototypes(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:

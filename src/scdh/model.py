@@ -332,10 +332,7 @@ class TrainReport:
     final_quantization: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": [e.to_dict() for e in self.epochs],
-            "final_quantization": self.final_quantization,
-        }
+        return asdict(self)
 
 
 def mean_quantization(model: EmbeddingModel, features, hp: Hyperparams) -> float:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,10 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from scdh import cli, data, model, retrieval
+from scdh import bounds, cli, data, model, retrieval
 from scdh.data import (Dataset, SyntheticConfig, labels_from_sets, load_dataset,
                        save_dataset, strip_labels)
+from scdh.errors import PreconditionError
 
 from conftest import gen_gaussian_clusters
 
@@ -241,7 +245,8 @@ class TestValidation:
         ["train-semi", "--hidden", "0"],
     ])
     def test_bad_sizes_fail_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
-        # training never reads its data; no command writes a data file
+        # refused while the config resolves: no data is read, and no --out
+        # directory is made
         junk = tmp_path / "junk.scds"
         junk.write_bytes(b"not a dataset")
         loads = []
@@ -252,7 +257,7 @@ class TestValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert not loads
-        assert not [p for p in out.iterdir() if p.suffix in (".scds", ".ckpt")]
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [
         (["gen", "--db-per-class", "-2"], "--db-per-class"),
@@ -950,13 +955,11 @@ class TestDatabasePasses:
 
 
 def spec_argv(spec: dict) -> list[str]:
-    """A flag for every key of a command's spec, each with a value its
-    parser takes."""
-    sample = {int: "3", float: "0.5", str: "x", cli._parse_int_list: "4,2",
-              cli._parse_float_list: "0.5,1", cli._parse_schedule: "2:0.5"}
+    """A flag for every key of a command's spec, each with its default's
+    text, or x where the flag is unset by default."""
     argv = []
-    for key, (parse, _default, _help) in spec.items():
-        argv += [f"--{key}", sample[parse or str]]
+    for key, (_domain, default, _help) in spec.items():
+        argv += [f"--{key}", "x" if default is None else str(default)]
     return argv
 
 
@@ -1041,3 +1044,193 @@ class TestFlagContract:
         assert cli.main([*argv, "--config", str(cfg)]) == 1
         assert "balance" in json.loads(capsys.readouterr().err)["message"]
         assert "balance" in cli.TRAIN_SPEC and "balance" not in cli.TRAIN_SEMI_SPEC
+
+
+DOMAINS = (cli.Int, cli.Float, cli.Choice, cli.List, cli.Schedule, cli.File)
+
+
+def bad_values(domain) -> list:
+    """Values outside ``domain``, worked out from its bounds alone: flag
+    texts, and JSON values a --config file could hold."""
+    wrong_types = [True, None, [1], {"a": 1}]
+    if isinstance(domain, cli.Int):
+        out = [domain.lo - 1, str(domain.lo - 1), "nan", "inf", "", "1.5", 1.5, "x",
+               *(v for v in (-1, 0, "-1", "0") if int(v) < domain.lo)]
+        if domain.hi is not None:
+            out += [domain.hi + 1, str(domain.hi + 1)]
+        return out + wrong_types
+    if isinstance(domain, cli.Float):
+        below = float(np.nextafter(domain.lo, -np.inf))
+        out = [below, repr(below), "nan", "-nan", "inf", "-inf", "1e400", "", "x",
+               *(v for v in (-1, 0) if v < domain.lo or v == domain.lo and domain.lo_open)]
+        if domain.lo_open:
+            out += [domain.lo, repr(domain.lo)]
+        if domain.hi != np.inf:
+            above = float(np.nextafter(domain.hi, np.inf))
+            out += [above, repr(above), *([domain.hi, repr(domain.hi)] if domain.hi_open
+                                          else [])]
+        return out + wrong_types
+    if isinstance(domain, cli.Choice):
+        name = sorted(domain.names)[0]
+        return ["", "nope", name.upper(), f" {name}", 1] + wrong_types
+    if isinstance(domain, cli.File):
+        out = ["", 1] + wrong_types[:1] + wrong_types[2:]
+        return out + ([".", "..", "manifest.json", "a/b", "b/"] if domain.plain else [])
+    if isinstance(domain, cli.Schedule):
+        return ["5", "1:2:3", "-1:0.5", "1:0", "1:-1", "1:nan", "1:inf", "x:0.5", ":0.5",
+                "1:", "1.5:0.5", "1:0.5,", ",1:0.5", " ", 1, ["1:0.5"]] + wrong_types
+    # a list: one entry outside the entry domain, between good ones
+    good = str(domain.entry.lo if isinstance(domain.entry, cli.Int) else
+               domain.entry.lo + 1.0 if domain.entry.hi == np.inf else
+               (domain.entry.lo + domain.entry.hi) / 2)
+    entries = [v for v in bad_values(domain.entry)
+               if isinstance(v, str) and v.strip() and "," not in v]
+    out = [f"{good},{bad}" for bad in entries] + [f"{bad},{good}" for bad in entries]
+    if domain.nonempty:
+        out += ["", " ", ","]
+    if domain.ascending:
+        out.append(f"{int(good) + 1},{good}")
+    return out + [1, [good]] + wrong_types
+
+
+# The readers and generators a command would call first; a value refused
+# while the config resolves reaches none of them.
+READERS = [(data, "load_dataset"), (data, "open_dataset"), (model, "load_checkpoint"),
+           (retrieval, "load_codes"), (data, "make_cluster_splits"),
+           (data, "make_multilabel_splits")]
+
+
+class TestFlagDomains:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_entry_has_a_domain_holding_its_default(self, command):
+        spec = cli.COMMANDS[command][0]
+        sub = [a for a in cli.build_parser(command)._actions
+               if isinstance(a, argparse._SubParsersAction)][0].choices[command]
+        helps = {a.dest: a.help for a in sub._actions}
+        for key, (domain, default, _help) in spec.items():
+            assert isinstance(domain, DOMAINS), key
+            if default is not None:                    # None: unset
+                cli._check(spec, key, f"--{key}", default)
+            # --help shows the domain from the same table
+            assert str(domain) in helps[key.replace("-", "_")], key
+            for bad in bad_values(domain):
+                with pytest.raises(ValueError):
+                    domain.parse(bad)
+
+    @pytest.mark.parametrize("command", ["gen", "train", "train-semi"])
+    def test_every_preset_value_lies_in_its_domain(self, command):
+        spec = cli.COMMANDS[command][0]
+        tables = [d.names for d, _, _ in spec.values()
+                  if isinstance(d, cli.Choice) and isinstance(d.names, dict)]
+        assert tables
+        for table in tables:
+            for values in table.values():
+                for key, value in values.items():
+                    key = key.replace("_", "-")
+                    # train takes the training presets but not their
+                    # mean-teacher settings
+                    if key in spec:
+                        cli._check(spec, key, f"--{key}", value)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_an_out_of_domain_value_exits_1_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch, draw):
+        for module, name in READERS:
+            monkeypatch.setattr(module, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+        command = draw.draw(st.sampled_from(list(cli.COMMANDS)), label="command")
+        spec = cli.COMMANDS[command][0]
+        key = draw.draw(st.sampled_from(list(spec)), label="flag")
+        value = draw.draw(st.sampled_from(bad_values(spec[key][0])), label="value")
+        via_config = not isinstance(value, str) or draw.draw(st.booleans(), label="config")
+        run_dir = tmp_path / f"ex{len(list(tmp_path.iterdir()))}"
+        run_dir.mkdir()
+        out = run_dir / "out"
+        if via_config:
+            (run_dir / "c.json").write_text(json.dumps({key: value}))
+            argv = [command, "--config", str(run_dir / "c.json")]
+        else:
+            argv = [command, f"--{key}={value}"]
+        capsys.readouterr()
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validation"
+        assert (repr(key) if via_config else f"--{key}") in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("bits", "abc"), ("lr-schedule", "5"),
+                                             ("hidden", "a")])
+    def test_flag_text_and_config_value_take_one_path(self, tmp_path, capsys, flag, value):
+        # flag text and the same --config string take one parse path
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({flag: value}))
+        messages = []
+        for argv in ([f"--{flag}", value], ["--config", str(cfg)]):
+            assert cli.main(["train", *argv, "--out", str(tmp_path / "o")]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            messages.append(json.loads(lines[0])["message"])
+        domain = cli.TRAIN_SPEC[flag][0]
+        assert messages == [f"--{flag} must be {domain}, got {value}",
+                            f"config key {flag!r} must be {domain}, got {value}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_multilabel_gen_needs_two_classes(self, tmp_path, capsys, monkeypatch):
+        # one class leaves every label row empty or full, which the sampler
+        # would redraw without end: refused before any sampling
+        monkeypatch.setattr(data, "_sample_label_matrix",
+                            lambda *a: pytest.fail("labels drawn"))
+        with pytest.raises(PreconditionError, match="at least 2 classes"):
+            SyntheticConfig(C=1, feature_dim=2, cluster_std=1.0, center_spread=1.0,
+                            samples_per_class=2, multilabel_p=0.3)
+        assert cli.main(["gen", "--mode", "multi", "--classes", "1", "--n-query", "2",
+                         "--n-db", "2", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "--classes 1" in err["message"]
+        assert not list(tmp_path.glob("*.scds"))
+
+    @pytest.mark.parametrize("flag, value", [("balance", "1"), ("keep-labels", "0.5")])
+    def test_multilabel_gen_refuses_single_label_steps(self, tmp_path, capsys, monkeypatch,
+                                                       flag, value):
+        # balancing and label stripping take one label per sample: refused
+        # before any split is drawn
+        for name in ("make_cluster_splits", "make_multilabel_splits"):
+            monkeypatch.setattr(data, name, lambda *a: pytest.fail("splits drawn"))
+        assert cli.main(["gen", "--mode", "multi", f"--{flag}", value,
+                         "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation",
+                       "message": f"--{flag} {float(value) if flag == 'keep-labels' else value}"
+                                  " needs --mode single, got --mode multi"}
+        assert not list(tmp_path.glob("*.scds"))
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "manifest.json", "sub/codes.scdh",
+                                      "codes.scdh/"])
+    def test_encode_name_is_one_file_name(self, tmp_path, capsys, name):
+        # the code file is one name in --out, beside manifest.json
+        ckpt, path = tmp_path / "m.ckpt", tmp_path / "d.scds"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 8, 0), model.Hyperparams())
+        save_dataset(Dataset(np.arange(6), np.ones((6, 4)), np.eye(3, dtype=bool)[[0, 1, 2] * 2]),
+                     path)
+        out = tmp_path / "r"
+        argv = ["encode", "--model", str(ckpt), "--data", str(path), "--out", str(out)]
+        assert cli.main([*argv, f"--name={name}"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "--name must be" in err["message"]
+        assert not out.exists()
+        assert cli.main([*argv, "--name", "manifest.scdh"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == ["manifest.scdh"]
+
+    def test_empty_multilabel_report_keeps_its_header(self, tmp_path):
+        # the CSV header comes from the report dataclass, not its rows
+        assert cli.main(["verify-bounds", "--instances", "3", "--ml-configs", "0",
+                         "--trials", "1000", "--out", str(tmp_path)]) == 0
+        header = ",".join(f.name for f in dataclasses.fields(bounds.BoundReport))
+        assert (tmp_path / "multilabel_bounds.csv").read_text() == header + "\n"
+        assert (tmp_path / "unary_bounds.csv").read_text().startswith(header + "\n")
+        report = bounds.BoundReport(1.0, 2.0, 0.5, 0.25, True)
+        assert report.to_dict() == dataclasses.asdict(report)
