@@ -37,13 +37,10 @@ from .losses import (
     softmax_loss,
 )
 from .meanteacher import (
-    SemiDataset,
-    TeacherState,
     consistency_losses,
     ema_update,
     perturb,
     train_mt_scdh,
-    train_scdh,
 )
 from .model import (
     EmbeddingModel,

@@ -106,14 +106,18 @@ class Run:
     """Collects outputs and writes the manifest for one command."""
 
     def __init__(self, command: str, out_dir: str, config: dict):
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ValidationError(f"--out {out_dir} is not a directory")
         self.command = command
         self.out_dir = out_dir
         self.config = config
         self.outputs: list[str] = []
         self.result: dict = {}
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
+        """Where output ``name`` is written.  The --out directory is made
+        here, so a run refused before its first output leaves none."""
+        os.makedirs(self.out_dir, exist_ok=True)
         return os.path.join(self.out_dir, name)
 
     def register(self, name: str):
@@ -229,20 +233,24 @@ class List:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Learning-rate steps "epoch:multiplier", none blank, as a tuple of pairs."""
+    """Learning-rate steps "epoch:multiplier", none blank and in epoch order,
+    as a tuple of pairs."""
 
     epoch: Int = Int(0)
     multiplier: Float = Float(0.0, lo_open=True)
 
     def __str__(self):
-        return (f"a comma list of epoch:multiplier steps, the epoch {self.epoch} and the "
-                f"multiplier {self.multiplier}")
+        return (f"a comma list of epoch:multiplier steps in epoch order, the epoch "
+                f"{self.epoch} and the multiplier {self.multiplier}")
 
     def parse(self, raw):
         if not isinstance(raw, str):
             raise ValueError
         steps = [step.split(":") for step in raw.split(",")] if raw else []
-        return tuple((self.epoch.parse(e), self.multiplier.parse(m)) for e, m in steps)
+        steps = tuple((self.epoch.parse(e), self.multiplier.parse(m)) for e, m in steps)
+        if [e for e, _ in steps] != sorted(e for e, _ in steps):
+            raise ValueError
+        return steps
 
 
 @dataclass(frozen=True)
@@ -338,13 +346,27 @@ def _require_finite(features: np.ndarray, ids: np.ndarray, what: str, first_row:
                               "non-finite feature value")
 
 
-def _require_trainable(dataset: data.Dataset, what: str):
-    """Reject features and label sets that training cannot use, before epoch 0."""
+def _require_trainable(dataset: data.Dataset, what: str,
+                       unlabeled: bool = False) -> np.ndarray:
+    """Reject features and label sets that training cannot use, before a
+    network is built; return the labeled-row mask.  ``unlabeled`` says the
+    command trains on the unlabeled rows too: then no id may name both a
+    labeled and an unlabeled row."""
     _require_finite(dataset.features, dataset.ids, what)
     try:
         losses.require_negative_class(dataset.labels)
     except LabelSetError as exc:
         raise ValidationError(f"{what}: {exc}") from None
+    mask = dataset.labeled_mask()
+    if not mask.any():
+        raise ValidationError(f"{what}: no row carries a label; training needs "
+                              "at least one labeled row")
+    if unlabeled:
+        shared = np.intersect1d(dataset.ids[mask], dataset.ids[~mask])
+        if shared.size:
+            raise ValidationError(f"{what}: id {int(shared[0])} names both a labeled "
+                                  "and an unlabeled row")
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +470,7 @@ TRAIN_SEMI_SPEC = dict(COMMON, **_TRAIN_BASE, **{
 
 def hyperparams(cfg: dict) -> model.Hyperparams:
     """The training hyperparameters of a resolved train or train-semi config;
-    the cross-field checks of ``model.Hyperparams`` exit 1."""
+    the cross-field check of ``model.Hyperparams`` exits 1."""
     try:
         return model.Hyperparams(
             lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
@@ -459,7 +481,9 @@ def hyperparams(cfg: dict) -> model.Hyperparams:
             seed=cfg["seed"],
         )
     except ScdhError as exc:
-        raise ValidationError(str(exc)) from None
+        # the flag domains leave only the duality of the Hoelder exponents
+        raise ValidationError(f"--holder-p {cfg['holder-p']} --holder-q "
+                              f"{cfg['holder-q']}: {exc}") from None
 
 
 def _report_files(run: Run, report: model.TrainReport):
@@ -473,15 +497,22 @@ def cmd_train(cfg: dict, run: Run):
     hp = hyperparams(cfg)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
-    _require_trainable(dataset, "--data")
-    if not dataset.labeled_mask().all():
-        labeled_idx = np.nonzero(dataset.labeled_mask())[0]
-        log.info("training on the %d labeled samples only", len(labeled_idx))
-        dataset = dataset.subset(labeled_idx)
+    labeled = _require_trainable(dataset, "--data")
+    if not labeled.all():
+        log.info("training on the %d labeled samples only", np.count_nonzero(labeled))
+        dataset = dataset.subset(np.flatnonzero(labeled))
     if cfg["balance"]:
-        dataset = data.balance_upsample(dataset, seed=cfg["seed"])
-    net, report = meanteacher.train_scdh(dataset, hp, r=cfg["bits"],
-                                         hidden=cfg["hidden"])
+        multi = np.flatnonzero(dataset.labels.sum(axis=1) > 1)
+        if multi.size:
+            raise ValidationError(f"--balance 1 needs single-label rows, but --data has "
+                                  f"{multi.size} multilabel rows (the first: id "
+                                  f"{int(dataset.ids[multi[0]])})")
+        try:
+            dataset = data.balance_upsample(dataset, seed=cfg["seed"])
+        except PreconditionError as exc:
+            raise ValidationError(f"--balance 1: {exc}") from None
+    net, _, report = meanteacher.train_mt_scdh(dataset, hp, r=cfg["bits"],
+                                               hidden=cfg["hidden"])
     with atomic_path(run.path("model.ckpt")) as tmp:
         model.save_checkpoint(tmp, net, hp)
     run.register("model.ckpt")
@@ -494,21 +525,21 @@ def cmd_train_semi(cfg: dict, run: Run):
     hp = hyperparams(cfg)
     _require_file(cfg["data"], "--data")
     dataset = data.load_dataset(cfg["data"])
-    _require_trainable(dataset, "--data")
-    semi = meanteacher.SemiDataset.from_partial(dataset)
+    labeled = _require_trainable(dataset, "--data", unlabeled=True)
     student, teacher, report = meanteacher.train_mt_scdh(
-        semi, hp, w=cfg["w"], ema_decay=cfg["ema-decay"],
+        dataset, hp, w=cfg["w"], ema_decay=cfg["ema-decay"],
         noise_std=cfg["noise-std"], r=cfg["bits"], hidden=cfg["hidden"],
         ramp_fraction=cfg["ramp-fraction"])
     with atomic_path(run.path("model.ckpt")) as tmp:
-        model.save_checkpoint(tmp, student, hp, teacher=teacher.model,
+        model.save_checkpoint(tmp, student, hp, teacher=teacher,
                               extra_meta={"ema_decay": cfg["ema-decay"],
                                           "consistency_weight": cfg["w"],
                                           "noise_std": cfg["noise-std"]})
     run.register("model.ckpt")
     _report_files(run, report)
     run.result = {"final_quantization": report.final_quantization,
-                  "labeled": semi.labeled.n, "unlabeled": semi.unlabeled.n}
+                  "labeled": int(np.count_nonzero(labeled)),
+                  "unlabeled": int(np.count_nonzero(~labeled))}
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +799,9 @@ def cmd_lambda_toy(cfg: dict, run: Run):
                                seed=cfg["seed"], margin=cfg["margin"],
                                triplet_samples=cfg["triplet-samples"])
     except PreconditionError as exc:
-        raise ValidationError(str(exc)) from None
+        # the flag domains leave only the code length against the cluster count
+        raise ValidationError(f"--bits {cfg['bits']} --clusters {cfg['clusters']}: "
+                              f"{exc}") from None
     rows = bounds.toy_lambda_grid(toy, threads=cfg["threads"])
     cells = [r.to_dict() for r in rows]
     with atomic_path(run.path("lambda_grid.csv")) as tmp:

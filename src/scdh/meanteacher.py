@@ -1,12 +1,14 @@
-"""The training loop: semi-supervised with an exponential-moving-average
-teacher, and supervised as its special case.
+"""The one training entry: supervised, or semi-supervised with an
+exponential-moving-average teacher.
 
+``train_mt_scdh`` takes one ``Dataset``; a row with no label is unlabeled.
 The student takes the supervised objective on labeled rows and the
-quantization penalty on unlabeled rows; a teacher copy tracks it by EMA and
-supplies consistency targets for both the classifier logits and the
-negative center-distance vector, each compared after a softmax under
-independent input perturbations.  Supervised training (``train_scdh``) is
-the same loop with no unlabeled rows, no noise and no teacher.
+quantization penalty on unlabeled rows.  With a teacher, a copy of the
+student tracks it by EMA and supplies consistency targets for both the
+classifier logits and the negative center-distance vector, each compared
+after a softmax under independent input perturbations.  Called with no
+consistency arguments, it trains the supervised model: no noise and no
+teacher.
 """
 
 from __future__ import annotations
@@ -31,55 +33,20 @@ from .model import (
     warmup_project,
 )
 
+# The mean-teacher settings of train-semi; the library defaults are supervised.
 DEFAULT_CONSISTENCY_WEIGHT = 50.0
 DEFAULT_EMA_DECAY = 0.999
 DEFAULT_NOISE_STD = 0.1
 
 
-@dataclass
-class TeacherState:
-    """EMA shadow of the student; only ema_update may touch its parameters."""
-
-    model: EmbeddingModel
-    ema_decay: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise PreconditionError("ema_decay must lie in [0, 1)")
-
-
-@dataclass
-class SemiDataset:
-    """Labeled pool plus disjoint unlabeled pool."""
-
-    labeled: Dataset
-    unlabeled: Dataset
-
-    def __post_init__(self):
-        if self.labeled.n == 0:
-            raise PreconditionError("labeled set must be nonempty")
-        if not self.labeled.labeled_mask().all():
-            raise PreconditionError("labeled split contains unlabeled rows")
-        if set(self.labeled.ids.tolist()) & set(self.unlabeled.ids.tolist()):
-            raise PreconditionError("labeled and unlabeled ids overlap")
-        if self.unlabeled.n and self.unlabeled.dim != self.labeled.dim:
-            raise DimensionMismatch("labeled/unlabeled feature widths differ")
-
-    @classmethod
-    def from_partial(cls, dataset: Dataset) -> "SemiDataset":
-        mask = dataset.labeled_mask()
-        return cls(dataset.subset(np.nonzero(mask)[0]),
-                   dataset.subset(np.nonzero(~mask)[0]))
-
-
-def ema_update(teacher: TeacherState, student: EmbeddingModel,
-               decay: float) -> TeacherState:
+def ema_update(teacher: EmbeddingModel, student: EmbeddingModel,
+               decay: float) -> EmbeddingModel:
     """theta_T <- decay * theta_T + (1 - decay) * theta_S, elementwise."""
     if not 0.0 <= decay < 1.0:
         raise PreconditionError("decay must lie in [0, 1)")
-    if teacher.model.layout != student.layout:
+    if teacher.layout != student.layout:
         raise DimensionMismatch("teacher and student parameter layouts differ")
-    t = teacher.model.theta
+    t = teacher.theta
     t *= decay
     t += (1.0 - decay) * student.theta
     return teacher
@@ -168,28 +135,30 @@ def _consistency_term(teacher_logits: np.ndarray, teacher_negdists: np.ndarray,
     return add
 
 
-def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
-                  w: float = DEFAULT_CONSISTENCY_WEIGHT,
-                  ema_decay: float | None = DEFAULT_EMA_DECAY,
-                  noise_std: float = DEFAULT_NOISE_STD, *, r: int,
-                  hidden=(64,), ramp_fraction: float = 0.2
-                  ) -> tuple[EmbeddingModel, TeacherState | None, TrainReport]:
-    """The training loop, semi-supervised or, with no teacher, supervised.
+def train_mt_scdh(dataset: Dataset, hp: Hyperparams, w: float = 0.0,
+                  ema_decay: float | None = None, noise_std: float = 0.0, *,
+                  r: int, hidden=(64,), ramp_fraction: float = 0.2
+                  ) -> tuple[EmbeddingModel, EmbeddingModel | None, TrainReport]:
+    """The one training entry: supervised by default, semi-supervised with a
+    teacher.
 
-    Each step draws a mixed batch from the shuffled labeled+unlabeled pool,
-    perturbs the student and teacher inputs independently, applies the full
-    supervised objective to labeled rows, the quantization penalty to
-    unlabeled rows, and the consistency terms to every row; the student is
-    updated by SGD and the teacher by EMA with the warm-up decay
+    Rows with an all-False label row are unlabeled.  The rows are gathered
+    once, the labeled ones in dataset order and then the unlabeled ones in
+    dataset order; the shuffle indexes into that order.  Each step draws a
+    mixed batch, perturbs the student and teacher inputs independently,
+    applies the full supervised objective to labeled rows, the quantization
+    penalty to unlabeled rows, and the consistency terms to every row; the
+    student is updated by SGD and the teacher by EMA with the warm-up decay
     min(1 - 1/(step+1), ema_decay).  The first ``hp.warmup_epochs`` epochs
     project the center columns to norm ``hp.warmup_norm_s`` after every
     step.  The consistency weight ramps linearly from zero over the first
     ``ramp_fraction`` of training, so it is exactly zero at step 0.
 
-    ``ema_decay=None`` means no teacher: no copy, no EMA update, no teacher
-    forward; ``w`` must then be 0 and the returned teacher is None.  Epoch
-    report fields are means over the labeled rows, summed row by row.
-    Deterministic given (data, hp) under single-threaded execution.
+    ``ema_decay=None``, the default, means no teacher: no copy, no EMA
+    update, no teacher forward; ``w`` must then be 0 and the returned teacher
+    is None.  Epoch report fields are means over the labeled rows, summed row
+    by row.  Deterministic given (dataset, hp) under single-threaded
+    execution.
     """
     if not (0.0 <= w < math.inf and 0.0 <= noise_std < math.inf
             and 0.0 <= ramp_fraction <= 1.0):
@@ -199,26 +168,24 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
         raise PreconditionError("a consistency weight needs a teacher (ema_decay)")
     if ema_decay is not None and not 0.0 <= ema_decay < 1.0:
         raise PreconditionError("ema_decay must lie in [0, 1)")
+    mask = dataset.labeled_mask()
+    n_lab = int(np.count_nonzero(mask))
+    if n_lab == 0:
+        raise PreconditionError("labeled set must be nonempty")
+    losses.require_negative_class(dataset.labels)
     root = np.random.SeedSequence(hp.seed)
     init_ss, shuffle_ss, project_ss, noise_ss = root.spawn(4)
-    losses.require_negative_class(data.labeled.labels)
-    dims = (data.labeled.dim, *hidden)
-    C = data.labeled.label_count
-    student = init_model(dims, C, r, init_ss)
-    teacher = None if ema_decay is None else TeacherState(student.copy(), ema_decay)
+    student = init_model((dataset.dim, *hidden), dataset.label_count, r, init_ss)
+    teacher = None if ema_decay is None else student.copy()
     rng = np.random.default_rng(shuffle_ss)
     project_rng = np.random.default_rng(project_ss)
     noise_rng = np.random.default_rng(noise_ss)
 
-    n_lab = data.labeled.n
-    features = np.concatenate([
-        data.labeled.features,
-        data.unlabeled.features.reshape(-1, data.labeled.dim),
-    ], dtype=np.float64)
-    # unlabeled rows get zero label rows: the kernel gives them quantization only
-    Y = np.zeros((features.shape[0], C), dtype=bool)
-    Y[:n_lab] = data.labeled.labels
-    n_total = features.shape[0]
+    # labeled rows first: the shuffle and the final mean take this order
+    order = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
+    features = dataset.features[order].astype(np.float64)
+    Y = dataset.labels[order]
+    n_total = dataset.n
     steps_per_epoch = (n_total + hp.batch_size - 1) // hp.batch_size
     ramp_steps = max(1, round(ramp_fraction * hp.epochs)) * steps_per_epoch
 
@@ -238,9 +205,9 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
             w_eff = w * min(1.0, step / ramp_steps)
             if w_eff > 0.0:
                 Ft, logits_t, _ = forward_batch(
-                    teacher.model, perturb(features[idx], noise_std, noise_rng))
+                    teacher, perturb(features[idx], noise_std, noise_rng))
                 consistency = _consistency_term(
-                    logits_t, negative_center_distances(Ft, teacher.model.centers),
+                    logits_t, negative_center_distances(Ft, teacher.centers),
                     w_eff, hp.mu)
                 cons_count += len(idx)
             rows, cons = _sgd_step(student, X, Y[idx], hp, lr, consistency)
@@ -261,13 +228,3 @@ def train_mt_scdh(data: SemiDataset, hp: Hyperparams,
             consistency_loss=cons_sum / max(cons_count, 1)))
     report.final_quantization = mean_quantization(student, features, hp)
     return student, teacher, report
-
-
-def train_scdh(dataset: Dataset, hp: Hyperparams, *, r: int,
-               hidden=(64,)) -> tuple[EmbeddingModel, TrainReport]:
-    """Supervised training on a fully labeled dataset: ``train_mt_scdh`` with
-    no unlabeled rows, no consistency term, no noise and no teacher."""
-    empty = dataset.subset(np.array([], dtype=int))
-    student, _, report = train_mt_scdh(SemiDataset(dataset, empty), hp, 0.0, None,
-                                       0.0, r=r, hidden=hidden)
-    return student, report

@@ -9,9 +9,9 @@ the summed per-sample objective
     l_c(F(x), y) + mu * l_1(x, y) + lam * |F(x) - c_y| + alpha * l_q(F(x))
 
 with the multilabel substitution applied whenever a sample carries more than
-one label; unlabeled rows get the quantization term only.  The training loop
-that drives these steps lives in ``scdh.meanteacher``: supervised training is
-that loop with no unlabeled rows and no teacher.  All arithmetic is float64
+one label; unlabeled rows get the quantization term only.  The one training
+entry that drives these steps, ``meanteacher.train_mt_scdh``, trains the
+supervised model when called without a teacher.  All arithmetic is float64
 and single-threaded deterministic.
 """
 
@@ -201,24 +201,6 @@ def forward_batch(model: EmbeddingModel, X) -> tuple[np.ndarray, np.ndarray, lis
     return F, logits, acts
 
 
-def _accumulate_loss_grads(model: EmbeddingModel, F: np.ndarray, logits: np.ndarray,
-                           labels: np.ndarray, hp: Hyperparams,
-                           grad_F: np.ndarray, grad_logits: np.ndarray,
-                           centers_grad: np.ndarray) -> losses.SculBatch:
-    """Add the objective's gradients for a batch; return its per-row terms.
-
-    ``labels`` is the batch's (n, C) label matrix.  One call of the
-    unary-loss kernel serves every row; unlabeled rows get the quantization
-    term only.
-    """
-    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
-                          hp.holder_p, hp.holder_q)
-    grad_F += k.grad_embedding + hp.alpha * k.grad_quantization
-    grad_logits += hp.mu * k.grad_logits
-    centers_grad += k.grad_centers
-    return k
-
-
 def _backprop_chain(model: EmbeddingModel, acts: list, grad_F: np.ndarray,
                     grad_logits: np.ndarray, grads: dict[str, np.ndarray]):
     """Backpropagate output gradients through the affine trunk, adding them
@@ -272,8 +254,12 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
     grad_logits = np.zeros_like(logits)
     grad = np.zeros_like(model.theta)
     grads = model.blocks(grad)
-    k = _accumulate_loss_grads(model, F, logits, labels, hp, grad_F, grad_logits,
-                               grads["centers"])
+    # one kernel call serves every row; unlabeled rows get quantization only
+    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
+                          hp.holder_p, hp.holder_q)
+    grad_F += k.grad_embedding + hp.alpha * k.grad_quantization
+    grad_logits += hp.mu * k.grad_logits
+    grads["centers"] += k.grad_centers
     extra = 0.0
     if consistency is not None:
         extra = consistency(logits, k, grad_F, grad_logits, grads["centers"])

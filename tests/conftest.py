@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scdh import model
 from scdh.data import (Dataset, SyntheticConfig, _draw_prototypes, sample_clusters,
                        sample_multilabel)
 from scdh.errors import PreconditionError
@@ -24,6 +25,19 @@ def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12))
+
+
+def step_gradient(net, X, labels, hp) -> np.ndarray:
+    """The gradient vector of one ``model._sgd_step``, caught at its SGD
+    update, which is skipped: ``net`` is left as it was."""
+    caught = []
+    real = model.sgd_update
+    model.sgd_update = lambda _net, grad, _lr, _momentum: caught.append(grad)
+    try:
+        model._sgd_step(net, X, labels, hp, hp.lr)
+    finally:
+        model.sgd_update = real
+    return caught[0]
 
 
 @pytest.fixture

@@ -22,11 +22,10 @@ from scdh.data import (
     make_multilabel_splits,
     strip_labels,
 )
-from scdh.meanteacher import train_scdh
 from scdh.model import Hyperparams, extract_embeddings
 
 import oracles
-from conftest import central_diff, rel_err
+from conftest import central_diff, rel_err, step_gradient
 
 
 def report(criterion, name, detail=""):
@@ -171,14 +170,7 @@ def test_criterion_1_gradient_suite():
             Y = [frozenset(rng.choice(3, size=2, replace=False).tolist())]
         else:
             Y = [frozenset({int(rng.integers(3))})]
-        F, logits, acts = model.forward_batch(net, X)
-        grad_F = np.zeros_like(F)
-        grad_logits = np.zeros_like(logits)
-        grads = net.blocks(np.zeros_like(net.theta))
-        model._accumulate_loss_grads(net, F, logits, labels_from_sets(Y, 3), hp,
-                                     grad_F, grad_logits,
-                                     grads["centers"])
-        model._backprop_chain(net, acts, grad_F, grad_logits, grads)
+        grads = net.blocks(step_gradient(net, X, labels_from_sets(Y, 3), hp))
         inst_err = 0.0
         for analytic, p in zip(grads.values(), net.parameters()):
             num = np.zeros_like(p)
@@ -313,7 +305,7 @@ def test_criterion_6_synthetic_retrieval():
                          batch_size=64, lr=1e-3, momentum=0.9,
                          lr_schedule=((20, 0.2),), seed=seed)
         t0 = time.monotonic()
-        net, rep = train_scdh(train, hp, r=24, hidden=(64,))
+        net, _, rep = mt.train_mt_scdh(train, hp, r=24, hidden=(64,))
         elapsed = time.monotonic() - t0
         assert elapsed < 120.0, f"seed {seed} training took {elapsed:.1f}s"
         final_lqs.append(rep.final_quantization)
@@ -345,7 +337,7 @@ def test_criterion_7_multilabel_retrieval():
                          batch_size=64, lr=1e-3, momentum=0.9,
                          lr_schedule=((20, 0.2),), seed=seed)
         t0 = time.monotonic()
-        net, _ = train_scdh(train, hp, r=24, hidden=(64,))
+        net, _, _ = mt.train_mt_scdh(train, hp, r=24, hidden=(64,))
         elapsed = time.monotonic() - t0
         assert elapsed < 180.0, f"seed {seed} training took {elapsed:.1f}s"
         qi, di = eval_codes(net, query, db)
@@ -363,13 +355,13 @@ def test_criterion_8_mean_teacher_non_degradation():
                               seed=seed)
         train, query, db = make_cluster_splits(cfg, query_per_class=50,
                                                db_per_class=250)
-        semi = mt.SemiDataset.from_partial(
-            strip_labels(train, 0.10, seed=seed + 1000))
+        semi = strip_labels(train, 0.10, seed=seed + 1000)
 
         hp_base = Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=60,
                               batch_size=32, lr=2e-3, momentum=0.9,
                               lr_schedule=((40, 0.2),), seed=seed)
-        base_net, _ = train_scdh(semi.labeled, hp_base, r=24, hidden=(64,))
+        labeled = semi.subset(np.flatnonzero(semi.labeled_mask()))
+        base_net, _, _ = mt.train_mt_scdh(labeled, hp_base, r=24, hidden=(64,))
         qi, di = eval_codes(base_net, query, db)
         base_map = rt.evaluate(qi, di).map
 
@@ -378,7 +370,7 @@ def test_criterion_8_mean_teacher_non_degradation():
                             lr_schedule=((30, 0.2),), seed=seed)
         _, teacher, _ = mt.train_mt_scdh(semi, hp_mt, w=0.1, ema_decay=0.99,
                                          noise_std=0.15, r=24, hidden=(64,))
-        qi, di = eval_codes(teacher.model, query, db)
+        qi, di = eval_codes(teacher, query, db)
         teacher_map = rt.evaluate(qi, di).map
 
         base_maps.append(base_map)

@@ -1046,6 +1046,98 @@ class TestFlagContract:
         assert "balance" in cli.TRAIN_SPEC and "balance" not in cli.TRAIN_SEMI_SPEC
 
 
+def training_file(path, labels, ids=None):
+    """A .scds file of ``len(labels)`` rows over 3 classes; ``None`` is unlabeled."""
+    n = len(labels)
+    features = np.random.default_rng(1).normal(size=(n, 4))
+    ids = np.arange(n) if ids is None else ids
+    save_dataset(Dataset(ids, features, labels_from_sets(labels, 3)), path)
+    return str(path)
+
+
+# Each cross-field or training-data refusal: its argv, given the tmp_path, and
+# its message.  None of them draws data, builds a network or makes the --out
+# directory.
+REFUSALS = {
+    "train-no-labeled-row": (
+        lambda t: ["train", "--data", training_file(t / "u.scds", [None] * 6)],
+        "--data: no row carries a label; training needs at least one labeled row"),
+    "train-semi-no-labeled-row": (
+        lambda t: ["train-semi", "--data", training_file(t / "u.scds", [None] * 6)],
+        "--data: no row carries a label; training needs at least one labeled row"),
+    "train-semi-shared-id": (
+        lambda t: ["train-semi", "--data", training_file(
+            t / "s.scds", [{0}, {1}, None, {2}, None, {0}], ids=[0, 1, 2, 3, 1, 5])],
+        "--data: id 1 names both a labeled and an unlabeled row"),
+    "train-balance-multilabel": (
+        lambda t: ["train", "--balance", "1", "--data", training_file(
+            t / "m.scds", [{0}, {1}, {0, 2}, None, {1, 2}, {2}])],
+        "--balance 1 needs single-label rows, but --data has 2 multilabel rows "
+        "(the first: id 2)"),
+    "train-balance-empty-class": (
+        lambda t: ["train", "--balance", "1", "--data", training_file(
+            t / "e.scds", [{0}, {1}, None, {0}, {1}, {1}])],
+        "--balance 1: class 2 has no members to upsample from"),
+    "train-holder": (
+        lambda t: ["train", "--holder-p", "3", "--holder-q", "2"],
+        "--holder-p 3.0 --holder-q 2.0: holder_p and holder_q must satisfy 1/p + 1/q = 1"),
+    "train-semi-holder": (
+        lambda t: ["train-semi", "--holder-p", "2", "--holder-q", "1.5"],
+        "--holder-p 2.0 --holder-q 1.5: holder_p and holder_q must satisfy 1/p + 1/q = 1"),
+    "train-lr-schedule-order": (
+        lambda t: ["train", "--lr-schedule", "10:0.2,5:0.2"],
+        f"--lr-schedule must be {cli.Schedule()}, got 10:0.2,5:0.2"),
+    "gen-multi-one-class": (
+        lambda t: ["gen", "--mode", "multi", "--classes", "1"],
+        "--classes 1 with --mode multi: a multilabel draw needs at least 2 classes, "
+        "got C=1"),
+    "gen-multi-balance": (
+        lambda t: ["gen", "--mode", "multi", "--balance", "1"],
+        "--balance 1 needs --mode single, got --mode multi"),
+    "lambda-toy-bits": (
+        lambda t: ["lambda-toy", "--bits", "2", "--clusters", "3"],
+        "--bits 2 --clusters 3: r=2 cannot hold the simplex of 3 cluster means "
+        "(need r >= C)"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refused_before_any_network_or_output(self, tmp_path, capsys, monkeypatch,
+                                                  case):
+        # each names the flags and values involved, exits 1 with one JSON
+        # line, and leaves no --out directory
+        for module, name in [(cli.meanteacher, "train_mt_scdh"), (cli.bounds, "toy_lambda_grid"),
+                             (cli.data, "make_multilabel_splits")]:
+            monkeypatch.setattr(module, name, lambda *a, _n=name, **kw: pytest.fail(_n))
+        argv, message = REFUSALS[case]
+        out = tmp_path / "out"
+        assert cli.main([*argv(tmp_path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "validation", "message": message}
+        assert not out.exists()
+
+    def test_train_takes_a_shared_id_file(self, tmp_path):
+        # train drops the unlabeled rows, so no id is shared among those it uses
+        argv, _ = REFUSALS["train-semi-shared-id"]
+        data_path = argv(tmp_path)[-1]
+        assert cli.main(["train", "--data", data_path, "--bits", "4", "--hidden", "4",
+                         "--epochs", "1", "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == ["model.ckpt", "train_report.csv",
+                                             "train_report.json"]
+
+    def test_out_naming_a_file_is_refused_first(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.bounds, "toy_lambda_grid", lambda *a, **kw: pytest.fail())
+        out = tmp_path / "taken"
+        out.write_text("x")
+        assert cli.main(["lambda-toy", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "message": f"--out {out} is not a directory"}
+        assert out.read_text() == "x"
+
+
 DOMAINS = (cli.Int, cli.Float, cli.Choice, cli.List, cli.Schedule, cli.File)
 
 

@@ -17,8 +17,7 @@ def small_semi(seed=0, keep=0.3, per_class=20):
     cfg = SyntheticConfig(C=3, feature_dim=6, cluster_std=0.4,
                           center_spread=2.0, samples_per_class=per_class,
                           seed=seed)
-    ds = strip_labels(gen_gaussian_clusters(cfg), keep, seed=seed + 1)
-    return mt.SemiDataset.from_partial(ds)
+    return strip_labels(gen_gaussian_clusters(cfg), keep, seed=seed + 1)
 
 
 def params_checksum(net):
@@ -35,42 +34,42 @@ def ref_ema_update(teacher_params, student_params, decay):
 class TestEmaUpdate:
     def test_decay_zero_copies_student(self):
         student = model.init_model((4, 5), C=2, r=3, seed=1)
-        teacher = mt.TeacherState(model.init_model((4, 5), C=2, r=3, seed=2), 0.9)
+        teacher = model.init_model((4, 5), C=2, r=3, seed=2)
         mt.ema_update(teacher, student, 0.0)
-        for t, s in zip(teacher.model.parameters(), student.parameters()):
+        for t, s in zip(teacher.parameters(), student.parameters()):
             assert np.array_equal(t, s)
 
     def test_fixed_point(self):
         student = model.init_model((4, 5), C=2, r=3, seed=1)
-        teacher = mt.TeacherState(student.copy(), 0.9)
-        before = params_checksum(teacher.model)
+        teacher = student.copy()
+        before = params_checksum(teacher)
         mt.ema_update(teacher, student, 0.99)
-        for t, b in zip(teacher.model.parameters(), before):
+        for t, b in zip(teacher.parameters(), before):
             np.testing.assert_allclose(t, b, atol=1e-15)
 
     def test_hand_value(self):
         student = model.init_model((2,), C=2, r=2, seed=0)
-        teacher = mt.TeacherState(student.copy(), 0.99)
+        teacher = student.copy()
         for p in student.parameters():
             p[:] = 1.0
-        for p in teacher.model.parameters():
+        for p in teacher.parameters():
             p[:] = 0.0
         mt.ema_update(teacher, student, 0.99)
-        for t in teacher.model.parameters():
+        for t in teacher.parameters():
             np.testing.assert_allclose(t, 0.01, atol=1e-15)
 
     def test_shape_mismatch(self):
         student = model.init_model((4, 5), C=2, r=3, seed=1)
         other = model.init_model((4, 6), C=2, r=3, seed=1)
-        teacher = mt.TeacherState(other, 0.9)
+        teacher = other
         with pytest.raises(DimensionMismatch):
             mt.ema_update(teacher, student, 0.9)
 
     def test_layouts_of_equal_size_rejected(self):
         # 15 values each, in other blocks: C=1, r=3 against C=3, r=1
         student = model.init_model((2,), C=1, r=3, seed=1)
-        teacher = mt.TeacherState(model.init_model((2,), C=3, r=1, seed=1), 0.9)
-        assert student.theta.size == teacher.model.theta.size
+        teacher = model.init_model((2,), C=3, r=1, seed=1)
+        assert student.theta.size == teacher.theta.size
         with pytest.raises(DimensionMismatch):
             mt.ema_update(teacher, student, 0.9)
 
@@ -78,14 +77,14 @@ class TestEmaUpdate:
     def test_matches_per_array_reference(self, dims):
         rng = np.random.default_rng(4)
         student = model.init_model(dims, C=3, r=6, seed=1)
-        teacher = mt.TeacherState(model.init_model(dims, C=3, r=6, seed=2), 0.99)
-        ref = [p.copy() for p in teacher.model.parameters()]
+        teacher = model.init_model(dims, C=3, r=6, seed=2)
+        ref = [p.copy() for p in teacher.parameters()]
         for _ in range(25):
             student.theta[:] = rng.normal(0.0, 1.0, student.theta.shape)
             decay = rng.uniform(0.0, 0.999)
             mt.ema_update(teacher, student, decay)
             ref_ema_update(ref, student.parameters(), decay)
-            for got, want in zip(teacher.model.parameters(), ref, strict=True):
+            for got, want in zip(teacher.parameters(), ref, strict=True):
                 assert np.array_equal(got, want)
 
     def test_geometric_recurrence_scalar(self):
@@ -94,15 +93,15 @@ class TestEmaUpdate:
         teacher_val = 2.0
         student_vals = [0.3, -1.2, 0.7, 2.5, 0.0]
         student = model.init_model((1,), C=1, r=1, seed=0)
-        teacher = mt.TeacherState(student.copy(), d)
-        teacher.model.centers[:] = teacher_val
+        teacher = student.copy()
+        teacher.centers[:] = teacher_val
         for v in student_vals:
             student.centers[:] = v
             mt.ema_update(teacher, student, d)
         t = len(student_vals)
         expected = d**t * teacher_val + (1 - d) * sum(
             d ** (t - 1 - k) * v for k, v in enumerate(student_vals))
-        assert teacher.model.centers[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert teacher.centers[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestPerturb:
@@ -203,21 +202,6 @@ class TestBatchedConsistency:
                                       got[0])
 
 
-class TestSemiDataset:
-    def test_requires_labeled(self):
-        cfg = SyntheticConfig(C=2, feature_dim=3, cluster_std=0.1,
-                              center_spread=1.0, samples_per_class=5, seed=0)
-        ds = gen_gaussian_clusters(cfg)
-        unl = Dataset(ds.ids, ds.features, np.zeros((ds.n, 2), dtype=bool))
-        with pytest.raises(PreconditionError):
-            mt.SemiDataset.from_partial(unl)
-
-    def test_split_disjoint(self):
-        semi = small_semi()
-        assert not (set(semi.labeled.ids.tolist())
-                    & set(semi.unlabeled.ids.tolist()))
-
-
 class TestTrainMtScdh:
     def test_reduces_to_supervised(self):
         # no unlabeled data, zero consistency weight, zero noise: the student
@@ -225,12 +209,12 @@ class TestTrainMtScdh:
         cfg = SyntheticConfig(C=3, feature_dim=6, cluster_std=0.4,
                               center_spread=2.0, samples_per_class=12, seed=4)
         ds = gen_gaussian_clusters(cfg)
-        semi = mt.SemiDataset(ds, ds.subset(np.array([], dtype=int)))
         hp = model.Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=4,
                                batch_size=8, lr=1e-3, momentum=0.9, seed=9)
-        student, teacher, _ = mt.train_mt_scdh(semi, hp, w=0.0, noise_std=0.0,
-                                               r=5, hidden=(7,))
-        supervised, _ = mt.train_scdh(ds, hp, r=5, hidden=(7,))
+        student, teacher, _ = mt.train_mt_scdh(ds, hp, w=0.0,
+                                               ema_decay=mt.DEFAULT_EMA_DECAY,
+                                               noise_std=0.0, r=5, hidden=(7,))
+        supervised, _, _ = mt.train_mt_scdh(ds, hp, r=5, hidden=(7,))
         for a, b in zip(student.parameters(), supervised.parameters()):
             assert np.array_equal(a, b)
 
@@ -248,14 +232,41 @@ class TestTrainMtScdh:
         with pytest.raises(PreconditionError):
             mt.train_mt_scdh(small_semi(), hp, r=5, hidden=(7,), **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{}, dict(w=1.0, ema_decay=0.9, noise_std=0.1)])
+    def test_no_labeled_row_builds_no_network(self, kwargs, monkeypatch):
+        # supervised or with a teacher, a dataset with no label trains nothing
+        monkeypatch.setattr(mt, "init_model", lambda *a, **kw: pytest.fail("built"))
+        ds = small_semi()
+        unlabeled = Dataset(ds.ids, ds.features, np.zeros_like(ds.labels))
+        with pytest.raises(PreconditionError, match="labeled set must be nonempty"):
+            mt.train_mt_scdh(unlabeled, model.Hyperparams(epochs=1), r=5, hidden=(7,),
+                             **kwargs)
+
+    def test_interleaved_rows_train_as_labeled_first(self):
+        # the entry gathers the labeled rows, then the unlabeled ones, each in
+        # dataset order: the same rows given in that order train bit-equal
+        ds = small_semi(seed=3, keep=0.4)
+        mask = ds.labeled_mask()
+        assert (~mask[:-1] & mask[1:]).any()          # an unlabeled row comes first
+        ordered = ds.subset(np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)]))
+        hp = model.Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=2,
+                               batch_size=16, lr=1e-3, momentum=0.9, seed=5)
+        runs = [mt.train_mt_scdh(d, hp, w=2.0, ema_decay=0.9, noise_std=0.1, r=5,
+                                 hidden=(7,), ramp_fraction=0.5) for d in (ds, ordered)]
+        (s1, t1, rep1), (s2, t2, rep2) = runs
+        assert np.array_equal(s1.theta, s2.theta)
+        assert np.array_equal(t1.theta, t2.theta)
+        assert rep1.to_dict() == rep2.to_dict()
+
     def test_consistency_zero_at_step_zero(self):
         semi = small_semi()
         hp = model.Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=1,
-                               batch_size=semi.labeled.n + semi.unlabeled.n,
+                               batch_size=semi.n,
                                lr=1e-3, momentum=0.9, seed=0)
         # one epoch of one step: the ramp makes the weight exactly zero, so
         # the recorded consistency contribution is zero
-        _, _, report = mt.train_mt_scdh(semi, hp, w=50.0, noise_std=0.1,
+        _, _, report = mt.train_mt_scdh(semi, hp, w=50.0,
+                                        ema_decay=mt.DEFAULT_EMA_DECAY, noise_std=0.1,
                                         r=5, hidden=(7,))
         assert report.epochs[0].consistency_loss == 0.0
 
@@ -270,7 +281,7 @@ class TestTrainMtScdh:
                                                r=5, hidden=(7,),
                                                ema_decay=0.0)
         # decay 0 makes the teacher equal the student after every step
-        for t, s in zip(teacher.model.parameters(), student.parameters()):
+        for t, s in zip(teacher.parameters(), student.parameters()):
             assert np.array_equal(t, s)
 
     def test_supervised_terms_match_model_module(self, rng):
@@ -278,11 +289,12 @@ class TestTrainMtScdh:
         # supervised module's loss terms, term for term
         semi = small_semi(keep=1.0)
         hp = model.Hyperparams(lam=0.02, mu=0.3, alpha=0.04, epochs=1,
-                               batch_size=semi.labeled.n, lr=1e-3,
+                               batch_size=semi.n, lr=1e-3,
                                momentum=0.0, seed=6)
-        _, _, rep_semi = mt.train_mt_scdh(semi, hp, w=0.0, noise_std=0.0,
+        _, _, rep_semi = mt.train_mt_scdh(semi, hp, w=0.0,
+                                          ema_decay=mt.DEFAULT_EMA_DECAY, noise_std=0.0,
                                           r=5, hidden=(7,))
-        _, rep_sup = mt.train_scdh(semi.labeled, hp, r=5, hidden=(7,))
+        _, _, rep_sup = mt.train_mt_scdh(semi, hp, r=5, hidden=(7,))
         a, b = rep_semi.epochs[0], rep_sup.epochs[0]
         assert a.scul_loss == b.scul_loss
         assert a.classification_loss == b.classification_loss
@@ -300,24 +312,25 @@ class TestTrainMtScdh:
         def spying_update(teacher, student, decay):
             if "sum" in last:
                 assert all(np.array_equal(p, q) for p, q in
-                           zip(teacher.model.parameters(), last["sum"]))
+                           zip(teacher.parameters(), last["sum"]))
             result = real_update(teacher, student, decay)
-            last["sum"] = [p.copy() for p in teacher.model.parameters()]
+            last["sum"] = [p.copy() for p in teacher.parameters()]
             return result
 
         monkeypatch.setattr(mt, "ema_update", spying_update)
-        mt.train_mt_scdh(semi, hp, w=2.0, noise_std=0.1, r=5, hidden=(7,))
+        mt.train_mt_scdh(semi, hp, w=2.0, ema_decay=mt.DEFAULT_EMA_DECAY,
+                         noise_std=0.1, r=5, hidden=(7,))
         assert "sum" in last
 
     def test_determinism(self):
         semi = small_semi()
         hp = model.Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=2,
                                batch_size=16, lr=1e-3, momentum=0.9, seed=12)
-        s1, t1, _ = mt.train_mt_scdh(semi, hp, w=2.0, noise_std=0.1, r=5,
-                                     hidden=(7,))
-        s2, t2, _ = mt.train_mt_scdh(semi, hp, w=2.0, noise_std=0.1, r=5,
-                                     hidden=(7,))
+        s1, t1, _ = mt.train_mt_scdh(semi, hp, w=2.0, ema_decay=mt.DEFAULT_EMA_DECAY,
+                                     noise_std=0.1, r=5, hidden=(7,))
+        s2, t2, _ = mt.train_mt_scdh(semi, hp, w=2.0, ema_decay=mt.DEFAULT_EMA_DECAY,
+                                     noise_std=0.1, r=5, hidden=(7,))
         for a, b in zip(s1.parameters(), s2.parameters()):
             assert np.array_equal(a, b)
-        for a, b in zip(t1.model.parameters(), t2.model.parameters()):
+        for a, b in zip(t1.parameters(), t2.parameters()):
             assert np.array_equal(a, b)

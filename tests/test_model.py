@@ -10,7 +10,7 @@ from scdh.data import Dataset, SyntheticConfig, labels_from_sets
 from scdh.errors import DimensionMismatch, DivergenceError, ParseError, PreconditionError
 
 import oracles
-from conftest import gen_gaussian_clusters, gen_multilabel, rel_err
+from conftest import gen_gaussian_clusters, gen_multilabel, rel_err, step_gradient
 
 
 def tiny_hp(**kw):
@@ -43,15 +43,8 @@ def full_objective(net, X, labelsets, hp):
 
 
 def analytic_grads(net, X, labelsets, hp):
-    F, logits, acts = model.forward_batch(net, X)
-    grad_F = np.zeros_like(F)
-    grad_logits = np.zeros_like(logits)
-    grads = net.blocks(np.zeros_like(net.theta))
-    model._accumulate_loss_grads(net, F, logits,
-                                 labels_from_sets(labelsets, net.label_count), hp,
-                                 grad_F, grad_logits, grads["centers"])
-    model._backprop_chain(net, acts, grad_F, grad_logits, grads)
-    return list(grads.values())
+    grad = step_gradient(net, X, labels_from_sets(labelsets, net.label_count), hp)
+    return list(net.blocks(grad).values())
 
 
 def fd_grads(net, X, labelsets, hp, eps=1e-5):
@@ -408,7 +401,7 @@ class TestTrainScdh:
     def test_zero_epochs_returns_initial(self):
         ds = self._dataset()
         hp = tiny_hp(epochs=0)
-        net, report = mt.train_scdh(ds, hp, r=6, hidden=(8,))
+        net, _, report = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
         fresh = model.init_model((6, 8), 3, 6,
                                  np.random.SeedSequence(hp.seed).spawn(3)[0])
         for p, q in zip(net.parameters(), fresh.parameters()):
@@ -418,15 +411,15 @@ class TestTrainScdh:
     def test_determinism(self):
         ds = self._dataset()
         hp = tiny_hp(epochs=3)
-        a, _ = mt.train_scdh(ds, hp, r=6, hidden=(8,))
-        b, _ = mt.train_scdh(ds, hp, r=6, hidden=(8,))
+        a, _, _ = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
+        b, _, _ = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
     def test_epoch_mean_loss_improves(self):
         ds = self._dataset()
         hp = tiny_hp(epochs=10, lr=2e-3)
-        _, report = mt.train_scdh(ds, hp, r=6, hidden=(8,))
+        _, _, report = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
         first = report.epochs[0]
         last = report.epochs[-1]
         total_first = first.scul_loss + hp.mu * first.classification_loss \
@@ -434,12 +427,6 @@ class TestTrainScdh:
         total_last = last.scul_loss + hp.mu * last.classification_loss \
             + hp.alpha * last.quantization_loss
         assert total_last < total_first
-
-    def test_partial_labels_rejected(self):
-        from scdh.data import strip_labels
-        ds = strip_labels(self._dataset(), 0.5, seed=1)
-        with pytest.raises(PreconditionError):
-            mt.train_scdh(ds, tiny_hp(), r=6, hidden=(8,))
 
     @pytest.mark.parametrize("multilabel", [False, True])
     @pytest.mark.parametrize("warmup_epochs,schedule", [(0, ()), (2, ((1, 0.5), (3, 0.2)))])
@@ -457,7 +444,7 @@ class TestTrainScdh:
             ds = self._dataset(seed=1)
         hp = tiny_hp(epochs=4, batch_size=16, lr=2e-3, warmup_epochs=warmup_epochs,
                      warmup_norm_s=3.0, lr_schedule=schedule)
-        net, report = mt.train_scdh(ds, hp, r=6, hidden=(8,))
+        net, _, report = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
         ref_net, ref_report = ref_train_scdh(ds, hp, r=6, hidden=(8,))
         for p, q in zip(net.parameters(), ref_net.parameters(), strict=True):
             assert np.array_equal(p, q)
@@ -492,14 +479,14 @@ class TestTrainScdh:
                             count("copy", model.EmbeddingModel.copy))
         monkeypatch.setattr(mt, "forward_batch", forward_spy(mt.forward_batch))
         monkeypatch.setattr(model, "forward_batch", forward_spy(model.forward_batch))
-        net, report = mt.train_scdh(ds, tiny_hp(epochs=2), r=6, hidden=(8,))
+        net, _, report = mt.train_mt_scdh(ds, tiny_hp(epochs=2), r=6, hidden=(8,))
         assert calls == {"ema": 0, "copy": 0}
         assert nets and all(n is net for n in nets)
         assert len(report.epochs) == 2
 
     def test_report_all_finite(self):
         ds = self._dataset()
-        _, report = mt.train_scdh(ds, tiny_hp(), r=6, hidden=(8,))
+        _, _, report = mt.train_mt_scdh(ds, tiny_hp(), r=6, hidden=(8,))
         for rec in report.epochs:
             vals = [rec.scul_loss, rec.classification_loss,
                     rec.quantization_loss, rec.center_distance_term,
