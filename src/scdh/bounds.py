@@ -16,9 +16,12 @@ per-row (or per-trial) loop, which the tests keep as the reference:
   stacks).  The exhaustive triplet sums reduce one (b, rows, k-1, n-k)
   block per label multiplicity k (a single block for a balanced set) and
   add the row sums in row order with ``cumsum``, as a running total would;
-- the Monte Carlo check draws the label matrices of a block of trials from
-  one stream of C-wide candidate rows and reduces the block with batched
-  products, so memory is O(block n^2) for any trial count;
+- the Monte Carlo check draws the label sets of a block of trials from one
+  stream of C-wide candidate rows, packed into uint64 codes as they are
+  drawn.  The triplet side takes the overlaps |Y_i & Y_j| as popcounts and
+  reduces the block with one einsum; the bound side computes each item's
+  terms once per distinct (item, label set) pair of the block and gathers
+  them back per trial.  Memory is O(block n (n + C^2)) for any trial count;
 - a sampled toy cell keeps two (T,) index draws whole, in the narrowest
   integer dtype that holds n, and does everything after them a chunk of
   triplets at a time: it draws the third index per chunk from the same
@@ -36,13 +39,14 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, LabelSetError, PreconditionError
 from .losses import TripletLossKind, margin_loss
+from .retrieval import pack_bits, unpack_bits
 
 # One-sided 99% normal quantile, used for the Monte Carlo bound margin.
 Z_99 = 2.3263478740408408
@@ -151,7 +155,8 @@ class BoundReport:
     confidence_margin: float = 0.0  # nonzero only for Monte Carlo checks
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow copy equals ``asdict``
+        return dict(vars(self))
 
 
 class LambdaEstimate(float):
@@ -246,18 +251,26 @@ class _RowBlock(NamedTuple):
     dis_at: np.ndarray
 
 
-def _row_blocks(y: np.ndarray) -> tuple[_RowBlock, ...]:
+class _LabelRows(NamedTuple):
+    """The row blocks of a label vector y over C labels, and the flat index
+    ``i * C + y_i`` of each row's own center in a row-major (n, C) table."""
+
+    blocks: tuple[_RowBlock, ...]
+    own_at: np.ndarray
+
+
+def _row_blocks(y: np.ndarray, C: int) -> _LabelRows:
     """The rows grouped by the multiplicity of their label, one block when
     the set is balanced.  Raises unless y has two distinct labels.
 
-    The blocks are read-only and cached per label vector: a check of a few
+    The arrays are read-only and cached per label vector: a check of a few
     dozen rows would spend a fifth of its time building them.
     """
-    return _row_blocks_of(np.ascontiguousarray(y, dtype=np.int64).tobytes())
+    return _row_blocks_of(np.ascontiguousarray(y, dtype=np.int64).tobytes(), C)
 
 
 @functools.lru_cache(maxsize=64)
-def _row_blocks_of(key: bytes) -> tuple[_RowBlock, ...]:
+def _row_blocks_of(key: bytes, C: int) -> _LabelRows:
     y = np.frombuffer(key, dtype=np.int64)
     n = y.size
     if n < 2 or (y == y[0]).all():
@@ -274,7 +287,9 @@ def _row_blocks_of(key: bytes) -> tuple[_RowBlock, ...]:
         for a in block:
             a.flags.writeable = False
         blocks.append(block)
-    return tuple(blocks)
+    own_at = np.arange(n) * C + y
+    own_at.flags.writeable = False
+    return _LabelRows(tuple(blocks), own_at)
 
 
 def _sum_in_row_order(row_sums: np.ndarray) -> np.ndarray:
@@ -284,24 +299,29 @@ def _sum_in_row_order(row_sums: np.ndarray) -> np.ndarray:
     return row_sums.cumsum(axis=-1)[..., -1]
 
 
-def _triplet_sums(D: np.ndarray, y: np.ndarray, term) -> np.ndarray:
+def _triplet_sums(D: np.ndarray, blocks: Sequence[_RowBlock], term) -> np.ndarray:
     """Exhaustive triplet loss of each (n, n) distance table in the (..., n, n)
-    stack ``D``, whose sets share the labels ``y``.
+    stack ``D``, whose sets share the label vector with these row blocks.
 
     ``term(d_pos, d_neg, rows, dis)`` gives the (..., g, k-1, n-k) triplet
     terms of a row block from its (..., g, k-1, 1) similar and
     (..., g, 1, n-k) dissimilar distances.
     """
     flat = D.reshape(D.shape[:-2] + (-1,))
-    row_sums = np.empty(D.shape[:-1])
-    for block in _row_blocks(y):
+
+    def block_sums(block: _RowBlock) -> np.ndarray:
         # ``take`` returns C-contiguous arrays, stacked or not, so each sum
         # below runs pairwise as the one-set sum does; a fancy-index gather
         # from a stack would not be contiguous and would sum in sequence
         d_pos = flat.take(block.sim_at, axis=-1)[..., None]
         d_neg = flat.take(block.dis_at, axis=-1)[..., None, :]
-        row_sums[..., block.rows] = term(d_pos, d_neg, block.rows,
-                                         block.dis).sum(axis=(-2, -1))
+        return term(d_pos, d_neg, block.rows, block.dis).sum(axis=(-2, -1))
+
+    if len(blocks) == 1:            # a balanced set: one block, all rows in order
+        return _sum_in_row_order(block_sums(blocks[0]))
+    row_sums = np.empty(D.shape[:-1])
+    for block in blocks:
+        row_sums[..., block.rows] = block_sums(block)
     return _sum_in_row_order(row_sums)
 
 
@@ -318,8 +338,8 @@ def brute_force_triplet_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
     a different label.  Intentionally O(n^3); refuses n beyond ``max_n``.
     """
     _check_cap(code_set.n, max_n)
-    y = code_set.single_labels()
-    return float(_triplet_sums(_pairwise_distances(code_set.codes), y, _comparator(kind)))
+    blocks = _row_blocks(code_set.single_labels(), code_set.label_count).blocks
+    return float(_triplet_sums(_pairwise_distances(code_set.codes), blocks, _comparator(kind)))
 
 
 def multilabel_brute_force_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
@@ -380,9 +400,10 @@ def _unary_sides(codes: np.ndarray, y: np.ndarray, C: int, centers: np.ndarray,
     of exp(-|h_i - c_l|), which is exactly the comparator whose per-item
     aggregate equals the full softmax loss on the bound side.
     """
-    n = codes.shape[1]
+    b, n = codes.shape[:2]
+    label_rows = _row_blocks(y, C)
     Dc = _code_center_distances(codes, centers)                  # (b, n, C)
-    d_own = np.ascontiguousarray(Dc[:, np.arange(n), y])         # (b, n)
+    d_own = Dc.reshape(b, n * C).take(label_rows.own_at, axis=1)  # (b, n)
     if kind.kind == "margin":
         term = _comparator(kind)
         lc = _hinge_lc(d_own, Dc, kind)
@@ -398,7 +419,7 @@ def _unary_sides(codes: np.ndarray, y: np.ndarray, C: int, centers: np.ndarray,
             return d_pos + tail
 
         lc = _softmax_lc(Dc, d_own)
-    lhs = _triplet_sums(_pairwise_distances(codes), y, term)
+    lhs = _triplet_sums(_pairwise_distances(codes), label_rows.blocks, term)
     multiplier = (n / C) ** 2 * (C - 1)
     rhs = multiplier * (lc + 2.0 * d_own).sum(axis=1)
     return lhs, rhs, lc.sum(axis=1), d_own.sum(axis=1), multiplier
@@ -490,7 +511,7 @@ def estimate_lambda(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
 # Multilabel expectation bound (Monte Carlo)
 # ---------------------------------------------------------------------------
 
-# Trials reduced together by the Monte Carlo check; memory is O(block n^2).
+# Trials reduced together by the Monte Carlo check; memory is O(block n (n + C^2)).
 ML_TRIAL_BLOCK = 256
 
 MIN_TRIALS = 1000
@@ -498,25 +519,28 @@ MIN_TRIALS = 1000
 
 def _label_matrix_blocks(rng: np.random.Generator, trials: int, n: int, C: int,
                          p: float, block: int = ML_TRIAL_BLOCK):
-    """Yield the (b, n, C) boolean label matrices of ``trials`` trials.
+    """Yield the label sets of ``trials`` trials as (b, n, W) uint64 codes.
 
-    One trial draws ``rng.random((n, C)) < p`` and redraws its empty rows,
-    in row order, until none is empty.  Every draw takes whole C-wide
-    candidate rows from one uniform stream, so a trial is a FIFO queue of
-    rows over that stream: it ends at its n-th non-empty candidate, and its
-    candidate at position j >= n belongs to the row that got its (j-n)-th
-    empty candidate.  The candidates are drawn in chunks, which continue the
-    stream exactly, and the rows are resolved for a whole block at once.
+    Bit s of row i's code is label s, LSB first, in W = ceil(C/64) words
+    (``retrieval.pack_bits``' layout), so an empty row is a zero code.  One
+    trial draws ``rng.random((n, C)) < p`` and redraws its empty rows, in
+    row order, until none is empty.  Every draw takes whole C-wide candidate
+    rows from one uniform stream, so a trial is a FIFO queue of rows over
+    that stream: it ends at its n-th non-empty candidate, and its candidate
+    at position j >= n belongs to the row that got its (j-n)-th empty
+    candidate.  The candidates are drawn in chunks, which continue the
+    stream exactly and are packed as they are drawn, and the rows are
+    resolved for a whole block at once.
     """
     empty_p = (1.0 - p) ** C
-    cand = np.empty((0, C), dtype=bool)
+    cand = np.empty((0, (C + 63) // 64), dtype=np.uint64)
     for first in range(0, trials, block):
         b = min(block, trials - first)
         need = b * n
         full = np.flatnonzero(cand.any(axis=1))
         while full.size < need:
             more = int((need - full.size) / (1.0 - empty_p) * 1.1) + 64
-            cand = np.concatenate([cand, rng.random((min(more, 1 << 18), C)) < p])
+            cand = np.concatenate([cand, pack_bits(rng.random((min(more, 1 << 18), C)) < p)])
             full = np.flatnonzero(cand.any(axis=1))
         full = full[:need]
         ends = full[n - 1::n]                    # each trial's last candidate
@@ -535,34 +559,63 @@ def _label_matrix_blocks(rng: np.random.Generator, trials: int, n: int, C: int,
             if np.array_equal(nxt, src):
                 break
             src = nxt
-        Y = np.zeros((b, n, C), dtype=bool)
+        Y = np.zeros((b, n, cand.shape[1]), dtype=np.uint64)
         Y[trial[full], j[src[full]]] = used[full]
         yield Y
 
 
+def _distinct_sets(Y: np.ndarray, C: int):
+    """The distinct (item, label set) pairs of a (b, n, W) block of codes
+    over C labels: the (u,) items, their (u, W) codes and the (b, n) index
+    of each entry's pair.  A pair is one uint64 key, the code above the
+    item's bits, unless C and those bits need more than 64."""
+    b, n, W = Y.shape
+    shift = max(1, (n - 1).bit_length())
+    items = np.arange(n, dtype=np.uint64)
+    if C + shift <= 64:
+        pairs, inverse = np.unique((Y[..., 0] << np.uint64(shift)) | items,
+                                   return_inverse=True)
+        item, codes = pairs & np.uint64((1 << shift) - 1), (pairs >> np.uint64(shift))[:, None]
+    else:
+        rows = np.concatenate([np.broadcast_to(items[:, None], (b, n, 1)), Y], axis=2)
+        pairs, inverse = np.unique(rows.reshape(b * n, W + 1), axis=0, return_inverse=True)
+        item, codes = pairs[:, 0], pairs[:, 1:]
+    return item.astype(np.intp), codes, inverse.reshape(b, n)
+
+
 def _trial_sides(Y: np.ndarray, G: np.ndarray, Gc: np.ndarray, Dc: np.ndarray,
                  p: float, multiplier: float, Q: float):
-    """Per-trial (lhs, rhs) of the multilabel bound for a (b, n, C) block of
-    label matrices; each entry is bit-equal to the one-trial computation."""
-    C = Y.shape[2]
-    Yi = Y.astype(np.int64)
-    overlap = Yi @ Yi.transpose(0, 2, 1)            # r_ij = |Y_i & Y_j|
-    sim_w = overlap * ~np.eye(Y.shape[1], dtype=bool)   # the diagonal off
-    dis = overlap == 0
-    lhs = np.einsum("tij,tik,ijk->t", sim_w.astype(np.float64),
-                    dis.astype(np.float64), G)
+    """Per-trial (lhs, rhs) of the multilabel bound for a (b, n, W) block of
+    label-set codes; each entry is bit-equal to the one-trial computation.
 
-    sizes = Yi.sum(axis=2)
-    # (1-p)^|Y_i| from a table: numpy's power rounds a one-element 2-d
-    # array (b = n = 1) differently in the last bit from any other shape
+    An item's bound terms depend only on the item and its label set, so
+    they are computed once per distinct (item, set) pair of the block and
+    gathered back to (b, n) before the per-trial sum.
+    """
+    n, C = Dc.shape
+    overlap = np.bitwise_count(Y[:, :, None, :] & Y[:, None, :, :]).sum(axis=3)
+    sim_w = overlap.astype(np.float64)               # r_ij = |Y_i & Y_j|
+    sim_w.reshape(len(Y), n * n)[:, ::n + 1] = 0.0   # the diagonal off
+    dis = (overlap == 0).astype(np.float64)
+    lhs = np.einsum("tij,tik,ijk->t", sim_w, dis, G)
+
+    item, codes, inverse = _distinct_sets(Y, C)
+    member = unpack_bits(codes, C)                   # (u, C)
+    sizes = member.sum(axis=1)
+    # (1-p)^|Y_i| from a table: numpy's power rounds a one-element array
+    # differently in the last bit from a longer one
     qy = (C - sizes) / (C - 1) * ((1.0 - p) ** np.arange(C + 1))[sizes]
-    pos = Y[:, :, :, None] & ~Y[:, :, None, :]       # (trial, i, s in Y_i, t not in Y_i)
-    # where + sum keeps the one-trial pairwise order; an einsum would not
-    lmc_raw = np.where(pos, Gc, 0.0).sum(axis=(2, 3))
+    # g(d_is, d_it) kept for s in Y_i and t not in Y_i: zeroed in place by
+    # row and by column, so no (u, C, C) mask is built, this leaves the terms
+    # ``np.where`` would, and the sum runs in their pairwise order (an
+    # einsum would not)
+    terms = Gc[item]
+    np.copyto(terms, 0.0, where=~member[:, :, None])
+    np.copyto(terms, 0.0, where=member[:, None, :])
     neg_counts = np.maximum(C - sizes, 1)            # |Y_i| = C gives empty sum
-    lmc = lmc_raw / neg_counts
-    dist_term = np.where(Y, Dc, 0.0).sum(axis=2)
-    rhs = multiplier * (qy * lmc + (Q + qy) * dist_term).sum(axis=1)
+    lmc = terms.sum(axis=(1, 2)) / neg_counts
+    dist_term = np.where(member, Dc[item], 0.0).sum(axis=1)
+    rhs = multiplier * (qy * lmc + (Q + qy) * dist_term)[inverse].sum(axis=1)
     return lhs, rhs
 
 
@@ -676,7 +729,8 @@ class ToyCell:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow copy equals ``asdict``
+        return dict(vars(self))
 
 
 def _simplex_centers(C: int, d: float, r: int) -> np.ndarray:
@@ -710,10 +764,11 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
 
     total_triplets = n * (m - 1) * (n - m)
     if n < cfg.enumeration_threshold:
-        lt = float(_triplet_sums(_pairwise_distances(codes), y, _comparator(kind)))
+        blocks = _row_blocks(y, cfg.C).blocks
+        lt = float(_triplet_sums(_pairwise_distances(codes), blocks, _comparator(kind)))
         # relaxed comparator summed over the same exhaustive triplet set
         row_sums = np.zeros(n)
-        for rows, sim, dis, *_ in _row_blocks(y):
+        for rows, sim, dis, *_ in blocks:
             g_part = kind.g(d_own[rows, None], Dc[rows[:, None], y[dis]])   # (g, n-k)
             row_sums[rows] = (g_part[:, None, :] + d_own[sim][:, :, None]
                               + d_own[dis][:, None, :]).sum(axis=(1, 2))

@@ -617,7 +617,8 @@ def _labels_for(codes: retrieval.CodeIndex, ds: data.DatasetFile, what: str):
             raise ValidationError(f"{what}: id {int(codes.ids[np.argmin(found)])} "
                                   "missing from dataset")
         labels = ds.labels[order[pos]]
-    if not labels.any(axis=1).all():
+    # over the packed rows: an (n, C) ``any`` loops over C per row
+    if not retrieval.pack_bits(labels).any(axis=1).all():
         raise ValidationError(f"{what}: unlabeled samples cannot be evaluated")
     return retrieval.CodeIndex._adopt(codes.words, codes.ids, codes.nbits, labels)
 
@@ -747,7 +748,7 @@ def cmd_verify_bounds(cfg: dict, run: Run):
     single = run_bound_suite(cfg["instances"], cfg["classes"], cfg["max-n"],
                              cfg["max-r"], kind, cfg["seed"])
     multi = run_multilabel_suite(cfg["ml-configs"], cfg["trials"], cfg["seed"])
-    # asdict copies deeply: one dict per report serves its CSV row and JSON entry
+    # one dict per report serves its CSV row and its JSON entry
     unary, multilabel = [r.to_dict() for r in single], [r.to_dict() for r in multi]
     with atomic_path(run.path("unary_bounds.csv")) as tmp:
         bounds.write_rows_csv(tmp, unary, bounds.BoundReport)

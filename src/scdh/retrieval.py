@@ -365,9 +365,11 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
         raise PreconditionError("metrics require labels on both sides")
     C = queries.labels.shape[1]
     qm = queries.label_masks(C)
-    by_id = np.argsort(index.ids, kind="stable")
-    dm = index.label_masks(C)[by_id]
-    db = CodeIndex._adopt(index.words[by_id], index.ids[by_id], index.nbits)
+    dm, db = index.label_masks(C), index
+    if (index.ids[1:] < index.ids[:-1]).any():      # encode writes ids ascending
+        by_id = np.argsort(index.ids, kind="stable")
+        dm = dm[by_id]
+        db = CodeIndex._adopt(index.words[by_id], index.ids[by_id], index.nbits)
     _, first, inverse = np.unique(np.concatenate([queries.words, qm], axis=1), axis=0,
                                   return_index=True, return_inverse=True)
     inverse = inverse.ravel()       # numpy 2 may return it as a column

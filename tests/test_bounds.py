@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scdh import bounds, cli, data
+from scdh import bounds, cli, data, retrieval
 from scdh.errors import DimensionMismatch, LabelSetError, PreconditionError
 from scdh.losses import margin_loss, softmax_loss
 
@@ -646,9 +646,12 @@ class TestUnaryStackMatchesReference:
 
     def test_row_blocks_are_cached_read_only(self):
         y = np.array([1, 0, 1, 0, 2, 2])
-        blocks = bounds._row_blocks(y)
-        assert bounds._row_blocks(y.astype(np.int32)) is blocks
-        (rows, sim, dis, sim_at, dis_at), = blocks
+        label_rows = bounds._row_blocks(y, 4)
+        assert bounds._row_blocks(y.astype(np.int32), 4) is label_rows
+        (rows, sim, dis, sim_at, dis_at), = label_rows.blocks
+        assert label_rows.own_at.tolist() == [1, 4, 9, 12, 18, 22]
+        with pytest.raises(ValueError, match="read-only"):
+            label_rows.own_at[0] = 0
         assert rows.tolist() == list(range(6))
         assert sim.tolist() == [[2], [3], [0], [1], [5], [4]]
         assert dis[0].tolist() == [1, 3, 4, 5]
@@ -658,7 +661,7 @@ class TestUnaryStackMatchesReference:
             sim[0, 0] = 1
         for one_label in ([3], [2, 2, 2]):
             with pytest.raises(PreconditionError):
-                bounds._row_blocks(np.array(one_label))
+                bounds._row_blocks(np.array(one_label), 4)
 
 
 class TestBoundDraws:
@@ -685,6 +688,18 @@ class TestBoundDraws:
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
         assert cli.run_bound_suite(0, (2, 3, 4), 12, 16, kind, seed=3) == []
 
+    def test_to_dict_equals_asdict(self):
+        # the shallow dict has asdict's keys, order and values, so the JSON
+        # and CSV rows built from it keep their bytes
+        cells = bounds.toy_lambda_grid(bounds.ToyConfig(
+            sigma_grid=(0.5,), d_grid=(0.0, 3.0), samples_per_cluster=10, seed=1))
+        drawn = [*cli.run_bound_suite(40, (2, 3, 4), 12, 16, softmax_loss(), seed=5),
+                 *cli.run_multilabel_suite(2, 1000, seed=5), *cells]
+        for item in drawn:
+            got = item.to_dict()
+            assert list(got.items()) == list(dataclasses.asdict(item).items())
+            assert got is not item.to_dict()
+
 
 class TestMonteCarloMatchesReference:
     @pytest.mark.parametrize("n,C,p,trials,kind", [
@@ -709,31 +724,72 @@ class TestMonteCarloMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 14), st.integers(1, 6), st.sampled_from([0.05, 0.2, 0.5, 0.9]),
            st.integers(1, 300), st.sampled_from([1, 7, 64, 256]), st.integers(0, 2**32 - 1))
+    @example(n=3, C=64, p=0.05, trials=9, block=7, seed=1)     # one full word
+    @example(n=2, C=65, p=0.05, trials=5, block=1, seed=2)     # a second word
+    @example(n=4, C=70, p=0.2, trials=11, block=7, seed=3)
     def test_label_blocks_continue_the_stream(self, n, C, p, trials, block, seed):
         rng = np.random.default_rng(seed)
         want = np.stack([ref_sample_label_matrix(rng, n, C, p) for _ in range(trials)])
         blocks = list(bounds._label_matrix_blocks(np.random.default_rng(seed), trials,
                                                   n, C, p, block))
         assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-        assert np.array_equal(np.concatenate(blocks), want)
+        assert all(b.dtype == np.uint64 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), retrieval.pack_bits(want))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 14), st.integers(2, 7), st.integers(1, 40),
            st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32 - 1))
     @example(n=1, C=4, b=1, p=0.2, seed=0)      # a one-element (b, n) power
+    @example(n=3, C=70, b=5, p=0.1, seed=1)     # two words per code
+    @example(n=9, C=60, b=4, p=0.5, seed=2)     # a key of all 64 bits
+    @example(n=17, C=60, b=3, p=0.5, seed=3)    # one word, too wide for one key
     def test_trial_sides(self, n, C, b, p, seed):
         rng = np.random.default_rng(seed)
         codes = rng.normal(0, 1, (n, 4))
         Dc = bounds._code_center_distances(codes, rng.normal(0, 2, (4, C)))
         D = bounds._pairwise_distances(codes)
         Y = rng.random((b, n, C)) < p
+        Y[:, 0] = Y[0, 0]                   # one item shares its set across trials
         for kind in KINDS:
             G = kind.g(D[:, :, None], D[:, None, :])
             Gc = kind.g(Dc[:, :, None], Dc[:, None, :])
-            lhs, rhs = bounds._trial_sides(Y, G, Gc, Dc, p, 3.5, 0.25)
+            lhs, rhs = bounds._trial_sides(retrieval.pack_bits(Y), G, Gc, Dc, p, 3.5, 0.25)
             want = [ref_trial_sides(y, G, Gc, Dc, p, 3.5, 0.25) for y in Y]
             assert lhs.tolist() == [w[0] for w in want]
             assert rhs.tolist() == [w[1] for w in want]
+
+    @pytest.mark.parametrize("n,C", [(6, 5), (9, 60), (17, 60), (6, 70)])
+    def test_distinct_sets(self, n, C):
+        rng = np.random.default_rng(C)
+        Y = retrieval.pack_bits(rng.random((40, n, C)) < 0.3)
+        Y[:, 2] = Y[0, 2]
+        item, codes, inverse = bounds._distinct_sets(Y, C)
+        assert len(set(zip(item.tolist(), map(bytes, codes)))) == len(item)
+        assert np.array_equal(item[inverse], np.broadcast_to(np.arange(n), (40, n)))
+        assert np.array_equal(codes[inverse], Y)
+        assert (inverse[:, 2] == inverse[0, 2]).all()
+
+    def test_block_memory_at_wide_label_sets(self):
+        # C = 70, two words a code: one block peaks no higher than the
+        # (b, n, C, C) bool mask and the float64 ``np.where`` copy of it that
+        # the per-trial form allocates for a block
+        n, C, b, p = 6, 70, 16, 0.3
+        rng = np.random.default_rng(0)
+        codes = rng.normal(0, 1, (n, 4))
+        Dc = bounds._code_center_distances(codes, rng.normal(0, 2, (4, C)))
+        D = bounds._pairwise_distances(codes)
+        kind = margin_loss(1.0)
+        G = kind.g(D[:, :, None], D[:, None, :])
+        Gc = kind.g(Dc[:, :, None], Dc[:, None, :])
+        Y, = bounds._label_matrix_blocks(np.random.default_rng(1), b, n, C, p, block=b)
+        assert Y.shape == (b, n, 2)
+        tracemalloc.start()
+        try:
+            bounds._trial_sides(Y, G, Gc, Dc, p, 3.5, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= b * n * C * C * (1 + 8)
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(PreconditionError):

@@ -402,6 +402,23 @@ class TestStreamedEncodeEval:
                                   "db.scds", tmp_path / "eval")) == 0
         assert reads == []
 
+    def test_eval_refuses_an_unlabeled_database_row(self, files, tmp_path, capsys):
+        d, _, _ = files
+        assert cli.main(encode_argv(d, "q.scds", tmp_path, "q.scdh")) == 0
+        assert cli.main(encode_argv(d, "db.scds", tmp_path, "db.scdh")) == 0
+        ds = load_dataset(d / "db.scds")
+        ds.labels[self.n - 4] = False
+        save_dataset(ds, tmp_path / "db.scds")
+        (tmp_path / "q.scds").write_bytes((d / "q.scds").read_bytes())
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert cli.main(eval_argv(tmp_path, tmp_path / "q.scdh", tmp_path / "db.scdh",
+                                  "db.scds", out)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation",
+                       "message": "database: unlabeled samples cannot be evaluated"}
+        assert not (out / "metrics.json").exists()
+
     def test_eval_rejects_a_cut_feature_block(self, files, tmp_path, capsys):
         # eval reads no feature row, but checks the whole layout
         d, _, _ = files
@@ -937,6 +954,24 @@ class TestDatabasePasses:
             got = outcome_of(cli._labels_for, codes, ds, "database")
             assert got == outcome_of(ref_labels_for, codes, ds, "database")
             assert message in got
+
+    @pytest.mark.parametrize("C", [3, 64, 65, 70])
+    def test_labels_for_refuses_only_unlabeled_rows(self, rng, C):
+        # the check runs over packed label rows: a row labeled in one word
+        # only is labeled at any width
+        labels = np.zeros((30, C), dtype=bool)
+        labels[np.arange(30), rng.integers(C, size=30)] = True
+        labels[rng.integers(30, size=20), rng.integers(C, size=20)] = True
+        ds = Dataset(np.arange(30), np.zeros((30, 2), np.float32), labels)
+        codes = retrieval.CodeIndex(np.zeros((30, 1), dtype=np.uint64), ds.ids, 20)
+        assert cli._labels_for(codes, ds, "database").labels is ds.labels
+        for row in (0, 17, 29):
+            unlabeled = labels.copy()
+            unlabeled[row] = False
+            ds = Dataset(np.arange(30), np.zeros((30, 2), np.float32), unlabeled)
+            got = outcome_of(cli._labels_for, codes, ds, "database")
+            assert got == "database: unlabeled samples cannot be evaluated"
+            assert got == outcome_of(ref_labels_for, codes, ds, "database")
 
     @pytest.mark.parametrize("bad_rows", [[], [9], [40, 3, 17], [0, 63]])
     def test_require_finite_names_the_first_bad_row(self, bad_rows):

@@ -204,6 +204,19 @@ class TestMeanAveragePrecision:
             assert mean_ap(qindex, index, k) == pytest.approx(
                 mean_ap(qindex, shuffled, k), abs=1e-12)
 
+    def test_shuffled_ids_give_the_metrics_of_id_order(self, rng):
+        # 6-bit codes: many distance ties, which the ranking breaks by id
+        bits = rng.random((200, 6)) < 0.5
+        labels = labels_from_sets([{int(rng.integers(5))} for _ in range(200)], 5)
+        labels[rng.integers(200, size=60), rng.integers(5, size=60)] = True
+        ordered = rt.CodeIndex(rt.pack_bits(bits), np.arange(200) * 3, 6, labels)
+        perm = rng.permutation(200)
+        shuffled = rt.CodeIndex(ordered.words[perm], ordered.ids[perm], 6, labels[perm])
+        _, queries = make_index(rng, 30, 6, with_labels=True, C=5)
+        for k in (None, 7):
+            want = rt.evaluate(queries, ordered, k=k, radius=1, ks=[1, 10, 50]).to_dict()
+            assert rt.evaluate(queries, shuffled, k=k, radius=1, ks=[1, 10, 50]).to_dict() == want
+
     def test_random_codes_concentrate_at_prior(self, rng):
         # with labels independent of codes, MAP estimates the relevant prior
         C = 4
