@@ -13,7 +13,6 @@ from .bounds import (
     LabeledCodeSet,
     ToyConfig,
     brute_force_triplet_loss,
-    estimate_lambda,
     multilabel_bound_check,
     multilabel_brute_force_loss,
     toy_lambda_grid,

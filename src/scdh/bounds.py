@@ -10,9 +10,9 @@ Every path works an array at a time and returns the same bits as a plain
 per-row (or per-trial) loop, which the tests keep as the reference:
 
 - one kernel computes both sides of the unary bound for a (b, n, r) stack
-  of code sets that share one label vector; ``unary_upper_bound`` and
-  ``estimate_lambda`` are its b = 1 case, and ``unary_upper_bounds``
-  certifies a stack (verify-bounds groups its draws by shape into such
+  of code sets that share one label vector; ``unary_upper_bounds``, the one
+  unary entry, certifies a stack (``unary_upper_bound`` is its b = 1 case,
+  and verify-bounds' ``run_bound_suite`` groups its draws by shape into
   stacks).  The exhaustive triplet sums reduce one (b, rows, k-1, n-k)
   block per label multiplicity k (a single block for a balanced set) and
   add the row sums in row order with ``cumsum``, as a running total would;
@@ -56,6 +56,9 @@ BOUND_RTOL = 1e-9
 
 DEFAULT_TRIPLET_CAP = 64
 
+# A toy cell of fewer codes enumerates its triplets; a larger one samples them.
+TOY_ENUMERATION_THRESHOLD = 30
+
 # Float64 elements in the largest working array of one unary stack, about
 # b n^2 max(n, r); ``unary_upper_bounds`` certifies longer stacks in pieces.
 UNARY_STACK_FLOATS = 1 << 20
@@ -81,12 +84,9 @@ class LabeledCodeSet:
     codes: np.ndarray                       # (n, r) float64, C-contiguous
     labels: np.ndarray                      # (n, C) bool
     label_count: int                        # C
-    balanced: bool = False
     # the one label of each row; None if any row has several
     _single: np.ndarray | None = field(init=False, default=None, repr=False,
                                        compare=False)
-    # whether every label has one multiplicity; False for multilabel rows
-    _even: bool = field(init=False, default=False, repr=False, compare=False)
 
     def __post_init__(self):
         codes = np.ascontiguousarray(self.codes, dtype=np.float64)
@@ -110,13 +110,6 @@ class LabeledCodeSet:
             single = member.argmax(axis=1)
             single.flags.writeable = False
             object.__setattr__(self, "_single", single)
-            counts = np.bincount(single, minlength=C)
-            object.__setattr__(self, "_even", bool((counts == counts[:1]).all()))
-        if self.balanced and not self._even:
-            raise PreconditionError("balanced flag set but label multiplicities differ")
-
-    def is_balanced(self) -> bool:
-        return self._even
 
     @property
     def n(self) -> int:
@@ -129,14 +122,14 @@ class LabeledCodeSet:
         return self._single
 
     @classmethod
-    def from_single_labels(cls, codes, labels, label_count: int | None = None,
-                           balanced: bool = False) -> "LabeledCodeSet":
+    def from_single_labels(cls, codes, labels,
+                           label_count: int | None = None) -> "LabeledCodeSet":
         labels = np.asarray(labels, dtype=np.int64)
         C = int(label_count if label_count is not None else labels.max() + 1)
         if labels.ndim != 1:
             raise DimensionMismatch("one label per code row required")
         # a label outside 0..C-1 leaves its row empty, which the set rejects
-        return cls(codes, labels[:, None] == np.arange(C), C, balanced)
+        return cls(codes, labels[:, None] == np.arange(C), C)
 
 
 @dataclass
@@ -157,17 +150,6 @@ class BoundReport:
     def to_dict(self) -> dict:
         # every field is a scalar, so a shallow copy equals ``asdict``
         return dict(vars(self))
-
-
-class LambdaEstimate(float):
-    """Float subclass carrying a degeneracy flag (zero denominator)."""
-
-    degenerate: bool
-
-    def __new__(cls, value: float, degenerate: bool = False):
-        obj = super().__new__(cls, value)
-        obj.degenerate = degenerate
-        return obj
 
 
 def _norm(x: np.ndarray, axis: int) -> np.ndarray:
@@ -252,16 +234,21 @@ class _RowBlock(NamedTuple):
 
 
 class _LabelRows(NamedTuple):
-    """The row blocks of a label vector y over C labels, and the flat index
-    ``i * C + y_i`` of each row's own center in a row-major (n, C) table."""
+    """The row blocks of a label vector y over C labels; y itself; the flat
+    index ``i * C + y_i`` of each row's own center in a row-major (n, C)
+    table; and whether the set is balanced: one row block, with every label
+    in 0..C-1 present."""
 
     blocks: tuple[_RowBlock, ...]
+    labels: np.ndarray
     own_at: np.ndarray
+    balanced: bool
 
 
 def _row_blocks(y: np.ndarray, C: int) -> _LabelRows:
     """The rows grouped by the multiplicity of their label, one block when
-    the set is balanced.  Raises unless y has two distinct labels.
+    the set is balanced.  Raises unless every label lies in 0..C-1 and y has
+    two distinct labels.
 
     The arrays are read-only and cached per label vector: a check of a few
     dozen rows would spend a fifth of its time building them.
@@ -273,6 +260,8 @@ def _row_blocks(y: np.ndarray, C: int) -> _LabelRows:
 def _row_blocks_of(key: bytes, C: int) -> _LabelRows:
     y = np.frombuffer(key, dtype=np.int64)
     n = y.size
+    if ((y < 0) | (y >= C)).any():
+        raise LabelSetError(f"labels must lie in 0..{C - 1}")
     if n < 2 or (y == y[0]).all():
         raise PreconditionError("need at least two distinct labels for triplets")
     same = y[:, None] == y
@@ -289,7 +278,8 @@ def _row_blocks_of(key: bytes, C: int) -> _LabelRows:
         blocks.append(block)
     own_at = np.arange(n) * C + y
     own_at.flags.writeable = False
-    return _LabelRows(tuple(blocks), own_at)
+    balanced = len(blocks) == 1 and bool(np.bincount(y, minlength=C).all())
+    return _LabelRows(tuple(blocks), y, own_at, balanced)
 
 
 def _sum_in_row_order(row_sums: np.ndarray) -> np.ndarray:
@@ -384,10 +374,11 @@ def _softmax_lc(d_all: np.ndarray, d_own: np.ndarray) -> np.ndarray:
     return d_own + lse
 
 
-def _unary_sides(codes: np.ndarray, y: np.ndarray, C: int, centers: np.ndarray,
+def _unary_sides(codes: np.ndarray, label_rows: _LabelRows, centers: np.ndarray,
                  kind: TripletLossKind):
     """Both sides of the unary bound for a (b, n, r) stack of code sets that
-    share the labels ``y``, each with its own centers, stacked (b, r, C).
+    share the labels of ``label_rows``, each with its own centers, stacked
+    (b, r, C).
 
     Returns the (b,) arrays lhs, rhs, sum_i lc_i and sum_i |h_i - c_{y_i}|,
     and the multiplier (n/C)^2 (C-1).  Entry t is bit-equal to the
@@ -401,7 +392,8 @@ def _unary_sides(codes: np.ndarray, y: np.ndarray, C: int, centers: np.ndarray,
     aggregate equals the full softmax loss on the bound side.
     """
     b, n = codes.shape[:2]
-    label_rows = _row_blocks(y, C)
+    C = centers.shape[2]
+    y = label_rows.labels
     Dc = _code_center_distances(codes, centers)                  # (b, n, C)
     d_own = Dc.reshape(b, n * C).take(label_rows.own_at, axis=1)  # (b, n)
     if kind.kind == "margin":
@@ -426,17 +418,19 @@ def _unary_sides(codes: np.ndarray, y: np.ndarray, C: int, centers: np.ndarray,
 
 
 def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
-                       dist_sum: float) -> LambdaEstimate:
+                       dist_sum: float) -> tuple[float, bool]:
+    """(lambda, degenerate): lambda = (lhs / multiplier - lc_sum) / dist_sum,
+    or (0.0, True) when the denominator vanishes."""
     if dist_sum <= 0.0:
-        return LambdaEstimate(0.0, degenerate=True)
-    return LambdaEstimate((lhs / multiplier - lc_sum) / dist_sum)
+        return 0.0, True
+    return (lhs / multiplier - lc_sum) / dist_sum, False
 
 
-def unary_upper_bounds(codes, labels, label_count: int, centers,
-                       kind: TripletLossKind) -> list[BoundReport]:
+def unary_upper_bounds(codes, labels, label_count: int, centers, kind: TripletLossKind,
+                       max_n: int = DEFAULT_TRIPLET_CAP) -> list[BoundReport]:
     """``unary_upper_bound`` of each set in a (b, n, r) stack of codes that
-    share one balanced (n,) label vector, with their centers stacked
-    (b, r, C).
+    share one balanced (n,) label vector over ``label_count`` labels, with
+    their centers stacked (b, r, C).
 
     The reports come in stack order, each equal to the single check's.  The
     stack is worked in pieces of about ``UNARY_STACK_FLOATS`` elements.
@@ -444,35 +438,33 @@ def unary_upper_bounds(codes, labels, label_count: int, centers,
     codes = np.ascontiguousarray(codes, dtype=np.float64)
     if codes.ndim != 3:
         raise DimensionMismatch("codes must be a (b, n, r) stack")
-    if not len(codes):
-        return []
-    labeled = LabeledCodeSet.from_single_labels(codes[0], labels, label_count)
-    return _unary_reports(codes, labeled, np.ascontiguousarray(centers, dtype=np.float64),
-                          kind, DEFAULT_TRIPLET_CAP)
-
-
-def _unary_reports(codes: np.ndarray, labeled: LabeledCodeSet, centers: np.ndarray,
-                   kind: TripletLossKind, max_n: int) -> list[BoundReport]:
-    """Reports for a (b, n, r) stack of codes carrying the labels of ``labeled``."""
-    if not labeled.is_balanced():
-        raise PreconditionError("unary bound requires a balanced single-label set")
     b, n, r = codes.shape
-    y, C = labeled.single_labels(), labeled.label_count
+    if not b:
+        return []
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise DimensionMismatch(f"need one label per code row, {n} in all, got "
+                                f"shape {labels.shape}")
+    _check_cap(n, max_n)
+    label_rows = _row_blocks(labels, label_count)
+    if not label_rows.balanced:
+        raise PreconditionError("unary bound requires a balanced single-label set")
+    C = label_count
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
     if centers.shape != (b, r, C):
         raise DimensionMismatch(f"need ({r}, {C}) centers per code set, got "
                                 f"{centers.shape[1:]}")
-    _check_cap(n, max_n)
     step = max(1, UNARY_STACK_FLOATS // max(1, n * n * max(n, r)))
     reports = []
     for s in range(0, b, step):
-        sides = _unary_sides(codes[s:s + step], y, C, centers[s:s + step], kind)
+        sides = _unary_sides(codes[s:s + step], label_rows, centers[s:s + step], kind)
         multiplier = sides[-1]
         for lhs, rhs, lc_sum, dist_sum in zip(*(a.tolist() for a in sides[:4])):
-            lam = _lambda_from_parts(lhs, multiplier, lc_sum, dist_sum)
-            reports.append(BoundReport(lhs, rhs, multiplier, float(lam),
+            lam, degenerate = _lambda_from_parts(lhs, multiplier, lc_sum, dist_sum)
+            reports.append(BoundReport(lhs, rhs, multiplier, lam,
                                        lhs <= rhs + BOUND_RTOL * abs(rhs),
                                        kind=kind.kind, n=n, label_count=C,
-                                       degenerate=lam.degenerate))
+                                       degenerate=degenerate))
     return reports
 
 
@@ -485,26 +477,16 @@ def unary_upper_bound(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
     for any auxiliary centers as long as the label multiplicities are even,
     with the same comparator g on both sides (hinge, or full softmax paired
     with the background-shared comparator on the triplet side).
+
+    The report's ``lambda_estimate`` is the smallest coefficient making the
+    tightened bound hold on this set, (L_t / M_t - sum_i lc_i) / sum_i
+    |h_i - c_{y_i}| with L_t the triplet loss and M_t the multiplier; it is
+    at most 2 whenever the plain bound holds.  It is 0 with ``degenerate``
+    set when the denominator vanishes (every code sits on its own center).
     """
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    return _unary_reports(code_set.codes[None], code_set, centers[None], kind, max_n)[0]
-
-
-def estimate_lambda(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
-                    max_n: int = DEFAULT_TRIPLET_CAP) -> LambdaEstimate:
-    """Smallest coefficient making the tightened unary bound hold on this set.
-
-    (L_t / M_t - sum_i lc_i) / sum_i |h_i - c_{y_i}|; at most 2 whenever the
-    plain bound holds.  Returns 0 flagged degenerate when the denominator
-    vanishes (every code sits exactly on its own center).
-    """
-    y = code_set.single_labels()
-    _check_cap(code_set.n, max_n)
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    lhs, _, lc_sum, dist_sum, multiplier = _unary_sides(
-        code_set.codes[None], y, code_set.label_count, centers[None], kind)
-    return _lambda_from_parts(float(lhs[0]), multiplier, float(lc_sum[0]),
-                              float(dist_sum[0]))
+    return unary_upper_bounds(code_set.codes[None], code_set.single_labels(),
+                              code_set.label_count, np.asarray(centers)[None], kind,
+                              max_n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +673,6 @@ class ToyConfig:
     seed: int = 0
     margin: float = 1.0
     triplet_samples: int = 1_000_000
-    enumeration_threshold: int = 30
 
     def __post_init__(self):
         if self.C < 2:
@@ -763,7 +744,7 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
     unary = multiplier * float((lc + 2.0 * d_own).sum())
 
     total_triplets = n * (m - 1) * (n - m)
-    if n < cfg.enumeration_threshold:
+    if n < TOY_ENUMERATION_THRESHOLD:
         blocks = _row_blocks(y, cfg.C).blocks
         lt = float(_triplet_sums(_pairwise_distances(codes), blocks, _comparator(kind)))
         # relaxed comparator summed over the same exhaustive triplet set
@@ -808,8 +789,9 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
         lt = float(g_sum / T) * total_triplets
         relaxed = float(relaxed_sum / T) * total_triplets
 
-    lam = _lambda_from_parts(lt, multiplier, float(lc.sum()), float(d_own.sum()))
-    return ToyCell(sigma, d, lt, relaxed, unary, float(lam), lam.degenerate)
+    lam, degenerate = _lambda_from_parts(lt, multiplier, float(lc.sum()),
+                                         float(d_own.sum()))
+    return ToyCell(sigma, d, lt, relaxed, unary, lam, degenerate)
 
 
 def toy_lambda_grid(cfg: ToyConfig, threads: int = 1) -> list[ToyCell]:
@@ -829,6 +811,81 @@ def toy_lambda_grid(cfg: ToyConfig, threads: int = 1) -> list[ToyCell]:
     else:
         rows = [_toy_cell(cfg, s, d, ss) for (s, d), ss in zip(cells, children)]
     return rows
+
+
+# ---------------------------------------------------------------------------
+# verify-bounds: randomized suites of unary and Monte Carlo checks
+# ---------------------------------------------------------------------------
+
+# Random instances drawn before their checks run; the suite's memory does
+# not grow with the instance count.
+BOUND_DRAW_CHUNK = 1000
+
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _draw_bound_arrays(rng: np.random.Generator, classes, max_n: int, max_r: int):
+    """(C, per_class, codes, centers) of one instance; the same stream as
+    ``rng.choice`` over ``classes`` and over the signs would take."""
+    C = int(classes[rng.integers(len(classes))])
+    per_class = int(rng.integers(1, max(max_n // C, 1) + 1))
+    r = int(rng.integers(2, max_r + 1))
+    codes = _SIGNS[rng.integers(0, 2, (C * per_class, r))]
+    centers = rng.normal(0.0, 2.0, (r, C))
+    return C, per_class, codes, centers
+
+
+def random_bound_instance(rng: np.random.Generator, classes, max_n: int,
+                          max_r: int):
+    """Balanced +/-1 codes with random real centers for one bound check."""
+    C, per_class, codes, centers = _draw_bound_arrays(rng, classes, max_n, max_r)
+    labels = np.repeat(np.arange(C), per_class)
+    return LabeledCodeSet.from_single_labels(codes, labels, C), centers
+
+
+def run_bound_suite(instances: int, classes, max_n: int, max_r: int,
+                    kind: TripletLossKind, seed: int):
+    """``unary_upper_bound`` of each ``random_bound_instance`` drawn from
+    ``seed``, in draw order.  The draws of a chunk are grouped by (C, rows
+    per class, r), and each group is certified as one stack.  ``max_n``
+    below the largest of ``classes`` is refused before any draw."""
+    classes = tuple(classes)
+    if classes and max_n < max(classes):
+        raise PreconditionError(f"an instance holds at least one code per class, so "
+                                f"max_n={max_n} cannot hold C={max(classes)}")
+    reports = []
+    rng = np.random.default_rng(seed)
+    for first in range(0, instances, BOUND_DRAW_CHUNK):
+        draws = [_draw_bound_arrays(rng, classes, max_n, max_r)
+                 for _ in range(min(BOUND_DRAW_CHUNK, instances - first))]
+        groups: dict[tuple, list[int]] = {}
+        for t, (C, per_class, codes, _) in enumerate(draws):
+            groups.setdefault((C, per_class, codes.shape[1]), []).append(t)
+        chunk = [None] * len(draws)
+        for (C, per_class, _), members in groups.items():
+            stack = unary_upper_bounds(
+                np.stack([draws[t][2] for t in members]),
+                np.repeat(np.arange(C), per_class), C,
+                np.stack([draws[t][3] for t in members]), kind)
+            for t, report in zip(members, stack):
+                chunk[t] = report
+        reports.extend(chunk)
+    return reports
+
+
+def run_multilabel_suite(configs: int, trials: int, seed: int):
+    reports = []
+    rng = np.random.default_rng(seed)
+    for i in range(configs):
+        n = int(rng.integers(8, 13))
+        C = int(rng.choice([3, 4, 5]))
+        p = float(rng.choice([0.2, 0.3, 0.5]))
+        r = int(rng.integers(4, 9))
+        codes = rng.choice([-1.0, 1.0], size=(n, r))
+        centers = rng.normal(0.0, 2.0, (r, C))
+        reports.append(multilabel_bound_check(
+            codes, C, p, centers, trials=trials, seed=seed + 7919 * (i + 1)))
+    return reports
 
 
 # Fixed bins of the lambda histogram in the verify-bounds summary: -1 to the

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from scdh import bounds, losses, meanteacher as mt, model, retrieval as rt
-from scdh.cli import run_bound_suite, run_multilabel_suite
+from scdh.bounds import run_bound_suite
 from scdh.data import (
     SyntheticConfig,
     labels_from_sets,

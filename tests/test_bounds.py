@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scdh import bounds, cli, data, retrieval
+from scdh import bounds, data, retrieval
 from scdh.errors import DimensionMismatch, LabelSetError, PreconditionError
 from scdh.losses import margin_loss, softmax_loss
 
@@ -57,12 +57,6 @@ def random_balanced_instance(rng, C_choices=(2, 3, 4), max_per_class=4, max_r=16
 
 
 class TestLabeledCodeSet:
-    def test_balanced_flag_validated(self):
-        codes = np.ones((3, 2))
-        with pytest.raises(PreconditionError):
-            bounds.LabeledCodeSet.from_single_labels(codes, [0, 0, 1], 2,
-                                                     balanced=True)
-
     def test_empty_label_rejected(self):
         with pytest.raises(LabelSetError):
             bounds.LabeledCodeSet(np.ones((2, 2)), data.labels_from_sets(({0}, set()), 2), 2)
@@ -84,7 +78,6 @@ class TestLabeledCodeSet:
         for cs in (vec, sets):
             assert cs.labels.tolist() == (y[:, None] == np.arange(3)).tolist()
             assert cs.single_labels().tolist() == y.tolist()
-            assert not cs.is_balanced()
             with pytest.raises(ValueError, match="read-only"):
                 cs.labels[0, 0] = True
         y[0] = 0                    # the set keeps its own copy
@@ -92,18 +85,17 @@ class TestLabeledCodeSet:
         multi = bounds.LabeledCodeSet(np.ones((2, 2)),
                                       data.labels_from_sets(({0, 1}, {1}), 2), 2)
         assert multi.labels.tolist() == [[True, True], [False, True]]
-        assert not multi.is_balanced()
 
     def test_stored_matrix_round_trips(self):
         y = np.array([1, 0, 1, 0])
-        for cs in (bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 2, balanced=True),
+        single = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 2)
+        for cs in (single,
                    bounds.LabeledCodeSet(np.ones((4, 2)),
                                          data.labels_from_sets(({0, 1}, {1}, {0}, {1}), 2), 2)):
             again = dataclasses.replace(cs, codes=np.zeros((4, 2)))
             assert np.array_equal(again.labels, cs.labels)
             assert again.labels is not cs.labels and not again.labels.flags.writeable
-            assert again.is_balanced() == cs.is_balanced()
-            if cs.is_balanced():
+            if cs is single:
                 assert again.single_labels().tolist() == y.tolist()
         matrix = np.array([[True, False], [False, True], [True, True]])
         cs = bounds.LabeledCodeSet(np.ones((3, 2)), matrix, 2)
@@ -263,15 +255,16 @@ class TestEstimateLambda:
         codes = np.concatenate([np.tile(centers[:, c], (per, 1)) for c in range(C)])
         labels = np.repeat(np.arange(C), per)
         cs = bounds.LabeledCodeSet.from_single_labels(codes, labels, C)
-        lam = bounds.estimate_lambda(cs, centers, margin_loss(1.0))
-        assert lam == 0.0
-        assert lam.degenerate
+        rep = bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
+        assert rep.lambda_estimate == 0.0
+        assert rep.degenerate
 
     def test_bounded_by_two(self, rng):
         for _ in range(100):
             cs, centers = random_balanced_instance(rng)
-            lam = bounds.estimate_lambda(cs, centers, margin_loss(1.0))
-            assert float(lam) <= 2.0 + 1e-9
+            rep = bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
+            assert rep.lambda_estimate <= 2.0 + 1e-9
+            assert not rep.degenerate
 
 
 class TestMultilabelBoundCheck:
@@ -444,7 +437,7 @@ def ref_toy_cell(cfg, sigma, d, seed_seq):
     multiplier = (n / cfg.C) ** 2 * (cfg.C - 1)
     unary = multiplier * float((lc + 2.0 * d_own).sum())
     total_triplets = n * (m - 1) * (n - m)
-    if n < cfg.enumeration_threshold:
+    if n < bounds.TOY_ENUMERATION_THRESHOLD:
         cs = bounds.LabeledCodeSet.from_single_labels(codes, y, cfg.C)
         lt = ref_brute_force_triplet_loss(cs, kind)
         relaxed = 0.0
@@ -467,8 +460,27 @@ def ref_toy_cell(cfg, sigma, d, seed_seq):
         relaxed_terms = (kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
                          + d_own[j_idx] + d_own[k_idx])
         relaxed = float(relaxed_terms.mean()) * total_triplets
-    lam = bounds._lambda_from_parts(lt, multiplier, float(lc.sum()), float(d_own.sum()))
-    return bounds.ToyCell(sigma, d, lt, relaxed, unary, float(lam), lam.degenerate)
+    lam, degenerate = bounds._lambda_from_parts(lt, multiplier, float(lc.sum()),
+                                                float(d_own.sum()))
+    return bounds.ToyCell(sigma, d, lt, relaxed, unary, lam, degenerate)
+
+
+def ref_lambda(code_set, centers, kind, triplet_loss):
+    """(lambda, degenerate) of the tightened unary bound from a reference
+    triplet loss and numpy's per-item classification losses lc_i and
+    own-center distances, in the summation order of the unary kernel."""
+    y, C, n = code_set.single_labels(), code_set.label_count, code_set.n
+    Dc = np.linalg.norm(code_set.codes[:, :, None] - centers[None], axis=1)   # (n, C)
+    d_own = Dc[np.arange(n), y]
+    if kind.kind == "margin":       # mean of g(d_y, d_l) over l != y
+        lc = (kind.g(d_own[:, None], Dc).sum(axis=1) - kind.g(d_own, d_own)) / (C - 1)
+    else:                           # -log softmax_y of -Dc
+        m = (-Dc).max(axis=1)
+        lc = d_own + (m + np.log(np.exp(-Dc - m[:, None]).sum(axis=1)))
+    dist_sum = float(d_own.sum())
+    if dist_sum <= 0.0:
+        return 0.0, True
+    return (triplet_loss / ((n / C) ** 2 * (C - 1)) - float(lc.sum())) / dist_sum, False
 
 
 @st.composite
@@ -513,19 +525,22 @@ class TestRowBlocksMatchReference:
     def test_softmax_background(self, case):
         cs, centers = case
         y = cs.single_labels()
-        args = (cs.codes[None], y, cs.label_count, centers[None], softmax_loss())
         if np.unique(y).size < 2:
             with pytest.raises(PreconditionError):
-                bounds._unary_sides(*args)
+                bounds._row_blocks(y, cs.label_count)
             return
-        lhs = bounds._unary_sides(*args)[0]
+        label_rows = bounds._row_blocks(y, cs.label_count)
+        lhs = bounds._unary_sides(cs.codes[None], label_rows, centers[None], softmax_loss())[0]
         assert lhs.tolist() == [ref_softmax_background_triplet_loss(cs, centers)]
 
     @settings(max_examples=200, deadline=None)
     @given(labeled_sets())
     def test_unary_report(self, case):
         cs, centers = case
-        if not cs.is_balanced() or cs.n < 2:
+        counts = np.bincount(cs.single_labels(), minlength=cs.label_count)
+        if (counts != counts[0]).any():     # a label missing or more frequent
+            with pytest.raises(PreconditionError):
+                bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
             return
         for kind in KINDS:
             rep = bounds.unary_upper_bound(cs, centers, kind)
@@ -598,7 +613,8 @@ class TestUnaryStackMatchesReference:
                 want = (ref_softmax_background_triplet_loss(cs, centers[t])
                         if kind.kind == "softmax" else ref_brute_force_triplet_loss(cs, kind))
                 assert rep.brute_force_loss == want
-                assert rep.lambda_estimate == bounds.estimate_lambda(cs, centers[t], kind)
+                assert (rep.lambda_estimate, rep.degenerate) == \
+                    ref_lambda(cs, centers[t], kind, want)
 
     @settings(max_examples=60, deadline=None)
     @given(code_stacks())
@@ -633,6 +649,9 @@ class TestUnaryStackMatchesReference:
         kind = margin_loss(1.0)
         with pytest.raises(PreconditionError):                   # not balanced
             bounds.unary_upper_bounds(codes, [0, 0, 0, 1], 2, centers, kind)
+        with pytest.raises(PreconditionError):                   # label 2 missing
+            bounds.unary_upper_bounds(codes, [0, 0, 1, 1], 3, rng.normal(0, 2, (2, 3, 3)),
+                                      kind)
         with pytest.raises(LabelSetError):
             bounds.unary_upper_bounds(codes, [0, 1, 0, 2], 2, centers, kind)
         with pytest.raises(DimensionMismatch):
@@ -648,6 +667,10 @@ class TestUnaryStackMatchesReference:
         y = np.array([1, 0, 1, 0, 2, 2])
         label_rows = bounds._row_blocks(y, 4)
         assert bounds._row_blocks(y.astype(np.int32), 4) is label_rows
+        assert label_rows.labels.tolist() == y.tolist()
+        assert not label_rows.balanced                  # label 3 is missing
+        assert bounds._row_blocks(y, 3).balanced
+        assert not bounds._row_blocks([0, 0, 1, 1, 1, 2], 3).balanced
         (rows, sim, dis, sim_at, dis_at), = label_rows.blocks
         assert label_rows.own_at.tolist() == [1, 4, 9, 12, 18, 22]
         with pytest.raises(ValueError, match="read-only"):
@@ -662,6 +685,9 @@ class TestUnaryStackMatchesReference:
         for one_label in ([3], [2, 2, 2]):
             with pytest.raises(PreconditionError):
                 bounds._row_blocks(np.array(one_label), 4)
+        for out_of_range in ([0, 1, 4], [-1, 0, 1]):
+            with pytest.raises(LabelSetError):
+                bounds._row_blocks(np.array(out_of_range), 4)
 
 
 class TestBoundDraws:
@@ -669,7 +695,7 @@ class TestBoundDraws:
     def test_draws_continue_the_choice_stream(self, seed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(200):
-            cs, centers = cli.random_bound_instance(rng, (2, 3, 4), 12, 16)
+            cs, centers = bounds.random_bound_instance(rng, (2, 3, 4), 12, 16)
             want, want_centers = ref_random_bound_instance(ref, (2, 3, 4), 12, 16)
             assert cs.label_count == want.label_count
             assert np.array_equal(cs.codes, want.codes)
@@ -680,21 +706,21 @@ class TestBoundDraws:
     @pytest.mark.parametrize("kind", [margin_loss(1.0), softmax_loss()])
     @pytest.mark.parametrize("chunk", [7, 1000])
     def test_suite_reports_each_draw_in_order(self, kind, chunk, monkeypatch):
-        monkeypatch.setattr(cli, "BOUND_DRAW_CHUNK", chunk)
-        got = cli.run_bound_suite(150, (2, 3, 4), 12, 16, kind, seed=3)
+        monkeypatch.setattr(bounds, "BOUND_DRAW_CHUNK", chunk)
+        got = bounds.run_bound_suite(150, (2, 3, 4), 12, 16, kind, seed=3)
         rng = np.random.default_rng(3)
         want = [bounds.unary_upper_bound(*ref_random_bound_instance(rng, (2, 3, 4), 12, 16),
                                          kind) for _ in range(150)]
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
-        assert cli.run_bound_suite(0, (2, 3, 4), 12, 16, kind, seed=3) == []
+        assert bounds.run_bound_suite(0, (2, 3, 4), 12, 16, kind, seed=3) == []
 
     def test_to_dict_equals_asdict(self):
         # the shallow dict has asdict's keys, order and values, so the JSON
         # and CSV rows built from it keep their bytes
         cells = bounds.toy_lambda_grid(bounds.ToyConfig(
             sigma_grid=(0.5,), d_grid=(0.0, 3.0), samples_per_cluster=10, seed=1))
-        drawn = [*cli.run_bound_suite(40, (2, 3, 4), 12, 16, softmax_loss(), seed=5),
-                 *cli.run_multilabel_suite(2, 1000, seed=5), *cells]
+        drawn = [*bounds.run_bound_suite(40, (2, 3, 4), 12, 16, softmax_loss(), seed=5),
+                 *bounds.run_multilabel_suite(2, 1000, seed=5), *cells]
         for item in drawn:
             got = item.to_dict()
             assert list(got.items()) == list(dataclasses.asdict(item).items())

@@ -1133,6 +1133,14 @@ REFUSALS = {
         lambda t: ["lambda-toy", "--bits", "2", "--clusters", "3"],
         "--bits 2 --clusters 3: r=2 cannot hold the simplex of 3 cluster means "
         "(need r >= C)"),
+    "verify-bounds-max-n": (
+        lambda t: ["verify-bounds", "--max-n", "1"],
+        "--max-n 1 --classes 2,3,4: an instance holds at least one code per class, "
+        "so max_n=1 cannot hold C=4"),
+    "verify-bounds-max-n-wide-class": (
+        lambda t: ["verify-bounds", "--classes", "2,64", "--max-n", "12"],
+        "--max-n 12 --classes 2,64: an instance holds at least one code per class, "
+        "so max_n=12 cannot hold C=64"),
 }
 
 
@@ -1143,6 +1151,7 @@ class TestRefusals:
         # each names the flags and values involved, exits 1 with one JSON
         # line, and leaves no --out directory
         for module, name in [(cli.meanteacher, "train_mt_scdh"), (cli.bounds, "toy_lambda_grid"),
+                             (cli.bounds, "_draw_bound_arrays"),
                              (cli.data, "make_multilabel_splits")]:
             monkeypatch.setattr(module, name, lambda *a, _n=name, **kw: pytest.fail(_n))
         argv, message = REFUSALS[case]
