@@ -124,12 +124,27 @@ class LabeledCodeSet:
     @classmethod
     def from_single_labels(cls, codes, labels,
                            label_count: int | None = None) -> "LabeledCodeSet":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _label_vector(labels)
         C = int(label_count if label_count is not None else labels.max() + 1)
         if labels.ndim != 1:
             raise DimensionMismatch("one label per code row required")
         # a label outside 0..C-1 leaves its row empty, which the set rejects
         return cls(codes, labels[:, None] == np.arange(C), C)
+
+
+def _label_vector(labels) -> np.ndarray:
+    """``labels`` as int64; raises LabelSetError on a value that is not an
+    integer.  Integer input passes on its dtype alone."""
+    y = np.asarray(labels)
+    if y.dtype.kind == "f":
+        integral = np.isfinite(y) & (y == np.floor(y))
+        if not integral.all():
+            i = int(np.argmin(integral.ravel()))
+            raise LabelSetError(f"label {y.ravel()[i].item()} at position {i} is not "
+                                "an integer")
+    elif y.dtype.kind not in "biu":
+        raise LabelSetError(f"labels must be integers, not {y.dtype}")
+    return y.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -441,7 +456,7 @@ def unary_upper_bounds(codes, labels, label_count: int, centers, kind: TripletLo
     b, n, r = codes.shape
     if not b:
         return []
-    labels = np.asarray(labels)
+    labels = _label_vector(labels)
     if labels.shape != (n,):
         raise DimensionMismatch(f"need one label per code row, {n} in all, got "
                                 f"shape {labels.shape}")

@@ -617,10 +617,12 @@ def _labels_for(codes: retrieval.CodeIndex, ds: data.DatasetFile, what: str):
             raise ValidationError(f"{what}: id {int(codes.ids[np.argmin(found)])} "
                                   "missing from dataset")
         labels = ds.labels[order[pos]]
-    # over the packed rows: an (n, C) ``any`` loops over C per row
-    if not retrieval.pack_bits(labels).any(axis=1).all():
+    index = retrieval.CodeIndex._adopt(codes.words, codes.ids, codes.nbits, labels)
+    # over the packed rows, which the ranking reuses: an (n, C) ``any`` loops
+    # over C per row
+    if not index.label_words.any(axis=1).all():
         raise ValidationError(f"{what}: unlabeled samples cannot be evaluated")
-    return retrieval.CodeIndex._adopt(codes.words, codes.ids, codes.nbits, labels)
+    return index
 
 
 def cmd_eval(cfg: dict, run: Run):

@@ -91,9 +91,16 @@ def require_negative_class(Y) -> None:
 
 def center_differences(F, centers) -> tuple[Array, Array]:
     """The (n, r, C) differences f_i - c_k of every row of F (n, r) from every
-    center (r, C), and their (n, C) norms D[i, k] = |f_i - c_k|."""
-    diff = F[:, :, None] - centers[None, :, :]
-    return diff, np.sqrt(np.einsum("nrc,nrc->nc", diff, diff))
+    center (r, C), and their (n, C) norms D[i, k] = |f_i - c_k|.
+
+    The differences are taken from F's entries repeated C times: contiguous
+    operands, where a stride-0 broadcast of F runs several times slower.
+    """
+    (n, r), C = F.shape, centers.shape[1]
+    diff = F.repeat(C).reshape(n, r, C)
+    diff -= centers
+    D = np.einsum("nrc,nrc->nc", diff, diff)
+    return diff, np.sqrt(D, out=D)
 
 
 def center_directions(F, centers) -> tuple[Array, Array]:
@@ -103,12 +110,15 @@ def center_directions(F, centers) -> tuple[Array, Array]:
     U[i, :, k] = (f_i - c_k) / D[i, k], zero where D[i, k] = 0 (any unit
     vector is a subgradient at the norm's kink; zero keeps gradients finite).
     Both come from the differences of ``center_differences``, so no precision
-    is lost near a center.
+    is lost near a center.  When every distance is positive the differences
+    are divided in place.
     """
     diff, D = center_differences(F, centers)
+    if D.min(initial=np.inf) > 0.0:     # false for a zero or a NaN
+        diff /= D[:, None, :]
+        return D, diff
     with np.errstate(invalid="ignore", divide="ignore"):
-        U = np.where(D[:, None, :] > 0.0, diff / D[:, None, :], 0.0)
-    return D, U
+        return D, np.where(D[:, None, :] > 0.0, diff / D[:, None, :], 0.0)
 
 
 def distance_gradients(U, coef) -> tuple[Array, Array]:
@@ -128,22 +138,34 @@ def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]
     In [0, 1] by Hoelder's inequality and scale invariant; 0 exactly when all
     |f_i| of a row agree, so it drives entries toward equal magnitude before
     sign binarization.  All-zero rows get loss 1 and gradient 0; entries
-    exactly at 0 get subgradient 0.
+    exactly at 0 get subgradient 0.  The masks that give those rows their
+    values are applied only when such a row exists.
     """
     _check_dual_norms(p, q)
     a = np.abs(F)
     s = a.sum(axis=1)
     norm_p = (a**p).sum(axis=1) ** (1.0 / p)
-    live = norm_p > 0.0
-    safe = np.where(live, norm_p, 1.0)
+    every_live = norm_p.min(initial=np.inf) > 0.0   # false for a zero or a NaN
+    safe = norm_p if every_live else np.where(norm_p > 0.0, norm_p, 1.0)
     ones_q = float(F.shape[1]) ** (1.0 / q)
-    loss = np.where(live, np.clip(1.0 - s / (ones_q * safe), 0.0, 1.0), 1.0)
+    loss = 1.0 - s / (ones_q * safe)
+    loss.clip(0.0, 1.0, out=loss)
     sign = np.sign(F)
     n_col, s_col = safe[:, None], s[:, None]
-    grad = -(sign * n_col - s_col * sign * a ** (p - 1.0) * n_col ** (1.0 - p)) / (
-        ones_q * n_col**2
-    )
-    return loss, np.where(live[:, None], grad, 0.0)
+    # -(sign * N - S * sign * |f|^(p-1) * N^(1-p)) / (r^(1/q) * N^2), in place
+    a **= p - 1.0
+    tail = s_col * sign
+    tail *= a
+    tail *= n_col ** (1.0 - p)
+    grad = sign
+    grad *= n_col
+    grad -= tail
+    np.negative(grad, out=grad)
+    grad /= ones_q * n_col**2
+    if every_live:
+        return loss, grad
+    live = norm_p > 0.0
+    return np.where(live, loss, 1.0), np.where(live[:, None], grad, 0.0)
 
 
 @dataclass
@@ -182,7 +204,8 @@ def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
     p the softmax of the negative center distances, the mean cross-entropy
     of its logits over Y, and the quantization penalty.  Single-label and
     multilabel rows share one per-distance coefficient
-    [k in Y](1/|Y| + lam) - p_k, pushed through the unit directions.
+    [k in Y](1/|Y| + lam) - p_k, pushed through the unit directions.  The
+    masks that zero the unlabeled rows are applied only when one exists.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
@@ -197,19 +220,23 @@ def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
     if logits.shape != (n, C):
         raise DimensionMismatch(f"logits {logits.shape} != labels {Y.shape}")
     count = Y.sum(axis=1)
-    labeled = (count > 0.0)[:, None]
-    inv = 1.0 / np.maximum(count, 1.0)
+    # with every row labeled, each count is at least 1 and no row is masked
+    every_labeled = count.all()
+    inv = 1.0 / (count if every_labeled else np.maximum(count, 1.0))
+    inv_col = inv[:, None]
 
     D, U = center_directions(F, centers)
     logp = _log_softmax_rows(-D)
     pull = (Y * D).sum(axis=1)
     scul = -(Y * logp).sum(axis=1) * inv + lam * pull
-    coef = Y * (inv[:, None] + lam) - np.where(labeled, np.exp(logp), 0.0)
-    grad_F, grad_c = distance_gradients(U, coef)
-
     logq = _log_softmax_rows(logits)
     classification = -(Y * logq).sum(axis=1) * inv
-    grad_logits = np.where(labeled, np.exp(logq) - Y * inv[:, None], 0.0)
+    p_rows, grad_logits = np.exp(logp), np.exp(logq) - Y * inv_col
+    if not every_labeled:
+        labeled = count[:, None] > 0.0
+        p_rows = np.where(labeled, p_rows, 0.0)
+        grad_logits = np.where(labeled, grad_logits, 0.0)
+    grad_F, grad_c = distance_gradients(U, Y * (inv_col + lam) - p_rows)
 
     quant, grad_q = quantization_batch(F, p, q)
     return SculBatch(scul, classification, quant, pull, grad_F, grad_q,

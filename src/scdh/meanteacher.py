@@ -76,18 +76,22 @@ class ConsistencyResult:
 
 
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
-    e = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = Z - Z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _softmax_sqdist_rows(student: np.ndarray, teacher: np.ndarray):
     """|softmax(student_i) - softmax(teacher_i)|^2 per row, and its gradient."""
-    if not (np.all(np.isfinite(student)) and np.all(np.isfinite(teacher))):
+    if not (np.isfinite(student).all() and np.isfinite(teacher).all()):
         raise NonFiniteError("softmax input contains non-finite entries")
     s = _softmax_rows(student)
     e = s - _softmax_rows(teacher)
     # Jacobian of softmax applied to 2e: diag(s) - s s^T
-    grad = 2.0 * (s * e - s * (s * e).sum(axis=1, keepdims=True))
+    grad = s * e
+    grad -= s * grad.sum(axis=1, keepdims=True)
+    grad *= 2.0
     return (e * e).sum(axis=1), grad
 
 
@@ -105,9 +109,12 @@ def consistency_losses(student_logits, teacher_logits, student_negdists,
     dt = np.asarray(teacher_negdists, dtype=np.float64)
     if a.shape != at.shape or d.shape != dt.shape:
         raise DimensionMismatch("student/teacher output lengths differ")
-    cls_loss, cls_grad = _softmax_sqdist_rows(np.atleast_2d(a), np.atleast_2d(at))
-    dist_loss, dist_grad = _softmax_sqdist_rows(np.atleast_2d(d), np.atleast_2d(dt))
-    if a.ndim == 1:
+    one_row = a.ndim == 1
+    if one_row or d.ndim == 1:
+        a, at, d, dt = map(np.atleast_2d, (a, at, d, dt))
+    cls_loss, cls_grad = _softmax_sqdist_rows(a, at)
+    dist_loss, dist_grad = _softmax_sqdist_rows(d, dt)
+    if one_row:
         return ConsistencyResult(float(cls_loss[0]), float(dist_loss[0]),
                                  cls_grad[0], dist_grad[0])
     return ConsistencyResult(cls_loss, dist_loss, cls_grad, dist_grad)
@@ -200,12 +207,15 @@ def train_mt_scdh(dataset: Dataset, hp: Hyperparams, w: float = 0.0,
         cons_count = 0
         for a0 in range(0, n_total, hp.batch_size):
             idx = perm[a0:a0 + hp.batch_size]
-            X = perturb(features[idx], noise_std, noise_rng)
+            # the steps read their inputs and write none, so one gather serves
+            # both; a zero noise draws nothing and needs no copy
+            batch = features[idx]
+            X = perturb(batch, noise_std, noise_rng) if noise_std else batch
             consistency = None
             w_eff = w * min(1.0, step / ramp_steps)
             if w_eff > 0.0:
-                Ft, logits_t, _ = forward_batch(
-                    teacher, perturb(features[idx], noise_std, noise_rng))
+                Xt = perturb(batch, noise_std, noise_rng) if noise_std else batch
+                Ft, logits_t, _ = forward_batch(teacher, Xt)
                 consistency = _consistency_term(
                     logits_t, negative_center_distances(Ft, teacher.centers),
                     w_eff, hp.mu)

@@ -118,9 +118,11 @@ class EmbeddingModel:
 
     Every parameter is a view into one contiguous float64 vector ``theta``
     laid out by ``param_layout``; the momentum buffer ``velocity`` has the
-    same layout.  ``theta``, if given, is adopted, not copied.  The optimizer
-    updates ``theta`` in place, so a parameter is changed by writing into it
-    (``centers[:] = ...``): rebinding an attribute detaches it from ``theta``.
+    same layout, and so has ``grad``, the gradient vector that each
+    ``_sgd_step`` overwrites (``grads`` holds its block views).  ``theta``,
+    if given, is adopted, not copied.  The optimizer updates ``theta`` in
+    place, so a parameter is changed by writing into it (``centers[:] =
+    ...``): rebinding an attribute detaches it from ``theta``.
     """
 
     def __init__(self, dims: Sequence[int], C: int, r: int,
@@ -128,11 +130,16 @@ class EmbeddingModel:
         self.trunk_dims = tuple(int(d) for d in dims)
         self.label_count, self.r = C, r
         self.layout = param_layout(self.trunk_dims, C, r)
-        size = sum(math.prod(shape) for _, shape in self.layout)
+        self._spans, size = [], 0
+        for name, shape in self.layout:
+            self._spans.append((name, size, size + math.prod(shape), shape))
+            size += math.prod(shape)
         self.theta = np.zeros(size) if theta is None else theta
         if self.theta.shape != (size,) or self.theta.dtype != np.float64:
             raise DimensionMismatch(f"theta must be {size} float64 values")
         self.velocity = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.grads = self.blocks(self.grad)
         p = self.blocks(self.theta)
         self.trunk = [AffineLayer(p[f"trunk[{i}].W"], p[f"trunk[{i}].b"])
                       for i in range(len(self.trunk_dims) - 1)]
@@ -146,12 +153,8 @@ class EmbeddingModel:
 
     def blocks(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """A vector in ``theta``'s layout seen as its named blocks (views)."""
-        views, off = {}, 0
-        for name, shape in self.layout:
-            end = off + math.prod(shape)
-            views[name] = flat[off:end].reshape(shape)
-            off = end
-        return views
+        return {name: flat[start:end].reshape(shape)
+                for name, start, end, shape in self._spans}
 
     def parameters(self) -> list[np.ndarray]:
         """Views of ``theta``, one per block in checkpoint order."""
@@ -184,7 +187,11 @@ def init_model(dims: Sequence[int], C: int, r: int, seed) -> EmbeddingModel:
 
 
 def forward_batch(model: EmbeddingModel, X) -> tuple[np.ndarray, np.ndarray, list]:
-    """Batched forward pass keeping trunk activations for backprop."""
+    """Batched forward pass keeping trunk activations for backprop.
+
+    Each layer adds its bias and rectifies in place, as
+    ``extract_embeddings`` does, which gives the same values.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise DimensionMismatch(
@@ -193,30 +200,38 @@ def forward_batch(model: EmbeddingModel, X) -> tuple[np.ndarray, np.ndarray, lis
     acts = [X]
     a = X
     for layer in model.trunk:
-        z = a @ layer.W.T + layer.b
-        a = np.maximum(z, 0.0)
+        a = a @ layer.W.T
+        a += layer.b
+        np.maximum(a, 0.0, out=a)
         acts.append(a)
-    F = a @ model.hash_layer.W.T + model.hash_layer.b
-    logits = a @ model.classifier.W.T + model.classifier.b
+    F = a @ model.hash_layer.W.T
+    F += model.hash_layer.b
+    logits = a @ model.classifier.W.T
+    logits += model.classifier.b
     return F, logits, acts
 
 
 def _backprop_chain(model: EmbeddingModel, acts: list, grad_F: np.ndarray,
                     grad_logits: np.ndarray, grads: dict[str, np.ndarray]):
-    """Backpropagate output gradients through the affine trunk, adding them
-    into ``grads``, the named blocks of a gradient vector."""
+    """Backpropagate output gradients through the affine trunk, writing each
+    layer's weight and bias gradients into ``grads``, the named blocks of a
+    gradient vector.  The gradient with respect to the inputs is not formed."""
     a_last = acts[-1]
-    grads["hash_layer.W"] += grad_F.T @ a_last
-    grads["hash_layer.b"] += grad_F.sum(axis=0)
-    grads["classifier.W"] += grad_logits.T @ a_last
-    grads["classifier.b"] += grad_logits.sum(axis=0)
-    grad_a = grad_F @ model.hash_layer.W + grad_logits @ model.classifier.W
+    np.matmul(grad_F.T, a_last, out=grads["hash_layer.W"])
+    grad_F.sum(axis=0, out=grads["hash_layer.b"])
+    np.matmul(grad_logits.T, a_last, out=grads["classifier.W"])
+    grad_logits.sum(axis=0, out=grads["classifier.b"])
+    if not model.trunk:
+        return
+    grad_a = grad_F @ model.hash_layer.W
+    grad_a += grad_logits @ model.classifier.W
     for idx in range(len(model.trunk) - 1, -1, -1):
-        grad_z = grad_a * (acts[idx + 1] > 0.0)
-        grads[f"trunk[{idx}].W"] += grad_z.T @ acts[idx]
-        grads[f"trunk[{idx}].b"] += grad_z.sum(axis=0)
-        grad_a = grad_z @ model.trunk[idx].W
-    return grad_a
+        grad_z = grad_a
+        grad_z *= acts[idx + 1] > 0.0
+        np.matmul(grad_z.T, acts[idx], out=grads[f"trunk[{idx}].W"])
+        grad_z.sum(axis=0, out=grads[f"trunk[{idx}].b"])
+        if idx:
+            grad_a = grad_z @ model.trunk[idx].W
 
 
 def sgd_update(model: EmbeddingModel, grad: np.ndarray, lr: float,
@@ -245,21 +260,18 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
     if len(labels) == 0:
         raise PreconditionError("empty batch")
     F, logits, acts = forward_batch(model, X)
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(logits))):
+    if not (np.isfinite(F).all() and np.isfinite(logits).all()):
         raise DivergenceError(
             "non-finite activations in the forward pass; the learning rate is "
             "likely too high"
         )
-    grad_F = np.zeros_like(F)
-    grad_logits = np.zeros_like(logits)
-    grad = np.zeros_like(model.theta)
-    grads = model.blocks(grad)
     # one kernel call serves every row; unlabeled rows get quantization only
     k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
                           hp.holder_p, hp.holder_q)
-    grad_F += k.grad_embedding + hp.alpha * k.grad_quantization
-    grad_logits += hp.mu * k.grad_logits
-    grads["centers"] += k.grad_centers
+    grad_F = k.grad_embedding + hp.alpha * k.grad_quantization
+    grad_logits = hp.mu * k.grad_logits
+    grads = model.grads
+    np.copyto(grads["centers"], k.grad_centers)
     extra = 0.0
     if consistency is not None:
         extra = consistency(logits, k, grad_F, grad_logits, grads["centers"])
@@ -272,7 +284,10 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
             f"non-finite step loss {total}; the learning rate is likely too high"
         )
     _backprop_chain(model, acts, grad_F, grad_logits, grads)
-    sgd_update(model, grad, lr, hp.momentum)
+    # every block is written; adding 0.0 turns each -0 into +0, as a sum into
+    # a zeroed vector would: the momentum update of a -0 velocity reads the sign
+    model.grad += 0.0
+    sgd_update(model, model.grad, lr, hp.momentum)
     return rows, extra
 
 

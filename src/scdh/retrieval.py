@@ -178,7 +178,8 @@ class CodeIndex:
 
     ``search`` works on the index's bucket view (see ``Buckets``) and a
     table from each distinct code to its bucket.  Both are built on the
-    first search and cached; they are not part of the code file.
+    first search and cached, as the packed label rows of ``label_words`` are
+    on first use; none of them is part of the code file.
     """
 
     words: np.ndarray        # (n, W) uint64
@@ -234,13 +235,23 @@ class CodeIndex:
         return view, dict(zip(map(bytes, view.words),
                               zip(view.starts.tolist(), view.sizes.tolist())))
 
-    def label_masks(self, C: int) -> np.ndarray:
-        """Label rows as (n, ceil(C/64)) uint64 bitmasks for fast overlap tests."""
+    @cached_property
+    def label_words(self) -> np.ndarray:
+        """Label rows as (n, ceil(C/64)) uint64 bitmasks (read-only), packed on
+        first use and cached like the search buckets."""
         if self.labels is None:
             raise PreconditionError("index carries no labels")
+        words = pack_bits(self.labels)
+        words.flags.writeable = False
+        return words
+
+    def label_masks(self, C: int) -> np.ndarray:
+        """``label_words``, for fast overlap tests, after checking that the
+        index has C labels."""
+        words = self.label_words
         if self.labels.shape[1] != C:
             raise DimensionMismatch(f"index has {self.labels.shape[1]} labels, not {C}")
-        return pack_bits(self.labels)
+        return words
 
 
 def distances_to_index(query_words: np.ndarray, index: CodeIndex | Buckets) -> np.ndarray:

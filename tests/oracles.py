@@ -6,7 +6,8 @@ take one embedding, one logit vector or one label set at a time and follow
 the paper's formulas term by term; the tests compare the batched kernels
 against them and check their hand-derived gradients by finite differences.
 Centers are an ``(r, C)`` matrix whose columns are the per-label cluster
-centers.
+centers.  At the end, ``ref_scul_batch`` and its helpers keep the batch
+kernel in its plain form, with no fast path, for byte-for-byte comparison.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scdh.errors import DimensionMismatch, LabelSetError, NonFiniteError
-from scdh.losses import _as_centers, _check_dual_norms
+from scdh.losses import SculBatch, _as_centers, _check_dual_norms
 
 Array = np.ndarray
 
@@ -236,3 +237,116 @@ def softmax_sqdist_grad(student_vec: np.ndarray, teacher_vec: np.ndarray):
     # Jacobian of softmax applied to 2e: diag(s) - s s^T
     grad = 2.0 * (s * e - s * float(s @ e))
     return loss, grad
+
+
+# ---------------------------------------------------------------------------
+# The batch kernel as it stood before its fast paths: a stride-0 broadcast
+# difference tensor, and a ``np.where`` mask and a clip on every call.  The
+# tests require the kernel to equal it byte for byte, signed zeros included.
+# ---------------------------------------------------------------------------
+
+def ref_center_differences(F, centers) -> tuple[Array, Array]:
+    """The (n, r, C) differences f_i - c_k of every row of F (n, r) from every
+    center (r, C), and their (n, C) norms D[i, k] = |f_i - c_k|."""
+    diff = F[:, :, None] - centers[None, :, :]
+    return diff, np.sqrt(np.einsum("nrc,nrc->nc", diff, diff))
+
+
+def ref_center_directions(F, centers) -> tuple[Array, Array]:
+    """Distances from every row of F to every center, and their unit directions.
+
+    Returns ``D`` (n, C) with D[i, k] = |f_i - c_k| and ``U`` (n, r, C) with
+    U[i, :, k] = (f_i - c_k) / D[i, k], zero where D[i, k] = 0 (any unit
+    vector is a subgradient at the norm's kink; zero keeps gradients finite).
+    Both come from the differences of ``center_differences``, so no precision
+    is lost near a center.
+    """
+    diff, D = ref_center_differences(F, centers)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        U = np.where(D[:, None, :] > 0.0, diff / D[:, None, :], 0.0)
+    return D, U
+
+
+def ref_distance_gradients(U, coef) -> tuple[Array, Array]:
+    """Gradients of sum_ik coef[i, k] * |f_i - c_k| w.r.t. F and the centers.
+
+    ``U`` is the (n, r, C) direction tensor of ``center_directions``; returns
+    (grad_F (n, r), grad_centers (r, C)).
+    """
+    grad_F = np.matmul(U, coef[:, :, None])[:, :, 0]
+    return grad_F, -np.einsum("nrc,nc->rc", U, coef)
+
+
+def ref_quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]:
+    """Row-wise penalty 1 - sum|f_i| / (r^(1/q) * ||f||_p) of (n, r) F, and
+    its gradient.
+
+    In [0, 1] by Hoelder's inequality and scale invariant; 0 exactly when all
+    |f_i| of a row agree, so it drives entries toward equal magnitude before
+    sign binarization.  All-zero rows get loss 1 and gradient 0; entries
+    exactly at 0 get subgradient 0.
+    """
+    _check_dual_norms(p, q)
+    a = np.abs(F)
+    s = a.sum(axis=1)
+    norm_p = (a**p).sum(axis=1) ** (1.0 / p)
+    live = norm_p > 0.0
+    safe = np.where(live, norm_p, 1.0)
+    ones_q = float(F.shape[1]) ** (1.0 / q)
+    loss = np.where(live, np.clip(1.0 - s / (ones_q * safe), 0.0, 1.0), 1.0)
+    sign = np.sign(F)
+    n_col, s_col = safe[:, None], s[:, None]
+    grad = -(sign * n_col - s_col * sign * a ** (p - 1.0) * n_col ** (1.0 - p)) / (
+        ones_q * n_col**2
+    )
+    return loss, np.where(live[:, None], grad, 0.0)
+
+
+def _ref_log_softmax_rows(Z: Array) -> Array:
+    m = Z.max(axis=1, keepdims=True)
+    return Z - (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))
+
+
+def ref_scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
+                   q: float = 1.5) -> SculBatch:
+    """The unary objective's terms and gradients for a whole batch at once.
+
+    ``F`` is (n, r), ``centers`` (r, C), ``logits`` (n, C) and ``Y`` the
+    (n, C) label matrix of ``data.Dataset``.  A row with label set Y gets the
+    unary loss (1/|Y|) sum_{s in Y} -log p_s + lam sum_{s in Y} |f - c_s|,
+    p the softmax of the negative center distances, the mean cross-entropy
+    of its logits over Y, and the quantization penalty.  Single-label and
+    multilabel rows share one per-distance coefficient
+    [k in Y](1/|Y| + lam) - p_k, pushed through the unit directions.
+    """
+    if lam < 0:
+        raise ValueError("lam must be non-negative")
+    F = np.asarray(F, dtype=np.float64)
+    centers = _as_centers(centers)
+    logits = np.asarray(logits, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    n, C = Y.shape
+    if F.ndim != 2 or F.shape != (n, centers.shape[0]) or centers.shape[1] != C:
+        raise DimensionMismatch(f"F {F.shape}, centers {centers.shape} and labels "
+                                f"{Y.shape} do not agree")
+    if logits.shape != (n, C):
+        raise DimensionMismatch(f"logits {logits.shape} != labels {Y.shape}")
+    count = Y.sum(axis=1)
+    labeled = (count > 0.0)[:, None]
+    inv = 1.0 / np.maximum(count, 1.0)
+
+    D, U = ref_center_directions(F, centers)
+    logp = _ref_log_softmax_rows(-D)
+    pull = (Y * D).sum(axis=1)
+    scul = -(Y * logp).sum(axis=1) * inv + lam * pull
+    coef = Y * (inv[:, None] + lam) - np.where(labeled, np.exp(logp), 0.0)
+    grad_F, grad_c = ref_distance_gradients(U, coef)
+
+    logq = _ref_log_softmax_rows(logits)
+    classification = -(Y * logq).sum(axis=1) * inv
+    grad_logits = np.where(labeled, np.exp(logq) - Y * inv[:, None], 0.0)
+
+    quant, grad_q = ref_quantization_batch(F, p, q)
+    return SculBatch(scul, classification, quant, pull, grad_F, grad_q,
+                     grad_logits, grad_c, D, U)
+

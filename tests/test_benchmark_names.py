@@ -2,17 +2,23 @@
 
 ``perfbench/workloads.py`` calls attributes of the ``scdh`` modules it
 imports, and ``perfbench/tracing.py`` wraps the methods of its ``METHODS``
-table and hooks the functions its ``HOOKS`` table names.  A rename or move in
-the package that leaves one of them behind fails here, not as a refused
-benchmark run.
+table and hooks the functions its ``HOOKS`` table names.  Its training
+metrics count the spans of a few public step functions, which a training
+step must keep calling by name.  A rename, move or inlining in the package
+that leaves one of them behind fails here, not as a refused benchmark run
+or a metric that silently reads 0.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from scdh import data, meanteacher, model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -72,3 +78,49 @@ def test_traced_method_resolves(dotted):
 @pytest.mark.parametrize("dotted", sorted(TRACING.HOOKS))
 def test_hooked_function_resolves(dotted):
     assert callable(_resolve(dotted))
+
+
+# The spans layer_metrics reads to split a training run: model.steps counts
+# sgd_update, model.forward_s times forward_batch, and the mean-teacher
+# metrics time the rest.
+TRAINING_SPANS = ("model.sgd_update", "model.forward_batch",
+                  "meanteacher.consistency_losses", "meanteacher.ema_update",
+                  "meanteacher.perturb", "meanteacher.train_mt_scdh")
+
+
+@pytest.mark.parametrize("dotted", TRAINING_SPANS)
+def test_training_span_is_a_public_function(dotted):
+    # the tracer wraps a module's own public functions, nothing else
+    assert f'"{dotted}"' in inspect.getsource(TRACING.layer_metrics)
+    layer, name = dotted.split(".")
+    fn = _resolve(dotted)
+    assert inspect.isfunction(fn) and not name.startswith("_")
+    assert fn.__module__ == f"scdh.{layer}"
+
+
+def test_a_traced_training_run_records_every_step_span():
+    rng = np.random.default_rng(0)
+    n, C = 40, 3
+    y = np.arange(n) % C
+    labels = np.zeros((n, C), dtype=bool)
+    labels[np.arange(10), y[:10]] = True           # 10 labeled rows, 30 unlabeled
+    ds = data.Dataset(np.arange(n), rng.normal(size=(n, 4)) + y[:, None], labels)
+    hp = model.Hyperparams(epochs=2, batch_size=16, lr=1e-3)
+    tracer = TRACING.Tracer()
+    tracer.install({name: importlib.import_module(f"scdh.{name}")
+                    for name in TRACING.LAYERS},
+                   also=(importlib.import_module("scdh"),))
+    try:
+        meanteacher.train_mt_scdh(ds, hp, w=1.0, ema_decay=0.9, noise_std=0.1, r=6,
+                                  hidden=(8,))
+    finally:
+        tracer.uninstall()
+    m = TRACING.layer_metrics(tracer, [], n * hp.epochs)
+    steps = hp.epochs * 3                           # 40 rows in batches of 16
+    assert m["model.steps"] == steps
+    assert m["meanteacher.consistency_calls"] == steps - 1   # its weight is 0 at step 0
+    assert m["meanteacher.ema_calls"] == steps
+    for key in ("model.forward_s", "model.sgd_s", "meanteacher.train_s",
+                "meanteacher.consistency_s", "meanteacher.ema_s",
+                "meanteacher.perturb_s"):
+        assert m[key] > 0.0, key

@@ -70,6 +70,24 @@ class TestLabeledCodeSet:
         with pytest.raises(DimensionMismatch):
             bounds.LabeledCodeSet.from_single_labels(codes, [0, 1], 2)
 
+    def test_non_integral_labels_rejected(self):
+        # a float label used to be truncated: [0.9, 1.5, 0.2, 1.99] read as [0, 1, 0, 1]
+        kind, centers = margin_loss(1.0), np.zeros((2, 3, 2))
+        for bad in ([0.9, 1.5, 0.2, 1.99], [0.0, np.nan, 1.0, 1.0], [0.0, np.inf, 1.0, 1.0],
+                    ["0", "1", "0", "1"]):
+            with pytest.raises(LabelSetError, match="integer"):
+                bounds.LabeledCodeSet.from_single_labels(np.ones((4, 3)), bad, 2)
+            with pytest.raises(LabelSetError, match="integer"):
+                bounds.unary_upper_bounds(np.ones((2, 4, 3)), bad, 2, centers, kind)
+        for good in ([0.0, 1.0, 0.0, 1.0], np.array([0, 1, 0, 1], np.uint8),
+                     np.array([False, True, False, True])):
+            cs = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 3)), good, 2)
+            assert cs.single_labels().tolist() == [0, 1, 0, 1]
+            got = bounds.unary_upper_bounds(np.ones((2, 4, 3)), good, 2, centers, kind)
+            want = bounds.unary_upper_bounds(np.ones((2, 4, 3)), [0, 1, 0, 1], 2, centers,
+                                             kind)
+            assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
     def test_label_forms_agree(self):
         y = np.array([1, 0, 1, 2])
         vec = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 3)

@@ -402,6 +402,20 @@ class TestStreamedEncodeEval:
                                   "db.scds", tmp_path / "eval")) == 0
         assert reads == []
 
+    def test_eval_packs_each_label_block_once(self, files, tmp_path, monkeypatch):
+        # the unlabeled-row check and the ranking share one packing per side
+        d, _, _ = files
+        assert cli.main(encode_argv(d, "q.scds", tmp_path, "q.scdh")) == 0
+        assert cli.main(encode_argv(d, "db.scds", tmp_path, "db.scdh")) == 0
+        packed = []
+        real = retrieval.pack_bits
+        monkeypatch.setattr(retrieval, "pack_bits",
+                            lambda bits: packed.append(bits.shape) or real(bits))
+        assert cli.main(eval_argv(d, tmp_path / "q.scdh", tmp_path / "db.scdh",
+                                  "db.scds", tmp_path / "eval")) == 0
+        assert sorted(packed) == sorted([load_dataset(d / "q.scds").labels.shape,
+                                         load_dataset(d / "db.scds").labels.shape])
+
     def test_eval_refuses_an_unlabeled_database_row(self, files, tmp_path, capsys):
         d, _, _ = files
         assert cli.main(encode_argv(d, "q.scds", tmp_path, "q.scdh")) == 0
@@ -866,6 +880,24 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             digests.add(hashlib.sha256((out / "codes.scdh").read_bytes()).hexdigest())
         assert len(digests) == 1
+        # training: batches of 256 through the same wide trunk, so that each
+        # step's products split too, supervised and mean-teacher
+        tiny_gen(tmp_path / "g", **{"train-per-class": 200, "dim": 32})
+        tiny_gen(tmp_path / "gs", **{"train-per-class": 200, "dim": 32,
+                                     "keep-labels": 0.3})
+        common = ["--bits", 64, "--hidden", "512,256", "--epochs", 2,
+                  "--batch-size", 256, "--lr", 0.002]
+        runs = {"train": ["train", "--data", tmp_path / "g" / "train.scds", *common],
+                "train-semi": ["train-semi", "--data", tmp_path / "gs" / "train.scds",
+                               *common, "--w", 1.0, "--noise-std", 0.1]}
+        for command, argv in runs.items():
+            for threads in ("1", "2"):
+                proc = subprocess.run(
+                    [*RUN, *map(str, argv), "--out", tmp_path / command / threads],
+                    capture_output=True, text=True,
+                    env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+                assert proc.returncode == 0, proc.stderr
+            self.compare_dirs(tmp_path / command / "1", tmp_path / command / "2")
 
     def test_train_byte_identical(self, tmp_path):
         d = tmp_path / "data"

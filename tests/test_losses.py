@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -471,6 +472,80 @@ class TestSculBatch:
             losses.scul_batch(F[:, :3], centers, logits, Y, 0.01)
         with pytest.raises(DimensionMismatch):
             losses.scul_batch(F, centers, logits[:2], Y, 0.01)
+
+
+def byte_batch(case, seed=0, n=6, r=5, C=4):
+    """A batch that reaches one fast path or fallback of the kernel."""
+    rng = np.random.default_rng(seed)
+    F = rng.normal(0, 1.5, (n, r))
+    centers = rng.normal(0, 1.5, (r, C))
+    logits = rng.normal(0, 3, (n, C))
+    y = rng.integers(0, C, n)
+    Y = np.zeros((n, C), dtype=bool)
+    Y[np.arange(n), y] = True
+    if case == "on-center":
+        F[0] = centers[:, y[0]]
+    elif case == "zero-row":
+        F[-1] = 0.0
+    elif case == "zero-entries":
+        F[:, 0] = 0.0
+        F[-1, 2] = -0.0
+    elif case == "unlabeled":
+        Y[n // 2:] = False
+    elif case == "multilabel":
+        Y[np.arange(0, n, 2), (y[::2] + 1) % C] = True
+    elif case == "all-equal-magnitudes":
+        F = np.where(F < 0, -0.7, 0.7)
+    return F, centers, logits, Y
+
+
+BYTE_CASES = ("plain", "on-center", "zero-row", "zero-entries", "unlabeled",
+              "multilabel", "all-equal-magnitudes")
+
+
+class TestKernelBytes:
+    """The kernel's fast paths give exactly the bytes of its plain form."""
+
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("case", BYTE_CASES)
+    @pytest.mark.parametrize("p", [3.0, 2.0, 4.0, 1.5])
+    def test_scul_batch_equals_reference(self, case, n, p):
+        for seed in range(3):
+            F, centers, logits, Y = byte_batch(case, seed, n=n)
+            q = p / (p - 1.0)
+            got = losses.scul_batch(F, centers, logits, Y, 0.01, p, q)
+            want = oracles.ref_scul_batch(F, centers, logits, Y, 0.01, p, q)
+            for field in dataclasses.fields(losses.SculBatch):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.shape == b.shape and a.dtype == b.dtype, field.name
+                assert a.tobytes() == b.tobytes(), f"{case}, n={n}: {field.name}"
+
+    def test_cases_reach_the_fallbacks(self):
+        F, centers, logits, Y = byte_batch("on-center")
+        assert losses.center_directions(F, centers)[0].min() == 0.0
+        F, centers, logits, Y = byte_batch("zero-row")
+        assert losses.quantization_batch(F)[0][-1] == 1.0
+        F, centers, logits, Y = byte_batch("unlabeled")
+        assert not Y.any(axis=1).all()
+        F, centers, logits, Y = byte_batch("multilabel")
+        assert Y.sum(axis=1).max() == 2
+        F, centers, logits, Y = byte_batch("all-equal-magnitudes")
+        loss = losses.quantization_batch(F)[0]
+        raw = 1.0 - np.abs(F).sum(axis=1) / (
+            F.shape[1] ** (1 / 1.5) * (np.abs(F) ** 3.0).sum(axis=1) ** (1 / 3.0))
+        assert (raw < 0.0).any() and (loss >= 0.0).all()
+
+    @pytest.mark.parametrize("case", BYTE_CASES)
+    def test_helpers_equal_reference(self, case):
+        F, centers, _, _ = byte_batch(case, 4, n=9, r=7, C=5)
+        for got, want in ((losses.center_differences(F, centers),
+                           oracles.ref_center_differences(F, centers)),
+                          (losses.center_directions(F, centers),
+                           oracles.ref_center_directions(F, centers)),
+                          (losses.quantization_batch(F),
+                           oracles.ref_quantization_batch(F))):
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), case
 
 
 class TestLabelMatrix:

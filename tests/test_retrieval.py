@@ -877,6 +877,11 @@ class TestFlatPacking:
     def test_label_masks_and_codes_are_the_per_row_packing(self, rng):
         _, index = make_index(rng, 300, 70, with_labels=True, C=6)
         assert_same_array(index.label_masks(6), ref_pack_bits(index.labels))
+        # packed once and cached read-only; label_masks still checks C
+        assert index.label_masks(6) is index.label_words
+        assert not index.label_words.flags.writeable
+        with pytest.raises(DimensionMismatch):
+            index.label_masks(5)
         F = rng.normal(size=(300, 24))
         assert_same_array(rt.binarize_batch(F), ref_pack_bits(F >= 0.0))
 
