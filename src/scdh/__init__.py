@@ -12,9 +12,7 @@ from .bounds import (
     BoundReport,
     LabeledCodeSet,
     ToyConfig,
-    brute_force_triplet_loss,
     multilabel_bound_check,
-    multilabel_brute_force_loss,
     toy_lambda_grid,
     unary_upper_bound,
     unary_upper_bounds,

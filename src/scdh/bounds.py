@@ -10,12 +10,12 @@ Every path works an array at a time and returns the same bits as a plain
 per-row (or per-trial) loop, which the tests keep as the reference:
 
 - one kernel computes both sides of the unary bound for a (b, n, r) stack
-  of code sets that share one label vector; ``unary_upper_bounds``, the one
-  unary entry, certifies a stack (``unary_upper_bound`` is its b = 1 case,
-  and verify-bounds' ``run_bound_suite`` groups its draws by shape into
-  stacks).  The exhaustive triplet sums reduce one (b, rows, k-1, n-k)
-  block per label multiplicity k (a single block for a balanced set) and
-  add the row sums in row order with ``cumsum``, as a running total would;
+  of code sets that share one balanced label vector; ``unary_upper_bounds``,
+  the one unary entry, certifies a stack (``unary_upper_bound`` is its
+  b = 1 case, and verify-bounds' ``run_bound_suite`` groups its draws by
+  shape into stacks).  The exhaustive triplet sums reduce one
+  (b, n, k-1, n-k) block, k = n/C codes per label, and add the row sums in
+  row order with ``cumsum``, as a running total would;
 - the Monte Carlo check draws the label sets of a block of trials from one
   stream of C-wide candidate rows, packed into uint64 codes as they are
   drawn.  The triplet side takes the overlaps |Y_i & Y_j| as popcounts and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,7 +54,8 @@ Z_99 = 2.3263478740408408
 # Relative tolerance absorbing float summation order in bound comparisons.
 BOUND_RTOL = 1e-9
 
-DEFAULT_TRIPLET_CAP = 64
+# Most codes in a set whose triplets are enumerated; their count grows as n^3.
+TRIPLET_CAP = 64
 
 # A toy cell of fewer codes enumerates its triplets; a larger one samples them.
 TOY_ENUMERATION_THRESHOLD = 30
@@ -74,62 +75,12 @@ _PAIRWISE_BLOCK = 128
 
 @dataclass(frozen=True)
 class LabeledCodeSet:
-    """Codes (real or +/-1 valued) with their labels.
+    """(n, r) codes (real or +/-1 valued) with their (n,) label vector over
+    ``label_count`` labels; ``unary_upper_bound`` checks both."""
 
-    ``labels`` is the (n, C) bool membership matrix (``data.labels_from_sets``
-    builds one from label sets), kept as a read-only copy;
-    ``from_single_labels`` takes an (n,) label vector.
-    """
-
-    codes: np.ndarray                       # (n, r) float64, C-contiguous
-    labels: np.ndarray                      # (n, C) bool
-    label_count: int                        # C
-    # the one label of each row; None if any row has several
-    _single: np.ndarray | None = field(init=False, default=None, repr=False,
-                                       compare=False)
-
-    def __post_init__(self):
-        codes = np.ascontiguousarray(self.codes, dtype=np.float64)
-        object.__setattr__(self, "codes", codes)
-        if codes.ndim != 2:
-            raise DimensionMismatch("codes must be an (n, r) matrix")
-        n, C = codes.shape[0], self.label_count
-        member = np.array(self.labels, order="C")
-        if member.dtype != bool:
-            raise LabelSetError(f"labels must be an (n, C) bool matrix, not {member.dtype}; "
-                                "see from_single_labels and data.labels_from_sets")
-        if member.shape != (n, C):
-            raise DimensionMismatch(f"labels must be an ({n}, {C}) bool matrix, "
-                                    f"got {member.shape}")
-        sizes = member.sum(axis=1)
-        if not sizes.all():
-            raise LabelSetError(f"row {int(np.argmin(sizes))} has no label in 0..{C - 1}")
-        member.flags.writeable = False
-        object.__setattr__(self, "labels", member)
-        if (sizes == 1).all():
-            single = member.argmax(axis=1)
-            single.flags.writeable = False
-            object.__setattr__(self, "_single", single)
-
-    @property
-    def n(self) -> int:
-        return self.codes.shape[0]
-
-    def single_labels(self) -> np.ndarray:
-        """The (n,) label vector (read-only); raises for multilabel rows."""
-        if self._single is None:
-            raise LabelSetError("set contains multilabel rows")
-        return self._single
-
-    @classmethod
-    def from_single_labels(cls, codes, labels,
-                           label_count: int | None = None) -> "LabeledCodeSet":
-        labels = _label_vector(labels)
-        C = int(label_count if label_count is not None else labels.max() + 1)
-        if labels.ndim != 1:
-            raise DimensionMismatch("one label per code row required")
-        # a label outside 0..C-1 leaves its row empty, which the set rejects
-        return cls(codes, labels[:, None] == np.arange(C), C)
+    codes: np.ndarray
+    labels: np.ndarray
+    label_count: int
 
 
 def _label_vector(labels) -> np.ndarray:
@@ -227,43 +178,26 @@ def _code_center_distances(codes: np.ndarray, centers: np.ndarray) -> np.ndarray
     return _norm(codes[..., :, :, None] - centers[..., None, :, :], -2)
 
 
-def _check_cap(n: int, max_n: int):
-    if n > max_n:
-        raise PreconditionError(
-            f"n={n} exceeds the exhaustive-enumeration cap {max_n}; "
-            "triplet count grows as n^3"
-        )
+class _LabelRows(NamedTuple):
+    """The one row block of a balanced label vector y, k = n/C rows a label:
+    each row's similar columns, the other rows with its label, as an (n, k-1)
+    matrix and its dissimilar columns as an (n, n-k) matrix, both ascending;
+    both as flat indices into a row-major (n, n) table; y itself; and the
+    flat index ``i * C + y_i`` of each row's own center in a row-major (n, C)
+    table."""
 
-
-class _RowBlock(NamedTuple):
-    """The rows (g,) whose label has multiplicity k; each row's similar
-    columns, the other rows with its label, as a (g, k-1) matrix and its
-    dissimilar columns as a (g, n-k) matrix, both ascending; and both as
-    flat indices into a row-major (n, n) table."""
-
-    rows: np.ndarray
     sim: np.ndarray
     dis: np.ndarray
     sim_at: np.ndarray
     dis_at: np.ndarray
-
-
-class _LabelRows(NamedTuple):
-    """The row blocks of a label vector y over C labels; y itself; the flat
-    index ``i * C + y_i`` of each row's own center in a row-major (n, C)
-    table; and whether the set is balanced: one row block, with every label
-    in 0..C-1 present."""
-
-    blocks: tuple[_RowBlock, ...]
     labels: np.ndarray
     own_at: np.ndarray
-    balanced: bool
 
 
 def _row_blocks(y: np.ndarray, C: int) -> _LabelRows:
-    """The rows grouped by the multiplicity of their label, one block when
-    the set is balanced.  Raises unless every label lies in 0..C-1 and y has
-    two distinct labels.
+    """The row block of label vector y over C labels.  Raises LabelSetError
+    unless every label lies in 0..C-1, and PreconditionError unless y has two
+    distinct labels and n/C rows of each, before any block is built.
 
     The arrays are read-only and cached per label vector: a check of a few
     dozen rows would spend a fifth of its time building them.
@@ -279,22 +213,18 @@ def _row_blocks_of(key: bytes, C: int) -> _LabelRows:
         raise LabelSetError(f"labels must lie in 0..{C - 1}")
     if n < 2 or (y == y[0]).all():
         raise PreconditionError("need at least two distinct labels for triplets")
+    if (np.bincount(y, minlength=C) * C != n).any():
+        raise PreconditionError("unary bound requires a balanced single-label set")
+    k = n // C
     same = y[:, None] == y
-    sim = same & ~np.eye(n, dtype=bool)
-    counts = same.sum(axis=1)
-    blocks = []
-    for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
-        s = np.nonzero(sim[rows])[1].reshape(rows.size, k - 1)
-        d = np.nonzero(~same[rows])[1].reshape(rows.size, n - k)
-        block = _RowBlock(rows, s, d, rows[:, None] * n + s, rows[:, None] * n + d)
-        for a in block:
-            a.flags.writeable = False
-        blocks.append(block)
-    own_at = np.arange(n) * C + y
-    own_at.flags.writeable = False
-    balanced = len(blocks) == 1 and bool(np.bincount(y, minlength=C).all())
-    return _LabelRows(tuple(blocks), y, own_at, balanced)
+    sim = np.nonzero(same & ~np.eye(n, dtype=bool))[1].reshape(n, k - 1)
+    dis = np.nonzero(~same)[1].reshape(n, n - k)
+    rows = np.arange(n)
+    label_rows = _LabelRows(sim, dis, rows[:, None] * n + sim, rows[:, None] * n + dis,
+                            y, rows * C + y)
+    for a in label_rows:
+        a.flags.writeable = False
+    return label_rows
 
 
 def _sum_in_row_order(row_sums: np.ndarray) -> np.ndarray:
@@ -304,72 +234,20 @@ def _sum_in_row_order(row_sums: np.ndarray) -> np.ndarray:
     return row_sums.cumsum(axis=-1)[..., -1]
 
 
-def _triplet_sums(D: np.ndarray, blocks: Sequence[_RowBlock], term) -> np.ndarray:
+def _triplet_sums(D: np.ndarray, label_rows: _LabelRows, term) -> np.ndarray:
     """Exhaustive triplet loss of each (n, n) distance table in the (..., n, n)
-    stack ``D``, whose sets share the label vector with these row blocks.
+    stack ``D``, whose sets share the label vector of ``label_rows``.
 
-    ``term(d_pos, d_neg, rows, dis)`` gives the (..., g, k-1, n-k) triplet
-    terms of a row block from its (..., g, k-1, 1) similar and
-    (..., g, 1, n-k) dissimilar distances.
+    ``term(d_pos, d_neg)`` gives the (..., n, k-1, n-k) triplet terms from
+    the (..., n, k-1, 1) similar and (..., n, 1, n-k) dissimilar distances.
     """
     flat = D.reshape(D.shape[:-2] + (-1,))
-
-    def block_sums(block: _RowBlock) -> np.ndarray:
-        # ``take`` returns C-contiguous arrays, stacked or not, so each sum
-        # below runs pairwise as the one-set sum does; a fancy-index gather
-        # from a stack would not be contiguous and would sum in sequence
-        d_pos = flat.take(block.sim_at, axis=-1)[..., None]
-        d_neg = flat.take(block.dis_at, axis=-1)[..., None, :]
-        return term(d_pos, d_neg, block.rows, block.dis).sum(axis=(-2, -1))
-
-    if len(blocks) == 1:            # a balanced set: one block, all rows in order
-        return _sum_in_row_order(block_sums(blocks[0]))
-    row_sums = np.empty(D.shape[:-1])
-    for block in blocks:
-        row_sums[..., block.rows] = block_sums(block)
-    return _sum_in_row_order(row_sums)
-
-
-def _comparator(kind: TripletLossKind):
-    """The triplet term g(d_pos, d_neg) of ``kind``, for ``_triplet_sums``."""
-    return lambda d_pos, d_neg, rows, dis: kind.g(d_pos, d_neg)
-
-
-def brute_force_triplet_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
-                             max_n: int = DEFAULT_TRIPLET_CAP) -> float:
-    """Exhaustive ranking loss over all ordered triplets (i, j, k).
-
-    Sums g(|h_i - h_j|, |h_i - h_k|) over i != j with equal labels and k with
-    a different label.  Intentionally O(n^3); refuses n beyond ``max_n``.
-    """
-    _check_cap(code_set.n, max_n)
-    blocks = _row_blocks(code_set.single_labels(), code_set.label_count).blocks
-    return float(_triplet_sums(_pairwise_distances(code_set.codes), blocks, _comparator(kind)))
-
-
-def multilabel_brute_force_loss(code_set: LabeledCodeSet, kind: TripletLossKind,
-                                max_n: int = DEFAULT_TRIPLET_CAP) -> float:
-    """Exhaustive multilabel ranking loss with shared-label weights.
-
-    Pairs are similar when they share at least one label and the triplet term
-    is weighted by the overlap size r_ij = |Y_i & Y_j|; k must share none.
-    """
-    _check_cap(code_set.n, max_n)
-    n = code_set.n
-    member = code_set.labels.astype(np.int64)
-    overlap = member @ member.T
-    D = _pairwise_distances(code_set.codes)
-    total = 0.0
-    for i in range(n):
-        w = overlap[i].astype(np.float64)
-        w[i] = 0.0
-        dis = overlap[i] == 0
-        if not (w > 0).any() or not dis.any():
-            continue
-        sim = w > 0
-        g = kind.g(D[i, sim][:, None], D[i, dis][None, :])
-        total += float((w[sim][:, None] * g).sum())
-    return total
+    # ``take`` returns C-contiguous arrays, stacked or not, so each sum below
+    # runs pairwise as the one-set sum does; a fancy-index gather from a
+    # stack would not be contiguous and would sum in sequence
+    d_pos = flat.take(label_rows.sim_at, axis=-1)[..., None]
+    d_neg = flat.take(label_rows.dis_at, axis=-1)[..., None, :]
+    return _sum_in_row_order(term(d_pos, d_neg).sum(axis=(-2, -1)))
 
 
 def _hinge_lc(d_own: np.ndarray, d_all: np.ndarray,
@@ -412,21 +290,21 @@ def _unary_sides(codes: np.ndarray, label_rows: _LabelRows, centers: np.ndarray,
     Dc = _code_center_distances(codes, centers)                  # (b, n, C)
     d_own = Dc.reshape(b, n * C).take(label_rows.own_at, axis=1)  # (b, n)
     if kind.kind == "margin":
-        term = _comparator(kind)
+        term = kind.g
         lc = _hinge_lc(d_own, Dc, kind)
     else:
         expd = np.exp(-Dc)
-        mass = expd.sum(axis=2)
+        rows = np.arange(n)
+        background = ((expd.sum(axis=2) - expd[:, rows, y])[:, :, None]
+                      - expd[:, rows[:, None], y[label_rows.dis]])  # (b, n, n-k)
+        log_background = np.log(np.maximum(background, 1e-300))[:, :, None, :]
 
-        def term(d_pos, d_neg, rows, dis):
-            background = ((mass[:, rows] - expd[:, rows, y[rows]])[:, :, None]
-                          - expd[:, rows[:, None], y[dis]])      # (b, g, n-k)
+        def term(d_pos, d_neg):
             tail = np.logaddexp(-d_pos, -d_neg)
-            tail = np.logaddexp(tail, np.log(np.maximum(background, 1e-300))[:, :, None, :])
-            return d_pos + tail
+            return d_pos + np.logaddexp(tail, log_background)
 
         lc = _softmax_lc(Dc, d_own)
-    lhs = _triplet_sums(_pairwise_distances(codes), label_rows.blocks, term)
+    lhs = _triplet_sums(_pairwise_distances(codes), label_rows, term)
     multiplier = (n / C) ** 2 * (C - 1)
     rhs = multiplier * (lc + 2.0 * d_own).sum(axis=1)
     return lhs, rhs, lc.sum(axis=1), d_own.sum(axis=1), multiplier
@@ -441,14 +319,18 @@ def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
     return (lhs / multiplier - lc_sum) / dist_sum, False
 
 
-def unary_upper_bounds(codes, labels, label_count: int, centers, kind: TripletLossKind,
-                       max_n: int = DEFAULT_TRIPLET_CAP) -> list[BoundReport]:
+def unary_upper_bounds(codes, labels, label_count: int, centers,
+                       kind: TripletLossKind) -> list[BoundReport]:
     """``unary_upper_bound`` of each set in a (b, n, r) stack of codes that
     share one balanced (n,) label vector over ``label_count`` labels, with
     their centers stacked (b, r, C).
 
-    The reports come in stack order, each equal to the single check's.  The
-    stack is worked in pieces of about ``UNARY_STACK_FLOATS`` elements.
+    This is where labels are checked.  It raises LabelSetError on a label
+    that is not an integer in 0..C-1, DimensionMismatch on shapes that do not
+    agree, and PreconditionError on more than ``TRIPLET_CAP`` rows, a single
+    distinct label or an unbalanced set.  The reports come in stack order,
+    each equal to the single check's.  The stack is worked in pieces of
+    about ``UNARY_STACK_FLOATS`` elements.
     """
     codes = np.ascontiguousarray(codes, dtype=np.float64)
     if codes.ndim != 3:
@@ -460,10 +342,10 @@ def unary_upper_bounds(codes, labels, label_count: int, centers, kind: TripletLo
     if labels.shape != (n,):
         raise DimensionMismatch(f"need one label per code row, {n} in all, got "
                                 f"shape {labels.shape}")
-    _check_cap(n, max_n)
+    if n > TRIPLET_CAP:
+        raise PreconditionError(f"n={n} exceeds the exhaustive-enumeration cap "
+                                f"{TRIPLET_CAP}; triplet count grows as n^3")
     label_rows = _row_blocks(labels, label_count)
-    if not label_rows.balanced:
-        raise PreconditionError("unary bound requires a balanced single-label set")
     C = label_count
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     if centers.shape != (b, r, C):
@@ -483,14 +365,14 @@ def unary_upper_bounds(codes, labels, label_count: int, centers, kind: TripletLo
     return reports
 
 
-def unary_upper_bound(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
-                      max_n: int = DEFAULT_TRIPLET_CAP) -> BoundReport:
+def unary_upper_bound(code_set: LabeledCodeSet, centers,
+                      kind: TripletLossKind) -> BoundReport:
     """Check the exhaustive triplet loss against its unary upper bound.
 
     The bound multiplies (n/C)^2 (C-1) into the per-item sum of the
     classification-style loss plus twice the own-center distance.  It holds
-    for any auxiliary centers as long as the label multiplicities are even,
-    with the same comparator g on both sides (hinge, or full softmax paired
+    for any auxiliary centers on a balanced set, n/C codes per label, with
+    the same comparator g on both sides (hinge, or full softmax paired
     with the background-shared comparator on the triplet side).
 
     The report's ``lambda_estimate`` is the smallest coefficient making the
@@ -499,9 +381,8 @@ def unary_upper_bound(code_set: LabeledCodeSet, centers, kind: TripletLossKind,
     at most 2 whenever the plain bound holds.  It is 0 with ``degenerate``
     set when the denominator vanishes (every code sits on its own center).
     """
-    return unary_upper_bounds(code_set.codes[None], code_set.single_labels(),
-                              code_set.label_count, np.asarray(centers)[None], kind,
-                              max_n)[0]
+    return unary_upper_bounds(np.asarray(code_set.codes)[None], code_set.labels,
+                              code_set.label_count, np.asarray(centers)[None], kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +641,13 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
 
     total_triplets = n * (m - 1) * (n - m)
     if n < TOY_ENUMERATION_THRESHOLD:
-        blocks = _row_blocks(y, cfg.C).blocks
-        lt = float(_triplet_sums(_pairwise_distances(codes), blocks, _comparator(kind)))
+        label_rows = _row_blocks(y, cfg.C)
+        lt = float(_triplet_sums(_pairwise_distances(codes), label_rows, kind.g))
         # relaxed comparator summed over the same exhaustive triplet set
-        row_sums = np.zeros(n)
-        for rows, sim, dis, *_ in blocks:
-            g_part = kind.g(d_own[rows, None], Dc[rows[:, None], y[dis]])   # (g, n-k)
-            row_sums[rows] = (g_part[:, None, :] + d_own[sim][:, :, None]
-                              + d_own[dis][:, None, :]).sum(axis=(1, 2))
-        relaxed = float(_sum_in_row_order(row_sums))
+        sim, dis = label_rows.sim, label_rows.dis
+        g_part = kind.g(d_own[:, None], Dc[np.arange(n)[:, None], y[dis]])   # (n, n-k)
+        relaxed = float(_sum_in_row_order((g_part[:, None, :] + d_own[sim][:, :, None]
+                                           + d_own[dis][:, None, :]).sum(axis=(1, 2))))
     else:
         T = cfg.triplet_samples
         # i, then j's offset within i's cluster, drawn a chunk at a time into
@@ -854,8 +733,7 @@ def random_bound_instance(rng: np.random.Generator, classes, max_n: int,
                           max_r: int):
     """Balanced +/-1 codes with random real centers for one bound check."""
     C, per_class, codes, centers = _draw_bound_arrays(rng, classes, max_n, max_r)
-    labels = np.repeat(np.arange(C), per_class)
-    return LabeledCodeSet.from_single_labels(codes, labels, C), centers
+    return LabeledCodeSet(codes, np.repeat(np.arange(C), per_class), C), centers
 
 
 def run_bound_suite(instances: int, classes, max_n: int, max_r: int,

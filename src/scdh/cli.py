@@ -327,7 +327,8 @@ def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
 
 COMMON = {
     "seed": (Int(0), 0, "master RNG seed"),
-    "threads": (Int(1), 1, "worker bound for parallel sections (1 = bit-exact)"),
+    "threads": (Int(1, os.cpu_count() or 1), 1,
+                "worker bound for parallel sections (1 = bit-exact)"),
 }
 
 
@@ -667,8 +668,8 @@ def cmd_eval(cfg: dict, run: Run):
 
 VERIFY_SPEC = dict(COMMON, **{
     "instances": (Int(1), 1000, "randomized single-label bound instances"),
-    "max-n": (Int(1, bounds.DEFAULT_TRIPLET_CAP), 12, "max codes per instance"),
-    "classes": (List(Int(2, bounds.DEFAULT_TRIPLET_CAP), nonempty=True), "2,3,4",
+    "max-n": (Int(1, bounds.TRIPLET_CAP), 12, "max codes per instance"),
+    "classes": (List(Int(2, bounds.TRIPLET_CAP), nonempty=True), "2,3,4",
                 "candidate class counts"),
     "max-r": (Int(2), 16, "max code length"),
     "kind": (Choice(("margin", "softmax")), "margin", "comparator kind"),

@@ -26,11 +26,11 @@ class TripletLossKind:
     """Choice of the ranking comparator g(d_pos, d_neg).
 
     ``margin`` is the hinge form max(0, m + d_pos - d_neg).  ``softmax`` is
-    the probabilistic form -log(exp(-d_pos) / (exp(-d_pos) + exp(-d_neg) + B))
-    where B >= 0 is a fixed non-negative background mass; with B = 0 it
-    reduces to softplus(d_pos - d_neg).  Both are non-negative, monotone
-    (increasing in d_pos, decreasing in d_neg) and 1-Lipschitz in each
-    argument, which is the contract the bound machinery relies on.
+    the probabilistic form -log(exp(-d_pos) / (exp(-d_pos) + exp(-d_neg))),
+    that is softplus(d_pos - d_neg); the softmax bound in ``bounds`` adds a
+    fixed background mass to that denominator.  Both are non-negative,
+    monotone (increasing in d_pos, decreasing in d_neg) and 1-Lipschitz in
+    each argument, which is the contract the bound machinery relies on.
     """
 
     kind: str = "margin"
@@ -42,17 +42,14 @@ class TripletLossKind:
         if self.kind == "margin" and not 0.0 <= self.margin < np.inf:
             raise ValueError("margin must be finite and non-negative")
 
-    def g(self, d_pos, d_neg, background=0.0):
+    def g(self, d_pos, d_neg):
         """Evaluate g elementwise; broadcasts like numpy."""
         d_pos = np.asarray(d_pos, dtype=np.float64)
         d_neg = np.asarray(d_neg, dtype=np.float64)
         if self.kind == "margin":
             return np.maximum(0.0, self.margin + d_pos - d_neg)
-        # softmax: d_pos + log(exp(-d_pos) + exp(-d_neg) + B), stabilised
-        tail = np.logaddexp(-d_pos, -d_neg)
-        if np.any(np.asarray(background) > 0.0):
-            tail = np.logaddexp(tail, np.log(background))
-        return d_pos + tail
+        # softmax: d_pos + log(exp(-d_pos) + exp(-d_neg)), stabilised
+        return d_pos + np.logaddexp(-d_pos, -d_neg)
 
 
 def margin_loss(m: float = 1.0) -> TripletLossKind:

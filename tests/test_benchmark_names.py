@@ -6,7 +6,8 @@ table and hooks the functions its ``HOOKS`` table names.  Its training
 metrics count the spans of a few public step functions, which a training
 step must keep calling by name.  A rename, move or inlining in the package
 that leaves one of them behind fails here, not as a refused benchmark run
-or a metric that silently reads 0.
+or a metric that silently reads 0.  The certify workload's drawn requests
+must also still pass the unary check it feeds them to.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scdh import data, meanteacher, model
+from scdh import bounds, cli, data, losses, meanteacher, model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,6 +67,16 @@ def test_the_scan_finds_the_calls():
 @pytest.mark.parametrize("dotted", WORKLOAD_CALLS)
 def test_workload_call_resolves(dotted):
     _resolve(dotted)
+
+
+def test_certify_requests_pass_the_unary_check():
+    # the certify workload's loop: its draws must be records the single
+    # check accepts, which a scan of names cannot see
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        code_set, centers = cli.random_bound_instance(rng, (2, 3, 4), 12, 16)
+        rep = bounds.unary_upper_bound(code_set, centers, losses.margin_loss(1.0))
+        assert rep.holds and rep.lambda_estimate <= 2.0 + 1e-9
 
 
 @pytest.mark.parametrize("dotted", TRACED_METHODS)

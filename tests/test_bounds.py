@@ -53,22 +53,46 @@ def random_balanced_instance(rng, C_choices=(2, 3, 4), max_per_class=4, max_r=16
     codes = rng.choice([-1.0, 1.0], size=(C * per_class, r))
     labels = np.repeat(np.arange(C), per_class)
     centers = rng.normal(0, 2, (r, C))
-    return bounds.LabeledCodeSet.from_single_labels(codes, labels, C), centers
+    return bounds.LabeledCodeSet(codes, labels, C), centers
+
+
+def exhaustive_loss(code_set, kind):
+    """The exhaustive triplet loss of a balanced set: the left side of its
+    unary check.  Centers far from every code leave the softmax kind no
+    background mass, so it sums the plain comparator g."""
+    r = np.asarray(code_set.codes).shape[1]
+    far = np.full((r, code_set.label_count), 1e6)
+    return bounds.unary_upper_bound(code_set, far, kind).brute_force_loss
+
+
+def trial_lhs(codes, sets, C, kind):
+    """The triplet side of one Monte Carlo trial whose label sets are
+    ``sets``: the exhaustive ranking loss weighted by |Y_i & Y_j|."""
+    n = len(codes)
+    D = bounds._pairwise_distances(np.asarray(codes, dtype=np.float64))
+    Y = retrieval.pack_bits(data.labels_from_sets(sets, C)[None])
+    lhs, _ = bounds._trial_sides(Y, kind.g(D[:, :, None], D[:, None, :]),
+                                 np.zeros((n, C, C)), np.zeros((n, C)), 0.5, 1.0, 1.0)
+    return float(lhs[0])
+
+
+def check_one(codes, labels, C):
+    """``unary_upper_bound`` of a code set, with zero centers."""
+    r = np.asarray(codes).shape[-1]
+    return bounds.unary_upper_bound(bounds.LabeledCodeSet(codes, labels, C),
+                                    np.zeros((r, C)), margin_loss(1.0))
 
 
 class TestLabeledCodeSet:
-    def test_empty_label_rejected(self):
-        with pytest.raises(LabelSetError):
-            bounds.LabeledCodeSet(np.ones((2, 2)), data.labels_from_sets(({0}, set()), 2), 2)
-
+    """A code set is a plain record; ``unary_upper_bounds`` checks its labels."""
 
     def test_label_vector_validated(self):
         codes = np.ones((3, 2))
         for bad in ([0, 2, 1], [-1, 0, 1]):
             with pytest.raises(LabelSetError):
-                bounds.LabeledCodeSet.from_single_labels(codes, bad, 2)
+                check_one(codes, bad, 2)
         with pytest.raises(DimensionMismatch):
-            bounds.LabeledCodeSet.from_single_labels(codes, [0, 1], 2)
+            check_one(codes, [0, 1], 2)
 
     def test_non_integral_labels_rejected(self):
         # a float label used to be truncated: [0.9, 1.5, 0.2, 1.99] read as [0, 1, 0, 1]
@@ -76,84 +100,71 @@ class TestLabeledCodeSet:
         for bad in ([0.9, 1.5, 0.2, 1.99], [0.0, np.nan, 1.0, 1.0], [0.0, np.inf, 1.0, 1.0],
                     ["0", "1", "0", "1"]):
             with pytest.raises(LabelSetError, match="integer"):
-                bounds.LabeledCodeSet.from_single_labels(np.ones((4, 3)), bad, 2)
+                check_one(np.ones((4, 3)), bad, 2)
             with pytest.raises(LabelSetError, match="integer"):
                 bounds.unary_upper_bounds(np.ones((2, 4, 3)), bad, 2, centers, kind)
         for good in ([0.0, 1.0, 0.0, 1.0], np.array([0, 1, 0, 1], np.uint8),
                      np.array([False, True, False, True])):
-            cs = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 3)), good, 2)
-            assert cs.single_labels().tolist() == [0, 1, 0, 1]
             got = bounds.unary_upper_bounds(np.ones((2, 4, 3)), good, 2, centers, kind)
             want = bounds.unary_upper_bounds(np.ones((2, 4, 3)), [0, 1, 0, 1], 2, centers,
                                              kind)
             assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
-
-    def test_label_forms_agree(self):
-        y = np.array([1, 0, 1, 2])
-        vec = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 3)
-        sets = bounds.LabeledCodeSet(np.ones((4, 2)),
-                                     data.labels_from_sets([{int(l)} for l in y], 3), 3)
-        for cs in (vec, sets):
-            assert cs.labels.tolist() == (y[:, None] == np.arange(3)).tolist()
-            assert cs.single_labels().tolist() == y.tolist()
-            with pytest.raises(ValueError, match="read-only"):
-                cs.labels[0, 0] = True
-        y[0] = 0                    # the set keeps its own copy
-        assert vec.single_labels()[0] == 1
-        multi = bounds.LabeledCodeSet(np.ones((2, 2)),
-                                      data.labels_from_sets(({0, 1}, {1}), 2), 2)
-        assert multi.labels.tolist() == [[True, True], [False, True]]
-
-    def test_stored_matrix_round_trips(self):
-        y = np.array([1, 0, 1, 0])
-        single = bounds.LabeledCodeSet.from_single_labels(np.ones((4, 2)), y, 2)
-        for cs in (single,
-                   bounds.LabeledCodeSet(np.ones((4, 2)),
-                                         data.labels_from_sets(({0, 1}, {1}, {0}, {1}), 2), 2)):
-            again = dataclasses.replace(cs, codes=np.zeros((4, 2)))
-            assert np.array_equal(again.labels, cs.labels)
-            assert again.labels is not cs.labels and not again.labels.flags.writeable
-            if cs is single:
-                assert again.single_labels().tolist() == y.tolist()
-        matrix = np.array([[True, False], [False, True], [True, True]])
-        cs = bounds.LabeledCodeSet(np.ones((3, 2)), matrix, 2)
-        matrix[0] = False                       # the set keeps its own copy
-        assert cs.labels[0].tolist() == [True, False]
+            assert check_one(np.ones((4, 3)), good, 2).to_dict() == want[0].to_dict()
 
     def test_label_arrays_validated(self):
         codes = np.ones((3, 2))
-        # label sets are rejected too: data.labels_from_sets makes the matrix
-        for bad in (np.array([0, 1, 0]), np.array([[0, 1]] * 3), np.ones((3, 2)),
-                    (frozenset({0}), frozenset({1}), frozenset({0}))):
-            with pytest.raises(LabelSetError, match="bool matrix"):   # not bool
-                bounds.LabeledCodeSet(codes, bad, 2)
-        for bad in (np.array([True, False, True]), np.ones((3, 3), dtype=bool),
-                    np.ones((2, 2), dtype=bool)):
+        # label sets and strings are not labels: data.labels_from_sets makes
+        # the (n, C) matrix that training takes
+        for bad in ((frozenset({0}), frozenset({1}), frozenset({0})),
+                    np.array(["0", "1", "0"])):
+            with pytest.raises(LabelSetError):
+                check_one(codes, bad, 2)
+        # one label per code row: a matrix, a column or a short vector is refused
+        for bad in (np.array([[True, False], [False, True], [True, False]]),
+                    [[0], [1], [0]], np.array([0, 1])):
             with pytest.raises(DimensionMismatch):
-                bounds.LabeledCodeSet(codes, bad, 2)
-        with pytest.raises(LabelSetError, match="row 1 has no label"):
-            bounds.LabeledCodeSet(codes, np.array([[True, False], [False, False],
-                                                   [False, True]]), 2)
-        with pytest.raises(DimensionMismatch):
-            bounds.LabeledCodeSet.from_single_labels(codes, [[0], [1], [0]], 2)
+                check_one(codes, bad, 2)
+
+    @pytest.mark.parametrize("codes,labels,C,error", [
+        (np.ones((4, 3)), [0, 1, 0, 2], 2, LabelSetError),
+        (np.ones((4, 3)), [0, -1, 0, 1], 2, LabelSetError),
+        (np.ones((4, 3)), [0.0, 0.5, 1.0, 1.0], 2, LabelSetError),
+        (np.ones((4, 3)), [0.0, np.nan, 1.0, 1.0], 2, LabelSetError),
+        (np.ones((4, 3)), [[0, 1], [0, 1]], 2, DimensionMismatch),
+        (np.ones((4, 3)), [0, 1, 0], 2, DimensionMismatch),
+        (np.ones(4), [0, 1, 0, 1], 2, DimensionMismatch),
+        (np.ones((4, 3)), [0, 0, 0, 1], 2, PreconditionError),
+        (np.ones((4, 3)), [0, 0, 1, 1], 3, PreconditionError),
+        (np.ones((4, 3)), [1, 1, 1, 1], 2, PreconditionError),
+        (np.ones((1, 3)), [0], 2, PreconditionError),
+        (np.ones((bounds.TRIPLET_CAP + 2, 3)), np.arange(bounds.TRIPLET_CAP + 2) % 2, 2,
+         PreconditionError),
+    ], ids=["above-range", "below-range", "non-integral", "nan", "label-matrix",
+            "short-vector", "codes-not-a-matrix", "unbalanced", "label-missing",
+            "one-label", "one-row", "over-the-cap"])
+    def test_unary_check_refuses(self, codes, labels, C, error):
+        # each was refused with this type when a code set took an (n, C)
+        # label matrix and checked it on construction
+        with pytest.raises(error):
+            check_one(codes, labels, C)
 
 
 class TestBruteForce:
     def test_separated_clusters_zero(self):
         codes = np.array([[10.0, 10.0], [10.0, 10.0], [-10.0, -10.0], [-10.0, -10.0]])
-        cs = bounds.LabeledCodeSet.from_single_labels(codes, [0, 0, 1, 1], 2)
-        assert bounds.brute_force_triplet_loss(cs, margin_loss(1.0)) == 0.0
+        cs = bounds.LabeledCodeSet(codes, [0, 0, 1, 1], 2)
+        assert exhaustive_loss(cs, margin_loss(1.0)) == 0.0
 
     def test_two_items_no_triplets(self):
-        cs = bounds.LabeledCodeSet.from_single_labels(np.eye(2), [0, 1], 2)
-        assert bounds.brute_force_triplet_loss(cs, margin_loss(1.0)) == 0.0
+        cs = bounds.LabeledCodeSet(np.eye(2), [0, 1], 2)
+        assert exhaustive_loss(cs, margin_loss(1.0)) == 0.0
 
     def test_matches_naive_oracle(self, rng):
         kind = margin_loss(1.0)
         codes = rng.choice([-1.0, 1.0], size=(8, 4))
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        cs = bounds.LabeledCodeSet.from_single_labels(codes, labels, 2)
-        got = bounds.brute_force_triplet_loss(cs, kind)
+        cs = bounds.LabeledCodeSet(codes, labels, 2)
+        got = exhaustive_loss(cs, kind)
         want = naive_triplet_loss(codes, labels, kind)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -161,35 +172,33 @@ class TestBruteForce:
         for _ in range(15):
             cs, _ = random_balanced_instance(rng, max_per_class=3, max_r=6)
             for kind in (margin_loss(1.0), softmax_loss()):
-                got = bounds.brute_force_triplet_loss(cs, kind)
-                want = naive_triplet_loss(cs.codes, cs.single_labels(), kind)
+                got = exhaustive_loss(cs, kind)
+                want = naive_triplet_loss(cs.codes, cs.labels, kind)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_cap_enforced(self, rng):
         codes = rng.normal(0, 1, (70, 2))
         labels = np.arange(70) % 2
-        cs = bounds.LabeledCodeSet.from_single_labels(codes, labels, 2)
+        cs = bounds.LabeledCodeSet(codes, labels, 2)
         with pytest.raises(PreconditionError):
-            bounds.brute_force_triplet_loss(cs, margin_loss(1.0))
-
-    def test_single_label_required(self):
-        cs = bounds.LabeledCodeSet(np.ones((3, 2)),
-                                   data.labels_from_sets(({0, 1}, {1}, {0}), 2), 2)
-        with pytest.raises(LabelSetError):
-            bounds.brute_force_triplet_loss(cs, margin_loss(1.0))
+            exhaustive_loss(cs, margin_loss(1.0))
 
 
 class TestMultilabelBruteForce:
     def test_all_share_everything(self):
-        cs = bounds.LabeledCodeSet(np.random.default_rng(0).normal(0, 1, (4, 3)),
-                                   data.labels_from_sets([{0, 1}] * 4, 3), 3)
-        assert bounds.multilabel_brute_force_loss(cs, margin_loss(1.0)) == 0.0
+        codes = np.random.default_rng(0).normal(0, 1, (4, 3))
+        sets = [{0, 1}] * 4
+        got = trial_lhs(codes, sets, 3, margin_loss(1.0))
+        assert got == naive_multilabel_loss(codes, sets, margin_loss(1.0)) == 0.0
 
     def test_singletons_reduce_to_single_label(self, rng):
         cs, _ = random_balanced_instance(rng, max_per_class=3, max_r=6)
-        ml = bounds.multilabel_brute_force_loss(cs, margin_loss(1.0))
-        sl = bounds.brute_force_triplet_loss(cs, margin_loss(1.0))
-        assert ml == pytest.approx(sl, rel=1e-12, abs=1e-12)
+        sets = [{int(l)} for l in cs.labels]
+        ml = trial_lhs(cs.codes, sets, cs.label_count, margin_loss(1.0))
+        assert ml == pytest.approx(naive_multilabel_loss(cs.codes, sets, margin_loss(1.0)),
+                                   rel=1e-12, abs=1e-12)
+        assert ml == pytest.approx(exhaustive_loss(cs, margin_loss(1.0)),
+                                   rel=1e-12, abs=1e-12)
 
     def test_matches_naive_oracle(self, rng):
         kind = margin_loss(1.0)
@@ -198,8 +207,7 @@ class TestMultilabelBruteForce:
         for _ in range(8):
             size = int(rng.integers(1, 3))
             sets.append(frozenset(rng.choice(3, size=size, replace=False).tolist()))
-        cs = bounds.LabeledCodeSet(codes, data.labels_from_sets(sets, 3), 3)
-        got = bounds.multilabel_brute_force_loss(cs, kind)
+        got = trial_lhs(codes, sets, 3, kind)
         want = naive_multilabel_loss(codes, sets, kind)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -252,7 +260,7 @@ class TestUnaryUpperBound:
         centers[0, 0], centers[0, 1] = 50.0, -50.0
         codes = np.concatenate([np.tile(centers[:, c], (per, 1)) for c in range(C)])
         labels = np.repeat(np.arange(C), per)
-        cs = bounds.LabeledCodeSet.from_single_labels(codes, labels, C)
+        cs = bounds.LabeledCodeSet(codes, labels, C)
         rep = bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
         assert rep.brute_force_loss == 0.0
         assert rep.bound_value == 0.0
@@ -260,7 +268,7 @@ class TestUnaryUpperBound:
 
     def test_unbalanced_rejected(self, rng):
         codes = rng.choice([-1.0, 1.0], size=(3, 4))
-        cs = bounds.LabeledCodeSet.from_single_labels(codes, [0, 0, 1], 2)
+        cs = bounds.LabeledCodeSet(codes, [0, 0, 1], 2)
         with pytest.raises(PreconditionError):
             bounds.unary_upper_bound(cs, rng.normal(0, 1, (4, 2)), margin_loss(1.0))
 
@@ -272,7 +280,7 @@ class TestEstimateLambda:
         centers[0, 0], centers[0, 1] = 30.0, -30.0
         codes = np.concatenate([np.tile(centers[:, c], (per, 1)) for c in range(C)])
         labels = np.repeat(np.arange(C), per)
-        cs = bounds.LabeledCodeSet.from_single_labels(codes, labels, C)
+        cs = bounds.LabeledCodeSet(codes, labels, C)
         rep = bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
         assert rep.lambda_estimate == 0.0
         assert rep.degenerate
@@ -357,10 +365,10 @@ class TestToyGrid:
 # ---------------------------------------------------------------------------
 
 def ref_brute_force_triplet_loss(code_set, kind):
-    y = code_set.single_labels()
+    y = np.asarray(code_set.labels)
     D = np.linalg.norm(code_set.codes[:, None, :] - code_set.codes[None, :, :], axis=2)
     total = 0.0
-    for i in range(code_set.n):
+    for i in range(len(y)):
         sim = (y == y[i])
         sim[i] = False
         dis = y != y[i]
@@ -371,12 +379,12 @@ def ref_brute_force_triplet_loss(code_set, kind):
 
 
 def ref_softmax_background_triplet_loss(code_set, centers):
-    y = code_set.single_labels()
+    y = np.asarray(code_set.labels)
     D = np.linalg.norm(code_set.codes[:, None, :] - code_set.codes[None, :, :], axis=2)
     Dc = bounds._code_center_distances(code_set.codes, centers)
     expd = np.exp(-Dc)
     total = 0.0
-    for i in range(code_set.n):
+    for i in range(len(y)):
         sim = (y == y[i])
         sim[i] = False
         dis = y != y[i]
@@ -456,8 +464,7 @@ def ref_toy_cell(cfg, sigma, d, seed_seq):
     unary = multiplier * float((lc + 2.0 * d_own).sum())
     total_triplets = n * (m - 1) * (n - m)
     if n < bounds.TOY_ENUMERATION_THRESHOLD:
-        cs = bounds.LabeledCodeSet.from_single_labels(codes, y, cfg.C)
-        lt = ref_brute_force_triplet_loss(cs, kind)
+        lt = ref_brute_force_triplet_loss(bounds.LabeledCodeSet(codes, y, cfg.C), kind)
         relaxed = 0.0
         for i in range(n):
             sim = (y == y[i]) & (np.arange(n) != i)
@@ -487,7 +494,8 @@ def ref_lambda(code_set, centers, kind, triplet_loss):
     """(lambda, degenerate) of the tightened unary bound from a reference
     triplet loss and numpy's per-item classification losses lc_i and
     own-center distances, in the summation order of the unary kernel."""
-    y, C, n = code_set.single_labels(), code_set.label_count, code_set.n
+    y, C = np.asarray(code_set.labels), code_set.label_count
+    n = len(y)
     Dc = np.linalg.norm(code_set.codes[:, :, None] - centers[None], axis=1)   # (n, C)
     d_own = Dc[np.arange(n), y]
     if kind.kind == "margin":       # mean of g(d_y, d_l) over l != y
@@ -519,10 +527,16 @@ def labeled_sets(draw):
         codes = rng.choice([-1.0, 1.0], size=(y.size, r))
     else:
         codes = rng.normal(0, 1.5, (y.size, r))
-    return bounds.LabeledCodeSet.from_single_labels(codes, y, C), rng.normal(0, 2, (r, C))
+    return bounds.LabeledCodeSet(codes, y, C), rng.normal(0, 2, (r, C))
 
 
 KINDS = [margin_loss(1.0), margin_loss(0.25), softmax_loss()]
+
+
+def balanced(code_set) -> bool:
+    """No label missing or more frequent than another."""
+    counts = np.bincount(code_set.labels, minlength=code_set.label_count)
+    return bool((counts == counts[0]).all())
 
 
 class TestRowBlocksMatchReference:
@@ -530,24 +544,22 @@ class TestRowBlocksMatchReference:
     @given(labeled_sets())
     def test_brute_force(self, case):
         cs, _ = case
-        if np.unique(cs.single_labels()).size < 2:
+        if not balanced(cs):
             with pytest.raises(PreconditionError):
-                bounds.brute_force_triplet_loss(cs, margin_loss(1.0))
+                exhaustive_loss(cs, margin_loss(1.0))
             return
         for kind in KINDS:
-            assert bounds.brute_force_triplet_loss(cs, kind) == \
-                ref_brute_force_triplet_loss(cs, kind)
+            assert exhaustive_loss(cs, kind) == ref_brute_force_triplet_loss(cs, kind)
 
     @settings(max_examples=200, deadline=None)
     @given(labeled_sets())
     def test_softmax_background(self, case):
         cs, centers = case
-        y = cs.single_labels()
-        if np.unique(y).size < 2:
+        if not balanced(cs):
             with pytest.raises(PreconditionError):
-                bounds._row_blocks(y, cs.label_count)
+                bounds._row_blocks(cs.labels, cs.label_count)
             return
-        label_rows = bounds._row_blocks(y, cs.label_count)
+        label_rows = bounds._row_blocks(cs.labels, cs.label_count)
         lhs = bounds._unary_sides(cs.codes[None], label_rows, centers[None], softmax_loss())[0]
         assert lhs.tolist() == [ref_softmax_background_triplet_loss(cs, centers)]
 
@@ -555,8 +567,7 @@ class TestRowBlocksMatchReference:
     @given(labeled_sets())
     def test_unary_report(self, case):
         cs, centers = case
-        counts = np.bincount(cs.single_labels(), minlength=cs.label_count)
-        if (counts != counts[0]).any():     # a label missing or more frequent
+        if not balanced(cs):
             with pytest.raises(PreconditionError):
                 bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
             return
@@ -567,10 +578,9 @@ class TestRowBlocksMatchReference:
             assert rep.brute_force_loss == want
 
     def test_two_rows(self):
-        cs = bounds.LabeledCodeSet.from_single_labels([[0.5, 1.0], [-2.0, 0.25]],
-                                                      [1, 0], 2)
+        cs = bounds.LabeledCodeSet([[0.5, 1.0], [-2.0, 0.25]], [1, 0], 2)
         for kind in KINDS:
-            assert bounds.brute_force_triplet_loss(cs, kind) == 0.0
+            assert exhaustive_loss(cs, kind) == 0.0
         rep = bounds.unary_upper_bound(cs, np.zeros((2, 2)), softmax_loss())
         assert rep.brute_force_loss == 0.0
 
@@ -593,7 +603,7 @@ def ref_random_bound_instance(rng, classes, max_n, max_r):
     codes = rng.choice([-1.0, 1.0], size=(C * per_class, r))
     labels = np.repeat(np.arange(C), per_class)
     centers = rng.normal(0.0, 2.0, (r, C))
-    return bounds.LabeledCodeSet.from_single_labels(codes, labels, C), centers
+    return bounds.LabeledCodeSet(codes, labels, C), centers
 
 
 @st.composite
@@ -625,7 +635,7 @@ class TestUnaryStackMatchesReference:
             got = bounds.unary_upper_bounds(codes, y, C, centers, kind)
             assert len(got) == len(codes)
             for t, rep in enumerate(got):
-                cs = bounds.LabeledCodeSet.from_single_labels(codes[t], y, C)
+                cs = bounds.LabeledCodeSet(codes[t], y, C)
                 assert rep.to_dict() == \
                     bounds.unary_upper_bound(cs, centers[t], kind).to_dict()
                 want = (ref_softmax_background_triplet_loss(cs, centers[t])
@@ -648,7 +658,7 @@ class TestUnaryStackMatchesReference:
             for c, z in ((fortran, centers), (transposed, wide), (codes, wide)):
                 got = bounds.unary_upper_bounds(c, y, C, z, kind)
                 assert [r.to_dict() for r in got] == want
-            single = bounds.LabeledCodeSet.from_single_labels(np.asfortranarray(codes[0]), y, C)
+            single = bounds.LabeledCodeSet(np.asfortranarray(codes[0]), y, C)
             assert bounds.unary_upper_bound(single, wide[0], kind).to_dict() == want[0]
 
     def test_stack_worked_in_pieces(self, rng, monkeypatch):
@@ -676,30 +686,31 @@ class TestUnaryStackMatchesReference:
             bounds.unary_upper_bounds(codes, [0, 1, 0, 1], 2, centers[:, :2], kind)
         with pytest.raises(DimensionMismatch):
             bounds.unary_upper_bounds(codes[0], [0, 1, 0, 1], 2, centers, kind)
-        over = bounds.DEFAULT_TRIPLET_CAP + 1                    # 65 = 5 x 13 rows
+        over = bounds.TRIPLET_CAP + 1                    # 65 = 5 x 13 rows
         with pytest.raises(PreconditionError, match="cap"):
             bounds.unary_upper_bounds(np.ones((2, over, 3)), np.repeat(np.arange(5), 13),
                                       5, np.zeros((2, 3, 5)), kind)
 
     def test_row_blocks_are_cached_read_only(self):
         y = np.array([1, 0, 1, 0, 2, 2])
-        label_rows = bounds._row_blocks(y, 4)
-        assert bounds._row_blocks(y.astype(np.int32), 4) is label_rows
+        label_rows = bounds._row_blocks(y, 3)
+        assert bounds._row_blocks(y.astype(np.int32), 3) is label_rows
         assert label_rows.labels.tolist() == y.tolist()
-        assert not label_rows.balanced                  # label 3 is missing
-        assert bounds._row_blocks(y, 3).balanced
-        assert not bounds._row_blocks([0, 0, 1, 1, 1, 2], 3).balanced
-        (rows, sim, dis, sim_at, dis_at), = label_rows.blocks
-        assert label_rows.own_at.tolist() == [1, 4, 9, 12, 18, 22]
+        sim, dis, sim_at, dis_at, _, own_at = label_rows
+        assert own_at.tolist() == [1, 3, 7, 9, 14, 17]
         with pytest.raises(ValueError, match="read-only"):
-            label_rows.own_at[0] = 0
-        assert rows.tolist() == list(range(6))
+            own_at[0] = 0
         assert sim.tolist() == [[2], [3], [0], [1], [5], [4]]
         assert dis[0].tolist() == [1, 3, 4, 5]
-        assert np.array_equal(sim_at, rows[:, None] * 6 + sim)
-        assert np.array_equal(dis_at, rows[:, None] * 6 + dis)
+        rows = np.arange(6)[:, None]
+        assert np.array_equal(sim_at, rows * 6 + sim)
+        assert np.array_equal(dis_at, rows * 6 + dis)
         with pytest.raises(ValueError, match="read-only"):
             sim[0, 0] = 1
+        for unbalanced, C in (([1, 0, 1, 0, 2, 2], 4),          # label 3 is missing
+                              ([0, 0, 1, 1, 1, 2], 3)):
+            with pytest.raises(PreconditionError, match="balanced"):
+                bounds._row_blocks(np.array(unbalanced), C)
         for one_label in ([3], [2, 2, 2]):
             with pytest.raises(PreconditionError):
                 bounds._row_blocks(np.array(one_label), 4)
@@ -718,7 +729,6 @@ class TestBoundDraws:
             assert cs.label_count == want.label_count
             assert np.array_equal(cs.codes, want.codes)
             assert np.array_equal(cs.labels, want.labels)
-            assert np.array_equal(cs.single_labels(), want.single_labels())
             assert np.array_equal(centers, want_centers)
 
     @pytest.mark.parametrize("kind", [margin_loss(1.0), softmax_loss()])

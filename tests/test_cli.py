@@ -870,34 +870,35 @@ class TestDeterminism:
                               model.Hyperparams())
         features = np.random.default_rng(2).normal(size=(n, dims[0]))
         save_dataset(Dataset(np.arange(n), features, np.zeros((n, 6), bool)), path)
-        digests = set()
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            proc = subprocess.run(
-                [*RUN, "encode", "--model", ckpt, "--data", path, "--out", out],
-                capture_output=True, text=True,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
-            assert proc.returncode == 0, proc.stderr
-            digests.add(hashlib.sha256((out / "codes.scdh").read_bytes()).hexdigest())
-        assert len(digests) == 1
-        # training: batches of 256 through the same wide trunk, so that each
-        # step's products split too, supervised and mean-teacher
-        tiny_gen(tmp_path / "g", **{"train-per-class": 200, "dim": 32})
-        tiny_gen(tmp_path / "gs", **{"train-per-class": 200, "dim": 32,
-                                     "keep-labels": 0.3})
-        common = ["--bits", 64, "--hidden", "512,256", "--epochs", 2,
-                  "--batch-size", 256, "--lr", 0.002]
-        runs = {"train": ["train", "--data", tmp_path / "g" / "train.scds", *common],
-                "train-semi": ["train-semi", "--data", tmp_path / "gs" / "train.scds",
-                               *common, "--w", 1.0, "--noise-std", 0.1]}
-        for command, argv in runs.items():
+
+        def run_both(command, *argv):
             for threads in ("1", "2"):
                 proc = subprocess.run(
-                    [*RUN, *map(str, argv), "--out", tmp_path / command / threads],
+                    [*RUN, command, *map(str, argv), "--out", tmp_path / command / threads],
                     capture_output=True, text=True,
                     env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
                 assert proc.returncode == 0, proc.stderr
             self.compare_dirs(tmp_path / command / "1", tmp_path / command / "2")
+
+        run_both("encode", "--model", ckpt, "--data", path)
+        # training: batches of 256 through the same wide trunk, so that each
+        # step's products split too, supervised and mean-teacher
+        g, gs = tmp_path / "g", tmp_path / "gs"
+        tiny_gen(g, **{"train-per-class": 200, "dim": 32})
+        tiny_gen(gs, **{"train-per-class": 200, "dim": 32, "keep-labels": 0.3})
+        common = ["--bits", 64, "--hidden", "512,256", "--epochs", 2,
+                  "--batch-size", 256, "--lr", 0.002]
+        run_both("train", "--data", g / "train.scds", *common)
+        run_both("train-semi", "--data", gs / "train.scds", *common, "--w", 1.0,
+                 "--noise-std", 0.1)
+        # eval: the trained model's query and database codes, every metric file
+        for split in ("query", "db"):
+            run_cli("encode", "--model", tmp_path / "train" / "1" / "model.ckpt",
+                    "--data", g / f"{split}.scds", "--out", tmp_path / split)
+        run_both("eval", "--queries", tmp_path / "query" / "codes.scdh",
+                 "--database", tmp_path / "db" / "codes.scdh",
+                 "--query-data", g / "query.scds", "--db-data", g / "db.scds",
+                 "--map-k", 10, "--topk", "1,10,40")
 
     def test_train_byte_identical(self, tmp_path):
         d = tmp_path / "data"
@@ -1076,7 +1077,19 @@ class TestFlagContract:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "validation"
-        assert err["message"] == f"--threads must be at least 1, got {threads}"
+        assert err["message"] == \
+            f"--threads must be an integer in 1..{os.cpu_count() or 1}, got {threads}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_threads_above_cpu_count_exit_1(self, tmp_path, capsys, command):
+        # refused like a value below 1, before any work: no thread is started
+        cap = os.cpu_count() or 1
+        out = tmp_path / "out"
+        assert cli.main([command, "--threads", str(cap + 1), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation",
+                       "message": f"--threads must be an integer in 1..{cap}, got {cap + 1}"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "train-semi"])
