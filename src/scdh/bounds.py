@@ -381,8 +381,11 @@ def unary_upper_bound(code_set: LabeledCodeSet, centers,
     at most 2 whenever the plain bound holds.  It is 0 with ``degenerate``
     set when the denominator vanishes (every code sits on its own center).
     """
-    return unary_upper_bounds(np.asarray(code_set.codes)[None], code_set.labels,
-                              code_set.label_count, np.asarray(centers)[None], kind)[0]
+    codes = np.asarray(code_set.codes)
+    if codes.ndim != 2:
+        raise DimensionMismatch("codes must be an (n, r) matrix")
+    return unary_upper_bounds(codes[None], code_set.labels, code_set.label_count,
+                              np.asarray(centers)[None], kind)[0]
 
 
 # ---------------------------------------------------------------------------

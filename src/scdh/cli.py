@@ -640,6 +640,11 @@ def cmd_eval(cfg: dict, run: Run):
     db = _labels_for(retrieval.load_codes(cfg["database"]), db_data, "database")
     if topk and topk[-1] > db.n:
         raise ValidationError(f"--topk {topk[-1]} exceeds the {db.n} database codes")
+    # MAP needs a query with a relevant code: one whose label mask meets the
+    # OR of the database's masks
+    if not (queries.label_words & np.bitwise_or.reduce(db.label_words)).any():
+        raise ValidationError("no query in --queries shares a label with a code in "
+                              "--database")
     metrics = retrieval.evaluate(queries, db, k=cfg["map-k"] or None,
                                  radius=cfg["radius"], ks=topk)
     report = dict(metrics.to_dict(),

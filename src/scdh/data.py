@@ -2,8 +2,9 @@
 
 Features are stored as float32 (the on-disk format).  Labels are an (n, C)
 bool matrix: entry (i, l) is set when sample i carries label l, and a row
-with no set entry marks an unlabeled sample.  Label sets appear only at the
-input edge, where ``labels_from_sets`` turns them into that matrix.
+with no set entry marks an unlabeled sample.  The package works on that
+matrix alone; ``labels_from_sets`` builds it from a list of label sets, for
+a caller that holds its labels in that form.
 ``open_dataset`` is the one .scds reader: it checks the whole layout, reads
 the ids and labels, and reads feature rows on demand, so a command that
 works a row block at a time never holds the whole feature matrix.

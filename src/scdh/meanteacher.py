@@ -1,14 +1,22 @@
-"""The one training entry: supervised, or semi-supervised with an
-exponential-moving-average teacher.
+"""The one training entry and its step: supervised, or semi-supervised
+with an exponential-moving-average teacher.
 
 ``train_mt_scdh`` takes one ``Dataset``; a row with no label is unlabeled.
-The student takes the supervised objective on labeled rows and the
-quantization penalty on unlabeled rows.  With a teacher, a copy of the
-student tracks it by EMA and supplies consistency targets for both the
-classifier logits and the negative center-distance vector, each compared
-after a softmax under independent input perturbations.  Called with no
-consistency arguments, it trains the supervised model: no noise and no
-teacher.
+Its step, ``_sgd_step``, makes one SGD step with momentum on the summed
+per-sample objective
+
+    l_c(F(x), y) + mu * l_1(x, y) + lam * |F(x) - c_y| + alpha * l_q(F(x))
+        + w * (mu * cons(logits) + cons(-|F(x) - c|))
+
+with the multilabel substitution applied whenever a sample carries more
+than one label; unlabeled rows get the quantization and consistency terms
+only.  With a teacher, a copy of the student tracks it by EMA and its
+outputs are the consistency targets: ``cons`` compares the student's
+classifier logits and negative center-distance vector with the teacher's,
+each after a softmax, under independent input perturbations.  Called with
+no consistency arguments, the entry trains the supervised model: no noise,
+no teacher and no consistency term.  All arithmetic is float64 and
+single-threaded deterministic.
 """
 
 from __future__ import annotations
@@ -20,16 +28,17 @@ import numpy as np
 
 from . import losses
 from .data import Dataset
-from .errors import DimensionMismatch, NonFiniteError, PreconditionError
+from .errors import DimensionMismatch, DivergenceError, NonFiniteError, PreconditionError
 from .model import (
     EmbeddingModel,
     EpochRecord,
     Hyperparams,
     TrainReport,
-    _sgd_step,
+    _backprop_chain,
     forward_batch,
     init_model,
     mean_quantization,
+    sgd_update,
     warmup_project,
 )
 
@@ -67,10 +76,10 @@ def perturb(x, noise_std: float, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class ConsistencyResult:
-    """Per-row losses (floats for 1-d inputs) and student-side gradients."""
+    """Per-row losses and student-side gradients."""
 
-    classifier_loss: np.ndarray | float
-    distance_loss: np.ndarray | float
+    classifier_loss: np.ndarray
+    distance_loss: np.ndarray
     grad_logits: np.ndarray    # d classifier_loss / d student logits
     grad_negdists: np.ndarray  # d distance_loss / d student negative distances
 
@@ -99,47 +108,73 @@ def consistency_losses(student_logits, teacher_logits, student_negdists,
                        teacher_negdists) -> ConsistencyResult:
     """Squared distances between softmaxed student and teacher outputs.
 
-    Works row-wise on (n, C) arrays; 1-d vectors are one row and give float
-    losses.  The teacher side is a constant target: gradients flow only into
-    the student arrays.  Returns both losses and both student-side gradients.
+    Works row-wise on (n, C) arrays and gives (n,) losses.  The teacher side
+    is a constant target: gradients flow only into the student arrays.
+    Returns both losses and both student-side gradients.
     """
     a = np.asarray(student_logits, dtype=np.float64)
     at = np.asarray(teacher_logits, dtype=np.float64)
     d = np.asarray(student_negdists, dtype=np.float64)
     dt = np.asarray(teacher_negdists, dtype=np.float64)
-    if a.shape != at.shape or d.shape != dt.shape:
-        raise DimensionMismatch("student/teacher output lengths differ")
-    one_row = a.ndim == 1
-    if one_row or d.ndim == 1:
-        a, at, d, dt = map(np.atleast_2d, (a, at, d, dt))
+    if a.shape != at.shape or d.shape != dt.shape or a.ndim != 2 or d.ndim != 2:
+        raise DimensionMismatch("student and teacher outputs must be (n, C) arrays "
+                                "of one shape")
     cls_loss, cls_grad = _softmax_sqdist_rows(a, at)
     dist_loss, dist_grad = _softmax_sqdist_rows(d, dt)
-    if one_row:
-        return ConsistencyResult(float(cls_loss[0]), float(dist_loss[0]),
-                                 cls_grad[0], dist_grad[0])
     return ConsistencyResult(cls_loss, dist_loss, cls_grad, dist_grad)
 
 
-def negative_center_distances(F, centers: np.ndarray) -> np.ndarray:
-    """-|f_i - c_k| for every row of F (n, r) -> (n, C); a 1-d f gives (C,)."""
-    F = np.asarray(F, dtype=np.float64)
-    _, D = losses.center_differences(np.atleast_2d(F), np.asarray(centers, np.float64))
-    return -D[0] if F.ndim == 1 else -D
+def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
+              lr: float, target: tuple[np.ndarray, np.ndarray] | None = None,
+              weight: float = 0.0) -> tuple[np.ndarray, float]:
+    """One SGD step on the summed objective over a batch: forward pass, loss
+    kernel, consistency term, finite checks, backprop and the momentum update.
 
-
-def _consistency_term(teacher_logits: np.ndarray, teacher_negdists: np.ndarray,
-                      weight: float, mu: float):
-    """The ``_sgd_step`` callback for ``weight * (mu * classifier + distance)``
-    consistency against the teacher's outputs; it returns the unweighted loss."""
-    def add(logits, k, grad_F, grad_logits, grad_centers) -> float:
-        cr = consistency_losses(logits, teacher_logits, -k.distances, teacher_negdists)
-        grad_logits += weight * mu * cr.grad_logits
+    ``labels`` is the batch's (n, C) label matrix.  ``target``, if given, is
+    the teacher's ``(logits, negative center distances)`` for the batch; the
+    step then adds ``weight * (mu * classifier + distance)`` consistency.
+    Returns the (4, n) per-row terms, in the order scul, classification,
+    quantization, center distance, and the unweighted consistency loss (0.0
+    without a target).
+    """
+    if len(labels) == 0:
+        raise PreconditionError("empty batch")
+    F, logits, acts = forward_batch(model, X)
+    if not (np.isfinite(F).all() and np.isfinite(logits).all()):
+        raise DivergenceError(
+            "non-finite activations in the forward pass; the learning rate is "
+            "likely too high"
+        )
+    # one kernel call serves every row; unlabeled rows get quantization only
+    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
+                          hp.holder_p, hp.holder_q)
+    grad_F = k.grad_embedding + hp.alpha * k.grad_quantization
+    grad_logits = hp.mu * k.grad_logits
+    grads = model.grads
+    np.copyto(grads["centers"], k.grad_centers)
+    extra = 0.0
+    if target is not None:
+        cr = consistency_losses(logits, target[0], -k.distances, target[1])
+        grad_logits += weight * hp.mu * cr.grad_logits
         # the negative distances feed both the embedding and the centers
         gF, gC = losses.distance_gradients(k.directions, -weight * cr.grad_negdists)
         grad_F += gF
-        grad_centers += gC
-        return float((mu * cr.classifier_loss + cr.distance_loss).sum())
-    return add
+        grads["centers"] += gC
+        extra = float((hp.mu * cr.classifier_loss + cr.distance_loss).sum())
+    rows = np.array([k.scul, k.classification, k.quantization, k.center_distance])
+    sums = rows.sum(axis=1)
+    # scul already contains the lam-weighted distance term
+    total = sums[0] + hp.mu * sums[1] + hp.alpha * sums[2] + extra
+    if not np.isfinite(total):
+        raise DivergenceError(
+            f"non-finite step loss {total}; the learning rate is likely too high"
+        )
+    _backprop_chain(model, acts, grad_F, grad_logits, grads)
+    # every block is written; adding 0.0 turns each -0 into +0, as a sum into
+    # a zeroed vector would: the momentum update of a -0 velocity reads the sign
+    model.grad += 0.0
+    sgd_update(model, model.grad, lr, hp.momentum)
+    return rows, extra
 
 
 def train_mt_scdh(dataset: Dataset, hp: Hyperparams, w: float = 0.0,
@@ -211,16 +246,14 @@ def train_mt_scdh(dataset: Dataset, hp: Hyperparams, w: float = 0.0,
             # both; a zero noise draws nothing and needs no copy
             batch = features[idx]
             X = perturb(batch, noise_std, noise_rng) if noise_std else batch
-            consistency = None
+            target = None
             w_eff = w * min(1.0, step / ramp_steps)
             if w_eff > 0.0:
                 Xt = perturb(batch, noise_std, noise_rng) if noise_std else batch
                 Ft, logits_t, _ = forward_batch(teacher, Xt)
-                consistency = _consistency_term(
-                    logits_t, negative_center_distances(Ft, teacher.centers),
-                    w_eff, hp.mu)
+                target = logits_t, -losses.center_differences(Ft, teacher.centers)[1]
                 cons_count += len(idx)
-            rows, cons = _sgd_step(student, X, Y[idx], hp, lr, consistency)
+            rows, cons = _sgd_step(student, X, Y[idx], hp, lr, target, w_eff)
             cons_sum += cons
             labeled = idx < n_lab
             sup_sums += rows[:, labeled].sum(axis=1)

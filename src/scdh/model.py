@@ -3,16 +3,13 @@
 The network is a small affine trunk with rectifier nonlinearities, a linear
 hashing layer of width r, a matrix of per-label cluster centers attached to
 the hashing output through the unary loss, and an independent linear
-classifier head on the trunk output.  One SGD step with momentum minimises
-the summed per-sample objective
-
-    l_c(F(x), y) + mu * l_1(x, y) + lam * |F(x) - c_y| + alpha * l_q(F(x))
-
-with the multilabel substitution applied whenever a sample carries more than
-one label; unlabeled rows get the quantization term only.  The one training
-entry that drives these steps, ``meanteacher.train_mt_scdh``, trains the
-supervised model when called without a teacher.  All arithmetic is float64
-and single-threaded deterministic.
+classifier head on the trunk output.  This module holds the network and its
+parts of a training step: the forward pass, backpropagation through the
+trunk, the momentum update and the warm-up projection of the centers.  The
+step that joins them to the loss, ``meanteacher._sgd_step``, sits beside
+the one training loop, ``meanteacher.train_mt_scdh``.  Here too are the
+inference pass and checkpoints.  All arithmetic is float64 and
+single-threaded deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import losses
-from .errors import DimensionMismatch, DivergenceError, ParseError, PreconditionError
+from .errors import DimensionMismatch, ParseError, PreconditionError
 
 MODEL_MAGIC = b"SCDM"
 MODEL_VERSION = 1
@@ -119,10 +116,11 @@ class EmbeddingModel:
     Every parameter is a view into one contiguous float64 vector ``theta``
     laid out by ``param_layout``; the momentum buffer ``velocity`` has the
     same layout, and so has ``grad``, the gradient vector that each
-    ``_sgd_step`` overwrites (``grads`` holds its block views).  ``theta``,
-    if given, is adopted, not copied.  The optimizer updates ``theta`` in
-    place, so a parameter is changed by writing into it (``centers[:] =
-    ...``): rebinding an attribute detaches it from ``theta``.
+    ``meanteacher._sgd_step`` overwrites (``grads`` holds its block views).
+    ``theta``, if given, is adopted, not copied.  The optimizer updates
+    ``theta`` in place, so a parameter is changed by writing into it
+    (``centers[:] = ...``): rebinding an attribute detaches it from
+    ``theta``.
     """
 
     def __init__(self, dims: Sequence[int], C: int, r: int,
@@ -246,56 +244,11 @@ def sgd_update(model: EmbeddingModel, grad: np.ndarray, lr: float,
     model.theta += v
 
 
-def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
-              lr: float, consistency=None) -> tuple[np.ndarray, float]:
-    """One SGD step on the summed objective over a batch: forward pass, loss
-    kernel, finite checks, backprop and the momentum update.
-
-    ``labels`` is the batch's (n, C) label matrix.  ``consistency``, if given,
-    is called as ``consistency(logits, k, grad_F, grad_logits, grad_centers)``
-    after the kernel: it adds its gradients in place and returns its loss.
-    Returns the (4, n) per-row terms, in the order scul, classification,
-    quantization, center distance, and that loss (0.0 without one).
-    """
-    if len(labels) == 0:
-        raise PreconditionError("empty batch")
-    F, logits, acts = forward_batch(model, X)
-    if not (np.isfinite(F).all() and np.isfinite(logits).all()):
-        raise DivergenceError(
-            "non-finite activations in the forward pass; the learning rate is "
-            "likely too high"
-        )
-    # one kernel call serves every row; unlabeled rows get quantization only
-    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
-                          hp.holder_p, hp.holder_q)
-    grad_F = k.grad_embedding + hp.alpha * k.grad_quantization
-    grad_logits = hp.mu * k.grad_logits
-    grads = model.grads
-    np.copyto(grads["centers"], k.grad_centers)
-    extra = 0.0
-    if consistency is not None:
-        extra = consistency(logits, k, grad_F, grad_logits, grads["centers"])
-    rows = np.array([k.scul, k.classification, k.quantization, k.center_distance])
-    sums = rows.sum(axis=1)
-    # scul already contains the lam-weighted distance term
-    total = sums[0] + hp.mu * sums[1] + hp.alpha * sums[2] + extra
-    if not np.isfinite(total):
-        raise DivergenceError(
-            f"non-finite step loss {total}; the learning rate is likely too high"
-        )
-    _backprop_chain(model, acts, grad_F, grad_logits, grads)
-    # every block is written; adding 0.0 turns each -0 into +0, as a sum into
-    # a zeroed vector would: the momentum update of a -0 velocity reads the sign
-    model.grad += 0.0
-    sgd_update(model, model.grad, lr, hp.momentum)
-    return rows, extra
-
-
-def warmup_project(centers, s: float, rng: np.random.Generator | None = None) -> np.ndarray:
+def warmup_project(centers, s: float, rng: np.random.Generator) -> np.ndarray:
     """Rescale every center column to Euclidean norm exactly s.
 
-    Zero columns are replaced by a random direction of norm s (seeded rng, or
-    a fixed fallback stream) so the projection is always well-defined.
+    Zero columns are replaced by a random direction of norm s drawn from
+    ``rng``, so the projection is always well-defined.
     """
     if s <= 0:
         raise PreconditionError("warm-up norm must be positive")
@@ -304,8 +257,6 @@ def warmup_project(centers, s: float, rng: np.random.Generator | None = None) ->
     out = centers.copy()
     for j, nj in enumerate(norms):
         if nj == 0.0:
-            if rng is None:
-                rng = np.random.default_rng(0)
             direction = rng.standard_normal(centers.shape[0])
             out[:, j] = direction * (s / np.linalg.norm(direction))
         else:

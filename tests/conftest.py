@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scdh import model
+from scdh import meanteacher
 from scdh.data import (Dataset, SyntheticConfig, _draw_prototypes, sample_clusters,
                        sample_multilabel)
 from scdh.errors import PreconditionError
@@ -28,15 +28,15 @@ def rel_err(a, b):
 
 
 def step_gradient(net, X, labels, hp) -> np.ndarray:
-    """The gradient vector of one ``model._sgd_step``, caught at its SGD
+    """The gradient vector of one ``meanteacher._sgd_step``, caught at its SGD
     update, which is skipped: ``net`` is left as it was."""
     caught = []
-    real = model.sgd_update
-    model.sgd_update = lambda _net, grad, _lr, _momentum: caught.append(grad)
+    real = meanteacher.sgd_update
+    meanteacher.sgd_update = lambda _net, grad, _lr, _momentum: caught.append(grad)
     try:
-        model._sgd_step(net, X, labels, hp, hp.lr)
+        meanteacher._sgd_step(net, X, labels, hp, hp.lr)
     finally:
-        model.sgd_update = real
+        meanteacher.sgd_update = real
     return caught[0]
 
 

@@ -7,7 +7,9 @@ the paper's formulas term by term; the tests compare the batched kernels
 against them and check their hand-derived gradients by finite differences.
 Centers are an ``(r, C)`` matrix whose columns are the per-label cluster
 centers.  At the end, ``ref_scul_batch`` and its helpers keep the batch
-kernel in its plain form, with no fast path, for byte-for-byte comparison.
+kernel in its plain form, with no fast path, for byte-for-byte comparison,
+and ``ref_sgd_step`` keeps the training step as it stood when the
+consistency term reached it through a callback.
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scdh.errors import DimensionMismatch, LabelSetError, NonFiniteError
+from scdh import losses
+from scdh.errors import (DimensionMismatch, DivergenceError, LabelSetError,
+                         NonFiniteError, PreconditionError)
 from scdh.losses import SculBatch, _as_centers, _check_dual_norms
+from scdh.meanteacher import consistency_losses
+from scdh.model import (EmbeddingModel, Hyperparams, _backprop_chain, forward_batch,
+                        sgd_update)
 
 Array = np.ndarray
 
@@ -350,3 +357,77 @@ def ref_scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
     return SculBatch(scul, classification, quant, pull, grad_F, grad_q,
                      grad_logits, grad_c, D, U)
 
+
+
+# ---------------------------------------------------------------------------
+# The training step as it stood in ``model``, with the mean teacher's
+# consistency term passed in as a callback the loop built on every step.
+# The bodies are kept verbatim; the tests require ``meanteacher._sgd_step``
+# to give the same bytes.
+# ---------------------------------------------------------------------------
+
+def ref_sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
+                 lr: float, consistency=None) -> tuple[np.ndarray, float]:
+    """One SGD step on the summed objective over a batch: forward pass, loss
+    kernel, finite checks, backprop and the momentum update.
+
+    ``labels`` is the batch's (n, C) label matrix.  ``consistency``, if given,
+    is called as ``consistency(logits, k, grad_F, grad_logits, grad_centers)``
+    after the kernel: it adds its gradients in place and returns its loss.
+    Returns the (4, n) per-row terms, in the order scul, classification,
+    quantization, center distance, and that loss (0.0 without one).
+    """
+    if len(labels) == 0:
+        raise PreconditionError("empty batch")
+    F, logits, acts = forward_batch(model, X)
+    if not (np.isfinite(F).all() and np.isfinite(logits).all()):
+        raise DivergenceError(
+            "non-finite activations in the forward pass; the learning rate is "
+            "likely too high"
+        )
+    # one kernel call serves every row; unlabeled rows get quantization only
+    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
+                          hp.holder_p, hp.holder_q)
+    grad_F = k.grad_embedding + hp.alpha * k.grad_quantization
+    grad_logits = hp.mu * k.grad_logits
+    grads = model.grads
+    np.copyto(grads["centers"], k.grad_centers)
+    extra = 0.0
+    if consistency is not None:
+        extra = consistency(logits, k, grad_F, grad_logits, grads["centers"])
+    rows = np.array([k.scul, k.classification, k.quantization, k.center_distance])
+    sums = rows.sum(axis=1)
+    # scul already contains the lam-weighted distance term
+    total = sums[0] + hp.mu * sums[1] + hp.alpha * sums[2] + extra
+    if not np.isfinite(total):
+        raise DivergenceError(
+            f"non-finite step loss {total}; the learning rate is likely too high"
+        )
+    _backprop_chain(model, acts, grad_F, grad_logits, grads)
+    # every block is written; adding 0.0 turns each -0 into +0, as a sum into
+    # a zeroed vector would: the momentum update of a -0 velocity reads the sign
+    model.grad += 0.0
+    sgd_update(model, model.grad, lr, hp.momentum)
+    return rows, extra
+
+
+def ref_negative_center_distances(F, centers: np.ndarray) -> np.ndarray:
+    """-|f_i - c_k| for every row of F (n, r) -> (n, C); a 1-d f gives (C,)."""
+    F = np.asarray(F, dtype=np.float64)
+    _, D = losses.center_differences(np.atleast_2d(F), np.asarray(centers, np.float64))
+    return -D[0] if F.ndim == 1 else -D
+
+
+def ref_consistency_term(teacher_logits: np.ndarray, teacher_negdists: np.ndarray,
+                         weight: float, mu: float):
+    """The ``_sgd_step`` callback for ``weight * (mu * classifier + distance)``
+    consistency against the teacher's outputs; it returns the unweighted loss."""
+    def add(logits, k, grad_F, grad_logits, grad_centers) -> float:
+        cr = consistency_losses(logits, teacher_logits, -k.distances, teacher_negdists)
+        grad_logits += weight * mu * cr.grad_logits
+        # the negative distances feed both the embedding and the centers
+        gF, gC = losses.distance_gradients(k.directions, -weight * cr.grad_negdists)
+        grad_F += gF
+        grad_centers += gC
+        return float((mu * cr.classifier_loss + cr.distance_loss).sum())
+    return add

@@ -112,12 +112,12 @@ def test_criterion_1_gradient_suite():
 
     errs = []
     for _ in range(n_inst):
-        a, at = rng.normal(0, 1, (2, 6))
-        d, dt = -np.abs(rng.normal(2, 0.5, (2, 6)))
+        a, at = rng.normal(0, 1, (2, 1, 6))           # one (1, C) row each
+        d, dt = -np.abs(rng.normal(2, 0.5, (2, 1, 6)))
         res = mt.consistency_losses(a, at, d, dt)
-        na = central_diff(lambda z: mt.consistency_losses(z, at, d, dt).classifier_loss,
+        na = central_diff(lambda z: mt.consistency_losses(z, at, d, dt).classifier_loss[0],
                           a, eps=1e-6)
-        nd = central_diff(lambda z: mt.consistency_losses(a, at, z, dt).distance_loss,
+        nd = central_diff(lambda z: mt.consistency_losses(a, at, z, dt).distance_loss[0],
                           d, eps=1e-6)
         errs.append(max(rel_err(res.grad_logits, na), rel_err(res.grad_negdists, nd)))
     worst["consistency"] = max(errs)

@@ -117,16 +117,19 @@ def test_a_traced_training_run_records_every_step_span():
     labels[np.arange(10), y[:10]] = True           # 10 labeled rows, 30 unlabeled
     ds = data.Dataset(np.arange(n), rng.normal(size=(n, 4)) + y[:, None], labels)
     hp = model.Hyperparams(epochs=2, batch_size=16, lr=1e-3)
-    tracer = TRACING.Tracer()
-    tracer.install({name: importlib.import_module(f"scdh.{name}")
-                    for name in TRACING.LAYERS},
-                   also=(importlib.import_module("scdh"),))
-    try:
-        meanteacher.train_mt_scdh(ds, hp, w=1.0, ema_decay=0.9, noise_std=0.1, r=6,
-                                  hidden=(8,))
-    finally:
-        tracer.uninstall()
-    m = TRACING.layer_metrics(tracer, [], n * hp.epochs)
+
+    def traced(dataset, **kwargs):
+        tracer = TRACING.Tracer()
+        tracer.install({name: importlib.import_module(f"scdh.{name}")
+                        for name in TRACING.LAYERS},
+                       also=(importlib.import_module("scdh"),))
+        try:
+            meanteacher.train_mt_scdh(dataset, hp, r=6, hidden=(8,), **kwargs)
+        finally:
+            tracer.uninstall()
+        return TRACING.layer_metrics(tracer, [], n * hp.epochs)
+
+    m = traced(ds, w=1.0, ema_decay=0.9, noise_std=0.1)
     steps = hp.epochs * 3                           # 40 rows in batches of 16
     assert m["model.steps"] == steps
     assert m["meanteacher.consistency_calls"] == steps - 1   # its weight is 0 at step 0
@@ -134,4 +137,14 @@ def test_a_traced_training_run_records_every_step_span():
     for key in ("model.forward_s", "model.sgd_s", "meanteacher.train_s",
                 "meanteacher.consistency_s", "meanteacher.ema_s",
                 "meanteacher.perturb_s"):
+        assert m[key] > 0.0, key
+
+    # supervised, every row labeled: the same step calls no teacher-side code
+    labels[np.arange(n), y] = True
+    m = traced(data.Dataset(ds.ids, ds.features, labels))
+    assert m["model.steps"] == steps
+    assert m["meanteacher.consistency_calls"] == 0
+    assert m["meanteacher.ema_calls"] == 0
+    assert m["meanteacher.perturb_s"] == 0.0
+    for key in ("model.forward_s", "model.sgd_s", "meanteacher.train_s"):
         assert m[key] > 0.0, key

@@ -144,8 +144,10 @@ class TestLabeledCodeSet:
             "one-label", "one-row", "over-the-cap"])
     def test_unary_check_refuses(self, codes, labels, C, error):
         # each was refused with this type when a code set took an (n, C)
-        # label matrix and checked it on construction
-        with pytest.raises(error):
+        # label matrix and checked it on construction; the single entry
+        # names the matrix it takes, not the stack it builds
+        match = None if np.ndim(codes) == 2 else r"^codes must be an \(n, r\) matrix$"
+        with pytest.raises(error, match=match):
             check_one(codes, labels, C)
 
 

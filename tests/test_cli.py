@@ -1135,9 +1135,23 @@ def training_file(path, labels, ids=None):
     return str(path)
 
 
+def eval_files(t, query_labels, db_labels) -> list[str]:
+    """eval's argv over a query and a database file pair written to ``t``,
+    with every code 1s; each label list is as ``training_file`` takes it."""
+    argv = ["eval"]
+    for flag, name, labels in [("queries", "query", query_labels),
+                               ("database", "db", db_labels)]:
+        codes = retrieval.CodeIndex.from_embeddings(np.ones((len(labels), 8)),
+                                                    np.arange(len(labels)))
+        retrieval.save_codes(codes, t / f"{name}.scdh")
+        argv += [f"--{flag}", str(t / f"{name}.scdh"),
+                 f"--{name}-data", training_file(t / f"{name}.scds", labels)]
+    return argv
+
+
 # Each cross-field or training-data refusal: its argv, given the tmp_path, and
-# its message.  None of them draws data, builds a network or makes the --out
-# directory.
+# its message.  None of them draws data, builds a network, ranks codes or
+# makes the --out directory.
 REFUSALS = {
     "train-no-labeled-row": (
         lambda t: ["train", "--data", training_file(t / "u.scds", [None] * 6)],
@@ -1186,6 +1200,15 @@ REFUSALS = {
         lambda t: ["verify-bounds", "--classes", "2,64", "--max-n", "12"],
         "--max-n 12 --classes 2,64: an instance holds at least one code per class, "
         "so max_n=12 cannot hold C=64"),
+    "eval-no-query": (
+        lambda t: eval_files(t, [], [{0}, {1}, {2}]),
+        "no query in --queries shares a label with a code in --database"),
+    "eval-no-database-code": (
+        lambda t: eval_files(t, [{0}, {1}], []),
+        "no query in --queries shares a label with a code in --database"),
+    "eval-disjoint-labels": (
+        lambda t: eval_files(t, [{0}, {0}], [{1}, {2}, {1, 2}]),
+        "no query in --queries shares a label with a code in --database"),
 }
 
 
@@ -1197,7 +1220,8 @@ class TestRefusals:
         # line, and leaves no --out directory
         for module, name in [(cli.meanteacher, "train_mt_scdh"), (cli.bounds, "toy_lambda_grid"),
                              (cli.bounds, "_draw_bound_arrays"),
-                             (cli.data, "make_multilabel_splits")]:
+                             (cli.data, "make_multilabel_splits"),
+                             (cli.retrieval, "evaluate")]:
             monkeypatch.setattr(module, name, lambda *a, _n=name, **kw: pytest.fail(_n))
         argv, message = REFUSALS[case]
         out = tmp_path / "out"

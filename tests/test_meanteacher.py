@@ -129,46 +129,50 @@ class TestPerturb:
 
 
 class TestConsistencyLosses:
+    # each instance is one (1, C) row
     def test_identical_inputs_zero(self, rng):
-        a = rng.normal(0, 1, 5)
-        d = rng.normal(-3, 1, 5)
+        a = rng.normal(0, 1, (1, 5))
+        d = rng.normal(-3, 1, (1, 5))
         res = mt.consistency_losses(a, a, d, d)
-        assert res.classifier_loss == 0.0
-        assert res.distance_loss == 0.0
+        assert res.classifier_loss[0] == 0.0
+        assert res.distance_loss[0] == 0.0
         np.testing.assert_allclose(res.grad_logits, 0.0, atol=1e-15)
 
     def test_hand_value(self):
-        a = np.array([np.log(3), 0.0])
-        at = np.zeros(2)
-        res = mt.consistency_losses(a, at, np.zeros(2), np.zeros(2))
-        assert res.classifier_loss == pytest.approx(0.125, abs=1e-12)
+        a = np.array([[np.log(3), 0.0]])
+        at = np.zeros((1, 2))
+        res = mt.consistency_losses(a, at, np.zeros((1, 2)), np.zeros((1, 2)))
+        assert res.classifier_loss[0] == pytest.approx(0.125, abs=1e-12)
 
     def test_symmetric_in_value(self, rng):
-        u = rng.normal(0, 1, 6)
-        v = rng.normal(0, 1, 6)
+        u = rng.normal(0, 1, (1, 6))
+        v = rng.normal(0, 1, (1, 6))
         fwd = mt.consistency_losses(u, v, u, v)
         rev = mt.consistency_losses(v, u, v, u)
-        assert fwd.classifier_loss == pytest.approx(rev.classifier_loss, rel=1e-12)
+        assert fwd.classifier_loss[0] == pytest.approx(rev.classifier_loss[0], rel=1e-12)
 
     def test_gradients_finite_difference(self, rng):
         for _ in range(10):
-            a = rng.normal(0, 1, 6)
-            at = rng.normal(0, 1, 6)
-            d = -np.abs(rng.normal(2, 0.5, 6))
-            dt = -np.abs(rng.normal(2, 0.5, 6))
+            a = rng.normal(0, 1, (1, 6))
+            at = rng.normal(0, 1, (1, 6))
+            d = -np.abs(rng.normal(2, 0.5, (1, 6)))
+            dt = -np.abs(rng.normal(2, 0.5, (1, 6)))
             res = mt.consistency_losses(a, at, d, dt)
             num_a = central_diff(
-                lambda z: mt.consistency_losses(z, at, d, dt).classifier_loss,
+                lambda z: mt.consistency_losses(z, at, d, dt).classifier_loss[0],
                 a, eps=1e-6)
             num_d = central_diff(
-                lambda z: mt.consistency_losses(a, at, z, dt).distance_loss,
+                lambda z: mt.consistency_losses(a, at, z, dt).distance_loss[0],
                 d, eps=1e-6)
             assert rel_err(res.grad_logits, num_a) < 1e-6
             assert rel_err(res.grad_negdists, num_d) < 1e-6
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mt.consistency_losses(np.ones(3), np.ones(4), np.ones(3), np.ones(3))
+        # a length or a row count that differs, and a row that is not (1, C)
+        for shapes in [((1, 3), (1, 4), (1, 3), (1, 3)), ((1, 3), (1, 3), (1, 3), (2, 3)),
+                       ((3,), (3,), (3,), (3,))]:
+            with pytest.raises(DimensionMismatch):
+                mt.consistency_losses(*map(np.ones, shapes))
 
 
 class TestBatchedConsistency:
@@ -189,17 +193,69 @@ class TestBatchedConsistency:
             assert np.max(np.abs(res.grad_negdists[i] - dist_grad)) <= 1e-12
 
     def test_negative_center_distances_rows(self, rng):
+        # the teacher's targets, as the loop takes them
         F = rng.normal(0, 1, (5, 4))
         centers = rng.normal(0, 1, (4, 3))
         F[2] = centers[:, 1]
-        got = mt.negative_center_distances(F, centers)
+        got = -losses.center_differences(F, centers)[1]
         want = np.stack([-oracles.center_distances(f, centers) for f in F])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         assert got[2, 1] == 0.0
         # the training kernel's distances, with the same arithmetic
         np.testing.assert_array_equal(got, -losses.center_directions(F, centers)[0])
-        np.testing.assert_array_equal(mt.negative_center_distances(F[0], centers),
-                                      got[0])
+        np.testing.assert_array_equal(got, oracles.ref_negative_center_distances(F, centers))
+
+
+def step_batch(rng, n):
+    """n rows of 4 features over 3 labels: single-label, unlabeled and
+    multilabel rows in turn."""
+    rows = [[True, False, False], [False, False, False], [False, True, True]]
+    return rng.normal(0, 1, (n, 4)), np.array([rows[i % 3] for i in range(n)])
+
+
+class TestStepMatchesParent:
+    """``_sgd_step`` takes the teacher's outputs as data and adds the
+    consistency term itself; ``oracles.ref_sgd_step`` got it from a callback.
+    Both must leave the same bytes, step after step."""
+
+    @pytest.mark.parametrize("n,weight,teacher,on_center", [
+        (6, 0.7, True, False),
+        (1, 2.0, True, False),
+        (6, 0.7, True, True),
+        (6, 0.0, True, False),
+        (6, 0.0, False, False),
+    ], ids=["mixed-rows", "one-row", "row-on-a-center", "weight-zero", "no-target"])
+    def test_steps_match_the_callback_form(self, n, weight, teacher, on_center):
+        rng = np.random.default_rng(11)
+        net = model.init_model((4, 5), C=3, r=6, seed=1)
+        net.theta[:] = rng.normal(0, 0.5, net.theta.shape)
+        ref = net.copy()
+        tnet = model.init_model((4, 5), C=3, r=6, seed=2)
+        hp = model.Hyperparams(lam=0.02, mu=0.3, alpha=0.05, momentum=0.9)
+        for step in range(4):
+            X, Y = step_batch(rng, n)
+            Xt = X + rng.normal(0, 0.1, X.shape)
+            if on_center:
+                # a student row and a teacher row each sit on a center
+                net.centers[:, 1] = model.forward_batch(net, X)[0][0]
+                ref.centers[:] = net.centers
+                tnet.centers[:, 2] = model.forward_batch(tnet, Xt)[0][-1]
+            target = callback = None
+            if teacher:
+                Ft, logits_t, _ = model.forward_batch(tnet, Xt)
+                target = logits_t, -losses.center_differences(Ft, tnet.centers)[1]
+                callback = oracles.ref_consistency_term(
+                    logits_t, oracles.ref_negative_center_distances(Ft, tnet.centers),
+                    weight, hp.mu)
+            lr = 0.01 * (step + 1)
+            rows, loss = mt._sgd_step(net, X, Y, hp, lr, target, weight)
+            ref_rows, ref_loss = oracles.ref_sgd_step(ref, X, Y, hp, lr, callback)
+            assert rows.tobytes() == ref_rows.tobytes()
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            for got, want in [(net.theta, ref.theta), (net.velocity, ref.velocity),
+                              (net.grad, ref.grad)]:
+                assert got.tobytes() == want.tobytes()
+            assert (loss > 0.0) == teacher
 
 
 class TestTrainMtScdh:

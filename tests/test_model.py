@@ -228,8 +228,8 @@ class TestBackwardStep:
         net = randomized_net(5)
         before = [p.copy() for p in net.parameters()]
         hp = tiny_hp(momentum=0.0)
-        model._sgd_step(net, rng.normal(0, 1, (3, 4)),
-                        labels_from_sets([frozenset({0})] * 3, 3), hp, lr=0.0)
+        mt._sgd_step(net, rng.normal(0, 1, (3, 4)),
+                     labels_from_sets([frozenset({0})] * 3, 3), hp, lr=0.0)
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
 
@@ -245,7 +245,7 @@ class TestBackwardStep:
         first = None
         last = None
         for _ in range(50):
-            rows, _ = model._sgd_step(net, feats, ds.labels, hp, hp.lr)
+            rows, _ = mt._sgd_step(net, feats, ds.labels, hp, hp.lr)
             scul = rows[0].mean()
             first = scul if first is None else first
             last = scul
@@ -257,13 +257,13 @@ class TestBackwardStep:
         hp = tiny_hp()
         net.trunk[0].W[:] = np.inf
         with pytest.raises(DivergenceError):
-            model._sgd_step(net, rng.normal(0, 1, (2, 4)),
-                            labels_from_sets([frozenset({0})] * 2, 3), hp, hp.lr)
+            mt._sgd_step(net, rng.normal(0, 1, (2, 4)),
+                         labels_from_sets([frozenset({0})] * 2, 3), hp, hp.lr)
 
     def test_empty_batch_rejected(self):
         net = randomized_net(6)
         with pytest.raises(PreconditionError):
-            model._sgd_step(net, np.zeros((0, 4)), np.zeros((0, 3), bool), tiny_hp(), 1e-3)
+            mt._sgd_step(net, np.zeros((0, 4)), np.zeros((0, 3), bool), tiny_hp(), 1e-3)
 
 
 def ref_sgd_update(params, velocities, grads, lr, momentum):
@@ -329,12 +329,12 @@ class TestWarmupProject:
         centers = rng.normal(0, 1, (6, 4))
         centers /= np.linalg.norm(centers, axis=0, keepdims=True)
         centers *= 5.0
-        out = model.warmup_project(centers, 5.0)
+        out = model.warmup_project(centers, 5.0, rng)
         np.testing.assert_allclose(out, centers, atol=1e-12)
 
-    def test_rescales(self):
+    def test_rescales(self, rng):
         centers = np.array([[3.0], [4.0]])
-        out = model.warmup_project(centers, 10.0)
+        out = model.warmup_project(centers, 10.0, rng)
         np.testing.assert_allclose(out[:, 0], [6.0, 8.0], atol=1e-12)
 
     def test_zero_column_gets_norm(self, rng):
@@ -354,8 +354,8 @@ class TestWarmupProject:
         rng = np.random.default_rng(0)
         for _ in range(6):
             idx = rng.permutation(ds.n)[:8]
-            model._sgd_step(net, feats[idx], ds.labels[idx], hp, hp.lr)
-            net.centers[:] = model.warmup_project(net.centers, hp.warmup_norm_s)
+            mt._sgd_step(net, feats[idx], ds.labels[idx], hp, hp.lr)
+            net.centers[:] = model.warmup_project(net.centers, hp.warmup_norm_s, rng)
             norms = np.linalg.norm(net.centers, axis=0)
             np.testing.assert_allclose(norms, hp.warmup_norm_s, atol=1e-9)
 
@@ -375,7 +375,7 @@ def ref_train_scdh(dataset, hp, *, r, hidden=(64,)):
         sums = np.zeros(4)
         for a in range(0, dataset.n, hp.batch_size):
             idx = perm[a:min(a + hp.batch_size, dataset.n)]
-            rows, _ = model._sgd_step(net, features[idx], dataset.labels[idx], hp, lr)
+            rows, _ = mt._sgd_step(net, features[idx], dataset.labels[idx], hp, lr)
             if epoch < hp.warmup_epochs:
                 net.centers[:] = model.warmup_project(net.centers, hp.warmup_norm_s,
                                                       project_rng)
