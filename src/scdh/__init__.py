@@ -51,8 +51,6 @@ from .model import (
 from .retrieval import (
     CodeIndex,
     HashCode,
-    RetrievalMetrics,
-    binarize,
     evaluate,
     load_codes,
     save_codes,

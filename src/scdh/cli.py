@@ -390,18 +390,15 @@ GEN_SPEC = dict(COMMON, **{
     "n-db": (Int(1), 3000, "database size (multi)"),
     "keep-labels": (Float(0.0, 1.0, lo_open=True, hi_open=False), 1.0,
                     "fraction of train labels kept, the rest stripped (single)"),
-    "balance": (Int(0, 1), 0, "1 = upsample training classes to equal counts (single)"),
 })
 
 
 def cmd_gen(cfg: dict, run: Run):
     seed, multi = cfg["seed"], cfg["mode"] == "multi"
-    if multi:
-        # balancing and label stripping take one label per sample
-        for key, off in (("balance", 0), ("keep-labels", 1.0)):
-            if cfg[key] != off:
-                raise ValidationError(f"--{key} {cfg[key]} needs --mode single, "
-                                      "got --mode multi")
+    if multi and cfg["keep-labels"] < 1.0:
+        # label stripping takes one label per sample
+        raise ValidationError(f"--keep-labels {cfg['keep-labels']} needs --mode single, "
+                              "got --mode multi")
     try:
         syn = data.SyntheticConfig(C=cfg["classes"], feature_dim=cfg["dim"],
                                    cluster_std=cfg["cluster-std"],
@@ -417,8 +414,6 @@ def cmd_gen(cfg: dict, run: Run):
     else:
         train, query, db = data.make_cluster_splits(syn, cfg["query-per-class"],
                                                     cfg["db-per-class"])
-    if cfg["balance"]:
-        train = data.balance_upsample(train, seed=seed)
     if cfg["keep-labels"] < 1.0:
         train = data.strip_labels(train, cfg["keep-labels"], seed=seed + 1)
     for name, ds in (("train.scds", train), ("query.scds", query), ("db.scds", db)):
@@ -598,7 +593,6 @@ EVAL_SPEC = dict(COMMON, **{
     "query-data": (File(), None, "dataset supplying query labels (.scds)"),
     "db-data": (File(), None, "dataset supplying database labels (.scds)"),
     "map-k": (Int(0), 0, "0 = untruncated MAP, else MAP@k as well"),
-    "radius": (Int(0), 2, "Hamming ball radius for the precision metric"),
     "topk": (List(Int(1), ascending=True), "", "k values of the precision curve"),
 })
 
@@ -638,6 +632,9 @@ def cmd_eval(cfg: dict, run: Run):
         raise ValidationError(f"--query-data has {C} label classes, --db-data {db_C}")
     queries = _labels_for(retrieval.load_codes(cfg["queries"]), query_data, "queries")
     db = _labels_for(retrieval.load_codes(cfg["database"]), db_data, "database")
+    if queries.nbits != db.nbits:
+        raise ValidationError(f"--queries holds {queries.nbits}-bit codes, "
+                              f"--database {db.nbits}-bit codes")
     if topk and topk[-1] > db.n:
         raise ValidationError(f"--topk {topk[-1]} exceeds the {db.n} database codes")
     # MAP needs a query with a relevant code: one whose label mask meets the
@@ -645,23 +642,21 @@ def cmd_eval(cfg: dict, run: Run):
     if not (queries.label_words & np.bitwise_or.reduce(db.label_words)).any():
         raise ValidationError("no query in --queries shares a label with a code in "
                               "--database")
-    metrics = retrieval.evaluate(queries, db, k=cfg["map-k"] or None,
-                                 radius=cfg["radius"], ks=topk)
-    report = dict(metrics.to_dict(),
-                  database_codes=retrieval.Buckets.of(db).summary())
+    report = retrieval.evaluate(queries, db, k=cfg["map-k"] or None, ks=topk)
+    report["database_codes"] = retrieval.Buckets.of(db).summary()
     run.save_json("metrics.json", report)
+    columns = ("map", "map_at_k", "k", "precision_at_radius2")
     with atomic_path(run.path("metrics.csv")) as tmp:
         with open(tmp, "w") as fh:
-            fh.write("map,map_at_k,k,precision_at_radius2\n")
-            fh.write(f"{metrics.map},{metrics.map_at_k if metrics.map_at_k is not None else ''},"
-                     f"{metrics.k if metrics.k is not None else ''},"
-                     f"{metrics.precision_at_radius2}\n")
+            fh.write(",".join(columns) + "\n")
+            fh.write(",".join("" if report[c] is None else str(report[c])
+                              for c in columns) + "\n")
     run.register("metrics.csv")
-    if metrics.topk_curve:
+    if report["topk_curve"]:
         with atomic_path(run.path("topk_curve.csv")) as tmp:
             with open(tmp, "w") as fh:
                 fh.write("k,precision\n")
-                for k, p in metrics.topk_curve:
+                for k, p in report["topk_curve"]:
                     fh.write(f"{k},{p}\n")
         run.register("topk_curve.csv")
     run.result = report

@@ -11,8 +11,10 @@ carry a database code.  A query whose code has a bucket of at least k rows
 is answered by one hash-table lookup.  Any other query XOR-popcounts each
 distinct code once, counts the rows at each distance to find the k-th
 smallest, and sorts at most k ids from each code within it; an index whose
-codes are all distinct takes the same path.  The metrics rank the database
-once per distinct (query code, label row) and all reduce that one ranking.
+codes are all distinct takes the same path.  ``evaluate`` ranks the
+database once per distinct (query code, label row) and reduces the
+per-query numbers of those rankings straight into the report ``eval`` writes
+as ``metrics.json``, precision within Hamming radius ``RADIUS`` = 2 included.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 from .errors import DimensionMismatch, ParseError, PreconditionError
 
 WORD_BITS = 64
+
+RADIUS = 2      # the Hamming ball of the precision metric, precision_at_radius2
 
 CODE_MAGIC = b"SCDH"
 CODE_VERSION = 1
@@ -85,20 +89,10 @@ class HashCode:
             raise PreconditionError("unused high bits of the last word must be zero")
         object.__setattr__(self, "words", words)
 
-    def bits(self) -> np.ndarray:
-        return unpack_bits(self.words, self.nbits)
-
-
-def binarize(f) -> HashCode:
-    """Sign-threshold an embedding: bit i set iff f_i >= 0 (sign(0) := +1)."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1:
-        raise DimensionMismatch("binarize expects a single embedding vector")
-    return HashCode(pack_bits(f >= 0.0), f.shape[0])
-
 
 def binarize_batch(F) -> np.ndarray:
-    """Pack a (n, r) embedding matrix into (n, W) code words."""
+    """Sign-threshold a (n, r) embedding matrix into (n, W) code words: bit
+    i of a row is set iff its entry i is >= 0, so sign(0) counts as +1."""
     F = np.asarray(F, dtype=np.float64)
     return pack_bits(F >= 0.0)
 
@@ -222,11 +216,6 @@ class CodeIndex:
     def n(self) -> int:
         return self.words.shape[0]
 
-    @classmethod
-    def from_embeddings(cls, F, ids, labels=None) -> "CodeIndex":
-        F = np.asarray(F, dtype=np.float64)
-        return cls(binarize_batch(F), np.asarray(ids, dtype=np.int64), F.shape[1], labels)
-
     @cached_property
     def _search_buckets(self) -> tuple[Buckets, dict]:
         """The bucket view search uses and its exact-code table, which maps
@@ -319,9 +308,9 @@ def _check_ks(ks: Sequence[int], n: int) -> list[int]:
 class _Ranking:
     """Per-query numbers from one ranking of the database by (distance, id).
 
-    Every metric is a reduction of these arrays.  AP divides by the number of
-    relevant items, AP at k by min(k, #relevant); both are 0 for a query with
-    no relevant item.
+    AP divides by the number of relevant items, AP at k by min(k, #relevant);
+    both are 0 for a query with no relevant item.  The ball holds the items
+    within Hamming distance ``RADIUS``.
     """
 
     relevant: np.ndarray         # (nq,) relevant database items
@@ -329,37 +318,11 @@ class _Ranking:
     ap_at_k: np.ndarray | None   # (nq,) AP over the top k, when k is given
     ball: np.ndarray             # (nq,) items within the radius
     ball_relevant: np.ndarray    # (nq,) relevant items within the radius
-    ks: list[int]
     topk_sums: np.ndarray        # (len(ks),) top-k precision summed over queries
-
-    def mean_ap(self, at_k: bool = False) -> float:
-        """MAP over the queries that have a relevant database item."""
-        if not self.relevant.any():
-            raise PreconditionError("no query has a relevant database item")
-        return float(np.mean((self.ap_at_k if at_k else self.ap)[self.relevant > 0]))
-
-    def ap_quantiles(self) -> tuple[float, float, float]:
-        aps = self.ap[self.relevant > 0]
-        return tuple(float(v) for v in np.quantile(aps, (0.1, 0.5, 0.9)))
-
-    def _require_queries(self):
-        if not len(self.relevant):
-            raise PreconditionError("the query index is empty")
-
-    def precision_at_radius(self) -> float:
-        """Mean fraction of relevant items within the radius; a query whose
-        ball is empty counts 0, which penalises codes that isolate queries."""
-        self._require_queries()
-        ball, hits = self.ball, self.ball_relevant
-        return float(np.mean(np.where(ball > 0, hits / np.maximum(ball, 1), 0.0)))
-
-    def topk_curve(self) -> list[tuple[int, float]]:
-        self._require_queries()
-        return [(k, float(s / len(self.relevant))) for k, s in zip(self.ks, self.topk_sums)]
 
 
 def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
-          radius: int = 2, ks: Sequence[int] = ()) -> _Ranking:
+          ks: Sequence[int] = ()) -> _Ranking:
     """Rank the database once per distinct query and reduce each ranking to
     numbers.
 
@@ -370,8 +333,8 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
     """
     if k is not None and k < 1:
         raise PreconditionError(f"k={k} must be positive")
-    if radius < 0:
-        raise PreconditionError(f"radius={radius} must be non-negative")
+    if queries.nbits != index.nbits:
+        raise DimensionMismatch(f"queries have {queries.nbits} bits, index {index.nbits}")
     if queries.labels is None or index.labels is None:
         raise PreconditionError("metrics require labels on both sides")
     C = queries.labels.shape[1]
@@ -391,7 +354,7 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
     for g, qi in enumerate(first):
         dists = distances_to_index(queries.words[qi], db)
         rel = (dm & qm[qi][None, :]).any(axis=1)
-        inside = dists <= radius
+        inside = dists <= RADIUS
         ball[g] = np.count_nonzero(inside)
         ball_relevant[g] = np.count_nonzero(rel & inside)
         # with the database in id order, a stable sort ranks by (distance, id)
@@ -410,52 +373,39 @@ def _rank(queries: CodeIndex, index: CodeIndex, k: int | None = None,
     # order, from zero: an accumulate runs in that order, a sum pairwise
     topk_sums = np.cumsum(np.vstack([np.zeros(len(ks)), topk[inverse]]), axis=0)[-1]
     return _Ranking(relevant[inverse], ap[inverse], ap_at_k[inverse] if k else None,
-                    ball[inverse], ball_relevant[inverse], list(ks), topk_sums)
-
-
-@dataclass
-class RetrievalMetrics:
-    """Bundle of the standard evaluation numbers.
-
-    ``empty_ball_queries`` counts the queries with no database item within
-    the radius (they enter ``precision_at_radius2`` as 0); ``ap_quantiles``
-    holds the 10th, 50th and 90th percentile of the untruncated per-query AP.
-    """
-
-    map: float
-    map_at_k: float | None
-    k: int | None
-    precision_at_radius2: float
-    topk_curve: list[tuple[int, float]]
-    empty_ball_queries: int
-    ap_quantiles: tuple[float, float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "map": self.map,
-            "map_at_k": self.map_at_k,
-            "k": self.k,
-            "precision_at_radius2": self.precision_at_radius2,
-            "topk_curve": [[k, p] for k, p in self.topk_curve],
-            "empty_ball_queries": self.empty_ball_queries,
-            "ap_quantiles": dict(zip(("p10", "p50", "p90"), self.ap_quantiles)),
-        }
+                    ball[inverse], ball_relevant[inverse], topk_sums)
 
 
 def evaluate(queries: CodeIndex, index: CodeIndex, k: int | None = None,
-             radius: int = 2, ks: Sequence[int] = ()) -> RetrievalMetrics:
-    """Compute the full metric bundle from one ranking per query; an item is
-    relevant to a query when they share at least one label."""
-    ranking = _rank(queries, index, k=k, radius=radius, ks=_check_ks(ks, index.n))
-    return RetrievalMetrics(
-        map=ranking.mean_ap(),
-        map_at_k=ranking.mean_ap(at_k=True) if k else None,
-        k=k,
-        precision_at_radius2=ranking.precision_at_radius(),
-        topk_curve=ranking.topk_curve(),
-        empty_ball_queries=int(np.count_nonzero(ranking.ball == 0)),
-        ap_quantiles=ranking.ap_quantiles(),
-    )
+             ks: Sequence[int] = ()) -> dict:
+    """The metrics report ``eval`` writes as ``metrics.json``, from one
+    ranking per query; an item is relevant to a query when they share at
+    least one label.
+
+    MAP (and MAP at k, when k is given) and the 10th, 50th and 90th
+    percentile of per-query AP are taken over the queries that have a
+    relevant database item; with none, it raises.  Precision within Hamming
+    radius 2 counts a query whose ball is empty as 0, which penalises codes
+    that isolate queries; ``empty_ball_queries`` counts those queries.
+    """
+    ks = _check_ks(ks, index.n)
+    ranking = _rank(queries, index, k=k, ks=ks)
+    has_relevant = ranking.relevant > 0
+    if not has_relevant.any():
+        raise PreconditionError("no query has a relevant database item")
+    aps = ranking.ap[has_relevant]
+    ball, nq = ranking.ball, len(ranking.relevant)
+    return {
+        "map": float(np.mean(aps)),
+        "map_at_k": float(np.mean(ranking.ap_at_k[has_relevant])) if k else None,
+        "k": k,
+        "precision_at_radius2": float(np.mean(
+            np.where(ball > 0, ranking.ball_relevant / np.maximum(ball, 1), 0.0))),
+        "topk_curve": [[at, float(s / nq)] for at, s in zip(ks, ranking.topk_sums)],
+        "empty_ball_queries": int(np.count_nonzero(ball == 0)),
+        "ap_quantiles": dict(zip(("p10", "p50", "p90"),
+                                 (float(v) for v in np.quantile(aps, (0.1, 0.5, 0.9))))),
+    }
 
 
 # ---------------------------------------------------------------------------

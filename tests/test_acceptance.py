@@ -57,8 +57,9 @@ def full_objective(net, X, labelsets, hp):
 def eval_codes(net, query, db):
     qF = extract_embeddings(net, query.features.astype(np.float64))
     dF = extract_embeddings(net, db.features.astype(np.float64))
-    qi = rt.CodeIndex.from_embeddings(qF, query.ids, query.labels)
-    di = rt.CodeIndex.from_embeddings(dF, db.ids, db.labels)
+    r = qF.shape[1]
+    qi = rt.CodeIndex(rt.binarize_batch(qF), query.ids, r, query.labels)
+    di = rt.CodeIndex(rt.binarize_batch(dF), db.ids, r, db.labels)
     return qi, di
 
 
@@ -310,9 +311,9 @@ def test_criterion_6_synthetic_retrieval():
         assert elapsed < 120.0, f"seed {seed} training took {elapsed:.1f}s"
         final_lqs.append(rep.final_quantization)
         qi, di = eval_codes(net, query, db)
-        metrics = rt.evaluate(qi, di, radius=2)
-        maps.append(metrics.map)
-        p2s.append(metrics.precision_at_radius2)
+        metrics = rt.evaluate(qi, di)
+        maps.append(metrics["map"])
+        p2s.append(metrics["precision_at_radius2"])
     assert 0.96 <= np.mean(nn_accs) <= 0.995, f"raw 1-NN accuracy {np.mean(nn_accs)}"
     for seed, (m, p2) in enumerate(zip(maps, p2s)):
         assert m >= 0.95, f"seed {seed}: MAP {m:.4f} below 0.95"
@@ -341,7 +342,7 @@ def test_criterion_7_multilabel_retrieval():
         elapsed = time.monotonic() - t0
         assert elapsed < 180.0, f"seed {seed} training took {elapsed:.1f}s"
         qi, di = eval_codes(net, query, db)
-        maps.append(rt.evaluate(qi, di, k=500).map_at_k)
+        maps.append(rt.evaluate(qi, di, k=500)["map_at_k"])
     for seed, m in enumerate(maps):
         assert m >= 0.85, f"seed {seed}: MAP@500 {m:.4f} below 0.85"
     report(7, "multilabel-retrieval", f"(MAP@500 {np.mean(maps):.3f})")
@@ -363,7 +364,7 @@ def test_criterion_8_mean_teacher_non_degradation():
         labeled = semi.subset(np.flatnonzero(semi.labeled_mask()))
         base_net, _, _ = mt.train_mt_scdh(labeled, hp_base, r=24, hidden=(64,))
         qi, di = eval_codes(base_net, query, db)
-        base_map = rt.evaluate(qi, di).map
+        base_map = rt.evaluate(qi, di)["map"]
 
         hp_mt = Hyperparams(lam=0.01, mu=0.2, alpha=0.05, epochs=40,
                             batch_size=64, lr=1e-3, momentum=0.9,
@@ -371,7 +372,7 @@ def test_criterion_8_mean_teacher_non_degradation():
         _, teacher, _ = mt.train_mt_scdh(semi, hp_mt, w=0.1, ema_decay=0.99,
                                          noise_std=0.15, r=24, hidden=(64,))
         qi, di = eval_codes(teacher, query, db)
-        teacher_map = rt.evaluate(qi, di).map
+        teacher_map = rt.evaluate(qi, di)["map"]
 
         base_maps.append(base_map)
         teacher_maps.append(teacher_map)
@@ -414,7 +415,7 @@ def test_criterion_9_retrieval_oracle_equivalence():
     q = rt.CodeIndex(rt.pack_bits(qbits[None, :]), np.array([99]), 8,
                      labels_from_sets(({0},), 2))
     db = rt.CodeIndex(rt.pack_bits(db_bits), np.arange(4), 8, labels)
-    ap = rt.evaluate(q, db).map
+    ap = rt.evaluate(q, db)["map"]
     assert abs(ap - 5.0 / 6.0) < 1e-12
     report(9, "retrieval-oracle-equivalence")
 

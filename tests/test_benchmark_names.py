@@ -2,7 +2,8 @@
 
 ``perfbench/workloads.py`` calls attributes of the ``scdh`` modules it
 imports, and ``perfbench/tracing.py`` wraps the methods of its ``METHODS``
-table and hooks the functions its ``HOOKS`` table names.  Its training
+table and hooks the functions its ``HOOKS`` table names, reading their
+arguments by parameter name.  Its training
 metrics count the spans of a few public step functions, which a training
 step must keep calling by name.  A rename, move or inlining in the package
 that leaves one of them behind fails here, not as a refused benchmark run
@@ -89,6 +90,49 @@ def test_traced_method_resolves(dotted):
 @pytest.mark.parametrize("dotted", sorted(TRACING.HOOKS))
 def test_hooked_function_resolves(dotted):
     assert callable(_resolve(dotted))
+
+
+def _hook_arguments() -> dict[str, set[str]]:
+    """Per ``HOOKS`` entry of tracing.py, the argument names its hook reads
+    as ``a["..."]`` (``a`` is the tracer's name for a call's bound
+    arguments), in the entry itself and in the module functions it names."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    hooks = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["HOOKS"])
+
+    def read(node, seen: set) -> set[str]:
+        keys = set()
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "a" and isinstance(sub.slice, ast.Constant)):
+                keys.add(sub.slice.value)
+            elif isinstance(sub, ast.Name) and sub.id in functions and sub.id not in seen:
+                seen.add(sub.id)
+                keys |= read(functions[sub.id], seen)
+        return keys
+
+    return {key.value: read(value, set()) for key, value in zip(hooks.keys, hooks.values)}
+
+
+HOOK_ARGUMENTS = _hook_arguments()
+
+
+def test_the_hook_scan_finds_the_arguments():
+    assert set(HOOK_ARGUMENTS) == set(TRACING.HOOKS)
+    for dotted, name in [("data.save_dataset", "path"), ("data.load_dataset", "path"),
+                         ("retrieval.evaluate", "queries"),
+                         ("bounds.multilabel_bound_check", "trials"),
+                         ("cli.Run.finish", "self")]:
+        assert name in HOOK_ARGUMENTS[dotted], dotted
+
+
+@pytest.mark.parametrize("dotted", sorted(HOOK_ARGUMENTS))
+def test_hook_arguments_are_parameters(dotted):
+    # the tracer binds a hooked call's arguments by the function's own
+    # signature, so a renamed parameter would fail only the traced runs
+    parameters = inspect.signature(_resolve(dotted)).parameters
+    assert HOOK_ARGUMENTS[dotted] <= set(parameters), dotted
 
 
 # The spans layer_metrics reads to split a training run: model.steps counts

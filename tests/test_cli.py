@@ -204,7 +204,7 @@ class TestValidation:
         assert err["error"] == "validation" and "out of range for C=2" in err["message"]
         assert not (out / "codes.scdh").exists()
 
-    @pytest.mark.parametrize("flags", [["--map-k", "-3"], ["--radius", "-1"],
+    @pytest.mark.parametrize("flags", [["--map-k", "-3"], ["--map-k", "1.5"],
                                        ["--topk", "0"], ["--topk", "5,3"],
                                        ["--topk", "19"]])
     def test_eval_bad_flags_exit_1(self, tmp_path, capsys, monkeypatch, flags):
@@ -264,7 +264,7 @@ class TestValidation:
         (["gen", "--query-per-class", "0"], "--query-per-class"),
         (["gen", "--mode", "multi", "--n-query", "-1"], "--n-query"),
         (["gen", "--mode", "multi", "--n-db", "0"], "--n-db"),
-        (["gen", "--balance", "7"], "--balance"),
+        (["gen", "--train-per-class", "0"], "--train-per-class"),
         (["train", "--balance", "7"], "--balance"),
         *(([command, "--seed", "-1"], "--seed") for command in cli.COMMANDS),
         (["lambda-toy", "--sigma-grid", ""], "grid"),
@@ -697,7 +697,7 @@ class TestVerifyAndToy:
         ("train", {"bits": True}),
         ("train-semi", {"lr": None}),
         ("train-semi", {"w": "abc"}),
-        ("eval", {"radius": "x"}),
+        ("eval", {"map-k": "x"}),
         ("gen", {"preset": ["clusters8"]}),
     ])
     def test_config_value_types(self, tmp_path, command, config):
@@ -1125,6 +1125,30 @@ class TestFlagContract:
         assert "balance" in json.loads(capsys.readouterr().err)["message"]
         assert "balance" in cli.TRAIN_SPEC and "balance" not in cli.TRAIN_SEMI_SPEC
 
+    @pytest.mark.parametrize("command, flag, value", [
+        # the generator draws --train-per-class rows of every class, so
+        # balancing never changed a split
+        ("gen", "balance", "1"),
+        # precision is taken within Hamming radius 2, the radius its key names
+        ("eval", "radius", "3"),
+    ])
+    def test_removed_flags_are_unknown(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser(command).parse_args([*argv, f"--{flag}", value])
+        assert exc.value.code == 2
+        assert cli.main([*argv, f"--{flag}", value]) == 2
+        assert f"unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+        # nor does a config file set it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({flag: int(value)}))
+        assert cli.main([*argv, "--config", str(cfg)]) == 1
+        assert flag in json.loads(capsys.readouterr().err)["message"]
+        assert flag not in cli.COMMANDS[command][0]
+        assert not out.exists()
+
 
 def training_file(path, labels, ids=None):
     """A .scds file of ``len(labels)`` rows over 3 classes; ``None`` is unlabeled."""
@@ -1135,14 +1159,15 @@ def training_file(path, labels, ids=None):
     return str(path)
 
 
-def eval_files(t, query_labels, db_labels) -> list[str]:
+def eval_files(t, query_labels, db_labels, bits=(8, 8)) -> list[str]:
     """eval's argv over a query and a database file pair written to ``t``,
-    with every code 1s; each label list is as ``training_file`` takes it."""
+    with every code 1s, of ``bits`` bits each; each label list is as
+    ``training_file`` takes it."""
     argv = ["eval"]
-    for flag, name, labels in [("queries", "query", query_labels),
-                               ("database", "db", db_labels)]:
-        codes = retrieval.CodeIndex.from_embeddings(np.ones((len(labels), 8)),
-                                                    np.arange(len(labels)))
+    for flag, name, labels, r in [("queries", "query", query_labels, bits[0]),
+                                  ("database", "db", db_labels, bits[1])]:
+        codes = retrieval.CodeIndex(retrieval.binarize_batch(np.ones((len(labels), r))),
+                                    np.arange(len(labels)), r)
         retrieval.save_codes(codes, t / f"{name}.scdh")
         argv += [f"--{flag}", str(t / f"{name}.scdh"),
                  f"--{name}-data", training_file(t / f"{name}.scds", labels)]
@@ -1185,9 +1210,6 @@ REFUSALS = {
         lambda t: ["gen", "--mode", "multi", "--classes", "1"],
         "--classes 1 with --mode multi: a multilabel draw needs at least 2 classes, "
         "got C=1"),
-    "gen-multi-balance": (
-        lambda t: ["gen", "--mode", "multi", "--balance", "1"],
-        "--balance 1 needs --mode single, got --mode multi"),
     "lambda-toy-bits": (
         lambda t: ["lambda-toy", "--bits", "2", "--clusters", "3"],
         "--bits 2 --clusters 3: r=2 cannot hold the simplex of 3 cluster means "
@@ -1209,6 +1231,9 @@ REFUSALS = {
     "eval-disjoint-labels": (
         lambda t: eval_files(t, [{0}, {0}], [{1}, {2}, {1, 2}]),
         "no query in --queries shares a label with a code in --database"),
+    "eval-code-lengths": (
+        lambda t: eval_files(t, [{0}, {1}], [{0}, {1}, {2}], bits=(16, 8)),
+        "--queries holds 16-bit codes, --database 8-bit codes"),
 }
 
 
@@ -1397,19 +1422,19 @@ class TestFlagDomains:
         assert err["error"] == "validation" and "--classes 1" in err["message"]
         assert not list(tmp_path.glob("*.scds"))
 
-    @pytest.mark.parametrize("flag, value", [("balance", "1"), ("keep-labels", "0.5")])
+    @pytest.mark.parametrize("flag, value", [("keep-labels", "0.5")])
     def test_multilabel_gen_refuses_single_label_steps(self, tmp_path, capsys, monkeypatch,
                                                        flag, value):
-        # balancing and label stripping take one label per sample: refused
-        # before any split is drawn
+        # label stripping takes one label per sample: refused before any
+        # split is drawn
         for name in ("make_cluster_splits", "make_multilabel_splits"):
             monkeypatch.setattr(data, name, lambda *a: pytest.fail("splits drawn"))
         assert cli.main(["gen", "--mode", "multi", f"--{flag}", value,
                          "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "validation",
-                       "message": f"--{flag} {float(value) if flag == 'keep-labels' else value}"
-                                  " needs --mode single, got --mode multi"}
+                       "message": f"--{flag} {float(value)} needs --mode single, "
+                                  "got --mode multi"}
         assert not list(tmp_path.glob("*.scds"))
 
     @pytest.mark.parametrize("name", ["", ".", "..", "manifest.json", "sub/codes.scdh",
