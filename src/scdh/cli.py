@@ -353,6 +353,9 @@ def _require_trainable(dataset: data.Dataset, what: str,
     network is built; return the labeled-row mask.  ``unlabeled`` says the
     command trains on the unlabeled rows too: then no id may name both a
     labeled and an unlabeled row."""
+    if dataset.dim < 1:
+        raise ValidationError(f"{what} has 0 features per row; training needs at "
+                              "least 1")
     _require_finite(dataset.features, dataset.ids, what)
     try:
         losses.require_negative_class(dataset.labels)

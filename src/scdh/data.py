@@ -3,8 +3,7 @@
 Features are stored as float32 (the on-disk format).  Labels are an (n, C)
 bool matrix: entry (i, l) is set when sample i carries label l, and a row
 with no set entry marks an unlabeled sample.  The package works on that
-matrix alone; ``labels_from_sets`` builds it from a list of label sets, for
-a caller that holds its labels in that form.
+matrix alone: a caller that holds label sets builds the matrix itself.
 ``open_dataset`` is the one .scds reader: it checks the whole layout, reads
 the ids and labels, and reads feature rows on demand, so a command that
 works a row block at a time never holds the whole feature matrix.
@@ -80,27 +79,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(self.ids[idx], self.features[idx], self.labels[idx])
-
-
-def labels_from_sets(sets, C: int) -> np.ndarray:
-    """The (n, C) bool label matrix of n label sets.
-
-    ``None`` or an empty set gives an unlabeled (all-False) row.  Raises
-    LabelSetError naming the first row with a label outside 0..C-1.
-    """
-    rows, cols = [], []
-    for i, Y in enumerate(sets):
-        for label in () if Y is None else Y:
-            rows.append(i)
-            cols.append(label)
-    cols = np.asarray(cols, dtype=np.int64)
-    bad = (cols < 0) | (cols >= C)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise LabelSetError(f"row {rows[j]}: label {cols[j]} out of range for C={C}")
-    labels = np.zeros((len(sets), C), dtype=bool)
-    labels[rows, cols] = True
-    return labels
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ def margin_loss(m: float = 1.0) -> TripletLossKind:
     return TripletLossKind("margin", m)
 
 
-def softmax_loss() -> TripletLossKind:
-    return TripletLossKind("softmax")
-
-
 def _as_centers(centers) -> Array:
     m = np.asarray(centers, dtype=np.float64)
     if m.ndim != 2:

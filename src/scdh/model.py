@@ -154,10 +154,6 @@ class EmbeddingModel:
         return {name: flat[start:end].reshape(shape)
                 for name, start, end, shape in self._spans}
 
-    def parameters(self) -> list[np.ndarray]:
-        """Views of ``theta``, one per block in checkpoint order."""
-        return list(self.blocks(self.theta).values())
-
     def copy(self) -> "EmbeddingModel":
         clone = EmbeddingModel(self.trunk_dims, self.label_count, self.r,
                                self.theta.copy())
@@ -288,7 +284,7 @@ class TrainReport:
 
 
 def mean_quantization(model: EmbeddingModel, features, hp: Hyperparams) -> float:
-    F = forward_batch(model, features)[0]
+    F = extract_embeddings(model, features)
     return float(losses.quantization_batch(F, hp.holder_p, hp.holder_q)[0].mean())
 
 
@@ -390,8 +386,8 @@ def _read_network(blob: bytes, off: int, dims: tuple, C: int, r: int, network: s
 def load_checkpoint(path):
     """Load a checkpoint: (model, hp, teacher_or_None, meta).
 
-    Damaged input of any kind raises ParseError, and so does a parameter
-    that is NaN or infinite.
+    Damaged input of any kind raises ParseError, and so does a size of 0
+    or a parameter that is NaN or infinite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -410,6 +406,10 @@ def load_checkpoint(path):
     if off + 4 * n_dims + 8 > len(blob):
         raise ParseError(f"truncated dims block at byte {off}: {n_dims} dims")
     dims = tuple(np.frombuffer(blob, dtype="<u4", count=n_dims, offset=off).tolist())
+    if min(r, C, *dims) < 1:
+        # the sizes init_model refuses
+        raise ParseError(f"zero size in checkpoint header: r={r}, C={C}, trunk dims "
+                         f"{list(dims)}")
     off += n_dims * 4
     (meta_len,) = struct.unpack_from("<Q", blob, off)
     off += 8

@@ -248,8 +248,12 @@ def distances_to_index(query_words: np.ndarray, index: CodeIndex | Buckets) -> n
     of its bucket view.
 
     The dtype is the smallest unsigned integer type that holds r, so a
-    stable sort of the distances is a radix sort.
+    stable sort of the distances is a radix sort.  A query of another word
+    count raises DimensionMismatch.
     """
+    if len(query_words) != index.words.shape[1]:
+        raise DimensionMismatch(f"query has {len(query_words)} words, index "
+                                f"{index.words.shape[1]}")
     if index.words.shape[1] == 1:   # r <= 64: no sum over words, and already uint8
         return np.bitwise_count(index.words.ravel() ^ query_words[0])
     return np.bitwise_count(index.words ^ query_words[None, :]).sum(
@@ -438,6 +442,8 @@ def load_codes(path) -> CodeIndex:
         raise ParseError(f"bad magic {magic!r} at offset 0")
     if version != CODE_VERSION:
         raise ParseError(f"unsupported code file version {version}")
+    if nbits < 1:
+        raise ParseError("a code file holds codes of at least 1 bit, got r=0")
     W = _n_words(nbits)
     expected = _HEADER.size + n * (W + 1) * 8
     if len(blob) != expected:

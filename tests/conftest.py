@@ -4,7 +4,7 @@ import pytest
 from scdh import meanteacher
 from scdh.data import (Dataset, SyntheticConfig, _draw_prototypes, sample_clusters,
                        sample_multilabel)
-from scdh.errors import PreconditionError
+from scdh.errors import LabelSetError, PreconditionError
 
 
 def central_diff(fun, x, eps=1e-4):
@@ -38,6 +38,27 @@ def step_gradient(net, X, labels, hp) -> np.ndarray:
     finally:
         meanteacher.sgd_update = real
     return caught[0]
+
+
+def labels_from_sets(sets, C: int) -> np.ndarray:
+    """The (n, C) bool label matrix of n label sets.
+
+    ``None`` or an empty set gives an unlabeled (all-False) row.  Raises
+    LabelSetError naming the first row with a label outside 0..C-1.
+    """
+    rows, cols = [], []
+    for i, Y in enumerate(sets):
+        for label in () if Y is None else Y:
+            rows.append(i)
+            cols.append(label)
+    cols = np.asarray(cols, dtype=np.int64)
+    bad = (cols < 0) | (cols >= C)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise LabelSetError(f"row {rows[j]}: label {cols[j]} out of range for C={C}")
+    labels = np.zeros((len(sets), C), dtype=bool)
+    labels[rows, cols] = True
+    return labels
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from scdh import bounds, losses, meanteacher as mt, model, retrieval as rt
 from scdh.bounds import run_bound_suite
 from scdh.data import (
     SyntheticConfig,
-    labels_from_sets,
     make_cluster_splits,
     make_multilabel_splits,
     strip_labels,
@@ -25,7 +24,7 @@ from scdh.data import (
 from scdh.model import Hyperparams, extract_embeddings
 
 import oracles
-from conftest import central_diff, rel_err, step_gradient
+from conftest import central_diff, labels_from_sets, rel_err, step_gradient
 
 
 def report(criterion, name, detail=""):
@@ -35,7 +34,7 @@ def report(criterion, name, detail=""):
 def well_scaled_net(seed, dims=(4, 8), C=3, r=6):
     rng = np.random.default_rng(seed)
     net = model.init_model(dims, C, r, seed)
-    for p in net.parameters():
+    for p in net.blocks(net.theta).values():
         p[:] = rng.normal(0.0, 0.5, p.shape)
     return net
 
@@ -173,7 +172,7 @@ def test_criterion_1_gradient_suite():
             Y = [frozenset({int(rng.integers(3))})]
         grads = net.blocks(step_gradient(net, X, labels_from_sets(Y, 3), hp))
         inst_err = 0.0
-        for analytic, p in zip(grads.values(), net.parameters()):
+        for analytic, p in zip(grads.values(), net.blocks(net.theta).values()):
             num = np.zeros_like(p)
             for j in range(p.size):
                 orig = p.flat[j]

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scdh import bounds, data, retrieval
+from scdh import bounds, retrieval
 from scdh.errors import DimensionMismatch, LabelSetError, PreconditionError
-from scdh.losses import margin_loss, softmax_loss
+from scdh.losses import TripletLossKind, margin_loss
+
+from conftest import labels_from_sets
+
+SOFTMAX = TripletLossKind("softmax")
 
 
 def naive_triplet_loss(codes, labels, kind):
@@ -70,7 +74,7 @@ def trial_lhs(codes, sets, C, kind):
     ``sets``: the exhaustive ranking loss weighted by |Y_i & Y_j|."""
     n = len(codes)
     D = bounds._pairwise_distances(np.asarray(codes, dtype=np.float64))
-    Y = retrieval.pack_bits(data.labels_from_sets(sets, C)[None])
+    Y = retrieval.pack_bits(labels_from_sets(sets, C)[None])
     lhs, _ = bounds._trial_sides(Y, kind.g(D[:, :, None], D[:, None, :]),
                                  np.zeros((n, C, C)), np.zeros((n, C)), 0.5, 1.0, 1.0)
     return float(lhs[0])
@@ -113,8 +117,7 @@ class TestLabeledCodeSet:
 
     def test_label_arrays_validated(self):
         codes = np.ones((3, 2))
-        # label sets and strings are not labels: data.labels_from_sets makes
-        # the (n, C) matrix that training takes
+        # label sets and strings are not an (n,) label vector
         for bad in ((frozenset({0}), frozenset({1}), frozenset({0})),
                     np.array(["0", "1", "0"])):
             with pytest.raises(LabelSetError):
@@ -173,7 +176,7 @@ class TestBruteForce:
     def test_matches_naive_many(self, rng):
         for _ in range(15):
             cs, _ = random_balanced_instance(rng, max_per_class=3, max_r=6)
-            for kind in (margin_loss(1.0), softmax_loss()):
+            for kind in (margin_loss(1.0), SOFTMAX):
                 got = exhaustive_loss(cs, kind)
                 want = naive_triplet_loss(cs.codes, cs.labels, kind)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -252,7 +255,7 @@ class TestUnaryUpperBound:
     def test_randomized_suite_softmax(self, rng):
         for _ in range(150):
             cs, centers = random_balanced_instance(rng)
-            rep = bounds.unary_upper_bound(cs, centers, softmax_loss())
+            rep = bounds.unary_upper_bound(cs, centers, SOFTMAX)
             assert rep.holds
             assert rep.lambda_estimate <= 2.0 + 1e-9
 
@@ -532,7 +535,7 @@ def labeled_sets(draw):
     return bounds.LabeledCodeSet(codes, y, C), rng.normal(0, 2, (r, C))
 
 
-KINDS = [margin_loss(1.0), margin_loss(0.25), softmax_loss()]
+KINDS = [margin_loss(1.0), margin_loss(0.25), SOFTMAX]
 
 
 def balanced(code_set) -> bool:
@@ -562,7 +565,7 @@ class TestRowBlocksMatchReference:
                 bounds._row_blocks(cs.labels, cs.label_count)
             return
         label_rows = bounds._row_blocks(cs.labels, cs.label_count)
-        lhs = bounds._unary_sides(cs.codes[None], label_rows, centers[None], softmax_loss())[0]
+        lhs = bounds._unary_sides(cs.codes[None], label_rows, centers[None], SOFTMAX)[0]
         assert lhs.tolist() == [ref_softmax_background_triplet_loss(cs, centers)]
 
     @settings(max_examples=200, deadline=None)
@@ -583,7 +586,7 @@ class TestRowBlocksMatchReference:
         cs = bounds.LabeledCodeSet([[0.5, 1.0], [-2.0, 0.25]], [1, 0], 2)
         for kind in KINDS:
             assert exhaustive_loss(cs, kind) == 0.0
-        rep = bounds.unary_upper_bound(cs, np.zeros((2, 2)), softmax_loss())
+        rep = bounds.unary_upper_bound(cs, np.zeros((2, 2)), SOFTMAX)
         assert rep.brute_force_loss == 0.0
 
     def test_pairwise_distances_over_several_blocks(self, rng):
@@ -667,11 +670,11 @@ class TestUnaryStackMatchesReference:
         codes = rng.normal(0, 1, (9, 6, 4))
         centers = rng.normal(0, 2, (9, 4, 3))
         y = np.array([2, 0, 1, 1, 2, 0])
-        want = bounds.unary_upper_bounds(codes, y, 3, centers, softmax_loss())
+        want = bounds.unary_upper_bounds(codes, y, 3, centers, SOFTMAX)
         monkeypatch.setattr(bounds, "UNARY_STACK_FLOATS", 2 * 6 * 6 * 6)
-        got = bounds.unary_upper_bounds(codes, y, 3, centers, softmax_loss())
+        got = bounds.unary_upper_bounds(codes, y, 3, centers, SOFTMAX)
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
-        assert bounds.unary_upper_bounds(codes[:0], y, 3, centers[:0], softmax_loss()) == []
+        assert bounds.unary_upper_bounds(codes[:0], y, 3, centers[:0], SOFTMAX) == []
 
     def test_stack_rejects_bad_input(self, rng):
         codes = rng.normal(0, 1, (2, 4, 3))
@@ -733,7 +736,7 @@ class TestBoundDraws:
             assert np.array_equal(cs.labels, want.labels)
             assert np.array_equal(centers, want_centers)
 
-    @pytest.mark.parametrize("kind", [margin_loss(1.0), softmax_loss()])
+    @pytest.mark.parametrize("kind", [margin_loss(1.0), SOFTMAX])
     @pytest.mark.parametrize("chunk", [7, 1000])
     def test_suite_reports_each_draw_in_order(self, kind, chunk, monkeypatch):
         monkeypatch.setattr(bounds, "BOUND_DRAW_CHUNK", chunk)
@@ -749,7 +752,7 @@ class TestBoundDraws:
         # and CSV rows built from it keep their bytes
         cells = bounds.toy_lambda_grid(bounds.ToyConfig(
             sigma_grid=(0.5,), d_grid=(0.0, 3.0), samples_per_cluster=10, seed=1))
-        drawn = [*bounds.run_bound_suite(40, (2, 3, 4), 12, 16, softmax_loss(), seed=5),
+        drawn = [*bounds.run_bound_suite(40, (2, 3, 4), 12, 16, SOFTMAX, seed=5),
                  *bounds.run_multilabel_suite(2, 1000, seed=5), *cells]
         for item in drawn:
             got = item.to_dict()
@@ -760,10 +763,10 @@ class TestBoundDraws:
 class TestMonteCarloMatchesReference:
     @pytest.mark.parametrize("n,C,p,trials,kind", [
         (12, 3, 0.2, 1000, margin_loss(1.0)),      # rejection-heavy
-        (8, 5, 0.5, 1001, softmax_loss()),
+        (8, 5, 0.5, 1001, SOFTMAX),
         (10, 4, 0.3, 4 * bounds.ML_TRIAL_BLOCK, margin_loss(0.5)),  # whole blocks
         (9, 3, 0.999, 1000, margin_loss(1.0)),     # clamped to 0.99
-        (1, 2, 0.05, 1000, softmax_loss()),        # one row, mostly empty draws
+        (1, 2, 0.05, 1000, SOFTMAX),        # one row, mostly empty draws
         (2, 2, 0.3, 1257, margin_loss(1.0)),
     ])
     def test_report(self, n, C, p, trials, kind):

@@ -13,11 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scdh import bounds, cli, data, model, retrieval
-from scdh.data import (Dataset, SyntheticConfig, labels_from_sets, load_dataset,
-                       save_dataset, strip_labels)
+from scdh.data import Dataset, SyntheticConfig, load_dataset, save_dataset, strip_labels
 from scdh.errors import PreconditionError
 
-from conftest import gen_gaussian_clusters
+from conftest import gen_gaussian_clusters, labels_from_sets
 
 RUN = [sys.executable, "-m", "scdh.cli"]
 
@@ -1150,10 +1149,11 @@ class TestFlagContract:
         assert not out.exists()
 
 
-def training_file(path, labels, ids=None):
-    """A .scds file of ``len(labels)`` rows over 3 classes; ``None`` is unlabeled."""
+def training_file(path, labels, ids=None, dim=4):
+    """A .scds file of ``len(labels)`` rows of ``dim`` features over 3 classes;
+    ``None`` is unlabeled."""
     n = len(labels)
-    features = np.random.default_rng(1).normal(size=(n, 4))
+    features = np.random.default_rng(1).normal(size=(n, dim))
     ids = np.arange(n) if ids is None else ids
     save_dataset(Dataset(ids, features, labels_from_sets(labels, 3)), path)
     return str(path)
@@ -1174,9 +1174,17 @@ def eval_files(t, query_labels, db_labels, bits=(8, 8)) -> list[str]:
     return argv
 
 
-# Each cross-field or training-data refusal: its argv, given the tmp_path, and
-# its message.  None of them draws data, builds a network, ranks codes or
-# makes the --out directory.
+def encode_files(t, dims, r) -> list[str]:
+    """encode's argv over a checkpoint of an untrained network with trunk
+    ``dims`` and r hash bits, and a 4-feature data file, written to ``t``."""
+    path = t / "model.ckpt"
+    model.save_checkpoint(path, model.EmbeddingModel(dims, 3, r), model.Hyperparams())
+    return ["encode", "--model", str(path), "--data", training_file(t / "d.scds", [{0}, {1}])]
+
+
+# Each cross-field, training-data or zero-size file refusal: its argv, given
+# the tmp_path, and its message.  None of them draws data, builds a network,
+# encodes or ranks codes, or makes the --out directory.
 REFUSALS = {
     "train-no-labeled-row": (
         lambda t: ["train", "--data", training_file(t / "u.scds", [None] * 6)],
@@ -1184,6 +1192,12 @@ REFUSALS = {
     "train-semi-no-labeled-row": (
         lambda t: ["train-semi", "--data", training_file(t / "u.scds", [None] * 6)],
         "--data: no row carries a label; training needs at least one labeled row"),
+    "train-no-features": (
+        lambda t: ["train", "--data", training_file(t / "z.scds", [{0}, {1}, {2}], dim=0)],
+        "--data has 0 features per row; training needs at least 1"),
+    "train-semi-no-features": (
+        lambda t: ["train-semi", "--data", training_file(t / "z.scds", [{0}, None], dim=0)],
+        "--data has 0 features per row; training needs at least 1"),
     "train-semi-shared-id": (
         lambda t: ["train-semi", "--data", training_file(
             t / "s.scds", [{0}, {1}, None, {2}, None, {0}], ids=[0, 1, 2, 3, 1, 5])],
@@ -1234,6 +1248,15 @@ REFUSALS = {
     "eval-code-lengths": (
         lambda t: eval_files(t, [{0}, {1}], [{0}, {1}, {2}], bits=(16, 8)),
         "--queries holds 16-bit codes, --database 8-bit codes"),
+    "eval-zero-bits": (
+        lambda t: eval_files(t, [{0}, {1}], [{0}, {1}, {2}], bits=(0, 0)),
+        "a code file holds codes of at least 1 bit, got r=0"),
+    "encode-zero-bits": (
+        lambda t: encode_files(t, (4, 5), 0),
+        "zero size in checkpoint header: r=0, C=3, trunk dims [4, 5]"),
+    "encode-zero-width": (
+        lambda t: encode_files(t, (4, 0), 6),
+        "zero size in checkpoint header: r=6, C=3, trunk dims [4, 0]"),
 }
 
 
@@ -1241,11 +1264,13 @@ class TestRefusals:
     @pytest.mark.parametrize("case", list(REFUSALS))
     def test_refused_before_any_network_or_output(self, tmp_path, capsys, monkeypatch,
                                                   case):
-        # each names the flags and values involved, exits 1 with one JSON
-        # line, and leaves no --out directory
+        # each names the flags and values involved (a file reader's, the
+        # sizes it read), exits 1 with one JSON line, and leaves no --out
+        # directory
         for module, name in [(cli.meanteacher, "train_mt_scdh"), (cli.bounds, "toy_lambda_grid"),
                              (cli.bounds, "_draw_bound_arrays"),
                              (cli.data, "make_multilabel_splits"),
+                             (cli.model, "extract_embeddings"),
                              (cli.retrieval, "evaluate")]:
             monkeypatch.setattr(module, name, lambda *a, _n=name, **kw: pytest.fail(_n))
         argv, message = REFUSALS[case]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scdh import data, model, retrieval
 from scdh.errors import ParseError, PreconditionError
 
-from conftest import gen_gaussian_clusters, gen_multilabel
+from conftest import gen_gaussian_clusters, gen_multilabel, labels_from_sets
 
 
 def cfg(**kw):
@@ -99,7 +99,7 @@ class TestMultilabelGenerator:
 class TestBalanceUpsample:
     def _unbalanced(self):
         feats = np.arange(8, dtype=np.float32).reshape(4, 2)
-        labels = data.labels_from_sets(({0}, {0}, {0}, {1}), 2)
+        labels = labels_from_sets(({0}, {0}, {0}, {1}), 2)
         return data.Dataset(np.arange(4), feats, labels)
 
     def test_counts_equalized(self):
@@ -123,7 +123,7 @@ class TestBalanceUpsample:
 
     def test_empty_class_rejected(self):
         feats = np.zeros((2, 2), dtype=np.float32)
-        ds = data.Dataset(np.arange(2), feats, data.labels_from_sets(({0}, {0}), 2))
+        ds = data.Dataset(np.arange(2), feats, labels_from_sets(({0}, {0}), 2))
         with pytest.raises(PreconditionError):
             data.balance_upsample(ds)
 
@@ -304,7 +304,7 @@ class TestLabelIO:
     def test_same_bytes_and_sets_as_per_row_reference(self, tmp_path_factory, case):
         ids, features, labelsets, C = case
         d = tmp_path_factory.mktemp("io")
-        ds = data.Dataset(ids, features, data.labels_from_sets(labelsets, C))
+        ds = data.Dataset(ids, features, labels_from_sets(labelsets, C))
         data.save_dataset(ds, d / "new.scds")
         ref_save_dataset(ids, features, labelsets, C, d / "ref.scds")
         blob = (d / "new.scds").read_bytes()
@@ -318,7 +318,7 @@ class TestLabelIO:
     @pytest.mark.parametrize("C,bit", [(6, 6), (6, 63), (65, 65), (65, 127), (130, 191)])
     def test_bit_past_label_count_rejected(self, tmp_path, C, bit):
         ds = data.Dataset(np.arange(3), np.zeros((3, 2)),
-                          data.labels_from_sets(({0, 1}, None, {2}), C))
+                          labels_from_sets(({0, 1}, None, {2}), C))
         path = tmp_path / "ml.scds"
         data.save_dataset(ds, path)
         assert bit // 64 < (C + 63) // 64          # inside the row's words
@@ -334,7 +334,7 @@ class TestLabelIO:
         # a row the partial mask marks unlabeled stays unlabeled, whatever
         # its bitmask words hold
         ds = data.Dataset(np.arange(3), np.zeros((3, 2)),
-                          data.labels_from_sets(({0, 1}, None, {2}), 3))
+                          labels_from_sets(({0, 1}, None, {2}), 3))
         path = tmp_path / "ml.scds"
         data.save_dataset(ds, path)
         blob = bytearray(path.read_bytes())
@@ -356,7 +356,7 @@ class TestLabelIO:
 
     def test_single_label_past_label_count_rejected(self, tmp_path):
         ds = data.Dataset(np.arange(2), np.zeros((2, 2)),
-                          data.labels_from_sets(({0}, {1}), 2))
+                          labels_from_sets(({0}, {1}), 2))
         path = tmp_path / "sl.scds"
         data.save_dataset(ds, path)
         blob = bytearray(path.read_bytes())
@@ -366,7 +366,7 @@ class TestLabelIO:
             data.load_dataset(path)
 
     def test_label_bitmasks_layout(self):
-        labels = data.labels_from_sets(({0, 64, 129}, None, ()), 130)
+        labels = labels_from_sets(({0, 64, 129}, None, ()), 130)
         index = retrieval.CodeIndex(np.zeros((3, 1), dtype=np.uint64), np.arange(3), 1, labels)
         words = index.label_masks(130)
         assert words.dtype == np.dtype("<u8") and words.shape == (3, 3)
@@ -466,10 +466,10 @@ def small_files(d):
     """Small .scds files of every label layout, by name."""
     sets = ({0, 2}, None, {1}, {0, 1}, {129})
     layouts = {
-        "multi-partial": data.labels_from_sets(sets, 130),
-        "multi": data.labels_from_sets(({0, 2}, {1}, {0, 1}), 3),
-        "single-partial": data.labels_from_sets(({2}, None, {0}, {1}), 3),
-        "single": data.labels_from_sets(({2}, {0}), 3),
+        "multi-partial": labels_from_sets(sets, 130),
+        "multi": labels_from_sets(({0, 2}, {1}, {0, 1}), 3),
+        "single-partial": labels_from_sets(({2}, None, {0}, {1}), 3),
+        "single": labels_from_sets(({2}, {0}), 3),
         "unlabeled": np.zeros((3, 2), dtype=bool),
     }
     paths = {}
@@ -494,7 +494,7 @@ class TestStreamingReader:
     def test_load_equals_whole_file_reference(self, tmp_path_factory, case):
         ids, features, labelsets, C = case
         path = tmp_path_factory.mktemp("load") / "d.scds"
-        data.save_dataset(data.Dataset(ids, features, data.labels_from_sets(labelsets, C)),
+        data.save_dataset(data.Dataset(ids, features, labels_from_sets(labelsets, C)),
                           path)
         assert_same_dataset(data.load_dataset(path), ref_load_dataset(path))
         f = data.open_dataset(path)
@@ -535,7 +535,7 @@ class TestStreamingReader:
                     "strided": base[:, ::2], "float64": base * 1.1}[layout]
         ids = np.array([0, -1, 2**62, -(2**63), 5, 2**63 - 1])
         sets = ({0, 70}, None, {3}, {1, 2}, {5}, ())
-        ds = data.Dataset(ids, features, data.labels_from_sets(sets, 71))
+        ds = data.Dataset(ids, features, labels_from_sets(sets, 71))
         data.save_dataset(ds, tmp_path / "new.scds")
         ref_save_dataset(ids, ds.features, sets, 71, tmp_path / "ref.scds")
         assert (tmp_path / "new.scds").read_bytes() == (tmp_path / "ref.scds").read_bytes()
@@ -585,7 +585,7 @@ class TestParserFuzz:
     def blobs(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("fuzz")
         multi = data.Dataset(np.arange(4), np.arange(8.0).reshape(4, 2),
-                             data.labels_from_sets(({0, 2}, None, {1}, {0, 1}), 3))
+                             labels_from_sets(({0, 2}, None, {1}, {0, 1}), 3))
         data.save_dataset(multi, d / "multi.scds")
         single = data.strip_labels(gen_gaussian_clusters(cfg(samples_per_class=2)),
                                    0.5, seed=0)

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdh import losses
-from scdh.data import labels_from_sets
 from scdh.errors import DimensionMismatch, LabelSetError, NonFiniteError
 
 import oracles
-from conftest import central_diff, rel_err
+from conftest import central_diff, labels_from_sets, rel_err
 
 
 def centers_with_distances(f, dists, rng, r=6):
@@ -321,7 +320,8 @@ class TestTripletRankingLoss:
         assert losses.margin_loss(0.0).g(3, 3) == 0.0
 
     def test_softmax_form(self):
-        assert losses.softmax_loss().g(1.0, 1.0) == pytest.approx(math.log(2), abs=1e-12)
+        softmax = losses.TripletLossKind("softmax")
+        assert softmax.g(1.0, 1.0) == pytest.approx(math.log(2), abs=1e-12)
 
 
 bounded = st.floats(0.0, 50.0, allow_nan=False)
@@ -335,8 +335,7 @@ class TestGContract:
            m=st.floats(0.0, 5.0), kind_name=st.sampled_from(["margin", "softmax"]))
     def test_first_argument(self, a1, a2, b, m, kind_name):
         a1, a2 = min(a1, a2), max(a1, a2)
-        kind = (losses.margin_loss(m) if kind_name == "margin"
-                else losses.softmax_loss())
+        kind = losses.TripletLossKind(kind_name, m)
         g1 = float(kind.g(a1, b))
         g2 = float(kind.g(a2, b))
         assert g1 >= 0.0 and g2 >= 0.0
@@ -347,8 +346,7 @@ class TestGContract:
            m=st.floats(0.0, 5.0), kind_name=st.sampled_from(["margin", "softmax"]))
     def test_second_argument(self, a, b1, b2, m, kind_name):
         b1, b2 = min(b1, b2), max(b1, b2)
-        kind = (losses.margin_loss(m) if kind_name == "margin"
-                else losses.softmax_loss())
+        kind = losses.TripletLossKind(kind_name, m)
         g1 = float(kind.g(a, b1))
         g2 = float(kind.g(a, b2))
         assert -1e-9 <= g1 - g2 <= (b2 - b1) + 1e-9

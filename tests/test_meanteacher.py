@@ -21,7 +21,7 @@ def small_semi(seed=0, keep=0.3, per_class=20):
 
 
 def params_checksum(net):
-    return [p.copy() for p in net.parameters()]
+    return [p.copy() for p in net.blocks(net.theta).values()]
 
 
 def ref_ema_update(teacher_params, student_params, decay):
@@ -36,26 +36,25 @@ class TestEmaUpdate:
         student = model.init_model((4, 5), C=2, r=3, seed=1)
         teacher = model.init_model((4, 5), C=2, r=3, seed=2)
         mt.ema_update(teacher, student, 0.0)
-        for t, s in zip(teacher.parameters(), student.parameters()):
-            assert np.array_equal(t, s)
+        assert np.array_equal(teacher.theta, student.theta)
 
     def test_fixed_point(self):
         student = model.init_model((4, 5), C=2, r=3, seed=1)
         teacher = student.copy()
         before = params_checksum(teacher)
         mt.ema_update(teacher, student, 0.99)
-        for t, b in zip(teacher.parameters(), before):
+        for t, b in zip(teacher.blocks(teacher.theta).values(), before):
             np.testing.assert_allclose(t, b, atol=1e-15)
 
     def test_hand_value(self):
         student = model.init_model((2,), C=2, r=2, seed=0)
         teacher = student.copy()
-        for p in student.parameters():
+        for p in student.blocks(student.theta).values():
             p[:] = 1.0
-        for p in teacher.parameters():
+        for p in teacher.blocks(teacher.theta).values():
             p[:] = 0.0
         mt.ema_update(teacher, student, 0.99)
-        for t in teacher.parameters():
+        for t in teacher.blocks(teacher.theta).values():
             np.testing.assert_allclose(t, 0.01, atol=1e-15)
 
     def test_shape_mismatch(self):
@@ -78,13 +77,13 @@ class TestEmaUpdate:
         rng = np.random.default_rng(4)
         student = model.init_model(dims, C=3, r=6, seed=1)
         teacher = model.init_model(dims, C=3, r=6, seed=2)
-        ref = [p.copy() for p in teacher.parameters()]
+        ref = [p.copy() for p in teacher.blocks(teacher.theta).values()]
         for _ in range(25):
             student.theta[:] = rng.normal(0.0, 1.0, student.theta.shape)
             decay = rng.uniform(0.0, 0.999)
             mt.ema_update(teacher, student, decay)
-            ref_ema_update(ref, student.parameters(), decay)
-            for got, want in zip(teacher.parameters(), ref, strict=True):
+            ref_ema_update(ref, student.blocks(student.theta).values(), decay)
+            for got, want in zip(teacher.blocks(teacher.theta).values(), ref, strict=True):
                 assert np.array_equal(got, want)
 
     def test_geometric_recurrence_scalar(self):
@@ -271,8 +270,7 @@ class TestTrainMtScdh:
                                                ema_decay=mt.DEFAULT_EMA_DECAY,
                                                noise_std=0.0, r=5, hidden=(7,))
         supervised, _, _ = mt.train_mt_scdh(ds, hp, r=5, hidden=(7,))
-        for a, b in zip(student.parameters(), supervised.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(student.theta, supervised.theta)
 
     @pytest.mark.parametrize("kwargs", [
         dict(w=np.nan), dict(w=np.inf), dict(w=-1.0), dict(noise_std=np.nan),
@@ -337,8 +335,7 @@ class TestTrainMtScdh:
                                                r=5, hidden=(7,),
                                                ema_decay=0.0)
         # decay 0 makes the teacher equal the student after every step
-        for t, s in zip(teacher.parameters(), student.parameters()):
-            assert np.array_equal(t, s)
+        assert np.array_equal(teacher.theta, student.theta)
 
     def test_supervised_terms_match_model_module(self, rng):
         # the semi trainer's supervised loss on a labeled batch equals the
@@ -368,9 +365,9 @@ class TestTrainMtScdh:
         def spying_update(teacher, student, decay):
             if "sum" in last:
                 assert all(np.array_equal(p, q) for p, q in
-                           zip(teacher.parameters(), last["sum"]))
+                           zip(teacher.blocks(teacher.theta).values(), last["sum"]))
             result = real_update(teacher, student, decay)
-            last["sum"] = [p.copy() for p in teacher.parameters()]
+            last["sum"] = [p.copy() for p in teacher.blocks(teacher.theta).values()]
             return result
 
         monkeypatch.setattr(mt, "ema_update", spying_update)
@@ -386,7 +383,5 @@ class TestTrainMtScdh:
                                      noise_std=0.1, r=5, hidden=(7,))
         s2, t2, _ = mt.train_mt_scdh(semi, hp, w=2.0, ema_decay=mt.DEFAULT_EMA_DECAY,
                                      noise_std=0.1, r=5, hidden=(7,))
-        for a, b in zip(s1.parameters(), s2.parameters()):
-            assert np.array_equal(a, b)
-        for a, b in zip(t1.parameters(), t2.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(s1.theta, s2.theta)
+        assert np.array_equal(t1.theta, t2.theta)

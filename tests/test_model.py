@@ -6,11 +6,12 @@ import pytest
 
 from scdh import model
 from scdh import meanteacher as mt
-from scdh.data import Dataset, SyntheticConfig, labels_from_sets
+from scdh.data import Dataset, SyntheticConfig
 from scdh.errors import DimensionMismatch, DivergenceError, ParseError, PreconditionError
 
 import oracles
-from conftest import gen_gaussian_clusters, gen_multilabel, rel_err, step_gradient
+from conftest import (gen_gaussian_clusters, gen_multilabel, labels_from_sets, rel_err,
+                      step_gradient)
 
 
 def tiny_hp(**kw):
@@ -24,7 +25,7 @@ def randomized_net(seed, dims=(4, 8), C=3, r=6, scale=0.5):
     """Model with well-scaled random parameters, away from rectifier kinks."""
     rng = np.random.default_rng(seed)
     net = model.init_model(dims, C, r, seed)
-    for p in net.parameters():
+    for p in net.blocks(net.theta).values():
         p[:] = rng.normal(0.0, scale, p.shape)
     return net
 
@@ -49,7 +50,7 @@ def analytic_grads(net, X, labelsets, hp):
 
 def fd_grads(net, X, labelsets, hp, eps=1e-5):
     grads = []
-    for p in net.parameters():
+    for p in net.blocks(net.theta).values():
         num = np.zeros_like(p)
         for j in range(p.size):
             orig = p.flat[j]
@@ -104,8 +105,7 @@ class TestInitModel:
     def test_determinism(self):
         a = model.init_model((8, 16), C=4, r=12, seed=3)
         b = model.init_model((8, 16), C=4, r=12, seed=3)
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_center_column_norms(self):
         r = 48
@@ -131,7 +131,7 @@ class TestInitModel:
 class TestForward:
     def test_zero_weights_zero_outputs(self):
         net = model.init_model((5, 3), C=2, r=4, seed=0)
-        for p in net.parameters():
+        for p in net.blocks(net.theta).values():
             p[:] = 0.0
         F, logits, _ = model.forward_batch(net, np.ones((1, 5)))
         assert not F.any() and not logits.any()
@@ -226,11 +226,11 @@ class TestBackwardStep:
 
     def test_zero_lr_zero_momentum_is_noop(self, rng):
         net = randomized_net(5)
-        before = [p.copy() for p in net.parameters()]
+        before = [p.copy() for p in net.blocks(net.theta).values()]
         hp = tiny_hp(momentum=0.0)
         mt._sgd_step(net, rng.normal(0, 1, (3, 4)),
                      labels_from_sets([frozenset({0})] * 3, 3), hp, lr=0.0)
-        for p, b in zip(net.parameters(), before):
+        for p, b in zip(net.blocks(net.theta).values(), before):
             assert np.array_equal(p, b)
 
     def test_pure_descent_decreases_loss(self, rng):
@@ -279,7 +279,7 @@ class TestFlatLayout:
     def test_sgd_update_matches_per_array_reference(self, dims):
         rng = np.random.default_rng(8)
         net = randomized_net(1, dims=dims, C=3, r=6)
-        params = [p.copy() for p in net.parameters()]
+        params = [p.copy() for p in net.blocks(net.theta).values()]
         velocities = [np.zeros_like(p) for p in params]
         for _ in range(25):
             grad = rng.normal(0.0, 1.0, net.theta.shape)
@@ -287,7 +287,7 @@ class TestFlatLayout:
             model.sgd_update(net, grad, lr, momentum)
             ref_sgd_update(params, velocities, list(net.blocks(grad).values()),
                            lr, momentum)
-            for got, want in zip(net.parameters(), params, strict=True):
+            for got, want in zip(net.blocks(net.theta).values(), params, strict=True):
                 assert np.array_equal(got, want)
             for got, want in zip(net.blocks(net.velocity).values(), velocities):
                 assert np.array_equal(got, want)
@@ -298,7 +298,7 @@ class TestFlatLayout:
     @pytest.mark.parametrize("dims", [(5,), (5, 7, 4)])
     def test_parameters_are_views_in_checkpoint_order(self, dims):
         net = randomized_net(3, dims=dims, C=3, r=6)
-        params = net.parameters()
+        params = net.blocks(net.theta).values()
         assert [p.shape for p in params] == [s for _, s in net.layout]
         assert sum(p.size for p in params) == net.theta.size
         for p in params:
@@ -315,7 +315,7 @@ class TestFlatLayout:
         clone = net.copy()
         assert np.array_equal(clone.theta, net.theta)
         assert np.array_equal(clone.velocity, net.velocity)
-        for a in (clone.theta, clone.velocity, *clone.parameters()):
+        for a in (clone.theta, clone.velocity, *clone.blocks(clone.theta).values()):
             for b in (net.theta, net.velocity):
                 assert not np.shares_memory(a, b)
 
@@ -404,8 +404,7 @@ class TestTrainScdh:
         net, _, report = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
         fresh = model.init_model((6, 8), 3, 6,
                                  np.random.SeedSequence(hp.seed).spawn(3)[0])
-        for p, q in zip(net.parameters(), fresh.parameters()):
-            assert np.array_equal(p, q)
+        assert np.array_equal(net.theta, fresh.theta)
         assert report.epochs == []
 
     def test_determinism(self):
@@ -413,8 +412,7 @@ class TestTrainScdh:
         hp = tiny_hp(epochs=3)
         a, _, _ = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
         b, _, _ = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_epoch_mean_loss_improves(self):
         ds = self._dataset()
@@ -446,8 +444,7 @@ class TestTrainScdh:
                      warmup_norm_s=3.0, lr_schedule=schedule)
         net, _, report = mt.train_mt_scdh(ds, hp, r=6, hidden=(8,))
         ref_net, ref_report = ref_train_scdh(ds, hp, r=6, hidden=(8,))
-        for p, q in zip(net.parameters(), ref_net.parameters(), strict=True):
-            assert np.array_equal(p, q)
+        assert np.array_equal(net.theta, ref_net.theta)
         assert report.final_quantization == ref_report.final_quantization
         assert len(report.epochs) == len(ref_report.epochs) == hp.epochs
         for got, want in zip(report.epochs, ref_report.epochs):
@@ -504,8 +501,7 @@ class TestCheckpoint:
         loaded, hp2, teacher, meta = model.load_checkpoint(path)
         assert teacher is None
         assert hp2 == hp
-        for a, b in zip(net.parameters(), loaded.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.theta, loaded.theta)
 
     def test_dual_network_roundtrip(self, tmp_path):
         student = randomized_net(4)
@@ -515,10 +511,8 @@ class TestCheckpoint:
                               extra_meta={"ema_decay": 0.99})
         loaded_s, _, loaded_t, meta = model.load_checkpoint(path)
         assert meta["ema_decay"] == 0.99
-        for a, b in zip(teacher.parameters(), loaded_t.parameters()):
-            assert np.array_equal(a, b)
-        for a, b in zip(student.parameters(), loaded_s.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(teacher.theta, loaded_t.theta)
+        assert np.array_equal(student.theta, loaded_s.theta)
 
     @pytest.mark.parametrize("field,value", [("lr", np.nan), ("mu", np.inf),
                                              ("lr_schedule", ((2, np.nan),))])
@@ -537,7 +531,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("block", range(len(BLOCKS)))
     def test_non_finite_parameter_rejected(self, tmp_path, block, value):
         net = randomized_net(4, dims=(5, 7), C=4, r=6)
-        net.parameters()[block].flat[-1] = value
+        net.blocks(net.theta)[self.BLOCKS[block]].flat[-1] = value
         path = tmp_path / "model.ckpt"
         model.save_checkpoint(path, net, tiny_hp())
         name = re.escape(f"student network's {self.BLOCKS[block]} block")
@@ -547,7 +541,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("block", [0, 6])
     def test_non_finite_teacher_parameter_rejected(self, tmp_path, block):
         teacher = randomized_net(9)
-        teacher.parameters()[block].flat[0] = -np.inf
+        teacher.blocks(teacher.theta)[self.BLOCKS[block]].flat[0] = -np.inf
         path = tmp_path / "dual.ckpt"
         model.save_checkpoint(path, randomized_net(4), tiny_hp(), teacher=teacher)
         name = re.escape(f"teacher network's {self.BLOCKS[block]} block")
@@ -558,7 +552,7 @@ class TestCheckpoint:
         net = randomized_net(4, dims=(5, 7), C=4, r=6)
         path = tmp_path / "model.ckpt"
         start = 0
-        for i, p in enumerate(net.parameters()):
+        for i, p in enumerate(net.blocks(net.theta).values()):
             p.flat[-1], saved = np.nan, p.flat[-1]
             model.save_checkpoint(path, net, tiny_hp())
             p.flat[-1] = saved

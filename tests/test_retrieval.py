@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdh import retrieval as rt
-from scdh.data import labels_from_sets
 from scdh.errors import DimensionMismatch, ParseError, PreconditionError
+
+from conftest import labels_from_sets
 
 
 def naive_search(query_bits, db_bits, ids, k):
@@ -96,6 +97,18 @@ class TestHamming:
         b = code_of(np.ones(32))
         with pytest.raises(DimensionMismatch):
             hamming(a, b)
+
+    def test_word_count_mismatch(self):
+        # the scan itself compares word counts: a 2-word query would
+        # otherwise read only its first word against a 1-word index, and a
+        # 1-word query would broadcast across a 2-word index
+        one_word = rt.CodeIndex(np.array([[3]], dtype=np.uint64), [0], 64)
+        two_words = rt.CodeIndex(np.array([[3, 2**40]], dtype=np.uint64), [0], 128)
+        for query, index in [(two_words.words[0], one_word), (one_word.words[0], two_words)]:
+            with pytest.raises(DimensionMismatch, match="query has"):
+                rt.distances_to_index(query, index)
+            with pytest.raises(DimensionMismatch, match="query has"):
+                rt.distances_to_index(query, rt.Buckets.of(index))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
