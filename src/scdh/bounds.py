@@ -501,7 +501,7 @@ def _trial_sides(Y: np.ndarray, G: np.ndarray, Gc: np.ndarray, Dc: np.ndarray,
 
 
 def multilabel_bound_check(codes, C: int, p: float, centers, trials: int,
-                           seed: int, kind: TripletLossKind | None = None) -> BoundReport:
+                           seed: int, kind: TripletLossKind) -> BoundReport:
     """Monte Carlo check of the multilabel expectation bound.
 
     Label sets are drawn with independent per-label inclusion probability p
@@ -519,7 +519,6 @@ def multilabel_bound_check(codes, C: int, p: float, centers, trials: int,
     p = min(p, 0.99)
     if trials < MIN_TRIALS:
         raise PreconditionError(f"need at least {MIN_TRIALS} Monte Carlo trials")
-    kind = kind if kind is not None else margin_loss(1.0)
     codes = np.asarray(codes, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     n = codes.shape[0]
@@ -769,7 +768,9 @@ def run_bound_suite(instances: int, classes, max_n: int, max_r: int,
     return reports
 
 
-def run_multilabel_suite(configs: int, trials: int, seed: int):
+def run_multilabel_suite(configs: int, trials: int, kind: TripletLossKind, seed: int):
+    """``multilabel_bound_check`` under ``kind`` of ``configs`` random
+    configurations drawn from ``seed``, in draw order."""
     reports = []
     rng = np.random.default_rng(seed)
     for i in range(configs):
@@ -780,7 +781,7 @@ def run_multilabel_suite(configs: int, trials: int, seed: int):
         codes = rng.choice([-1.0, 1.0], size=(n, r))
         centers = rng.normal(0.0, 2.0, (r, C))
         reports.append(multilabel_bound_check(
-            codes, C, p, centers, trials=trials, seed=seed + 7919 * (i + 1)))
+            codes, C, p, centers, trials=trials, seed=seed + 7919 * (i + 1), kind=kind))
     return reports
 
 

@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Subcommands: gen, train, train-semi, encode, eval, verify-bounds, lambda-toy.
-Every run resolves its configuration from defaults < --preset/--hp-preset <
---config JSON < explicit flags, each value checked against its flag's domain
+Every run resolves its configuration from defaults < --preset < --hp-preset
+< --config JSON < explicit flags, each value checked against its flag's domain
 before any work starts, writes all artifacts atomically (temp file +
 rename), and finishes with a run-manifest JSON recording the resolved config,
 seed, versions, and sha256 hashes of every output.  Exit codes: 0 success,
@@ -180,9 +180,9 @@ class Float:
 
     def __str__(self):
         if self.hi == math.inf:
-            return f"a finite number {'above' if self.lo_open else 'at least'} {self.lo:g}"
-        return (f"a finite number in {'(' if self.lo_open else '['}{self.lo:g}, "
-                f"{self.hi:g}{')' if self.hi_open else ']'}")
+            return f"a finite number {'above' if self.lo_open else 'at least'} {self.lo:.16g}"
+        return (f"a finite number in {'(' if self.lo_open else '['}{self.lo:.16g}, "
+                f"{self.hi:.16g}{')' if self.hi_open else ']'}")
 
     def parse(self, raw):
         if not isinstance(raw, str) and type(raw) not in (int, float):
@@ -328,7 +328,8 @@ def resolve(command: str, flags: dict, config_path: str | None = None) -> dict:
 COMMON = {
     "seed": (Int(0), 0, "master RNG seed"),
     "threads": (Int(1, os.cpu_count() or 1), 1,
-                "worker bound for parallel sections (1 = bit-exact)"),
+                "lambda-toy's cell workers, the same grid at every value; "
+                "the other commands ignore it"),
 }
 
 
@@ -431,9 +432,6 @@ def cmd_gen(cfg: dict, run: Run):
 # train / train-semi
 # ---------------------------------------------------------------------------
 
-# A Hoelder exponent and its dual: 1/p + 1/q = 1 holds only for both above 1.
-HOLDER = Float(1.0, lo_open=True)
-
 _TRAIN_BASE = {
     "data": (File(), None, "training dataset (.scds)"),
     "preset": (Choice(TRAIN_PRESETS), None, "training preset"),
@@ -443,8 +441,10 @@ _TRAIN_BASE = {
     "lam": (Float(0.0), 0.005, "center-distance weight lambda"),
     "mu": (Float(0.0), 0.2, "classification weight mu"),
     "alpha": (Float(0.0), 0.05, "quantization weight alpha"),
-    "holder-p": (HOLDER, 3.0, "Hoelder exponent p"),
-    "holder-q": (HOLDER, 1.5, "dual exponent q"),
+    # below 2**53, p - 1 is exact and less than p, so the dual exponent
+    # q = p / (p - 1) that ``hyperparams`` works out stays above 1
+    "holder-p": (Float(1.0, 2.0**53, lo_open=True), 3.0,
+                 "Hoelder exponent p; its dual q is p / (p - 1)"),
     "epochs": (Int(1), 30, "training epochs"),
     "batch-size": (Int(1), 64, "mini-batch size"),
     "lr": (Float(0.0, lo_open=True), 1e-3, "initial learning rate"),
@@ -454,9 +454,7 @@ _TRAIN_BASE = {
     "warmup-norm": (Float(0.0, lo_open=True), 8.0, "projection norm s"),
 }
 
-TRAIN_SPEC = dict(COMMON, **_TRAIN_BASE, **{
-    "balance": (Int(0, 1), 0, "1 = upsample classes to equal counts before training"),
-})
+TRAIN_SPEC = dict(COMMON, **_TRAIN_BASE)
 
 TRAIN_SEMI_SPEC = dict(COMMON, **_TRAIN_BASE, **{
     "w": (Float(0.0), meanteacher.DEFAULT_CONSISTENCY_WEIGHT, "consistency weight"),
@@ -468,21 +466,17 @@ TRAIN_SEMI_SPEC = dict(COMMON, **_TRAIN_BASE, **{
 
 
 def hyperparams(cfg: dict) -> model.Hyperparams:
-    """The training hyperparameters of a resolved train or train-semi config;
-    the cross-field check of ``model.Hyperparams`` exits 1."""
-    try:
-        return model.Hyperparams(
-            lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
-            holder_p=cfg["holder-p"], holder_q=cfg["holder-q"],
-            warmup_epochs=cfg["warmup-epochs"], warmup_norm_s=cfg["warmup-norm"],
-            lr=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
-            batch_size=cfg["batch-size"], lr_schedule=cfg["lr-schedule"],
-            seed=cfg["seed"],
-        )
-    except ScdhError as exc:
-        # the flag domains leave only the duality of the Hoelder exponents
-        raise ValidationError(f"--holder-p {cfg['holder-p']} --holder-q "
-                              f"{cfg['holder-q']}: {exc}") from None
+    """The training hyperparameters of a resolved train or train-semi config,
+    with the Hoelder exponent's dual: 1/p + 1/q = 1."""
+    p = cfg["holder-p"]
+    return model.Hyperparams(
+        lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
+        holder_p=p, holder_q=p / (p - 1.0),
+        warmup_epochs=cfg["warmup-epochs"], warmup_norm_s=cfg["warmup-norm"],
+        lr=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
+        batch_size=cfg["batch-size"], lr_schedule=cfg["lr-schedule"],
+        seed=cfg["seed"],
+    )
 
 
 def _report_files(run: Run, report: model.TrainReport):
@@ -500,16 +494,6 @@ def cmd_train(cfg: dict, run: Run):
     if not labeled.all():
         log.info("training on the %d labeled samples only", np.count_nonzero(labeled))
         dataset = dataset.subset(np.flatnonzero(labeled))
-    if cfg["balance"]:
-        multi = np.flatnonzero(dataset.labels.sum(axis=1) > 1)
-        if multi.size:
-            raise ValidationError(f"--balance 1 needs single-label rows, but --data has "
-                                  f"{multi.size} multilabel rows (the first: id "
-                                  f"{int(dataset.ids[multi[0]])})")
-        try:
-            dataset = data.balance_upsample(dataset, seed=cfg["seed"])
-        except PreconditionError as exc:
-            raise ValidationError(f"--balance 1: {exc}") from None
     net, _, report = meanteacher.train_mt_scdh(dataset, hp, r=cfg["bits"],
                                                hidden=cfg["hidden"])
     with atomic_path(run.path("model.ckpt")) as tmp:
@@ -695,7 +679,7 @@ def cmd_verify_bounds(cfg: dict, run: Run):
         # the flag domains leave only --max-n against the largest class count
         classes = ",".join(map(str, cfg["classes"]))
         raise ValidationError(f"--max-n {cfg['max-n']} --classes {classes}: {exc}") from None
-    multi = bounds.run_multilabel_suite(cfg["ml-configs"], cfg["trials"], cfg["seed"])
+    multi = bounds.run_multilabel_suite(cfg["ml-configs"], cfg["trials"], kind, cfg["seed"])
     # one dict per report serves its CSV row and its JSON entry
     unary, multilabel = [r.to_dict() for r in single], [r.to_dict() for r in multi]
     with atomic_path(run.path("unary_bounds.csv")) as tmp:

@@ -1,4 +1,4 @@
-"""Synthetic datasets, label balancing, and dataset file I/O.
+"""Synthetic datasets, label stripping, and dataset file I/O.
 
 Features are stored as float32 (the on-disk format).  Labels are an (n, C)
 bool matrix: entry (i, l) is set when sample i carries label l, and a row
@@ -150,37 +150,6 @@ def sample_multilabel(protos: np.ndarray, n: int, p: float, std: float,
         feats[s:e] = f
     ids = np.arange(id_start, id_start + n, dtype=np.int64)
     return Dataset(ids, feats, member)
-
-
-def balance_upsample(dataset: Dataset, seed: int = 0) -> Dataset:
-    """Upsample minority classes (with replacement) to the majority count.
-
-    Requires a fully labeled single-label dataset; appended duplicates get
-    fresh ids past the current maximum.  An already balanced input comes back
-    unchanged.
-    """
-    y = dataset.single_labels()
-    counts = np.bincount(y, minlength=dataset.label_count)
-    if np.any(counts == 0):
-        missing = int(np.nonzero(counts == 0)[0][0])
-        raise PreconditionError(f"class {missing} has no members to upsample from")
-    target = int(counts.max())
-    if np.all(counts == target):
-        return dataset
-    rng = np.random.default_rng(seed)
-    next_id = int(dataset.ids.max()) + 1
-    extra_idx = []
-    for c in range(dataset.label_count):
-        deficit = target - int(counts[c])
-        if deficit == 0:
-            continue
-        members = np.nonzero(y == c)[0]
-        extra_idx.extend(rng.choice(members, size=deficit, replace=True).tolist())
-    extra_idx = np.array(extra_idx, dtype=np.int64)
-    new_ids = np.concatenate([dataset.ids, np.arange(next_id, next_id + len(extra_idx))])
-    new_feats = np.concatenate([dataset.features, dataset.features[extra_idx]])
-    new_labels = np.concatenate([dataset.labels, dataset.labels[extra_idx]])
-    return Dataset(new_ids, new_feats, new_labels)
 
 
 # ---------------------------------------------------------------------------

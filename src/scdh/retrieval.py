@@ -197,6 +197,9 @@ class CodeIndex:
         return index
 
     def _freeze(self, copy: bool):
+        if self.nbits < 1:
+            # the code file's reader takes no 0-bit codes either
+            raise DimensionMismatch(f"codes have at least 1 bit, got nbits={self.nbits}")
         words = _read_only(self.words, "<u8", copy)
         ids = _read_only(self.ids, np.int64, copy)
         if words.ndim != 2 or words.shape[1] != _n_words(self.nbits):

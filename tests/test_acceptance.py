@@ -244,8 +244,8 @@ def test_criterion_4_multilabel_bound_certification():
         r = int(rng.integers(4, 9))
         codes = rng.choice([-1.0, 1.0], size=(n, r))
         centers = rng.normal(0, 2, (r, C))
-        rep = bounds.multilabel_bound_check(codes, C, p, centers,
-                                            trials=5000, seed=1000 + i)
+        rep = bounds.multilabel_bound_check(codes, C, p, centers, trials=5000,
+                                            seed=1000 + i, kind=losses.margin_loss(1.0))
         if not rep.holds:
             failures.append((C, p, n, r))
     elapsed = time.monotonic() - t0

@@ -311,7 +311,7 @@ class TestMultilabelBoundCheck:
         codes = rng.choice([-1.0, 1.0], size=(12, 8))
         centers = rng.normal(0, 2, (8, 4))
         rep = bounds.multilabel_bound_check(codes, 4, 0.3, centers,
-                                            trials=5000, seed=7)
+                                            trials=5000, seed=7, kind=margin_loss(1.0))
         assert rep.holds
         assert rep.confidence_margin > 0.0
 
@@ -319,13 +319,13 @@ class TestMultilabelBoundCheck:
         codes = rng.choice([-1.0, 1.0], size=(8, 6))
         centers = rng.normal(0, 1, (6, 2))
         rep = bounds.multilabel_bound_check(codes, 2, 0.999, centers,
-                                            trials=1000, seed=1)
+                                            trials=1000, seed=1, kind=margin_loss(1.0))
         assert rep.holds
 
     def test_trial_floor(self, rng):
         with pytest.raises(PreconditionError):
-            bounds.multilabel_bound_check(np.ones((4, 2)), 2, 0.5,
-                                          np.ones((2, 2)), trials=10, seed=0)
+            bounds.multilabel_bound_check(np.ones((4, 2)), 2, 0.5, np.ones((2, 2)),
+                                          trials=10, seed=0, kind=margin_loss(1.0))
 
 
 class TestToyGrid:
@@ -753,7 +753,7 @@ class TestBoundDraws:
         cells = bounds.toy_lambda_grid(bounds.ToyConfig(
             sigma_grid=(0.5,), d_grid=(0.0, 3.0), samples_per_cluster=10, seed=1))
         drawn = [*bounds.run_bound_suite(40, (2, 3, 4), 12, 16, SOFTMAX, seed=5),
-                 *bounds.run_multilabel_suite(2, 1000, seed=5), *cells]
+                 *bounds.run_multilabel_suite(2, 1000, SOFTMAX, seed=5), *cells]
         for item in drawn:
             got = item.to_dict()
             assert list(got.items()) == list(dataclasses.asdict(item).items())
@@ -853,10 +853,10 @@ class TestMonteCarloMatchesReference:
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(PreconditionError):
             bounds.multilabel_bound_check(np.ones((0, 2)), 3, 0.5, np.ones((2, 3)),
-                                          trials=1000, seed=0)
+                                          trials=1000, seed=0, kind=margin_loss(1.0))
         with pytest.raises(PreconditionError):
             bounds.multilabel_bound_check(np.ones((4, 2)), 1, 0.5, np.ones((2, 1)),
-                                          trials=1000, seed=0)
+                                          trials=1000, seed=0, kind=margin_loss(1.0))
 
 
 class TestToyCellMatchesReference:

@@ -1,8 +1,10 @@
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scdh import bounds, cli, data, model, retrieval
+from scdh import bounds, cli, data, losses, model, retrieval
 from scdh.data import Dataset, SyntheticConfig, load_dataset, save_dataset, strip_labels
 from scdh.errors import PreconditionError
 
@@ -62,12 +64,39 @@ class TestValidation:
         proc = run_cli("gen", "--preset", "nonsense", "--out", tmp_path, expect=1)
         assert json.loads(proc.stderr)["error"] == "validation"
 
-    def test_invalid_hp_is_validation_error(self, tmp_path):
-        tiny_gen(tmp_path / "d")
-        proc = run_cli("train", "--data", tmp_path / "d" / "train.scds",
-                       "--holder-p", 3, "--holder-q", 2, "--out",
-                       tmp_path / "r", expect=1)
-        assert json.loads(proc.stderr)["error"] == "validation"
+    def test_invalid_hp_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        # p = 1 has no finite dual exponent; from 2**53 on, p / (p - 1) can
+        # round to 1.  Refused while the config resolves, before any data is read
+        loads = []
+        monkeypatch.setattr(cli.data, "load_dataset", lambda *a: loads.append(a))
+        path = training_file(tmp_path / "d.scds", [{0}, {1}])
+        out = tmp_path / "out"
+        for command in ("train", "train-semi"):
+            for p in ("1", "0.5", "9007199254740992", "1e16"):
+                assert cli.main([command, "--data", path, "--holder-p", p,
+                                 "--out", str(out)]) == 1
+                assert json.loads(capsys.readouterr().err) == {
+                    "error": "validation", "message": "--holder-p must be a finite "
+                    f"number in (1, 9007199254740992), got {p}"}
+        assert not loads and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "train-semi"])
+    def test_checkpoint_holds_the_dual_exponent(self, tmp_path, command):
+        path = training_file(tmp_path / "d.scds", [{0}, {1}, {2}, None] * 3)
+        for p in ("1.5", "3", "4"):
+            out = tmp_path / p
+            assert cli.main([command, "--data", path, "--bits", "4", "--hidden", "4",
+                             "--epochs", "1", "--holder-p", p, "--out", str(out)]) == 0
+            _, hp, _, _ = model.load_checkpoint(out / "model.ckpt")
+            assert hp.holder_p == float(p) and hp.holder_q == float(p) / (float(p) - 1.0)
+
+    def test_holder_p_domain_ends_have_a_dual(self):
+        # the domain's smallest and largest values give a q above 1 that
+        # model.Hyperparams and the quantization penalty's check accept
+        for p in (float(np.nextafter(1.0, 2.0)), 2.0**53 - 1.0, 1.5, 3.0):
+            hp = cli.hyperparams(cli.resolve("train", {"holder-p": repr(p)}))
+            assert hp.holder_p == p and hp.holder_q == p / (p - 1.0) > 1.0
+            losses._check_dual_norms(hp.holder_p, hp.holder_q)
 
     @pytest.mark.parametrize("command,unlabeled", [("train", 0), ("train-semi", 4)])
     def test_label_set_covering_every_class(self, tmp_path, command, unlabeled):
@@ -264,14 +293,15 @@ class TestValidation:
         (["gen", "--mode", "multi", "--n-query", "-1"], "--n-query"),
         (["gen", "--mode", "multi", "--n-db", "0"], "--n-db"),
         (["gen", "--train-per-class", "0"], "--train-per-class"),
-        (["train", "--balance", "7"], "--balance"),
+        (["train", "--holder-p", "1"], "--holder-p"),
         *(([command, "--seed", "-1"], "--seed") for command in cli.COMMANDS),
         (["lambda-toy", "--sigma-grid", ""], "grid"),
         (["lambda-toy", "--d-grid", ""], "grid"),
     ])
     def test_bad_input_exits_1_with_one_message(self, tmp_path, capsys, argv, named):
-        # sizes below 1, a --balance other than 0 or 1, a negative seed and an
-        # empty toy grid are refused before any file is read or written
+        # sizes below 1, a Hoelder exponent with no finite dual, a negative
+        # seed and an empty toy grid are refused before any file is read or
+        # written
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -658,6 +688,25 @@ class TestVerifyAndToy:
         rows = json.loads((tmp_path / "bounds.json").read_text())
         assert len(rows["unary"]) == 25
         assert all(r["holds"] for r in rows["unary"])
+
+    def test_kind_and_margin_reach_the_multilabel_rows(self, tmp_path):
+        # --kind and --margin set the comparator of both suites
+        rows = {}
+        for name, argv in (("default", []), ("softmax", ["--kind", "softmax"]),
+                           ("margin2", ["--margin", "2"])):
+            out = tmp_path / name
+            assert cli.main(["verify-bounds", "--instances", "5", "--ml-configs", "2",
+                             "--trials", "1000", "--seed", "1", *argv,
+                             "--out", str(out)]) == 0
+            rows[name] = json.loads((out / "bounds.json").read_text())["multilabel"]
+            with open(out / "multilabel_bounds.csv") as fh:
+                assert [r["kind"] for r in csv.DictReader(fh)] == \
+                    [r["kind"] for r in rows[name]]
+        assert [r["kind"] for r in rows["softmax"]] == ["softmax", "softmax"]
+        want = bounds.run_multilabel_suite(2, 1000, losses.margin_loss(2.0), seed=1)
+        assert rows["margin2"] == [r.to_dict() for r in want]
+        assert [r["brute_force_loss"] for r in rows["margin2"]] != \
+            [r["brute_force_loss"] for r in rows["default"]]
 
     def test_lambda_toy_small(self, tmp_path):
         run_cli("lambda-toy", "--sigma-grid", "0.3,0.8", "--d-grid", "2,6",
@@ -1122,12 +1171,17 @@ class TestFlagContract:
         cfg.write_text(json.dumps({"balance": 1}))
         assert cli.main([*argv, "--config", str(cfg)]) == 1
         assert "balance" in json.loads(capsys.readouterr().err)["message"]
-        assert "balance" in cli.TRAIN_SPEC and "balance" not in cli.TRAIN_SEMI_SPEC
+        assert "balance" not in cli.TRAIN_SPEC and "balance" not in cli.TRAIN_SEMI_SPEC
 
     @pytest.mark.parametrize("command, flag, value", [
         # the generator draws --train-per-class rows of every class, so
         # balancing never changed a split
         ("gen", "balance", "1"),
+        # nor a training set: label stripping keeps equal counts per class
+        ("train", "balance", "1"),
+        # the dual exponent follows from --holder-p
+        ("train", "holder-q", "2"),
+        ("train-semi", "holder-q", "2"),
         # precision is taken within Hamming radius 2, the radius its key names
         ("eval", "radius", "3"),
     ])
@@ -1166,9 +1220,15 @@ def eval_files(t, query_labels, db_labels, bits=(8, 8)) -> list[str]:
     argv = ["eval"]
     for flag, name, labels, r in [("queries", "query", query_labels, bits[0]),
                                   ("database", "db", db_labels, bits[1])]:
-        codes = retrieval.CodeIndex(retrieval.binarize_batch(np.ones((len(labels), r))),
-                                    np.arange(len(labels)), r)
-        retrieval.save_codes(codes, t / f"{name}.scdh")
+        if r:
+            retrieval.save_codes(retrieval.CodeIndex(
+                retrieval.binarize_batch(np.ones((len(labels), r))), np.arange(len(labels)),
+                r), t / f"{name}.scdh")
+        else:
+            # no index holds 0-bit codes: the header, then each row's id alone
+            (t / f"{name}.scdh").write_bytes(
+                struct.pack("<4sHIQ", b"SCDH", 1, 0, len(labels))
+                + np.arange(len(labels), dtype="<u8").tobytes())
         argv += [f"--{flag}", str(t / f"{name}.scdh"),
                  f"--{name}-data", training_file(t / f"{name}.scds", labels)]
     return argv
@@ -1202,21 +1262,14 @@ REFUSALS = {
         lambda t: ["train-semi", "--data", training_file(
             t / "s.scds", [{0}, {1}, None, {2}, None, {0}], ids=[0, 1, 2, 3, 1, 5])],
         "--data: id 1 names both a labeled and an unlabeled row"),
-    "train-balance-multilabel": (
-        lambda t: ["train", "--balance", "1", "--data", training_file(
-            t / "m.scds", [{0}, {1}, {0, 2}, None, {1, 2}, {2}])],
-        "--balance 1 needs single-label rows, but --data has 2 multilabel rows "
-        "(the first: id 2)"),
-    "train-balance-empty-class": (
-        lambda t: ["train", "--balance", "1", "--data", training_file(
-            t / "e.scds", [{0}, {1}, None, {0}, {1}, {1}])],
-        "--balance 1: class 2 has no members to upsample from"),
     "train-holder": (
-        lambda t: ["train", "--holder-p", "3", "--holder-q", "2"],
-        "--holder-p 3.0 --holder-q 2.0: holder_p and holder_q must satisfy 1/p + 1/q = 1"),
+        lambda t: ["train", "--holder-p", "9007199254740992"],
+        "--holder-p must be a finite number in (1, 9007199254740992), "
+        "got 9007199254740992"),
     "train-semi-holder": (
-        lambda t: ["train-semi", "--holder-p", "2", "--holder-q", "1.5"],
-        "--holder-p 2.0 --holder-q 1.5: holder_p and holder_q must satisfy 1/p + 1/q = 1"),
+        lambda t: ["train-semi", "--holder-p", "9007199254740992"],
+        "--holder-p must be a finite number in (1, 9007199254740992), "
+        "got 9007199254740992"),
     "train-lr-schedule-order": (
         lambda t: ["train", "--lr-schedule", "10:0.2,5:0.2"],
         f"--lr-schedule must be {cli.Schedule()}, got 10:0.2,5:0.2"),

@@ -96,38 +96,6 @@ class TestMultilabelGenerator:
             gen_gaussian_clusters(cfg(multilabel_p=0.3))
 
 
-class TestBalanceUpsample:
-    def _unbalanced(self):
-        feats = np.arange(8, dtype=np.float32).reshape(4, 2)
-        labels = labels_from_sets(({0}, {0}, {0}, {1}), 2)
-        return data.Dataset(np.arange(4), feats, labels)
-
-    def test_counts_equalized(self):
-        ds = data.balance_upsample(self._unbalanced(), seed=0)
-        counts = np.bincount(ds.single_labels())
-        assert counts.tolist() == [3, 3]
-        # duplicated rows must be copies of the minority sample
-        extra = ds.features[4:]
-        assert np.all(extra == ds.features[3])
-
-    def test_already_balanced_unchanged(self):
-        ds = gen_gaussian_clusters(cfg())
-        out = data.balance_upsample(ds, seed=0)
-        assert out.n == ds.n
-        assert np.array_equal(out.features, ds.features)
-
-    def test_determinism(self):
-        a = data.balance_upsample(self._unbalanced(), seed=5)
-        b = data.balance_upsample(self._unbalanced(), seed=5)
-        assert np.array_equal(a.features, b.features)
-
-    def test_empty_class_rejected(self):
-        feats = np.zeros((2, 2), dtype=np.float32)
-        ds = data.Dataset(np.arange(2), feats, labels_from_sets(({0}, {0}), 2))
-        with pytest.raises(PreconditionError):
-            data.balance_upsample(ds)
-
-
 class TestDatasetIO:
     def test_roundtrip_single(self, tmp_path):
         ds = gen_gaussian_clusters(cfg())

@@ -359,6 +359,17 @@ class TestCodeFile:
         with pytest.raises(ParseError, match="magic"):
             rt.load_codes(path)
 
+    def test_zero_bit_index_refused(self):
+        # load_codes refuses a 0-bit file, so no index can hold 0-bit codes
+        # for save_codes to write
+        words, ids = np.zeros((3, 0), dtype="<u8"), np.arange(3)
+        with pytest.raises(DimensionMismatch, match="nbits=0"):
+            rt.CodeIndex(words, ids, 0)
+        with pytest.raises(DimensionMismatch, match="nbits=0"):
+            rt.CodeIndex._adopt(words, ids, 0)
+        with pytest.raises(DimensionMismatch, match="nbits=-1"):
+            rt.CodeIndex(words, ids, -1)
+
 
 # ---------------------------------------------------------------------------
 # Reference: the per-metric implementation that ranked every query once per
