@@ -9,13 +9,15 @@ the estimated lambda over a (sigma, d) grid.
 Every path works an array at a time and returns the same bits as a plain
 per-row (or per-trial) loop, which the tests keep as the reference:
 
-- one kernel computes both sides of the unary bound for a (b, n, r) stack
-  of code sets that share one balanced label vector; ``unary_upper_bounds``,
-  the one unary entry, certifies a stack (``unary_upper_bound`` is its
-  b = 1 case, and verify-bounds' ``run_bound_suite`` groups its draws by
-  shape into stacks).  The exhaustive triplet sums reduce one
-  (b, n, k-1, n-k) block, k = n/C codes per label, and add the row sums in
-  row order with ``cumsum``, as a running total would;
+- one kernel computes both sides of the unary bound, and the reports, for
+  a (b, n, r) stack of code sets that share one balanced label vector.
+  Both unary entries check their input and call it: ``unary_upper_bounds``
+  certifies a stack (verify-bounds' ``run_bound_suite`` groups its draws by
+  shape into stacks), and ``unary_upper_bound`` certifies one set as the
+  stack of one.  The exhaustive triplet sums reduce one (b, n, k-1, n-k)
+  block, k = n/C codes per label, and add the row sums in row order, as a
+  running total would.  Differences are squared and hinges formed in
+  place;
 - the Monte Carlo check draws the label sets of a block of trials from one
   stream of C-wide candidate rows, packed into uint64 codes as they are
   drawn.  The triplet side takes the overlaps |Y_i & Y_j| as popcounts and
@@ -27,7 +29,9 @@ per-row (or per-trial) loop, which the tests keep as the reference:
   triplets at a time: it draws the third index per chunk from the same
   stream, looks the distances up in the (n, n) distance table when
   n^2 <= T (otherwise computes them per pair) and never gathers (T, r)
-  code rows.  Its two means over T terms are rebuilt from chunk sums along
+  code rows.  The table is built a few rows at a time, and it, the
+  code-to-center distances and the own-center distances are looked up by
+  flat index.  Its two means over T terms are rebuilt from chunk sums along
   numpy's pairwise summation tree, so they keep the bits of one
   ``.mean()`` over whole term arrays.
 
@@ -67,6 +71,9 @@ UNARY_STACK_FLOATS = 1 << 20
 # Most sampled toy triplets drawn or worked at a time; the worked chunks are
 # nodes of numpy's pairwise summation tree (see ``_pairwise_sum``).
 TOY_CHUNK = 1 << 15
+
+# Rows of a sampled toy cell's (n, n) distance table differenced at a time.
+TOY_TABLE_BLOCK = 4
 
 # numpy's pairwise summation sums a range of at most this many float64 terms
 # with eight running accumulators and splits a longer one in two.
@@ -118,10 +125,13 @@ class BoundReport:
         return dict(vars(self))
 
 
-def _norm(x: np.ndarray, axis: int) -> np.ndarray:
-    """``np.linalg.norm(x, axis=axis)`` of a real array: the same arithmetic
-    (and bits) without the wrapper's dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=axis))
+def _norm(diff: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(diff, axis=axis)`` of a real array: the same arithmetic
+    (and bits) without the wrapper's dispatch.  ``diff`` is a fresh
+    temporary, squared in place."""
+    np.multiply(diff, diff, out=diff)
+    sq = np.add.reduce(diff, axis=axis)
+    return np.sqrt(sq, out=sq)
 
 
 def _pairwise_distances(codes: np.ndarray, block: int = 64) -> np.ndarray:
@@ -130,7 +140,8 @@ def _pairwise_distances(codes: np.ndarray, block: int = 64) -> np.ndarray:
     Row block a is differenced against the rows from a on, and the part
     below the diagonal is mirrored: |h_i - h_j| and |h_j - h_i| are
     bit-equal.  Each entry reduces one difference row over r, so it is
-    bit-equal to the full (n, n, r) tensor form and to ``_pair_distances``.
+    bit-equal to the full (n, n, r) tensor form and to ``_pair_distances``
+    at any block.
     """
     n = codes.shape[-2]
     if n <= block:
@@ -231,32 +242,21 @@ def _sum_in_row_order(row_sums: np.ndarray) -> np.ndarray:
     """Add the per-row sums along the last axis one after another, as a
     running ``total +=`` does; a pairwise ``sum`` would round differently in
     the last bit."""
-    return row_sums.cumsum(axis=-1)[..., -1]
-
-
-def _triplet_sums(D: np.ndarray, label_rows: _LabelRows, term) -> np.ndarray:
-    """Exhaustive triplet loss of each (n, n) distance table in the (..., n, n)
-    stack ``D``, whose sets share the label vector of ``label_rows``.
-
-    ``term(d_pos, d_neg)`` gives the (..., n, k-1, n-k) triplet terms from
-    the (..., n, k-1, 1) similar and (..., n, 1, n-k) dissimilar distances.
-    """
-    flat = D.reshape(D.shape[:-2] + (-1,))
-    # ``take`` returns C-contiguous arrays, stacked or not, so each sum below
-    # runs pairwise as the one-set sum does; a fancy-index gather from a
-    # stack would not be contiguous and would sum in sequence
-    d_pos = flat.take(label_rows.sim_at, axis=-1)[..., None]
-    d_neg = flat.take(label_rows.dis_at, axis=-1)[..., None, :]
-    return _sum_in_row_order(term(d_pos, d_neg).sum(axis=(-2, -1)))
+    return np.add.accumulate(row_sums, axis=-1)[..., -1]
 
 
 def _hinge_lc(d_own: np.ndarray, d_all: np.ndarray,
               kind: TripletLossKind) -> np.ndarray:
-    """Per-item classification-style loss: mean of g(d_y, d_l) over l != y."""
-    C = d_all.shape[-1]
-    vals = kind.g(d_own[..., None], d_all)        # (..., n, C), includes l = y
-    own = kind.g(d_own, d_own)                    # subtract the diagonal term
-    return (vals.sum(axis=-1) - own) / (C - 1)
+    """Per-item classification-style loss of the margin kind: the mean of
+    g(d_y, d_l) = max(0, m + d_y - d_l) over l != y, formed in place."""
+    shifted = kind.margin + d_own
+    vals = shifted[..., None] - d_all             # (..., n, C), includes l = y
+    np.maximum(0.0, vals, out=vals)
+    lc = np.add.reduce(vals, axis=-1)
+    own = shifted - d_own                         # subtract the diagonal term
+    lc -= np.maximum(0.0, own, out=own)
+    lc /= d_all.shape[-1] - 1
+    return lc
 
 
 def _softmax_lc(d_all: np.ndarray, d_own: np.ndarray) -> np.ndarray:
@@ -267,47 +267,61 @@ def _softmax_lc(d_all: np.ndarray, d_own: np.ndarray) -> np.ndarray:
     return d_own + lse
 
 
-def _unary_sides(codes: np.ndarray, label_rows: _LabelRows, centers: np.ndarray,
-                 kind: TripletLossKind):
-    """Both sides of the unary bound for a (b, n, r) stack of code sets that
-    share the labels of ``label_rows``, each with its own centers, stacked
-    (b, r, C).
+def _unary_reports(codes: np.ndarray, label_rows: _LabelRows, centers: np.ndarray,
+                   kind: TripletLossKind) -> list[BoundReport]:
+    """The unary check of each set in a checked (b, n, r) stack of float64
+    codes that share the labels of ``label_rows``, each with its own centers,
+    stacked (b, r, C).  Report t is bit-equal to the check of set t alone.
 
-    Returns the (b,) arrays lhs, rhs, sum_i lc_i and sum_i |h_i - c_{y_i}|,
-    and the multiplier (n/C)^2 (C-1).  Entry t is bit-equal to the
-    computation on set t alone.
-
-    The margin kind pairs g on the triplet side with the hinge
-    classification loss.  The softmax kind pairs the full softmax loss with
-    the background-shared comparator: for triplet (i, j, k) it carries the
-    fixed background mass B = sum over centers other than c_{y_i}, c_{y_k}
-    of exp(-|h_i - c_l|), which is exactly the comparator whose per-item
-    aggregate equals the full softmax loss on the bound side.
+    The left side is the exhaustive triplet loss, reduced as one
+    (b, n, k-1, n-k) block of terms; the right side is the multiplier
+    (n/C)^2 (C-1) times sum_i lc_i + 2 |h_i - c_{y_i}|.  The margin kind
+    pairs g on the triplet side with the hinge classification loss.  The
+    softmax kind pairs the full softmax loss with the background-shared
+    comparator: for triplet (i, j, k) it carries the fixed background mass
+    B = sum over centers other than c_{y_i}, c_{y_k} of exp(-|h_i - c_l|),
+    which is exactly the comparator whose per-item aggregate equals the
+    full softmax loss on the bound side.
     """
     b, n = codes.shape[:2]
     C = centers.shape[2]
-    y = label_rows.labels
-    Dc = _code_center_distances(codes, centers)                  # (b, n, C)
+    Dc = _code_center_distances(codes, centers)                   # (b, n, C)
     d_own = Dc.reshape(b, n * C).take(label_rows.own_at, axis=1)  # (b, n)
+    D = _pairwise_distances(codes).reshape(b, n * n)
+    # ``take`` returns C-contiguous arrays, stacked or not, so each triplet
+    # sum runs pairwise as the one-set sum does; a fancy-index gather from a
+    # stack would not be contiguous and would sum in sequence
+    d_pos = D.take(label_rows.sim_at, axis=1)[..., None]          # (b, n, k-1, 1)
+    d_neg = D.take(label_rows.dis_at, axis=1)[:, :, None]         # (b, n, 1, n-k)
     if kind.kind == "margin":
-        term = kind.g
+        terms = (kind.margin + d_pos) - d_neg
+        np.maximum(0.0, terms, out=terms)
         lc = _hinge_lc(d_own, Dc, kind)
     else:
         expd = np.exp(-Dc)
-        rows = np.arange(n)
+        rows, y = np.arange(n), label_rows.labels
         background = ((expd.sum(axis=2) - expd[:, rows, y])[:, :, None]
                       - expd[:, rows[:, None], y[label_rows.dis]])  # (b, n, n-k)
         log_background = np.log(np.maximum(background, 1e-300))[:, :, None, :]
-
-        def term(d_pos, d_neg):
-            tail = np.logaddexp(-d_pos, -d_neg)
-            return d_pos + np.logaddexp(tail, log_background)
-
+        terms = np.logaddexp(-d_pos, -d_neg)
+        np.logaddexp(terms, log_background, out=terms)
+        terms += d_pos
         lc = _softmax_lc(Dc, d_own)
-    lhs = _triplet_sums(_pairwise_distances(codes), label_rows, term)
     multiplier = (n / C) ** 2 * (C - 1)
-    rhs = multiplier * (lc + 2.0 * d_own).sum(axis=1)
-    return lhs, rhs, lc.sum(axis=1), d_own.sum(axis=1), multiplier
+    item_bounds = 2.0 * d_own
+    item_bounds += lc
+    reports = []
+    for lhs, bound_sum, lc_sum, dist_sum in zip(
+            _sum_in_row_order(np.add.reduce(terms, axis=(2, 3))).tolist(),
+            np.add.reduce(item_bounds, axis=1).tolist(),
+            np.add.reduce(lc, axis=1).tolist(), np.add.reduce(d_own, axis=1).tolist()):
+        rhs = multiplier * bound_sum
+        lam, degenerate = _lambda_from_parts(lhs, multiplier, lc_sum, dist_sum)
+        reports.append(BoundReport(lhs, rhs, multiplier, lam,
+                                   lhs <= rhs + BOUND_RTOL * abs(rhs),
+                                   kind=kind.kind, n=n, label_count=C,
+                                   degenerate=degenerate))
+    return reports
 
 
 def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
@@ -319,25 +333,12 @@ def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
     return (lhs / multiplier - lc_sum) / dist_sum, False
 
 
-def unary_upper_bounds(codes, labels, label_count: int, centers,
-                       kind: TripletLossKind) -> list[BoundReport]:
-    """``unary_upper_bound`` of each set in a (b, n, r) stack of codes that
-    share one balanced (n,) label vector over ``label_count`` labels, with
-    their centers stacked (b, r, C).
-
-    This is where labels are checked.  It raises LabelSetError on a label
-    that is not an integer in 0..C-1, DimensionMismatch on shapes that do not
-    agree, and PreconditionError on more than ``TRIPLET_CAP`` rows, a single
-    distinct label or an unbalanced set.  The reports come in stack order,
-    each equal to the single check's.  The stack is worked in pieces of
-    about ``UNARY_STACK_FLOATS`` elements.
-    """
-    codes = np.ascontiguousarray(codes, dtype=np.float64)
-    if codes.ndim != 3:
-        raise DimensionMismatch("codes must be a (b, n, r) stack")
+def _checked_stack(codes: np.ndarray, labels, label_count: int,
+                   centers) -> tuple[_LabelRows, np.ndarray]:
+    """The label rows and the C-contiguous float64 (b, r, C) centers of a
+    non-empty (b, n, r) stack of codes, once both are checked (see
+    ``unary_upper_bounds``)."""
     b, n, r = codes.shape
-    if not b:
-        return []
     labels = _label_vector(labels)
     if labels.shape != (n,):
         raise DimensionMismatch(f"need one label per code row, {n} in all, got "
@@ -346,22 +347,36 @@ def unary_upper_bounds(codes, labels, label_count: int, centers,
         raise PreconditionError(f"n={n} exceeds the exhaustive-enumeration cap "
                                 f"{TRIPLET_CAP}; triplet count grows as n^3")
     label_rows = _row_blocks(labels, label_count)
-    C = label_count
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    if centers.shape != (b, r, C):
-        raise DimensionMismatch(f"need ({r}, {C}) centers per code set, got "
+    if centers.shape != (b, r, label_count):
+        raise DimensionMismatch(f"need ({r}, {label_count}) centers per code set, got "
                                 f"{centers.shape[1:]}")
+    return label_rows, centers
+
+
+def unary_upper_bounds(codes, labels, label_count: int, centers,
+                       kind: TripletLossKind) -> list[BoundReport]:
+    """``unary_upper_bound`` of each set in a (b, n, r) stack of codes that
+    share one balanced (n,) label vector over ``label_count`` labels, with
+    their centers stacked (b, r, C).
+
+    It raises LabelSetError on a label that is not an integer in 0..C-1,
+    DimensionMismatch on shapes that do not agree, and PreconditionError on
+    more than ``TRIPLET_CAP`` rows, a single distinct label or an unbalanced
+    set.  The reports come in stack order, each equal to the single check's.
+    The stack is worked in pieces of about ``UNARY_STACK_FLOATS`` elements.
+    """
+    codes = np.ascontiguousarray(codes, dtype=np.float64)
+    if codes.ndim != 3:
+        raise DimensionMismatch("codes must be a (b, n, r) stack")
+    b, n, r = codes.shape
+    if not b:
+        return []
+    label_rows, centers = _checked_stack(codes, labels, label_count, centers)
     step = max(1, UNARY_STACK_FLOATS // max(1, n * n * max(n, r)))
     reports = []
     for s in range(0, b, step):
-        sides = _unary_sides(codes[s:s + step], label_rows, centers[s:s + step], kind)
-        multiplier = sides[-1]
-        for lhs, rhs, lc_sum, dist_sum in zip(*(a.tolist() for a in sides[:4])):
-            lam, degenerate = _lambda_from_parts(lhs, multiplier, lc_sum, dist_sum)
-            reports.append(BoundReport(lhs, rhs, multiplier, lam,
-                                       lhs <= rhs + BOUND_RTOL * abs(rhs),
-                                       kind=kind.kind, n=n, label_count=C,
-                                       degenerate=degenerate))
+        reports += _unary_reports(codes[s:s + step], label_rows, centers[s:s + step], kind)
     return reports
 
 
@@ -380,12 +395,16 @@ def unary_upper_bound(code_set: LabeledCodeSet, centers,
     |h_i - c_{y_i}| with L_t the triplet loss and M_t the multiplier; it is
     at most 2 whenever the plain bound holds.  It is 0 with ``degenerate``
     set when the denominator vanishes (every code sits on its own center).
+    The set is checked as a stack of one, with the inputs and errors of
+    ``unary_upper_bounds``.
     """
-    codes = np.asarray(code_set.codes)
+    codes = np.ascontiguousarray(code_set.codes, dtype=np.float64)
     if codes.ndim != 2:
         raise DimensionMismatch("codes must be an (n, r) matrix")
-    return unary_upper_bounds(codes[None], code_set.labels, code_set.label_count,
-                              np.asarray(centers)[None], kind)[0]
+    codes = codes[None]
+    label_rows, centers = _checked_stack(codes, code_set.labels, code_set.label_count,
+                                         np.asarray(centers)[None])
+    return _unary_reports(codes, label_rows, centers, kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +663,8 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
     total_triplets = n * (m - 1) * (n - m)
     if n < TOY_ENUMERATION_THRESHOLD:
         label_rows = _row_blocks(y, cfg.C)
-        lt = float(_triplet_sums(_pairwise_distances(codes), label_rows, kind.g))
+        # the exhaustive triplet loss is the left side of the cell's unary check
+        lt = _unary_reports(codes[None], label_rows, centers[None], kind)[0].brute_force_loss
         # relaxed comparator summed over the same exhaustive triplet set
         sim, dis = label_rows.sim, label_rows.dis
         g_part = kind.g(d_own[:, None], Dc[np.arange(n)[:, None], y[dis]])   # (n, n-k)
@@ -660,8 +680,10 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
             for s in range(0, T, TOY_CHUNK):
                 draws[s:s + TOY_CHUNK] = rng.integers(0, high, min(TOY_CHUNK, T - s))
         # the (n, n) table is no larger than T pairs; small row blocks keep
-        # its (block, n, r) differences small
-        D = _pairwise_distances(codes, block=16) if n * n <= T else None
+        # its (block, n, r) differences small.  It, Dc and d_own are looked
+        # up by flat index
+        D = _pairwise_distances(codes, block=TOY_TABLE_BLOCK).ravel() if n * n <= T else None
+        Dc_flat = Dc.ravel()
 
         def leaf_sums(lo: int, hi: int) -> np.ndarray:
             i_idx = i_all[lo:hi].astype(np.intp)
@@ -669,16 +691,23 @@ def _toy_cell(cfg: ToyConfig, sigma: float, d: float,
             off = off_all[lo:hi]
             j_idx = first + off + (off >= i_idx - first)          # j != i
             k_raw = rng.integers(0, n - m, hi - lo)    # k: the other clusters
-            k_idx = np.where(k_raw >= first, k_raw + m, k_raw)
+            k_idx = k_raw + (k_raw >= first) * m
             if D is not None:
-                d_ij, d_ik = D[i_idx, j_idx], D[i_idx, k_idx]
+                row = i_idx * n
+                d_ij, d_ik = D.take(row + j_idx), D.take(row + k_idx)
             else:
                 d_ij = _pair_distances(codes, i_idx, j_idx)
                 d_ik = _pair_distances(codes, i_idx, k_idx)
-            relaxed_terms = (kind.g(d_own[i_idx], Dc[i_idx, y[k_idx]])
-                             + d_own[j_idx] + d_own[k_idx])
-            return np.array([np.add.reduce(kind.g(d_ij, d_ik)),
-                             np.add.reduce(relaxed_terms)])
+            # g(d_ij, d_ik) and g(d_i, d_{i, y_k}) + d_j + d_k, formed in place
+            terms = kind.margin + d_ij
+            terms -= d_ik
+            np.maximum(0.0, terms, out=terms)
+            relaxed_terms = kind.margin + d_own.take(i_idx)
+            relaxed_terms -= Dc_flat.take(i_idx * cfg.C + y.take(k_idx))
+            np.maximum(0.0, relaxed_terms, out=relaxed_terms)
+            relaxed_terms += d_own.take(j_idx)
+            relaxed_terms += d_own.take(k_idx)
+            return np.array([np.add.reduce(terms), np.add.reduce(relaxed_terms)])
 
         # each mean is .mean() over all T terms: the tree sum divided by T
         g_sum, relaxed_sum = _pairwise_sum(T, leaf_sums, TOY_CHUNK)

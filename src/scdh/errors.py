@@ -26,4 +26,5 @@ class ParseError(ScdhError, ValueError):
 
 
 class DivergenceError(ScdhError, ArithmeticError):
-    """Training produced a non-finite loss (learning rate likely too high)."""
+    """Training produced a non-finite value: a loss (the learning rate is
+    likely too high) or a Hoelder norm that overflows at a large exponent."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, LabelSetError
+from .errors import DimensionMismatch, DivergenceError, LabelSetError
 
 Array = np.ndarray
 
@@ -133,13 +133,29 @@ def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]
     sign binarization.  All-zero rows get loss 1 and gradient 0; entries
     exactly at 0 get subgradient 0.  The masks that give those rows their
     values are applied only when such a row exists.
+
+    A large p takes the p-norm out of float64 range: |f|^p overflows for
+    entries above about 2^(1024/p) and underflows to 0 below about
+    2^(-1074/p), and the gradient's scale N^(1-p) overflows for row norms N
+    below 1.  Any of these raises DivergenceError naming the exponent, before
+    a value it would poison is formed.
     """
     _check_dual_norms(p, q)
     a = np.abs(F)
     s = a.sum(axis=1)
-    norm_p = (a**p).sum(axis=1) ** (1.0 / p)
-    every_live = norm_p.min(initial=np.inf) > 0.0   # false for a zero or a NaN
-    safe = norm_p if every_live else np.where(norm_p > 0.0, norm_p, 1.0)
+    with np.errstate(over="ignore"):
+        norm_p = (a**p).sum(axis=1) ** (1.0 / p)
+        every_live = norm_p.min(initial=np.inf) > 0.0   # false for a zero or a NaN
+        safe = norm_p if every_live else np.where(norm_p > 0.0, norm_p, 1.0)
+        scale = safe ** (1.0 - p)
+    # both are non-negative and one of them is at most 1, so their sum is inf
+    # exactly when one overflowed; a NaN row (non-finite input) passes both
+    # checks and is left to the caller's finite checks
+    if ((safe + scale).max(initial=0.0) == np.inf
+            or not every_live and ((norm_p == 0.0) & (s > 0.0)).any()):
+        raise DivergenceError(f"Hoelder exponent p={p:g}: an embedding row's p-norm "
+                              "or its gradient scale is out of float64 range; a "
+                              "smaller --holder-p keeps both finite")
     ones_q = float(F.shape[1]) ** (1.0 / q)
     loss = 1.0 - s / (ones_q * safe)
     loss.clip(0.0, 1.0, out=loss)
@@ -149,7 +165,7 @@ def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]
     a **= p - 1.0
     tail = s_col * sign
     tail *= a
-    tail *= n_col ** (1.0 - p)
+    tail *= scale[:, None]
     grad = sign
     grad *= n_col
     grad -= tail

@@ -535,7 +535,8 @@ def labeled_sets(draw):
     return bounds.LabeledCodeSet(codes, y, C), rng.normal(0, 2, (r, C))
 
 
-KINDS = [margin_loss(1.0), margin_loss(0.25), SOFTMAX]
+# at margin 0 hinge arguments land on exactly 0
+KINDS = [margin_loss(1.0), margin_loss(0.25), margin_loss(0.0), SOFTMAX]
 
 
 def balanced(code_set) -> bool:
@@ -565,8 +566,8 @@ class TestRowBlocksMatchReference:
                 bounds._row_blocks(cs.labels, cs.label_count)
             return
         label_rows = bounds._row_blocks(cs.labels, cs.label_count)
-        lhs = bounds._unary_sides(cs.codes[None], label_rows, centers[None], SOFTMAX)[0]
-        assert lhs.tolist() == [ref_softmax_background_triplet_loss(cs, centers)]
+        rep, = bounds._unary_reports(cs.codes[None], label_rows, centers[None], SOFTMAX)
+        assert rep.brute_force_loss == ref_softmax_background_triplet_loss(cs, centers)
 
     @settings(max_examples=200, deadline=None)
     @given(labeled_sets())
@@ -595,7 +596,9 @@ class TestRowBlocksMatchReference:
         # the reference's full (n, n, r) difference tensor, reduced per row
         want = np.linalg.norm(codes[:, None, :] - codes[None, :, :], axis=2)
         assert np.array_equal(D, want)
-        assert np.array_equal(bounds._pairwise_distances(codes, block=16), want)
+        # 150 is a multiple of neither block
+        for block in (1, bounds.TOY_TABLE_BLOCK, 16):
+            assert np.array_equal(bounds._pairwise_distances(codes, block=block), want), block
         i, j = rng.integers(0, 150, 500), rng.integers(0, 150, 500)
         assert np.array_equal(bounds._pair_distances(codes, i, j, chunk=64), D[i, j])
 
@@ -648,6 +651,17 @@ class TestUnaryStackMatchesReference:
                 assert rep.brute_force_loss == want
                 assert (rep.lambda_estimate, rep.degenerate) == \
                     ref_lambda(cs, centers[t], kind, want)
+
+    def test_benchmark_requests_match_reference(self):
+        # the inputs the certify benchmark times its single checks on
+        kind = margin_loss(1.0)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            cs, centers = bounds.random_bound_instance(rng, (2, 3, 4), 12, 16)
+            rep = bounds.unary_upper_bound(cs, centers, kind)
+            want = ref_brute_force_triplet_loss(cs, kind)
+            assert rep.brute_force_loss == want
+            assert (rep.lambda_estimate, rep.degenerate) == ref_lambda(cs, centers, kind, want)
 
     @settings(max_examples=60, deadline=None)
     @given(code_stacks())
@@ -862,6 +876,7 @@ class TestMonteCarloMatchesReference:
 class TestToyCellMatchesReference:
     @pytest.mark.parametrize("kw", [
         dict(samples_per_cluster=40, triplet_samples=20_000),    # n^2 <= T: table
+        dict(C=3, samples_per_cluster=20, triplet_samples=5_000),  # table, C=3
         dict(samples_per_cluster=60, triplet_samples=3_000),     # n^2 > T: pairs
         dict(samples_per_cluster=10),                            # enumeration
         dict(C=3, r=5, samples_per_cluster=7),                   # enumeration, C=3

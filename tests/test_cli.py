@@ -98,6 +98,18 @@ class TestValidation:
             assert hp.holder_p == p and hp.holder_q == p / (p - 1.0) > 1.0
             losses._check_dual_norms(hp.holder_p, hp.holder_q)
 
+    def test_large_holder_p_is_blamed_on_itself(self, tmp_path):
+        # p = 1000 takes the p-norm of small embedding rows out of float64
+        # range: the run names --holder-p, not the learning rate, in one line
+        run_cli("gen", "--preset", "clusters8", "--seed", 1, "--out", tmp_path / "d")
+        proc = run_cli("train", "--data", tmp_path / "d" / "train.scds",
+                       "--preset", "clusters8", "--epochs", 2, "--holder-p", 1000,
+                       "--out", tmp_path / "m", expect=2)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "runtime" and "--holder-p" in err["message"]
+
     @pytest.mark.parametrize("command,unlabeled", [("train", 0), ("train-semi", 4)])
     def test_label_set_covering_every_class(self, tmp_path, command, unlabeled):
         # rejected while the label matrix is built, before any training step

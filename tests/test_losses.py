@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdh import losses
-from scdh.errors import DimensionMismatch, LabelSetError, NonFiniteError
+from scdh.errors import DimensionMismatch, DivergenceError, LabelSetError, NonFiniteError
 
 import oracles
 from conftest import central_diff, labels_from_sets, rel_err
@@ -544,6 +544,35 @@ class TestKernelBytes:
                            oracles.ref_quantization_batch(F))):
             for a, b in zip(got, want, strict=True):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), case
+
+
+class TestHolderExponentRange:
+    """At a large Hoelder exponent the p-norm leaves float64 range; the batch
+    refuses by naming the exponent, and emits no numpy warning (the suite
+    turns warnings into errors)."""
+
+    P = 1000.0
+
+    @pytest.mark.parametrize("entry", [
+        10.0,      # |f|^p overflows, so the norm is inf
+        0.48,      # the norm is below 1, so its gradient scale N^(1-p) overflows
+        0.01,      # |f|^p underflows, so a non-zero row gets norm 0
+    ])
+    def test_out_of_range_row_refused(self, rng, entry):
+        F = rng.normal(1.5, 0.1, (5, 24))       # rows of norm about 1.7: in range
+        losses.quantization_batch(F, self.P, self.P / (self.P - 1.0))
+        F[3] = entry * np.sign(rng.normal(size=24))
+        with pytest.raises(DivergenceError, match=r"p=1000\b.*--holder-p"):
+            losses.quantization_batch(F, self.P, self.P / (self.P - 1.0))
+
+    def test_in_range_rows_keep_their_values(self, rng):
+        # an all-zero row (norm 0) and a NaN row are no range failure
+        F = rng.normal(1.5, 0.1, (4, 24))
+        F[1] = 0.0
+        F[2, 5] = np.nan
+        loss, grad = losses.quantization_batch(F, self.P, self.P / (self.P - 1.0))
+        assert loss[1] == 1.0 and not grad[1].any()
+        assert np.isfinite(loss).all() and np.isfinite(grad).all()
 
 
 class TestLabelMatrix:
