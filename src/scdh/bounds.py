@@ -82,12 +82,11 @@ _PAIRWISE_BLOCK = 128
 
 @dataclass(frozen=True)
 class LabeledCodeSet:
-    """(n, r) codes (real or +/-1 valued) with their (n,) label vector over
-    ``label_count`` labels; ``unary_upper_bound`` checks both."""
+    """(n, r) codes (real or +/-1 valued) with their (n,) label vector;
+    ``unary_upper_bound`` checks both against the centers it is given."""
 
     codes: np.ndarray
     labels: np.ndarray
-    label_count: int
 
 
 def _label_vector(labels) -> np.ndarray:
@@ -333,8 +332,7 @@ def _lambda_from_parts(lhs: float, multiplier: float, lc_sum: float,
     return (lhs / multiplier - lc_sum) / dist_sum, False
 
 
-def _checked_stack(codes: np.ndarray, labels, label_count: int,
-                   centers) -> tuple[_LabelRows, np.ndarray]:
+def _checked_stack(codes: np.ndarray, labels, centers) -> tuple[_LabelRows, np.ndarray]:
     """The label rows and the C-contiguous float64 (b, r, C) centers of a
     non-empty (b, n, r) stack of codes, once both are checked (see
     ``unary_upper_bounds``)."""
@@ -346,19 +344,17 @@ def _checked_stack(codes: np.ndarray, labels, label_count: int,
     if n > TRIPLET_CAP:
         raise PreconditionError(f"n={n} exceeds the exhaustive-enumeration cap "
                                 f"{TRIPLET_CAP}; triplet count grows as n^3")
-    label_rows = _row_blocks(labels, label_count)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    if centers.shape != (b, r, label_count):
-        raise DimensionMismatch(f"need ({r}, {label_count}) centers per code set, got "
-                                f"{centers.shape[1:]}")
-    return label_rows, centers
+    if centers.ndim != 3 or centers.shape[:2] != (b, r):
+        raise DimensionMismatch(f"need {b} stacked ({r}, C) center matrices, got "
+                                f"shape {centers.shape}")
+    return _row_blocks(labels, centers.shape[2]), centers
 
 
-def unary_upper_bounds(codes, labels, label_count: int, centers,
-                       kind: TripletLossKind) -> list[BoundReport]:
+def unary_upper_bounds(codes, labels, centers, kind: TripletLossKind) -> list[BoundReport]:
     """``unary_upper_bound`` of each set in a (b, n, r) stack of codes that
-    share one balanced (n,) label vector over ``label_count`` labels, with
-    their centers stacked (b, r, C).
+    share one balanced (n,) label vector, with their centers stacked
+    (b, r, C); the C center columns are the labels.
 
     It raises LabelSetError on a label that is not an integer in 0..C-1,
     DimensionMismatch on shapes that do not agree, and PreconditionError on
@@ -372,7 +368,7 @@ def unary_upper_bounds(codes, labels, label_count: int, centers,
     b, n, r = codes.shape
     if not b:
         return []
-    label_rows, centers = _checked_stack(codes, labels, label_count, centers)
+    label_rows, centers = _checked_stack(codes, labels, centers)
     step = max(1, UNARY_STACK_FLOATS // max(1, n * n * max(n, r)))
     reports = []
     for s in range(0, b, step):
@@ -385,10 +381,11 @@ def unary_upper_bound(code_set: LabeledCodeSet, centers,
     """Check the exhaustive triplet loss against its unary upper bound.
 
     The bound multiplies (n/C)^2 (C-1) into the per-item sum of the
-    classification-style loss plus twice the own-center distance.  It holds
-    for any auxiliary centers on a balanced set, n/C codes per label, with
-    the same comparator g on both sides (hinge, or full softmax paired
-    with the background-shared comparator on the triplet side).
+    classification-style loss plus twice the own-center distance, with C the
+    columns of the (r, C) centers.  It holds for any auxiliary centers on a
+    balanced set, n/C codes per label, with the same comparator g on both
+    sides (hinge, or full softmax paired with the background-shared
+    comparator on the triplet side).
 
     The report's ``lambda_estimate`` is the smallest coefficient making the
     tightened bound hold on this set, (L_t / M_t - sum_i lc_i) / sum_i
@@ -402,8 +399,7 @@ def unary_upper_bound(code_set: LabeledCodeSet, centers,
     if codes.ndim != 2:
         raise DimensionMismatch("codes must be an (n, r) matrix")
     codes = codes[None]
-    label_rows, centers = _checked_stack(codes, code_set.labels, code_set.label_count,
-                                         np.asarray(centers)[None])
+    label_rows, centers = _checked_stack(codes, code_set.labels, np.asarray(centers)[None])
     return _unary_reports(codes, label_rows, centers, kind)[0]
 
 
@@ -519,9 +515,10 @@ def _trial_sides(Y: np.ndarray, G: np.ndarray, Gc: np.ndarray, Dc: np.ndarray,
     return lhs, rhs
 
 
-def multilabel_bound_check(codes, C: int, p: float, centers, trials: int,
+def multilabel_bound_check(codes, p: float, centers, trials: int,
                            seed: int, kind: TripletLossKind) -> BoundReport:
-    """Monte Carlo check of the multilabel expectation bound.
+    """Monte Carlo check of the multilabel expectation bound on (n, r) codes
+    with (r, C) centers, one column per label.
 
     Label sets are drawn with independent per-label inclusion probability p
     (empty draws resampled, so the check conditions on non-empty label sets).
@@ -540,7 +537,10 @@ def multilabel_bound_check(codes, C: int, p: float, centers, trials: int,
         raise PreconditionError(f"need at least {MIN_TRIALS} Monte Carlo trials")
     codes = np.asarray(codes, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    n = codes.shape[0]
+    if codes.ndim != 2 or centers.ndim != 2 or centers.shape[0] != codes.shape[1]:
+        raise DimensionMismatch(f"need (n, r) codes and (r, C) centers, got "
+                                f"{codes.shape} and {centers.shape}")
+    n, C = codes.shape[0], centers.shape[1]
     if n < 1 or C < 2:
         raise PreconditionError("need at least one code row and two labels")
     rng = np.random.default_rng(seed)
@@ -764,7 +764,7 @@ def random_bound_instance(rng: np.random.Generator, classes, max_n: int,
                           max_r: int):
     """Balanced +/-1 codes with random real centers for one bound check."""
     C, per_class, codes, centers = _draw_bound_arrays(rng, classes, max_n, max_r)
-    return LabeledCodeSet(codes, np.repeat(np.arange(C), per_class), C), centers
+    return LabeledCodeSet(codes, np.repeat(np.arange(C), per_class)), centers
 
 
 def run_bound_suite(instances: int, classes, max_n: int, max_r: int,
@@ -789,7 +789,7 @@ def run_bound_suite(instances: int, classes, max_n: int, max_r: int,
         for (C, per_class, _), members in groups.items():
             stack = unary_upper_bounds(
                 np.stack([draws[t][2] for t in members]),
-                np.repeat(np.arange(C), per_class), C,
+                np.repeat(np.arange(C), per_class),
                 np.stack([draws[t][3] for t in members]), kind)
             for t, report in zip(members, stack):
                 chunk[t] = report
@@ -810,7 +810,7 @@ def run_multilabel_suite(configs: int, trials: int, kind: TripletLossKind, seed:
         codes = rng.choice([-1.0, 1.0], size=(n, r))
         centers = rng.normal(0.0, 2.0, (r, C))
         reports.append(multilabel_bound_check(
-            codes, C, p, centers, trials=trials, seed=seed + 7919 * (i + 1), kind=kind))
+            codes, p, centers, trials=trials, seed=seed + 7919 * (i + 1), kind=kind))
     return reports
 
 

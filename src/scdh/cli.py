@@ -1,11 +1,11 @@
 """Command-line front door.
 
 Subcommands: gen, train, train-semi, encode, eval, verify-bounds, lambda-toy.
-Every run resolves its configuration from defaults < --preset < --hp-preset
-< --config JSON < explicit flags, each value checked against its flag's domain
-before any work starts, writes all artifacts atomically (temp file +
-rename), and finishes with a run-manifest JSON recording the resolved config,
-seed, versions, and sha256 hashes of every output.  Exit codes: 0 success,
+Every run resolves its configuration from defaults < --preset < --config
+JSON < explicit flags, each value checked against its flag's domain before
+any work starts, writes all artifacts atomically (temp file + rename), and
+finishes with a run-manifest JSON recording the resolved config, seed,
+versions, and sha256 hashes of every output.  Exit codes: 0 success,
 1 validation error (a damaged input file included), 2 runtime/numeric
 error, with a machine-readable JSON object on stderr for failures.  SCDH_LOG
 sets the log level.
@@ -435,14 +435,12 @@ def cmd_gen(cfg: dict, run: Run):
 _TRAIN_BASE = {
     "data": (File(), None, "training dataset (.scds)"),
     "preset": (Choice(TRAIN_PRESETS), None, "training preset"),
-    "hp-preset": (Choice(model.HP_PRESETS), None, "hyperparameter triple"),
     "bits": (Int(1), 24, "code length r"),
     "hidden": (List(Int(1)), "64", "trunk widths"),
     "lam": (Float(0.0), 0.005, "center-distance weight lambda"),
     "mu": (Float(0.0), 0.2, "classification weight mu"),
     "alpha": (Float(0.0), 0.05, "quantization weight alpha"),
-    # below 2**53, p - 1 is exact and less than p, so the dual exponent
-    # q = p / (p - 1) that ``hyperparams`` works out stays above 1
+    # the domain of ``losses.dual_exponent``, which works out q = p / (p - 1)
     "holder-p": (Float(1.0, 2.0**53, lo_open=True), 3.0,
                  "Hoelder exponent p; its dual q is p / (p - 1)"),
     "epochs": (Int(1), 30, "training epochs"),
@@ -466,12 +464,9 @@ TRAIN_SEMI_SPEC = dict(COMMON, **_TRAIN_BASE, **{
 
 
 def hyperparams(cfg: dict) -> model.Hyperparams:
-    """The training hyperparameters of a resolved train or train-semi config,
-    with the Hoelder exponent's dual: 1/p + 1/q = 1."""
-    p = cfg["holder-p"]
+    """The training hyperparameters of a resolved train or train-semi config."""
     return model.Hyperparams(
-        lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"],
-        holder_p=p, holder_q=p / (p - 1.0),
+        lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"], holder_p=cfg["holder-p"],
         warmup_epochs=cfg["warmup-epochs"], warmup_norm_s=cfg["warmup-norm"],
         lr=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
         batch_size=cfg["batch-size"], lr_schedule=cfg["lr-schedule"],

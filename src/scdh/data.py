@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, LabelSetError, ParseError, PreconditionError
 from .model import row_blocks
-from .retrieval import pack_bits
+from .retrieval import pack_bits, unpack_bits
 
 DATASET_MAGIC = b"SCDS"
 DATASET_VERSION = 1
@@ -269,8 +269,7 @@ def open_dataset(path) -> DatasetFile:
                     h = int(high[i])
                     raise ParseError(f"row {i}: label {C + (h & -h).bit_length() - 1} "
                                      f"out of range for C={C}")
-                labels = np.unpackbits(words.view(np.uint8), axis=1, count=C,
-                                       bitorder="little").view(bool) & mask[:, None]
+                labels = unpack_bits(words, C) & mask[:, None]
             else:
                 vals = _read(fh, n, "<u4")
                 rows = np.flatnonzero(mask & (vals != _UNLABELED_U32))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError, LabelSetError
+from .errors import DimensionMismatch, DivergenceError, LabelSetError, PreconditionError
 
 Array = np.ndarray
 
@@ -63,11 +63,15 @@ def _as_centers(centers) -> Array:
     return m
 
 
-def _check_dual_norms(p: float, q: float):
-    if p <= 1.0 or q <= 1.0:
-        raise ValueError("p and q must both exceed 1")
-    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
-        raise ValueError(f"(p, q) = ({p}, {q}) are not dual: 1/p + 1/q != 1")
+def dual_exponent(p: float) -> float:
+    """The Hoelder dual q = p / (p - 1) of p, so that 1/p + 1/q = 1.
+
+    Raises PreconditionError unless 1 < p < 2^53: below 2^53, p - 1 is exact
+    and less than p, so q stays above 1.
+    """
+    if not 1.0 < p < 2.0**53:
+        raise PreconditionError(f"Hoelder exponent p={p} must lie in (1, 2^53)")
+    return p / (p - 1.0)
 
 
 def require_negative_class(Y) -> None:
@@ -124,15 +128,16 @@ def distance_gradients(U, coef) -> tuple[Array, Array]:
     return grad_F, -np.einsum("nrc,nc->rc", U, coef)
 
 
-def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]:
+def quantization_batch(F, p: float = 3.0) -> tuple[Array, Array]:
     """Row-wise penalty 1 - sum|f_i| / (r^(1/q) * ||f||_p) of (n, r) F, and
-    its gradient.
+    its gradient; q is the dual exponent of p (``dual_exponent``).
 
     In [0, 1] by Hoelder's inequality and scale invariant; 0 exactly when all
     |f_i| of a row agree, so it drives entries toward equal magnitude before
     sign binarization.  All-zero rows get loss 1 and gradient 0; entries
-    exactly at 0 get subgradient 0.  The masks that give those rows their
-    values are applied only when such a row exists.
+    exactly at 0 get subgradient 0; a row holding a NaN gets a NaN loss and
+    gradient.  The masks that give zero rows their values are applied only
+    when such a row exists.
 
     A large p takes the p-norm out of float64 range: |f|^p overflows for
     entries above about 2^(1024/p) and underflows to 0 below about
@@ -140,18 +145,18 @@ def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]
     below 1.  Any of these raises DivergenceError naming the exponent, before
     a value it would poison is formed.
     """
-    _check_dual_norms(p, q)
+    q = dual_exponent(p)
     a = np.abs(F)
     s = a.sum(axis=1)
     with np.errstate(over="ignore"):
         norm_p = (a**p).sum(axis=1) ** (1.0 / p)
         every_live = norm_p.min(initial=np.inf) > 0.0   # false for a zero or a NaN
-        safe = norm_p if every_live else np.where(norm_p > 0.0, norm_p, 1.0)
+        safe = norm_p if every_live else np.where(norm_p != 0.0, norm_p, 1.0)
         scale = safe ** (1.0 - p)
     # both are non-negative and one of them is at most 1, so their sum is inf
     # exactly when one overflowed; a NaN row (non-finite input) passes both
     # checks and is left to the caller's finite checks
-    if ((safe + scale).max(initial=0.0) == np.inf
+    if (((safe + scale) == np.inf).any()
             or not every_live and ((norm_p == 0.0) & (s > 0.0)).any()):
         raise DivergenceError(f"Hoelder exponent p={p:g}: an embedding row's p-norm "
                               "or its gradient scale is out of float64 range; a "
@@ -173,7 +178,7 @@ def quantization_batch(F, p: float = 3.0, q: float = 1.5) -> tuple[Array, Array]
     grad /= ones_q * n_col**2
     if every_live:
         return loss, grad
-    live = norm_p > 0.0
+    live = norm_p != 0.0
     return np.where(live, loss, 1.0), np.where(live[:, None], grad, 0.0)
 
 
@@ -203,18 +208,18 @@ def _log_softmax_rows(Z: Array) -> Array:
     return Z - (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))
 
 
-def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
-               q: float = 1.5) -> SculBatch:
+def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0) -> SculBatch:
     """The unary objective's terms and gradients for a whole batch at once.
 
     ``F`` is (n, r), ``centers`` (r, C), ``logits`` (n, C) and ``Y`` the
     (n, C) label matrix of ``data.Dataset``.  A row with label set Y gets the
     unary loss (1/|Y|) sum_{s in Y} -log p_s + lam sum_{s in Y} |f - c_s|,
     p the softmax of the negative center distances, the mean cross-entropy
-    of its logits over Y, and the quantization penalty.  Single-label and
-    multilabel rows share one per-distance coefficient
-    [k in Y](1/|Y| + lam) - p_k, pushed through the unit directions.  The
-    masks that zero the unlabeled rows are applied only when one exists.
+    of its logits over Y, and the quantization penalty at Hoelder exponent
+    ``p``.  Single-label and multilabel rows share one per-distance
+    coefficient [k in Y](1/|Y| + lam) - p_k, pushed through the unit
+    directions.  The masks that zero the unlabeled rows are applied only when
+    one exists.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
@@ -247,7 +252,7 @@ def scul_batch(F, centers, logits, Y, lam: float, p: float = 3.0,
         grad_logits = np.where(labeled, grad_logits, 0.0)
     grad_F, grad_c = distance_gradients(U, Y * (inv_col + lam) - p_rows)
 
-    quant, grad_q = quantization_batch(F, p, q)
+    quant, grad_q = quantization_batch(F, p)
     return SculBatch(scul, classification, quant, pull, grad_F, grad_q,
                      grad_logits, grad_c, D, U)
 

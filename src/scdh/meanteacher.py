@@ -146,8 +146,7 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
             "likely too high"
         )
     # one kernel call serves every row; unlabeled rows get quantization only
-    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
-                          hp.holder_p, hp.holder_q)
+    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam, hp.holder_p)
     grad_F = k.grad_embedding + hp.alpha * k.grad_quantization
     grad_logits = hp.mu * k.grad_logits
     grads = model.grads
@@ -173,7 +172,7 @@ def _sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
     # every block is written; adding 0.0 turns each -0 into +0, as a sum into
     # a zeroed vector would: the momentum update of a -0 velocity reads the sign
     model.grad += 0.0
-    sgd_update(model, model.grad, lr, hp.momentum)
+    sgd_update(model, lr, hp.momentum)
     return rows, extra
 
 

@@ -34,13 +34,14 @@ EMBED_BLOCK_ROWS = 1024
 
 @dataclass
 class Hyperparams:
-    """Training hyperparameters; (holder_p, holder_q) must be dual norms."""
+    """Training hyperparameters.  ``holder_q`` is not set but worked out: the
+    dual exponent of ``holder_p``, 1/p + 1/q = 1 (``losses.dual_exponent``)."""
 
     lam: float = 0.005
     mu: float = 0.2
     alpha: float = 0.05
     holder_p: float = 3.0
-    holder_q: float = 1.5
+    holder_q: float = field(init=False)
     warmup_epochs: int = 0
     warmup_norm_s: float = 8.0
     lr: float = 0.01
@@ -52,16 +53,15 @@ class Hyperparams:
 
     def __post_init__(self):
         self.lr_schedule = tuple((int(e), float(m)) for e, m in self.lr_schedule)
-        floats = (self.lam, self.mu, self.alpha, self.holder_p, self.holder_q,
-                  self.warmup_norm_s, self.lr, self.momentum)
+        floats = (self.lam, self.mu, self.alpha, self.holder_p, self.warmup_norm_s,
+                  self.lr, self.momentum)
         if not all(math.isfinite(v) for v in floats):
             raise PreconditionError("hyperparameters must be finite")
         if not all(0.0 < m < math.inf for _, m in self.lr_schedule):
             raise PreconditionError("lr_schedule multipliers must be finite and positive")
         if min(self.lam, self.mu, self.alpha) < 0:
             raise PreconditionError("loss weights must be non-negative")
-        if abs(1.0 / self.holder_p + 1.0 / self.holder_q - 1.0) > 1e-9:
-            raise PreconditionError("holder_p and holder_q must satisfy 1/p + 1/q = 1")
+        self.holder_q = losses.dual_exponent(self.holder_p)
         if self.warmup_epochs < 0 or self.warmup_norm_s <= 0:
             raise PreconditionError("invalid warm-up settings")
         if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
@@ -78,15 +78,6 @@ class Hyperparams:
             if epoch >= e:
                 lr *= m
         return lr
-
-
-# Hyperparameter triples reported for the reference image benchmarks; they
-# document the recommended operating points and run against user data.
-HP_PRESETS = {
-    "cifar10-like": dict(lam=0.005, mu=0.2, alpha=0.05),
-    "nuswide-like": dict(lam=0.001, mu=0.1, alpha=1.0),
-    "imagenet-like": dict(lam=0.001, mu=0.1, alpha=4.0),
-}
 
 
 @dataclass
@@ -228,15 +219,12 @@ def _backprop_chain(model: EmbeddingModel, acts: list, grad_F: np.ndarray,
             grad_a = grad_z @ model.trunk[idx].W
 
 
-def sgd_update(model: EmbeddingModel, grad: np.ndarray, lr: float,
-               momentum: float):
-    """v <- momentum * v - lr * g;  theta <- theta + v  (in place).
-
-    ``grad`` is a gradient vector in ``theta``'s layout.
-    """
+def sgd_update(model: EmbeddingModel, lr: float, momentum: float):
+    """v <- momentum * v - lr * g;  theta <- theta + v  (in place), with g
+    the model's gradient vector ``model.grad``."""
     v = model.velocity
     v *= momentum
-    v -= lr * grad
+    v -= lr * model.grad
     model.theta += v
 
 
@@ -285,7 +273,7 @@ class TrainReport:
 
 def mean_quantization(model: EmbeddingModel, features, hp: Hyperparams) -> float:
     F = extract_embeddings(model, features)
-    return float(losses.quantization_batch(F, hp.holder_p, hp.holder_q)[0].mean())
+    return float(losses.quantization_batch(F, hp.holder_p)[0].mean())
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -440,12 +428,20 @@ def _parse_meta(raw: bytes) -> dict:
 
 
 def _hyperparams_from_meta(meta: dict) -> Hyperparams:
+    """The meta block's hyperparameters.  A stored ``holder_q`` is not read
+    but checked: it must be dual to ``holder_p`` within 1e-9."""
     hp_dict = dict(meta.get("hyperparams", {}))
     unknown = set(hp_dict) - {f.name for f in fields(Hyperparams)}
     if unknown:
         raise ParseError(f"unknown hyperparameters in meta block: {sorted(unknown)}")
+    q = hp_dict.pop("holder_q", None)
     try:
         hp_dict["lr_schedule"] = tuple(tuple(x) for x in hp_dict.get("lr_schedule", ()))
-        return Hyperparams(**hp_dict)
+        hp = Hyperparams(**hp_dict)
+        # written as "not within" so that NaN fails
+        if q is not None and not abs(1.0 / hp.holder_p + 1.0 / q - 1.0) <= 1e-9:
+            raise ValueError(f"holder_q={q} is not dual to holder_p={hp.holder_p}: "
+                             "1/p + 1/q != 1")
+        return hp
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad hyperparameters in meta block: {exc}") from None

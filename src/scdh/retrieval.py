@@ -64,11 +64,11 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Inverse of pack_bits; returns a boolean (..., nbits) array."""
+    """Inverse of pack_bits; returns a boolean (..., nbits) array of the
+    first nbits bits of each row of words."""
     words = np.asarray(words, dtype="<u8")
     as_bytes = words.view(np.uint8).reshape(words.shape[:-1] + (words.shape[-1] * 8,))
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[..., :nbits].astype(bool)
+    return np.unpackbits(as_bytes, axis=-1, count=nbits, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def step_gradient(net, X, labels, hp) -> np.ndarray:
     update, which is skipped: ``net`` is left as it was."""
     caught = []
     real = meanteacher.sgd_update
-    meanteacher.sgd_update = lambda _net, grad, _lr, _momentum: caught.append(grad)
+    meanteacher.sgd_update = lambda net, _lr, _momentum: caught.append(net.grad.copy())
     try:
         meanteacher._sgd_step(net, X, labels, hp, hp.lr)
     finally:

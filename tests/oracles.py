@@ -21,12 +21,21 @@ import numpy as np
 from scdh import losses
 from scdh.errors import (DimensionMismatch, DivergenceError, LabelSetError,
                          NonFiniteError, PreconditionError)
-from scdh.losses import SculBatch, _as_centers, _check_dual_norms
+from scdh.losses import SculBatch, _as_centers
 from scdh.meanteacher import consistency_losses
 from scdh.model import (EmbeddingModel, Hyperparams, _backprop_chain, forward_batch,
                         sgd_update)
 
 Array = np.ndarray
+
+
+def _check_dual_norms(p: float, q: float):
+    """The references take the exponents (p, q) apart and check that they
+    are dual, 1/p + 1/q = 1, where ``losses`` works q out from p."""
+    if p <= 1.0 or q <= 1.0:
+        raise ValueError("p and q must both exceed 1")
+    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
+        raise ValueError(f"(p, q) = ({p}, {q}) are not dual: 1/p + 1/q != 1")
 
 
 def _as_vector(x, name: str) -> Array:
@@ -386,8 +395,7 @@ def ref_sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
             "likely too high"
         )
     # one kernel call serves every row; unlabeled rows get quantization only
-    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam,
-                          hp.holder_p, hp.holder_q)
+    k = losses.scul_batch(F, model.centers, logits, labels, hp.lam, hp.holder_p)
     grad_F = k.grad_embedding + hp.alpha * k.grad_quantization
     grad_logits = hp.mu * k.grad_logits
     grads = model.grads
@@ -407,7 +415,7 @@ def ref_sgd_step(model: EmbeddingModel, X, labels: np.ndarray, hp: Hyperparams,
     # every block is written; adding 0.0 turns each -0 into +0, as a sum into
     # a zeroed vector would: the momentum update of a -0 velocity reads the sign
     model.grad += 0.0
-    sgd_update(model, model.grad, lr, hp.momentum)
+    sgd_update(model, lr, hp.momentum)
     return rows, extra
 
 

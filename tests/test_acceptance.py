@@ -244,7 +244,7 @@ def test_criterion_4_multilabel_bound_certification():
         r = int(rng.integers(4, 9))
         codes = rng.choice([-1.0, 1.0], size=(n, r))
         centers = rng.normal(0, 2, (r, C))
-        rep = bounds.multilabel_bound_check(codes, C, p, centers, trials=5000,
+        rep = bounds.multilabel_bound_check(codes, p, centers, trials=5000,
                                             seed=1000 + i, kind=losses.margin_loss(1.0))
         if not rep.holds:
             failures.append((C, p, n, r))
@@ -273,8 +273,8 @@ def test_criterion_5_quantization_properties():
     base = lq(f)
     for t in (1e-3, 0.25, 7.0, 1e4):
         assert abs(lq(t * f) - base) < 1e-12
-    # hand value at the stated default exponents
-    val = lq([1.0, 0.0], p=3.0, q=1.5)
+    # hand value at the stated default exponent p = 3, whose dual is q = 1.5
+    val = lq([1.0, 0.0], p=3.0)
     assert abs(val - (1.0 - 2.0 ** (-2.0 / 3.0))) < 1e-12
     report(5, "quantization-properties")
 

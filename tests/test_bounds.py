@@ -57,15 +57,15 @@ def random_balanced_instance(rng, C_choices=(2, 3, 4), max_per_class=4, max_r=16
     codes = rng.choice([-1.0, 1.0], size=(C * per_class, r))
     labels = np.repeat(np.arange(C), per_class)
     centers = rng.normal(0, 2, (r, C))
-    return bounds.LabeledCodeSet(codes, labels, C), centers
+    return bounds.LabeledCodeSet(codes, labels), centers
 
 
-def exhaustive_loss(code_set, kind):
-    """The exhaustive triplet loss of a balanced set: the left side of its
-    unary check.  Centers far from every code leave the softmax kind no
-    background mass, so it sums the plain comparator g."""
+def exhaustive_loss(code_set, C, kind):
+    """The exhaustive triplet loss of a set balanced over C labels: the left
+    side of its unary check.  Centers far from every code leave the softmax
+    kind no background mass, so it sums the plain comparator g."""
     r = np.asarray(code_set.codes).shape[1]
-    far = np.full((r, code_set.label_count), 1e6)
+    far = np.full((r, C), 1e6)
     return bounds.unary_upper_bound(code_set, far, kind).brute_force_loss
 
 
@@ -83,7 +83,7 @@ def trial_lhs(codes, sets, C, kind):
 def check_one(codes, labels, C):
     """``unary_upper_bound`` of a code set, with zero centers."""
     r = np.asarray(codes).shape[-1]
-    return bounds.unary_upper_bound(bounds.LabeledCodeSet(codes, labels, C),
+    return bounds.unary_upper_bound(bounds.LabeledCodeSet(codes, labels),
                                     np.zeros((r, C)), margin_loss(1.0))
 
 
@@ -106,12 +106,11 @@ class TestLabeledCodeSet:
             with pytest.raises(LabelSetError, match="integer"):
                 check_one(np.ones((4, 3)), bad, 2)
             with pytest.raises(LabelSetError, match="integer"):
-                bounds.unary_upper_bounds(np.ones((2, 4, 3)), bad, 2, centers, kind)
+                bounds.unary_upper_bounds(np.ones((2, 4, 3)), bad, centers, kind)
         for good in ([0.0, 1.0, 0.0, 1.0], np.array([0, 1, 0, 1], np.uint8),
                      np.array([False, True, False, True])):
-            got = bounds.unary_upper_bounds(np.ones((2, 4, 3)), good, 2, centers, kind)
-            want = bounds.unary_upper_bounds(np.ones((2, 4, 3)), [0, 1, 0, 1], 2, centers,
-                                             kind)
+            got = bounds.unary_upper_bounds(np.ones((2, 4, 3)), good, centers, kind)
+            want = bounds.unary_upper_bounds(np.ones((2, 4, 3)), [0, 1, 0, 1], centers, kind)
             assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
             assert check_one(np.ones((4, 3)), good, 2).to_dict() == want[0].to_dict()
 
@@ -157,36 +156,36 @@ class TestLabeledCodeSet:
 class TestBruteForce:
     def test_separated_clusters_zero(self):
         codes = np.array([[10.0, 10.0], [10.0, 10.0], [-10.0, -10.0], [-10.0, -10.0]])
-        cs = bounds.LabeledCodeSet(codes, [0, 0, 1, 1], 2)
-        assert exhaustive_loss(cs, margin_loss(1.0)) == 0.0
+        cs = bounds.LabeledCodeSet(codes, [0, 0, 1, 1])
+        assert exhaustive_loss(cs, 2, margin_loss(1.0)) == 0.0
 
     def test_two_items_no_triplets(self):
-        cs = bounds.LabeledCodeSet(np.eye(2), [0, 1], 2)
-        assert exhaustive_loss(cs, margin_loss(1.0)) == 0.0
+        cs = bounds.LabeledCodeSet(np.eye(2), [0, 1])
+        assert exhaustive_loss(cs, 2, margin_loss(1.0)) == 0.0
 
     def test_matches_naive_oracle(self, rng):
         kind = margin_loss(1.0)
         codes = rng.choice([-1.0, 1.0], size=(8, 4))
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        cs = bounds.LabeledCodeSet(codes, labels, 2)
-        got = exhaustive_loss(cs, kind)
+        cs = bounds.LabeledCodeSet(codes, labels)
+        got = exhaustive_loss(cs, 2, kind)
         want = naive_triplet_loss(codes, labels, kind)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_naive_many(self, rng):
         for _ in range(15):
-            cs, _ = random_balanced_instance(rng, max_per_class=3, max_r=6)
+            cs, centers = random_balanced_instance(rng, max_per_class=3, max_r=6)
             for kind in (margin_loss(1.0), SOFTMAX):
-                got = exhaustive_loss(cs, kind)
+                got = exhaustive_loss(cs, centers.shape[1], kind)
                 want = naive_triplet_loss(cs.codes, cs.labels, kind)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_cap_enforced(self, rng):
         codes = rng.normal(0, 1, (70, 2))
         labels = np.arange(70) % 2
-        cs = bounds.LabeledCodeSet(codes, labels, 2)
+        cs = bounds.LabeledCodeSet(codes, labels)
         with pytest.raises(PreconditionError):
-            exhaustive_loss(cs, margin_loss(1.0))
+            exhaustive_loss(cs, 2, margin_loss(1.0))
 
 
 class TestMultilabelBruteForce:
@@ -197,12 +196,13 @@ class TestMultilabelBruteForce:
         assert got == naive_multilabel_loss(codes, sets, margin_loss(1.0)) == 0.0
 
     def test_singletons_reduce_to_single_label(self, rng):
-        cs, _ = random_balanced_instance(rng, max_per_class=3, max_r=6)
+        cs, centers = random_balanced_instance(rng, max_per_class=3, max_r=6)
         sets = [{int(l)} for l in cs.labels]
-        ml = trial_lhs(cs.codes, sets, cs.label_count, margin_loss(1.0))
+        C = centers.shape[1]
+        ml = trial_lhs(cs.codes, sets, C, margin_loss(1.0))
         assert ml == pytest.approx(naive_multilabel_loss(cs.codes, sets, margin_loss(1.0)),
                                    rel=1e-12, abs=1e-12)
-        assert ml == pytest.approx(exhaustive_loss(cs, margin_loss(1.0)),
+        assert ml == pytest.approx(exhaustive_loss(cs, C, margin_loss(1.0)),
                                    rel=1e-12, abs=1e-12)
 
     def test_matches_naive_oracle(self, rng):
@@ -265,7 +265,7 @@ class TestUnaryUpperBound:
         centers[0, 0], centers[0, 1] = 50.0, -50.0
         codes = np.concatenate([np.tile(centers[:, c], (per, 1)) for c in range(C)])
         labels = np.repeat(np.arange(C), per)
-        cs = bounds.LabeledCodeSet(codes, labels, C)
+        cs = bounds.LabeledCodeSet(codes, labels)
         rep = bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
         assert rep.brute_force_loss == 0.0
         assert rep.bound_value == 0.0
@@ -273,7 +273,7 @@ class TestUnaryUpperBound:
 
     def test_unbalanced_rejected(self, rng):
         codes = rng.choice([-1.0, 1.0], size=(3, 4))
-        cs = bounds.LabeledCodeSet(codes, [0, 0, 1], 2)
+        cs = bounds.LabeledCodeSet(codes, [0, 0, 1])
         with pytest.raises(PreconditionError):
             bounds.unary_upper_bound(cs, rng.normal(0, 1, (4, 2)), margin_loss(1.0))
 
@@ -285,7 +285,7 @@ class TestEstimateLambda:
         centers[0, 0], centers[0, 1] = 30.0, -30.0
         codes = np.concatenate([np.tile(centers[:, c], (per, 1)) for c in range(C)])
         labels = np.repeat(np.arange(C), per)
-        cs = bounds.LabeledCodeSet(codes, labels, C)
+        cs = bounds.LabeledCodeSet(codes, labels)
         rep = bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
         assert rep.lambda_estimate == 0.0
         assert rep.degenerate
@@ -310,7 +310,7 @@ class TestMultilabelBoundCheck:
     def test_seeded_check_holds(self, rng):
         codes = rng.choice([-1.0, 1.0], size=(12, 8))
         centers = rng.normal(0, 2, (8, 4))
-        rep = bounds.multilabel_bound_check(codes, 4, 0.3, centers,
+        rep = bounds.multilabel_bound_check(codes, 0.3, centers,
                                             trials=5000, seed=7, kind=margin_loss(1.0))
         assert rep.holds
         assert rep.confidence_margin > 0.0
@@ -318,13 +318,24 @@ class TestMultilabelBoundCheck:
     def test_near_one_probability_clamped(self, rng):
         codes = rng.choice([-1.0, 1.0], size=(8, 6))
         centers = rng.normal(0, 1, (6, 2))
-        rep = bounds.multilabel_bound_check(codes, 2, 0.999, centers,
+        rep = bounds.multilabel_bound_check(codes, 0.999, centers,
                                             trials=1000, seed=1, kind=margin_loss(1.0))
         assert rep.holds
 
+    @pytest.mark.parametrize("C", [3, 5])
+    def test_label_count_is_the_centers_columns(self, rng, C):
+        # the multiplier (C-1) p^2 n^2 and the bound terms share the C of
+        # the centers, one column per label
+        codes = rng.choice([-1.0, 1.0], size=(10, 6))
+        centers = rng.normal(0, 2, (6, C))
+        rep = bounds.multilabel_bound_check(codes, 0.3, centers, trials=1000, seed=1,
+                                            kind=margin_loss(1.0))
+        assert rep.label_count == centers.shape[1]
+        assert rep.multiplier == (C - 1) * 0.3 * 0.3 * 10 * 10
+
     def test_trial_floor(self, rng):
         with pytest.raises(PreconditionError):
-            bounds.multilabel_bound_check(np.ones((4, 2)), 2, 0.5, np.ones((2, 2)),
+            bounds.multilabel_bound_check(np.ones((4, 2)), 0.5, np.ones((2, 2)),
                                           trials=10, seed=0, kind=margin_loss(1.0))
 
 
@@ -469,7 +480,7 @@ def ref_toy_cell(cfg, sigma, d, seed_seq):
     unary = multiplier * float((lc + 2.0 * d_own).sum())
     total_triplets = n * (m - 1) * (n - m)
     if n < bounds.TOY_ENUMERATION_THRESHOLD:
-        lt = ref_brute_force_triplet_loss(bounds.LabeledCodeSet(codes, y, cfg.C), kind)
+        lt = ref_brute_force_triplet_loss(bounds.LabeledCodeSet(codes, y), kind)
         relaxed = 0.0
         for i in range(n):
             sim = (y == y[i]) & (np.arange(n) != i)
@@ -499,7 +510,7 @@ def ref_lambda(code_set, centers, kind, triplet_loss):
     """(lambda, degenerate) of the tightened unary bound from a reference
     triplet loss and numpy's per-item classification losses lc_i and
     own-center distances, in the summation order of the unary kernel."""
-    y, C = np.asarray(code_set.labels), code_set.label_count
+    y, C = np.asarray(code_set.labels), centers.shape[1]
     n = len(y)
     Dc = np.linalg.norm(code_set.codes[:, :, None] - centers[None], axis=1)   # (n, C)
     d_own = Dc[np.arange(n), y]
@@ -532,16 +543,16 @@ def labeled_sets(draw):
         codes = rng.choice([-1.0, 1.0], size=(y.size, r))
     else:
         codes = rng.normal(0, 1.5, (y.size, r))
-    return bounds.LabeledCodeSet(codes, y, C), rng.normal(0, 2, (r, C))
+    return bounds.LabeledCodeSet(codes, y), rng.normal(0, 2, (r, C))
 
 
 # at margin 0 hinge arguments land on exactly 0
 KINDS = [margin_loss(1.0), margin_loss(0.25), margin_loss(0.0), SOFTMAX]
 
 
-def balanced(code_set) -> bool:
-    """No label missing or more frequent than another."""
-    counts = np.bincount(code_set.labels, minlength=code_set.label_count)
+def balanced(code_set, C) -> bool:
+    """No label of C missing or more frequent than another."""
+    counts = np.bincount(code_set.labels, minlength=C)
     return bool((counts == counts[0]).all())
 
 
@@ -549,23 +560,25 @@ class TestRowBlocksMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(labeled_sets())
     def test_brute_force(self, case):
-        cs, _ = case
-        if not balanced(cs):
+        cs, centers = case
+        C = centers.shape[1]
+        if not balanced(cs, C):
             with pytest.raises(PreconditionError):
-                exhaustive_loss(cs, margin_loss(1.0))
+                exhaustive_loss(cs, C, margin_loss(1.0))
             return
         for kind in KINDS:
-            assert exhaustive_loss(cs, kind) == ref_brute_force_triplet_loss(cs, kind)
+            assert exhaustive_loss(cs, C, kind) == ref_brute_force_triplet_loss(cs, kind)
 
     @settings(max_examples=200, deadline=None)
     @given(labeled_sets())
     def test_softmax_background(self, case):
         cs, centers = case
-        if not balanced(cs):
+        C = centers.shape[1]
+        if not balanced(cs, C):
             with pytest.raises(PreconditionError):
-                bounds._row_blocks(cs.labels, cs.label_count)
+                bounds._row_blocks(cs.labels, C)
             return
-        label_rows = bounds._row_blocks(cs.labels, cs.label_count)
+        label_rows = bounds._row_blocks(cs.labels, C)
         rep, = bounds._unary_reports(cs.codes[None], label_rows, centers[None], SOFTMAX)
         assert rep.brute_force_loss == ref_softmax_background_triplet_loss(cs, centers)
 
@@ -573,7 +586,7 @@ class TestRowBlocksMatchReference:
     @given(labeled_sets())
     def test_unary_report(self, case):
         cs, centers = case
-        if not balanced(cs):
+        if not balanced(cs, centers.shape[1]):
             with pytest.raises(PreconditionError):
                 bounds.unary_upper_bound(cs, centers, margin_loss(1.0))
             return
@@ -584,9 +597,9 @@ class TestRowBlocksMatchReference:
             assert rep.brute_force_loss == want
 
     def test_two_rows(self):
-        cs = bounds.LabeledCodeSet([[0.5, 1.0], [-2.0, 0.25]], [1, 0], 2)
+        cs = bounds.LabeledCodeSet([[0.5, 1.0], [-2.0, 0.25]], [1, 0])
         for kind in KINDS:
-            assert exhaustive_loss(cs, kind) == 0.0
+            assert exhaustive_loss(cs, 2, kind) == 0.0
         rep = bounds.unary_upper_bound(cs, np.zeros((2, 2)), SOFTMAX)
         assert rep.brute_force_loss == 0.0
 
@@ -611,7 +624,7 @@ def ref_random_bound_instance(rng, classes, max_n, max_r):
     codes = rng.choice([-1.0, 1.0], size=(C * per_class, r))
     labels = np.repeat(np.arange(C), per_class)
     centers = rng.normal(0.0, 2.0, (r, C))
-    return bounds.LabeledCodeSet(codes, labels, C), centers
+    return bounds.LabeledCodeSet(codes, labels), centers
 
 
 @st.composite
@@ -631,19 +644,19 @@ def code_stacks(draw):
         codes = np.array([-1.0, 1.0])[rng.integers(0, 2, shape)]
     else:
         codes = rng.normal(0, 1.5, shape)
-    return codes, y, C, rng.normal(0, 2, (b, r, C))
+    return codes, y, rng.normal(0, 2, (b, r, C))
 
 
 class TestUnaryStackMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(code_stacks())
     def test_stack_equals_single_checks_and_reference(self, case):
-        codes, y, C, centers = case
+        codes, y, centers = case
         for kind in KINDS:
-            got = bounds.unary_upper_bounds(codes, y, C, centers, kind)
+            got = bounds.unary_upper_bounds(codes, y, centers, kind)
             assert len(got) == len(codes)
             for t, rep in enumerate(got):
-                cs = bounds.LabeledCodeSet(codes[t], y, C)
+                cs = bounds.LabeledCodeSet(codes[t], y)
                 assert rep.to_dict() == \
                     bounds.unary_upper_bound(cs, centers[t], kind).to_dict()
                 want = (ref_softmax_background_triplet_loss(cs, centers[t])
@@ -666,49 +679,50 @@ class TestUnaryStackMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(code_stacks())
     def test_memory_layout_does_not_change_bits(self, case):
-        codes, y, C, centers = case
+        codes, y, centers = case
         fortran = np.asfortranarray(codes)
         transposed = np.ascontiguousarray(codes.transpose(0, 2, 1)).transpose(0, 2, 1)
         wide = np.repeat(centers, 2, axis=2)[:, :, ::2]       # a strided view
         assert not wide.flags.c_contiguous
         assert min(codes.shape[1:]) == 1 or not transposed.flags.c_contiguous
         for kind in KINDS:
-            want = [r.to_dict() for r in bounds.unary_upper_bounds(codes, y, C, centers, kind)]
+            want = [r.to_dict() for r in bounds.unary_upper_bounds(codes, y, centers, kind)]
             for c, z in ((fortran, centers), (transposed, wide), (codes, wide)):
-                got = bounds.unary_upper_bounds(c, y, C, z, kind)
+                got = bounds.unary_upper_bounds(c, y, z, kind)
                 assert [r.to_dict() for r in got] == want
-            single = bounds.LabeledCodeSet(np.asfortranarray(codes[0]), y, C)
+            single = bounds.LabeledCodeSet(np.asfortranarray(codes[0]), y)
             assert bounds.unary_upper_bound(single, wide[0], kind).to_dict() == want[0]
 
     def test_stack_worked_in_pieces(self, rng, monkeypatch):
         codes = rng.normal(0, 1, (9, 6, 4))
         centers = rng.normal(0, 2, (9, 4, 3))
         y = np.array([2, 0, 1, 1, 2, 0])
-        want = bounds.unary_upper_bounds(codes, y, 3, centers, SOFTMAX)
+        want = bounds.unary_upper_bounds(codes, y, centers, SOFTMAX)
         monkeypatch.setattr(bounds, "UNARY_STACK_FLOATS", 2 * 6 * 6 * 6)
-        got = bounds.unary_upper_bounds(codes, y, 3, centers, SOFTMAX)
+        got = bounds.unary_upper_bounds(codes, y, centers, SOFTMAX)
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
-        assert bounds.unary_upper_bounds(codes[:0], y, 3, centers[:0], SOFTMAX) == []
+        assert bounds.unary_upper_bounds(codes[:0], y, centers[:0], SOFTMAX) == []
 
     def test_stack_rejects_bad_input(self, rng):
         codes = rng.normal(0, 1, (2, 4, 3))
         centers = rng.normal(0, 2, (2, 3, 2))
         kind = margin_loss(1.0)
         with pytest.raises(PreconditionError):                   # not balanced
-            bounds.unary_upper_bounds(codes, [0, 0, 0, 1], 2, centers, kind)
+            bounds.unary_upper_bounds(codes, [0, 0, 0, 1], centers, kind)
         with pytest.raises(PreconditionError):                   # label 2 missing
-            bounds.unary_upper_bounds(codes, [0, 0, 1, 1], 3, rng.normal(0, 2, (2, 3, 3)),
-                                      kind)
-        with pytest.raises(LabelSetError):
-            bounds.unary_upper_bounds(codes, [0, 1, 0, 2], 2, centers, kind)
+            bounds.unary_upper_bounds(codes, [0, 0, 1, 1], rng.normal(0, 2, (2, 3, 3)), kind)
+        with pytest.raises(LabelSetError):                       # label 2 has no center
+            bounds.unary_upper_bounds(codes, [0, 1, 0, 2], centers, kind)
         with pytest.raises(DimensionMismatch):
-            bounds.unary_upper_bounds(codes, [0, 1, 0, 1], 2, centers[:, :2], kind)
+            bounds.unary_upper_bounds(codes, [0, 1, 0, 1], centers[:, :2], kind)
         with pytest.raises(DimensionMismatch):
-            bounds.unary_upper_bounds(codes[0], [0, 1, 0, 1], 2, centers, kind)
+            bounds.unary_upper_bounds(codes[0], [0, 1, 0, 1], centers, kind)
+        with pytest.raises(DimensionMismatch):                   # one set's centers
+            bounds.unary_upper_bounds(codes, [0, 1, 0, 1], centers[0], kind)
         over = bounds.TRIPLET_CAP + 1                    # 65 = 5 x 13 rows
         with pytest.raises(PreconditionError, match="cap"):
             bounds.unary_upper_bounds(np.ones((2, over, 3)), np.repeat(np.arange(5), 13),
-                                      5, np.zeros((2, 3, 5)), kind)
+                                      np.zeros((2, 3, 5)), kind)
 
     def test_row_blocks_are_cached_read_only(self):
         y = np.array([1, 0, 1, 0, 2, 2])
@@ -745,7 +759,6 @@ class TestBoundDraws:
         for _ in range(200):
             cs, centers = bounds.random_bound_instance(rng, (2, 3, 4), 12, 16)
             want, want_centers = ref_random_bound_instance(ref, (2, 3, 4), 12, 16)
-            assert cs.label_count == want.label_count
             assert np.array_equal(cs.codes, want.codes)
             assert np.array_equal(cs.labels, want.labels)
             assert np.array_equal(centers, want_centers)
@@ -788,7 +801,7 @@ class TestMonteCarloMatchesReference:
         codes = rng.choice([-1.0, 1.0], size=(n, 5))
         centers = rng.normal(0, 2, (5, C))
         with np.errstate(invalid="ignore", divide="ignore"):
-            got = bounds.multilabel_bound_check(codes, C, p, centers, trials,
+            got = bounds.multilabel_bound_check(codes, p, centers, trials,
                                                 seed=trials, kind=kind)
             want = ref_multilabel_bound_check(codes, C, p, centers, trials,
                                               trials, kind)
@@ -866,11 +879,17 @@ class TestMonteCarloMatchesReference:
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(PreconditionError):
-            bounds.multilabel_bound_check(np.ones((0, 2)), 3, 0.5, np.ones((2, 3)),
+            bounds.multilabel_bound_check(np.ones((0, 2)), 0.5, np.ones((2, 3)),
                                           trials=1000, seed=0, kind=margin_loss(1.0))
-        with pytest.raises(PreconditionError):
-            bounds.multilabel_bound_check(np.ones((4, 2)), 1, 0.5, np.ones((2, 1)),
+        with pytest.raises(PreconditionError):                   # one label
+            bounds.multilabel_bound_check(np.ones((4, 2)), 0.5, np.ones((2, 1)),
                                           trials=1000, seed=0, kind=margin_loss(1.0))
+        for codes, centers in ((np.ones((4, 2)), np.ones((3, 2))),     # another r
+                               (np.ones(4), np.ones((4, 2))),
+                               (np.ones((4, 2)), np.ones(2))):
+            with pytest.raises(DimensionMismatch):
+                bounds.multilabel_bound_check(codes, 0.5, centers, trials=1000, seed=0,
+                                              kind=margin_loss(1.0))
 
 
 class TestToyCellMatchesReference:

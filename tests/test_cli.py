@@ -92,11 +92,12 @@ class TestValidation:
 
     def test_holder_p_domain_ends_have_a_dual(self):
         # the domain's smallest and largest values give a q above 1 that
-        # model.Hyperparams and the quantization penalty's check accept
+        # model.Hyperparams works out and the quantization penalty accepts
         for p in (float(np.nextafter(1.0, 2.0)), 2.0**53 - 1.0, 1.5, 3.0):
             hp = cli.hyperparams(cli.resolve("train", {"holder-p": repr(p)}))
             assert hp.holder_p == p and hp.holder_q == p / (p - 1.0) > 1.0
-            losses._check_dual_norms(hp.holder_p, hp.holder_q)
+            assert losses.dual_exponent(p) == hp.holder_q
+            losses.quantization_batch(np.ones((2, 3)), hp.holder_p)
 
     def test_large_holder_p_is_blamed_on_itself(self, tmp_path):
         # p = 1000 takes the p-norm of small embedding rows out of float64
@@ -174,6 +175,23 @@ class TestValidation:
                        expect=1)
         assert "student network's hash_layer.W block" in json.loads(proc.stderr)["message"]
         assert not (tmp_path / "r" / "codes.scdh").exists()
+
+    @pytest.mark.parametrize("holder_q", [2.0, np.nan])
+    def test_encode_checkpoint_with_a_non_dual_holder_q(self, tmp_path, capsys, holder_q):
+        # the stored dual exponent is checked, not read: one that disagrees
+        # with holder_p marks a damaged file
+        hp = model.Hyperparams()
+        hp.holder_q = holder_q           # bypasses __post_init__
+        ckpt = tmp_path / "m.ckpt"
+        model.save_checkpoint(ckpt, model.init_model((4, 4), 3, 4, 0), hp)
+        path = tmp_path / "d.scds"
+        save_dataset(Dataset(np.arange(12), np.ones((12, 4)), np.zeros((12, 3), bool)), path)
+        out = tmp_path / "r"
+        assert cli.main(["encode", "--model", str(ckpt), "--data", str(path),
+                         "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "holder_q" in err["message"]
+        assert not (out / "codes.scdh").exists()
 
     def test_encode_teacher_of_student_only_checkpoint(self, tmp_path, capsys):
         # the value is checked before the load; a missing teacher is named,
@@ -566,12 +584,13 @@ class TestConfigMerging:
         assert manifest["result"]["n_train"] == 160
         assert manifest["config"]["cluster-std"] == 1.05      # from the preset
         run_cli("train", "--data", tmp_path / "d" / "train.scds", "--preset", "clusters8",
-                "--hp-preset", "nuswide-like", "--epochs", 1, "--lam", 0.002,
-                "--out", tmp_path / "r")
+                "--epochs", 1, "--lam", 0.002, "--out", tmp_path / "r")
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 1 and manifest["result"]["epochs"] == 1
-        # the hp preset overrides the training preset, and a flag both
-        assert manifest["config"]["alpha"] == 1.0 and manifest["config"]["lam"] == 0.002
+        # a flag overrides the training preset's lam 0.01, and the preset's
+        # lr-schedule overrides the default, no steps
+        assert manifest["config"]["lam"] == 0.002
+        assert manifest["config"]["lr-schedule"] == [[20, 0.2]]
         assert manifest["config"]["hidden"] == [64]
 
     def test_config_values_parse_like_flags(self, tmp_path):
@@ -1194,6 +1213,9 @@ class TestFlagContract:
         # the dual exponent follows from --holder-p
         ("train", "holder-q", "2"),
         ("train-semi", "holder-q", "2"),
+        # a second way to set --lam, --mu and --alpha (README lists the triples)
+        ("train", "hp-preset", "nuswide-like"),
+        ("train-semi", "hp-preset", "nuswide-like"),
         # precision is taken within Hamming radius 2, the radius its key names
         ("eval", "radius", "3"),
     ])
@@ -1208,7 +1230,7 @@ class TestFlagContract:
         assert not out.exists()
         # nor does a config file set it
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({flag: int(value)}))
+        cfg.write_text(json.dumps({flag: value}))
         assert cli.main([*argv, "--config", str(cfg)]) == 1
         assert flag in json.loads(capsys.readouterr().err)["message"]
         assert flag not in cli.COMMANDS[command][0]

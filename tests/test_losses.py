@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdh import losses
-from scdh.errors import DimensionMismatch, DivergenceError, LabelSetError, NonFiniteError
+from scdh.errors import (DimensionMismatch, DivergenceError, LabelSetError, NonFiniteError,
+                         PreconditionError)
 
 import oracles
 from conftest import central_diff, labels_from_sets, rel_err
@@ -511,7 +512,7 @@ class TestKernelBytes:
         for seed in range(3):
             F, centers, logits, Y = byte_batch(case, seed, n=n)
             q = p / (p - 1.0)
-            got = losses.scul_batch(F, centers, logits, Y, 0.01, p, q)
+            got = losses.scul_batch(F, centers, logits, Y, 0.01, p)
             want = oracles.ref_scul_batch(F, centers, logits, Y, 0.01, p, q)
             for field in dataclasses.fields(losses.SculBatch):
                 a, b = getattr(got, field.name), getattr(want, field.name)
@@ -560,19 +561,39 @@ class TestHolderExponentRange:
     ])
     def test_out_of_range_row_refused(self, rng, entry):
         F = rng.normal(1.5, 0.1, (5, 24))       # rows of norm about 1.7: in range
-        losses.quantization_batch(F, self.P, self.P / (self.P - 1.0))
+        losses.quantization_batch(F, self.P)
         F[3] = entry * np.sign(rng.normal(size=24))
         with pytest.raises(DivergenceError, match=r"p=1000\b.*--holder-p"):
-            losses.quantization_batch(F, self.P, self.P / (self.P - 1.0))
+            losses.quantization_batch(F, self.P)
 
     def test_in_range_rows_keep_their_values(self, rng):
-        # an all-zero row (norm 0) and a NaN row are no range failure
+        # an all-zero row (norm 0) and a NaN row are no range failure; the
+        # NaN row stays NaN, where it used to read as an all-zero row
         F = rng.normal(1.5, 0.1, (4, 24))
         F[1] = 0.0
         F[2, 5] = np.nan
-        loss, grad = losses.quantization_batch(F, self.P, self.P / (self.P - 1.0))
-        assert loss[1] == 1.0 and not grad[1].any()
-        assert np.isfinite(loss).all() and np.isfinite(grad).all()
+        kept = [0, 1, 3]
+        for p in (3.0, self.P):
+            loss, grad = losses.quantization_batch(F, p)
+            assert loss[1] == 1.0 and not grad[1].any()
+            assert np.isnan(loss[2]) and np.isnan(grad[2]).all()
+            want_loss, want_grad = losses.quantization_batch(F[kept], p)
+            assert loss[kept].tobytes() == want_loss.tobytes()
+            assert grad[kept].tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, -3.0, 2.0**53, np.inf, np.nan])
+    def test_exponent_outside_its_domain_refused(self, p):
+        # q = p / (p - 1) is the dual exponent above 1 only for 1 < p < 2^53
+        with pytest.raises(PreconditionError, match="Hoelder exponent"):
+            losses.quantization_batch(np.ones((2, 3)), p)
+        with pytest.raises(PreconditionError, match="Hoelder exponent"):
+            losses.dual_exponent(p)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 1.0 + 2.0**-52, 2.0**53 - 1.0])
+    def test_dual_exponent(self, p):
+        q = losses.dual_exponent(p)
+        assert q == p / (p - 1.0) and q > 1.0
+        assert abs(1.0 / p + 1.0 / q - 1.0) <= 1e-9
 
 
 class TestLabelMatrix:

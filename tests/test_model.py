@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -65,15 +67,23 @@ def fd_grads(net, X, labelsets, hp, eps=1e-5):
 
 
 class TestHyperparams:
-    def test_dual_norm_enforced(self):
-        with pytest.raises(PreconditionError):
-            tiny_hp(holder_p=3.0, holder_q=2.0)
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0**53])
+    def test_holder_p_outside_its_domain_refused(self, p):
+        # p = 0.5 once passed with q = -1.0 and failed at the first step
+        with pytest.raises(PreconditionError, match="Hoelder exponent"):
+            tiny_hp(holder_p=p)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_holder_q_is_worked_out(self, p):
+        assert tiny_hp(holder_p=p).holder_q == p / (p - 1.0)
+        with pytest.raises(TypeError):
+            tiny_hp(holder_p=p, holder_q=p / (p - 1.0))
 
     def test_schedule_must_increase(self):
         with pytest.raises(PreconditionError):
             tiny_hp(lr_schedule=((10, 0.2), (5, 0.2)))
 
-    @pytest.mark.parametrize("field", ["lam", "mu", "alpha", "holder_p", "holder_q",
+    @pytest.mark.parametrize("field", ["lam", "mu", "alpha", "holder_p",
                                        "warmup_norm_s", "lr", "momentum"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, value):
@@ -91,14 +101,6 @@ class TestHyperparams:
         assert hp.lr_at(0) == 1.0
         assert hp.lr_at(2) == pytest.approx(0.2)
         assert hp.lr_at(4) == pytest.approx(0.1)
-
-    def test_reference_presets_recorded(self):
-        assert model.HP_PRESETS["cifar10-like"] == dict(lam=0.005, mu=0.2,
-                                                        alpha=0.05)
-        assert model.HP_PRESETS["nuswide-like"] == dict(lam=0.001, mu=0.1,
-                                                        alpha=1.0)
-        assert model.HP_PRESETS["imagenet-like"] == dict(lam=0.001, mu=0.1,
-                                                         alpha=4.0)
 
 
 class TestInitModel:
@@ -282,10 +284,10 @@ class TestFlatLayout:
         params = [p.copy() for p in net.blocks(net.theta).values()]
         velocities = [np.zeros_like(p) for p in params]
         for _ in range(25):
-            grad = rng.normal(0.0, 1.0, net.theta.shape)
+            net.grad[:] = rng.normal(0.0, 1.0, net.theta.shape)
             lr, momentum = rng.uniform(1e-4, 0.1), rng.uniform(0.0, 0.99)
-            model.sgd_update(net, grad, lr, momentum)
-            ref_sgd_update(params, velocities, list(net.blocks(grad).values()),
+            model.sgd_update(net, lr, momentum)
+            ref_sgd_update(params, velocities, list(net.grads.values()),
                            lr, momentum)
             for got, want in zip(net.blocks(net.theta).values(), params, strict=True):
                 assert np.array_equal(got, want)
@@ -523,6 +525,36 @@ class TestCheckpoint:
         model.save_checkpoint(path, randomized_net(4), hp)
         with pytest.raises(ParseError, match="bad hyperparameters"):
             model.load_checkpoint(path)
+
+    @staticmethod
+    def _edit_meta(path, edit):
+        """Rewrite a checkpoint's meta JSON through ``edit``."""
+        blob = path.read_bytes()
+        off = model._CKPT_HEADER.size + 4 * model._CKPT_HEADER.unpack_from(blob)[5]
+        (size,) = struct.unpack_from("<Q", blob, off)
+        meta = json.loads(blob[off + 8:off + 8 + size])
+        edit(meta["hyperparams"])
+        raw = json.dumps(meta, sort_keys=True).encode()
+        path.write_bytes(blob[:off] + struct.pack("<Q", len(raw)) + raw
+                         + blob[off + 8 + size:])
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_stored_holder_q_is_checked_not_read(self, tmp_path, p):
+        hp = tiny_hp(holder_p=p)
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, randomized_net(4), hp)
+        # a meta block with no holder_q loads, and so does one whose q is
+        # dual to p within 1e-9; each gets the q that p gives
+        for edit in (lambda h: h.pop("holder_q"),
+                     lambda h: h.update(holder_q=p / (p - 1.0) * (1.0 + 1e-12))):
+            self._edit_meta(path, edit)
+            _, loaded, _, _ = model.load_checkpoint(path)
+            assert loaded == hp and loaded.holder_q == p / (p - 1.0)
+        for q in (p, p + 1.0, np.nan, 0.0, "1.5"):
+            self._edit_meta(path, lambda h: h.update(holder_q=q))
+            named = "holder_q" if isinstance(q, float) and q else ""
+            with pytest.raises(ParseError, match=f"^bad hyperparameters.*{named}"):
+                model.load_checkpoint(path)
 
     BLOCKS = ["trunk[0].W", "trunk[0].b", "hash_layer.W", "hash_layer.b",
               "classifier.W", "classifier.b", "centers"]
