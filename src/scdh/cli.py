@@ -411,8 +411,9 @@ def cmd_gen(cfg: dict, run: Run):
                                    multilabel_p=cfg["multilabel-p"] if multi else None,
                                    seed=seed)
     except PreconditionError as exc:
-        # the flag domains leave only the class count of a multilabel draw
-        raise ValidationError(f"--classes {cfg['classes']} with --mode multi: {exc}") from None
+        # the flag domains leave only the label-row odds of a multilabel draw
+        raise ValidationError(f"--mode multi --classes {cfg['classes']} --multilabel-p "
+                              f"{cfg['multilabel-p']}: {exc}") from None
     if multi:
         train, query, db = data.make_multilabel_splits(syn, cfg["n-query"], cfg["n-db"])
     else:
@@ -552,13 +553,15 @@ def cmd_encode(cfg: dict, run: Run):
                               f"checkpoint's network takes {net.input_dim}")
     # a block of rows at a time: only the code words and bit counts are whole
     words = np.empty((dataset.n, retrieval._n_words(net.r)), dtype="<u8")
-    ones = np.zeros(net.r, dtype=np.int64)
+    ones = np.zeros(net.r)
     for s, e in model.row_blocks(dataset.n):
         X = dataset.rows(s, e)
         _require_finite(X, dataset.ids[s:e], "--data", s)
         F = model.extract_embeddings(net, X)
         words[s:e] = retrieval.binarize_batch(F)
-        ones += np.count_nonzero(F >= 0.0, axis=0)
+        # the column totals as one product, exact in float64: every partial
+        # sum is an integer below 2**53 (a column reduction costs twice as much)
+        ones += np.ones(e - s) @ (F >= 0.0)
     index = retrieval.CodeIndex._adopt(words, dataset.ids, net.r)
     with atomic_path(run.path(cfg["name"])) as tmp:
         retrieval.save_codes(index, tmp)

@@ -33,6 +33,10 @@ _UNLABELED_U32 = 0xFFFFFFFF
 # The label matrix takes n * C bytes, so a file may not declare more classes.
 _MAX_LABEL_COUNT = 1 << 16
 
+# A multilabel draw keeps a label row only when it is neither empty nor full;
+# a (C, p) that keeps fewer rows than this share is refused.
+_MIN_KEPT_ROW_SHARE = 1e-3
+
 
 @dataclass
 class Dataset:
@@ -99,12 +103,23 @@ class SyntheticConfig:
         if not (0.0 <= self.cluster_std < np.inf and 0.0 <= self.center_spread < np.inf):
             raise PreconditionError("cluster_std and center_spread must be finite and "
                                     "non-negative")
-        if self.multilabel_p is not None and not 0.0 < self.multilabel_p < 1.0:
+        p = self.multilabel_p
+        if p is None:
+            return
+        if not 0.0 < p < 1.0:
             raise PreconditionError("multilabel_p must lie in (0, 1)")
         # one class leaves every label row empty or full, which is redrawn
-        if self.multilabel_p is not None and self.C < 2:
+        if self.C < 2:
             raise PreconditionError(f"a multilabel draw needs at least 2 classes, "
                                     f"got C={self.C}")
+        # a row is kept with probability q, so a draw of n rows takes about
+        # n / q candidate rows
+        q = 1.0 - (1.0 - p) ** self.C - p ** self.C
+        if q < _MIN_KEPT_ROW_SHARE:
+            raise PreconditionError(
+                f"p={p} over C={self.C} labels keeps a label row with probability "
+                f"{q:.3g} < {_MIN_KEPT_ROW_SHARE}: more than "
+                f"{round(1 / _MIN_KEPT_ROW_SHARE)} draws per row")
 
 
 def _draw_prototypes(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
@@ -125,14 +140,26 @@ def sample_clusters(means: np.ndarray, per_class: int, std: float,
 
 
 def _sample_label_matrix(rng: np.random.Generator, n: int, C: int, p: float) -> np.ndarray:
-    # Degenerate draws (no labels, or every label) are resampled: training
-    # losses need at least one positive and one negative class per sample.
+    """An (n, C) bool matrix whose entries are set with probability p.
+
+    A degenerate row (no label, or every label) is redrawn: training losses
+    need at least one positive and one negative class per sample.  The first
+    round draws all n rows with one ``rng.random((n, C)) < p``; each later
+    round redraws the k rows still degenerate with one
+    ``rng.random((k, C)) < p``, in ascending row order, and checks only those
+    rows again.  So the matrix and the generator's state afterwards are those
+    of a loop that rescans all n rows every round, and the work is n plus the
+    rows redrawn.
+    """
     Y = rng.random((n, C)) < p
-    while True:
-        bad = ~Y.any(axis=1) | Y.all(axis=1)
-        if not bad.any():
-            return Y
-        Y[bad] = rng.random((int(bad.sum()), C)) < p
+    k = np.count_nonzero(Y, axis=1)
+    rows = np.flatnonzero((k == 0) | (k == C))
+    while rows.size:
+        redrawn = rng.random((rows.size, C)) < p
+        Y[rows] = redrawn
+        k = np.count_nonzero(redrawn, axis=1)
+        rows = rows[(k == 0) | (k == C)]
+    return Y
 
 
 def sample_multilabel(protos: np.ndarray, n: int, p: float, std: float,

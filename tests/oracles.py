@@ -9,7 +9,9 @@ Centers are an ``(r, C)`` matrix whose columns are the per-label cluster
 centers.  At the end, ``ref_scul_batch`` and its helpers keep the batch
 kernel in its plain form, with no fast path, for byte-for-byte comparison,
 and ``ref_sgd_step`` keeps the training step as it stood when the
-consistency term reached it through a callback.
+consistency term reached it through a callback.  ``ref_redrawn_label_matrix``
+keeps the multilabel sampler as it stood when every redraw round rescanned
+all n rows.
 """
 
 from __future__ import annotations
@@ -439,3 +441,15 @@ def ref_consistency_term(teacher_logits: np.ndarray, teacher_negdists: np.ndarra
         grad_centers += gC
         return float((mu * cr.classifier_loss + cr.distance_loss).sum())
     return add
+
+
+def ref_redrawn_label_matrix(rng: np.random.Generator, n: int, C: int,
+                             p: float) -> np.ndarray:
+    """The label sampler that rescans every row in every redraw round: the
+    matrix and the generator state it leaves are what ``data`` must match."""
+    Y = rng.random((n, C)) < p
+    while True:
+        bad = ~Y.any(axis=1) | Y.all(axis=1)
+        if not bad.any():
+            return Y
+        Y[bad] = rng.random((int(bad.sum()), C)) < p

@@ -899,6 +899,27 @@ class TestVerifyAndToy:
             assert got == digest, name
 
 
+    @pytest.mark.parametrize("argv, frozen", [
+        (["--preset", "multilabel6"], {
+            "train.scds": "5ddede44329202610afd6fd120ffed9eaf72985a75dee9127c7c1bd96ddaa37d",
+            "query.scds": "8d7a9f9283921ffe75538a97c06b623a7a79811f7ddfaf8692b861510cf18bca",
+            "db.scds": "5547a2bfa0600168a1628a8515bf571c670448de678e7022702576155a6ebe74",
+        }),
+        # about 25 draws per kept row: the database takes about 200 redraw rounds
+        (["--mode", "multi", "--classes", 2, "--multilabel-p", 0.02], {
+            "train.scds": "c9dc194026abe668b839e03e9da438ada64d7527550445203bcb77ef43e0ab5e",
+            "query.scds": "ab28521d88d4d10278a16b86b0b31e9f11915d65514fbf40e762b6d9a45d0afb",
+            "db.scds": "58fea85b478c611ffae8ac82a2adeeca8591582be18c7ef2f0c2857d105acb95",
+        }),
+    ], ids=["multilabel6", "many-rounds"])
+    def test_multilabel_gen_matches_frozen_digests(self, tmp_path, argv, frozen):
+        # sha256 of files written while every redraw round of the label
+        # sampler rescanned all n rows
+        run_cli("gen", *argv, "--seed", 0, "--out", tmp_path)
+        for name, digest in frozen.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digest, name
+
     def test_training_outputs_match_frozen_digests(self, tmp_path):
         # sha256 of training outputs written while supervised and
         # semi-supervised training were two separate loops.  The supervised
@@ -1309,8 +1330,14 @@ REFUSALS = {
         f"--lr-schedule must be {cli.Schedule()}, got 10:0.2,5:0.2"),
     "gen-multi-one-class": (
         lambda t: ["gen", "--mode", "multi", "--classes", "1"],
-        "--classes 1 with --mode multi: a multilabel draw needs at least 2 classes, "
-        "got C=1"),
+        "--mode multi --classes 1 --multilabel-p 0.3: a multilabel draw needs at least "
+        "2 classes, got C=1"),
+    # a label row kept with probability 2e-7: about 5 million draws per row
+    "gen-multi-rows-seldom-kept": (
+        lambda t: ["gen", "--mode", "multi", "--classes", "2", "--multilabel-p", "1e-7",
+                   "--train-per-class", "2", "--n-query", "5", "--n-db", "5"],
+        "--mode multi --classes 2 --multilabel-p 1e-07: p=1e-07 over C=2 labels keeps a "
+        "label row with probability 2e-07 < 0.001: more than 1000 draws per row"),
     "lambda-toy-bits": (
         lambda t: ["lambda-toy", "--bits", "2", "--clusters", "3"],
         "--bits 2 --clusters 3: r=2 cannot hold the simplex of 3 cluster means "

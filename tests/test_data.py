@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scdh import data, model, retrieval
 from scdh.errors import ParseError, PreconditionError
 
+import oracles
 from conftest import gen_gaussian_clusters, gen_multilabel, labels_from_sets
 
 
@@ -88,6 +89,36 @@ class TestMultilabelGenerator:
         b = gen_multilabel(cfg(multilabel_p=0.4))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.99])
+    @pytest.mark.parametrize("C", [2, 3, 6, 64, 65, 130])
+    @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1025, 3000])
+    def test_label_matrix_equals_the_rescanning_sampler(self, n, C, p):
+        # the same matrix and the same generator state afterwards, so the
+        # feature noise drawn next is the same too
+        got_rng, want_rng = np.random.default_rng(n + C), np.random.default_rng(n + C)
+        got = data._sample_label_matrix(got_rng, n, C, p)
+        want = oracles.ref_redrawn_label_matrix(want_rng, n, C, p)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, C)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        sizes = got.sum(axis=1)
+        assert np.all((sizes > 0) & (sizes < C))
+
+    @pytest.mark.parametrize("C, p", [(2, 1e-7), (2, 1e-4), (2, 1 - 1e-4), (3, 1e-4),
+                                      (9, 1e-4)])
+    def test_rows_seldom_kept_refused(self, C, p):
+        # a row is kept with probability 1 - (1 - p)^C - p^C, here below 1e-3
+        with pytest.raises(PreconditionError, match="draws per row"):
+            cfg(C=C, multilabel_p=p)
+
+    def test_rows_kept_often_enough_accepted(self):
+        # q = 0.001998 at C = 2, p = 0.001, just above the floor; the default
+        # p = 0.3 keeps at least 42% of rows at any C >= 2
+        cfg(C=2, multilabel_p=0.001)
+        cfg(C=2, multilabel_p=0.999)
+        for C in range(2, 200):
+            cfg(C=C, multilabel_p=0.3)
 
     def test_wrong_generator_rejected(self):
         with pytest.raises(PreconditionError):
@@ -416,7 +447,7 @@ def ref_sample_multilabel(protos, n, p, std, seed, id_start=0) -> data.Dataset:
     """The whole-array generator: one (n, C) @ (C, dim) product, one noise draw."""
     rng = np.random.default_rng(seed)
     C, dim = protos.shape
-    member = data._sample_label_matrix(rng, n, C, p)
+    member = oracles.ref_redrawn_label_matrix(rng, n, C, p)
     feats = member @ protos / member.sum(axis=1, keepdims=True)
     feats = feats + std * rng.standard_normal((n, dim))
     ids = np.arange(id_start, id_start + n, dtype=np.int64)
